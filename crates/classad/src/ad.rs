@@ -1,6 +1,7 @@
 //! The classad record type.
 
 use std::fmt;
+use std::rc::Rc;
 
 use crate::expr::{Expr, Scope};
 use crate::value::Value;
@@ -10,11 +11,15 @@ use crate::value::Value;
 /// Attribute names are case-insensitive (per classad convention) but the
 /// record remembers the spelling used at insertion, and iteration follows
 /// insertion order — so a printed ad is stable and diff-friendly.
+///
+/// The attribute list is copy-on-write: cloning an ad (into a reply
+/// envelope, the dedup cache, the shop's soft cache) shares the storage,
+/// and the first mutation of a shared ad copies it.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ClassAd {
-    // (original_name, lowercase_name, expr); linear scan is appropriate for
-    // the tens-of-attributes ads this middleware produces.
-    entries: Vec<(String, String, Expr)>,
+    // (name, expr) matched ASCII-case-insensitively; linear scan is
+    // appropriate for the tens-of-attributes ads this middleware produces.
+    entries: Rc<Vec<(String, Expr)>>,
 }
 
 impl ClassAd {
@@ -34,28 +39,36 @@ impl ClassAd {
     }
 
     /// Bind `name` to an expression, replacing any existing binding
-    /// (case-insensitively) while keeping its position.
-    pub fn set(&mut self, name: impl Into<String>, expr: Expr) {
-        let name = name.into();
-        let lower = name.to_ascii_lowercase();
-        if let Some(slot) = self.entries.iter_mut().find(|(_, l, _)| *l == lower) {
-            slot.0 = name;
-            slot.2 = expr;
-        } else {
-            self.entries.push((name, lower, expr));
+    /// (case-insensitively) while keeping its position; the binding takes
+    /// the new spelling of `name`.
+    pub fn set(&mut self, name: impl AsRef<str> + Into<String>, expr: Expr) {
+        let entries = Rc::make_mut(&mut self.entries);
+        match entries
+            .iter_mut()
+            .find(|(n, _)| n.eq_ignore_ascii_case(name.as_ref()))
+        {
+            Some(slot) => {
+                if slot.0 != name.as_ref() {
+                    slot.0 = name.into();
+                }
+                slot.1 = expr;
+            }
+            None => entries.push((name.into(), expr)),
         }
     }
 
     /// Bind `name` to a literal value.
-    pub fn set_value(&mut self, name: impl Into<String>, value: impl Into<Value>) {
+    pub fn set_value(&mut self, name: impl AsRef<str> + Into<String>, value: impl Into<Value>) {
         self.set(name, Expr::Lit(value.into()));
     }
 
     /// Remove a binding; returns the removed expression if present.
     pub fn remove(&mut self, name: &str) -> Option<Expr> {
-        let lower = name.to_ascii_lowercase();
-        let idx = self.entries.iter().position(|(_, l, _)| *l == lower)?;
-        Some(self.entries.remove(idx).2)
+        let idx = self
+            .entries
+            .iter()
+            .position(|(n, _)| n.eq_ignore_ascii_case(name))?;
+        Some(Rc::make_mut(&mut self.entries).remove(idx).1)
     }
 
     /// True if the attribute is bound.
@@ -106,27 +119,26 @@ impl ClassAd {
 
     /// Iterate `(name, expr)` in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Expr)> {
-        self.entries.iter().map(|(n, _, e)| (n.as_str(), e))
+        self.entries.iter().map(|(n, e)| (n.as_str(), e))
     }
 
     /// Attribute names in insertion order.
     pub fn names(&self) -> impl Iterator<Item = &str> {
-        self.entries.iter().map(|(n, _, _)| n.as_str())
+        self.entries.iter().map(|(n, _)| n.as_str())
     }
 
     /// Merge another ad into this one: `other`'s bindings win on collision.
     pub fn absorb(&mut self, other: &ClassAd) {
         for (name, expr) in other.iter() {
-            self.set(name.to_owned(), expr.clone());
+            self.set(name, expr.clone());
         }
     }
 
     fn lookup(&self, name: &str) -> Option<&Expr> {
-        let lower = name.to_ascii_lowercase();
         self.entries
             .iter()
-            .find(|(_, l, _)| *l == lower)
-            .map(|(_, _, e)| e)
+            .find(|(n, _)| n.eq_ignore_ascii_case(name))
+            .map(|(_, e)| e)
     }
 }
 
@@ -174,6 +186,35 @@ mod tests {
         ad.set_value("memory_mb", 512i64);
         assert_eq!(ad.len(), 1);
         assert_eq!(ad.get_int("Memory_MB"), Some(512));
+    }
+
+    #[test]
+    fn clones_share_until_either_side_writes() {
+        let mut a = ClassAd::new();
+        a.set_value("vmid", "vm-1");
+        a.set_value("state", "running");
+        let mut b = a.clone();
+        b.set_value("state", "collected");
+        assert_eq!(a.get_str("state"), Some("running".into()));
+        assert_eq!(b.get_str("state"), Some("collected".into()));
+        let c = a.clone();
+        a.set_value("uptime_s", 5i64);
+        a.remove("vmid");
+        assert_eq!(c.len(), 2);
+        assert_eq!(c.get_str("vmid"), Some("vm-1".into()));
+        assert!(!c.contains("uptime_s"));
+    }
+
+    #[test]
+    fn recased_set_keeps_position_and_takes_new_spelling() {
+        let mut ad = ClassAd::new();
+        for name in ["alpha", "Memory_MB", "zeta"] {
+            ad.set_value(name, 1i64);
+        }
+        ad.set_value("MEMORY_mb", 2i64);
+        let names: Vec<&str> = ad.names().collect();
+        assert_eq!(names, vec!["alpha", "MEMORY_mb", "zeta"]);
+        assert_eq!(ad.get_int("memory_mb"), Some(2));
     }
 
     #[test]

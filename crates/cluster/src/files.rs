@@ -8,6 +8,7 @@
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::ops::Bound;
 use std::rc::Rc;
 
 /// What role a file plays, for reporting and sanity checks.
@@ -52,6 +53,9 @@ pub struct FileMeta {
 struct StoreInner {
     name: String,
     files: BTreeMap<String, FileMeta>,
+    /// Sum of `bytes` over `files`, kept by [`StoreInner::insert`] and
+    /// [`StoreInner::remove`] — the only two places `files` changes.
+    used: u64,
     capacity_bytes: Option<u64>,
 }
 
@@ -105,6 +109,7 @@ impl FileStore {
             inner: Rc::new(RefCell::new(StoreInner {
                 name: name.into(),
                 files: BTreeMap::new(),
+                used: 0,
                 capacity_bytes: None,
             })),
         }
@@ -138,7 +143,7 @@ impl FileStore {
         let mut inner = self.inner.borrow_mut();
         let existing = inner.files.get(&path).map(|m| m.bytes).unwrap_or(0);
         if let Some(cap) = inner.capacity_bytes {
-            let used = inner.used_bytes() - existing;
+            let used = inner.used - existing;
             if used + bytes > cap {
                 return Err(StoreError::Full {
                     requested: bytes,
@@ -146,7 +151,7 @@ impl FileStore {
                 });
             }
         }
-        inner.files.insert(
+        inner.insert(
             path,
             FileMeta {
                 bytes,
@@ -170,7 +175,7 @@ impl FileStore {
         kind: FileKind,
         chunks: Vec<String>,
     ) -> Result<(), StoreError> {
-        self.inner.borrow_mut().files.insert(
+        self.inner.borrow_mut().insert(
             path.into(),
             FileMeta {
                 bytes: 0,
@@ -222,7 +227,7 @@ impl FileStore {
     /// Create a symlink at `path` pointing to `target`. The target need not
     /// exist yet (dangling links resolve to `NotFound` at read time).
     pub fn link(&self, path: impl Into<String>, target: impl Into<String>) {
-        self.inner.borrow_mut().files.insert(
+        self.inner.borrow_mut().insert(
             path.into(),
             FileMeta {
                 bytes: 0,
@@ -238,7 +243,6 @@ impl FileStore {
     pub fn remove(&self, path: &str) -> Result<FileMeta, StoreError> {
         self.inner
             .borrow_mut()
-            .files
             .remove(path)
             .ok_or_else(|| StoreError::NotFound(path.to_owned()))
     }
@@ -246,14 +250,9 @@ impl FileStore {
     /// Remove every file under a path prefix; returns how many were removed.
     pub fn remove_tree(&self, prefix: &str) -> usize {
         let mut inner = self.inner.borrow_mut();
-        let doomed: Vec<String> = inner
-            .files
-            .keys()
-            .filter(|p| p.starts_with(prefix))
-            .cloned()
-            .collect();
+        let doomed: Vec<String> = inner.under(prefix).cloned().collect();
         for p in &doomed {
-            inner.files.remove(p);
+            inner.remove(p);
         }
         doomed.len()
     }
@@ -298,7 +297,7 @@ impl FileStore {
 
     /// Physical bytes used (symlinks cost nothing).
     pub fn used_bytes(&self) -> u64 {
-        self.inner.borrow().used_bytes()
+        self.inner.borrow().used
     }
 
     /// Free bytes, if the store is bounded.
@@ -306,7 +305,7 @@ impl FileStore {
         let inner = self.inner.borrow();
         inner
             .capacity_bytes
-            .map(|cap| cap.saturating_sub(inner.used_bytes()))
+            .map(|cap| cap.saturating_sub(inner.used))
     }
 
     /// Number of entries (files + symlinks).
@@ -316,19 +315,33 @@ impl FileStore {
 
     /// Paths under a prefix, sorted.
     pub fn list(&self, prefix: &str) -> Vec<String> {
-        self.inner
-            .borrow()
-            .files
-            .keys()
-            .filter(|p| p.starts_with(prefix))
-            .cloned()
-            .collect()
+        self.inner.borrow().under(prefix).cloned().collect()
     }
 }
 
 impl StoreInner {
-    fn used_bytes(&self) -> u64 {
-        self.files.values().map(|m| m.bytes).sum()
+    /// Create or replace one entry, keeping `used` in step.
+    fn insert(&mut self, path: String, meta: FileMeta) {
+        self.used += meta.bytes;
+        if let Some(old) = self.files.insert(path, meta) {
+            self.used -= old.bytes;
+        }
+    }
+
+    /// Remove one entry, keeping `used` in step.
+    fn remove(&mut self, path: &str) -> Option<FileMeta> {
+        let meta = self.files.remove(path)?;
+        self.used -= meta.bytes;
+        Some(meta)
+    }
+
+    /// Paths under `prefix`, in order: a range walk from the prefix, not
+    /// a scan of every key.
+    fn under<'a>(&'a self, prefix: &'a str) -> impl Iterator<Item = &'a String> + 'a {
+        self.files
+            .range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
+            .map(|(p, _)| p)
+            .take_while(move |p| p.starts_with(prefix))
     }
 
     /// Follow symlinks to the terminal entry (bounded by the hop budget).
@@ -441,6 +454,49 @@ mod tests {
         assert_eq!(s.remove_tree("/clones/vm7/"), 3);
         assert_eq!(s.file_count(), 1);
         assert!(s.exists("/clones/vm8/cfg"));
+    }
+
+    #[test]
+    fn remove_tree_stops_at_the_prefix() {
+        let s = FileStore::new("test");
+        s.put("/clones/vm-1/cfg", 10, FileKind::Generic).unwrap();
+        s.put("/clones/vm-1/mem", 10, FileKind::Generic).unwrap();
+        s.put("/clones/vm-10/cfg", 10, FileKind::Generic).unwrap();
+        s.put("/clones/vm-2/cfg", 10, FileKind::Generic).unwrap();
+        assert_eq!(s.remove_tree("/clones/vm-1/"), 2);
+        assert_eq!(s.list("/clones/"), vec!["/clones/vm-10/cfg", "/clones/vm-2/cfg"]);
+        assert_eq!(s.used_bytes(), 20);
+    }
+
+    #[test]
+    fn used_bytes_tracks_every_mutation() {
+        let s = FileStore::new("test");
+        let summed = |s: &FileStore| -> u64 {
+            s.list("").iter().map(|p| s.stat(p).unwrap().bytes).sum()
+        };
+        s.put("/a", 100, FileKind::Generic).unwrap();
+        s.put("/b", 50, FileKind::Generic).unwrap();
+        s.put_text("/t", "twelve bytes", FileKind::Generic).unwrap();
+        assert_eq!(s.used_bytes(), 162);
+        // Replace a file with a smaller one.
+        s.put("/a", 30, FileKind::Generic).unwrap();
+        assert_eq!(s.used_bytes(), summed(&s));
+        // A symlink over a regular file frees the file's bytes.
+        s.link("/b", "/a");
+        assert_eq!(s.used_bytes(), 42);
+        assert_eq!(s.used_bytes(), summed(&s));
+        // A chunk manifest over a regular file frees them too.
+        s.put("/c", 8, FileKind::Generic).unwrap();
+        s.put_chunked("/c", FileKind::DiskExtent, vec!["/a".into()]).unwrap();
+        assert_eq!(s.used_bytes(), summed(&s));
+        s.remove("/t").unwrap();
+        assert_eq!(s.used_bytes(), 30);
+        s.put("/dir/x", 7, FileKind::Generic).unwrap();
+        s.put("/dir/y", 9, FileKind::Generic).unwrap();
+        assert_eq!(s.used_bytes(), summed(&s));
+        s.remove_tree("/dir/");
+        assert_eq!(s.used_bytes(), 30);
+        assert_eq!(s.used_bytes(), summed(&s));
     }
 
     #[test]

@@ -2,6 +2,7 @@
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt;
+use std::rc::Rc;
 
 use crate::action::{Action, ActionSignature};
 
@@ -45,8 +46,17 @@ impl std::error::Error for DagError {}
 /// predecessors is an (implicit) successor of START, and every node with no
 /// successors precedes FINISH. Acyclicity is enforced *on every edge
 /// insertion*, so a `ConfigDag` value is a DAG by construction.
+///
+/// The graph is copy-on-write: an order's DAG rides every hop of the
+/// order path (envelope, retransmission, dedup entry, journal), and each
+/// clone shares one graph until a mutation copies it.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ConfigDag {
+    graph: Rc<Graph>,
+}
+
+#[derive(Clone, Debug, Default, PartialEq)]
+struct Graph {
     // Insertion-ordered node storage; indices are stable.
     nodes: Vec<Action>,
     index: HashMap<String, usize>,
@@ -63,23 +73,24 @@ impl ConfigDag {
 
     /// Number of action nodes.
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.graph.nodes.len()
     }
 
     /// True when the DAG has no actions.
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.graph.nodes.is_empty()
     }
 
     /// Add an action node.
     pub fn add_action(&mut self, action: Action) -> Result<(), DagError> {
-        if self.index.contains_key(&action.id) {
+        if self.graph.index.contains_key(&action.id) {
             return Err(DagError::DuplicateId(action.id));
         }
-        self.index.insert(action.id.clone(), self.nodes.len());
-        self.nodes.push(action);
-        self.succs.push(Vec::new());
-        self.preds.push(Vec::new());
+        let g = Rc::make_mut(&mut self.graph);
+        g.index.insert(action.id.clone(), g.nodes.len());
+        g.nodes.push(action);
+        g.succs.push(Vec::new());
+        g.preds.push(Vec::new());
         Ok(())
     }
 
@@ -92,21 +103,22 @@ impl ConfigDag {
         }
         let fi = self.idx(from)?;
         let ti = self.idx(to)?;
-        if self.succs[fi].contains(&ti) {
+        if self.graph.succs[fi].contains(&ti) {
             return Err(DagError::DuplicateEdge {
                 from: from.to_owned(),
                 to: to.to_owned(),
             });
         }
         // Cycle check: a path to -> ... -> from must not already exist.
-        if self.reachable_from(ti).contains(&fi) {
+        if self.reaches(ti, fi) {
             return Err(DagError::WouldCycle {
                 from: from.to_owned(),
                 to: to.to_owned(),
             });
         }
-        self.succs[fi].push(ti);
-        self.preds[ti].push(fi);
+        let g = Rc::make_mut(&mut self.graph);
+        g.succs[fi].push(ti);
+        g.preds[ti].push(fi);
         Ok(())
     }
 
@@ -120,20 +132,21 @@ impl ConfigDag {
 
     /// Look up an action by label.
     pub fn action(&self, id: &str) -> Option<&Action> {
-        self.index.get(id).map(|&i| &self.nodes[i])
+        self.graph.index.get(id).map(|&i| &self.graph.nodes[i])
     }
 
     /// All actions in insertion order.
     pub fn actions(&self) -> impl Iterator<Item = &Action> {
-        self.nodes.iter()
+        self.graph.nodes.iter()
     }
 
     /// All edges as `(from_id, to_id)` pairs, ordered by source insertion.
     pub fn edges(&self) -> Vec<(&str, &str)> {
         let mut out = Vec::new();
-        for (fi, succs) in self.succs.iter().enumerate() {
+        let nodes = &self.graph.nodes;
+        for (fi, succs) in self.graph.succs.iter().enumerate() {
             for &ti in succs {
-                out.push((self.nodes[fi].id.as_str(), self.nodes[ti].id.as_str()));
+                out.push((nodes[fi].id.as_str(), nodes[ti].id.as_str()));
             }
         }
         out
@@ -142,18 +155,18 @@ impl ConfigDag {
     /// Direct predecessors of a node.
     pub fn predecessors(&self, id: &str) -> Result<Vec<&str>, DagError> {
         let i = self.idx(id)?;
-        Ok(self.preds[i]
+        Ok(self.graph.preds[i]
             .iter()
-            .map(|&p| self.nodes[p].id.as_str())
+            .map(|&p| self.graph.nodes[p].id.as_str())
             .collect())
     }
 
     /// Direct successors of a node.
     pub fn successors(&self, id: &str) -> Result<Vec<&str>, DagError> {
         let i = self.idx(id)?;
-        Ok(self.succs[i]
+        Ok(self.graph.succs[i]
             .iter()
-            .map(|&s| self.nodes[s].id.as_str())
+            .map(|&s| self.graph.nodes[s].id.as_str())
             .collect())
     }
 
@@ -161,15 +174,15 @@ impl ConfigDag {
     pub fn ancestors(&self, id: &str) -> Result<BTreeSet<String>, DagError> {
         let i = self.idx(id)?;
         let mut seen = HashSet::new();
-        let mut stack = self.preds[i].clone();
+        let mut stack = self.graph.preds[i].clone();
         while let Some(n) = stack.pop() {
             if seen.insert(n) {
-                stack.extend_from_slice(&self.preds[n]);
+                stack.extend_from_slice(&self.graph.preds[n]);
             }
         }
         Ok(seen
             .into_iter()
-            .map(|n| self.nodes[n].id.clone())
+            .map(|n| self.graph.nodes[n].id.clone())
             .collect())
     }
 
@@ -178,7 +191,7 @@ impl ConfigDag {
     pub fn has_path(&self, from: &str, to: &str) -> Result<bool, DagError> {
         let fi = self.idx(from)?;
         let ti = self.idx(to)?;
-        Ok(fi != ti && self.reachable_from(fi).contains(&ti))
+        Ok(fi != ti && self.reaches(fi, ti))
     }
 
     /// Deterministic topological order of action labels (Kahn's algorithm;
@@ -187,7 +200,7 @@ impl ConfigDag {
     /// Returns `Err` only if internal invariants were violated; by
     /// construction the graph is acyclic, so this is effectively total.
     pub fn topo_sort(&self) -> Result<Vec<String>, DagError> {
-        let mut indegree: Vec<usize> = self.preds.iter().map(Vec::len).collect();
+        let mut indegree: Vec<usize> = self.graph.preds.iter().map(Vec::len).collect();
         // BTreeSet over insertion indices gives deterministic tie-breaks.
         let mut ready: BTreeSet<usize> = indegree
             .iter()
@@ -195,24 +208,24 @@ impl ConfigDag {
             .filter(|&(_, &d)| d == 0)
             .map(|(i, _)| i)
             .collect();
-        let mut order = Vec::with_capacity(self.nodes.len());
+        let mut order = Vec::with_capacity(self.graph.nodes.len());
         while let Some(&n) = ready.iter().next() {
             ready.remove(&n);
-            order.push(self.nodes[n].id.clone());
-            for &s in &self.succs[n] {
+            order.push(self.graph.nodes[n].id.clone());
+            for &s in &self.graph.succs[n] {
                 indegree[s] -= 1;
                 if indegree[s] == 0 {
                     ready.insert(s);
                 }
             }
         }
-        debug_assert_eq!(order.len(), self.nodes.len(), "cycle slipped through");
+        debug_assert_eq!(order.len(), self.graph.nodes.len(), "cycle slipped through");
         Ok(order)
     }
 
     /// Signatures of all actions, keyed by label.
     pub fn signatures(&self) -> HashMap<&str, ActionSignature> {
-        self.nodes
+        self.graph.nodes
             .iter()
             .map(|a| (a.id.as_str(), a.signature()))
             .collect()
@@ -221,54 +234,66 @@ impl ConfigDag {
     /// The "roots": actions with no predecessors (the implicit START's
     /// successors).
     pub fn roots(&self) -> Vec<&str> {
-        self.preds
+        self.graph.preds
             .iter()
             .enumerate()
             .filter(|(_, p)| p.is_empty())
-            .map(|(i, _)| self.nodes[i].id.as_str())
+            .map(|(i, _)| self.graph.nodes[i].id.as_str())
             .collect()
     }
 
     /// The "leaves": actions with no successors (the implicit FINISH's
     /// predecessors).
     pub fn leaves(&self) -> Vec<&str> {
-        self.succs
+        self.graph.succs
             .iter()
             .enumerate()
             .filter(|(_, s)| s.is_empty())
-            .map(|(i, _)| self.nodes[i].id.as_str())
+            .map(|(i, _)| self.graph.nodes[i].id.as_str())
             .collect()
     }
 
     // Raw index-level views for the compiled matching path (`crate::intern`).
     pub(crate) fn nodes_raw(&self) -> &[Action] {
-        &self.nodes
+        &self.graph.nodes
     }
 
     pub(crate) fn preds_raw(&self) -> &[Vec<usize>] {
-        &self.preds
+        &self.graph.preds
     }
 
     pub(crate) fn succs_raw(&self) -> &[Vec<usize>] {
-        &self.succs
+        &self.graph.succs
     }
 
     fn idx(&self, id: &str) -> Result<usize, DagError> {
-        self.index
+        self.graph.index
             .get(id)
             .copied()
             .ok_or_else(|| DagError::UnknownNode(id.to_owned()))
     }
 
-    fn reachable_from(&self, start: usize) -> HashSet<usize> {
-        let mut seen = HashSet::new();
+    /// True if `to` is `start` or reachable from it; stops at the first
+    /// hit. A node with no successors (the tail of a DAG being chained
+    /// together) answers without allocating.
+    fn reaches(&self, start: usize, to: usize) -> bool {
+        if start == to {
+            return true;
+        }
+        if self.graph.succs[start].is_empty() {
+            return false;
+        }
+        let mut seen = vec![false; self.graph.nodes.len()];
         let mut stack = vec![start];
         while let Some(n) = stack.pop() {
-            if seen.insert(n) {
-                stack.extend_from_slice(&self.succs[n]);
+            if n == to {
+                return true;
+            }
+            if !std::mem::replace(&mut seen[n], true) {
+                stack.extend_from_slice(&self.graph.succs[n]);
             }
         }
-        seen
+        false
     }
 }
 
@@ -546,6 +571,21 @@ mod tests {
         assert!(d0.has_path("Q", "D").unwrap());
         // Same rank → identical DAG (the rank is the address).
         assert_eq!(zipf_dag(7, "arijit"), d7);
+    }
+
+    #[test]
+    fn mutating_a_clone_leaves_the_original_intact() {
+        let original = diamond();
+        let mut grown = original.clone();
+        grown.add_action(Action::guest("e", "cmd-e")).unwrap();
+        grown.add_edge("d", "e").unwrap();
+        assert_eq!(original, diamond());
+        assert_eq!(grown.len(), 5);
+        let mut rewired = original.clone();
+        rewired.add_edge("b", "c").unwrap();
+        assert_eq!(original, diamond());
+        assert!(!original.has_path("b", "c").unwrap());
+        assert!(rewired.has_path("b", "c").unwrap());
     }
 
     #[test]

@@ -16,27 +16,30 @@
 //! Records are plain data — appending draws no randomness and schedules
 //! no events, so journaling never perturbs the simulation's byte-level
 //! determinism.
+//!
+//! The journal keeps one copy of each order's payload. A record holds
+//! only what [`Journal::render`] prints. The per-order fold holds the
+//! typed [`ProductionOrder`] while the order is unsettled — recovery
+//! re-dispatches it as is — and drops it when the order settles; the
+//! settled outcome keeps the published classad as rendered text, parsed
+//! again only when a resubmission or a recovery replays it.
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write};
 
-use vmplants_plant::VmId;
+use vmplants_plant::{ProductionOrder, VmId};
 use vmplants_simkit::SimTime;
 
-/// One order lifecycle transition.
+/// One order lifecycle transition, as journaled and rendered.
 #[derive(Clone, Debug)]
 pub enum JournalRecord {
     /// The order was accepted and assigned a VMID. `key` is the
-    /// client's idempotency key (synthesized for legacy direct calls),
-    /// `order_wire` the full `<create-vm>` wire form so a recovering
-    /// incarnation can re-dispatch without any volatile state.
+    /// client's idempotency key (synthesized for legacy direct calls).
     Received {
         /// Client idempotency key.
         key: String,
         /// The VMID the shop assigned.
         vm_id: VmId,
-        /// The order's `<create-vm>` wire encoding.
-        order_wire: String,
         /// When the shop accepted the order.
         at: SimTime,
     },
@@ -63,16 +66,13 @@ pub enum JournalRecord {
         /// When the dispatch was issued.
         at: SimTime,
     },
-    /// The finished VM's classad was published to the client. `ad` is
-    /// the full classad text: a resubmission after a crash is answered
-    /// straight from this record, with zero re-execution.
+    /// The finished VM's classad was published to the client; the
+    /// classad itself lives in the order's settled outcome.
     Published {
         /// The order's VMID.
         vm_id: VmId,
         /// The plant hosting the VM.
         plant: String,
-        /// The final classad, rendered.
-        ad: String,
         /// When the shop responded.
         at: SimTime,
     },
@@ -91,7 +91,7 @@ pub enum JournalRecord {
 impl fmt::Display for JournalRecord {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            JournalRecord::Received { key, vm_id, at, .. } => {
+            JournalRecord::Received { key, vm_id, at } => {
                 write!(f, "[{at}] received {vm_id} key={key}")
             }
             JournalRecord::BidsRequested { vm_id, plants, at } => {
@@ -103,7 +103,7 @@ impl fmt::Display for JournalRecord {
                 attempt,
                 at,
             } => write!(f, "[{at}] dispatched {vm_id} -> {plant} attempt={attempt}"),
-            JournalRecord::Published { vm_id, plant, at, .. } => {
+            JournalRecord::Published { vm_id, plant, at } => {
                 write!(f, "[{at}] published {vm_id} plant={plant}")
             }
             JournalRecord::Failed { vm_id, error, at } => {
@@ -117,7 +117,8 @@ impl fmt::Display for JournalRecord {
 #[derive(Clone, Debug)]
 pub enum JournalOutcome {
     /// Creation succeeded on `plant`; `ad` is the published classad
-    /// text.
+    /// text: a resubmission after a crash is answered from it, with
+    /// zero re-execution.
     Published {
         /// Hosting plant.
         plant: String,
@@ -131,20 +132,39 @@ pub enum JournalOutcome {
     },
 }
 
+/// Where an order stands in the fold.
+#[derive(Clone, Debug)]
+pub enum OrderStatus {
+    /// Accepted and not yet settled: the order itself, held so a
+    /// recovering incarnation can re-dispatch it without any volatile
+    /// state.
+    Pending(ProductionOrder),
+    /// Settled; the order payload has been dropped.
+    Settled(JournalOutcome),
+}
+
 /// The folded per-order view of the journal: everything a recovering
 /// incarnation needs to decide adopt / resume / restart.
 #[derive(Clone, Debug)]
 pub struct OrderState {
     /// Client idempotency key.
     pub key: String,
-    /// The order's wire encoding (from the `Received` record).
-    pub order_wire: String,
     /// When the order was accepted (deadlines survive restarts).
     pub received_at: SimTime,
     /// Every dispatch issued, in order: `(plant, attempt)`.
     pub dispatches: Vec<(String, u32)>,
+    /// The pending order, or its terminal outcome once settled.
+    pub status: OrderStatus,
+}
+
+impl OrderState {
     /// The terminal outcome, once settled.
-    pub outcome: Option<JournalOutcome>,
+    pub fn outcome(&self) -> Option<&JournalOutcome> {
+        match &self.status {
+            OrderStatus::Pending(_) => None,
+            OrderStatus::Settled(outcome) => Some(outcome),
+        }
+    }
 }
 
 /// Append-only order journal with an incrementally-maintained fold
@@ -162,55 +182,71 @@ impl Journal {
         Journal::default()
     }
 
-    /// Append one record and fold it into the per-order view.
-    pub fn push(&mut self, record: JournalRecord) {
-        match &record {
-            JournalRecord::Received {
-                key,
-                vm_id,
-                order_wire,
-                at,
-            } => {
-                self.by_key.insert(key.clone(), vm_id.clone());
-                self.orders.insert(
-                    vm_id.clone(),
-                    OrderState {
-                        key: key.clone(),
-                        order_wire: order_wire.clone(),
-                        received_at: *at,
-                        dispatches: Vec::new(),
-                        outcome: None,
-                    },
-                );
-            }
-            JournalRecord::BidsRequested { .. } => {}
-            JournalRecord::Dispatched {
-                vm_id,
-                plant,
-                attempt,
-                ..
-            } => {
-                if let Some(order) = self.orders.get_mut(vm_id) {
-                    order.dispatches.push((plant.clone(), *attempt));
-                }
-            }
-            JournalRecord::Published { vm_id, plant, ad, .. } => {
-                if let Some(order) = self.orders.get_mut(vm_id) {
-                    order.outcome = Some(JournalOutcome::Published {
-                        plant: plant.clone(),
-                        ad: ad.clone(),
-                    });
-                }
-            }
-            JournalRecord::Failed { vm_id, error, .. } => {
-                if let Some(order) = self.orders.get_mut(vm_id) {
-                    order.outcome = Some(JournalOutcome::Failed {
-                        error: error.clone(),
-                    });
-                }
-            }
+    /// The order was accepted under client key `key`: journal it and
+    /// hold `order` in the fold until it settles.
+    pub fn received(&mut self, key: String, vm_id: VmId, order: ProductionOrder, at: SimTime) {
+        self.by_key.insert(key.clone(), vm_id.clone());
+        self.orders.insert(
+            vm_id.clone(),
+            OrderState {
+                key: key.clone(),
+                received_at: at,
+                dispatches: Vec::new(),
+                status: OrderStatus::Pending(order),
+            },
+        );
+        self.records.push(JournalRecord::Received { key, vm_id, at });
+    }
+
+    /// A bid round was solicited from `plants` candidate plants.
+    pub fn bids_requested(&mut self, vm_id: VmId, plants: usize, at: SimTime) {
+        self.records
+            .push(JournalRecord::BidsRequested { vm_id, plants, at });
+    }
+
+    /// The order was dispatched to `plant` as dispatch number `attempt`.
+    pub fn dispatched(&mut self, vm_id: VmId, plant: String, attempt: u32, at: SimTime) {
+        if let Some(order) = self.orders.get_mut(&vm_id) {
+            order.dispatches.push((plant.clone(), attempt));
         }
-        self.records.push(record);
+        self.records.push(JournalRecord::Dispatched {
+            vm_id,
+            plant,
+            attempt,
+            at,
+        });
+    }
+
+    /// The order settled with its VM running on `plant`; `ad` is the
+    /// published classad, rendered.
+    pub fn published(&mut self, vm_id: VmId, plant: String, ad: String, at: SimTime) {
+        self.settle(
+            &vm_id,
+            JournalOutcome::Published {
+                plant: plant.clone(),
+                ad,
+            },
+        );
+        self.records
+            .push(JournalRecord::Published { vm_id, plant, at });
+    }
+
+    /// The order failed terminally with the rendered `error`.
+    pub fn failed(&mut self, vm_id: VmId, error: String, at: SimTime) {
+        self.settle(
+            &vm_id,
+            JournalOutcome::Failed {
+                error: error.clone(),
+            },
+        );
+        self.records.push(JournalRecord::Failed { vm_id, error, at });
+    }
+
+    /// Record the outcome in place of the order payload.
+    fn settle(&mut self, vm_id: &VmId, outcome: JournalOutcome) {
+        if let Some(order) = self.orders.get_mut(vm_id) {
+            order.status = OrderStatus::Settled(outcome);
+        }
     }
 
     /// Number of appended records.
@@ -227,7 +263,7 @@ impl Journal {
     /// finished — the resubmission fast path.
     pub fn outcome_for_key(&self, key: &str) -> Option<&JournalOutcome> {
         let vm_id = self.by_key.get(key)?;
-        self.orders.get(vm_id)?.outcome.as_ref()
+        self.orders.get(vm_id)?.outcome()
     }
 
     /// Per-order folded state, by VMID.
@@ -240,7 +276,7 @@ impl Journal {
     pub fn unsettled(&self) -> Vec<(VmId, OrderState)> {
         self.orders
             .iter()
-            .filter(|(_, o)| o.outcome.is_none())
+            .filter(|(_, o)| o.outcome().is_none())
             .map(|(id, o)| (id.clone(), o.clone()))
             .collect()
     }
@@ -249,7 +285,7 @@ impl Journal {
     pub fn settled(&self) -> Vec<(VmId, OrderState)> {
         self.orders
             .iter()
-            .filter(|(_, o)| o.outcome.is_some())
+            .filter(|(_, o)| o.outcome().is_some())
             .map(|(id, o)| (id.clone(), o.clone()))
             .collect()
     }
@@ -258,8 +294,7 @@ impl Journal {
     pub fn render(&self) -> String {
         let mut out = String::new();
         for record in &self.records {
-            out.push_str(&record.to_string());
-            out.push('\n');
+            let _ = writeln!(out, "{record}");
         }
         out
     }
@@ -268,43 +303,39 @@ impl Journal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vmplants_dag::graph::experiment_dag;
+    use vmplants_plant::Request;
+    use vmplants_virt::VmSpec;
 
     fn vm(n: u32) -> VmId {
         VmId(format!("vm-shop-{n:05}"))
     }
 
+    fn order(n: u32) -> ProductionOrder {
+        let mut order =
+            ProductionOrder::new(VmSpec::mandrake(64), experiment_dag("ivan"), "ufl.edu");
+        order.vm_id = Some(vm(n));
+        order
+    }
+
     #[test]
     fn fold_tracks_lifecycle_and_outcomes() {
         let mut j = Journal::new();
-        j.push(JournalRecord::Received {
-            key: "order:c:0".into(),
-            vm_id: vm(0),
-            order_wire: "<create-vm/>".into(),
-            at: SimTime::from_secs(1),
-        });
-        j.push(JournalRecord::BidsRequested {
-            vm_id: vm(0),
-            plants: 3,
-            at: SimTime::from_secs(2),
-        });
-        j.push(JournalRecord::Dispatched {
-            vm_id: vm(0),
-            plant: "node1".into(),
-            attempt: 0,
-            at: SimTime::from_secs(3),
-        });
+        j.received("order:c:0".into(), vm(0), order(0), SimTime::from_secs(1));
+        j.bids_requested(vm(0), 3, SimTime::from_secs(2));
+        j.dispatched(vm(0), "node1".into(), 0, SimTime::from_secs(3));
         assert!(j.outcome_for_key("order:c:0").is_none());
         assert_eq!(j.unsettled().len(), 1);
         let (_, state) = &j.unsettled()[0];
         assert_eq!(state.dispatches, vec![("node1".to_string(), 0)]);
         assert_eq!(state.received_at, SimTime::from_secs(1));
 
-        j.push(JournalRecord::Published {
-            vm_id: vm(0),
-            plant: "node1".into(),
-            ad: "[ vmid = \"vm-shop-00000\" ]".into(),
-            at: SimTime::from_secs(40),
-        });
+        j.published(
+            vm(0),
+            "node1".into(),
+            "[ vmid = \"vm-shop-00000\" ]".into(),
+            SimTime::from_secs(40),
+        );
         assert!(j.unsettled().is_empty());
         assert!(matches!(
             j.outcome_for_key("order:c:0"),
@@ -316,17 +347,8 @@ mod tests {
     #[test]
     fn failed_orders_settle_and_render_is_line_per_record() {
         let mut j = Journal::new();
-        j.push(JournalRecord::Received {
-            key: "k".into(),
-            vm_id: vm(1),
-            order_wire: "<create-vm/>".into(),
-            at: SimTime::ZERO,
-        });
-        j.push(JournalRecord::Failed {
-            vm_id: vm(1),
-            error: "order deadline exceeded".into(),
-            at: SimTime::from_secs(9),
-        });
+        j.received("k".into(), vm(1), order(1), SimTime::ZERO);
+        j.failed(vm(1), "order deadline exceeded".into(), SimTime::from_secs(9));
         assert!(matches!(
             j.outcome_for_key("k"),
             Some(JournalOutcome::Failed { error }) if error == "order deadline exceeded"
@@ -335,5 +357,43 @@ mod tests {
         assert_eq!(text.lines().count(), 2);
         assert!(text.contains("received vm-shop-00001 key=k"));
         assert!(text.contains("failed vm-shop-00001: order deadline exceeded"));
+    }
+
+    #[test]
+    fn unsettled_orders_keep_the_accepted_order() {
+        let mut j = Journal::new();
+        let accepted = order(2);
+        let wire = Request::Create(accepted.clone()).to_wire();
+        j.received("k".into(), vm(2), accepted, SimTime::ZERO);
+        j.dispatched(vm(2), "node0".into(), 0, SimTime::from_secs(1));
+        let (_, state) = &j.unsettled()[0];
+        let OrderStatus::Pending(kept) = &state.status else {
+            panic!("an unsettled order is pending");
+        };
+        assert_eq!(Request::Create(kept.clone()).to_wire(), wire);
+    }
+
+    #[test]
+    fn settling_drops_the_order_payload() {
+        let mut j = Journal::new();
+        j.received("a".into(), vm(3), order(3), SimTime::ZERO);
+        j.received("b".into(), vm(4), order(4), SimTime::ZERO);
+        j.published(vm(3), "node0".into(), "[ ]".into(), SimTime::from_secs(5));
+        j.failed(vm(4), "no VMPlants available".into(), SimTime::from_secs(5));
+        for id in [vm(3), vm(4)] {
+            let state = j.order(&id).unwrap();
+            assert!(
+                matches!(state.status, OrderStatus::Settled(_)),
+                "{id} still holds its order"
+            );
+        }
+        // The rendered trace names the outcome, never the payloads.
+        assert_eq!(
+            j.render(),
+            "[0.000s] received vm-shop-00003 key=a\n\
+             [0.000s] received vm-shop-00004 key=b\n\
+             [5.000s] published vm-shop-00003 plant=node0\n\
+             [5.000s] failed vm-shop-00004: no VMPlants available\n"
+        );
     }
 }

@@ -38,6 +38,6 @@ pub mod shop;
 pub use bidding::{Bid, VmBroker};
 pub use cache::{ClassAdCache, ExprCache};
 pub use client::{ClientRequestLog, ClientTuning, ShopClient};
-pub use journal::{Journal, JournalOutcome, JournalRecord, OrderState};
+pub use journal::{Journal, JournalOutcome, JournalRecord, OrderState, OrderStatus};
 pub use registry::Registry;
 pub use shop::{RecoveryStats, ShopDone, ShopError, ShopRequestLog, ShopTuning, VmShop};

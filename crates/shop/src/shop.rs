@@ -15,7 +15,7 @@ use vmplants_virt::{VirtError, VmState};
 
 use crate::bidding::{collect_bids, select_bid, VmBroker};
 use crate::cache::{ClassAdCache, ExprCache};
-use crate::journal::{Journal, JournalOutcome, JournalRecord};
+use crate::journal::{Journal, JournalOutcome, OrderStatus};
 use crate::registry::Registry;
 
 /// Failures surfaced by the shop.
@@ -586,7 +586,7 @@ impl VmShop {
             let now = engine.now();
             let mut state = self.inner.borrow_mut();
             for (vm_id, order) in &settled {
-                if let Some(JournalOutcome::Published { plant, ad }) = &order.outcome {
+                if let Some(JournalOutcome::Published { plant, ad }) = order.outcome() {
                     if let Ok(ad) = parse_classad(ad) {
                         state.cache.put(vm_id.clone(), ad, plant.clone(), now);
                     }
@@ -624,21 +624,8 @@ impl VmShop {
         stats: &mut RecoveryStats,
     ) {
         let now = engine.now();
-        let order = match Request::from_wire(&journaled.order_wire) {
-            Ok(Request::Create(order)) => order,
-            _ => {
-                // An unreadable record cannot be recovered; settle it as
-                // failed so resubmissions get a terminal answer.
-                let mut state = self.inner.borrow_mut();
-                let record = JournalRecord::Failed {
-                    vm_id: vm_id.clone(),
-                    error: format!("unrecoverable order '{vm_id}': corrupt journal record"),
-                    at: now,
-                };
-                state.journal.push(record);
-                state.journal_records.inc();
-                return;
-            }
+        let OrderStatus::Pending(order) = journaled.status else {
+            unreachable!("Journal::unsettled returns pending orders only");
         };
         // Reconciliation probe: does any live plant know this VMID?
         let mut running_on: Option<Plant> = None;
@@ -663,13 +650,9 @@ impl VmShop {
                     .cache
                     .put(vm_id.clone(), ad.clone(), plant.name(), now);
                 if state.tuning.journal {
-                    let record = JournalRecord::Published {
-                        vm_id: vm_id.clone(),
-                        plant: plant.name(),
-                        ad: ad.to_string(),
-                        at: now,
-                    };
-                    state.journal.push(record);
+                    state
+                        .journal
+                        .published(vm_id.clone(), plant.name(), ad.to_string(), now);
                     state.journal_records.inc();
                 }
                 state.request_log.push(ShopRequestLog {
@@ -965,13 +948,10 @@ impl VmShop {
             // WAL: the order is durable the moment it is accepted. A
             // direct call has no client key; synthesize one.
             if state.tuning.journal {
-                let record = JournalRecord::Received {
-                    key: format!("order:{vm_id}"),
-                    vm_id: vm_id.clone(),
-                    order_wire: Request::Create(order.clone()).to_wire(),
-                    at: requested_at,
-                };
-                state.journal.push(record);
+                let key = format!("order:{vm_id}");
+                state
+                    .journal
+                    .received(key, vm_id.clone(), order.clone(), requested_at);
                 state.journal_records.inc();
             }
             state.epoch
@@ -1079,13 +1059,9 @@ impl VmShop {
         };
         order.vm_id = Some(vm_id.clone());
         if state.tuning.journal {
-            let record = JournalRecord::Received {
-                key: key.clone(),
-                vm_id: vm_id.clone(),
-                order_wire: Request::Create(order.clone()).to_wire(),
-                at: requested_at,
-            };
-            state.journal.push(record);
+            state
+                .journal
+                .received(key.clone(), vm_id.clone(), order.clone(), requested_at);
             state.journal_records.inc();
         }
         state.client_keys.insert(key.clone(), vm_id.clone());
@@ -1206,12 +1182,9 @@ impl VmShop {
             let mut state = self.inner.borrow_mut();
             state.bids_requested.add(plants.len() as u64);
             if state.tuning.journal {
-                let record = JournalRecord::BidsRequested {
-                    vm_id: att.vm_id.clone(),
-                    plants: plants.len(),
-                    at: engine.now(),
-                };
-                state.journal.push(record);
+                state
+                    .journal
+                    .bids_requested(att.vm_id.clone(), plants.len(), engine.now());
                 state.journal_records.inc();
             }
             state.obs.span(
@@ -1277,13 +1250,12 @@ impl VmShop {
         {
             let mut state = self.inner.borrow_mut();
             if state.tuning.journal {
-                let record = JournalRecord::Dispatched {
-                    vm_id: att.vm_id.clone(),
-                    plant: plant_name.clone(),
-                    attempt: att.attempt,
-                    at: engine.now(),
-                };
-                state.journal.push(record);
+                state.journal.dispatched(
+                    att.vm_id.clone(),
+                    plant_name.clone(),
+                    att.attempt,
+                    engine.now(),
+                );
                 state.journal_records.inc();
             }
         }
@@ -1384,20 +1356,16 @@ impl VmShop {
         {
             let mut state = self.inner.borrow_mut();
             if state.tuning.journal {
-                let record = match &result {
-                    Ok(ad) => JournalRecord::Published {
-                        vm_id: vm_id.clone(),
-                        plant: plant.clone().unwrap_or_default(),
-                        ad: ad.to_string(),
-                        at: engine.now(),
-                    },
-                    Err(e) => JournalRecord::Failed {
-                        vm_id: vm_id.clone(),
-                        error: e.to_string(),
-                        at: engine.now(),
-                    },
-                };
-                state.journal.push(record);
+                let now = engine.now();
+                match &result {
+                    Ok(ad) => state.journal.published(
+                        vm_id.clone(),
+                        plant.clone().unwrap_or_default(),
+                        ad.to_string(),
+                        now,
+                    ),
+                    Err(e) => state.journal.failed(vm_id.clone(), e.to_string(), now),
+                }
                 state.journal_records.inc();
             }
         }

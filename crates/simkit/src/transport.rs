@@ -7,8 +7,10 @@
 //! transport's own seeded RNG, a per-hop delay, a drop decision, a
 //! duplication decision, and a reordering hold, then schedules the
 //! delivery closure(s) on the engine. All decisions are made — and
-//! recorded in a textual trace — at send time, so a run's full message
-//! history is byte-comparable across same-seed replays.
+//! recorded — at send time, so a run's full message history is
+//! byte-comparable across same-seed replays. A decision is recorded as a
+//! small struct (interned endpoints, label, outcome, delay) and rendered
+//! as text only when [`Transport::trace_text`] asks for it.
 //!
 //! Fault windows are layered on top as *overrides*: a chaos scenario
 //! raises the drop/duplication/reordering probability for messages
@@ -24,7 +26,7 @@
 //! shop/plant layer decide what a message *is*.
 
 use std::cell::RefCell;
-use std::fmt;
+use std::fmt::{self, Write};
 use std::rc::Rc;
 
 use crate::engine::Engine;
@@ -112,6 +114,88 @@ fn scope_matches(scope: &str, from: &str, to: &str) -> bool {
     }
 }
 
+/// What happened to one copy of a message, with its sampled delay in
+/// seconds where it was delivered.
+#[derive(Clone, Copy)]
+enum Outcome {
+    Partitioned,
+    Dropped,
+    Delivered(f64),
+    Held(f64),
+    Dup(f64),
+}
+
+impl fmt::Display for Outcome {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Outcome::Partitioned => f.write_str("partitioned"),
+            Outcome::Dropped => f.write_str("dropped"),
+            Outcome::Delivered(d) => write!(f, "delivered +{d:.3}s"),
+            Outcome::Held(d) => write!(f, "held +{d:.3}s"),
+            Outcome::Dup(d) => write!(f, "dup +{d:.3}s"),
+        }
+    }
+}
+
+/// One recorded send-time decision; `from`/`to` index the interned
+/// endpoint names.
+struct TraceEntry {
+    at: SimTime,
+    from: u32,
+    to: u32,
+    label: Box<str>,
+    outcome: Outcome,
+}
+
+/// The message history: decisions in send order over a small table of
+/// endpoint names.
+#[derive(Default)]
+struct Trace {
+    endpoints: Vec<String>,
+    entries: Vec<TraceEntry>,
+}
+
+impl Trace {
+    fn endpoint(&mut self, name: &str) -> u32 {
+        match self.endpoints.iter().position(|e| e == name) {
+            Some(i) => i as u32,
+            None => {
+                self.endpoints.push(name.to_owned());
+                (self.endpoints.len() - 1) as u32
+            }
+        }
+    }
+
+    fn record(&mut self, at: SimTime, from: &str, to: &str, label: &str, outcomes: &[Outcome]) {
+        let (from, to) = (self.endpoint(from), self.endpoint(to));
+        for &outcome in outcomes {
+            self.entries.push(TraceEntry {
+                at,
+                from,
+                to,
+                label: label.into(),
+                outcome,
+            });
+        }
+    }
+
+    fn render(&self) -> String {
+        let mut out = String::new();
+        for e in &self.entries {
+            let _ = writeln!(
+                out,
+                "[{}] {}->{} {}: {}",
+                e.at,
+                self.endpoints[e.from as usize],
+                self.endpoints[e.to as usize],
+                e.label,
+                e.outcome
+            );
+        }
+        out
+    }
+}
+
 /// The live send-time decision counters: shared handles a metrics
 /// registry can adopt. Components never count anywhere else.
 #[derive(Clone, Default)]
@@ -135,7 +219,7 @@ struct TransportState {
     counters: TransportCounters,
     obs: Obs,
     obs_track: TrackId,
-    trace: Vec<String>,
+    trace: Trace,
 }
 
 impl TransportState {
@@ -180,7 +264,7 @@ impl Transport {
                 counters: TransportCounters::default(),
                 obs: Obs::disabled(),
                 obs_track: TrackId::DEFAULT,
-                trace: Vec::new(),
+                trace: Trace::default(),
             })),
         }
     }
@@ -307,7 +391,7 @@ impl Transport {
 
     /// Send a message `from -> to`. Samples partition, loss, delay,
     /// duplication, and reordering (in that fixed order, so the RNG
-    /// stream is reproducible), appends one trace line per copy, and
+    /// stream is reproducible), records one trace entry per copy, and
     /// schedules `deliver` for every surviving copy.
     pub fn send<F>(&self, engine: &mut Engine, from: &str, to: &str, label: &str, deliver: F)
     where
@@ -325,7 +409,7 @@ impl Transport {
                 state.counters.partitioned.inc();
                 state
                     .trace
-                    .push(trace_line(now, from, to, label, "partitioned"));
+                    .record(now, from, to, label, &[Outcome::Partitioned]);
                 state.obs_event(now, from, to, label, "partitioned");
                 return;
             }
@@ -334,7 +418,7 @@ impl Transport {
             let drop_p = state.effective(state.tuning.drop_p, &state.loss, from, to);
             if drop_p > 0.0 && state.rng.chance(drop_p) {
                 state.counters.dropped.inc();
-                state.trace.push(trace_line(now, from, to, label, "dropped"));
+                state.trace.record(now, from, to, label, &[Outcome::Dropped]);
                 state.obs_event(now, from, to, label, "dropped");
                 return;
             }
@@ -351,36 +435,42 @@ impl Transport {
                 delay += state.rng.uniform(hlo, hhi);
                 held = true;
             }
-            let outcome = if held { "held" } else { "delivered" };
-            state.trace.push(trace_line(
-                now,
-                from,
-                to,
-                label,
-                &format!("{outcome} +{delay:.3}s"),
-            ));
+            let (first, outcome) = if held {
+                (Outcome::Held(delay), "held")
+            } else {
+                (Outcome::Delivered(delay), "delivered")
+            };
             state.obs_event(now, from, to, label, outcome);
-            let mut delays = vec![delay];
-            if let Some(d) = dup_delay {
-                state.counters.duplicated.inc();
-                state
-                    .trace
-                    .push(trace_line(now, from, to, label, &format!("dup +{d:.3}s")));
-                state.obs_event(now, from, to, label, "dup");
-                delays.push(d);
-            }
             if held {
                 state.counters.reordered.inc();
             }
-            state.counters.delivered.add(delays.len() as u64);
-            delays
+            match dup_delay {
+                None => {
+                    state.trace.record(now, from, to, label, &[first]);
+                    state.counters.delivered.inc();
+                }
+                Some(d) => {
+                    state.counters.duplicated.inc();
+                    state.trace.record(now, from, to, label, &[first, Outcome::Dup(d)]);
+                    state.obs_event(now, from, to, label, "dup");
+                    state.counters.delivered.add(2);
+                }
+            }
+            (delay, dup_delay)
         };
-        let deliver = Rc::new(deliver);
-        for delay in delays {
-            let deliver = Rc::clone(&deliver);
-            engine.schedule(SimDuration::from_secs_f64(delay), move |engine| {
-                deliver(engine)
-            });
+        match delays {
+            (delay, None) => {
+                engine.schedule(SimDuration::from_secs_f64(delay), deliver);
+            }
+            (delay, Some(dup)) => {
+                let deliver = Rc::new(deliver);
+                for delay in [delay, dup] {
+                    let deliver = Rc::clone(&deliver);
+                    engine.schedule(SimDuration::from_secs_f64(delay), move |engine| {
+                        deliver(engine)
+                    });
+                }
+            }
         }
     }
 
@@ -399,24 +489,14 @@ impl Transport {
 
     /// Number of trace lines recorded so far.
     pub fn trace_len(&self) -> usize {
-        self.inner.borrow().trace.len()
+        self.inner.borrow().trace.entries.len()
     }
 
     /// One line per send-time decision — the byte-comparable message
-    /// history of the run.
+    /// history of the run, rendered on demand.
     pub fn trace_text(&self) -> String {
-        let state = self.inner.borrow();
-        let mut out = String::new();
-        for line in &state.trace {
-            out.push_str(line);
-            out.push('\n');
-        }
-        out
+        self.inner.borrow().trace.render()
     }
-}
-
-fn trace_line(now: SimTime, from: &str, to: &str, label: &str, outcome: &str) -> String {
-    format!("[{now}] {from}->{to} {label}: {outcome}")
 }
 
 #[cfg(test)]
