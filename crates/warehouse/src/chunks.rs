@@ -153,8 +153,15 @@ impl ChunkPlan {
             .sum()
     }
 
+    /// Every `(hash, size)` chunk reference of the plan, in file order
+    /// (a hash the plan lists twice appears twice).
+    fn chunk_refs(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        self.files.iter().flat_map(|f| f.chunks.iter().copied())
+    }
+
     /// Every distinct chunk hash in the plan with its size.
-    pub fn unique_chunks(&self) -> BTreeMap<u64, u64> {
+    #[cfg(test)]
+    pub(crate) fn unique_chunks(&self) -> BTreeMap<u64, u64> {
         let mut out = BTreeMap::new();
         for f in &self.files {
             for &(hash, size) in &f.chunks {
@@ -169,10 +176,21 @@ impl ChunkPlan {
 /// (byte-accounted) files under [`CHUNK_DIR`] on the NFS export; this
 /// tracks which are live and how many manifests reference each, so the
 /// last release of a chunk garbage-collects its bytes.
+///
+/// Every published plan belongs to an *owner*: a small dense slot number
+/// the caller assigns (the warehouse gives one per golden). An owner has at
+/// most one plan published at a time and releases exactly the plan it
+/// published. Each chunk carries the XOR of the owners referencing it, so
+/// at refcount 1 it names its sole owner, and the store keeps, per owner,
+/// the bytes of the chunks only that owner references — what releasing
+/// its plan would reclaim — current on every refcount change.
 #[derive(Default)]
 pub struct ChunkStore {
-    /// Content hash → (refcount, size).
-    refs: BTreeMap<u64, (u64, u64)>,
+    /// Content hash → (refcount, size, XOR of the referencing owners).
+    refs: BTreeMap<u64, (u64, u64, u64)>,
+    /// Per owner slot: bytes of the chunks whose refcount is exactly 1
+    /// and whose one reference is that owner's plan.
+    sole_bytes: Vec<u64>,
     /// Physical bytes of all live chunks (Σ sizes of `refs` keys).
     physical: u64,
     /// Logical bytes of all published manifests (the full-copy footprint).
@@ -213,66 +231,148 @@ impl ChunkStore {
         }
     }
 
-    /// Materialize a plan on the export: write (or incref) every chunk,
-    /// then write each bulk file as a chunk manifest. Returns the bytes of
-    /// *new* chunk data written (the dedup savings are `logical - new`).
-    pub fn publish(&mut self, store: &FileStore, plan: &ChunkPlan) -> Result<u64, StoreError> {
-        let mut new_bytes = 0u64;
-        for file in &plan.files {
-            let mut paths = Vec::with_capacity(file.chunks.len());
-            for &(hash, size) in &file.chunks {
-                let path = chunk_path(hash);
-                match self.refs.get_mut(&hash) {
-                    Some((count, _)) => {
-                        *count += 1;
-                        self.dedup_hits += 1;
-                    }
-                    None => {
-                        store.put(&path, size, FileKind::Generic)?;
-                        self.refs.insert(hash, (1, size));
-                        self.physical += size;
-                        new_bytes += size;
-                        self.dedup_misses += 1;
-                    }
+    /// Add one reference from `owner` to a chunk. Returns whether the chunk
+    /// is new to the store (its file still has to be written).
+    fn incref(&mut self, hash: u64, size: u64, owner: u64) -> bool {
+        match self.refs.get_mut(&hash) {
+            Some((count, size, owners)) => {
+                if *count == 1 {
+                    self.sole_bytes[*owners as usize] -= *size;
                 }
-                paths.push(path);
+                *count += 1;
+                *owners ^= owner;
+                self.dedup_hits += 1;
+                false
             }
-            store.put_chunked(&file.path, file.kind, paths)?;
+            None => {
+                self.refs.insert(hash, (1, size, owner));
+                self.sole_bytes[owner as usize] += size;
+                self.physical += size;
+                self.dedup_misses += 1;
+                true
+            }
+        }
+    }
+
+    /// Drop one reference from `owner` to a chunk. Returns the chunk's size
+    /// when that was its last reference (the caller deletes its file).
+    fn decref(&mut self, hash: u64, owner: u64) -> Option<u64> {
+        let (count, size, owners) = self.refs.get_mut(&hash)?;
+        let size = *size;
+        *count -= 1;
+        *owners ^= owner;
+        match *count {
+            0 => {
+                self.refs.remove(&hash);
+                self.sole_bytes[owner as usize] -= size;
+                self.physical -= size;
+                Some(size)
+            }
+            1 => {
+                self.sole_bytes[*owners as usize] += size;
+                None
+            }
+            _ => None,
+        }
+    }
+
+    /// Materialize `owner`'s plan on the export: write (or incref) every
+    /// chunk, then write each bulk file as a chunk manifest. Returns the
+    /// bytes of *new* chunk data written (the dedup savings are
+    /// `logical - new`).
+    ///
+    /// All or nothing: if a write fails (a bounded export filling up), the
+    /// references this call added are dropped again, the chunk files it
+    /// created are deleted, and the dedup counters are restored, so the
+    /// store is exactly as before the call.
+    pub fn publish(
+        &mut self,
+        store: &FileStore,
+        plan: &ChunkPlan,
+        owner: u64,
+    ) -> Result<u64, StoreError> {
+        let slot = owner as usize;
+        if self.sole_bytes.len() <= slot {
+            self.sole_bytes.resize(slot + 1, 0);
+        }
+        let counters = (self.dedup_hits, self.dedup_misses);
+        let mut increfs = 0;
+        let mut created = Vec::new();
+        let mut new_bytes = 0u64;
+        let mut written = Ok(());
+        for (hash, size) in plan.chunk_refs() {
+            increfs += 1;
+            if !self.incref(hash, size, owner) {
+                continue;
+            }
+            let path = chunk_path(hash);
+            // Re-registering chunk files already on the export (restoring
+            // the refcounts) rewrites them; a rollback must spare those.
+            let existed = store.exists(&path);
+            if let Err(e) = store.put(&path, size, FileKind::Generic) {
+                written = Err(e);
+                break;
+            }
+            if !existed {
+                created.push(path);
+            }
+            new_bytes += size;
+        }
+        let written = written.and_then(|()| {
+            plan.files.iter().try_for_each(|file| {
+                let paths = file
+                    .chunks
+                    .iter()
+                    .map(|&(hash, _)| chunk_path(hash))
+                    .collect();
+                store.put_chunked(&file.path, file.kind, paths)
+            })
+        });
+        if let Err(e) = written {
+            for (hash, _) in plan.chunk_refs().take(increfs) {
+                self.decref(hash, owner);
+            }
+            for path in &created {
+                let _ = store.remove(path);
+            }
+            (self.dedup_hits, self.dedup_misses) = counters;
+            return Err(e);
         }
         self.logical += plan.logical_bytes();
         Ok(new_bytes)
     }
 
-    /// Drop a plan's references; chunks reaching refcount 0 are deleted
-    /// from the export. Returns the bytes reclaimed. The manifests
+    /// Drop `owner`'s plan references; chunks reaching refcount 0 are
+    /// deleted from the export. Returns the bytes reclaimed. The manifests
     /// themselves are the caller's to remove (they live in the golden's
     /// directory tree).
-    pub fn release(&mut self, store: &FileStore, plan: &ChunkPlan) -> u64 {
+    pub fn release(&mut self, store: &FileStore, plan: &ChunkPlan, owner: u64) -> u64 {
         let mut reclaimed = 0u64;
-        for file in &plan.files {
-            for &(hash, size) in &file.chunks {
-                let Some((count, _)) = self.refs.get_mut(&hash) else {
-                    continue;
-                };
-                *count -= 1;
-                if *count == 0 {
-                    self.refs.remove(&hash);
-                    let _ = store.remove(&chunk_path(hash));
-                    self.physical -= size;
-                    reclaimed += size;
-                }
+        for (hash, _) in plan.chunk_refs() {
+            if let Some(size) = self.decref(hash, owner) {
+                let _ = store.remove(&chunk_path(hash));
+                reclaimed += size;
             }
         }
         self.logical -= plan.logical_bytes();
         reclaimed
     }
 
-    /// Bytes that releasing this plan would actually reclaim right now
-    /// (only chunks whose sole reference is this plan).
-    pub fn reclaimable_bytes(&self, plan: &ChunkPlan) -> u64 {
+    /// Bytes that releasing `owner`'s plan would reclaim right now: its
+    /// chunks whose sole reference is that plan. A hash the plan itself
+    /// lists twice has refcount 2 and does not count, although the
+    /// release frees it.
+    pub fn reclaimable_bytes(&self, owner: u64) -> u64 {
+        self.sole_bytes.get(owner as usize).copied().unwrap_or(0)
+    }
+
+    /// The per-chunk scan [`ChunkStore::reclaimable_bytes`] keeps current
+    /// incrementally: the test oracle.
+    #[cfg(test)]
+    pub(crate) fn reclaimable_bytes_scan(&self, plan: &ChunkPlan) -> u64 {
         plan.unique_chunks()
             .iter()
-            .filter(|(hash, _)| matches!(self.refs.get(hash), Some((1, _))))
+            .filter(|(hash, _)| matches!(self.refs.get(hash), Some((1, _, _))))
             .map(|(_, size)| size)
             .sum()
     }
@@ -303,6 +403,7 @@ impl ChunkStore {
 mod tests {
     use super::*;
     use vmplants_dag::graph::invigo_workspace_dag;
+    use vmplants_simkit::rng::SimRng;
     use vmplants_virt::VmmType;
 
     const DISK: u64 = 2 * 1024 * 1024 * 1024;
@@ -364,19 +465,19 @@ mod tests {
         let mut cs = ChunkStore::new();
         let p1 = plan_for(&["A", "B", "C"], 64);
         let p2 = plan_for(&["A", "B", "C", "D"], 64);
-        let new1 = cs.publish(&store, &p1).unwrap();
+        let new1 = cs.publish(&store, &p1, 0).unwrap();
         assert_eq!(new1, p1.logical_bytes(), "first publish is all new");
-        let new2 = cs.publish(&store, &p2).unwrap();
+        let new2 = cs.publish(&store, &p2, 1).unwrap();
         assert!(new2 < p2.logical_bytes() / 4, "second publish mostly dedups");
         assert!(cs.dedup_factor() > 1.5);
         assert_eq!(store.used_bytes(), cs.physical_bytes());
         // Releasing one plan keeps shared chunks alive…
-        cs.release(&store, &p2);
+        cs.release(&store, &p2, 1);
         assert_eq!(cs.logical_bytes(), p1.logical_bytes());
         let remaining = p1.unique_chunks();
         assert!(remaining.keys().all(|h| store.exists(&chunk_path(*h))));
         // …and releasing the last reference reclaims every byte.
-        cs.release(&store, &p1);
+        cs.release(&store, &p1, 0);
         assert_eq!(cs.physical_bytes(), 0);
         assert_eq!(cs.chunk_count(), 0);
         assert_eq!(store.used_bytes(), 0, "all chunk files deleted");
@@ -388,12 +489,146 @@ mod tests {
         let mut cs = ChunkStore::new();
         let p1 = plan_for(&["A", "B", "C"], 64);
         let p2 = plan_for(&["A", "B", "C", "D"], 64);
-        cs.publish(&store, &p1).unwrap();
-        cs.publish(&store, &p2).unwrap();
-        let r1 = cs.reclaimable_bytes(&p1);
+        cs.publish(&store, &p1, 0).unwrap();
+        cs.publish(&store, &p2, 1).unwrap();
+        let r1 = cs.reclaimable_bytes(0);
         assert!(r1 < p1.logical_bytes() / 4, "most of p1 is pinned by p2");
-        let reclaimed = cs.release(&store, &p1);
+        let reclaimed = cs.release(&store, &p1, 0);
         assert_eq!(reclaimed, r1, "estimate matches actual reclaim");
+    }
+
+    /// Every plan the differential test draws from: overlapping DAG
+    /// prefixes at two memory sizes, plus a hand-built plan that lists one
+    /// shared and one private hash twice each.
+    fn plan_pool() -> Vec<ChunkPlan> {
+        let ids = ["A", "B", "C", "D", "E", "F", "G", "H", "I"];
+        let mut pool: Vec<ChunkPlan> = (0..=ids.len())
+            .flat_map(|k| [32, 64].map(|mem| plan_for(&ids[..k], mem)))
+            .collect();
+        let shared = pool[3].files[0].chunks[0];
+        let private = (0xd0d0_d0d0_d0d0_d0d0, CHUNK_BYTES);
+        pool.push(ChunkPlan {
+            files: vec![FileChunks {
+                path: "/warehouse/dup/disk.vmdk".into(),
+                kind: FileKind::DiskExtent,
+                chunks: vec![shared, private, shared, private, pool[5].files[1].chunks[2]],
+            }],
+        });
+        pool
+    }
+
+    /// Bytes releasing `plan` frees beyond its reclaimable bytes: hashes it
+    /// lists more than once and nothing else references.
+    fn self_pinned_bytes(cs: &ChunkStore, plan: &ChunkPlan) -> u64 {
+        let mut listed: BTreeMap<u64, (u64, u64)> = BTreeMap::new();
+        for (hash, size) in plan.chunk_refs() {
+            listed.entry(hash).or_insert((0, size)).0 += 1;
+        }
+        listed
+            .iter()
+            .filter(|(hash, (n, _))| *n > 1 && cs.refs[*hash].0 == *n)
+            .map(|(_, (_, size))| size)
+            .sum()
+    }
+
+    /// Seeded random publish / release / re-publish sequences: after every
+    /// step each published owner's incremental reclaimable bytes equal the
+    /// per-chunk scan, and a release frees exactly that much (plus the
+    /// hashes a plan lists twice, which the scan never counts).
+    #[test]
+    fn incremental_reclaimable_matches_scan_oracle() {
+        let pool = plan_pool();
+        let dup = pool.len() - 1;
+        for seed in 1..=4 {
+            let store = FileStore::new("export");
+            let mut cs = ChunkStore::new();
+            let mut rng = SimRng::seed_from_u64(seed);
+            let mut published: BTreeMap<u64, usize> = BTreeMap::new();
+            for _ in 0..120 {
+                let owner = rng.uniform_u64(0, 7);
+                match published.remove(&owner) {
+                    Some(p) => {
+                        let plan = &pool[p];
+                        let pinned = self_pinned_bytes(&cs, plan);
+                        assert!(p == dup || pinned == 0);
+                        let expected = cs.reclaimable_bytes_scan(plan) + pinned;
+                        assert_eq!(cs.release(&store, plan, owner), expected);
+                    }
+                    None => {
+                        let p = rng.index(pool.len());
+                        cs.publish(&store, &pool[p], owner).unwrap();
+                        published.insert(owner, p);
+                    }
+                }
+                for (&owner, &p) in &published {
+                    assert_eq!(
+                        cs.reclaimable_bytes(owner),
+                        cs.reclaimable_bytes_scan(&pool[p]),
+                        "seed {seed}, owner {owner}, plan {p}"
+                    );
+                }
+                assert_eq!(store.used_bytes(), cs.physical_bytes());
+            }
+            for (owner, p) in published {
+                cs.release(&store, &pool[p], owner);
+                assert_eq!(cs.reclaimable_bytes(owner), 0);
+            }
+            assert_eq!(cs.chunk_count(), 0);
+            assert_eq!(cs.logical_bytes(), 0);
+            assert!(cs.sole_bytes.iter().all(|&b| b == 0));
+        }
+    }
+
+    /// A publish that fills a bounded export midway leaves the store and
+    /// the bookkeeping exactly as before the call.
+    #[test]
+    fn failed_publish_rolls_back_completely() {
+        let p1 = plan_for(&["A", "B", "C"], 64);
+        let p2 = plan_for(&["A", "B", "C", "D"], 256);
+        let headroom = 100 * 1024 * 1024;
+        let store = FileStore::with_capacity("export", p1.logical_bytes() + headroom);
+        let mut cs = ChunkStore::new();
+        cs.publish(&store, &p1, 0).unwrap();
+        let snapshot = |store: &FileStore, cs: &ChunkStore| {
+            (
+                store.list("/"),
+                store.used_bytes(),
+                cs.physical_bytes(),
+                cs.logical_bytes(),
+                cs.chunk_count(),
+                cs.dedup_hits,
+                cs.dedup_misses,
+                cs.refs.clone(),
+                [0, 1].map(|owner| cs.reclaimable_bytes(owner)),
+            )
+        };
+        let before = snapshot(&store, &cs);
+        // p2 needs far more new bytes than the headroom, but its first
+        // new chunks fit: the failure comes midway through the plan.
+        let unique = p1.unique_chunks();
+        let new: u64 = p2
+            .unique_chunks()
+            .iter()
+            .filter(|(h, _)| !unique.contains_key(h))
+            .map(|(_, s)| s)
+            .sum();
+        assert!(new > 2 * headroom);
+        let err = cs.publish(&store, &p2, 1).unwrap_err();
+        assert!(matches!(err, StoreError::Full { .. }), "{err:?}");
+        assert_eq!(snapshot(&store, &cs), before);
+        assert_eq!(cs.release(&store, &p1, 0), p1.logical_bytes());
+        assert_eq!(store.used_bytes(), 0);
+
+        // Re-registering chunk files already on the export (the restore
+        // path) rewrites them; a rollback must not delete them.
+        let export = FileStore::with_capacity("export", p1.logical_bytes() + headroom);
+        ChunkStore::new().publish(&export, &p1, 0).unwrap();
+        let files = export.list("/");
+        let mut restored = ChunkStore::new();
+        assert!(restored.publish(&export, &p2, 0).is_err());
+        assert_eq!(export.list("/"), files);
+        assert_eq!(restored.chunk_count(), 0);
+        assert_eq!(restored.physical_bytes(), 0);
     }
 
     #[test]
@@ -402,7 +637,7 @@ mod tests {
         let replica = FileStore::new("replica");
         let mut cs = ChunkStore::new();
         let p = plan_for(&["A", "B"], 32);
-        cs.publish(&primary, &p).unwrap();
+        cs.publish(&primary, &p, 0).unwrap();
         let copied = cs.replicate(&replica, &p).unwrap();
         assert_eq!(copied, p.logical_bytes());
         assert_eq!(replica.used_bytes(), primary.used_bytes());

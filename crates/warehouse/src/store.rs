@@ -124,6 +124,9 @@ pub struct Warehouse {
     /// Per-resident-golden chunk plans (dedup mode), for release and
     /// replication.
     plans: BTreeMap<GoldenId, ChunkPlan>,
+    /// Per-golden chunk-store owner slot, dense from 0, assigned at the
+    /// first materialize and kept across eviction and re-derivation.
+    owner_slots: BTreeMap<GoldenId, u64>,
     /// Per-resident-golden bulk bytes (full-copy mode), for the capacity
     /// accounting that dedup mode reads off the chunk store instead.
     resident_bulk: BTreeMap<GoldenId, u64>,
@@ -171,6 +174,7 @@ impl Warehouse {
             config,
             chunk_store: ChunkStore::new(),
             plans: BTreeMap::new(),
+            owner_slots: BTreeMap::new(),
             resident_bulk: BTreeMap::new(),
             evicted: BTreeSet::new(),
             pins: BTreeMap::new(),
@@ -260,10 +264,9 @@ impl Warehouse {
             .put_text(format!("{dir}/descriptor.xml"), descriptor, FileKind::Generic)?;
         self.index_log(&id, &image.performed);
         self.index_hardware(&id, &image.spec);
-        let inserted = self.images.entry(id.clone()).or_insert(image);
+        self.images.insert(id.clone(), image);
         // A fresh publish may push the footprint over budget; evict cold
         // goldens (never the one just published) until it fits.
-        let _ = &inserted;
         self.enforce_capacity(nfs, Some(&id));
         Ok(&self.images[&id])
     }
@@ -285,7 +288,8 @@ impl Warehouse {
                 &image.performed,
                 GOLDEN_DISK_BYTES,
             );
-            self.chunk_store.publish(&nfs.store, &plan)?;
+            let owner = self.owner_slot(&image.id);
+            self.chunk_store.publish(&nfs.store, &plan, owner)?;
             self.plans.insert(image.id.clone(), plan);
         } else {
             image
@@ -304,6 +308,17 @@ impl Warehouse {
         sync_counter(&self.chunk_dedup_misses, self.chunk_store.dedup_misses);
         self.refresh_footprint_gauges();
         Ok(())
+    }
+
+    /// The golden's chunk-store owner slot, assigning the next free one on
+    /// first use.
+    fn owner_slot(&mut self, id: &GoldenId) -> u64 {
+        if let Some(&slot) = self.owner_slots.get(id) {
+            return slot;
+        }
+        let slot = self.owner_slots.len() as u64;
+        self.owner_slots.insert(id.clone(), slot);
+        slot
     }
 
     fn refresh_footprint_gauges(&self) {
@@ -335,7 +350,8 @@ impl Warehouse {
         match self.images.remove(id) {
             Some(_) => {
                 if let Some(plan) = self.plans.remove(id) {
-                    self.chunk_store.release(&nfs.store, &plan);
+                    self.chunk_store
+                        .release(&nfs.store, &plan, self.owner_slots[id]);
                 }
                 self.resident_bulk.remove(id);
                 self.evicted.remove(id);
@@ -587,13 +603,13 @@ impl Warehouse {
         REDERIVE_BASE_S + REDERIVE_PER_ACTION_S * actions as f64
     }
 
-    /// Bytes evicting this golden would actually reclaim right now.
+    /// Bytes evicting this golden would actually reclaim right now: a
+    /// lookup, with no per-chunk work.
     fn reclaimable_bytes(&self, id: &GoldenId) -> u64 {
         if self.config.dedup {
-            self.plans
+            self.owner_slots
                 .get(id)
-                .map(|plan| self.chunk_store.reclaimable_bytes(plan))
-                .unwrap_or(0)
+                .map_or(0, |&slot| self.chunk_store.reclaimable_bytes(slot))
         } else {
             self.resident_bulk.get(id).copied().unwrap_or(0)
         }
@@ -642,7 +658,8 @@ impl Warehouse {
     /// [`Warehouse::ensure_resident`] re-derives it on demand.
     fn evict(&mut self, nfs: &NfsServer, id: &GoldenId) {
         if let Some(plan) = self.plans.remove(id) {
-            self.chunk_store.release(&nfs.store, &plan);
+            self.chunk_store
+                .release(&nfs.store, &plan, self.owner_slots[id]);
             for file in &plan.files {
                 let _ = nfs.store.remove(&file.path);
             }
@@ -763,10 +780,11 @@ impl Warehouse {
 impl Warehouse {
     /// Rebuild the in-memory index from the XML descriptors on the export —
     /// the §3.1 restoration path for the warehouse itself: the index is
-    /// soft state; the NFS server's files are authoritative. Returns the
-    /// number of images restored; unparsable descriptors are skipped.
-    pub fn restore_from(nfs: &NfsServer) -> Warehouse {
-        let mut warehouse = Warehouse::new();
+    /// soft state; the NFS server's files are authoritative. The policy is
+    /// not on the export, so the caller passes it again. Unparsable
+    /// descriptors are skipped.
+    pub fn restore_from(nfs: &NfsServer, config: WarehouseConfig) -> Warehouse {
+        let mut warehouse = Warehouse::with_config(config);
         for path in nfs.store.list("/warehouse/") {
             if !path.ends_with("/descriptor.xml") {
                 continue;
@@ -800,9 +818,16 @@ impl Warehouse {
                 );
                 // Re-publishing increfs existing chunks (rewriting a chunk
                 // file is an idempotent same-size put), restoring the
-                // refcounts image by image.
-                let _ = warehouse.chunk_store.publish(&nfs.store, &plan);
-                warehouse.plans.insert(image.id.clone(), plan);
+                // refcounts image by image. A golden whose chunks cannot
+                // all be registered is treated as evicted and re-derived on
+                // demand.
+                let owner = warehouse.owner_slot(&image.id);
+                let registered = warehouse.chunk_store.publish(&nfs.store, &plan, owner);
+                if registered.is_ok() {
+                    warehouse.plans.insert(image.id.clone(), plan);
+                } else {
+                    warehouse.evicted.insert(image.id.clone());
+                }
             } else if nfs.store.exists(probe) {
                 let bulk: u64 = image
                     .files
@@ -1052,7 +1077,7 @@ mod tests {
         // The index is lost (warehouse service restart)…
         drop(w);
         // …and rebuilt wholesale from the on-disk descriptors.
-        let restored = Warehouse::restore_from(&nfs);
+        let restored = Warehouse::restore_from(&nfs, WarehouseConfig::default());
         assert_eq!(restored.len(), 3);
         let (img, report) = restored.find_golden(&VmSpec::mandrake(64), &dag).unwrap();
         assert_eq!(img.id, GoldenId("mandrake81-64mb".into()));
@@ -1069,7 +1094,86 @@ mod tests {
         nfs.store
             .put_text("/warehouse/broken/descriptor.xml", "<oops", vmplants_cluster::files::FileKind::Generic)
             .unwrap();
-        assert_eq!(Warehouse::restore_from(&nfs).len(), 3);
+        assert_eq!(
+            Warehouse::restore_from(&nfs, WarehouseConfig::default()).len(),
+            3
+        );
+    }
+
+    /// Every resident golden's incremental reclaimable bytes equal the
+    /// per-chunk scan over its plan.
+    fn assert_reclaimable_matches_oracle(w: &Warehouse) {
+        assert!(!w.plans.is_empty());
+        for (id, plan) in &w.plans {
+            assert_eq!(
+                w.reclaimable_bytes(id),
+                w.chunk_store.reclaimable_bytes_scan(plan),
+                "golden {id}"
+            );
+        }
+    }
+
+    /// A restored warehouse keeps its capacity budget (the next publish
+    /// past it evicts) and rebuilds the sole-reference accounting the
+    /// eviction score reads.
+    #[test]
+    fn restored_warehouse_keeps_policy_and_accounting() {
+        use vmplants_cluster::files::mb;
+        let config = WarehouseConfig {
+            dedup: true,
+            capacity_bytes: Some(gb(2) + mb(360)),
+            replicate_after: None,
+        };
+        let nfs = nfs();
+        let mut w = Warehouse::with_config(config.clone());
+        publish_experiment_goldens(&mut w, &nfs);
+        assert_eq!(w.eviction_count(), 1);
+        assert_reclaimable_matches_oracle(&w);
+        drop(w);
+        let mut restored = Warehouse::restore_from(&nfs, config);
+        assert_eq!(restored.config().capacity_bytes, Some(gb(2) + mb(360)));
+        assert!(!restored.is_resident(&GoldenId("mandrake81-64mb".into())));
+        assert_eq!(restored.plans.len(), 2);
+        assert_reclaimable_matches_oracle(&restored);
+        let dag = invigo_workspace_dag("template");
+        let base: PerformedLog = ["A", "B", "C"]
+            .iter()
+            .map(|id| dag.action(id).unwrap().clone())
+            .collect();
+        restored
+            .publish(&nfs, "mandrake81-128mb", "m", VmSpec::mandrake(128), base)
+            .unwrap();
+        assert_eq!(
+            restored.eviction_count(),
+            1,
+            "budget enforced after restore"
+        );
+        assert!(restored.physical_footprint() <= gb(2) + mb(360));
+        assert_reclaimable_matches_oracle(&restored);
+    }
+
+    /// A golden whose chunks cannot all be re-registered on restore (one
+    /// chunk file is gone and the export is full) comes back evicted; the
+    /// rollback leaves the chunk files its siblings share in place.
+    #[test]
+    fn restore_treats_unregistrable_golden_as_evicted() {
+        let mut nfs = nfs();
+        nfs.store = vmplants_cluster::files::FileStore::with_capacity("export", gb(3));
+        let mut w = Warehouse::new();
+        publish_experiment_goldens(&mut w, &nfs);
+        drop(w);
+        let vmss = "/warehouse/mandrake81-256mb/machine-256mb.vmss";
+        let lost = nfs.store.manifest(vmss).unwrap().unwrap()[0].clone();
+        nfs.store.remove(&lost).unwrap();
+        let free = nfs.store.free_bytes().unwrap();
+        nfs.store.put("/filler", free, FileKind::Generic).unwrap();
+        let files = nfs.store.list("/");
+        let restored = Warehouse::restore_from(&nfs, WarehouseConfig::default());
+        assert_eq!(nfs.store.list("/"), files);
+        assert!(!restored.is_resident(&GoldenId("mandrake81-256mb".into())));
+        assert!(restored.is_resident(&GoldenId("mandrake81-32mb".into())));
+        assert!(restored.is_resident(&GoldenId("mandrake81-64mb".into())));
+        assert_reclaimable_matches_oracle(&restored);
     }
 
     /// Capacity pressure evicts the golden with the lowest
