@@ -1,9 +1,9 @@
 //! The persistent performance baseline (E17): kernel event throughput,
 //! matchmaking throughput at several warehouse sizes (naive linear path
 //! vs the interned/indexed fast path), classad bidding at fleet scale
-//! (per-ad tree walk vs one compiled program batch-evaluated over a
-//! columnar ad table), and experiment wall times under the serial and
-//! parallel harnesses. Emits `BENCH_vmplants.json`.
+//! (per-ad tree walk vs one constraint batch-evaluated by a column scan
+//! over a columnar ad table), and experiment wall times under the serial
+//! and parallel harnesses. Emits `BENCH_vmplants.json`.
 //!
 //! Usage:
 //!
@@ -27,7 +27,6 @@
 //! baseline.
 
 use std::cell::Cell;
-use std::collections::{BinaryHeap, HashSet};
 use std::fmt::Write as _;
 use std::rc::Rc;
 use std::time::Instant;
@@ -54,17 +53,13 @@ fn arg_value(name: &str) -> Option<String> {
 }
 
 // ---------------------------------------------------------------------
-// Kernel throughput: the slab engine vs a faithful re-creation of the
-// pre-slab kernel (BinaryHeap + HashSet live-set, hashing on every
-// schedule/cancel/pop). Both run the same workload: chains of
-// self-rescheduling events with a cancelled decoy per hop.
+// Kernel throughput: chains of self-rescheduling events with a cancelled
+// decoy per hop on the slab engine.
 // ---------------------------------------------------------------------
 
 struct KernelNumbers {
     events: u64,
     slab_events_per_sec: f64,
-    hashset_events_per_sec: f64,
-    speedup: f64,
 }
 
 const CHAINS: usize = 64;
@@ -77,9 +72,8 @@ fn slab_kernel_run(hops: usize) -> (u64, f64) {
         if left == 0 {
             return;
         }
-        // A decoy event that is immediately cancelled: the old kernel
-        // paid two hash operations for this, the slab pays two array
-        // writes.
+        // A decoy event that is immediately cancelled: the slab pays two
+        // array writes for it.
         let decoy = engine.schedule(SimDuration::from_millis(5), |_| {});
         engine.cancel(decoy);
         let f = Rc::clone(&fired);
@@ -94,94 +88,14 @@ fn slab_kernel_run(hops: usize) -> (u64, f64) {
     (t.events, t.events_per_sec())
 }
 
-/// The pre-slab kernel, reduced to its scheduling skeleton: `(time, seq)`
-/// heap plus a `HashSet<u64>` of live sequence numbers consulted on every
-/// pop and mutated on every schedule/cancel.
-type KernelAction = Box<dyn FnOnce(&mut HashSetKernel)>;
-
-struct HashSetKernel {
-    now: u64,
-    next_seq: u64,
-    heap: BinaryHeap<std::cmp::Reverse<(u64, u64)>>,
-    actions: Vec<Option<KernelAction>>,
-    live: HashSet<u64>,
-}
-
-impl HashSetKernel {
-    fn new() -> HashSetKernel {
-        HashSetKernel {
-            now: 0,
-            next_seq: 0,
-            heap: BinaryHeap::new(),
-            actions: Vec::new(),
-            live: HashSet::new(),
-        }
-    }
-
-    fn schedule<F: FnOnce(&mut HashSetKernel) + 'static>(&mut self, delay: u64, f: F) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(std::cmp::Reverse((self.now + delay, seq)));
-        self.actions.push(Some(Box::new(f)));
-        self.live.insert(seq);
-        seq
-    }
-
-    fn cancel(&mut self, seq: u64) -> bool {
-        self.live.remove(&seq)
-    }
-
-    fn run(&mut self) -> u64 {
-        let mut executed = 0;
-        while let Some(std::cmp::Reverse((at, seq))) = self.heap.pop() {
-            if !self.live.remove(&seq) {
-                continue;
-            }
-            self.now = at;
-            if let Some(action) = self.actions[seq as usize].take() {
-                action(self);
-                executed += 1;
-            }
-        }
-        executed
-    }
-}
-
-fn hashset_kernel_run(hops: usize) -> (u64, f64) {
-    let mut kernel = HashSetKernel::new();
-    let fired = Rc::new(Cell::new(0u64));
-    fn hop(kernel: &mut HashSetKernel, fired: Rc<Cell<u64>>, left: usize) {
-        fired.set(fired.get() + 1);
-        if left == 0 {
-            return;
-        }
-        let decoy = kernel.schedule(5, |_| {});
-        kernel.cancel(decoy);
-        let f = Rc::clone(&fired);
-        kernel.schedule(1, move |k| hop(k, f, left - 1));
-    }
-    for _ in 0..CHAINS {
-        let f = Rc::clone(&fired);
-        kernel.schedule(1, move |k| hop(k, f, hops));
-    }
-    let started = Instant::now();
-    let executed = kernel.run();
-    let secs = started.elapsed().as_secs_f64();
-    (executed, executed as f64 / secs.max(1e-9))
-}
-
 fn bench_kernel(quick: bool) -> KernelNumbers {
     let hops = if quick { 2_000 } else { 20_000 };
     // Warm-up discard, then measure.
     let _ = slab_kernel_run(hops / 4);
-    let _ = hashset_kernel_run(hops / 4);
     let (events, slab) = slab_kernel_run(hops);
-    let (_, hashed) = hashset_kernel_run(hops);
     KernelNumbers {
         events,
         slab_events_per_sec: slab,
-        hashset_events_per_sec: hashed,
-        speedup: slab / hashed,
     }
 }
 
@@ -285,8 +199,9 @@ fn bench_matching(goldens: usize, quick: bool) -> MatchNumbers {
 }
 
 // ---------------------------------------------------------------------
-// Matchmaking at scale: one compiled order constraint batch-evaluated
-// over a columnar table of 10k/100k/1M plant ads vs the per-ad tree
+// Matchmaking at scale: one order constraint batch-evaluated (a column
+// scan, since it is a conjunction of simple predicates) over a columnar
+// table of 10k/100k/1M plant ads vs the per-ad tree
 // walk. The table sizes are identical in quick and full mode (the CI
 // validator pins them); quick mode shrinks the tree-walk sample and the
 // batch repetition count instead.
@@ -315,15 +230,14 @@ fn scale_ad(i: usize) -> vmplants_classad::ClassAd {
 }
 
 /// The order constraint every plant ad is tested against — the shape a
-/// shop compiles once per order and reuses across the whole fleet.
+/// shop parses once per order and reuses across the whole fleet.
 const SCALE_CONSTRAINT: &str =
     "alive && os == \"linux\" && freememory >= 256 && vmcount < 8 && memutilization < 0.9";
 
 fn bench_matchmaking_at_scale(ads: usize, quick: bool) -> ScaleNumbers {
-    use vmplants_classad::{compile, parse_expr, AdTable};
+    use vmplants_classad::{parse_expr, AdTable};
 
     let expr = parse_expr(SCALE_CONSTRAINT).expect("bench constraint parses");
-    let prog = compile(&expr);
     let pool: Vec<_> = (0..ads).map(scale_ad).collect();
     let mut table = AdTable::new();
     for ad in &pool {
@@ -342,22 +256,22 @@ fn bench_matchmaking_at_scale(ads: usize, quick: bool) -> ScaleNumbers {
     }
     let tree_rows_per_sec = sampled as f64 / started.elapsed().as_secs_f64().max(1e-9);
 
-    // Compiled batch over the full table, repeated until the measured
+    // Batch over the full table, repeated until the measured
     // window is comfortably above timer resolution.
     let reps = if quick { 1 } else { (4_000_000 / ads).max(1) };
     let started = Instant::now();
     let mut matches = 0;
     for _ in 0..reps {
-        matches = table.eval_batch(&prog).count();
+        matches = table.eval_batch(&expr).count();
     }
     let batch_rows_per_sec = (ads * reps) as f64 / started.elapsed().as_secs_f64().max(1e-9);
 
     // Differential check: both paths must agree on the sampled prefix.
-    let hits = table.eval_batch(&prog);
+    let hits = table.eval_batch(&expr);
     let batch_sample_matches = (0..sampled).filter(|&r| hits.contains(r)).count();
     assert_eq!(
         batch_sample_matches, tree_matches,
-        "compiled batch diverged from tree walk"
+        "batch diverged from tree walk"
     );
 
     ScaleNumbers {
@@ -735,22 +649,16 @@ fn render_json(
 ) -> String {
     let mut out = String::new();
     out.push_str("{\n");
-    out.push_str("  \"schema\": \"vmplants-bench-baseline/6\",\n");
+    out.push_str("  \"schema\": \"vmplants-bench-baseline/7\",\n");
     let _ = writeln!(out, "  \"quick\": {quick},");
     let _ = writeln!(out, "  \"seed\": {seed},");
     out.push_str("  \"kernel\": {\n");
     let _ = writeln!(out, "    \"events\": {},", kernel.events);
     let _ = writeln!(
         out,
-        "    \"slab_events_per_sec\": {:.0},",
+        "    \"slab_events_per_sec\": {:.0}",
         kernel.slab_events_per_sec
     );
-    let _ = writeln!(
-        out,
-        "    \"hashset_events_per_sec\": {:.0},",
-        kernel.hashset_events_per_sec
-    );
-    let _ = writeln!(out, "    \"speedup\": {:.3}", kernel.speedup);
     out.push_str("  },\n");
     out.push_str("  \"matchmaking\": [\n");
     for (i, m) in matching.iter().enumerate() {
@@ -880,10 +788,7 @@ fn main() {
 
     eprintln!("[bench] kernel throughput ({})", if quick { "quick" } else { "full" });
     let kernel = bench_kernel(quick);
-    eprintln!(
-        "[bench]   slab {:.0} ev/s vs hashset {:.0} ev/s ({:.2}x)",
-        kernel.slab_events_per_sec, kernel.hashset_events_per_sec, kernel.speedup
-    );
+    eprintln!("[bench]   slab {:.0} ev/s", kernel.slab_events_per_sec);
 
     let mut matching = Vec::new();
     for goldens in [10usize, 100, 1000] {
@@ -901,7 +806,7 @@ fn main() {
         eprintln!("[bench] matchmaking at scale: {ads} ads");
         let m = bench_matchmaking_at_scale(ads, quick);
         eprintln!(
-            "[bench]   tree walk {:.0} rows/s vs compiled batch {:.0} rows/s ({:.1}x, {} matches)",
+            "[bench]   tree walk {:.0} rows/s vs column-scan batch {:.0} rows/s ({:.1}x, {} matches)",
             m.tree_rows_per_sec, m.batch_rows_per_sec, m.speedup, m.matches
         );
         at_scale.push(m);

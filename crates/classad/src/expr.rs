@@ -398,10 +398,8 @@ fn eval_call(name: &str, args: &[Expr], env: Env<'_>, trace: &mut EvalTrace) -> 
     apply_call(&name.to_ascii_lowercase(), &vals)
 }
 
-/// Builtin dispatch over already-evaluated arguments. Shared by the
-/// tree-walker and the bytecode VM ([`crate::compile`]) so the two
-/// implementations cannot drift.
-pub(crate) fn apply_call(lower_name: &str, vals: &[Value]) -> Value {
+/// Builtin dispatch over already-evaluated arguments.
+fn apply_call(lower_name: &str, vals: &[Value]) -> Value {
     match (lower_name, vals) {
         ("isundefined", [v]) => Value::Bool(v.is_undefined()),
         ("iserror", [v]) => Value::Bool(v.is_error()),

@@ -16,15 +16,16 @@
 //! * [`ClassAd`] — an ordered attribute → expression record with lazy,
 //!   cycle-safe evaluation;
 //! * a parser and printer with round-trip fidelity ([`parse_classad`],
-//!   [`parse_expr`]);
+//!   [`parse_expr`]); the parser refuses expressions nested deeper than
+//!   a fixed 128 levels, so wire input cannot overflow the stack;
 //! * two-sided matchmaking ([`symmetric_match`], [`rank`]) used by the shop
 //!   to pair creation requests with plants and by the warehouse to pre-filter
 //!   golden images;
-//! * a bytecode compiler ([`compile`], [`Program`]) with constant folding
-//!   and short-circuit jumps, plus a columnar [`AdTable`] that batch-
-//!   evaluates one compiled expression across a whole fleet of ads — the
-//!   tree-walker stays on as the differential oracle and the fallback for
-//!   ads with computed attributes.
+//! * a columnar [`AdTable`] that batch-evaluates one expression across a
+//!   whole fleet of ads: a conjunction of simple predicates becomes one
+//!   vectorized column scan per conjunct, and every other expression (or
+//!   ad with computed attributes) goes through the tree-walker, which is
+//!   also the differential oracle.
 //!
 //! ```
 //! use vmplants_classad::{parse_classad, Value};
@@ -39,7 +40,6 @@
 //! ```
 
 pub mod ad;
-pub mod compile;
 pub mod expr;
 pub mod matchmaking;
 pub mod parser;
@@ -48,7 +48,6 @@ pub mod token;
 pub mod value;
 
 pub use ad::ClassAd;
-pub use compile::{compile, fold_consts, Program};
 pub use expr::{AttrScope, BinOp, Expr, Scope, UnOp};
 pub use table::{AdTable, RowSet};
 pub use matchmaking::{rank, symmetric_match, MatchOutcome};

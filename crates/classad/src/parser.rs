@@ -36,11 +36,56 @@ impl From<LexError> for ParseError {
     }
 }
 
+/// Deepest nesting the parser accepts. Every paren, unary operator,
+/// `?:`, list, call and binary operator adds a level (so a chain of
+/// `n` binary operators is `n` deep), which bounds how far evaluating,
+/// printing or dropping any parsed expression recurses. Wire input
+/// reaches this parser, so the bound is fixed rather than configurable.
+const MAX_DEPTH: usize = 128;
+
+/// A parsed subexpression and its nesting depth (0 for a leaf).
+type Parsed = Result<(Expr, usize), ParseError>;
+
+/// The depth of a node whose deepest child is `child` levels deep.
+fn deeper(child: usize) -> Result<usize, ParseError> {
+    if child >= MAX_DEPTH {
+        Err(ParseError::new(format!(
+            "expression nested deeper than {MAX_DEPTH} levels"
+        )))
+    } else {
+        Ok(child + 1)
+    }
+}
+
+/// Binary operators by precedence group, loosest first; every group is
+/// left-associative.
+const BINARY_GROUPS: &[&[(Token, BinOp)]] = &[
+    &[(Token::Or, BinOp::Or)],
+    &[(Token::And, BinOp::And)],
+    &[
+        (Token::Eq, BinOp::Eq),
+        (Token::Ne, BinOp::Ne),
+        (Token::MetaEq, BinOp::MetaEq),
+        (Token::MetaNe, BinOp::MetaNe),
+    ],
+    &[
+        (Token::Lt, BinOp::Lt),
+        (Token::Le, BinOp::Le),
+        (Token::Gt, BinOp::Gt),
+        (Token::Ge, BinOp::Ge),
+    ],
+    &[(Token::Plus, BinOp::Add), (Token::Minus, BinOp::Sub)],
+    &[
+        (Token::Star, BinOp::Mul),
+        (Token::Slash, BinOp::Div),
+        (Token::Percent, BinOp::Mod),
+    ],
+];
+
 /// Parse a single expression from source text.
 pub fn parse_expr(src: &str) -> Result<Expr, ParseError> {
-    let tokens = lex(src)?;
-    let mut p = Parser { tokens, pos: 0 };
-    let e = p.expr()?;
+    let mut p = Parser::new(src)?;
+    let (e, _) = p.expr()?;
     p.expect_end()?;
     Ok(e)
 }
@@ -48,8 +93,7 @@ pub fn parse_expr(src: &str) -> Result<Expr, ParseError> {
 /// Parse a classad record: `[ name = expr; ... ]`. A trailing semicolon is
 /// optional, matching common classad serializations.
 pub fn parse_classad(src: &str) -> Result<ClassAd, ParseError> {
-    let tokens = lex(src)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser::new(src)?;
     let ad = p.classad()?;
     p.expect_end()?;
     Ok(ad)
@@ -58,9 +102,27 @@ pub fn parse_classad(src: &str) -> Result<ClassAd, ParseError> {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Nesting constructs currently open: checked on the way down so the
+    /// parser's own recursion stops at [`MAX_DEPTH`], before the
+    /// bottom-up depth of the finished node is known.
+    open: usize,
 }
 
 impl Parser {
+    fn new(src: &str) -> Result<Parser, ParseError> {
+        Ok(Parser {
+            tokens: lex(src)?,
+            pos: 0,
+            open: 0,
+        })
+    }
+
+    /// Open a nesting construct (paren, unary operator, `?:` branch,
+    /// list, call); the caller closes it with `self.open -= 1`.
+    fn enter(&mut self) -> Result<(), ParseError> {
+        deeper(self.open).map(|open| self.open = open)
+    }
+
     fn peek(&self) -> Option<&Token> {
         self.tokens.get(self.pos)
     }
@@ -128,7 +190,7 @@ impl Parser {
                 }
             };
             self.expect(&Token::Assign)?;
-            let value = self.expr()?;
+            let (value, _) = self.expr()?;
             ad.set(name, value);
             if !self.eat(&Token::Semi) {
                 self.expect(&Token::RBracket)?;
@@ -137,140 +199,83 @@ impl Parser {
         }
     }
 
-    fn expr(&mut self) -> Result<Expr, ParseError> {
-        let cond = self.or_expr()?;
-        if self.eat(&Token::Question) {
-            let then_e = self.expr()?;
-            self.expect(&Token::Colon)?;
-            let else_e = self.expr()?;
-            Ok(Expr::Cond(
-                Box::new(cond),
-                Box::new(then_e),
-                Box::new(else_e),
-            ))
+    fn expr(&mut self) -> Parsed {
+        let (cond, cond_depth) = self.binary(0)?;
+        if !self.eat(&Token::Question) {
+            return Ok((cond, cond_depth));
+        }
+        self.enter()?;
+        let (then_e, then_depth) = self.expr()?;
+        self.expect(&Token::Colon)?;
+        let (else_e, else_depth) = self.expr()?;
+        self.open -= 1;
+        Ok((
+            Expr::Cond(Box::new(cond), Box::new(then_e), Box::new(else_e)),
+            deeper(cond_depth.max(then_depth).max(else_depth))?,
+        ))
+    }
+
+    /// Precedence climbing over the operators in `BINARY_GROUPS[group..]`,
+    /// all left-associative. A chain of same-group operators is built by
+    /// the loop rather than by recursion, so its length is counted into
+    /// the depth here; one frame per nesting level keeps the parser's
+    /// stack use small at [`MAX_DEPTH`].
+    fn binary(&mut self, group: usize) -> Parsed {
+        let (mut lhs, mut depth) = self.unary_expr()?;
+        while let Some((op_group, op)) = self.peek_binary().filter(|&(g, _)| g >= group) {
+            self.pos += 1;
+            let (rhs, rhs_depth) = self.binary(op_group + 1)?;
+            depth = deeper(depth.max(rhs_depth))?;
+            lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
+        }
+        Ok((lhs, depth))
+    }
+
+    /// The binary operator at the cursor, with its precedence group.
+    fn peek_binary(&self) -> Option<(usize, BinOp)> {
+        let tok = self.peek()?;
+        BINARY_GROUPS.iter().enumerate().find_map(|(group, ops)| {
+            ops.iter()
+                .find(|(t, _)| t == tok)
+                .map(|&(_, op)| (group, op))
+        })
+    }
+
+    fn unary_expr(&mut self) -> Parsed {
+        let op = if self.eat(&Token::Not) {
+            UnOp::Not
+        } else if self.eat(&Token::Minus) {
+            UnOp::Neg
         } else {
-            Ok(cond)
-        }
+            return self.primary();
+        };
+        self.enter()?;
+        let (inner, inner_depth) = self.unary_expr()?;
+        self.open -= 1;
+        // Fold negation into numeric literals so "-5" is a literal.
+        let e = match (op, inner) {
+            (UnOp::Neg, Expr::Lit(Value::Int(i))) => Expr::Lit(Value::Int(-i)),
+            (UnOp::Neg, Expr::Lit(Value::Real(r))) => Expr::Lit(Value::Real(-r)),
+            (op, other) => Expr::Unary(op, Box::new(other)),
+        };
+        Ok((e, deeper(inner_depth)?))
     }
 
-    fn or_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.and_expr()?;
-        while self.eat(&Token::Or) {
-            let rhs = self.and_expr()?;
-            lhs = Expr::Binary(BinOp::Or, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn and_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.cmp_expr()?;
-        while self.eat(&Token::And) {
-            let rhs = self.cmp_expr()?;
-            lhs = Expr::Binary(BinOp::And, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn cmp_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.rel_expr()?;
-        loop {
-            let op = match self.peek() {
-                Some(Token::Eq) => BinOp::Eq,
-                Some(Token::Ne) => BinOp::Ne,
-                Some(Token::MetaEq) => BinOp::MetaEq,
-                Some(Token::MetaNe) => BinOp::MetaNe,
-                _ => return Ok(lhs),
-            };
-            self.pos += 1;
-            let rhs = self.rel_expr()?;
-            lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
-        }
-    }
-
-    fn rel_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.add_expr()?;
-        loop {
-            let op = match self.peek() {
-                Some(Token::Lt) => BinOp::Lt,
-                Some(Token::Le) => BinOp::Le,
-                Some(Token::Gt) => BinOp::Gt,
-                Some(Token::Ge) => BinOp::Ge,
-                _ => return Ok(lhs),
-            };
-            self.pos += 1;
-            let rhs = self.add_expr()?;
-            lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
-        }
-    }
-
-    fn add_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.mul_expr()?;
-        loop {
-            let op = match self.peek() {
-                Some(Token::Plus) => BinOp::Add,
-                Some(Token::Minus) => BinOp::Sub,
-                _ => return Ok(lhs),
-            };
-            self.pos += 1;
-            let rhs = self.mul_expr()?;
-            lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
-        }
-    }
-
-    fn mul_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.unary_expr()?;
-        loop {
-            let op = match self.peek() {
-                Some(Token::Star) => BinOp::Mul,
-                Some(Token::Slash) => BinOp::Div,
-                Some(Token::Percent) => BinOp::Mod,
-                _ => return Ok(lhs),
-            };
-            self.pos += 1;
-            let rhs = self.unary_expr()?;
-            lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
-        }
-    }
-
-    fn unary_expr(&mut self) -> Result<Expr, ParseError> {
-        if self.eat(&Token::Not) {
-            let inner = self.unary_expr()?;
-            return Ok(Expr::Unary(UnOp::Not, Box::new(inner)));
-        }
-        if self.eat(&Token::Minus) {
-            // Fold negation into numeric literals so "-5" is a literal.
-            let inner = self.unary_expr()?;
-            return Ok(match inner {
-                Expr::Lit(Value::Int(i)) => Expr::Lit(Value::Int(-i)),
-                Expr::Lit(Value::Real(r)) => Expr::Lit(Value::Real(-r)),
-                other => Expr::Unary(UnOp::Neg, Box::new(other)),
-            });
-        }
-        self.primary()
-    }
-
-    fn primary(&mut self) -> Result<Expr, ParseError> {
+    fn primary(&mut self) -> Parsed {
         match self.next() {
-            Some(Token::Int(i)) => Ok(Expr::Lit(Value::Int(i))),
-            Some(Token::Real(r)) => Ok(Expr::Lit(Value::Real(r))),
-            Some(Token::Str(s)) => Ok(Expr::Lit(Value::Str(s))),
+            Some(Token::Int(i)) => Ok((Expr::Lit(Value::Int(i)), 0)),
+            Some(Token::Real(r)) => Ok((Expr::Lit(Value::Real(r)), 0)),
+            Some(Token::Str(s)) => Ok((Expr::Lit(Value::Str(s)), 0)),
             Some(Token::LParen) => {
-                let e = self.expr()?;
+                self.enter()?;
+                let (e, depth) = self.expr()?;
                 self.expect(&Token::RParen)?;
-                Ok(e)
+                self.open -= 1;
+                Ok((e, deeper(depth)?))
             }
             Some(Token::LBrace) => {
-                let mut items = Vec::new();
-                if self.eat(&Token::RBrace) {
-                    return Ok(Expr::List(items));
-                }
-                loop {
-                    items.push(self.expr()?);
-                    if self.eat(&Token::RBrace) {
-                        return Ok(Expr::List(items));
-                    }
-                    self.expect(&Token::Comma)?;
-                }
+                let (items, depth) = self.items(&Token::RBrace)?;
+                Ok((Expr::List(items), depth))
             }
             Some(Token::Ident(name)) => self.ident_continuation(name),
             other => Err(ParseError::new(format!(
@@ -280,13 +285,34 @@ impl Parser {
         }
     }
 
-    fn ident_continuation(&mut self, name: String) -> Result<Expr, ParseError> {
+    /// Comma-separated expressions up to and including `close` (list
+    /// items or call arguments), with the depth of the node holding them.
+    fn items(&mut self, close: &Token) -> Result<(Vec<Expr>, usize), ParseError> {
+        self.enter()?;
+        let mut items = Vec::new();
+        let mut depth = 0;
+        if !self.eat(close) {
+            loop {
+                let (item, item_depth) = self.expr()?;
+                items.push(item);
+                depth = depth.max(item_depth);
+                if self.eat(close) {
+                    break;
+                }
+                self.expect(&Token::Comma)?;
+            }
+        }
+        self.open -= 1;
+        Ok((items, deeper(depth)?))
+    }
+
+    fn ident_continuation(&mut self, name: String) -> Parsed {
         // Keyword literals.
         match name.to_ascii_lowercase().as_str() {
-            "true" => return Ok(Expr::Lit(Value::Bool(true))),
-            "false" => return Ok(Expr::Lit(Value::Bool(false))),
-            "undefined" => return Ok(Expr::Lit(Value::Undefined)),
-            "error" => return Ok(Expr::Lit(Value::Err)),
+            "true" => return Ok((Expr::Lit(Value::Bool(true)), 0)),
+            "false" => return Ok((Expr::Lit(Value::Bool(false)), 0)),
+            "undefined" => return Ok((Expr::Lit(Value::Undefined), 0)),
+            "error" => return Ok((Expr::Lit(Value::Err), 0)),
             _ => {}
         }
         // Scoped attribute reference: my.x / self.x / other.x / target.x.
@@ -299,7 +325,7 @@ impl Parser {
             if let Some(scope) = scope {
                 self.pos += 1; // consume '.'
                 match self.next() {
-                    Some(Token::Ident(attr)) => return Ok(Expr::Attr(scope, attr)),
+                    Some(Token::Ident(attr)) => return Ok((Expr::Attr(scope, attr), 0)),
                     other => {
                         return Err(ParseError::new(format!(
                             "expected attribute after '{name}.', found {:?}",
@@ -313,21 +339,11 @@ impl Parser {
             )));
         }
         // Function call.
-        if self.peek() == Some(&Token::LParen) {
-            self.pos += 1;
-            let mut args = Vec::new();
-            if self.eat(&Token::RParen) {
-                return Ok(Expr::Call(name, args));
-            }
-            loop {
-                args.push(self.expr()?);
-                if self.eat(&Token::RParen) {
-                    return Ok(Expr::Call(name, args));
-                }
-                self.expect(&Token::Comma)?;
-            }
+        if self.eat(&Token::LParen) {
+            let (args, depth) = self.items(&Token::RParen)?;
+            return Ok((Expr::Call(name, args), depth));
         }
-        Ok(Expr::Attr(AttrScope::Current, name))
+        Ok((Expr::Attr(AttrScope::Current, name), 0))
     }
 }
 
@@ -436,5 +452,68 @@ mod tests {
         let printed = ad.to_string();
         let ad2 = parse_classad(&printed).unwrap();
         assert_eq!(ad, ad2);
+    }
+
+    /// Sources exactly `depth` levels deep, one per nesting construct.
+    fn nested(depth: usize) -> Vec<String> {
+        vec![
+            format!("{}true{}", "(".repeat(depth), ")".repeat(depth)),
+            format!("1{}", " + 1".repeat(depth)),
+            format!("{}true", "!".repeat(depth)),
+            format!("{}x{}", "{".repeat(depth), "}".repeat(depth)),
+            format!("{}1{}", "size(".repeat(depth), ")".repeat(depth)),
+            format!("{}false", "x ? 1 : ".repeat(depth)),
+            // Each `(1 - …)` is two levels: the paren and the operator.
+            format!(
+                "{}{}0{}",
+                "!".repeat(depth % 2),
+                "(1 - ".repeat(depth / 2),
+                ")".repeat(depth / 2)
+            ),
+        ]
+    }
+
+    /// Run `f` on a 2 MiB-stack thread, the default for spawned threads,
+    /// so a test fails by overflow rather than passing on a big main stack.
+    fn on_small_stack(f: impl FnOnce() + Send + 'static) {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(f)
+            .unwrap()
+            .join()
+            .unwrap();
+    }
+
+    #[test]
+    fn expressions_at_the_depth_limit_parse_evaluate_print_and_drop() {
+        on_small_stack(|| {
+            for src in nested(MAX_DEPTH) {
+                let e = parse_expr(&src).unwrap_or_else(|err| panic!("{err}: {src:.40}"));
+                let _ = e.eval_solo(&ClassAd::new());
+                assert!(!e.to_string().is_empty());
+                drop(e);
+            }
+        });
+    }
+
+    #[test]
+    fn one_level_past_the_limit_is_a_parse_error() {
+        on_small_stack(|| {
+            for src in nested(MAX_DEPTH + 1) {
+                let err = parse_expr(&src).expect_err(&src);
+                assert!(err.message.contains("nested deeper"), "{err}");
+            }
+            // Wire-sized inputs far past the limit: without the bound,
+            // parens overflow the parser's stack and a long chain the
+            // evaluator's.
+            for src in [
+                format!("{}true{}", "(".repeat(5000), ")".repeat(5000)),
+                format!("1{}", " + 1".repeat(10_000)),
+            ] {
+                assert!(parse_expr(&src).is_err());
+            }
+            let ad = format!("[ deep = {}true{} ]", "(".repeat(5000), ")".repeat(5000));
+            assert!(parse_classad(&ad).is_err());
+        });
     }
 }

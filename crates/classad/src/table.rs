@@ -5,18 +5,18 @@
 //! per (expression, ad) pair; at fleet scale that dominates the bidding
 //! round. An [`AdTable`] turns the fleet sideways: one typed column per
 //! attribute (with a presence bitmap), strings deduplicated into a per-
-//! column pool, so a compiled [`Program`] streams down the table touching
-//! only the columns it actually references.
+//! column pool, so a conjunction of simple predicates becomes one bitmap
+//! scan per conjunct over only the columns it references.
 //!
-//! Ads whose attributes are bound to anything but literal values cannot be
-//! shredded into columns; they are kept whole ("boxed") and evaluated
-//! through the tree-walking oracle, so `eval_batch` is exact for any mix
-//! of rows.
+//! The table also keeps every pushed ad. Expressions of any other shape,
+//! and ads whose attributes are bound to anything but literal values
+//! ("boxed" rows, which cannot be shredded into columns), are evaluated
+//! row by row through the tree-walking oracle, so `eval_batch` is exact
+//! for any expression over any mix of rows.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 use crate::ad::ClassAd;
-use crate::compile::{Program, RtVal};
 use crate::expr::{AttrScope, BinOp, Expr};
 use crate::value::Value;
 
@@ -209,34 +209,20 @@ impl Column {
             .get(row / 64)
             .is_some_and(|w| w & (1 << (row % 64)) != 0)
     }
-
-    fn get(&self, row: usize) -> Option<RtVal<'_>> {
-        if !self.is_present(row) || row >= self.len() {
-            return None;
-        }
-        Some(match &self.vals {
-            ColVals::Ints(v) => RtVal::Int(v[row]),
-            ColVals::Reals(v) => RtVal::Real(v[row]),
-            ColVals::Bools(v) => RtVal::Bool(v[row]),
-            ColVals::Strs { idx, pool, .. } => {
-                RtVal::Str(std::borrow::Cow::Borrowed(&pool[idx[row] as usize]))
-            }
-            ColVals::Mixed(v) => RtVal::borrow(&v[row]),
-        })
-    }
 }
 
-/// A column-major fleet of classads, evaluated in bulk by compiled
-/// programs. Row indices are assigned by [`AdTable::push`] in insertion
-/// order and are stable for the table's lifetime.
+/// A column-major fleet of classads, evaluated in bulk by
+/// [`AdTable::eval_batch`]. Row indices are assigned by [`AdTable::push`]
+/// in insertion order and are stable for the table's lifetime.
 #[derive(Default)]
 pub struct AdTable {
-    rows: usize,
     index: HashMap<String, usize>,
     columns: Vec<Column>,
-    /// Rows whose ads have non-literal attributes, kept whole and
-    /// evaluated via the tree-walking oracle.
-    boxed: BTreeMap<usize, ClassAd>,
+    /// Every pushed ad by row (copy-on-write clones), for the tree walk.
+    ads: Vec<ClassAd>,
+    /// Rows whose ads have non-literal attributes: they populate no
+    /// column and are always tree-walked.
+    boxed: RowSet,
 }
 
 impl AdTable {
@@ -247,23 +233,23 @@ impl AdTable {
 
     /// Number of rows.
     pub fn len(&self) -> usize {
-        self.rows
+        self.ads.len()
     }
 
     /// True if no ads have been pushed.
     pub fn is_empty(&self) -> bool {
-        self.rows == 0
+        self.ads.is_empty()
     }
 
     /// Number of rows stored whole rather than columnar.
     pub fn boxed_rows(&self) -> usize {
-        self.boxed.len()
+        self.boxed.count()
     }
 
     /// Append an ad, returning its row index.
     pub fn push(&mut self, ad: &ClassAd) -> usize {
-        let row = self.rows;
-        self.rows += 1;
+        let row = self.ads.len();
+        self.ads.push(ad.clone());
         if ad.iter().all(|(_, e)| matches!(e, Expr::Lit(_))) {
             for (name, expr) in ad.iter() {
                 let Expr::Lit(v) = expr else { unreachable!() };
@@ -279,52 +265,37 @@ impl AdTable {
                 col.set(row, v);
             }
         } else {
-            self.boxed.insert(row, ad.clone());
+            self.boxed.insert(row);
         }
         row
     }
 
-    /// Run one compiled expression over every row, returning the rows
-    /// where it evaluates to `true` (the matchmaking predicate —
-    /// `undefined`, `error`, and non-booleans do not match).
+    /// Evaluate one expression over every row, returning the rows where
+    /// it evaluates to `true` (the matchmaking predicate — `undefined`,
+    /// `error`, and non-booleans do not match).
     ///
-    /// Expressions that decompose into a conjunction of simple typed
-    /// predicates take a vectorized column-scan path; everything else runs
-    /// row-at-a-time on the bytecode VM with attribute slots bound to
-    /// columns once per call. Boxed rows always go through the
-    /// tree-walking oracle on the program's source expression. All paths
-    /// agree by construction (see `tests/compiled_differential.rs`).
-    pub fn eval_batch(&self, prog: &Program) -> RowSet {
-        let mut hits = self
-            .scan_conjunction(prog.source())
-            .unwrap_or_else(|| self.scan_vm(prog));
-        for (&row, ad) in &self.boxed {
-            if prog.source().eval_solo(ad).is_true() {
-                hits.insert(row);
-            }
+    /// An expression that decomposes into a conjunction of simple typed
+    /// predicates takes the vectorized column scan, and only the boxed
+    /// rows are tree-walked. Any other expression is tree-walked on every
+    /// row. Both paths agree with [`Expr::eval_solo`] row for row (see
+    /// this module's tests and `tests/compiled_differential.rs`).
+    pub fn eval_batch(&self, expr: &Expr) -> RowSet {
+        match self.scan_conjunction(expr) {
+            Some(hits) => self.tree_walk(expr, self.boxed.ones(), hits),
+            None => self.tree_walk(expr, 0..self.len(), RowSet::with_rows(self.len())),
         }
-        hits
     }
 
-    /// The row-at-a-time bytecode path, covering every expression shape.
-    /// Boxed rows are skipped (the caller evaluates them via the oracle).
-    fn scan_vm(&self, prog: &Program) -> RowSet {
-        let cols: Vec<Option<&Column>> = prog
-            .attrs()
-            .iter()
-            .map(|slot| self.index.get(slot).map(|&i| &self.columns[i]))
-            .collect();
-        let mut hits = RowSet::with_rows(self.rows);
-        let mut stack = Vec::with_capacity(8);
-        for row in 0..self.rows {
-            if self.boxed.contains_key(&row) {
-                continue;
-            }
-            let v = prog.run(
-                |slot| cols[slot as usize].and_then(|c| c.get(row)),
-                &mut stack,
-            );
-            if v.is_true() {
+    /// Tree-walk `rows`, adding to `hits` each row whose ad evaluates to
+    /// `true`.
+    fn tree_walk(
+        &self,
+        expr: &Expr,
+        rows: impl Iterator<Item = usize>,
+        mut hits: RowSet,
+    ) -> RowSet {
+        for row in rows {
+            if expr.eval_solo(&self.ads[row]).is_true() {
                 hits.insert(row);
             }
         }
@@ -336,8 +307,10 @@ impl AdTable {
     /// Sound because `a && b` is `Bool(true)` iff **both** operands are
     /// `Bool(true)` — `undefined`/`error` operands make the conjunction
     /// non-true exactly like `false` does, so a per-term test is exact for
-    /// the matchmaking predicate. Returns `None` (fall back to the VM)
-    /// for any unsupported shape. Boxed rows are left cleared.
+    /// the matchmaking predicate. Returns `None` (fall back to the tree
+    /// walk) for any unsupported shape. Boxed rows are present in no
+    /// column, so any column conjunct leaves them unset, and a conjunction
+    /// of `true` literals alone is true on every row anyway.
     fn scan_conjunction(&self, expr: &Expr) -> Option<RowSet> {
         fn conjuncts<'e>(e: &'e Expr, out: &mut Vec<&'e Expr>) {
             if let Expr::Binary(BinOp::And, l, r) = e {
@@ -354,11 +327,12 @@ impl AdTable {
             .map(|t| self.classify(t))
             .collect::<Option<_>>()?;
 
-        let words = self.rows.div_ceil(64);
+        let rows = self.len();
+        let words = rows.div_ceil(64);
         let mut acc = vec![!0u64; words];
-        if !self.rows.is_multiple_of(64) {
+        if !rows.is_multiple_of(64) {
             if let Some(last) = acc.last_mut() {
-                *last = (1u64 << (self.rows % 64)) - 1;
+                *last = (1u64 << (rows % 64)) - 1;
             }
         }
         for scan in &scans {
@@ -378,12 +352,6 @@ impl AdTable {
                         *a &= *m;
                     }
                 }
-            }
-        }
-        // Boxed rows never populate columns; the caller oracles them.
-        for &row in self.boxed.keys() {
-            if let Some(w) = acc.get_mut(row / 64) {
-                *w &= !(1 << (row % 64));
             }
         }
         Some(RowSet { words: acc })
@@ -414,25 +382,23 @@ impl AdTable {
                 },
             },
             Expr::Binary(op, l, r) => {
-                // Normalize `lit op attr` to `attr op' lit`.
+                // Comparisons only (`undefined || true` and `=?=` can be
+                // true on a missing attribute); normalize `lit op attr` to
+                // `attr op' lit`.
+                let flipped = match op {
+                    BinOp::Lt => BinOp::Gt,
+                    BinOp::Le => BinOp::Ge,
+                    BinOp::Gt => BinOp::Lt,
+                    BinOp::Ge => BinOp::Le,
+                    BinOp::Eq => BinOp::Eq,
+                    BinOp::Ne => BinOp::Ne,
+                    _ => return None,
+                };
                 let (name, lit, op) = match (l.as_ref(), r.as_ref()) {
-                    (Expr::Attr(scope, name), Expr::Lit(v))
-                        if *scope != AttrScope::Other =>
-                    {
+                    (Expr::Attr(scope, name), Expr::Lit(v)) if *scope != AttrScope::Other => {
                         (name, v, *op)
                     }
-                    (Expr::Lit(v), Expr::Attr(scope, name))
-                        if *scope != AttrScope::Other =>
-                    {
-                        let flipped = match op {
-                            BinOp::Lt => BinOp::Gt,
-                            BinOp::Le => BinOp::Ge,
-                            BinOp::Gt => BinOp::Lt,
-                            BinOp::Ge => BinOp::Le,
-                            BinOp::Eq => BinOp::Eq,
-                            BinOp::Ne => BinOp::Ne,
-                            _ => return None,
-                        };
+                    (Expr::Lit(v), Expr::Attr(scope, name)) if *scope != AttrScope::Other => {
                         (name, v, flipped)
                     }
                     _ => return None,
@@ -583,7 +549,6 @@ impl Pred<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compile::compile;
     use crate::parser::parse_expr;
 
     fn plant_ad(i: i64) -> ClassAd {
@@ -613,8 +578,7 @@ mod tests {
             "alive ? freememory > 128 : false",
         ] {
             let expr = parse_expr(src).unwrap();
-            let prog = compile(&expr);
-            let hits = table.eval_batch(&prog);
+            let hits = table.eval_batch(&expr);
             for (row, ad) in ads.iter().enumerate() {
                 assert_eq!(
                     hits.contains(row),
@@ -636,8 +600,7 @@ mod tests {
         table.push(&computed);
         table.push(&flat);
         assert_eq!(table.boxed_rows(), 1);
-        let prog = compile(&parse_expr("freememory >= 256 && alive").unwrap());
-        let hits = table.eval_batch(&prog);
+        let hits = table.eval_batch(&parse_expr("freememory >= 256 && alive").unwrap());
         assert!(hits.contains(0));
         assert!(hits.contains(1));
         assert_eq!(hits.count(), 2);
@@ -654,12 +617,10 @@ mod tests {
         table.push(&b);
         // `string()` renders Int(3) and Real(3.0) differently, so the
         // promotion must preserve the exact variant of every row...
-        let int_prog = compile(&parse_expr("string(x) == \"3\"").unwrap());
-        let hits = table.eval_batch(&int_prog);
+        let hits = table.eval_batch(&parse_expr("string(x) == \"3\"").unwrap());
         assert!(hits.contains(0) && !hits.contains(1));
         // ...while `==` coerces both to the same number.
-        let eq_prog = compile(&parse_expr("x == 3").unwrap());
-        assert_eq!(table.eval_batch(&eq_prog).count(), 2);
+        assert_eq!(table.eval_batch(&parse_expr("x == 3").unwrap()).count(), 2);
     }
 
     #[test]
@@ -667,9 +628,28 @@ mod tests {
         let mut table = AdTable::new();
         table.push(&plant_ad(1)); // no `os`
         table.push(&plant_ad(3)); // has `os`
-        let prog = compile(&parse_expr("isUndefined(os)").unwrap());
-        let hits = table.eval_batch(&prog);
+        let hits = table.eval_batch(&parse_expr("isUndefined(os)").unwrap());
         assert!(hits.contains(0) && !hits.contains(1));
+    }
+
+    #[test]
+    fn non_comparison_operators_on_absent_columns_are_tree_walked() {
+        // `undefined || true` and `undefined =?= undefined` are true, so
+        // an attribute no row binds must not short-circuit these to false.
+        let mut table = AdTable::new();
+        table.push(&plant_ad(1));
+        table.push(&plant_ad(2));
+        for src in [
+            "nosuch || true",
+            "true || nosuch",
+            "nosuch =?= undefined",
+            "nosuch =!= 3",
+            "undefined =?= nosuch",
+        ] {
+            let expr = parse_expr(src).unwrap();
+            assert!(table.scan_conjunction(&expr).is_none(), "{src}");
+            assert_eq!(table.eval_batch(&expr).count(), 2, "{src}");
+        }
     }
 
     #[test]
@@ -682,5 +662,260 @@ mod tests {
         assert!(!s.contains(64));
         assert_eq!(s.count(), 3);
         assert_eq!(s.ones().collect::<Vec<_>>(), vec![0, 9, 130]);
+    }
+
+    /// The shapes production code relies on the column scan for: the
+    /// warehouse's hardware pre-filter (`Warehouse::hardware_constraint`)
+    /// and the `matchmaking_at_scale` bench constraint. If an edit to
+    /// `classify` pushed either onto the per-row tree walk, this fails.
+    #[test]
+    fn production_constraints_take_the_column_scan() {
+        let mut hw = AdTable::new();
+        for (mem, os) in [(256i64, "linux"), (512, "Linux"), (256, "winxp")] {
+            let mut ad = ClassAd::new();
+            ad.set_value("memory_mb", mem);
+            ad.set_value("disk_gb", 4i64);
+            ad.set_value("os", os);
+            ad.set_value("vmm", "vmware");
+            hw.push(&ad);
+        }
+        let eq = |name: &str, v: Value| {
+            Expr::Binary(
+                BinOp::Eq,
+                Box::new(Expr::Attr(AttrScope::Current, name.to_owned())),
+                Box::new(Expr::Lit(v)),
+            )
+        };
+        let hardware = [
+            eq("memory_mb", Value::Int(256)),
+            eq("disk_gb", Value::Int(4)),
+            eq("os", Value::str("LINUX")),
+            eq("vmm", Value::str("vmware")),
+        ]
+        .into_iter()
+        .reduce(|a, b| Expr::Binary(BinOp::And, Box::new(a), Box::new(b)))
+        .unwrap();
+        let hits = hw.scan_conjunction(&hardware).expect("hardware constraint scans");
+        assert_eq!(hits.ones().collect::<Vec<_>>(), vec![0]);
+
+        let mut fleet = AdTable::new();
+        for i in 0..130u64 {
+            let mut ad = ClassAd::new();
+            ad.set_value("freememory", (64 + i * 37 % 1985) as i64);
+            ad.set_value("alive", i % 3 != 0);
+            ad.set_value("vmcount", (i % 12) as i64);
+            ad.set_value("memutilization", (i * 7 % 100) as f64 / 100.0);
+            ad.set_value("os", if i % 2 == 0 { "linux" } else { "uml-host" });
+            fleet.push(&ad);
+        }
+        let scale = parse_expr(
+            "alive && os == \"linux\" && freememory >= 256 && vmcount < 8 && memutilization < 0.9",
+        )
+        .unwrap();
+        assert!(fleet.scan_conjunction(&scale).is_some(), "bench constraint scans");
+    }
+
+    /// Deterministic 64-bit LCG (MMIX constants), top bits used.
+    struct Lcg(u64);
+
+    impl Lcg {
+        fn next(&mut self) -> u64 {
+            self.0 = self
+                .0
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            self.0 >> 17
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        fn chance(&mut self, percent: u64) -> bool {
+            self.below(100) < percent
+        }
+
+        fn pick<'a, T>(&mut self, items: &'a [T]) -> &'a T {
+            &items[self.below(items.len() as u64) as usize]
+        }
+    }
+
+    /// Storage type of one generated column, which decides which
+    /// predicates the generator may aim at it.
+    #[derive(Clone, Copy, PartialEq)]
+    enum Kind {
+        Ints,
+        Reals,
+        Bools,
+        Strs,
+        Mixed,
+        /// Bound in no columnar row (boxed rows may still bind it).
+        Absent,
+    }
+
+    const COLUMNS: &[(&str, Kind)] = &[
+        ("ints", Kind::Ints),
+        ("sparse_ints", Kind::Ints),
+        ("reals", Kind::Reals),
+        ("bools", Kind::Bools),
+        ("strs", Kind::Strs),
+        ("mixed", Kind::Mixed),
+        ("absent", Kind::Absent),
+    ];
+
+    const STRINGS: &[&str] = &["linux", "Linux", "UML", "vmware", "", "aBc"];
+
+    fn num(rng: &mut Lcg) -> Value {
+        if rng.chance(50) {
+            Value::Int(rng.below(21) as i64 - 10)
+        } else {
+            Value::Real((rng.below(41) as f64 - 20.0) / 2.0)
+        }
+    }
+
+    fn string(rng: &mut Lcg) -> Value {
+        Value::str(*rng.pick(STRINGS))
+    }
+
+    fn any_value(rng: &mut Lcg) -> Value {
+        match rng.below(7) {
+            0 | 1 => num(rng),
+            2 => Value::Bool(rng.chance(50)),
+            3 => string(rng),
+            4 => Value::Undefined,
+            5 => Value::Err,
+            _ => Value::List(vec![num(rng), string(rng)]),
+        }
+    }
+
+    fn value_of(kind: Kind, rng: &mut Lcg) -> Value {
+        match kind {
+            Kind::Ints => Value::Int(rng.below(21) as i64 - 10),
+            Kind::Reals => Value::Real((rng.below(41) as f64 - 20.0) / 2.0),
+            Kind::Bools => Value::Bool(rng.chance(50)),
+            Kind::Strs => string(rng),
+            Kind::Mixed | Kind::Absent => any_value(rng),
+        }
+    }
+
+    /// A row: every typed column bound (sparse ones and `mixed` only
+    /// sometimes). One row in ten is boxed by a computed attribute and may
+    /// bind any column, `absent` included, to any value.
+    fn gen_ad(rng: &mut Lcg) -> ClassAd {
+        let mut ad = ClassAd::new();
+        let boxed = rng.chance(10);
+        for &(name, kind) in COLUMNS {
+            let bound = match (boxed, name, kind) {
+                (true, _, _) => rng.chance(70),
+                (false, _, Kind::Absent) => false,
+                (false, "sparse_ints", _) | (false, _, Kind::Mixed) => rng.chance(60),
+                _ => true,
+            };
+            if bound {
+                let v = if boxed { any_value(rng) } else { value_of(kind, rng) };
+                ad.set_value(name, v);
+            }
+        }
+        if boxed {
+            ad.set("derived", parse_expr("ints + 1").unwrap());
+        }
+        ad
+    }
+
+    fn gen_attr(rng: &mut Lcg, name: &str) -> Expr {
+        let name = if rng.chance(20) {
+            name.to_ascii_uppercase()
+        } else {
+            name.to_owned()
+        };
+        let scope = if rng.chance(20) {
+            AttrScope::My
+        } else {
+            AttrScope::Current
+        };
+        Expr::Attr(scope, name)
+    }
+
+    /// One conjunct the column scan must accept: `attr op lit`,
+    /// `lit op attr`, a bare attribute, `other.x`, or a literal.
+    fn gen_conjunct(rng: &mut Lcg) -> Expr {
+        const NUM_OPS: &[BinOp] = &[
+            BinOp::Lt,
+            BinOp::Le,
+            BinOp::Gt,
+            BinOp::Ge,
+            BinOp::Eq,
+            BinOp::Ne,
+        ];
+        let &(name, kind) = rng.pick(COLUMNS);
+        match rng.below(10) {
+            0 => Expr::Lit(any_value(rng)),
+            1 => Expr::Attr(AttrScope::Other, name.to_owned()),
+            2 => gen_attr(rng, name),
+            _ => {
+                let numeric = match kind {
+                    Kind::Ints | Kind::Reals => true,
+                    Kind::Strs => false,
+                    Kind::Mixed | Kind::Absent => rng.chance(50),
+                    // Booleans admit bare tests only.
+                    Kind::Bools => return gen_attr(rng, name),
+                };
+                let (op, lit) = if numeric {
+                    (*rng.pick(NUM_OPS), num(rng))
+                } else {
+                    (*rng.pick(&[BinOp::Eq, BinOp::Ne]), string(rng))
+                };
+                let attr = Box::new(gen_attr(rng, name));
+                let lit = Box::new(Expr::Lit(lit));
+                if rng.chance(50) {
+                    Expr::Binary(op, attr, lit)
+                } else {
+                    Expr::Binary(op, lit, attr)
+                }
+            }
+        }
+    }
+
+    /// 1–5 conjuncts joined by `&&` in a random tree shape.
+    fn gen_conjunction(rng: &mut Lcg, terms: u64) -> Expr {
+        if terms == 1 {
+            return gen_conjunct(rng);
+        }
+        let left = 1 + rng.below(terms - 1);
+        Expr::Binary(
+            BinOp::And,
+            Box::new(gen_conjunction(rng, left)),
+            Box::new(gen_conjunction(rng, terms - left)),
+        )
+    }
+
+    #[test]
+    fn column_scan_matches_tree_walk_on_random_conjunctions() {
+        for seed in [1u64, 14, 2004] {
+            let mut rng = Lcg(seed);
+            let ads: Vec<ClassAd> = (0..150).map(|_| gen_ad(&mut rng)).collect();
+            let mut table = AdTable::new();
+            for ad in &ads {
+                table.push(ad);
+            }
+            assert!(table.boxed_rows() > 0, "seed {seed}: no boxed rows");
+            for case in 0..400 {
+                let terms = 1 + rng.below(5);
+                let expr = gen_conjunction(&mut rng, terms);
+                assert!(
+                    table.scan_conjunction(&expr).is_some(),
+                    "seed {seed} case {case}: {expr} missed the column scan"
+                );
+                let hits = table.eval_batch(&expr);
+                for (row, ad) in ads.iter().enumerate() {
+                    let oracle = expr.eval_solo(ad).is_true();
+                    assert_eq!(
+                        hits.contains(row),
+                        oracle,
+                        "seed {seed} case {case} row {row}\n  expr: {expr}\n  ad: {ad}"
+                    );
+                }
+            }
+        }
     }
 }

@@ -1,4 +1,5 @@
-//! Differential suite: the bytecode VM against the tree-walking oracle.
+//! Differential suite: batch evaluation over a columnar [`AdTable`]
+//! against the tree-walking oracle, row by row.
 //!
 //! Mirrors the `find_golden_naive` oracle pattern from the warehouse: the
 //! slow reference implementation stays in the build and every fast path is
@@ -6,9 +7,11 @@
 //! — including missing attributes, explicit `undefined` / `error` values,
 //! short-circuit operands, heterogeneous column types, and non-flat
 //! (boxed) rows — so failures replay deterministically from the seed.
-//! `tests/compiled_proptests.rs` is the feature-gated proptest twin.
+//! Arbitrary trees mostly take the per-row tree walk; the column scan's
+//! own conjunction-shaped differential lives in `table.rs`'s tests, where
+//! it can also assert that every generated case took the scan.
 
-use vmplants_classad::{compile, fold_consts, AdTable, AttrScope, BinOp, ClassAd, Expr, UnOp, Value};
+use vmplants_classad::{AdTable, AttrScope, BinOp, ClassAd, Expr, UnOp, Value};
 
 /// Deterministic 64-bit LCG (MMIX constants), top bits used.
 struct Lcg(u64);
@@ -192,58 +195,6 @@ fn gen_boxed_ad(rng: &mut Lcg) -> ClassAd {
     ad
 }
 
-/// Value equality for test assertions: like `PartialEq` but NaN-tolerant,
-/// since `Real(NaN) == Real(NaN)` is false under IEEE comparison.
-fn values_equal(a: &Value, b: &Value) -> bool {
-    match (a, b) {
-        (Value::Real(x), Value::Real(y)) => x == y || (x.is_nan() && y.is_nan()),
-        (Value::List(xs), Value::List(ys)) => {
-            xs.len() == ys.len() && xs.iter().zip(ys).all(|(x, y)| values_equal(x, y))
-        }
-        _ => a == b,
-    }
-}
-
-#[test]
-fn compiled_eval_matches_tree_walk_on_random_inputs() {
-    let mut rng = Lcg::new(2004);
-    for case in 0..3000 {
-        let expr = gen_expr(&mut rng, 4);
-        let prog = compile(&expr);
-        let folded = fold_consts(&expr);
-        for _ in 0..3 {
-            let ad = gen_flat_ad(&mut rng);
-            let oracle = expr.eval_solo(&ad);
-            let compiled = prog.eval_solo(&ad);
-            assert!(
-                values_equal(&compiled, &oracle),
-                "case {case}: compiled {compiled:?} != oracle {oracle:?}\n  expr: {expr}\n  ad: {ad}"
-            );
-            let refolded = folded.eval_solo(&ad);
-            assert!(
-                values_equal(&refolded, &oracle),
-                "case {case}: folded {refolded:?} != oracle {oracle:?}\n  expr: {expr}\n  folded: {folded}\n  ad: {ad}"
-            );
-        }
-    }
-}
-
-#[test]
-fn compiled_eval_matches_tree_walk_on_boxed_ads() {
-    let mut rng = Lcg::new(77);
-    for case in 0..500 {
-        let expr = gen_expr(&mut rng, 3);
-        let prog = compile(&expr);
-        let ad = gen_boxed_ad(&mut rng);
-        let oracle = expr.eval_solo(&ad);
-        let compiled = prog.eval_solo(&ad);
-        assert!(
-            values_equal(&compiled, &oracle),
-            "case {case}: compiled {compiled:?} != oracle {oracle:?}\n  expr: {expr}\n  ad: {ad}"
-        );
-    }
-}
-
 #[test]
 fn batch_eval_matches_per_row_tree_walk() {
     let mut rng = Lcg::new(42);
@@ -262,8 +213,7 @@ fn batch_eval_matches_per_row_tree_walk() {
     }
     for case in 0..150 {
         let expr = gen_expr(&mut rng, 4);
-        let prog = compile(&expr);
-        let hits = table.eval_batch(&prog);
+        let hits = table.eval_batch(&expr);
         for (row, ad) in ads.iter().enumerate() {
             let oracle = expr.eval_solo(ad).is_true();
             assert_eq!(
@@ -271,36 +221,6 @@ fn batch_eval_matches_per_row_tree_walk() {
                 oracle,
                 "case {case} row {row}: batch {} != oracle {oracle}\n  expr: {expr}\n  ad: {ad}",
                 hits.contains(row),
-            );
-        }
-    }
-}
-
-#[test]
-fn short_circuit_operands_never_leak_rhs_sentinels() {
-    // Purpose-built operands where the rhs is an error the short-circuit
-    // must skip — plus the non-short-circuit cases where it must not.
-    let mut rng = Lcg::new(7);
-    for _ in 0..300 {
-        let guard = gen_expr(&mut rng, 2);
-        let poison = Expr::Binary(
-            BinOp::Eq,
-            Box::new(Expr::Binary(
-                BinOp::Div,
-                Box::new(Expr::lit(1i64)),
-                Box::new(Expr::lit(0i64)),
-            )),
-            Box::new(Expr::lit(1i64)),
-        );
-        for op in [BinOp::And, BinOp::Or] {
-            let expr = Expr::Binary(op, Box::new(guard.clone()), Box::new(poison.clone()));
-            let prog = compile(&expr);
-            let ad = gen_flat_ad(&mut rng);
-            let oracle = expr.eval_solo(&ad);
-            let compiled = prog.eval_solo(&ad);
-            assert!(
-                values_equal(&compiled, &oracle),
-                "compiled {compiled:?} != oracle {oracle:?}\n  expr: {expr}\n  ad: {ad}"
             );
         }
     }

@@ -5,7 +5,7 @@
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use vmplants_classad::{compile, parse_expr, ClassAd, Expr, ParseError, Program};
+use vmplants_classad::{parse_expr, ClassAd, Expr, ParseError};
 use vmplants_plant::VmId;
 use vmplants_simkit::SimTime;
 
@@ -102,23 +102,14 @@ impl ClassAdCache {
     }
 }
 
-/// A parsed expression together with its compiled bytecode, both shared.
-#[derive(Clone)]
-pub struct CachedExpr {
-    /// The parsed AST (the tree-walk oracle and two-sided fallback).
-    pub expr: Rc<Expr>,
-    /// The bytecode program for batch / repeated solo evaluation.
-    pub prog: Rc<Program>,
-}
-
-/// Memoized classad expression parser and compiler: `requirements`/`rank`
-/// strings arrive with every order, but distinct texts are few — parse
-/// and compile each one once and hand out shared [`Expr`]s/[`Program`]s.
+/// Memoized classad expression parser: `requirements`/`rank` strings
+/// arrive with every order, but distinct texts are few — parse each one
+/// once and hand out shared [`Expr`]s.
 /// Parse *failures* are cached too, so a malformed constraint costs one
 /// parse, not one per bid round.
 #[derive(Default)]
 pub struct ExprCache {
-    entries: BTreeMap<String, Result<CachedExpr, ParseError>>,
+    entries: BTreeMap<String, Result<Rc<Expr>, ParseError>>,
     hits: u64,
     misses: u64,
 }
@@ -131,24 +122,12 @@ impl ExprCache {
 
     /// Parse `text`, serving repeats from the cache.
     pub fn parse(&mut self, text: &str) -> Result<Rc<Expr>, ParseError> {
-        self.entry(text).map(|c| c.expr)
-    }
-
-    /// Parse *and compile* `text`, serving repeats from the cache.
-    pub fn compile(&mut self, text: &str) -> Result<CachedExpr, ParseError> {
-        self.entry(text)
-    }
-
-    fn entry(&mut self, text: &str) -> Result<CachedExpr, ParseError> {
         if let Some(cached) = self.entries.get(text) {
             self.hits += 1;
             return cached.clone();
         }
         self.misses += 1;
-        let parsed = parse_expr(text).map(|expr| CachedExpr {
-            prog: Rc::new(compile(&expr)),
-            expr: Rc::new(expr),
-        });
+        let parsed = parse_expr(text).map(Rc::new);
         self.entries.insert(text.to_owned(), parsed.clone());
         parsed
     }
@@ -212,19 +191,6 @@ mod tests {
         assert!(Rc::ptr_eq(&a, &b), "repeat texts share one parse");
         assert_eq!(c.stats(), (1, 1));
         assert_eq!(c.len(), 1);
-    }
-
-    #[test]
-    fn expr_cache_shares_compiled_programs() {
-        let mut c = ExprCache::new();
-        let a = c.compile("freememory >= 256 && alive").unwrap();
-        let b = c.compile("freememory >= 256 && alive").unwrap();
-        assert!(Rc::ptr_eq(&a.prog, &b.prog), "repeat texts share one program");
-        // parse() and compile() share the same entry.
-        let e = c.parse("freememory >= 256 && alive").unwrap();
-        assert!(Rc::ptr_eq(&a.expr, &e));
-        assert_eq!(c.len(), 1);
-        assert_eq!(c.stats(), (2, 1));
     }
 
     #[test]

@@ -456,16 +456,16 @@ impl VmShop {
         constraint: &str,
     ) -> Result<Vec<(VmId, ClassAd)>, vmplants_classad::ParseError> {
         let mut state = self.inner.borrow_mut();
-        let compiled = state.exprs.compile(constraint)?;
-        // One compiled pass over the cached fleet: flat ads run on the
-        // bytecode VM, ads with computed attributes fall back to the
-        // tree-walker inside eval_batch.
+        let expr = state.exprs.parse(constraint)?;
+        // One batch pass over the cached fleet: a conjunction of simple
+        // predicates is a column scan, anything else (and any ad with
+        // computed attributes) is tree-walked inside eval_batch.
         let mut table = AdTable::new();
         let entries: Vec<(&VmId, &crate::cache::CachedAd)> = state.cache.iter().collect();
         for (_, e) in &entries {
             table.push(&e.ad);
         }
-        let hits = table.eval_batch(&compiled.prog);
+        let hits = table.eval_batch(&expr);
         Ok(entries
             .into_iter()
             .enumerate()
@@ -1139,21 +1139,21 @@ impl VmShop {
         }
         // Requirements filter (§3.4's Condor-style matchmaking): only
         // plants whose resource ad satisfies the order's constraint may
-        // bid. The expression is parsed and compiled once per distinct
-        // text, then batch-evaluated over the fleet's resource ads in one
-        // columnar pass; when no constraint is set this path is untouched
+        // bid. The expression is parsed once per distinct text, then
+        // batch-evaluated over the fleet's resource ads in one columnar
+        // pass; when no constraint is set this path is untouched
         // (determinism of existing runs preserved).
         let plants = match &att.order.requirements {
             None => plants,
             Some(text) => {
-                let compiled = self.inner.borrow_mut().exprs.compile(text);
-                match compiled {
-                    Ok(c) => {
+                let parsed = self.inner.borrow_mut().exprs.parse(text);
+                match parsed {
+                    Ok(expr) => {
                         let mut table = AdTable::new();
                         for p in &plants {
                             table.push(&p.resource_ad());
                         }
-                        let hits = table.eval_batch(&c.prog);
+                        let hits = table.eval_batch(&expr);
                         plants
                             .into_iter()
                             .enumerate()

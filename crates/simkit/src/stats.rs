@@ -374,7 +374,7 @@ const SKETCH_MAX_BUCKETS: usize = 4096;
 /// every value in the bucket (up to f64 rounding exactly at bucket
 /// boundaries). Non-positive observations land in an exact zero bucket.
 ///
-/// Memory is bounded by [`SKETCH_MAX_BUCKETS`] integer-keyed counts
+/// Memory is bounded by `SKETCH_MAX_BUCKETS` (4096) integer-keyed counts
 /// independent of the number of observations. When the ceiling is
 /// exceeded, all buckets below `max_index − SKETCH_MAX_BUCKETS + 1` fold
 /// into that cutoff index; because the cutoff depends only on the

@@ -3,7 +3,7 @@
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 
-use vmplants_classad::{compile, AdTable, AttrScope, BinOp, ClassAd, Expr, Value};
+use vmplants_classad::{AdTable, AttrScope, BinOp, ClassAd, Expr, Value};
 use vmplants_cluster::files::{FileKind, StoreError};
 use vmplants_cluster::nfs::NfsServer;
 use vmplants_dag::{CompiledDag, ConfigDag, InternedLog, PerformedLog, SigInterner};
@@ -96,8 +96,9 @@ impl Default for WarehouseConfig {
 /// a per-site [`SigInterner`] plus each image's performed log as interned
 /// ids. [`Warehouse::lookup`] compiles the request DAG once, then prunes
 /// every golden whose id set is not a subset of the request's before the
-/// Prefix/Partial-Order tests run — and materializes a [`MatchReport`]
-/// (the only string-cloning step) for the winning candidate alone.
+/// Prefix/Partial-Order tests run — and materializes a
+/// [`MatchReport`](vmplants_dag::MatchReport) (the only string-cloning
+/// step) for the winning candidate alone.
 pub struct Warehouse {
     images: BTreeMap<GoldenId, GoldenImage>,
     /// Signature interner shared by every published log (the per-site
@@ -435,8 +436,8 @@ impl Warehouse {
         .expect("non-empty conjunction")
     }
 
-    /// The indexed lookup: batch-evaluate the compiled hardware constraint
-    /// over the columnar ad table, compile the request DAG once
+    /// The indexed lookup: batch-evaluate the hardware constraint over the
+    /// columnar ad table (a column scan), compile the request DAG once
     /// (signature→node map, ancestor bitsets, topo order), prune candidates
     /// whose interned sig bitsets fail the cheap subset pre-check, run the
     /// remaining tests on interned logs, and clone report strings for the
@@ -449,8 +450,7 @@ impl Warehouse {
         self.lookups.inc();
         let compiled = CompiledDag::compile_readonly(dag, &self.interner);
         let request_sigs = compiled.sig_bits();
-        let constraint = compile(&Self::hardware_constraint(spec));
-        let hw_hits = self.hw_table.eval_batch(&constraint);
+        let hw_hits = self.hw_table.eval_batch(&Self::hardware_constraint(spec));
         let mut best: Option<(&GoldenImage, vmplants_dag::MatchedSet)> = None;
         for row in hw_hits.ones() {
             let img = &self.images[&self.hw_rows[row]];

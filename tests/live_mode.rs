@@ -97,6 +97,24 @@ fn create_failures_cross_the_wire_as_errors() {
 }
 
 #[test]
+fn deeply_nested_requirements_are_refused_and_the_shop_keeps_serving() {
+    // ~10 KB of parens is far under the frame limit, so only the parser's
+    // depth bound keeps it from overflowing the shop thread's stack.
+    let shop = LiveShop::start(SiteConfig::default()).unwrap();
+    let client = ShopClient::connect(shop.addr());
+    let deep = format!("{}true{}", "(".repeat(5000), ")".repeat(5000));
+    match client.create(order("alice").with_requirements(deep)) {
+        Err(ClientError::Service { message, .. }) => {
+            assert!(message.contains("nested deeper"), "{message}")
+        }
+        other => panic!("expected a service error, got {other:?}"),
+    }
+    let ad = client.create(order("alice")).unwrap();
+    assert_eq!(ad.get_str("state"), Some("running".into()));
+    shop.stop();
+}
+
+#[test]
 fn migrate_and_publish_over_tcp() {
     let shop = LiveShop::start(SiteConfig::default()).unwrap();
     let client = ShopClient::connect(shop.addr());
