@@ -4,7 +4,9 @@
 //! ISOs are all "files" whose *sizes* drive the timing model. A
 //! [`FileStore`] tracks a flat path → metadata map with POSIX-ish symlink
 //! semantics: a symlink contributes ~0 bytes (the paper's cloning trick),
-//! while reads resolve through it to the target's size.
+//! while reads resolve through it to the target's size. Beside the path
+//! namespace, a store keeps a content-addressed chunk table (hash → size)
+//! that chunk manifests list their contents from.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -44,17 +46,22 @@ pub struct FileMeta {
     /// carry sizes only.
     pub content: Option<String>,
     /// If set, this entry is a *chunk manifest*: a logical file whose bytes
-    /// live in the listed chunk files (content-addressed dedup). The entry
-    /// itself costs ~0 physical bytes; readers see the summed chunk sizes.
-    pub chunks: Option<Vec<String>>,
+    /// live in the listed chunks of the store's chunk table, by content
+    /// hash (content-addressed dedup). The entry itself costs ~0 physical
+    /// bytes; readers see the summed chunk sizes.
+    pub chunks: Option<Rc<[u64]>>,
 }
 
 #[derive(Default)]
 struct StoreInner {
     name: String,
     files: BTreeMap<String, FileMeta>,
-    /// Sum of `bytes` over `files`, kept by [`StoreInner::insert`] and
-    /// [`StoreInner::remove`] — the only two places `files` changes.
+    /// The content-addressed chunk table: hash → size. Chunks take
+    /// physical bytes but live outside the path namespace.
+    chunks: BTreeMap<u64, u64>,
+    /// Sum of `bytes` over `files` plus the sizes in `chunks`, kept by
+    /// [`StoreInner::insert`], [`StoreInner::remove`] and the chunk-table
+    /// methods — the only places either map changes.
     used: u64,
     capacity_bytes: Option<u64>,
 }
@@ -108,9 +115,7 @@ impl FileStore {
         FileStore {
             inner: Rc::new(RefCell::new(StoreInner {
                 name: name.into(),
-                files: BTreeMap::new(),
-                used: 0,
-                capacity_bytes: None,
+                ..StoreInner::default()
             })),
         }
     }
@@ -142,15 +147,7 @@ impl FileStore {
         let path = path.into();
         let mut inner = self.inner.borrow_mut();
         let existing = inner.files.get(&path).map(|m| m.bytes).unwrap_or(0);
-        if let Some(cap) = inner.capacity_bytes {
-            let used = inner.used - existing;
-            if used + bytes > cap {
-                return Err(StoreError::Full {
-                    requested: bytes,
-                    available: cap.saturating_sub(used),
-                });
-            }
-        }
+        inner.check_room(existing, bytes)?;
         inner.insert(
             path,
             FileMeta {
@@ -165,15 +162,16 @@ impl FileStore {
     }
 
     /// Create or replace a chunk manifest: a logical file assembled from
-    /// content-addressed chunk files in the same store. The manifest entry
-    /// itself is metadata (~0 bytes); [`FileStore::resolved_size`] reports
-    /// the summed chunk sizes, so transfer timing is identical to a whole
-    /// file of the same logical size.
+    /// chunks of this store's chunk table, listed by content hash. The
+    /// manifest entry itself is metadata (~0 bytes);
+    /// [`FileStore::resolved_size`] reports the summed chunk sizes, so
+    /// transfer timing is identical to a whole file of the same logical
+    /// size.
     pub fn put_chunked(
         &self,
         path: impl Into<String>,
         kind: FileKind,
-        chunks: Vec<String>,
+        chunks: impl Into<Rc<[u64]>>,
     ) -> Result<(), StoreError> {
         self.inner.borrow_mut().insert(
             path.into(),
@@ -182,15 +180,15 @@ impl FileStore {
                 kind,
                 link_target: None,
                 content: None,
-                chunks: Some(chunks),
+                chunks: Some(chunks.into()),
             },
         );
         Ok(())
     }
 
-    /// The chunk list of a manifest at `path` (following symlinks), or
+    /// The chunk hashes of a manifest at `path` (following symlinks), or
     /// `None` when the path resolves to a regular file.
-    pub fn manifest(&self, path: &str) -> Result<Option<Vec<String>>, StoreError> {
+    pub fn manifest(&self, path: &str) -> Result<Option<Rc<[u64]>>, StoreError> {
         let inner = self.inner.borrow();
         let meta = inner.resolve(path)?;
         Ok(meta.chunks.clone())
@@ -239,6 +237,40 @@ impl FileStore {
         );
     }
 
+    /// Add a chunk of `size` bytes to the chunk table under its content
+    /// hash. Returns whether the chunk is new: a hash already present names
+    /// the same content, so re-adding it changes nothing. A new chunk is
+    /// capacity-checked like any write.
+    pub fn put_chunk(&self, hash: u64, size: u64) -> Result<bool, StoreError> {
+        let mut inner = self.inner.borrow_mut();
+        if inner.chunks.contains_key(&hash) {
+            return Ok(false);
+        }
+        inner.check_room(0, size)?;
+        inner.chunks.insert(hash, size);
+        inner.used += size;
+        Ok(true)
+    }
+
+    /// Whether the chunk table holds this hash.
+    pub fn has_chunk(&self, hash: u64) -> bool {
+        self.inner.borrow().chunks.contains_key(&hash)
+    }
+
+    /// Drop a chunk from the chunk table; returns its size, or `None` when
+    /// the hash was not there. Manifests listing it stop resolving.
+    pub fn remove_chunk(&self, hash: u64) -> Option<u64> {
+        let mut inner = self.inner.borrow_mut();
+        let size = inner.chunks.remove(&hash)?;
+        inner.used -= size;
+        Some(size)
+    }
+
+    /// Every chunk hash in the chunk table, ascending.
+    pub fn chunk_hashes(&self) -> Vec<u64> {
+        self.inner.borrow().chunks.keys().copied().collect()
+    }
+
     /// Remove a file or symlink; returns its metadata.
     pub fn remove(&self, path: &str) -> Result<FileMeta, StoreError> {
         self.inner
@@ -257,7 +289,7 @@ impl FileStore {
         doomed.len()
     }
 
-    /// Whether the path exists (as file or symlink).
+    /// Whether the path exists (as file or symlink). Chunks are not paths.
     pub fn exists(&self, path: &str) -> bool {
         self.inner.borrow().files.contains_key(path)
     }
@@ -273,19 +305,19 @@ impl FileStore {
     }
 
     /// Logical size following symlinks (the bytes a reader would fetch).
-    /// A chunk manifest resolves to the sum of its chunk sizes.
+    /// A chunk manifest resolves to the sum of its chunk sizes; a chunk
+    /// missing from the table is [`StoreError::NotFound`].
     pub fn resolved_size(&self, path: &str) -> Result<u64, StoreError> {
         let inner = self.inner.borrow();
         let meta = inner.resolve(path)?;
         match &meta.chunks {
             None => Ok(meta.bytes),
-            Some(chunks) => {
-                let mut total = 0u64;
-                for chunk in chunks {
-                    total += inner.resolve(chunk)?.bytes;
+            Some(chunks) => chunks.iter().try_fold(0, |total, hash| {
+                match inner.chunks.get(hash) {
+                    Some(size) => Ok(total + size),
+                    None => Err(StoreError::NotFound(format!("chunk {hash:016x}"))),
                 }
-                Ok(total)
-            }
+            }),
         }
     }
 
@@ -295,7 +327,7 @@ impl FileStore {
         Ok(inner.resolve(path)?.kind)
     }
 
-    /// Physical bytes used (symlinks cost nothing).
+    /// Physical bytes used by files and chunks (symlinks cost nothing).
     pub fn used_bytes(&self) -> u64 {
         self.inner.borrow().used
     }
@@ -308,18 +340,34 @@ impl FileStore {
             .map(|cap| cap.saturating_sub(inner.used))
     }
 
-    /// Number of entries (files + symlinks).
+    /// Number of entries (files + symlinks + chunks).
     pub fn file_count(&self) -> usize {
-        self.inner.borrow().files.len()
+        let inner = self.inner.borrow();
+        inner.files.len() + inner.chunks.len()
     }
 
-    /// Paths under a prefix, sorted.
+    /// Paths under a prefix, sorted (chunks are not listed).
     pub fn list(&self, prefix: &str) -> Vec<String> {
         self.inner.borrow().under(prefix).cloned().collect()
     }
 }
 
 impl StoreInner {
+    /// Fail with [`StoreError::Full`] unless writing `bytes` in place of
+    /// `replaced` existing bytes fits the capacity.
+    fn check_room(&self, replaced: u64, bytes: u64) -> Result<(), StoreError> {
+        if let Some(cap) = self.capacity_bytes {
+            let used = self.used - replaced;
+            if used + bytes > cap {
+                return Err(StoreError::Full {
+                    requested: bytes,
+                    available: cap.saturating_sub(used),
+                });
+            }
+        }
+        Ok(())
+    }
+
     /// Create or replace one entry, keeping `used` in step.
     fn insert(&mut self, path: String, meta: FileMeta) {
         self.used += meta.bytes;
@@ -487,7 +535,7 @@ mod tests {
         assert_eq!(s.used_bytes(), summed(&s));
         // A chunk manifest over a regular file frees them too.
         s.put("/c", 8, FileKind::Generic).unwrap();
-        s.put_chunked("/c", FileKind::DiskExtent, vec!["/a".into()]).unwrap();
+        s.put_chunked("/c", FileKind::DiskExtent, vec![0xa]).unwrap();
         assert_eq!(s.used_bytes(), summed(&s));
         s.remove("/t").unwrap();
         assert_eq!(s.used_bytes(), 30);
@@ -530,17 +578,19 @@ mod tests {
     #[test]
     fn chunk_manifests_resolve_to_summed_chunk_sizes() {
         let s = FileStore::new("nfs");
-        s.put("/chunks/aa", mb(4), FileKind::Generic).unwrap();
-        s.put("/chunks/bb", mb(4), FileKind::Generic).unwrap();
-        s.put("/chunks/cc", mb(2), FileKind::Generic).unwrap();
-        s.put_chunked(
-            "/warehouse/g/disk.s003",
-            FileKind::DiskExtent,
-            vec!["/chunks/aa".into(), "/chunks/bb".into(), "/chunks/cc".into()],
-        )
-        .unwrap();
-        // The manifest is metadata: physical usage counts only the chunks.
+        assert_eq!(s.put_chunk(0xaa, mb(4)), Ok(true));
+        assert_eq!(s.put_chunk(0xbb, mb(4)), Ok(true));
+        assert_eq!(s.put_chunk(0xcc, mb(2)), Ok(true));
+        // Re-adding a hash names the same content: nothing changes.
+        assert_eq!(s.put_chunk(0xaa, mb(4)), Ok(false));
+        s.put_chunked("/warehouse/g/disk.s003", FileKind::DiskExtent, vec![0xaa, 0xbb, 0xcc])
+            .unwrap();
+        // The manifest is metadata: physical usage counts only the chunks,
+        // which live outside the path namespace.
         assert_eq!(s.used_bytes(), mb(10));
+        assert_eq!(s.list(""), vec!["/warehouse/g/disk.s003"]);
+        assert_eq!(s.chunk_hashes(), vec![0xaa, 0xbb, 0xcc]);
+        assert_eq!(s.file_count(), 4);
         assert_eq!(s.resolved_size("/warehouse/g/disk.s003").unwrap(), mb(10));
         assert_eq!(
             s.resolved_kind("/warehouse/g/disk.s003").unwrap(),
@@ -553,14 +603,212 @@ mod tests {
             s.manifest("/clones/vm1/disk.s003").unwrap().unwrap().len(),
             3
         );
-        assert_eq!(s.manifest("/chunks/aa").unwrap(), None);
+        s.put("/plain", 7, FileKind::Generic).unwrap();
+        assert_eq!(s.manifest("/plain").unwrap(), None);
         // Deleting a chunk makes the manifest unreadable, like a dangling
         // link — the refcounting layer above must prevent this.
-        s.remove("/chunks/bb").unwrap();
+        assert_eq!(s.remove_chunk(0xbb), Some(mb(4)));
+        assert_eq!(s.remove_chunk(0xbb), None);
+        assert!(!s.has_chunk(0xbb));
         assert!(matches!(
             s.resolved_size("/warehouse/g/disk.s003"),
             Err(StoreError::NotFound(_))
         ));
+        assert_eq!(s.used_bytes(), mb(6) + 7);
+    }
+
+    /// A new chunk is capacity-checked like a file write; a rejected one
+    /// leaves no trace.
+    #[test]
+    fn chunk_table_respects_capacity() {
+        let s = FileStore::with_capacity("export", mb(10));
+        s.put("/a", mb(4), FileKind::Generic).unwrap();
+        assert_eq!(s.put_chunk(1, mb(4)), Ok(true));
+        assert_eq!(
+            s.put_chunk(2, mb(4)),
+            Err(StoreError::Full {
+                requested: mb(4),
+                available: mb(2),
+            })
+        );
+        assert!(!s.has_chunk(2));
+        assert_eq!(s.free_bytes(), Some(mb(2)));
+        // A file write sees the chunk bytes too.
+        assert!(s.put("/b", mb(3), FileKind::Generic).is_err());
+    }
+
+    /// What the model test expects of one path: its stored entry.
+    #[derive(Clone, Debug)]
+    enum ModelEntry {
+        File(u64),
+        Link(String),
+        Manifest(Vec<u64>),
+    }
+
+    /// The model's answer to `resolved_size`, with errors reduced to their
+    /// variant.
+    fn model_resolved_size(
+        files: &BTreeMap<String, ModelEntry>,
+        chunks: &BTreeMap<u64, u64>,
+        path: &str,
+    ) -> Result<u64, &'static str> {
+        let mut current = path;
+        for _ in 0..MAX_LINK_HOPS {
+            match files.get(current).ok_or("not-found")? {
+                ModelEntry::File(bytes) => return Ok(*bytes),
+                ModelEntry::Link(target) => current = target,
+                ModelEntry::Manifest(hashes) => {
+                    return hashes
+                        .iter()
+                        .map(|h| chunks.get(h).ok_or("not-found"))
+                        .sum::<Result<u64, _>>()
+                }
+            }
+        }
+        Err("link-loop")
+    }
+
+    fn error_kind(e: &StoreError) -> &'static str {
+        match e {
+            StoreError::NotFound(_) => "not-found",
+            StoreError::LinkLoop(_) => "link-loop",
+            StoreError::Full { .. } => "full",
+            StoreError::Unavailable(_) => "unavailable",
+        }
+    }
+
+    /// Everything observable about a store, for "unchanged" checks.
+    fn observe(s: &FileStore) -> (u64, Option<u64>, usize, Vec<String>, Vec<u64>) {
+        (
+            s.used_bytes(),
+            s.free_bytes(),
+            s.file_count(),
+            s.list(""),
+            s.chunk_hashes(),
+        )
+    }
+
+    /// Seeded random operation sequences over a bounded store with chunks,
+    /// checked step by step against a map model: byte accounting, entry
+    /// counts and resolved sizes agree, a manifest listing a missing chunk
+    /// reads as `NotFound`, and a `Full` rejection changes nothing.
+    #[test]
+    fn chunked_store_matches_model_under_random_operations() {
+        use vmplants_simkit::rng::SimRng;
+        const CAPACITY: u64 = 6_000;
+        let path = |slot: u64| {
+            if slot < 5 {
+                format!("/a/f{slot}")
+            } else {
+                format!("/b/f{slot}")
+            }
+        };
+        // Content addressing: a hash always names the same size.
+        let chunk_size = |hash: u64| 150 * (hash + 1);
+        let mut rejections = 0;
+        // Manifest reads seen, by outcome: whole, and missing a chunk.
+        let (mut whole, mut missing) = (0, 0);
+        for seed in 1..=8 {
+            let s = FileStore::with_capacity("export", CAPACITY);
+            let mut rng = SimRng::seed_from_u64(seed);
+            let mut files: BTreeMap<String, ModelEntry> = BTreeMap::new();
+            let mut chunks: BTreeMap<u64, u64> = BTreeMap::new();
+            for step in 0..300 {
+                let before = observe(&s);
+                let p = path(rng.uniform_u64(0, 9));
+                let result = match rng.index(8) {
+                    0 => {
+                        let bytes = rng.uniform_u64(0, 2_000);
+                        s.put(&p, bytes, FileKind::Generic)
+                            .map(|()| files.insert(p, ModelEntry::File(bytes)))
+                            .map(drop)
+                    }
+                    1 => {
+                        let text = "t".repeat(rng.index(300));
+                        let bytes = text.len() as u64;
+                        s.put_text(&p, text, FileKind::Generic)
+                            .map(|()| files.insert(p, ModelEntry::File(bytes)))
+                            .map(drop)
+                    }
+                    2 => {
+                        let target = path(rng.uniform_u64(0, 9));
+                        s.link(&p, &target);
+                        files.insert(p, ModelEntry::Link(target));
+                        Ok(())
+                    }
+                    3 => {
+                        let hash = rng.uniform_u64(0, 7);
+                        let size = chunk_size(hash);
+                        s.put_chunk(hash, size).map(|new| {
+                            assert_eq!(new, chunks.insert(hash, size).is_none());
+                        })
+                    }
+                    4 => {
+                        let hash = rng.uniform_u64(0, 7);
+                        assert_eq!(s.remove_chunk(hash), chunks.remove(&hash));
+                        Ok(())
+                    }
+                    5 => {
+                        let hashes: Vec<u64> =
+                            (0..rng.uniform_u64(1, 4)).map(|_| rng.uniform_u64(0, 7)).collect();
+                        s.put_chunked(&p, FileKind::DiskExtent, hashes.clone())
+                            .map(|()| files.insert(p, ModelEntry::Manifest(hashes)))
+                            .map(drop)
+                    }
+                    6 => {
+                        assert_eq!(s.remove(&p).is_ok(), files.remove(&p).is_some());
+                        Ok(())
+                    }
+                    _ => {
+                        let doomed: Vec<String> = files
+                            .keys()
+                            .filter(|k| k.starts_with("/a/"))
+                            .cloned()
+                            .collect();
+                        assert_eq!(s.remove_tree("/a/"), doomed.len());
+                        for k in doomed {
+                            files.remove(&k);
+                        }
+                        Ok(())
+                    }
+                };
+                if let Err(e) = result {
+                    assert!(matches!(e, StoreError::Full { .. }), "seed {seed} step {step}: {e}");
+                    assert_eq!(observe(&s), before, "seed {seed} step {step}: Full changed the store");
+                    rejections += 1;
+                }
+                let used: u64 = files
+                    .values()
+                    .map(|e| match e {
+                        ModelEntry::File(bytes) => *bytes,
+                        _ => 0,
+                    })
+                    .sum::<u64>()
+                    + chunks.values().sum::<u64>();
+                let ctx = format!("seed {seed} step {step}");
+                assert_eq!(s.used_bytes(), used, "{ctx}");
+                assert_eq!(s.free_bytes(), Some(CAPACITY - used), "{ctx}");
+                assert_eq!(s.file_count(), files.len() + chunks.len(), "{ctx}");
+                assert_eq!(s.chunk_hashes(), chunks.keys().copied().collect::<Vec<_>>());
+                for slot in 0..10 {
+                    let p = path(slot);
+                    let expected = model_resolved_size(&files, &chunks, &p);
+                    assert_eq!(
+                        s.resolved_size(&p).map_err(|e| error_kind(&e)),
+                        expected,
+                        "{ctx}, {p}"
+                    );
+                    if let Some(ModelEntry::Manifest(_)) = files.get(&p) {
+                        match expected {
+                            Ok(_) => whole += 1,
+                            Err(_) => missing += 1,
+                        }
+                    }
+                }
+            }
+        }
+        assert!(rejections > 0, "the capacity bound never bit");
+        assert!(whole > 0 && missing > 0, "manifest reads: {whole} whole, {missing} missing");
     }
 
     #[test]

@@ -168,38 +168,23 @@ fn handle_request(site: &mut SimSite, text: &str) -> Response {
             Err(e) => shop_error_response(&e),
         },
         Request::Migrate { id, target } => {
-            let out = std::rc::Rc::new(std::cell::RefCell::new(None));
-            let out2 = std::rc::Rc::clone(&out);
-            site.shop.migrate(
-                &mut site.engine,
-                &id,
-                &target,
-                Box::new(move |_, res| {
-                    *out2.borrow_mut() = Some(res);
-                }),
-            );
-            site.engine.run();
-            let res = out.borrow_mut().take().expect("migrate settled");
-            match res {
+            match site
+                .settle("migrate", |shop, engine, done| {
+                    shop.migrate(engine, &id, &target, done)
+                })
+                .unwrap_or_else(|unsettled| Err(unsettled.into()))
+            {
                 Ok(ad) => Response::Ad(ad),
                 Err(e) => shop_error_response(&e),
             }
         }
         Request::Publish { id, golden_id, name } => {
-            let out = std::rc::Rc::new(std::cell::RefCell::new(None));
-            let out2 = std::rc::Rc::clone(&out);
-            site.shop.publish(
-                &mut site.engine,
-                &id,
-                &golden_id,
-                &name,
-                Box::new(move |_, res| {
-                    *out2.borrow_mut() = Some(res);
-                }),
-            );
-            site.engine.run();
-            let res = out.borrow_mut().take().expect("publish settled");
-            match res {
+            match site
+                .settle("publish", |shop, engine, done| {
+                    shop.publish(engine, &id, &golden_id, &name, done)
+                })
+                .unwrap_or_else(|unsettled| Err(unsettled.into()))
+            {
                 Ok(gid) => Response::Published { golden_id: gid.0 },
                 Err(e) => shop_error_response(&e),
             }

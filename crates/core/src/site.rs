@@ -86,6 +86,26 @@ pub fn publish_zipf_goldens(
     }
 }
 
+/// A synchronous [`SimSite`] call whose completion never ran: the event
+/// loop drained with the named operation still outstanding.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Unsettled(pub(crate) &'static str);
+
+impl std::fmt::Display for Unsettled {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{} never completed: the event loop drained first", self.0)
+    }
+}
+
+impl std::error::Error for Unsettled {}
+
+/// To a caller the shop never answered: the connection-refused analog.
+impl From<Unsettled> for ShopError {
+    fn from(_: Unsettled) -> ShopError {
+        ShopError::ShopDown
+    }
+}
+
 /// A fully wired simulated site: engine + cluster + warehouse + plants +
 /// shop, with synchronous convenience wrappers that drive the event loop.
 pub struct SimSite {
@@ -205,56 +225,38 @@ impl SimSite {
 
     /// Synchronously create from an explicit order.
     pub fn create_order(&mut self, order: ProductionOrder) -> Result<ClassAd, ShopError> {
-        let out = Rc::new(RefCell::new(None));
-        let out2 = Rc::clone(&out);
-        self.shop.create(
-            &mut self.engine,
-            order,
-            Box::new(move |_, res| {
-                *out2.borrow_mut() = Some(res);
-            }),
-        );
-        self.engine.run();
-        Rc::try_unwrap(out)
-            .unwrap_or_else(|_| panic!("engine drained"))
-            .into_inner()
-            .expect("create completed")
+        self.settle("create", |shop, engine, done| shop.create(engine, order, done))?
     }
 
     /// Synchronously query a VM.
     pub fn query_vm(&mut self, id: &VmId) -> Result<ClassAd, ShopError> {
-        let out = Rc::new(RefCell::new(None));
-        let out2 = Rc::clone(&out);
-        self.shop.query(
-            &mut self.engine,
-            id,
-            Box::new(move |_, res| {
-                *out2.borrow_mut() = Some(res);
-            }),
-        );
-        self.engine.run();
-        Rc::try_unwrap(out)
-            .unwrap_or_else(|_| panic!("engine drained"))
-            .into_inner()
-            .expect("query completed")
+        self.settle("query", |shop, engine, done| shop.query(engine, id, done))?
     }
 
     /// Synchronously destroy (collect) a VM.
     pub fn destroy_vm(&mut self, id: &VmId) -> Result<ClassAd, ShopError> {
+        self.settle("destroy", |shop, engine, done| shop.destroy(engine, id, done))?
+    }
+
+    /// Issue one callback-style shop operation, run the event loop until
+    /// it drains, and return what the operation's completion received.
+    /// An operation whose completion never ran by then (dropped, or still
+    /// parked somewhere) is [`Unsettled`], not a panic.
+    pub(crate) fn settle<T: 'static>(
+        &mut self,
+        op: &'static str,
+        issue: impl FnOnce(&VmShop, &mut Engine, Box<dyn FnOnce(&mut Engine, T)>),
+    ) -> Result<T, Unsettled> {
         let out = Rc::new(RefCell::new(None));
-        let out2 = Rc::clone(&out);
-        self.shop.destroy(
+        let slot = Rc::clone(&out);
+        issue(
+            &self.shop,
             &mut self.engine,
-            id,
-            Box::new(move |_, res| {
-                *out2.borrow_mut() = Some(res);
-            }),
+            Box::new(move |_, res| *slot.borrow_mut() = Some(res)),
         );
         self.engine.run();
-        Rc::try_unwrap(out)
-            .unwrap_or_else(|_| panic!("engine drained"))
-            .into_inner()
-            .expect("destroy completed")
+        let settled = out.borrow_mut().take();
+        settled.ok_or(Unsettled(op))
     }
 
     /// Total VMs resident across all plants.
@@ -329,5 +331,87 @@ mod tests {
             .create_vm(VmSpec::mandrake(64), invigo_workspace_dag("alice"))
             .unwrap_err();
         assert!(matches!(err, ShopError::AllPlantsFailed(_)));
+    }
+
+    /// An operation that drops its completion, or parks it where the
+    /// drained event loop never reaches, settles as a typed error, and the
+    /// site keeps serving.
+    #[test]
+    fn settle_reports_a_completion_that_never_runs() {
+        let mut site = SimSite::build(SiteConfig::default());
+        let dropped = site.settle::<u32>("dropped", |_, _, done| drop(done));
+        assert_eq!(dropped, Err(Unsettled("dropped")));
+        let parked = Rc::new(RefCell::new(Vec::new()));
+        let shelf = Rc::clone(&parked);
+        let result = site.settle::<u32>("parked", move |_, _, done| shelf.borrow_mut().push(done));
+        assert_eq!(result, Err(Unsettled("parked")));
+        assert_eq!(parked.borrow().len(), 1);
+        assert!(matches!(ShopError::from(Unsettled("create")), ShopError::ShopDown));
+        // A completion that runs later in the loop is returned.
+        let answered = site.settle("answer", |_, engine, done| {
+            engine.schedule(vmplants_simkit::SimDuration::from_secs_f64(1.0), move |engine| {
+                done(engine, 7u32)
+            });
+        });
+        assert_eq!(answered, Ok(7));
+        site.create_vm(VmSpec::mandrake(64), invigo_workspace_dag("alice"))
+            .unwrap();
+    }
+
+    /// The warehouse's row-aligned lookup index agrees with the naive
+    /// oracle at Zipf scale: 120 goldens published under a budget (so
+    /// some are evicted), every third one removed (so `remove` rebuilt the
+    /// rows), then 20 ranks at three memory sizes — and again on the copy
+    /// rebuilt from the descriptors.
+    #[test]
+    fn zipf_scale_lookup_agrees_with_naive_oracle() {
+        use vmplants_cluster::files::gb;
+        use vmplants_cluster::nfs::NfsServer;
+        use vmplants_dag::graph::zipf_dag;
+        use vmplants_warehouse::GoldenId;
+        let config = WarehouseConfig {
+            dedup: true,
+            capacity_bytes: Some(gb(32)),
+            replicate_after: None,
+        };
+        let nfs = NfsServer::new("storage");
+        let mut w = Warehouse::with_config(config.clone());
+        publish_experiment_goldens(&mut w, &nfs);
+        publish_zipf_goldens(&mut w, &nfs, 120);
+        assert!(w.eviction_count() > 0, "the budget never bit");
+        for rank in (0..120).step_by(3) {
+            assert!(w.remove(&nfs, &GoldenId(format!("zipf-{rank:03}"))));
+        }
+        assert_eq!(w.len(), 3 + 80);
+        // Ranks 0, 7, 14, 18, …, 115: a third of them removed.
+        let ranks: Vec<u32> = (0..20).map(|i| i * 6 + i % 3).collect();
+        let check = |w: &Warehouse| {
+            for &rank in &ranks {
+                let dag = zipf_dag(rank, "arijit");
+                for mem in [32, 64, 256] {
+                    let spec = VmSpec::mandrake(mem);
+                    let fast = w.lookup(&spec, &dag).map(|(img, r)| (img.id.clone(), r));
+                    let naive = w.find_golden_naive(&spec, &dag).map(|(img, r)| (img.id.clone(), r));
+                    let ctx = format!("rank {rank}, {mem} MB");
+                    match (&fast, &naive) {
+                        (Some((fid, fr)), Some((nid, nr))) => {
+                            assert_eq!(fid, nid, "{ctx}");
+                            assert_eq!(fr.matched, nr.matched, "{ctx}");
+                            assert_eq!(fr.residual, nr.residual, "{ctx}");
+                        }
+                        (None, None) => {}
+                        _ => panic!("{ctx}: fast {fast:?} vs naive {naive:?}"),
+                    }
+                    // A surviving rank wins with its own golden.
+                    if mem == 64 && rank % 3 != 0 {
+                        assert_eq!(fast.map(|(id, _)| id.0), Some(format!("zipf-{rank:03}")));
+                    }
+                }
+            }
+        };
+        check(&w);
+        let restored = Warehouse::restore_from(&nfs, config);
+        assert_eq!(restored.len(), w.len());
+        check(&restored);
     }
 }

@@ -6,7 +6,7 @@
 //! configuration log (CMS "Virtual Data": the derivation DAG is the data's
 //! address). Goldens sharing a DAG prefix therefore share the chunks that
 //! prefix left untouched, and publishing dedups against chunks already in
-//! the site-wide `/chunks/` tree.
+//! the export's chunk table (hash → size, outside the path namespace).
 //!
 //! The simulation carries no real bytes: a chunk's "content" is exactly
 //! its address, which is computed deterministically from the derivation.
@@ -16,6 +16,7 @@
 //! survives an action untouched, but most of a 2 GB installed disk does.
 
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 use vmplants_cluster::files::{FileKind, FileStore, StoreError};
 use vmplants_dag::action::ActionSignature;
@@ -24,9 +25,6 @@ use vmplants_virt::{ImageFiles, VmSpec};
 
 /// Fixed chunk size: 4 MiB (a 2 GB golden disk spans 512 chunks).
 pub const CHUNK_BYTES: u64 = 4 * 1024 * 1024;
-
-/// Root of the site-wide chunk tree on the warehouse export.
-pub const CHUNK_DIR: &str = "/chunks";
 
 /// Out of every [`DIRTY_MOD`] disk chunks, roughly how many one
 /// configuration action rewrites (install/configure steps touch a few
@@ -73,8 +71,24 @@ pub struct FileChunks {
     pub path: String,
     /// Role of the logical file.
     pub kind: FileKind,
+    /// Logical size of the file.
+    pub bytes: u64,
+    /// Content hash per [`CHUNK_BYTES`] chunk, in file order (the last
+    /// chunk holds the remainder). This is the manifest itself, shared
+    /// with every export the file is written to.
+    pub hashes: Rc<[u64]>,
+}
+
+impl FileChunks {
     /// `(content hash, size)` per chunk, in file order.
-    pub chunks: Vec<(u64, u64)>,
+    pub fn chunks(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        let n = self.hashes.len();
+        let last = self.bytes - (n as u64).saturating_sub(1) * CHUNK_BYTES;
+        self.hashes
+            .iter()
+            .enumerate()
+            .map(move |(i, &hash)| (hash, if i + 1 == n { last } else { CHUNK_BYTES }))
+    }
 }
 
 /// The full chunk plan of a golden image — recomputable at any time from
@@ -84,11 +98,6 @@ pub struct FileChunks {
 pub struct ChunkPlan {
     /// Per bulk file, its chunk list.
     pub files: Vec<FileChunks>,
-}
-
-/// Path of a chunk on the export, from its content hash.
-pub fn chunk_path(hash: u64) -> String {
-    format!("{CHUNK_DIR}/{hash:016x}")
 }
 
 impl ChunkPlan {
@@ -116,13 +125,8 @@ impl ChunkPlan {
                 role_key = fnv_u64(role_key, spec.memory_mb);
             }
             let n = bulk.bytes.div_ceil(CHUNK_BYTES).max(1);
-            let mut chunks = Vec::with_capacity(n as usize);
+            let mut hashes = Vec::with_capacity(n as usize);
             for c in 0..n {
-                let size = if c == n - 1 && bulk.bytes % CHUNK_BYTES != 0 {
-                    bulk.bytes % CHUNK_BYTES
-                } else {
-                    CHUNK_BYTES.min(bulk.bytes)
-                };
                 let key = fnv_u64(role_key, c);
                 let mut h = key;
                 for &sig in &sigs {
@@ -134,12 +138,13 @@ impl ChunkPlan {
                         h = fnv_u64(h, sig);
                     }
                 }
-                chunks.push((h, size));
+                hashes.push(h);
             }
             out.push(FileChunks {
                 path: bulk.path.clone(),
                 kind: bulk.kind,
-                chunks,
+                bytes: bulk.bytes,
+                hashes: hashes.into(),
             });
         }
         ChunkPlan { files: out }
@@ -147,35 +152,26 @@ impl ChunkPlan {
 
     /// Logical bytes of the plan (what a full copy would occupy).
     pub fn logical_bytes(&self) -> u64 {
-        self.files
-            .iter()
-            .map(|f| f.chunks.iter().map(|(_, size)| size).sum::<u64>())
-            .sum()
+        self.files.iter().map(|f| f.bytes).sum()
     }
 
     /// Every `(hash, size)` chunk reference of the plan, in file order
     /// (a hash the plan lists twice appears twice).
     fn chunk_refs(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.files.iter().flat_map(|f| f.chunks.iter().copied())
+        self.files.iter().flat_map(FileChunks::chunks)
     }
 
     /// Every distinct chunk hash in the plan with its size.
     #[cfg(test)]
     pub(crate) fn unique_chunks(&self) -> BTreeMap<u64, u64> {
-        let mut out = BTreeMap::new();
-        for f in &self.files {
-            for &(hash, size) in &f.chunks {
-                out.insert(hash, size);
-            }
-        }
-        out
+        self.chunk_refs().collect()
     }
 }
 
 /// Site-wide refcounted chunk bookkeeping. The chunks themselves are real
-/// (byte-accounted) files under [`CHUNK_DIR`] on the NFS export; this
-/// tracks which are live and how many manifests reference each, so the
-/// last release of a chunk garbage-collects its bytes.
+/// (byte-accounted) entries of the NFS export's chunk table; this tracks
+/// which are live and how many manifests reference each, so the last
+/// release of a chunk garbage-collects its bytes.
 ///
 /// Every published plan belongs to an *owner*: a small dense slot number
 /// the caller assigns (the warehouse gives one per golden). An owner has at
@@ -232,7 +228,7 @@ impl ChunkStore {
     }
 
     /// Add one reference from `owner` to a chunk. Returns whether the chunk
-    /// is new to the store (its file still has to be written).
+    /// is new to the store (it still has to be written to the export).
     fn incref(&mut self, hash: u64, size: u64, owner: u64) -> bool {
         match self.refs.get_mut(&hash) {
             Some((count, size, owners)) => {
@@ -255,7 +251,7 @@ impl ChunkStore {
     }
 
     /// Drop one reference from `owner` to a chunk. Returns the chunk's size
-    /// when that was its last reference (the caller deletes its file).
+    /// when that was its last reference (the caller deletes the chunk).
     fn decref(&mut self, hash: u64, owner: u64) -> Option<u64> {
         let (count, size, owners) = self.refs.get_mut(&hash)?;
         let size = *size;
@@ -282,9 +278,9 @@ impl ChunkStore {
     /// `logical - new`).
     ///
     /// All or nothing: if a write fails (a bounded export filling up), the
-    /// references this call added are dropped again, the chunk files it
-    /// created are deleted, and the dedup counters are restored, so the
-    /// store is exactly as before the call.
+    /// references this call added are dropped again, the chunks it created
+    /// are deleted, and the dedup counters are restored, so the store is
+    /// exactly as before the call.
     pub fn publish(
         &mut self,
         store: &FileStore,
@@ -305,35 +301,29 @@ impl ChunkStore {
             if !self.incref(hash, size, owner) {
                 continue;
             }
-            let path = chunk_path(hash);
-            // Re-registering chunk files already on the export (restoring
-            // the refcounts) rewrites them; a rollback must spare those.
-            let existed = store.exists(&path);
-            if let Err(e) = store.put(&path, size, FileKind::Generic) {
-                written = Err(e);
-                break;
-            }
-            if !existed {
-                created.push(path);
+            // Re-registering chunks already on the export (restoring the
+            // refcounts) finds them there; a rollback must spare those.
+            match store.put_chunk(hash, size) {
+                Ok(true) => created.push(hash),
+                Ok(false) => {}
+                Err(e) => {
+                    written = Err(e);
+                    break;
+                }
             }
             new_bytes += size;
         }
         let written = written.and_then(|()| {
             plan.files.iter().try_for_each(|file| {
-                let paths = file
-                    .chunks
-                    .iter()
-                    .map(|&(hash, _)| chunk_path(hash))
-                    .collect();
-                store.put_chunked(&file.path, file.kind, paths)
+                store.put_chunked(&file.path, file.kind, Rc::clone(&file.hashes))
             })
         });
         if let Err(e) = written {
             for (hash, _) in plan.chunk_refs().take(increfs) {
                 self.decref(hash, owner);
             }
-            for path in &created {
-                let _ = store.remove(path);
+            for &hash in &created {
+                store.remove_chunk(hash);
             }
             (self.dedup_hits, self.dedup_misses) = counters;
             return Err(e);
@@ -350,7 +340,7 @@ impl ChunkStore {
         let mut reclaimed = 0u64;
         for (hash, _) in plan.chunk_refs() {
             if let Some(size) = self.decref(hash, owner) {
-                let _ = store.remove(&chunk_path(hash));
+                store.remove_chunk(hash);
                 reclaimed += size;
             }
         }
@@ -378,22 +368,18 @@ impl ChunkStore {
     }
 
     /// Re-register a plan published on a *replica* export: writes any
-    /// chunk files missing there plus the manifests, without touching the
+    /// chunks missing there plus the manifests, without touching the
     /// refcounts (the primary's counts are authoritative). Returns the
     /// bytes copied to the replica.
     pub fn replicate(&self, store: &FileStore, plan: &ChunkPlan) -> Result<u64, StoreError> {
         let mut copied = 0u64;
         for file in &plan.files {
-            let mut paths = Vec::with_capacity(file.chunks.len());
-            for &(hash, size) in &file.chunks {
-                let path = chunk_path(hash);
-                if !store.exists(&path) {
-                    store.put(&path, size, FileKind::Generic)?;
+            for (hash, size) in file.chunks() {
+                if store.put_chunk(hash, size)? {
                     copied += size;
                 }
-                paths.push(path);
             }
-            store.put_chunked(&file.path, file.kind, paths)?;
+            store.put_chunked(&file.path, file.kind, Rc::clone(&file.hashes))?;
         }
         Ok(copied)
     }
@@ -429,7 +415,8 @@ mod tests {
         assert_eq!(a.logical_bytes(), expected);
         // Every chunk is at most CHUNK_BYTES and they sum per file.
         for f in &a.files {
-            assert!(f.chunks.iter().all(|&(_, s)| s <= CHUNK_BYTES && s > 0));
+            assert!(f.chunks().all(|(_, s)| s <= CHUNK_BYTES && s > 0));
+            assert_eq!(f.chunks().map(|(_, s)| s).sum::<u64>(), f.bytes);
         }
     }
 
@@ -475,12 +462,13 @@ mod tests {
         cs.release(&store, &p2, 1);
         assert_eq!(cs.logical_bytes(), p1.logical_bytes());
         let remaining = p1.unique_chunks();
-        assert!(remaining.keys().all(|h| store.exists(&chunk_path(*h))));
+        assert!(remaining.keys().all(|&h| store.has_chunk(h)));
         // …and releasing the last reference reclaims every byte.
         cs.release(&store, &p1, 0);
         assert_eq!(cs.physical_bytes(), 0);
         assert_eq!(cs.chunk_count(), 0);
-        assert_eq!(store.used_bytes(), 0, "all chunk files deleted");
+        assert_eq!(store.used_bytes(), 0, "all chunks deleted");
+        assert!(store.chunk_hashes().is_empty());
     }
 
     #[test]
@@ -505,13 +493,15 @@ mod tests {
         let mut pool: Vec<ChunkPlan> = (0..=ids.len())
             .flat_map(|k| [32, 64].map(|mem| plan_for(&ids[..k], mem)))
             .collect();
-        let shared = pool[3].files[0].chunks[0];
-        let private = (0xd0d0_d0d0_d0d0_d0d0, CHUNK_BYTES);
+        // Every chunk of these plans is a full CHUNK_BYTES.
+        let shared = pool[3].files[0].hashes[0];
+        let private = 0xd0d0_d0d0_d0d0_d0d0;
         pool.push(ChunkPlan {
             files: vec![FileChunks {
                 path: "/warehouse/dup/disk.vmdk".into(),
                 kind: FileKind::DiskExtent,
-                chunks: vec![shared, private, shared, private, pool[5].files[1].chunks[2]],
+                bytes: 5 * CHUNK_BYTES,
+                hashes: vec![shared, private, shared, private, pool[5].files[1].hashes[2]].into(),
             }],
         });
         pool
@@ -592,6 +582,7 @@ mod tests {
         let snapshot = |store: &FileStore, cs: &ChunkStore| {
             (
                 store.list("/"),
+                store.chunk_hashes(),
                 store.used_bytes(),
                 cs.physical_bytes(),
                 cs.logical_bytes(),
@@ -619,14 +610,14 @@ mod tests {
         assert_eq!(cs.release(&store, &p1, 0), p1.logical_bytes());
         assert_eq!(store.used_bytes(), 0);
 
-        // Re-registering chunk files already on the export (the restore
-        // path) rewrites them; a rollback must not delete them.
+        // Re-registering chunks already on the export (the restore path)
+        // finds them there; a rollback must not delete them.
         let export = FileStore::with_capacity("export", p1.logical_bytes() + headroom);
         ChunkStore::new().publish(&export, &p1, 0).unwrap();
-        let files = export.list("/");
+        let files = (export.list("/"), export.chunk_hashes());
         let mut restored = ChunkStore::new();
         assert!(restored.publish(&export, &p2, 0).is_err());
-        assert_eq!(export.list("/"), files);
+        assert_eq!((export.list("/"), export.chunk_hashes()), files);
         assert_eq!(restored.chunk_count(), 0);
         assert_eq!(restored.physical_bytes(), 0);
     }

@@ -94,9 +94,10 @@ impl Default for WarehouseConfig {
 ///
 /// Besides the id index, the warehouse keeps a **signature-subset index**:
 /// a per-site [`SigInterner`] plus each image's performed log as interned
-/// ids. [`Warehouse::lookup`] compiles the request DAG once, then prunes
-/// every golden whose id set is not a subset of the request's before the
-/// Prefix/Partial-Order tests run — and materializes a
+/// ids, stored row-aligned with the columnar hardware table.
+/// [`Warehouse::lookup`] compiles the request DAG once, then prunes every
+/// hardware-matching row whose id set is not a subset of the request's
+/// before the Prefix/Partial-Order tests run — and materializes a
 /// [`MatchReport`](vmplants_dag::MatchReport) (the only string-cloning
 /// step) for the winning candidate alone.
 pub struct Warehouse {
@@ -104,13 +105,13 @@ pub struct Warehouse {
     /// Signature interner shared by every published log (the per-site
     /// interner of the matchmaking fast path).
     interner: SigInterner,
-    /// Per-golden interned performed logs, computed once at publish.
-    interned_logs: BTreeMap<GoldenId, InternedLog>,
     /// Columnar table of per-golden hardware ads (memory/disk/OS/VMM),
     /// batch-filtered by a compiled constraint ahead of the DAG tests.
     hw_table: AdTable,
-    /// Row index → golden id for [`Warehouse::hw_table`].
-    hw_rows: Vec<GoldenId>,
+    /// Per row of [`Warehouse::hw_table`]: the golden's id and its
+    /// performed log as interned ids (computed once at publish), so the
+    /// lookup's per-row loop touches no string-keyed map.
+    hw_rows: Vec<(GoldenId, InternedLog)>,
     /// Matchmaking counters: shared handles the metrics registry adopts
     /// via [`Warehouse::set_obs`] (lookup takes `&self`, so the interior-
     /// mutable handles are exactly what is needed).
@@ -165,7 +166,6 @@ impl Warehouse {
         Warehouse {
             images: BTreeMap::new(),
             interner: SigInterner::new(),
-            interned_logs: BTreeMap::new(),
             hw_table: AdTable::new(),
             hw_rows: Vec::new(),
             lookups: Counter::new(),
@@ -263,8 +263,7 @@ impl Warehouse {
         let descriptor = xmldesc::image_to_xml(&image).to_pretty_xml();
         nfs.store
             .put_text(format!("{dir}/descriptor.xml"), descriptor, FileKind::Generic)?;
-        self.index_log(&id, &image.performed);
-        self.index_hardware(&id, &image.spec);
+        self.index(&image);
         self.images.insert(id.clone(), image);
         // A fresh publish may push the footprint over budget; evict cold
         // goldens (never the one just published) until it fits.
@@ -327,22 +326,24 @@ impl Warehouse {
         self.logical_bytes_gauge.set(self.logical_footprint() as i64);
     }
 
-    /// Intern an image's performed log into the subset index.
-    fn index_log(&mut self, id: &GoldenId, performed: &PerformedLog) {
-        let interned = InternedLog::from_log(performed, &mut self.interner);
-        self.interned_logs.insert(id.clone(), interned);
+    /// Add an image to the lookup index: its hardware identity as a row of
+    /// the columnar ad table the batch pre-filter evaluates over, and, on
+    /// the same row, its performed log interned for the subset pre-check.
+    fn index(&mut self, image: &GoldenImage) {
+        let log = InternedLog::from_log(&image.performed, &mut self.interner);
+        self.hw_table.push(&Self::hardware_ad(&image.spec));
+        self.hw_rows.push((image.id.clone(), log));
     }
 
-    /// Append an image's hardware identity to the columnar ad table the
-    /// batch pre-filter evaluates over.
-    fn index_hardware(&mut self, id: &GoldenId, spec: &VmSpec) {
+    /// The hardware ad [`Warehouse::hardware_constraint`] is evaluated
+    /// against.
+    fn hardware_ad(spec: &VmSpec) -> ClassAd {
         let mut ad = ClassAd::new();
         ad.set_value("memory_mb", spec.memory_mb);
         ad.set_value("disk_gb", spec.disk_gb);
         ad.set_value("os", spec.os.clone());
         ad.set_value("vmm", spec.vmm.to_string());
-        self.hw_table.push(&ad);
-        self.hw_rows.push(id.clone());
+        ad
     }
 
     /// Remove an image and its files from the export. Chunks whose last
@@ -360,18 +361,12 @@ impl Warehouse {
                 self.hit_counts.borrow_mut().remove(id);
                 self.replicated.remove(id);
                 self.refresh_footprint_gauges();
-                self.interned_logs.remove(id);
-                // Columns have no row removal; rebuild the small hardware
-                // table from the surviving images.
+                // Columns have no row removal; drop the row and rebuild the
+                // small hardware table from the survivors, in row order.
+                self.hw_rows.retain(|(gid, _)| gid != id);
                 self.hw_table = AdTable::new();
-                self.hw_rows.clear();
-                let survivors: Vec<(GoldenId, VmSpec)> = self
-                    .images
-                    .values()
-                    .map(|img| (img.id.clone(), img.spec.clone()))
-                    .collect();
-                for (gid, spec) in survivors {
-                    self.index_hardware(&gid, &spec);
+                for (gid, _) in &self.hw_rows {
+                    self.hw_table.push(&Self::hardware_ad(&self.images[gid].spec));
                 }
                 nfs.store.remove_tree(&format!("/warehouse/{}/", id.0));
                 true
@@ -413,7 +408,7 @@ impl Warehouse {
     }
 
     /// The hardware constraint as a classad expression over the ads
-    /// [`Warehouse::index_hardware`] publishes. `==` on strings is
+    /// [`Warehouse::hardware_ad`] builds. `==` on strings is
     /// case-insensitive, matching [`GoldenImage::hardware_matches`]'s
     /// `eq_ignore_ascii_case` on the OS, and [`vmplants_virt::VmmType`]'s
     /// `Display` is injective, so string equality on it is enum equality.
@@ -438,10 +433,10 @@ impl Warehouse {
 
     /// The indexed lookup: batch-evaluate the hardware constraint over the
     /// columnar ad table (a column scan), compile the request DAG once
-    /// (signature→node map, ancestor bitsets, topo order), prune candidates
-    /// whose interned sig bitsets fail the cheap subset pre-check, run the
-    /// remaining tests on interned logs, and clone report strings for the
-    /// winner only.
+    /// (signature→node map, ancestor bitsets, topo order), prune rows whose
+    /// interned sig bitsets fail the cheap subset pre-check, run the
+    /// remaining tests on interned logs, and touch the image and clone
+    /// report strings for the winner only.
     pub fn lookup(
         &self,
         spec: &VmSpec,
@@ -451,10 +446,9 @@ impl Warehouse {
         let compiled = CompiledDag::compile_readonly(dag, &self.interner);
         let request_sigs = compiled.sig_bits();
         let hw_hits = self.hw_table.eval_batch(&Self::hardware_constraint(spec));
-        let mut best: Option<(&GoldenImage, vmplants_dag::MatchedSet)> = None;
+        let mut best: Option<(&GoldenId, vmplants_dag::MatchedSet)> = None;
         for row in hw_hits.ones() {
-            let img = &self.images[&self.hw_rows[row]];
-            let log = &self.interned_logs[&img.id];
+            let (id, log) = &self.hw_rows[row];
             // Subset pre-check against the index: any sig outside the
             // request's set means the Subset Test must fail — skip the
             // candidate without touching the heavier tests.
@@ -462,31 +456,33 @@ impl Warehouse {
                 continue;
             }
             if let Ok(matched) = compiled.verdict(log, &self.interner) {
-                // Rows come back in publish order, so break score ties by
-                // id to replicate the naive path's first-in-id-order win.
+                // Rows are not in id order, so break score ties by id to
+                // replicate the naive path's first-in-id-order win.
                 let better = match &best {
-                    Some((b_img, b)) => {
+                    Some((b_id, b)) => {
                         matched.score() > b.score()
-                            || (matched.score() == b.score() && img.id < b_img.id)
+                            || (matched.score() == b.score() && id < *b_id)
                     }
                     None => true,
                 };
                 if better {
-                    best = Some((img, matched));
+                    best = Some((id, matched));
                 }
             }
         }
         match best {
-            Some((img, matched)) => {
+            Some((id, matched)) => {
                 self.hits.inc();
                 self.match_depth.record(matched.score() as f64);
                 // Per-golden demand, driving the replication policy.
-                *self
-                    .hit_counts
-                    .borrow_mut()
-                    .entry(img.id.clone())
-                    .or_insert(0) += 1;
-                Some((img, compiled.report(&matched)))
+                let mut hit_counts = self.hit_counts.borrow_mut();
+                match hit_counts.get_mut(id) {
+                    Some(n) => *n += 1,
+                    None => {
+                        hit_counts.insert(id.clone(), 1);
+                    }
+                }
+                Some((&self.images[id], compiled.report(&matched)))
             }
             None => {
                 self.misses.inc();
@@ -798,8 +794,12 @@ impl Warehouse {
             let Ok(image) = xmldesc::image_from_xml(&el) else {
                 continue;
             };
-            warehouse.index_log(&image.id, &image.performed);
-            warehouse.index_hardware(&image.id, &image.spec);
+            // One row per golden: a second descriptor claiming an indexed
+            // id would leave a row whose log is not the image's.
+            if warehouse.images.contains_key(&image.id) {
+                continue;
+            }
+            warehouse.index(&image);
             warehouse.images.insert(image.id.clone(), image);
         }
         // Rebuild the chunk/residency bookkeeping from what is actually on
@@ -1153,8 +1153,9 @@ mod tests {
     }
 
     /// A golden whose chunks cannot all be re-registered on restore (one
-    /// chunk file is gone and the export is full) comes back evicted; the
-    /// rollback leaves the chunk files its siblings share in place.
+    /// chunk is gone and the export is full) comes back evicted; the
+    /// rollback leaves the files and the chunks its siblings share in
+    /// place.
     #[test]
     fn restore_treats_unregistrable_golden_as_evicted() {
         let mut nfs = nfs();
@@ -1163,13 +1164,13 @@ mod tests {
         publish_experiment_goldens(&mut w, &nfs);
         drop(w);
         let vmss = "/warehouse/mandrake81-256mb/machine-256mb.vmss";
-        let lost = nfs.store.manifest(vmss).unwrap().unwrap()[0].clone();
-        nfs.store.remove(&lost).unwrap();
+        let lost = nfs.store.manifest(vmss).unwrap().unwrap()[0];
+        nfs.store.remove_chunk(lost).unwrap();
         let free = nfs.store.free_bytes().unwrap();
         nfs.store.put("/filler", free, FileKind::Generic).unwrap();
-        let files = nfs.store.list("/");
+        let files = (nfs.store.list("/"), nfs.store.chunk_hashes());
         let restored = Warehouse::restore_from(&nfs, WarehouseConfig::default());
-        assert_eq!(nfs.store.list("/"), files);
+        assert_eq!((nfs.store.list("/"), nfs.store.chunk_hashes()), files);
         assert!(!restored.is_resident(&GoldenId("mandrake81-256mb".into())));
         assert!(restored.is_resident(&GoldenId("mandrake81-32mb".into())));
         assert!(restored.is_resident(&GoldenId("mandrake81-64mb".into())));
