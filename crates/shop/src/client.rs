@@ -99,7 +99,11 @@ impl ShopClient {
         self.inner.borrow().log.clone()
     }
 
-    /// Total resubmissions across all orders (0 in a crash-free run).
+    /// Total resubmissions across all orders. Not 0 in a crash-free
+    /// run: the backoff timer fires after `backoff_base` whether or not
+    /// the shop is up, so an order that takes longer than that to
+    /// settle is re-sent to a live shop, which attaches the copy to the
+    /// in-flight original.
     pub fn resubmits(&self) -> u64 {
         self.inner.borrow().resubmits
     }

@@ -799,6 +799,26 @@ fn vm_finished_during_downtime_is_adopted_not_reexecuted() {
 }
 
 #[test]
+fn direct_create_on_a_crashed_shop_is_refused_and_never_resurrected() {
+    let mut s = site_with(2, CostModel::FreeMemoryPrototype);
+    s.shop.crash(&mut s.engine);
+    let shop = s.shop.clone();
+    s.engine.schedule(SimDuration::from_secs(30), move |engine| {
+        shop.recover(engine);
+    });
+    let result = run_create(&mut s, order(64));
+    assert!(matches!(result, Err(ShopError::ShopDown)), "{result:?}");
+    // Nothing was journaled, so recovery had nothing to re-run.
+    assert!(s.shop.is_alive());
+    assert!(
+        !s.shop.journal_text().contains("received"),
+        "a refused order must not be journaled:\n{}",
+        s.shop.journal_text()
+    );
+    assert_eq!(total_vms(&s), 0, "recovery built a VM nobody is waiting for");
+}
+
+#[test]
 fn permanent_shop_crash_fails_clients_without_hanging() {
     let mut s = site_with(2, CostModel::FreeMemoryPrototype);
     let client = ShopClient::new("c", s.shop.clone());
