@@ -424,7 +424,7 @@ struct JournalOverhead {
 }
 
 fn bench_journal_overhead(seed: u64, quick: bool) -> JournalOverhead {
-    use vmplants::chaos::{run_chaos, ChaosConfig};
+    use vmplants::chaos::{run_chaos, ChaosConfig, OrderSpec};
 
     // Full mode pushes enough orders through the shop that both walls
     // sit well above timer resolution; quick mode only proves the
@@ -433,8 +433,7 @@ fn bench_journal_overhead(seed: u64, quick: bool) -> JournalOverhead {
     let run = |journal: bool| {
         let mut config = ChaosConfig {
             seed,
-            requests,
-            arrival_interval: SimDuration::from_secs(5),
+            schedule: OrderSpec::constant(requests, SimDuration::from_secs(5), 64),
             ..ChaosConfig::default()
         };
         config.tuning.journal = journal;
@@ -499,7 +498,7 @@ fn bench_scenario(quick: bool) -> ScenarioNumbers {
             let config = scenario
                 .compile_with_seed(round as u64)
                 .expect("E20 scenario compiles");
-            assert!(config.requests > 0 || config.schedule.is_some());
+            assert!(!config.schedule.is_empty());
         }
     }
     let compiles = rounds * grid.len();

@@ -5,10 +5,11 @@
 //! maps materialized [`FaultEvent`]s onto the assembled site — host
 //! crashes and reboots hit plants ([`Plant::host_crashed`] /
 //! [`Plant::host_recovered`]), NFS events hit the cluster file server,
-//! message-loss windows hit the shop — then drives a request stream
-//! through VMShop and reports how the stack recovered. Same
-//! [`ChaosConfig`] (including seed) ⇒ byte-identical fault trace and
-//! report, which is what makes robustness regressions diffable.
+//! message-loss windows hit the shop — then drives the arrival schedule
+//! through a failover [`ShopClient`] into VMShop and reports how the
+//! stack recovered. Same [`ChaosConfig`] (including seed) ⇒
+//! byte-identical fault trace and report, which is what makes
+//! robustness regressions diffable.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -19,14 +20,14 @@ use vmplants_shop::{RecoveryStats, ShopClient, ShopTuning};
 use vmplants_simkit::stats::Summary;
 use vmplants_simkit::{
     Engine, FaultEvent, FaultInjector, FaultKind, FaultPlan, LinkTuning, Obs, SimDuration,
-    SimTime, SketchMetric, TransportStats, WindowSeries,
+    SimTime, SketchMetric, TransportStats,
 };
 use vmplants_virt::VmSpec;
 
 use crate::site::{SimSite, SiteConfig};
 
-/// One scheduled client arrival of a compiled scenario workload: a
-/// creation request for a `memory_mb` VM issued at virtual time `at`.
+/// One scheduled client arrival: a creation request for a `memory_mb`
+/// VM issued at virtual time `at`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct OrderSpec {
     /// Arrival offset from the start of the run.
@@ -39,6 +40,20 @@ pub struct OrderSpec {
     /// warehouse-at-scale workload over a population of DAG-distinct
     /// goldens (published via [`SiteConfig::zipf_goldens`]).
     pub dag_rank: u32,
+}
+
+impl OrderSpec {
+    /// A constant stream: `requests` arrivals of `memory_mb` VMs on the
+    /// §4.2 DAG, one every `interval` starting at time zero.
+    pub fn constant(requests: usize, interval: SimDuration, memory_mb: u64) -> Vec<OrderSpec> {
+        (0..requests)
+            .map(|i| OrderSpec {
+                at: interval * i as u64,
+                memory_mb,
+                dag_rank: 0,
+            })
+            .collect()
+    }
 }
 
 /// A service-level objective evaluated against a chaos run: minimum
@@ -87,98 +102,16 @@ impl SloSpec {
     }
 }
 
-/// Fixed-window load/error/retransmit timeline of one chaos run —
-/// arrivals, completions, terminal errors and shop retransmissions
-/// bucketed into the same sim-time windows. Merging per-shard timelines
-/// is windowwise addition, so sharded runs aggregate deterministically.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ChaosTimeline {
-    /// Client arrivals per window.
-    pub arrivals: WindowSeries,
-    /// Successful completions per window (keyed by response time).
-    pub completions: WindowSeries,
-    /// Terminal errors per window (keyed by response time).
-    pub errors: WindowSeries,
-    /// Shop→plant retransmissions per window (from the obs windowed
-    /// counters; empty when the run was not observed).
-    pub retransmits: WindowSeries,
-}
-
-impl ChaosTimeline {
-    /// An empty timeline over `width` windows.
-    pub fn new(width: SimDuration) -> ChaosTimeline {
-        ChaosTimeline {
-            arrivals: WindowSeries::new(width),
-            completions: WindowSeries::new(width),
-            errors: WindowSeries::new(width),
-            retransmits: WindowSeries::new(width),
-        }
-    }
-
-    /// The window width.
-    pub fn width(&self) -> SimDuration {
-        self.arrivals.width()
-    }
-
-    /// Windowwise addition; order-invariant.
-    pub fn merge(&mut self, other: &ChaosTimeline) {
-        self.arrivals.merge(&other.arrivals);
-        self.completions.merge(&other.completions);
-        self.errors.merge(&other.errors);
-        self.retransmits.merge(&other.retransmits);
-    }
-
-    /// Deterministic textual rendering: one line per window up to the
-    /// last non-empty one.
-    pub fn render(&self) -> String {
-        let mut out = format!("timeline (window={}):\n", self.width());
-        let last = [
-            &self.arrivals,
-            &self.completions,
-            &self.errors,
-            &self.retransmits,
-        ]
-        .iter()
-        .filter_map(|s| s.max_index())
-        .max();
-        let Some(last) = last else {
-            out.push_str("  (empty)\n");
-            return out;
-        };
-        let width_s = self.width().as_secs_f64();
-        for w in 0..=last {
-            out.push_str(&format!(
-                "  w{w} [{}s,{}s): arrivals={} completions={} errors={} retransmits={}\n",
-                w as f64 * width_s,
-                (w + 1) as f64 * width_s,
-                self.arrivals.get(w),
-                self.completions.get(w),
-                self.errors.get(w),
-                self.retransmits.get(w),
-            ));
-        }
-        out
-    }
-}
-
 /// One chaos run's configuration.
 #[derive(Clone, Debug)]
 pub struct ChaosConfig {
     /// Seeds both the site and the fault-plan materialization.
     pub seed: u64,
-    /// Creation requests issued.
-    pub requests: usize,
-    /// Memory size of every requested VM (a published golden size).
-    pub memory_mb: u64,
-    /// Spacing between client arrivals (requests overlap under faults,
-    /// unlike the sequential §4.2 runs).
-    pub arrival_interval: SimDuration,
-    /// Explicit arrival schedule compiled from a scenario workload
-    /// (diurnal curves, flash crowds, heterogeneous memory mixes). When
-    /// set it replaces the constant `requests` × `arrival_interval`
-    /// stream entirely; `None` keeps the legacy constant stream
-    /// byte-identical to earlier releases.
-    pub schedule: Option<Vec<OrderSpec>>,
+    /// The client arrivals, in time order: a constant stream
+    /// ([`OrderSpec::constant`]) or a compiled scenario workload
+    /// (diurnal curves, flash crowds, heterogeneous memory mixes).
+    /// Requests overlap under faults, unlike the sequential §4.2 runs.
+    pub schedule: Vec<OrderSpec>,
     /// Baseline transport behaviour override (per-hop delay range,
     /// whole-run drop/dup/reorder floors). `None` leaves the fabric at
     /// [`LinkTuning::default`].
@@ -196,16 +129,6 @@ pub struct ChaosConfig {
     /// Secondary NFS servers built into the testbed (replication
     /// targets; 0 = the plain §4.2 testbed).
     pub replica_servers: usize,
-    /// Keep the full per-order latency sample vector in the report.
-    /// `true` (the default) preserves the legacy behaviour the committed
-    /// fixtures and the exact-percentile scoring path rely on; `false`
-    /// bounds report memory to the sketch — the at-scale mode.
-    pub full_samples: bool,
-    /// Bucket arrivals/completions/errors/retransmits into fixed
-    /// sim-time windows of this width and attach the timeline to the
-    /// report. `None` (the default) keeps the report byte-identical to
-    /// earlier releases.
-    pub obs_windows: Option<SimDuration>,
     /// Service-level objective to evaluate against the run; violations
     /// render in the report and surface in sweep scoring.
     pub slo: Option<SloSpec>,
@@ -215,26 +138,21 @@ impl Default for ChaosConfig {
     fn default() -> ChaosConfig {
         ChaosConfig {
             seed: 42,
-            requests: 16,
-            memory_mb: 64,
-            arrival_interval: SimDuration::from_secs(30),
-            schedule: None,
+            schedule: OrderSpec::constant(16, SimDuration::from_secs(30), 64),
             link: None,
             plan: FaultPlan::new(),
             tuning: ShopTuning::default(),
             warehouse: vmplants_warehouse::WarehouseConfig::default(),
             zipf_goldens: 0,
             replica_servers: 0,
-            full_samples: true,
-            obs_windows: None,
             slo: None,
         }
     }
 }
 
-/// Shop crash–recovery outcomes of a chaos run. Only populated when
-/// the materialized fault plan contains a [`FaultKind::ShopCrash`]
-/// (keeping crash-free reports byte-identical to earlier releases).
+/// Shop crash–recovery outcomes of a chaos run. Every run submits
+/// through the failover [`ShopClient`], so every run reports them; a
+/// plan without a [`FaultKind::ShopCrash`] reads zero incarnations.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ChaosRecovery {
     /// Shop incarnations started by recovery (0 under a permanent
@@ -246,7 +164,7 @@ pub struct ChaosRecovery {
     pub resumed: usize,
     /// Provably lost orders re-run from a fresh bid round.
     pub restarted: usize,
-    /// Client-side resubmissions across shop incarnations.
+    /// Client-side resubmissions (see [`ShopClient::resubmits`]).
     pub client_resubmits: u64,
     /// VMIDs hosted by more than one plant after the run quiesced —
     /// must be 0 (exactly-once would be broken otherwise).
@@ -271,18 +189,10 @@ pub struct ChaosReport {
     pub orphans_collected: usize,
     /// End-to-end latency of every successful order, seconds.
     pub latency: Summary,
-    /// The individual successful-order latencies behind `latency`, in
-    /// request order — kept only when [`ChaosConfig::full_samples`] is
-    /// on (the default); empty in the bounded-memory at-scale mode,
-    /// where `latency_sketch` carries the quantiles instead.
-    pub latency_samples: Vec<f64>,
     /// Mergeable log-bucket quantile sketch over the same successful
     /// latencies: p50/p99/p999 within [`vmplants_simkit::SKETCH_ALPHA`]
-    /// relative error from O(1) memory, always populated.
+    /// relative error from O(1) memory.
     pub latency_sketch: SketchMetric,
-    /// Windowed load/error/retransmit timeline; `Some` only when
-    /// [`ChaosConfig::obs_windows`] was set.
-    pub timeline: Option<ChaosTimeline>,
     /// The SLO the run was judged against, if any (copied from the
     /// config so the report is self-describing).
     pub slo: Option<SloSpec>,
@@ -296,9 +206,8 @@ pub struct ChaosReport {
     /// The transport's per-message decision trace — the full envelope
     /// history of the run, byte-identical per seed.
     pub envelope_trace: String,
-    /// Shop crash–recovery statistics; `None` when the plan injected no
-    /// shop crash.
-    pub recovery: Option<ChaosRecovery>,
+    /// Shop crash–recovery statistics.
+    pub recovery: ChaosRecovery,
 }
 
 impl ChaosReport {
@@ -393,23 +302,12 @@ impl ChaosReport {
         };
         out.push_str(&line("latency", &self.latency));
         out.push_str(&line("recovery latency", &self.recovery_latency));
-        if let Some(r) = &self.recovery {
-            out.push_str(&format!(
-                "shop recovery: incarnations={} adopted={} resumed={} restarted={} \
-                 client-resubmits={} duplicate-vms={}\n",
-                r.incarnations,
-                r.adopted,
-                r.resumed,
-                r.restarted,
-                r.client_resubmits,
-                r.duplicate_vms,
-            ));
-        }
-        // Timeline and SLO lines render only when configured, keeping
-        // legacy reports (and their committed fixtures) byte-identical.
-        if let Some(timeline) = &self.timeline {
-            out.push_str(&timeline.render());
-        }
+        let r = &self.recovery;
+        out.push_str(&format!(
+            "shop recovery: incarnations={} adopted={} resumed={} restarted={} \
+             client-resubmits={} duplicate-vms={}\n",
+            r.incarnations, r.adopted, r.resumed, r.restarted, r.client_resubmits, r.duplicate_vms,
+        ));
         if let Some(slo) = &self.slo {
             if self.latency_sketch.is_empty() {
                 out.push_str("slo quantiles: n=0\n");
@@ -562,53 +460,27 @@ pub fn run_chaos_with_obs(config: &ChaosConfig, obs: Obs) -> (ChaosReport, SimSi
         SimSite::build_with_obs(site_config, obs)
     };
     site.shop.set_tuning(config.tuning.clone());
-    if let Some(width) = config.obs_windows {
-        // Windowed counters are independent of span tracing: they work
-        // under Obs::disabled too, so sweeps get timelines for free.
-        site.obs.enable_windows(width);
-    }
     for plant in &site.plants {
         plant.set_dedup_capacity(config.tuning.dedup_capacity);
     }
     if let Some(link) = &config.link {
         site.shop.transport().set_tuning(link.clone());
     }
-
-    // The arrival stream: an explicit compiled schedule, or the legacy
-    // constant stream (identical bytes to pre-scenario releases).
-    let arrivals: Vec<OrderSpec> = match &config.schedule {
-        Some(schedule) => schedule.clone(),
-        None => (0..config.requests)
-            .map(|i| OrderSpec {
-                at: SimDuration::from_millis(config.arrival_interval.as_millis() * i as u64),
-                memory_mb: config.memory_mb,
-                dag_rank: 0,
-            })
-            .collect(),
-    };
-    let requests = arrivals.len();
+    let requests = config.schedule.len();
 
     // Heartbeats until well past the last possible deadline.
     let deadline = config
         .tuning
         .order_deadline
         .unwrap_or(SimDuration::from_secs(600));
-    let last_arrival_ms = match &config.schedule {
-        // Legacy formula kept verbatim so pre-scenario runs stay
-        // byte-identical (it overshoots the last arrival by one interval).
-        None => config.arrival_interval.as_millis() * config.requests as u64,
-        Some(schedule) => schedule.last().map(|o| o.at.as_millis()).unwrap_or(0),
-    };
-    let horizon = SimTime::from_millis(last_arrival_ms + deadline.as_millis() + 300_000);
+    let last_arrival = config.schedule.last().map_or(SimDuration::ZERO, |o| o.at);
+    let horizon = SimTime::from_millis(last_arrival.as_millis() + deadline.as_millis() + 300_000);
     for plant in &site.plants {
         plant.start_monitor(&mut site.engine, SimDuration::from_secs(10), horizon);
     }
 
     // Wire the fault plan to the site.
     let events = config.plan.materialize(config.seed);
-    let has_shop_crash = events
-        .iter()
-        .any(|e| matches!(e.kind, FaultKind::ShopCrash { .. }));
     let recoveries: Rc<RefCell<Vec<RecoveryStats>>> = Rc::new(RefCell::new(Vec::new()));
     let plants = site.plants.clone();
     let nfs = site.cluster.nfs().clone();
@@ -625,13 +497,12 @@ pub fn run_chaos_with_obs(config: &ChaosConfig, obs: Obs) -> (ChaosReport, SimSi
         );
     });
 
-    // The client arrival stream. A plan with a shop crash routes
-    // arrivals through the failover [`ShopClient`] (keyed resubmission
-    // across incarnations); crash-free plans keep the legacy direct
-    // `shop.create` path, byte-identical to pre-recovery releases.
-    let client = has_shop_crash.then(|| ShopClient::new("client", site.shop.clone()));
+    // The client arrival stream, submitted through the failover
+    // [`ShopClient`]: it keys every order and resubmits it across shop
+    // incarnations.
+    let client = ShopClient::new("client", site.shop.clone());
     let errors: Rc<RefCell<Vec<String>>> = Rc::new(RefCell::new(Vec::new()));
-    for arrival in &arrivals {
+    for arrival in &config.schedule {
         // Rank 0 keeps the legacy §4.2 DAG verbatim; rank r ≥ 1 asks for
         // the Zipf population's rank r − 1.
         let dag = match arrival.dag_rank {
@@ -640,37 +511,18 @@ pub fn run_chaos_with_obs(config: &ChaosConfig, obs: Obs) -> (ChaosReport, SimSi
         };
         let order = site.order(VmSpec::mandrake(arrival.memory_mb), dag);
         let errors = Rc::clone(&errors);
-        let at = arrival.at;
-        match &client {
-            Some(client) => {
-                let client = client.clone();
-                site.engine.schedule(at, move |engine| {
-                    client.submit(
-                        engine,
-                        order,
-                        Box::new(move |_, res| {
-                            if let Err(e) = res {
-                                errors.borrow_mut().push(e.to_string());
-                            }
-                        }),
-                    );
-                });
-            }
-            None => {
-                let shop = site.shop.clone();
-                site.engine.schedule(at, move |engine| {
-                    shop.create(
-                        engine,
-                        order,
-                        Box::new(move |_, res| {
-                            if let Err(e) = res {
-                                errors.borrow_mut().push(e.to_string());
-                            }
-                        }),
-                    );
-                });
-            }
-        }
+        let client = client.clone();
+        site.engine.schedule(arrival.at, move |engine| {
+            client.submit(
+                engine,
+                order,
+                Box::new(move |_, res| {
+                    if let Err(e) = res {
+                        errors.borrow_mut().push(e.to_string());
+                    }
+                }),
+            );
+        });
     }
     site.engine.run();
 
@@ -693,101 +545,47 @@ pub fn run_chaos_with_obs(config: &ChaosConfig, obs: Obs) -> (ChaosReport, SimSi
     let orphans_collected = site.shop.gc_orphans(&mut site.engine);
     site.engine.run();
 
-    let log = site.shop.request_log();
+    // The client log sees end-to-end latency *including* downtime and
+    // resubmission gaps, while `recovered` counts shop-side
+    // multi-dispatch orders.
+    let clog = client.log();
     let mut latency = Summary::new();
-    let mut latency_samples = Vec::new();
     let mut latency_sketch = SketchMetric::default();
-    let mut timeline = config.obs_windows.map(ChaosTimeline::new);
-    let mut recovery_latency = Summary::new();
     let mut successes = 0;
+    for entry in clog.iter().filter(|e| e.success) {
+        successes += 1;
+        latency.record(entry.latency.as_secs_f64());
+        latency_sketch.record(entry.latency.as_secs_f64());
+    }
+    let mut recovery_latency = Summary::new();
     let mut recovered = 0;
-    let mut settled = log.len();
-    if let Some(t) = &mut timeline {
-        for arrival in &arrivals {
-            t.arrivals.mark(SimTime::from_millis(arrival.at.as_millis()));
-        }
-        if let Some(retransmits) = site.obs.window_series("shop.retransmits") {
-            t.retransmits = retransmits;
+    for entry in site.shop.request_log() {
+        if entry.success && entry.attempts >= 2 {
+            recovered += 1;
+            recovery_latency.record(entry.latency.as_secs_f64());
         }
     }
-    match &client {
-        // Failover-client accounting: the client log sees end-to-end
-        // latency *including* downtime and resubmission gaps, while
-        // `recovered` still counts shop-side multi-dispatch orders.
-        Some(client) => {
-            let clog = client.log();
-            settled = clog.len();
-            for entry in &clog {
-                if entry.success {
-                    successes += 1;
-                    latency.record(entry.latency.as_secs_f64());
-                    latency_sketch.record(entry.latency.as_secs_f64());
-                    if config.full_samples {
-                        latency_samples.push(entry.latency.as_secs_f64());
-                    }
-                }
-                if let Some(t) = &mut timeline {
-                    if entry.success {
-                        t.completions.mark(entry.responded_at);
-                    } else {
-                        t.errors.mark(entry.responded_at);
-                    }
-                }
-            }
-            for entry in &log {
-                if entry.success && entry.attempts >= 2 {
-                    recovered += 1;
-                    recovery_latency.record(entry.latency.as_secs_f64());
-                }
-            }
-        }
-        None => {
-            for entry in &log {
-                if entry.success {
-                    successes += 1;
-                    latency.record(entry.latency.as_secs_f64());
-                    latency_sketch.record(entry.latency.as_secs_f64());
-                    if config.full_samples {
-                        latency_samples.push(entry.latency.as_secs_f64());
-                    }
-                    if entry.attempts >= 2 {
-                        recovered += 1;
-                        recovery_latency.record(entry.latency.as_secs_f64());
-                    }
-                }
-                if let Some(t) = &mut timeline {
-                    if entry.success {
-                        t.completions.mark(entry.responded_at);
-                    } else {
-                        t.errors.mark(entry.responded_at);
-                    }
-                }
-            }
-        }
-    }
-    let recovery = has_shop_crash.then(|| {
+    let recovery = {
         let recs = recoveries.borrow();
         ChaosRecovery {
             incarnations: recs.len() as u64,
             adopted: recs.iter().map(|r| r.adopted).sum(),
             resumed: recs.iter().map(|r| r.resumed).sum(),
             restarted: recs.iter().map(|r| r.restarted).sum(),
-            client_resubmits: client.as_ref().map(|c| c.resubmits()).unwrap_or(0),
+            client_resubmits: client.resubmits(),
             duplicate_vms,
         }
-    });
+    };
     let transport = site.shop.transport();
     let report = ChaosReport {
         trace: injector.trace(),
         requests,
         successes,
         recovered,
-        hung_orders: requests.saturating_sub(settled),
+        hung_orders: requests.saturating_sub(clog.len()),
         orphans_collected,
         latency,
-        latency_samples,
         latency_sketch,
-        timeline,
         slo: config.slo,
         recovery_latency,
         errors: Rc::try_unwrap(errors)
@@ -800,33 +598,22 @@ pub fn run_chaos_with_obs(config: &ChaosConfig, obs: Obs) -> (ChaosReport, SimSi
     // Mirror the run's outcome counters into the metrics registry, so
     // one snapshot (`Obs::metrics_text`) covers transport, engine, and
     // chaos outcomes alike.
-    site.obs
-        .counter("chaos.faults_injected")
-        .add(report.trace.len() as u64);
-    site.obs.counter("chaos.requests").add(report.requests as u64);
-    site.obs.counter("chaos.successes").add(report.successes as u64);
-    site.obs.counter("chaos.recovered").add(report.recovered as u64);
-    site.obs
-        .counter("chaos.hung_orders")
-        .add(report.hung_orders as u64);
-    site.obs
-        .counter("chaos.orphans_collected")
-        .add(report.orphans_collected as u64);
-    if let Some(r) = &report.recovery {
-        site.obs
-            .counter("chaos.shop_incarnations")
-            .add(r.incarnations);
-        site.obs.counter("chaos.orders_adopted").add(r.adopted as u64);
-        site.obs.counter("chaos.orders_resumed").add(r.resumed as u64);
-        site.obs
-            .counter("chaos.orders_restarted")
-            .add(r.restarted as u64);
-        site.obs
-            .counter("chaos.client_resubmits")
-            .add(r.client_resubmits);
-        site.obs
-            .counter("chaos.duplicate_vms")
-            .add(r.duplicate_vms as u64);
+    let r = &report.recovery;
+    for (name, value) in [
+        ("chaos.faults_injected", report.trace.len() as u64),
+        ("chaos.requests", report.requests as u64),
+        ("chaos.successes", report.successes as u64),
+        ("chaos.recovered", report.recovered as u64),
+        ("chaos.hung_orders", report.hung_orders as u64),
+        ("chaos.orphans_collected", report.orphans_collected as u64),
+        ("chaos.shop_incarnations", r.incarnations),
+        ("chaos.orders_adopted", r.adopted as u64),
+        ("chaos.orders_resumed", r.resumed as u64),
+        ("chaos.orders_restarted", r.restarted as u64),
+        ("chaos.client_resubmits", r.client_resubmits),
+        ("chaos.duplicate_vms", r.duplicate_vms as u64),
+    ] {
+        site.obs.counter(name).add(value);
     }
     if report.slo.is_some() {
         site.obs
@@ -846,8 +633,7 @@ mod tests {
     fn eventful_config(seed: u64) -> ChaosConfig {
         ChaosConfig {
             seed,
-            requests: 8,
-            arrival_interval: SimDuration::from_secs(20),
+            schedule: OrderSpec::constant(8, SimDuration::from_secs(20), 64),
             plan: FaultPlan::new()
                 .host_reboot_at(
                     SimTime::from_secs(15),
@@ -916,7 +702,7 @@ mod tests {
     #[test]
     fn fault_free_chaos_matches_a_plain_workload() {
         let report = run_chaos(&ChaosConfig {
-            requests: 4,
+            schedule: OrderSpec::constant(4, SimDuration::from_secs(30), 64),
             ..ChaosConfig::default()
         });
         assert_eq!(report.trace.len(), 0);
@@ -927,47 +713,22 @@ mod tests {
     }
 
     #[test]
-    fn slo_timeline_and_sketch_extend_the_report_only_when_asked() {
+    fn slo_extends_the_report_only_when_asked() {
         let plain = run_chaos(&eventful_config(7));
         let plain_text = plain.render();
-        assert!(!plain_text.contains("timeline"), "legacy reports unchanged");
-        assert!(!plain_text.contains("slo"), "legacy reports unchanged");
+        assert!(!plain_text.contains("slo"), "SLO-free reports carry no SLO lines");
         assert_eq!(plain.latency_sketch.count(), plain.successes as u64);
 
         let mut config = eventful_config(7);
-        config.full_samples = false;
-        config.obs_windows = Some(SimDuration::from_secs(60));
         config.slo = Some(SloSpec {
             success_rate: Some(0.25),
             p99_s: Some(0.001),
             ..SloSpec::default()
         });
         let report = run_chaos(&config);
-        assert!(
-            report.latency_samples.is_empty(),
-            "at-scale mode keeps no raw samples"
-        );
         assert_eq!(report.latency_sketch, plain.latency_sketch);
 
-        // The sketch p99 agrees with the exact oracle over the samples
-        // the full-fidelity run kept, within the documented bound.
-        let exact = vmplants_simkit::stats::percentile(&plain.latency_samples, 99.0);
-        assert!(
-            (report.p99() - exact).abs() <= vmplants_simkit::SKETCH_ALPHA * exact + 1e-9,
-            "sketch p99 {} vs exact {exact}",
-            report.p99()
-        );
-
-        let t = report.timeline.as_ref().expect("timeline");
-        assert_eq!(t.arrivals.total() as usize, report.requests);
-        assert_eq!(t.completions.total() as usize, report.successes);
-        assert_eq!(
-            t.errors.total() as usize,
-            report.requests - report.successes - report.hung_orders
-        );
-
         let text = report.render();
-        assert!(text.contains("timeline (window=60.000s):"), "{text}");
         assert!(text.contains("slo quantiles"), "{text}");
         let violations = report.slo_violations();
         assert!(
@@ -980,7 +741,7 @@ mod tests {
     #[test]
     fn random_fault_rules_inject_reproducibly() {
         let config = ChaosConfig {
-            requests: 4,
+            schedule: OrderSpec::constant(4, SimDuration::from_secs(30), 64),
             plan: FaultPlan::new().random_host_faults(
                 ["node0", "node1", "node2", "node3"],
                 SimDuration::from_secs(120),

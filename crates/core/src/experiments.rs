@@ -789,7 +789,7 @@ pub struct RecoverySweepRow {
 /// duplicate VMs, and bounded latency inflation — the crash-recovery
 /// acceptance surface, diffable byte for byte.
 pub fn recovery_sweep(seed: u64) -> Vec<RecoverySweepRow> {
-    use crate::chaos::{run_chaos, ChaosConfig};
+    use crate::chaos::{run_chaos, ChaosConfig, OrderSpec};
     use vmplants_simkit::{FaultPlan, SimDuration, SimTime};
 
     let loads: [(&'static str, usize, u64); 2] = [("light", 8, 30), ("heavy", 24, 5)];
@@ -799,8 +799,7 @@ pub fn recovery_sweep(seed: u64) -> Vec<RecoverySweepRow> {
     for (load, requests, interval_s) in loads {
         let base_config = ChaosConfig {
             seed,
-            requests,
-            arrival_interval: SimDuration::from_secs(interval_s),
+            schedule: OrderSpec::constant(requests, SimDuration::from_secs(interval_s), 64),
             ..ChaosConfig::default()
         };
         // Crash-free baseline of the same load, for the added column.
@@ -816,7 +815,7 @@ pub fn recovery_sweep(seed: u64) -> Vec<RecoverySweepRow> {
                     ..base_config.clone()
                 };
                 let report = run_chaos(&config);
-                let recovery = report.recovery.clone().unwrap_or_default();
+                let recovery = &report.recovery;
                 rows.push(RecoverySweepRow {
                     load,
                     crash_at_s: crash_at,
@@ -952,10 +951,10 @@ pub fn warehouse_cell(
         success_rate: report.success_rate(),
         hit_rate: 1.0 - rederives as f64 / report.requests.max(1) as f64,
         mean_latency_s: report.latency.mean(),
-        p99_latency_s: if report.latency_samples.is_empty() {
+        p99_latency_s: if report.latency_sketch.is_empty() {
             0.0
         } else {
-            percentile(&report.latency_samples, 99.0)
+            report.p99()
         },
         evictions: warehouse.eviction_count(),
         rederives,

@@ -15,11 +15,6 @@
 //!    (ties keep declaration order). The heterogeneous mix draws
 //!    memory sizes from its own forked RNG stream, so the realized mix
 //!    depends only on the seed, never on what else runs.
-//! 3. **Lower** — a scenario that is exactly one constant workload
-//!    compiles to the legacy `requests` × `arrival_interval` fields
-//!    (`schedule: None`), keeping its runs byte-identical to the
-//!    hand-built configs the committed fixtures pin. Anything richer
-//!    compiles to an explicit `schedule`.
 //!
 //! The sweep driver compiles one scenario many times under different
 //! seeds ([`Scenario::compile_with_seed`]); only the mix workload's
@@ -190,15 +185,7 @@ fn expand_workload(w: &Workload, seed: u64, out: &mut Vec<OrderSpec>) {
             requests,
             interval,
             memory_mb,
-        } => {
-            for i in 0..*requests {
-                out.push(OrderSpec {
-                    at: *interval * i as u64,
-                    memory_mb: *memory_mb,
-                    dag_rank: 0,
-                });
-            }
-        }
+        } => out.extend(OrderSpec::constant(*requests, *interval, *memory_mb)),
         Workload::Diurnal {
             requests,
             base_interval,
@@ -230,13 +217,7 @@ fn expand_workload(w: &Workload, seed: u64, out: &mut Vec<OrderSpec>) {
             burst_requests,
             burst_spacing,
         } => {
-            for i in 0..*requests {
-                out.push(OrderSpec {
-                    at: *interval * i as u64,
-                    memory_mb: *memory_mb,
-                    dag_rank: 0,
-                });
-            }
+            out.extend(OrderSpec::constant(*requests, *interval, *memory_mb));
             for j in 0..*burst_requests {
                 out.push(OrderSpec {
                     at: *burst_at + *burst_spacing * j as u64,
@@ -422,29 +403,6 @@ impl Scenario {
             Some(self.link.apply(vmplants_simkit::LinkTuning::default()))
         };
 
-        // Exactly one constant workload lowers to the legacy fields, so
-        // scenario files describing pre-scenario experiments rerun them
-        // byte-identically (the pinned-fixture test relies on this).
-        if let [Workload::Constant {
-            requests,
-            interval,
-            memory_mb,
-        }] = self.workloads.as_slice()
-        {
-            return Ok(ChaosConfig {
-                seed,
-                requests: *requests,
-                memory_mb: *memory_mb,
-                arrival_interval: *interval,
-                schedule: None,
-                link,
-                plan,
-                tuning,
-                slo: self.slo,
-                ..ChaosConfig::default()
-            });
-        }
-
         let mut schedule = Vec::with_capacity(self.total_requests());
         for w in &self.workloads {
             expand_workload(w, seed, &mut schedule);
@@ -467,17 +425,14 @@ impl Scenario {
 
         Ok(ChaosConfig {
             seed,
-            requests: schedule.len(),
-            // Unused when a schedule is set; keep the default golden.
-            memory_mb: 64,
-            arrival_interval: SimDuration::ZERO,
-            schedule: Some(schedule),
+            schedule,
             link,
             plan,
             tuning,
+            warehouse: vmplants_warehouse::WarehouseConfig::default(),
             zipf_goldens,
+            replica_servers: 0,
             slo: self.slo,
-            ..ChaosConfig::default()
         })
     }
 }
@@ -504,13 +459,20 @@ mod tests {
     }
 
     #[test]
-    fn single_constant_workload_lowers_to_legacy_fields() {
+    fn constant_scenario_compiles_like_a_hand_built_schedule() {
         let config = constant(12).compile().expect("compile");
-        assert_eq!(config.requests, 12);
-        assert_eq!(config.arrival_interval, SimDuration::from_secs(20));
-        assert_eq!(config.memory_mb, 64);
-        assert!(config.schedule.is_none());
+        let schedule = OrderSpec::constant(12, SimDuration::from_secs(20), 64);
+        assert_eq!(config.schedule, schedule);
         assert!(config.link.is_none());
+        let hand_built = ChaosConfig {
+            seed: 42,
+            schedule,
+            ..ChaosConfig::default()
+        };
+        assert_eq!(
+            crate::chaos::run_chaos(&config).render_full(),
+            crate::chaos::run_chaos(&hand_built).render_full()
+        );
     }
 
     #[test]
@@ -524,9 +486,8 @@ mod tests {
             burst_requests: 2,
             burst_spacing: SimDuration::from_millis(500),
         });
-        let config = s.compile().expect("compile");
-        let schedule = config.schedule.expect("schedule");
-        assert_eq!(config.requests, 5);
+        let schedule = s.compile().expect("compile").schedule;
+        assert_eq!(schedule.len(), 5);
         let arrivals: Vec<(u64, u64)> = schedule
             .iter()
             .map(|o| (o.at.as_millis(), o.memory_mb))
@@ -555,7 +516,7 @@ mod tests {
             }],
             ..constant(1)
         };
-        let schedule = s.compile().expect("compile").schedule.expect("schedule");
+        let schedule = s.compile().expect("compile").schedule;
         assert_eq!(schedule.len(), 8);
         // Strictly increasing, and the gaps vary (it is not a constant
         // stream in disguise).
@@ -589,10 +550,10 @@ mod tests {
             }],
             ..constant(1)
         };
-        let a = s.compile_with_seed(7).expect("compile").schedule.unwrap();
-        let b = s.compile_with_seed(7).expect("compile").schedule.unwrap();
+        let a = s.compile_with_seed(7).expect("compile").schedule;
+        let b = s.compile_with_seed(7).expect("compile").schedule;
         assert_eq!(a, b, "same seed, same realized mix");
-        let c = s.compile_with_seed(8).expect("compile").schedule.unwrap();
+        let c = s.compile_with_seed(8).expect("compile").schedule;
         assert_ne!(a, c, "different seed, different realized mix");
         let small = a.iter().filter(|o| o.memory_mb == 32).count();
         let large = a.len() - small;
@@ -615,10 +576,10 @@ mod tests {
         };
         let config = s.compile_with_seed(7).expect("compile");
         assert_eq!(config.zipf_goldens, 40, "population published as goldens");
-        let a = config.schedule.expect("schedule");
-        let b = s.compile_with_seed(7).expect("compile").schedule.unwrap();
+        let a = config.schedule;
+        let b = s.compile_with_seed(7).expect("compile").schedule;
         assert_eq!(a, b, "same seed, same realized demand");
-        let c = s.compile_with_seed(8).expect("compile").schedule.unwrap();
+        let c = s.compile_with_seed(8).expect("compile").schedule;
         assert_ne!(a, c, "different seed, different realized demand");
         // Every order targets a published rank (1-based; 0 is legacy).
         assert!(a.iter().all(|o| (1..=40).contains(&o.dag_rank)));
@@ -742,11 +703,8 @@ mod tests {
             p99_s: Some(120.0),
             ..SloSpec::default()
         };
-        // Threads through both the legacy-constant and the explicit
-        // schedule lowering paths.
-        let legacy = with_slo(good).compile().expect("compile");
-        assert_eq!(legacy.slo, Some(good));
-        assert!(legacy.schedule.is_none());
+        let constant = with_slo(good).compile().expect("compile");
+        assert_eq!(constant.slo, Some(good));
         let mut rich = with_slo(good);
         rich.workloads.push(Workload::Flash {
             requests: 0,
@@ -758,7 +716,7 @@ mod tests {
         });
         let rich = rich.compile().expect("compile");
         assert_eq!(rich.slo, Some(good));
-        assert!(rich.schedule.is_some());
+        assert_eq!(rich.schedule.len(), 6);
     }
 
     #[test]

@@ -13,8 +13,6 @@
 
 use std::collections::BTreeMap;
 
-use vmplants_simkit::stats::percentile;
-
 use crate::chaos::{run_chaos, ChaosReport};
 use crate::parallel::run_ordered;
 
@@ -44,23 +42,17 @@ pub struct Score {
 }
 
 impl Score {
-    /// Score a chaos report. The exact percentile is used when the run
-    /// kept full samples; otherwise (the bounded-memory at-scale mode)
-    /// the p99 comes from the mergeable sketch — scoring never requires
-    /// the raw sample vector.
+    /// Score a chaos report. The p99 comes from the report's mergeable
+    /// latency sketch, so scoring never needs a raw sample vector.
     pub fn of(report: &ChaosReport) -> Score {
         let mut error_classes = BTreeMap::new();
         for e in &report.errors {
             *error_classes.entry(error_class(e)).or_insert(0) += 1;
         }
-        let (mean, p99) = if report.latency_samples.is_empty() {
-            if report.latency_sketch.is_empty() {
-                (0.0, 0.0)
-            } else {
-                (report.latency.mean(), report.p99())
-            }
+        let (mean, p99) = if report.latency_sketch.is_empty() {
+            (0.0, 0.0)
         } else {
-            (report.latency.mean(), percentile(&report.latency_samples, 99.0))
+            (report.latency.mean(), report.p99())
         };
         Score {
             requests: report.requests,
@@ -302,8 +294,7 @@ mod tests {
     #[test]
     fn score_falls_back_to_the_sketch_without_samples() {
         let config = crate::chaos::ChaosConfig {
-            requests: 4,
-            full_samples: false,
+            schedule: crate::chaos::OrderSpec::constant(4, SimDuration::from_secs(30), 64),
             slo: Some(crate::chaos::SloSpec {
                 p99_s: Some(0.001),
                 ..crate::chaos::SloSpec::default()
@@ -311,9 +302,9 @@ mod tests {
             ..crate::chaos::ChaosConfig::default()
         };
         let report = run_chaos(&config);
-        assert!(report.latency_samples.is_empty());
         let s = Score::of(&report);
         assert!(s.p99_latency_s > 0.0, "p99 scored from the sketch");
+        assert_eq!(s.p99_latency_s, report.p99());
         assert!(!s.slo_violations.is_empty(), "1ms p99 objective must trip");
     }
 

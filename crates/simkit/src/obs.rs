@@ -47,7 +47,6 @@ use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::rc::Rc;
 
-use crate::stats::WindowSeries;
 use crate::time::{SimDuration, SimTime};
 
 /// FNV-1a 64-bit hash: the deterministic, seed-free key hash behind head
@@ -225,29 +224,6 @@ impl HistogramMetric {
             })
             .collect()
     }
-
-    /// Quantile estimate for `q` in `[0, 1]` using the nearest-rank
-    /// convention (`rank = round(q·(n−1))`): the upper bound of the bucket
-    /// containing that rank. Returns NaN when empty and `+inf` when the
-    /// rank falls in the overflow bucket — a fixed-bucket histogram only
-    /// resolves quantiles to bucket granularity (use
-    /// `stats::SketchMetric` for relative-error-bounded quantiles).
-    pub fn quantile(&self, q: f64) -> f64 {
-        assert!((0.0..=1.0).contains(&q), "quantile out of range");
-        let h = self.0.borrow();
-        if h.count == 0 {
-            return f64::NAN;
-        }
-        let rank = (q * (h.count as f64 - 1.0)).round() as u64;
-        let mut seen = 0u64;
-        for (i, &n) in h.counts.iter().enumerate() {
-            seen += n;
-            if rank < seen {
-                return h.bounds.get(i).copied().unwrap_or(f64::INFINITY);
-            }
-        }
-        f64::INFINITY
-    }
 }
 
 /// One registered metric: a named view over a shared handle.
@@ -347,14 +323,6 @@ struct SamplerInner {
     event_counts: RefCell<BTreeMap<String, u64>>,
 }
 
-/// Sim-time windowed counters attached to an [`Obs`]: components mark
-/// named series via [`Obs::window_mark`]; inert until
-/// [`Obs::enable_windows`] sets a width.
-struct WindowState {
-    width: SimDuration,
-    series: BTreeMap<String, WindowSeries>,
-}
-
 /// Counters describing what sampled-mode tracing kept and dropped.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SamplerStats {
@@ -384,7 +352,6 @@ struct ObsInner {
     ambient: Cell<SpanId>,
     metrics: RefCell<BTreeMap<String, Metric>>,
     sampler: Option<SamplerInner>,
-    windows: RefCell<Option<WindowState>>,
 }
 
 /// Sampled-mode span ids encode `(slot, local_index)` so span calls can
@@ -446,7 +413,6 @@ impl Obs {
                 ambient: Cell::new(SpanId::NONE),
                 metrics: RefCell::new(BTreeMap::new()),
                 sampler,
-                windows: RefCell::new(None),
             }),
         }
     }
@@ -789,52 +755,6 @@ impl Obs {
     /// The currently pinned ambient parent span.
     pub fn ambient(&self) -> SpanId {
         self.inner.ambient.get()
-    }
-
-    // ------------------------------------------------------------------
-    // Windowed counters.
-    // ------------------------------------------------------------------
-
-    /// Turn on fixed-width sim-time windowed counters. Until this is
-    /// called, [`Obs::window_mark`] is a single-branch no-op (and the
-    /// timeline stays out of every pinned report). Works in any tracing
-    /// mode, like the metrics registry.
-    pub fn enable_windows(&self, width: SimDuration) {
-        *self.inner.windows.borrow_mut() = Some(WindowState {
-            width,
-            series: BTreeMap::new(),
-        });
-    }
-
-    /// The configured window width, when windows are enabled.
-    pub fn windows_width(&self) -> Option<SimDuration> {
-        self.inner.windows.borrow().as_ref().map(|w| w.width)
-    }
-
-    /// Count one occurrence at `at` into the named windowed series.
-    pub fn window_mark(&self, name: &str, at: SimTime) {
-        let mut windows = self.inner.windows.borrow_mut();
-        let Some(state) = windows.as_mut() else {
-            return;
-        };
-        match state.series.get_mut(name) {
-            Some(series) => series.mark(at),
-            None => {
-                let mut series = WindowSeries::new(state.width);
-                series.mark(at);
-                state.series.insert(name.to_string(), series);
-            }
-        }
-    }
-
-    /// Snapshot a named windowed series (`None` when windows are off or
-    /// the series was never marked).
-    pub fn window_series(&self, name: &str) -> Option<WindowSeries> {
-        self.inner
-            .windows
-            .borrow()
-            .as_ref()
-            .and_then(|w| w.series.get(name).cloned())
     }
 
     // ------------------------------------------------------------------
@@ -1752,9 +1672,8 @@ mod tests {
     }
 
     #[test]
-    fn histogram_quantile_and_cumulative_view() {
+    fn histogram_cumulative_view() {
         let h = HistogramMetric::new(&[1.0, 2.0, 5.0]);
-        assert!(h.quantile(0.5).is_nan(), "empty histogram");
         for x in [0.5, 0.7, 1.5, 1.6, 1.7, 4.0, 9.0] {
             h.record(x);
         }
@@ -1762,12 +1681,6 @@ mod tests {
             h.cumulative_buckets(),
             vec![(1.0, 2), (2.0, 5), (5.0, 6), (f64::INFINITY, 7)]
         );
-        // Ranks (n=7): q=0 -> rank 0 (bucket <=1), q=0.5 -> rank 3
-        // (bucket <=2), q=1.0 -> rank 6 (overflow).
-        assert_eq!(h.quantile(0.0), 1.0);
-        assert_eq!(h.quantile(0.5), 2.0);
-        assert_eq!(h.quantile(0.8), 5.0);
-        assert_eq!(h.quantile(1.0), f64::INFINITY);
     }
 
     #[test]
@@ -2060,21 +1973,5 @@ mod tests {
         let next = obs.trace_root(tr, "order", "vm-2", t(10));
         assert_eq!(next.raw(), root.raw(), "LIFO slot reuse");
         assert!(obs.critical_path(next).is_none(), "sampled mode");
-    }
-
-    #[test]
-    fn windowed_counters_are_inert_until_enabled() {
-        let obs = Obs::disabled();
-        obs.window_mark("x", t(5));
-        assert!(obs.window_series("x").is_none());
-        obs.enable_windows(SimDuration::from_secs(60));
-        assert_eq!(obs.windows_width(), Some(SimDuration::from_secs(60)));
-        obs.window_mark("x", t(5));
-        obs.window_mark("x", t(61));
-        obs.window_mark("x", t(65));
-        let series = obs.window_series("x").unwrap();
-        assert_eq!(series.get(0), 1);
-        assert_eq!(series.get(1), 2);
-        assert_eq!(series.total(), 3);
     }
 }

@@ -2,7 +2,7 @@
 //! kernel, the interned matchmaking path, and the parallel harness must
 //! all leave same-seed runs byte-identical.
 
-use vmplants::chaos::{run_chaos, run_chaos_with_obs, ChaosConfig};
+use vmplants::chaos::{run_chaos, run_chaos_with_obs, ChaosConfig, OrderSpec};
 use vmplants::experiments::{fig4, run_creation_experiment};
 use vmplants::parallel::run_ordered;
 use vmplants_shop::ShopTuning;
@@ -11,8 +11,7 @@ use vmplants_simkit::{FaultPlan, Obs, SimDuration, SimTime};
 fn storm_config() -> ChaosConfig {
     ChaosConfig {
         seed: 7,
-        requests: 8,
-        arrival_interval: SimDuration::from_secs(20),
+        schedule: OrderSpec::constant(8, SimDuration::from_secs(20), 64),
         plan: FaultPlan::new()
             .host_reboot_at(SimTime::from_secs(15), "node0", SimDuration::from_secs(60))
             .host_crash_at(SimTime::from_secs(70), "node1")
@@ -54,8 +53,7 @@ fn transport_storm_config() -> ChaosConfig {
     let window = SimDuration::from_secs(30 * 86_400);
     ChaosConfig {
         seed: 42,
-        requests: 12,
-        arrival_interval: SimDuration::from_secs(20),
+        schedule: OrderSpec::constant(12, SimDuration::from_secs(20), 64),
         plan: FaultPlan::new()
             .message_loss_at(SimTime::ZERO, "shop", 0.3, window)
             .message_duplicate_at(SimTime::ZERO, "shop", 0.2, window)

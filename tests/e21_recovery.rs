@@ -4,7 +4,7 @@
 //! committed fixture. Bless deliberate changes with
 //! `UPDATE_FIXTURES=1 cargo test`.
 
-use vmplants::chaos::{run_chaos, ChaosConfig};
+use vmplants::chaos::{run_chaos, ChaosConfig, OrderSpec};
 use vmplants::experiments::{recovery_sweep, render_recovery_sweep, E21_SEED};
 use vmplants_simkit::{FaultPlan, SimDuration, SimTime};
 
@@ -65,8 +65,7 @@ fn e21_report_matches_committed_fixture() {
 fn crash_cell_full_render_is_byte_identical_including_recovery_trace() {
     let config = ChaosConfig {
         seed: E21_SEED,
-        requests: 8,
-        arrival_interval: SimDuration::from_secs(30),
+        schedule: OrderSpec::constant(8, SimDuration::from_secs(30), 64),
         plan: FaultPlan::new().shop_crash_at(
             SimTime::from_secs(65),
             "shop",
@@ -87,8 +86,7 @@ fn crash_cell_full_render_is_byte_identical_including_recovery_trace() {
 fn permanent_crash_settles_every_order_without_hanging() {
     let config = ChaosConfig {
         seed: E21_SEED,
-        requests: 8,
-        arrival_interval: SimDuration::from_secs(30),
+        schedule: OrderSpec::constant(8, SimDuration::from_secs(30), 64),
         plan: FaultPlan::new().shop_crash_at(SimTime::from_secs(65), "shop", None),
         ..ChaosConfig::default()
     };
@@ -100,7 +98,7 @@ fn permanent_crash_settles_every_order_without_hanging() {
         "some order settled without a success or typed error"
     );
     assert!(report.successes < report.requests, "the crash must bite");
-    let recovery = report.recovery.as_ref().expect("crash plan reports recovery");
+    let recovery = &report.recovery;
     assert_eq!(recovery.incarnations, 0, "permanent means no recovery");
     assert_eq!(recovery.duplicate_vms, 0);
     let again = run_chaos(&config);

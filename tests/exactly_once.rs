@@ -4,7 +4,7 @@
 //! twice, duplicated destroys are no-ops, all resources are reclaimed,
 //! and the whole storm replays byte-identically per seed.
 
-use vmplants::chaos::{run_chaos, run_chaos_with_site, ChaosConfig};
+use vmplants::chaos::{run_chaos, run_chaos_with_site, ChaosConfig, OrderSpec};
 use vmplants_plant::Plant;
 use vmplants_shop::ShopError;
 use vmplants_simkit::{FaultPlan, SimDuration, SimTime};
@@ -22,8 +22,7 @@ fn storm_plan() -> FaultPlan {
 fn storm_config(seed: u64, requests: usize) -> ChaosConfig {
     ChaosConfig {
         seed,
-        requests,
-        arrival_interval: SimDuration::from_secs(20),
+        schedule: OrderSpec::constant(requests, SimDuration::from_secs(20), 64),
         plan: storm_plan(),
         ..ChaosConfig::default()
     }

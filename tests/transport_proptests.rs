@@ -10,7 +10,7 @@
 //! quiescence, and duplicated destroys are no-ops.
 
 use proptest::prelude::*;
-use vmplants::chaos::{run_chaos_with_site, ChaosConfig};
+use vmplants::chaos::{run_chaos_with_site, ChaosConfig, OrderSpec};
 use vmplants_plant::Plant;
 use vmplants_shop::ShopError;
 use vmplants_simkit::{FaultPlan, SimDuration, SimTime};
@@ -40,8 +40,7 @@ proptest! {
         }
         let (report, mut site) = run_chaos_with_site(&ChaosConfig {
             seed,
-            requests: 6,
-            arrival_interval: SimDuration::from_secs(20),
+            schedule: OrderSpec::constant(6, SimDuration::from_secs(20), 64),
             plan,
             ..ChaosConfig::default()
         });
