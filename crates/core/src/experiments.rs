@@ -1073,7 +1073,6 @@ impl ObsScalePartial {
         self.stats.traces_retained += other.stats.traces_retained;
         self.stats.traces_failed += other.stats.traces_failed;
         self.stats.spans_recorded += other.stats.spans_recorded;
-        self.stats.events_counted += other.stats.events_counted;
         self.stats.active += other.stats.active;
         self.stats.active_high_water =
             self.stats.active_high_water.max(other.stats.active_high_water);

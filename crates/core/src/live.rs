@@ -204,7 +204,7 @@ fn handle_request(site: &mut SimSite, text: &str) -> Response {
 
 /// A client of a live shop. Each call opens one connection (the classic
 /// request/response socket pattern of the prototype).
-pub struct ShopClient {
+pub struct LiveClient {
     addr: SocketAddr,
 }
 
@@ -242,10 +242,10 @@ impl From<io::Error> for ClientError {
     }
 }
 
-impl ShopClient {
+impl LiveClient {
     /// A client bound to a shop endpoint.
-    pub fn connect(addr: SocketAddr) -> ShopClient {
-        ShopClient { addr }
+    pub fn connect(addr: SocketAddr) -> LiveClient {
+        LiveClient { addr }
     }
 
     fn call(&self, request: &Request) -> Result<Response, ClientError> {

@@ -5,11 +5,13 @@
 //! versus resume versus boot versus NFS transfer — so the substrate needs
 //! to be an instrument, not just a clock. This module provides:
 //!
-//! * **Sim-time tracing** — hierarchical [spans](Obs::span_start) and point
-//!   [events](Obs::event) keyed on [`SimTime`], recorded into an in-memory
-//!   buffer with stable integer IDs. A VM-creation order yields a span tree
-//!   like `order → bid → produce → {clone_disk, copy_vmss, resume,
-//!   guest_script}` with exact sim-duration attribution.
+//! * **Sim-time tracing** — hierarchical [spans](Obs::span_start) keyed
+//!   on [`SimTime`], recorded per trace (one root and its descendants)
+//!   into one slab of trace buffers. A VM-creation order yields a span
+//!   tree like `order → bid → produce → {clone_disk, copy_vmss, resume,
+//!   guest_script}` with exact sim-duration attribution. Full tracing
+//!   ([`Obs::enabled`]) is [sampled](Obs::sampled) tracing at 1,000,000
+//!   ppm: every trace is head-sampled, so every trace is retained.
 //! * A **unified metrics registry** — typed [`Counter`]s, [`Gauge`]s and
 //!   fixed-bucket [`HistogramMetric`]s registered by name. Components own
 //!   cheap `Rc<Cell<..>>` handles and count through them unconditionally;
@@ -29,8 +31,8 @@
 //! Tracing never consumes RNG draws and never adds simulated time, so an
 //! instrumented run is behaviourally identical to an uninstrumented one,
 //! and all exports are byte-identical across same-seed runs. When tracing
-//! is disabled ([`Obs::disabled`], the default) every span/event call is a
-//! single branch and the buffer never allocates; metric handles still count
+//! is disabled ([`Obs::disabled`], the default) every span call is a
+//! single branch and the slab never allocates; metric handles still count
 //! (they are plain `Cell` stores, exactly what the hand-rolled stats
 //! structs did before).
 //!
@@ -60,10 +62,12 @@ pub fn fnv1a64(s: &str) -> u64 {
     h
 }
 
-/// Identifier of a recorded span. `SpanId::NONE` (= 0) means "no span":
-/// it is the root parent and the universal result when tracing is off.
+/// Identifier of a recorded span: its trace's slab slot in the high 32
+/// bits and its index within the trace in the low 32, both biased by one.
+/// `SpanId::NONE` (= 0) means "no span": it is the root parent and the
+/// universal result when tracing is off.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct SpanId(u32);
+pub struct SpanId(u64);
 
 impl SpanId {
     /// The absent span: parent of roots, returned when tracing is disabled.
@@ -74,8 +78,8 @@ impl SpanId {
         self.0 == 0
     }
 
-    /// The raw id (0 = none; real spans start at 1).
-    pub fn raw(self) -> u32 {
+    /// The raw id (0 = none).
+    pub fn raw(self) -> u64 {
         self.0
     }
 }
@@ -236,7 +240,8 @@ enum Metric {
 
 #[derive(Clone)]
 struct SpanRec {
-    parent: SpanId,
+    /// 1-based index of the parent within the trace (0 for the root).
+    parent: u32,
     track: TrackId,
     name: String,
     start: SimTime,
@@ -244,15 +249,7 @@ struct SpanRec {
     attrs: Vec<(String, String)>,
 }
 
-struct EventRec {
-    track: TrackId,
-    name: String,
-    at: SimTime,
-    attrs: Vec<(String, String)>,
-}
-
-/// Configuration for sampled (bounded-memory) tracing: see
-/// [`Obs::sampled`].
+/// Configuration for tracing: see [`Obs::sampled`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SamplerConfig {
     /// Head-sampling rate in parts per million: a trace is retained for
@@ -283,8 +280,8 @@ impl Default for SamplerConfig {
     }
 }
 
-/// One in-flight (or completed) trace in sampled mode: the root span and
-/// every descendant, with parents in trace-local 1-based index space.
+/// One trace, in flight or retained: the root span and every
+/// descendant, with parents in trace-local 1-based index space.
 #[derive(Clone)]
 struct TraceBuf {
     key: String,
@@ -296,14 +293,15 @@ struct TraceBuf {
     spans: Vec<SpanRec>,
 }
 
-/// Bounded-memory tracing state. Every span of an in-flight trace is
-/// buffered (so tail-based retention can keep *unsampled* slow or failed
-/// traces); the retention decision happens when the root ends, and
-/// everything else is dropped. Point events are counted per name, not
-/// stored.
+/// The trace store. Every span of an in-flight trace is buffered (so
+/// tail-based retention can keep *unsampled* slow or failed traces); the
+/// retention decision happens when the root ends. A head-sampled trace
+/// keeps its slot, so its spans stay addressable; any other trace frees
+/// its slot.
 struct SamplerInner {
     config: SamplerConfig,
-    /// Slab of in-flight traces; freed slots are reused LIFO.
+    /// Slab of in-flight and retained traces; freed slots are reused
+    /// LIFO.
     slots: RefCell<Vec<Option<TraceBuf>>>,
     free: RefCell<Vec<u32>>,
     /// Traces started (also the per-unit trace sequence number).
@@ -313,17 +311,124 @@ struct SamplerInner {
     spans_recorded: Cell<u64>,
     active: Cell<usize>,
     active_high_water: Cell<usize>,
-    /// Head-sampled completed traces, in completion order.
-    retained: RefCell<Vec<TraceBuf>>,
+    /// Slots of head-sampled completed traces, in completion order.
+    retained: RefCell<Vec<u32>>,
     /// The `flight_slowest` slowest completed traces (any outcome).
     slowest: RefCell<Vec<TraceBuf>>,
     /// Ring of the last `flight_failed` failed traces.
     failed: RefCell<VecDeque<TraceBuf>>,
-    /// Point-event counts by name (events are not stored in sampled mode).
-    event_counts: RefCell<BTreeMap<String, u64>>,
 }
 
-/// Counters describing what sampled-mode tracing kept and dropped.
+impl SamplerInner {
+    /// Start a new trace with its root span.
+    fn open_trace(&self, track: TrackId, name: &str, key: &str, start: SimTime) -> SpanId {
+        let seq = self.seq.get();
+        self.seq.set(seq + 1);
+        let sampled = fnv1a64(key) % 1_000_000 < self.config.rate_ppm as u64;
+        let buf = TraceBuf {
+            key: key.to_string(),
+            unit: self.config.unit,
+            seq,
+            sampled,
+            duration_ms: 0,
+            failed: false,
+            spans: vec![SpanRec {
+                parent: 0,
+                track,
+                name: name.to_string(),
+                start,
+                end: None,
+                attrs: Vec::new(),
+            }],
+        };
+        let mut slots = self.slots.borrow_mut();
+        let slot = match self.free.borrow_mut().pop() {
+            Some(s) => {
+                slots[s as usize] = Some(buf);
+                s as usize
+            }
+            None => {
+                slots.push(Some(buf));
+                slots.len() - 1
+            }
+        };
+        self.spans_recorded.set(self.spans_recorded.get() + 1);
+        let active = self.active.get() + 1;
+        self.active.set(active);
+        if active > self.active_high_water.get() {
+            self.active_high_water.set(active);
+        }
+        encode_span(slot, 0)
+    }
+
+    /// Retention decision for the trace in `slot`, whose root just ended
+    /// at `end`.
+    fn finalize_trace(&self, slots: &mut [Option<TraceBuf>], slot: usize, end: SimTime) {
+        let buf = slots[slot]
+            .as_mut()
+            .expect("finalized trace is in its slot");
+        let root = &buf.spans[0];
+        buf.duration_ms = end.since_saturating(root.start).as_millis();
+        buf.failed = root
+            .attrs
+            .iter()
+            .any(|(k, v)| k == "outcome" && v == "failed");
+        self.finished.set(self.finished.get() + 1);
+        self.active.set(self.active.get() - 1);
+        if buf.failed {
+            self.failed_count.set(self.failed_count.get() + 1);
+        }
+        // Tail retention: the K slowest completed traces, totally ordered
+        // by (duration, unit, seq) so replacement is deterministic.
+        let cap = self.config.flight_slowest;
+        if cap > 0 {
+            let mut slowest = self.slowest.borrow_mut();
+            let rank = |b: &TraceBuf| (b.duration_ms, b.unit, b.seq);
+            if slowest.len() < cap {
+                slowest.push(buf.clone());
+            } else if let Some(min_at) = (0..slowest.len())
+                .min_by_key(|&i| rank(&slowest[i]))
+                .filter(|&i| rank(&slowest[i]) < rank(buf))
+            {
+                slowest[min_at] = buf.clone();
+            }
+        }
+        if buf.failed && self.config.flight_failed > 0 {
+            let mut failed = self.failed.borrow_mut();
+            if failed.len() == self.config.flight_failed {
+                failed.pop_front();
+            }
+            failed.push_back(buf.clone());
+        }
+        if buf.sampled {
+            self.retained.borrow_mut().push(slot as u32);
+        } else {
+            slots[slot] = None;
+            self.free.borrow_mut().push(slot as u32);
+        }
+    }
+
+    /// Call `f` on every exported trace: the retained traces in
+    /// completion order, then the head-sampled traces still open, in
+    /// start order.
+    fn for_each_exported(&self, mut f: impl FnMut(&TraceBuf)) {
+        let slots = self.slots.borrow();
+        for &slot in self.retained.borrow().iter() {
+            f(slots[slot as usize]
+                .as_ref()
+                .expect("retained trace keeps its slot"));
+        }
+        let mut open: Vec<&TraceBuf> = slots
+            .iter()
+            .flatten()
+            .filter(|buf| buf.sampled && buf.spans[0].end.is_none())
+            .collect();
+        open.sort_unstable_by_key(|buf| buf.seq);
+        open.into_iter().for_each(f);
+    }
+}
+
+/// Counters describing what tracing kept and dropped.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SamplerStats {
     /// Traces started (root spans opened).
@@ -336,8 +441,6 @@ pub struct SamplerStats {
     pub traces_failed: u64,
     /// Spans recorded across all traces (retained or not).
     pub spans_recorded: u64,
-    /// Point events counted (none are stored).
-    pub events_counted: u64,
     /// Traces still in flight.
     pub active: usize,
     /// Peak concurrent in-flight traces — the obs memory high-water mark.
@@ -345,41 +448,30 @@ pub struct SamplerStats {
 }
 
 struct ObsInner {
-    enabled: bool,
     tracks: RefCell<Vec<String>>,
-    spans: RefCell<Vec<SpanRec>>,
-    events: RefCell<Vec<EventRec>>,
     ambient: Cell<SpanId>,
     metrics: RefCell<BTreeMap<String, Metric>>,
+    /// The trace store: tracing is on exactly when it is present.
     sampler: Option<SamplerInner>,
 }
 
-/// Sampled-mode span ids encode `(slot, local_index)` so span calls can
-/// address an in-flight trace buffer directly: both halves are biased by
-/// one so no encoded id collides with `SpanId::NONE` or with full-mode
-/// flat ids (which this instance never hands out — modes are fixed at
-/// construction).
-const SLOT_BITS: u32 = 16;
-const LOCAL_MASK: u32 = (1 << SLOT_BITS) - 1;
-
+/// Span ids encode `(slot, local_index)` so span calls address a trace
+/// buffer directly: both halves are biased by one so no encoded id
+/// collides with `SpanId::NONE`.
 fn encode_span(slot: usize, local: usize) -> SpanId {
-    assert!(slot + 1 < (1 << SLOT_BITS), "too many in-flight traces");
-    assert!(local + 1 < (1 << SLOT_BITS), "too many spans in one trace");
-    SpanId((((slot as u32) + 1) << SLOT_BITS) | ((local as u32) + 1))
+    let slot = u32::try_from(slot + 1).expect("too many traces");
+    let local = u32::try_from(local + 1).expect("too many spans in one trace");
+    SpanId((u64::from(slot) << 32) | u64::from(local))
 }
 
 fn decode_span(id: SpanId) -> (usize, usize) {
-    debug_assert!(id.0 >> SLOT_BITS != 0, "not a sampled-mode span id");
-    (
-        ((id.0 >> SLOT_BITS) - 1) as usize,
-        ((id.0 & LOCAL_MASK) - 1) as usize,
-    )
+    ((id.0 >> 32) as usize - 1, (id.0 as u32) as usize - 1)
 }
 
 /// The observability handle: a cheap clonable reference shared by every
 /// instrumented component of a site. Whether tracing is on is fixed at
-/// construction ([`Obs::enabled`] / [`Obs::disabled`]); the metrics
-/// registry works either way.
+/// construction ([`Obs::enabled`] / [`Obs::sampled`] /
+/// [`Obs::disabled`]); the metrics registry works either way.
 #[derive(Clone)]
 pub struct Obs {
     inner: Rc<ObsInner>,
@@ -394,22 +486,18 @@ impl Default for Obs {
 impl fmt::Debug for Obs {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Obs")
-            .field("enabled", &self.inner.enabled)
-            .field("spans", &self.inner.spans.borrow().len())
-            .field("events", &self.inner.events.borrow().len())
+            .field("tracing", &self.inner.sampler.is_some())
+            .field("spans", &self.span_count())
             .field("metrics", &self.inner.metrics.borrow().len())
             .finish()
     }
 }
 
 impl Obs {
-    fn with_parts(enabled: bool, sampler: Option<SamplerInner>) -> Obs {
+    fn with_sampler(sampler: Option<SamplerInner>) -> Obs {
         Obs {
             inner: Rc::new(ObsInner {
-                enabled,
                 tracks: RefCell::new(vec!["main".to_string()]),
-                spans: RefCell::new(Vec::new()),
-                events: RefCell::new(Vec::new()),
                 ambient: Cell::new(SpanId::NONE),
                 metrics: RefCell::new(BTreeMap::new()),
                 sampler,
@@ -417,68 +505,50 @@ impl Obs {
         }
     }
 
-    fn with_enabled(enabled: bool) -> Obs {
-        Obs::with_parts(enabled, None)
-    }
-
-    /// Tracing off (the default): span/event calls are single-branch
-    /// no-ops, the registry still works.
+    /// Tracing off (the default): span calls are single-branch no-ops,
+    /// the registry still works.
     pub fn disabled() -> Obs {
-        Obs::with_enabled(false)
+        Obs::with_sampler(None)
     }
 
-    /// Tracing on: spans and events are recorded.
+    /// Full tracing: sampled tracing at 1,000,000 ppm, so every trace is
+    /// retained and stays addressable.
     pub fn enabled() -> Obs {
-        Obs::with_enabled(true)
+        Obs::sampled(SamplerConfig { rate_ppm: 1_000_000, ..SamplerConfig::default() })
     }
 
-    /// Bounded-memory tracing: spans are buffered per trace while the
-    /// trace is in flight, and when its root ends the trace is either
-    /// retained (head-sampled by `fnv1a64(key)`, among the
-    /// `flight_slowest` slowest, or failed) or dropped wholesale. Memory
-    /// is O(in-flight traces + retained traces), independent of run
-    /// length; point events are counted per name, not stored. The
-    /// decision inputs (key hash, sim durations) are deterministic, so
-    /// sampled exports are byte-identical across same-seed runs.
+    /// Tracing with head sampling: spans are buffered per trace while the
+    /// trace is in flight, and when its root ends the trace is retained
+    /// (head-sampled by `fnv1a64(key)`) or dropped; the flight recorder
+    /// separately keeps the `flight_slowest` slowest and the last
+    /// `flight_failed` failed traces. Memory is O(in-flight + retained
+    /// traces). The decision inputs (key hash, sim durations) are
+    /// deterministic, so exports are byte-identical across same-seed runs.
     pub fn sampled(config: SamplerConfig) -> Obs {
-        Obs::with_parts(
-            true,
-            Some(SamplerInner {
-                config,
-                slots: RefCell::new(Vec::new()),
-                free: RefCell::new(Vec::new()),
-                seq: Cell::new(0),
-                finished: Cell::new(0),
-                failed_count: Cell::new(0),
-                spans_recorded: Cell::new(0),
-                active: Cell::new(0),
-                active_high_water: Cell::new(0),
-                retained: RefCell::new(Vec::new()),
-                slowest: RefCell::new(Vec::new()),
-                failed: RefCell::new(VecDeque::new()),
-                event_counts: RefCell::new(BTreeMap::new()),
-            }),
-        )
-    }
-
-    /// Whether tracing is recording.
-    pub fn is_enabled(&self) -> bool {
-        self.inner.enabled
-    }
-
-    /// Whether this instance traces in sampled (bounded-memory) mode.
-    pub fn is_sampled(&self) -> bool {
-        self.inner.sampler.is_some()
+        Obs::with_sampler(Some(SamplerInner {
+            config,
+            slots: RefCell::new(Vec::new()),
+            free: RefCell::new(Vec::new()),
+            seq: Cell::new(0),
+            finished: Cell::new(0),
+            failed_count: Cell::new(0),
+            spans_recorded: Cell::new(0),
+            active: Cell::new(0),
+            active_high_water: Cell::new(0),
+            retained: RefCell::new(Vec::new()),
+            slowest: RefCell::new(Vec::new()),
+            failed: RefCell::new(VecDeque::new()),
+        }))
     }
 
     // ------------------------------------------------------------------
     // Tracing.
     // ------------------------------------------------------------------
 
-    /// Intern a track by name (idempotent): the lane spans and events are
-    /// drawn on in the exported trace.
+    /// Intern a track by name (idempotent): the lane spans are drawn on
+    /// in the exported trace.
     pub fn track(&self, name: &str) -> TrackId {
-        if !self.inner.enabled {
+        if self.inner.sampler.is_none() {
             return TrackId::DEFAULT;
         }
         let mut tracks = self.inner.tracks.borrow_mut();
@@ -489,75 +559,22 @@ impl Obs {
         TrackId((tracks.len() - 1) as u16)
     }
 
-    /// Open a *root* span keyed for head sampling. In full and disabled
-    /// modes this is exactly `span_start(SpanId::NONE, ..)`; in sampled
-    /// mode it starts a new trace whose retention is decided by
+    /// Open a *root* span: a new trace whose retention is decided by
     /// `fnv1a64(key)` when the root ends. Instrumentation that owns a
     /// stable identity (the shop keys order traces by VM id) should use
     /// this so retries and recoveries of the same order sample
     /// consistently.
     pub fn trace_root(&self, track: TrackId, name: &str, key: &str, start: SimTime) -> SpanId {
-        if !self.inner.enabled {
-            return SpanId::NONE;
-        }
         match &self.inner.sampler {
-            Some(sampler) => self.sampled_root(sampler, track, name, key, start),
-            None => self.span_start(SpanId::NONE, track, name, start),
+            Some(sampler) => sampler.open_trace(track, name, key, start),
+            None => SpanId::NONE,
         }
     }
 
-    fn sampled_root(
-        &self,
-        sampler: &SamplerInner,
-        track: TrackId,
-        name: &str,
-        key: &str,
-        start: SimTime,
-    ) -> SpanId {
-        let seq = sampler.seq.get();
-        sampler.seq.set(seq + 1);
-        let sampled = fnv1a64(key) % 1_000_000 < sampler.config.rate_ppm as u64;
-        let buf = TraceBuf {
-            key: key.to_string(),
-            unit: sampler.config.unit,
-            seq,
-            sampled,
-            duration_ms: 0,
-            failed: false,
-            spans: vec![SpanRec {
-                parent: SpanId::NONE,
-                track,
-                name: name.to_string(),
-                start,
-                end: None,
-                attrs: Vec::new(),
-            }],
-        };
-        let mut slots = sampler.slots.borrow_mut();
-        let slot = match sampler.free.borrow_mut().pop() {
-            Some(s) => {
-                slots[s as usize] = Some(buf);
-                s as usize
-            }
-            None => {
-                slots.push(Some(buf));
-                slots.len() - 1
-            }
-        };
-        sampler.spans_recorded.set(sampler.spans_recorded.get() + 1);
-        let active = sampler.active.get() + 1;
-        sampler.active.set(active);
-        if active > sampler.active_high_water.get() {
-            sampler.active_high_water.set(active);
-        }
-        encode_span(slot, 0)
-    }
-
-    /// Open a span at `start` under `parent` (pass [`SpanId::NONE`] for a
-    /// root). Returns [`SpanId::NONE`] when tracing is off. In sampled
-    /// mode a `NONE` parent starts a new trace keyed by the span name;
-    /// a parent whose trace already completed is dropped (returns
-    /// [`SpanId::NONE`]).
+    /// Open a span at `start` under `parent`. Returns [`SpanId::NONE`]
+    /// when tracing is off. A `NONE` parent starts a new trace keyed by
+    /// the span name; a parent whose trace was dropped yields
+    /// [`SpanId::NONE`].
     pub fn span_start(
         &self,
         parent: SpanId,
@@ -565,110 +582,51 @@ impl Obs {
         name: &str,
         start: SimTime,
     ) -> SpanId {
-        if !self.inner.enabled {
+        let Some(sampler) = &self.inner.sampler else {
             return SpanId::NONE;
+        };
+        if parent.is_none() {
+            return sampler.open_trace(track, name, name, start);
         }
-        if let Some(sampler) = &self.inner.sampler {
-            if parent.is_none() {
-                return self.sampled_root(sampler, track, name, name, start);
-            }
-            let (slot, plocal) = decode_span(parent);
-            let mut slots = sampler.slots.borrow_mut();
-            let Some(buf) = slots.get_mut(slot).and_then(|b| b.as_mut()) else {
-                return SpanId::NONE; // parent's trace already finalized
-            };
-            let local = buf.spans.len();
-            buf.spans.push(SpanRec {
-                parent: SpanId((plocal + 1) as u32),
-                track,
-                name: name.to_string(),
-                start,
-                end: None,
-                attrs: Vec::new(),
-            });
-            sampler.spans_recorded.set(sampler.spans_recorded.get() + 1);
-            return encode_span(slot, local);
-        }
-        let mut spans = self.inner.spans.borrow_mut();
-        spans.push(SpanRec {
-            parent,
+        let (slot, plocal) = decode_span(parent);
+        let mut slots = sampler.slots.borrow_mut();
+        let Some(buf) = slots.get_mut(slot).and_then(|b| b.as_mut()) else {
+            return SpanId::NONE; // parent's trace was dropped
+        };
+        let local = buf.spans.len();
+        buf.spans.push(SpanRec {
+            parent: plocal as u32 + 1,
             track,
             name: name.to_string(),
             start,
             end: None,
             attrs: Vec::new(),
         });
-        SpanId(spans.len() as u32)
+        sampler.spans_recorded.set(sampler.spans_recorded.get() + 1);
+        encode_span(slot, local)
     }
 
-    /// Close a span at `end`. No-op for [`SpanId::NONE`]. In sampled mode,
-    /// closing a trace's *root* finalizes the whole trace: it is retained
-    /// if head-sampled, among the slowest, or failed (root attribute
-    /// `outcome=failed`), and dropped otherwise.
+    /// Close a span at `end`. No-op for [`SpanId::NONE`] and for spans of
+    /// dropped traces. The first close of a trace's *root* finalizes the
+    /// trace: it is retained if head-sampled and dropped otherwise, and
+    /// the flight recorder keeps it if it is among the slowest or failed
+    /// (root attribute `outcome=failed`).
     pub fn span_end(&self, id: SpanId, end: SimTime) {
-        if !self.inner.enabled || id.is_none() {
+        let Some(sampler) = &self.inner.sampler else {
+            return;
+        };
+        if id.is_none() {
             return;
         }
-        if let Some(sampler) = &self.inner.sampler {
-            let (slot, local) = decode_span(id);
-            let mut slots = sampler.slots.borrow_mut();
-            let Some(buf) = slots.get_mut(slot).and_then(|b| b.as_mut()) else {
-                return; // trace already finalized
-            };
-            let rec = &mut buf.spans[local];
-            debug_assert!(end >= rec.start, "span ends before it starts");
-            rec.end = Some(end);
-            if local == 0 {
-                let buf = slots[slot].take().expect("root just updated");
-                drop(slots);
-                sampler.free.borrow_mut().push(slot as u32);
-                sampler.active.set(sampler.active.get() - 1);
-                self.finalize_trace(sampler, buf, end);
-            }
-            return;
-        }
-        let mut spans = self.inner.spans.borrow_mut();
-        let rec = &mut spans[(id.0 - 1) as usize];
+        let (slot, local) = decode_span(id);
+        let mut slots = sampler.slots.borrow_mut();
+        let Some(buf) = slots.get_mut(slot).and_then(|b| b.as_mut()) else {
+            return; // trace was dropped
+        };
+        let rec = &mut buf.spans[local];
         debug_assert!(end >= rec.start, "span ends before it starts");
-        rec.end = Some(end);
-    }
-
-    /// Retention decision for a completed trace (sampled mode).
-    fn finalize_trace(&self, sampler: &SamplerInner, mut buf: TraceBuf, end: SimTime) {
-        let root = &buf.spans[0];
-        buf.duration_ms = end.since_saturating(root.start).as_millis();
-        buf.failed = root
-            .attrs
-            .iter()
-            .any(|(k, v)| k == "outcome" && v == "failed");
-        sampler.finished.set(sampler.finished.get() + 1);
-        if buf.failed {
-            sampler.failed_count.set(sampler.failed_count.get() + 1);
-        }
-        // Tail retention: the K slowest completed traces, totally ordered
-        // by (duration, unit, seq) so replacement is deterministic.
-        let cap = sampler.config.flight_slowest;
-        if cap > 0 {
-            let mut slowest = sampler.slowest.borrow_mut();
-            let rank = |b: &TraceBuf| (b.duration_ms, b.unit, b.seq);
-            if slowest.len() < cap {
-                slowest.push(buf.clone());
-            } else if let Some(min_at) = (0..slowest.len())
-                .min_by_key(|&i| rank(&slowest[i]))
-                .filter(|&i| rank(&slowest[i]) < rank(&buf))
-            {
-                slowest[min_at] = buf.clone();
-            }
-        }
-        if buf.failed && sampler.config.flight_failed > 0 {
-            let mut failed = sampler.failed.borrow_mut();
-            if failed.len() == sampler.config.flight_failed {
-                failed.pop_front();
-            }
-            failed.push_back(buf.clone());
-        }
-        if buf.sampled {
-            sampler.retained.borrow_mut().push(buf);
+        if rec.end.replace(end).is_none() && local == 0 {
+            sampler.finalize_trace(&mut slots, slot, end);
         }
     }
 
@@ -689,58 +647,21 @@ impl Obs {
     }
 
     /// Attach a key/value attribute to a span. No-op for [`SpanId::NONE`]
-    /// (and, in sampled mode, for spans of already-finalized traces).
+    /// and for spans of dropped traces.
     pub fn span_attr(&self, id: SpanId, key: &str, value: impl fmt::Display) {
-        if !self.inner.enabled || id.is_none() {
+        let Some(sampler) = &self.inner.sampler else {
+            return;
+        };
+        if id.is_none() {
             return;
         }
-        if let Some(sampler) = &self.inner.sampler {
-            let (slot, local) = decode_span(id);
-            let mut slots = sampler.slots.borrow_mut();
-            if let Some(buf) = slots.get_mut(slot).and_then(|b| b.as_mut()) {
-                buf.spans[local]
-                    .attrs
-                    .push((key.to_string(), value.to_string()));
-            }
-            return;
+        let (slot, local) = decode_span(id);
+        let mut slots = sampler.slots.borrow_mut();
+        if let Some(buf) = slots.get_mut(slot).and_then(|b| b.as_mut()) {
+            buf.spans[local]
+                .attrs
+                .push((key.to_string(), value.to_string()));
         }
-        let mut spans = self.inner.spans.borrow_mut();
-        spans[(id.0 - 1) as usize]
-            .attrs
-            .push((key.to_string(), value.to_string()));
-    }
-
-    /// Record an instantaneous point event.
-    pub fn event(&self, track: TrackId, name: &str, at: SimTime) {
-        self.event_with(track, name, at, &[]);
-    }
-
-    /// Record a point event with attributes. In sampled mode events are
-    /// counted per name ([`Obs::event_counts`]) and the payload is
-    /// dropped — a million-order run keeps a handful of integers.
-    pub fn event_with(&self, track: TrackId, name: &str, at: SimTime, attrs: &[(&str, &str)]) {
-        if !self.inner.enabled {
-            return;
-        }
-        if let Some(sampler) = &self.inner.sampler {
-            let mut counts = sampler.event_counts.borrow_mut();
-            match counts.get_mut(name) {
-                Some(n) => *n += 1,
-                None => {
-                    counts.insert(name.to_string(), 1);
-                }
-            }
-            return;
-        }
-        self.inner.events.borrow_mut().push(EventRec {
-            track,
-            name: name.to_string(),
-            at,
-            attrs: attrs
-                .iter()
-                .map(|&(k, v)| (k.to_string(), v.to_string()))
-                .collect(),
-        });
     }
 
     /// Pin the ambient parent span and return the previous one. Callers
@@ -758,11 +679,10 @@ impl Obs {
     }
 
     // ------------------------------------------------------------------
-    // Sampled-mode inspection.
+    // Retention inspection.
     // ------------------------------------------------------------------
 
-    /// Counters describing sampled-mode retention (`None` in full or
-    /// disabled mode).
+    /// Counters describing retention (`None` when tracing is off).
     pub fn sampler_stats(&self) -> Option<SamplerStats> {
         let sampler = self.inner.sampler.as_ref()?;
         Some(SamplerStats {
@@ -771,28 +691,14 @@ impl Obs {
             traces_retained: sampler.retained.borrow().len() as u64,
             traces_failed: sampler.failed_count.get(),
             spans_recorded: sampler.spans_recorded.get(),
-            events_counted: sampler.event_counts.borrow().values().sum(),
             active: sampler.active.get(),
             active_high_water: sampler.active_high_water.get(),
         })
     }
 
-    /// Point-event counts by name (sampled mode; empty otherwise).
-    pub fn event_counts(&self) -> Vec<(String, u64)> {
-        match &self.inner.sampler {
-            Some(sampler) => sampler
-                .event_counts
-                .borrow()
-                .iter()
-                .map(|(k, &v)| (k.clone(), v))
-                .collect(),
-            None => Vec::new(),
-        }
-    }
-
     /// Extract the flight recorder: a `Send` snapshot of the K slowest and
-    /// the last F failed traces, mergeable across shards. Empty outside
-    /// sampled mode.
+    /// the last F failed traces, mergeable across shards. Empty when
+    /// tracing is off.
     pub fn flight_recorder(&self) -> FlightRecorder {
         let Some(sampler) = &self.inner.sampler else {
             return FlightRecorder::default();
@@ -826,28 +732,25 @@ impl Obs {
     // Trace inspection.
     // ------------------------------------------------------------------
 
-    /// Read a span record field in whichever mode applies. In sampled
-    /// mode only *live* (in-flight) traces are addressable.
+    /// Read a span record. Spans of in-flight and retained traces are
+    /// addressable; a span of a dropped trace is not.
     fn with_span<T>(&self, id: SpanId, f: impl FnOnce(&SpanRec) -> T) -> T {
-        if let Some(sampler) = &self.inner.sampler {
-            let (slot, local) = decode_span(id);
-            let slots = sampler.slots.borrow();
-            let buf = slots
-                .get(slot)
-                .and_then(|b| b.as_ref())
-                .expect("span's trace already finalized");
-            return f(&buf.spans[local]);
-        }
-        f(&self.inner.spans.borrow()[(id.0 - 1) as usize])
+        let sampler = self.inner.sampler.as_ref().expect("tracing is off");
+        let (slot, local) = decode_span(id);
+        let slots = sampler.slots.borrow();
+        let buf = slots
+            .get(slot)
+            .and_then(|b| b.as_ref())
+            .expect("span's trace was dropped");
+        f(&buf.spans[local])
     }
 
-    /// Number of recorded spans (in sampled mode: across all traces,
-    /// retained or not).
+    /// Number of recorded spans across all traces, retained or not.
     pub fn span_count(&self) -> usize {
-        match &self.inner.sampler {
-            Some(sampler) => sampler.spans_recorded.get() as usize,
-            None => self.inner.spans.borrow().len(),
-        }
+        self.inner
+            .sampler
+            .as_ref()
+            .map_or(0, |sampler| sampler.spans_recorded.get() as usize)
     }
 
     /// A span's name.
@@ -857,16 +760,11 @@ impl Obs {
 
     /// A span's parent.
     pub fn span_parent(&self, id: SpanId) -> SpanId {
-        if self.inner.sampler.is_some() {
-            let (slot, _) = decode_span(id);
-            let parent = self.with_span(id, |rec| rec.parent);
-            return if parent.is_none() {
-                SpanId::NONE
-            } else {
-                encode_span(slot, (parent.0 - 1) as usize)
-            };
+        let (slot, _) = decode_span(id);
+        match self.with_span(id, |rec| rec.parent) {
+            0 => SpanId::NONE,
+            parent => encode_span(slot, parent as usize - 1),
         }
-        self.with_span(id, |rec| rec.parent)
     }
 
     /// A span's `(start, end)`; `end` is `None` while still open.
@@ -889,37 +787,39 @@ impl Obs {
         })
     }
 
-    /// All spans with the given name, in id order. Full mode only: in
-    /// sampled mode finished traces are dropped or exported, not indexed
-    /// (returns empty).
-    pub fn spans_named(&self, name: &str) -> Vec<SpanId> {
-        if self.inner.sampler.is_some() {
+    /// Spans of in-flight and retained traces matching `pred`, ordered by
+    /// trace start, then by index within the trace.
+    fn spans_where(&self, pred: impl Fn(&SpanRec) -> bool) -> Vec<SpanId> {
+        let Some(sampler) = &self.inner.sampler else {
             return Vec::new();
-        }
-        self.inner
-            .spans
-            .borrow()
+        };
+        let slots = sampler.slots.borrow();
+        let mut traces: Vec<(u64, usize, &TraceBuf)> = slots
             .iter()
             .enumerate()
-            .filter(|(_, s)| s.name == name)
-            .map(|(i, _)| SpanId(i as u32 + 1))
-            .collect()
+            .filter_map(|(slot, buf)| buf.as_ref().map(|buf| (buf.seq, slot, buf)))
+            .collect();
+        traces.sort_unstable_by_key(|&(seq, _, _)| seq);
+        let mut out = Vec::new();
+        for (_, slot, buf) in traces {
+            for (local, rec) in buf.spans.iter().enumerate() {
+                if pred(rec) {
+                    out.push(encode_span(slot, local));
+                }
+            }
+        }
+        out
     }
 
-    /// All root spans (parent = [`SpanId::NONE`]), in id order. Full mode
-    /// only (empty in sampled mode, like [`Obs::spans_named`]).
+    /// All spans with the given name, ordered by trace start, then by
+    /// index within the trace.
+    pub fn spans_named(&self, name: &str) -> Vec<SpanId> {
+        self.spans_where(|rec| rec.name == name)
+    }
+
+    /// All root spans (parent = [`SpanId::NONE`]), in trace start order.
     pub fn root_spans(&self) -> Vec<SpanId> {
-        if self.inner.sampler.is_some() {
-            return Vec::new();
-        }
-        self.inner
-            .spans
-            .borrow()
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.parent.is_none())
-            .map(|(i, _)| SpanId(i as u32 + 1))
-            .collect()
+        self.spans_where(|rec| rec.parent == 0)
     }
 
     // ------------------------------------------------------------------
@@ -1047,57 +947,28 @@ impl Obs {
     // Exporters.
     // ------------------------------------------------------------------
 
-    /// Export the trace as JSON Lines: one object per span (in id order)
-    /// then one per point event (in record order). Byte-identical across
-    /// same-seed runs. In sampled mode this exports the head-sampled
-    /// traces (in completion order, ids renumbered contiguously); the
-    /// flight recorder has its own exporters.
+    /// Export the trace as JSON Lines, one object per span: the retained
+    /// traces in completion order, then the head-sampled traces still
+    /// open (open spans carry `"end_ms":null`), ids renumbered
+    /// contiguously. Byte-identical across same-seed runs. The flight
+    /// recorder has its own exporters.
     pub fn trace_jsonl(&self) -> String {
-        if let Some(sampler) = &self.inner.sampler {
-            let tracks = self.inner.tracks.borrow();
-            let mut out = String::new();
-            let mut next_id = 1usize;
-            for buf in sampler.retained.borrow().iter() {
-                push_trace_jsonl(&mut out, buf, &tracks, &mut next_id);
-            }
-            return out;
-        }
-        let tracks = self.inner.tracks.borrow();
         let mut out = String::new();
-        for (i, s) in self.inner.spans.borrow().iter().enumerate() {
-            out.push_str(&format!(
-                "{{\"type\":\"span\",\"id\":{},\"parent\":{},\"track\":{},\"name\":{}",
-                i + 1,
-                s.parent.0,
-                json_str(&tracks[s.track.0 as usize]),
-                json_str(&s.name),
-            ));
-            out.push_str(&format!(",\"start_ms\":{}", s.start.as_millis()));
-            match s.end {
-                Some(end) => out.push_str(&format!(",\"end_ms\":{}", end.as_millis())),
-                None => out.push_str(",\"end_ms\":null"),
-            }
-            push_attrs(&mut out, &s.attrs);
-            out.push_str("}\n");
-        }
-        for e in self.inner.events.borrow().iter() {
-            out.push_str(&format!(
-                "{{\"type\":\"event\",\"track\":{},\"name\":{},\"at_ms\":{}",
-                json_str(&tracks[e.track.0 as usize]),
-                json_str(&e.name),
-                e.at.as_millis()
-            ));
-            push_attrs(&mut out, &e.attrs);
-            out.push_str("}\n");
-        }
+        let Some(sampler) = &self.inner.sampler else {
+            return out;
+        };
+        let tracks = self.inner.tracks.borrow();
+        let mut next_id = 1usize;
+        sampler.for_each_exported(|buf| push_trace_jsonl(&mut out, buf, &tracks, &mut next_id));
         out
     }
 
     /// Export the trace in Chrome `trace_event` JSON (the array-of-events
-    /// object form), loadable in `chrome://tracing` and Perfetto. Sim-time
-    /// milliseconds map to trace microseconds; each track becomes a thread
-    /// of process 1. Open spans are exported with zero duration. In
-    /// sampled mode this exports the head-sampled traces' spans.
+    /// object form), loadable in `chrome://tracing` and Perfetto: the
+    /// spans of the traces [`Obs::trace_jsonl`] exports, in the same
+    /// order. Sim-time milliseconds map to trace microseconds; each track
+    /// becomes a thread of process 1. Open spans are exported with zero
+    /// duration.
     pub fn chrome_trace(&self) -> String {
         let tracks = self.inner.tracks.borrow();
         let mut events: Vec<String> = Vec::new();
@@ -1114,55 +985,31 @@ impl Obs {
                 json_str(t)
             ));
         }
-        let mut push_span = |s: &SpanRec| {
-            let start_us = s.start.as_millis() * 1000;
-            let dur_us = s
-                .end
-                .map(|e| e.since_saturating(s.start).as_millis() * 1000)
-                .unwrap_or(0);
-            let mut ev = format!(
-                "{{\"name\":{},\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{start_us},\
-                 \"dur\":{dur_us}",
-                json_str(&s.name),
-                s.track.0 as usize + 1,
-            );
-            ev.push_str(",\"args\":{");
-            for (i, (k, v)) in s.attrs.iter().enumerate() {
-                if i > 0 {
-                    ev.push(',');
-                }
-                ev.push_str(&format!("{}:{}", json_str(k), json_str(v)));
-            }
-            ev.push_str("}}");
-            events.push(ev);
-        };
         if let Some(sampler) = &self.inner.sampler {
-            for buf in sampler.retained.borrow().iter() {
+            sampler.for_each_exported(|buf| {
                 for s in &buf.spans {
-                    push_span(s);
+                    let start_us = s.start.as_millis() * 1000;
+                    let dur_us = s
+                        .end
+                        .map(|e| e.since_saturating(s.start).as_millis() * 1000)
+                        .unwrap_or(0);
+                    let mut ev = format!(
+                        "{{\"name\":{},\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{start_us},\
+                         \"dur\":{dur_us}",
+                        json_str(&s.name),
+                        s.track.0 as usize + 1,
+                    );
+                    ev.push_str(",\"args\":{");
+                    for (i, (k, v)) in s.attrs.iter().enumerate() {
+                        if i > 0 {
+                            ev.push(',');
+                        }
+                        ev.push_str(&format!("{}:{}", json_str(k), json_str(v)));
+                    }
+                    ev.push_str("}}");
+                    events.push(ev);
                 }
-            }
-        } else {
-            for s in self.inner.spans.borrow().iter() {
-                push_span(s);
-            }
-        }
-        for e in self.inner.events.borrow().iter() {
-            let mut ev = format!(
-                "{{\"name\":{},\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":{},\"ts\":{}",
-                json_str(&e.name),
-                e.track.0 as usize + 1,
-                e.at.as_millis() * 1000
-            );
-            ev.push_str(",\"args\":{");
-            for (i, (k, v)) in e.attrs.iter().enumerate() {
-                if i > 0 {
-                    ev.push(',');
-                }
-                ev.push_str(&format!("{}:{}", json_str(k), json_str(v)));
-            }
-            ev.push_str("}}");
-            events.push(ev);
+            });
         }
         let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
         for (i, ev) in events.iter().enumerate() {
@@ -1180,42 +1027,23 @@ impl Obs {
     // Critical-path analysis.
     // ------------------------------------------------------------------
 
-    /// Decompose a finished root span into its critical path: the interval
+    /// Decompose a finished span into its critical path: the interval
     /// `[start, end]` tiled by the *deepest descendant active at each
     /// instant*. Segment durations are integer milliseconds that sum
-    /// exactly to the root's duration. Returns `None` for an unfinished
-    /// root (or [`SpanId::NONE`]).
+    /// exactly to the span's duration. Returns `None` for an unfinished
+    /// span, [`SpanId::NONE`], or a span of a dropped trace.
     pub fn critical_path(&self, root: SpanId) -> Option<CriticalPath> {
-        if root.is_none() || self.inner.sampler.is_some() {
-            // Sampled mode drops or exports finished traces instead of
-            // indexing them; analyze a flight-recorder dump offline.
+        let sampler = self.inner.sampler.as_ref()?;
+        if root.is_none() {
             return None;
         }
-        let spans = self.inner.spans.borrow();
-        let root_rec = &spans[(root.0 - 1) as usize];
+        let (slot, local) = decode_span(root);
+        let slots = sampler.slots.borrow();
+        let spans = &slots.get(slot)?.as_ref()?.spans;
+        let root_rec = &spans[local];
         let root_end = root_rec.end?;
-        // Children of each span, in id (= creation) order; creation order
-        // is deterministic, and within one order's tree children start in
-        // causal order.
-        let mut children: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
-        for (i, s) in spans.iter().enumerate() {
-            if !s.parent.is_none() {
-                children
-                    .entry(s.parent.0)
-                    .or_default()
-                    .push(i as u32 + 1);
-            }
-        }
         let mut segments = Vec::new();
-        decompose(
-            &spans,
-            &children,
-            root.0,
-            root_rec.start,
-            root_end,
-            0,
-            &mut segments,
-        );
+        decompose(spans, local, root_rec.start, root_end, 0, &mut segments);
         Some(CriticalPath {
             root_name: root_rec.name.clone(),
             start: root_rec.start,
@@ -1225,25 +1053,23 @@ impl Obs {
     }
 }
 
-/// Walk `id`'s children over `[lo, hi]`: child intervals recurse (clipped,
-/// sorted by start), gaps belong to `id` itself.
+/// Walk the children of `spans[id]` (one trace's spans) over `[lo, hi]`:
+/// child intervals recurse (clipped, sorted by start, then creation
+/// order), gaps belong to `id` itself.
 fn decompose(
     spans: &[SpanRec],
-    children: &BTreeMap<u32, Vec<u32>>,
-    id: u32,
+    id: usize,
     lo: SimTime,
     hi: SimTime,
     depth: u32,
     out: &mut Vec<PathSegment>,
 ) {
-    let name = &spans[(id - 1) as usize].name;
-    let mut kids: Vec<(SimTime, SimTime, u32)> = children
-        .get(&id)
-        .map(|v| v.as_slice())
-        .unwrap_or(&[])
+    let name = &spans[id].name;
+    let mut kids: Vec<(SimTime, SimTime, usize)> = spans
         .iter()
-        .filter_map(|&kid| {
-            let rec = &spans[(kid - 1) as usize];
+        .enumerate()
+        .filter(|(_, rec)| rec.parent as usize == id + 1)
+        .filter_map(|(kid, rec)| {
             let end = rec.end?;
             (end > lo && rec.start < hi).then(|| (rec.start.max(lo), end.min(hi), kid))
         })
@@ -1263,7 +1089,7 @@ fn decompose(
                 depth,
             });
         }
-        decompose(spans, children, kid, start, end, depth + 1, out);
+        decompose(spans, kid, start, end, depth + 1, out);
         cursor = end;
     }
     if hi > cursor {
@@ -1558,7 +1384,7 @@ fn flight_trace(buf: &TraceBuf, tracks: &[String]) -> FlightTrace {
             .spans
             .iter()
             .map(|s| FlightSpan {
-                parent: s.parent.0,
+                parent: s.parent,
                 track: tracks[s.track.0 as usize].clone(),
                 name: s.name.clone(),
                 start_ms: s.start.as_millis(),
@@ -1577,10 +1403,10 @@ fn push_trace_jsonl(out: &mut String, buf: &TraceBuf, tracks: &[String], next_id
         out.push_str(&format!(
             "{{\"type\":\"span\",\"id\":{},\"parent\":{},\"track\":{},\"name\":{}",
             base + i,
-            if s.parent.is_none() {
+            if s.parent == 0 {
                 0
             } else {
-                base + s.parent.0 as usize - 1
+                base + s.parent as usize - 1
             },
             json_str(&tracks[s.track.0 as usize]),
             json_str(&s.name),
@@ -1642,7 +1468,6 @@ mod tests {
         assert!(id.is_none());
         obs.span_end(id, t(10));
         obs.span_attr(id, "k", "v");
-        obs.event(track, "tick", t(1));
         assert_eq!(obs.span_count(), 0);
         assert_eq!(obs.trace_jsonl(), "");
         assert!(obs.critical_path(id).is_none());
@@ -1777,12 +1602,12 @@ mod tests {
         let tr = obs.track("shop");
         let s = obs.span(SpanId::NONE, tr, "order", t(0), t(3));
         obs.span_attr(s, "vmid", "vm-0");
-        obs.event_with(tr, "drop", t(1), &[("label", "create \"x\"")]);
         let open = obs.span_start(SpanId::NONE, tr, "pending", t(2));
         assert!(!open.is_none());
+        obs.span_attr(open, "label", "create \"x\"");
         let jsonl = obs.trace_jsonl();
         let lines: Vec<&str> = jsonl.lines().collect();
-        assert_eq!(lines.len(), 3);
+        assert_eq!(lines.len(), 2);
         assert_eq!(
             lines[0],
             "{\"type\":\"span\",\"id\":1,\"parent\":0,\"track\":\"shop\",\
@@ -1790,7 +1615,7 @@ mod tests {
              \"attrs\":{\"vmid\":\"vm-0\"}}"
         );
         assert!(lines[1].contains("\"end_ms\":null"));
-        assert!(lines[2].contains("\\\"x\\\""), "escaped quotes survive");
+        assert!(lines[1].contains("\\\"x\\\""), "escaped quotes survive");
     }
 
     #[test]
@@ -1801,14 +1626,12 @@ mod tests {
         let order = obs.span(SpanId::NONE, shop, "order", t(0), t(30));
         obs.span_attr(order, "vmid", "vm-0");
         obs.span(order, plant, "produce", t(5), t(25));
-        obs.event(plant, "dedup_hit", t(6));
         let json = obs.chrome_trace();
         assert!(json.starts_with("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n"));
         assert!(json.ends_with("]}\n"));
         // µs mapping: 30 s span -> dur 30_000_000 µs.
         assert!(json.contains("\"ts\":0,\"dur\":30000000"));
         assert!(json.contains("\"thread_name\""));
-        assert!(json.contains("\"ph\":\"i\""));
         // No trailing comma before the closing bracket.
         assert!(!json.contains(",\n]"));
     }
@@ -1836,10 +1659,9 @@ mod tests {
         assert!(obs.ambient().is_none());
     }
 
-    /// Run `n` two-span traces through a sampled obs; trace `i` is keyed
-    /// `key-i`, lasts `i+1` seconds, and fails when `i % 5 == 0`.
-    fn storm(config: SamplerConfig, n: usize) -> Obs {
-        let obs = Obs::sampled(config);
+    /// Run `n` two-span traces through `obs`; trace `i` is keyed `key-i`,
+    /// lasts `i+1` seconds, and fails when `i % 5 == 0`.
+    fn storm(obs: Obs, n: usize) -> Obs {
         let tr = obs.track("shop");
         for i in 0..n {
             let root = obs.trace_root(tr, "order", &format!("key-{i}"), t(0));
@@ -1855,10 +1677,10 @@ mod tests {
     #[test]
     fn head_sampling_is_key_deterministic() {
         let all = storm(
-            SamplerConfig {
+            Obs::sampled(SamplerConfig {
                 rate_ppm: 1_000_000,
                 ..SamplerConfig::default()
-            },
+            }),
             20,
         );
         let stats = all.sampler_stats().unwrap();
@@ -1871,10 +1693,10 @@ mod tests {
         assert_eq!(stats.active_high_water, 1);
 
         let none = storm(
-            SamplerConfig {
+            Obs::sampled(SamplerConfig {
                 rate_ppm: 0,
                 ..SamplerConfig::default()
-            },
+            }),
             20,
         );
         assert_eq!(none.sampler_stats().unwrap().traces_retained, 0);
@@ -1886,39 +1708,38 @@ mod tests {
         assert_eq!(flight.failed.len(), 4);
 
         // Same keys, two instances: identical sampling decisions.
-        let a = storm(SamplerConfig::default(), 50);
-        let b = storm(SamplerConfig::default(), 50);
+        let a = storm(Obs::sampled(SamplerConfig::default()), 50);
+        let b = storm(Obs::sampled(SamplerConfig::default()), 50);
         assert_eq!(a.trace_jsonl(), b.trace_jsonl());
     }
 
     #[test]
-    fn sampled_jsonl_matches_full_mode_for_retained_traces() {
-        let full = Obs::enabled();
-        let sampled = Obs::sampled(SamplerConfig {
-            rate_ppm: 1_000_000,
-            ..SamplerConfig::default()
-        });
-        for obs in [&full, &sampled] {
-            let tr = obs.track("shop");
-            let root = obs.trace_root(tr, "order", "vm-0", t(0));
-            obs.span_attr(root, "vmid", "vm-0");
-            obs.span(root, tr, "bid", t(0), t(2));
-            obs.span_end(root, t(30));
-        }
+    fn enabled_is_sampled_at_one_million_ppm() {
+        let full = storm(Obs::enabled(), 30);
+        let sampled = storm(
+            Obs::sampled(SamplerConfig {
+                rate_ppm: 1_000_000,
+                ..SamplerConfig::default()
+            }),
+            30,
+        );
         assert_eq!(full.trace_jsonl(), sampled.trace_jsonl());
         assert_eq!(full.chrome_trace(), sampled.chrome_trace());
+        assert_eq!(full.flight_recorder(), sampled.flight_recorder());
+        assert_eq!(full.sampler_stats(), sampled.sampler_stats());
+        assert_eq!(full.flight_recorder().failed.len(), 6);
     }
 
     #[test]
     fn flight_recorder_ring_and_merge_grouping_invariance() {
         let make = |unit: u32, n: usize| {
             let obs = storm(
-                SamplerConfig {
+                Obs::sampled(SamplerConfig {
                     rate_ppm: 0,
                     flight_slowest: 4,
                     flight_failed: 3,
                     unit,
-                },
+                }),
                 n,
             );
             obs.flight_recorder()
@@ -1951,27 +1772,89 @@ mod tests {
     }
 
     #[test]
-    fn sampled_mode_counts_events_and_ignores_stale_spans() {
-        let obs = Obs::sampled(SamplerConfig::default());
+    fn dropped_traces_ignore_stale_spans_and_free_their_slot() {
+        let obs = Obs::sampled(SamplerConfig {
+            rate_ppm: 0,
+            ..SamplerConfig::default()
+        });
         let tr = obs.track("net");
-        obs.event(tr, "drop", t(1));
-        obs.event_with(tr, "drop", t(2), &[("seq", "9")]);
-        obs.event(tr, "dup", t(3));
-        assert_eq!(
-            obs.event_counts(),
-            vec![("drop".to_string(), 2), ("dup".to_string(), 1)]
-        );
         let root = obs.trace_root(tr, "order", "vm-1", t(0));
         let child = obs.span(root, tr, "bid", t(0), t(1));
         assert_eq!(obs.span_parent(child), root);
         obs.span_end(root, t(5));
-        // The trace is finalized: late touches are dropped, not recorded.
+        // The trace was dropped: late touches are ignored, not recorded.
         obs.span_attr(root, "late", "x");
         obs.span_end(child, t(9));
         assert!(obs.span_start(root, tr, "orphan", t(6)).is_none());
+        assert!(obs.critical_path(root).is_none());
+        assert_eq!(obs.span_count(), 2);
         // Slot is reused by the next trace.
         let next = obs.trace_root(tr, "order", "vm-2", t(10));
         assert_eq!(next.raw(), root.raw(), "LIFO slot reuse");
-        assert!(obs.critical_path(next).is_none(), "sampled mode");
+        assert_eq!(obs.span_attrs(next), vec![]);
+    }
+
+    #[test]
+    fn retained_traces_stay_addressable_after_the_root_ends() {
+        let obs = Obs::enabled();
+        let tr = obs.track("shop");
+        let order = obs.trace_root(tr, "order", "vm-0", t(0));
+        obs.span_attr(order, "vmid", "vm-0");
+        let bid = obs.span(order, tr, "bid", t(0), t(2));
+        obs.span_end(order, t(30));
+        assert_eq!(obs.spans_named("bid"), vec![bid]);
+        assert_eq!(obs.span_attr_get(order, "vmid").as_deref(), Some("vm-0"));
+        let path = obs.critical_path(order).expect("retained root");
+        assert_eq!(path.total(), SimDuration::from_secs(30));
+        // A child opened after the root ended is recorded, as a late
+        // message handler's span would be.
+        let late = obs.span(order, tr, "late", t(31), t(32));
+        assert!(!late.is_none());
+        assert_eq!(obs.span_parent(late), order);
+        assert_eq!(obs.span_count(), 3);
+        assert_eq!(obs.spans_named("late"), vec![late]);
+        let stats = obs.sampler_stats().unwrap();
+        assert_eq!((stats.traces_finished, stats.traces_retained), (1, 1));
+    }
+
+    #[test]
+    fn seventy_thousand_traces_get_distinct_addressable_roots() {
+        let obs = Obs::enabled();
+        let tr = obs.track("shop");
+        let roots: Vec<SpanId> = (0..70_000u64)
+            .map(|i| {
+                let root = obs.trace_root(tr, "order", &format!("vm-{i}"), t(i));
+                obs.span_end(root, t(i + 1));
+                root
+            })
+            .collect();
+        let distinct: std::collections::BTreeSet<SpanId> = roots.iter().copied().collect();
+        assert_eq!(distinct.len(), 70_000);
+        assert_eq!(obs.root_spans(), roots, "roots in trace start order");
+        let last = *roots.last().unwrap();
+        assert_eq!(obs.span_interval(last), (t(69_999), Some(t(70_000))));
+        assert!(roots.iter().all(|&root| obs.span_name(root) == "order"));
+    }
+
+    #[test]
+    fn open_root_exports_with_null_end() {
+        let obs = Obs::enabled();
+        let tr = obs.track("shop");
+        let hung = obs.trace_root(tr, "order", "vm-hung", t(0));
+        obs.span(hung, tr, "bid", t(0), t(1));
+        let done = obs.trace_root(tr, "order", "vm-done", t(2));
+        obs.span_end(done, t(3));
+        let jsonl = obs.trace_jsonl();
+        let lines: Vec<&str> = jsonl.lines().collect();
+        // Completed traces first, then the open one with its spans.
+        assert_eq!(lines.len(), 3);
+        assert!(lines[0].contains("\"end_ms\":3000"), "{}", lines[0]);
+        assert!(
+            lines[1].starts_with("{\"type\":\"span\",\"id\":2,\"parent\":0,")
+                && lines[1].contains("\"start_ms\":0,\"end_ms\":null"),
+            "{}",
+            lines[1]
+        );
+        assert!(lines[2].contains("\"id\":3,\"parent\":2,"), "{}", lines[2]);
     }
 }

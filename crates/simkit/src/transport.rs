@@ -30,7 +30,7 @@ use std::fmt::{self, Write};
 use std::rc::Rc;
 
 use crate::engine::Engine;
-use crate::obs::{Counter, Obs, TrackId};
+use crate::obs::{Counter, Obs};
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 
@@ -217,23 +217,10 @@ struct TransportState {
     partitions: Vec<Override>,
     next_override: u64,
     counters: TransportCounters,
-    obs: Obs,
-    obs_track: TrackId,
     trace: Trace,
 }
 
 impl TransportState {
-    /// Mirror one send-time decision as a trace point event (no-op while
-    /// tracing is off).
-    fn obs_event(&self, now: SimTime, from: &str, to: &str, label: &str, outcome: &str) {
-        self.obs.event_with(
-            self.obs_track,
-            outcome,
-            now,
-            &[("from", from), ("to", to), ("label", label)],
-        );
-    }
-
     fn effective(&self, base: f64, overrides: &[Override], from: &str, to: &str) -> f64 {
         overrides
             .iter()
@@ -262,8 +249,6 @@ impl Transport {
                 partitions: Vec::new(),
                 next_override: 0,
                 counters: TransportCounters::default(),
-                obs: Obs::disabled(),
-                obs_track: TrackId::DEFAULT,
                 trace: Trace::default(),
             })),
         }
@@ -271,19 +256,16 @@ impl Transport {
 
     /// Attach an observability handle: the fabric's decision counters are
     /// registered as `transport.*` metrics (the registry adopts the very
-    /// handles `send` counts through), and — when tracing is enabled —
-    /// every send-time decision is also recorded as a point event on the
-    /// `transport` track.
+    /// handles `send` counts through). The per-message history stays in
+    /// [`Transport::trace_text`].
     pub fn set_obs(&self, obs: &Obs) {
-        let mut state = self.inner.borrow_mut();
+        let state = self.inner.borrow();
         obs.register_counter("transport.sent", &state.counters.sent);
         obs.register_counter("transport.delivered", &state.counters.delivered);
         obs.register_counter("transport.dropped", &state.counters.dropped);
         obs.register_counter("transport.duplicated", &state.counters.duplicated);
         obs.register_counter("transport.reordered", &state.counters.reordered);
         obs.register_counter("transport.partitioned", &state.counters.partitioned);
-        state.obs_track = obs.track("transport");
-        state.obs = obs.clone();
     }
 
     /// Replace the baseline link behaviour.
@@ -410,7 +392,6 @@ impl Transport {
                 state
                     .trace
                     .record(now, from, to, label, &[Outcome::Partitioned]);
-                state.obs_event(now, from, to, label, "partitioned");
                 return;
             }
             let (lo, hi) = state.tuning.delay;
@@ -419,7 +400,6 @@ impl Transport {
             if drop_p > 0.0 && state.rng.chance(drop_p) {
                 state.counters.dropped.inc();
                 state.trace.record(now, from, to, label, &[Outcome::Dropped]);
-                state.obs_event(now, from, to, label, "dropped");
                 return;
             }
             let dup_p = state.effective(state.tuning.dup_p, &state.duplication, from, to);
@@ -435,15 +415,12 @@ impl Transport {
                 delay += state.rng.uniform(hlo, hhi);
                 held = true;
             }
-            let (first, outcome) = if held {
-                (Outcome::Held(delay), "held")
-            } else {
-                (Outcome::Delivered(delay), "delivered")
-            };
-            state.obs_event(now, from, to, label, outcome);
-            if held {
+            let first = if held {
                 state.counters.reordered.inc();
-            }
+                Outcome::Held(delay)
+            } else {
+                Outcome::Delivered(delay)
+            };
             match dup_delay {
                 None => {
                     state.trace.record(now, from, to, label, &[first]);
@@ -452,7 +429,6 @@ impl Transport {
                 Some(d) => {
                     state.counters.duplicated.inc();
                     state.trace.record(now, from, to, label, &[first, Outcome::Dup(d)]);
-                    state.obs_event(now, from, to, label, "dup");
                     state.counters.delivered.add(2);
                 }
             }
@@ -630,10 +606,11 @@ mod tests {
             obs.counter_value("transport.delivered"),
             Some(stats.delivered)
         );
-        // Each decision also became a point event on the transport track.
-        let jsonl = obs.trace_jsonl();
-        assert!(jsonl.contains("\"name\":\"dropped\""));
-        assert!(jsonl.contains("\"track\":\"transport\""));
+        // Each decision is in the envelope trace, not in the span store.
+        let trace = t.trace_text();
+        assert!(trace.contains("shop->node0 m0: dropped"), "{trace}");
+        assert!(trace.contains("node1->shop m1: delivered +"), "{trace}");
+        assert_eq!(obs.trace_jsonl(), "");
     }
 
     #[test]

@@ -30,8 +30,14 @@ impl fmt::Display for XmlError {
 
 impl std::error::Error for XmlError {}
 
+/// Deepest element nesting [`parse`] accepts, with the root at level one.
+/// The parser recurses once per level and wire input reaches it, so the
+/// bound is fixed; every message and scenario format is a handful of
+/// levels deep.
+const MAX_DEPTH: usize = 128;
+
 /// Parse a document: optional `<?xml …?>` declaration, comments, exactly one
-/// root element.
+/// root element, nested at most 128 levels deep.
 pub fn parse(input: &str) -> Result<Element, XmlError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
@@ -39,7 +45,7 @@ pub fn parse(input: &str) -> Result<Element, XmlError> {
         pos: 0,
     };
     p.skip_prolog()?;
-    let root = p.element()?;
+    let root = p.element(1)?;
     p.skip_misc()?;
     if p.pos != p.bytes.len() {
         return Err(XmlError::new(p.pos, "trailing content after root element"));
@@ -124,10 +130,17 @@ impl<'a> Parser<'a> {
         Ok(self.input[start..self.pos].to_owned())
     }
 
-    fn element(&mut self) -> Result<Element, XmlError> {
+    /// Parse the element starting here, at nesting level `depth`.
+    fn element(&mut self, depth: usize) -> Result<Element, XmlError> {
         let open_at = self.pos;
         if self.peek() != Some(b'<') {
             return Err(XmlError::new(self.pos, "expected '<'"));
+        }
+        if depth > MAX_DEPTH {
+            return Err(XmlError::new(
+                open_at,
+                format!("elements nested deeper than {MAX_DEPTH} levels"),
+            ));
         }
         self.pos += 1;
         let name = self.name()?;
@@ -196,7 +209,7 @@ impl<'a> Parser<'a> {
                         continue;
                     }
                     flush_text(&mut element, &mut text_buf);
-                    let child = self.element()?;
+                    let child = self.element(depth + 1)?;
                     element.children.push(Node::Element(child));
                 }
                 Some(_) => {
@@ -408,5 +421,17 @@ mod tests {
         }
         let root = parse(&doc).unwrap();
         assert_eq!(root.name, "n0");
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_max_depth() {
+        let nested = |levels: usize| "<a>".repeat(levels) + &"</a>".repeat(levels);
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.at, 3 * MAX_DEPTH, "points at the first too-deep tag");
+        assert!(err.message.contains("nested deeper than 128"), "{err}");
+        // Far past the bound is refused the same way, without recursing
+        // past it.
+        assert_eq!(parse(&nested(100_000)).unwrap_err(), err);
     }
 }

@@ -7,7 +7,7 @@
 //! cargo run --example live_shop
 //! ```
 
-use vmplants::live::{LiveShop, ShopClient};
+use vmplants::live::{LiveClient, LiveShop};
 use vmplants::SiteConfig;
 use vmplants_dag::graph::invigo_workspace_dag;
 use vmplants_plant::{ProductionOrder, VmId};
@@ -20,7 +20,7 @@ fn main() {
     println!("VMShop live at tcp://{}", shop.addr());
 
     // "Bind": a client holding the endpoint.
-    let client = ShopClient::connect(shop.addr());
+    let client = LiveClient::connect(shop.addr());
 
     let order = ProductionOrder::new(
         VmSpec::mandrake(64),

@@ -1,6 +1,6 @@
 //! Integration tests of the live TCP service mode.
 
-use vmplants::live::{ClientError, LiveShop, ShopClient};
+use vmplants::live::{ClientError, LiveClient, LiveShop};
 use vmplants::SiteConfig;
 use vmplants_dag::graph::invigo_workspace_dag;
 use vmplants_plant::{ProductionOrder, VmId};
@@ -17,7 +17,7 @@ fn order(user: &str) -> ProductionOrder {
 #[test]
 fn full_lifecycle_over_tcp() {
     let shop = LiveShop::start(SiteConfig::default()).unwrap();
-    let client = ShopClient::connect(shop.addr());
+    let client = LiveClient::connect(shop.addr());
 
     let bid = client.estimate(order("alice")).unwrap();
     assert_eq!(bid, 0.0, "idle site bids zero committed memory");
@@ -49,7 +49,7 @@ fn multiple_clients_share_one_shop() {
     let handles: Vec<_> = (0..4)
         .map(|i| {
             std::thread::spawn(move || {
-                let client = ShopClient::connect(addr);
+                let client = LiveClient::connect(addr);
                 let ad = client.create(order(&format!("user{i}"))).unwrap();
                 ad.get_str("vmid").unwrap()
             })
@@ -88,7 +88,7 @@ fn create_failures_cross_the_wire_as_errors() {
         ..SiteConfig::default()
     };
     let shop = LiveShop::start(config).unwrap();
-    let client = ShopClient::connect(shop.addr());
+    let client = LiveClient::connect(shop.addr());
     match client.create(order("alice")) {
         Err(ClientError::Service { code, .. }) => assert_eq!(code, "no-golden"),
         other => panic!("expected no-golden, got {other:?}"),
@@ -101,7 +101,7 @@ fn deeply_nested_requirements_are_refused_and_the_shop_keeps_serving() {
     // ~10 KB of parens is far under the frame limit, so only the parser's
     // depth bound keeps it from overflowing the shop thread's stack.
     let shop = LiveShop::start(SiteConfig::default()).unwrap();
-    let client = ShopClient::connect(shop.addr());
+    let client = LiveClient::connect(shop.addr());
     let deep = format!("{}true{}", "(".repeat(5000), ")".repeat(5000));
     match client.create(order("alice").with_requirements(deep)) {
         Err(ClientError::Service { message, .. }) => {
@@ -115,9 +115,36 @@ fn deeply_nested_requirements_are_refused_and_the_shop_keeps_serving() {
 }
 
 #[test]
+fn deeply_nested_xml_frame_is_refused_and_the_shop_keeps_serving() {
+    use std::net::TcpStream;
+    use vmplants::live::{read_frame, write_frame};
+    use vmplants_shop::messages::Response;
+
+    // 10,000 levels is 70 KB, far under the frame limit, so only the XML
+    // parser's depth bound keeps it from overflowing the shop thread's
+    // stack.
+    let shop = LiveShop::start(SiteConfig::default()).unwrap();
+    let mut stream = TcpStream::connect(shop.addr()).unwrap();
+    let deep = "<a>".repeat(10_000) + &"</a>".repeat(10_000);
+    write_frame(&mut stream, &deep).unwrap();
+    let reply = read_frame(&mut stream).unwrap();
+    match Response::from_wire(&reply).unwrap() {
+        Response::Error { code, message } => {
+            assert_eq!(code, "bad-request");
+            assert!(message.contains("nested deeper"), "{message}");
+        }
+        other => panic!("expected error, got {other:?}"),
+    }
+    let client = LiveClient::connect(shop.addr());
+    let ad = client.create(order("alice")).unwrap();
+    assert_eq!(ad.get_str("state"), Some("running".into()));
+    shop.stop();
+}
+
+#[test]
 fn migrate_and_publish_over_tcp() {
     let shop = LiveShop::start(SiteConfig::default()).unwrap();
-    let client = ShopClient::connect(shop.addr());
+    let client = LiveClient::connect(shop.addr());
     let ad = client.create(order("alice")).unwrap();
     let id = VmId(ad.get_str("vmid").unwrap());
     let source = ad.get_str("plant").unwrap();
