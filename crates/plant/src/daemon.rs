@@ -10,7 +10,7 @@ use vmplants_cluster::nfs::NfsServer;
 use vmplants_simkit::obs::{Counter, Obs, TrackId};
 use vmplants_simkit::{Engine, SimDuration, SimRng, SimTime};
 use vmplants_virt::hypervisor::CloneStats;
-use vmplants_virt::{Hypervisor, TimingModel, UmlLike, VmmType, VmwareLike};
+use vmplants_virt::{Hypervisor, TimingModel, UmlLike, VmState, VmmType, VmwareLike};
 use vmplants_vnet::{HostOnlyPool, VnetBridge};
 use vmplants_warehouse::Warehouse;
 
@@ -276,14 +276,11 @@ impl Plant {
             let mut evicted = 0usize;
             for id in &ids {
                 if let Some(record) = state.info.remove(id) {
-                    if let Some(lease) = record.lease {
+                    if let Some(lease) = &record.lease {
                         if state.pool.detach(lease.network) == Ok(true) {
                             let _ = state.bridge.disconnect(lease.network);
                         }
-                        let domain = record
-                            .classad
-                            .get_str("client_domain")
-                            .unwrap_or_default();
+                        let domain = record.get_str("client_domain").unwrap_or_default();
                         let _ = state.domains.release(&domain, &lease.ip);
                     }
                     // The wiped clone tree releases its golden reference.
@@ -361,7 +358,7 @@ impl Plant {
     }
 
     /// **Query**: the authoritative classad of an active VM, with dynamic
-    /// attributes refreshed.
+    /// attributes refreshed: the monitor samples the host now.
     pub fn query(&self, engine: &Engine, id: &VmId) -> Result<ClassAd, PlantError> {
         let mut state = self.inner.borrow_mut();
         if !state.alive {
@@ -371,8 +368,7 @@ impl Plant {
         state.info.refresh_dynamic(engine.now(), &host);
         state
             .info
-            .get(id)
-            .map(|r| r.classad.clone())
+            .classad(id)
             .ok_or_else(|| PlantError::UnknownVm(id.clone()))
     }
 
@@ -404,26 +400,32 @@ impl Plant {
         self.inner.borrow_mut().dedup.set_capacity(capacity);
     }
 
-    /// **Collect** (destroy): tear the VM down and return its final
-    /// classad.
+    /// **Collect** (destroy): tear a running VM down and return its final
+    /// classad. A VM still in production (or publishing, or migrating)
+    /// is refused with [`PlantError::InvalidOrder`]; collect it once it
+    /// runs.
     pub fn collect(&self, engine: &mut Engine, id: &VmId, done: DoneAd) {
         let id = id.clone();
-        {
+        let refusal = {
             let state = self.inner.borrow();
             if !state.alive {
-                engine.schedule(SimDuration::ZERO, move |engine| {
-                    done(engine, Err(PlantError::PlantDown))
-                });
-                return;
+                Some(PlantError::PlantDown)
+            } else {
+                match state.info.get(&id) {
+                    None => Some(PlantError::UnknownVm(id.clone())),
+                    Some(r) if r.state != VmState::Running => Some(PlantError::InvalidOrder(
+                        format!("cannot collect a VM in state '{}'", r.state),
+                    )),
+                    Some(_) => None,
+                }
             }
-            if state.info.get(&id).is_none() {
-                engine.schedule(SimDuration::ZERO, move |engine| {
-                    done(engine, Err(PlantError::UnknownVm(id)))
-                });
-                return;
+        };
+        match refusal {
+            Some(err) => {
+                engine.schedule(SimDuration::ZERO, move |engine| done(engine, Err(err)));
             }
+            None => production::collect_vm(self.clone(), engine, id, done),
         }
-        production::collect_vm(self.clone(), engine, id, done);
     }
 
     /// Host-only networks currently assigned to client domains.
@@ -463,8 +465,9 @@ impl Plant {
         production::prewarm_spares(self.clone(), engine, spec, dag, count, done);
     }
 
-    /// Start the VM monitor: refresh dynamic classad attributes every
-    /// `interval` until `horizon` (bounded so simulations terminate).
+    /// Start the VM monitor: sample the host for the dynamic classad
+    /// attributes every `interval` until `horizon` (bounded so
+    /// simulations terminate).
     pub fn start_monitor(&self, engine: &mut Engine, interval: SimDuration, horizon: SimTime) {
         let plant = self.clone();
         engine.schedule(interval, move |engine| {

@@ -53,7 +53,7 @@ pub fn migrate(
             Some(r) => (
                 r.spec.clone(),
                 r.state.clone(),
-                r.classad.get_str("client_domain").unwrap_or_default(),
+                r.get_str("client_domain").unwrap_or_default(),
             ),
             None => {
                 drop(state);
@@ -202,7 +202,7 @@ fn finish_migration(
     // resources.
     let taken = {
         let mut sstate = source.inner.borrow_mut();
-        let record = sstate.info.remove(&id);
+        let record = sstate.info.hand_over(&id);
         if let Some(record) = &record {
             sstate.host.unregister_vm(spec.memory_mb);
             sstate
@@ -260,14 +260,10 @@ fn finish_migration(
         );
         record.clone_dir = clone_dir;
         record.lease = Some(lease.clone());
-        record
-            .classad
-            .set_value("plant", tstate.config.name.clone());
-        record.classad.set_value("host", tstate.host.name());
-        record.classad.set_value("network", lease.network.to_string());
-        record
-            .classad
-            .set_value("migrated_from", source.name());
+        record.set_value("plant", tstate.config.name.clone());
+        record.set_value("host", tstate.host.name());
+        record.set_value("network", lease.network.to_string());
+        record.set_value("migrated_from", source.name());
         let pressure = tstate.host.pressure_factor();
         let mut rng = tstate.rng.borrow_mut();
         let resume = tstate
@@ -290,9 +286,9 @@ fn finish_migration(
                 Err(PlantError::PlantDown)
             } else {
                 record.transition(VmState::Running);
-                let ad = record.classad.clone();
+                let id = record.id.clone();
                 tstate.info.insert(record);
-                Ok(ad)
+                Ok(tstate.info.classad(&id).expect("record just inserted"))
             }
         };
         done(engine, result);

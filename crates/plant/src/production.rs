@@ -217,18 +217,16 @@ pub(crate) fn start_creation(
         classad.set_value("ip_address", lease.ip.clone());
         classad.set_value("mac_address", lease.mac.clone());
         classad.set_value("state", "cloning");
-        state.info.insert(VmRecord {
-            id: vmid.clone(),
-            spec: order.spec.clone(),
-            state: VmState::Cloning,
+        state.info.insert(VmRecord::new(
+            vmid.clone(),
+            order.spec.clone(),
             classad,
-            clone_dir: clone_dir.clone(),
-            lease: Some(lease.clone()),
-            golden: golden_id,
-            performed: inherited_log,
-            created_at: engine.now(),
-            running_at: None,
-        });
+            clone_dir.clone(),
+            Some(lease.clone()),
+            golden_id,
+            inherited_log,
+            engine.now(),
+        ));
 
         // Residual schedule as owned actions.
         let schedule: Vec<Action> = residual
@@ -534,9 +532,7 @@ fn on_cloned(engine: &mut Engine, job: &JobRef, stats: CloneStats) {
         if let Some(record) = state.info.get_mut(&j.vmid) {
             record.transition(activate_state);
             record.transition(VmState::Configuring);
-            record
-                .classad
-                .set_value("clone_s", stats.total.as_secs_f64());
+            record.set_value("clone_s", stats.total.as_secs_f64());
         }
         let pressure = state.host.pressure_factor();
         let guest_ready = {
@@ -637,14 +633,11 @@ fn execute_host_action(engine: &mut Engine, job: &JobRef, action: Action, is_rec
             let lease = j.lease.clone();
             if let Some(record) = state.info.get_mut(&j.vmid) {
                 if action.command == "configure-mac-ip" {
-                    record.classad.set_value("ip_address", lease.ip.clone());
-                    record.classad.set_value("mac_address", lease.mac.clone());
+                    record.set_value("ip_address", lease.ip.clone());
+                    record.set_value("mac_address", lease.mac.clone());
                 } else {
                     for output in &action.outputs {
-                        record.classad.set_value(
-                            output.clone(),
-                            format!("{}-{}", action.command, output),
-                        );
+                        record.set_value(output.clone(), format!("{}-{}", action.command, output));
                     }
                 }
                 if !is_recovery {
@@ -698,7 +691,7 @@ fn execute_guest_action(engine: &mut Engine, job: &JobRef, action: Action, is_re
                         let mut state = plant.inner.borrow_mut();
                         if let Some(record) = state.info.get_mut(&j.vmid) {
                             for (name, value) in stats.outputs {
-                                record.classad.set_value(name, value);
+                                record.set_value(name, value);
                             }
                             if !is_recovery {
                                 record.performed.push(action.clone());
@@ -784,16 +777,13 @@ fn on_action_failure(
                 let plant = j.plant.clone();
                 let mut state = plant.inner.borrow_mut();
                 if let Some(record) = state.info.get_mut(&j.vmid) {
-                    let prior = record
-                        .classad
-                        .get_str("ignored_failures")
-                        .unwrap_or_default();
+                    let prior = record.get_str("ignored_failures").unwrap_or_default();
                     let entry = if prior.is_empty() {
                         action.id.clone()
                     } else {
                         format!("{prior},{}", action.id)
                     };
-                    record.classad.set_value("ignored_failures", entry);
+                    record.set_value("ignored_failures", entry);
                 }
             }
             advance_after_success(engine, job, false)
@@ -817,15 +807,13 @@ fn finish_creation(engine: &mut Engine, job: &JobRef) {
         // The record can vanish mid-creation only through a crash path
         // that raced past the epoch guard or an external collect; report
         // the VM lost rather than panicking.
-        let result = match state.info.get_mut(&j.vmid) {
+        let result = match state.info.start_running(&j.vmid, now) {
             Some(record) => {
-                record.transition(VmState::Running);
-                record.running_at = Some(now);
                 let total = now.since(j.created_at);
                 let config = now.since(j.config_started);
-                record.classad.set_value("config_s", config.as_secs_f64());
-                record.classad.set_value("create_s", total.as_secs_f64());
-                Ok(record.classad.clone())
+                record.set_value("config_s", config.as_secs_f64());
+                record.set_value("create_s", total.as_secs_f64());
+                Ok(state.info.classad(&j.vmid).expect("record just updated"))
             }
             None => Err(PlantError::UnknownVm(j.vmid.clone())),
         };
@@ -931,20 +919,19 @@ fn release_lease_and_record(plant: &Plant, domain: &str, lease: &NetworkLease, v
 /// Entry point called by [`Plant::collect`].
 pub(crate) fn collect_vm(plant: Plant, engine: &mut Engine, id: VmId, done: DoneAd) {
     let found = {
-        let state = plant.inner.borrow();
-        state.info.get(&id).map(|record| {
-            (
+        let mut state = plant.inner.borrow_mut();
+        let classad = state.info.classad(&id);
+        classad.and_then(|classad| {
+            let record = state.info.get(&id)?;
+            Some((
                 Rc::clone(&state.hypervisors[&record.spec.vmm]),
                 state.host.clone(),
                 record.spec.clone(),
                 record.clone_dir.clone(),
                 record.lease.clone(),
-                record
-                    .classad
-                    .get_str("client_domain")
-                    .unwrap_or_default(),
-                record.classad.clone(),
-            )
+                record.get_str("client_domain").unwrap_or_default(),
+                classad,
+            ))
         })
     };
     // The record can vanish between the caller's check and this call
@@ -963,8 +950,10 @@ pub(crate) fn collect_vm(plant: Plant, engine: &mut Engine, id: VmId, done: Done
             {
                 let mut state = plant2.inner.borrow_mut();
                 if state.epoch == epoch {
-                    if let Some(record) = state.info.get_mut(&id) {
-                        record.transition(VmState::Collected);
+                    // The record is dropped below, so its classad is not
+                    // rewritten to `collected`; only the step is checked.
+                    if let Some(record) = state.info.get(&id) {
+                        record.check_transition(&VmState::Collected);
                     }
                     if let Some(lease) = &lease {
                         if state.pool.detach(lease.network) == Ok(true) {

@@ -137,7 +137,7 @@ impl Plant {
                         if let Some(record) = state.info.get_mut(&id) {
                             record.transition(VmState::Running);
                             if let Ok(gid) = &result {
-                                record.classad.set_value("published_as", gid.0.clone());
+                                record.set_value("published_as", gid.0.clone());
                             }
                         }
                     }

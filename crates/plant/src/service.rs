@@ -122,6 +122,18 @@ impl DedupCache {
     fn forget(&mut self, key: &str) {
         self.entries.remove(key);
     }
+
+    /// Drop a `Pending` entry this incarnation began, caching no answer:
+    /// the next request under `key` executes again.
+    fn abandon(&mut self, key: &str, epoch: u64) {
+        let pending = self
+            .entries
+            .get(key)
+            .is_some_and(|e| e.epoch == epoch && matches!(e.slot, Slot::Pending));
+        if pending {
+            self.entries.remove(key);
+        }
+    }
 }
 
 impl Default for DedupCache {
@@ -140,11 +152,10 @@ impl Plant {
     /// cache — go through `reply`; requests this incarnation is already
     /// executing are dropped silently.
     pub fn serve(&self, engine: &mut Engine, env: Envelope, reply: ReplyFn) {
-        let request = match &env.body {
-            Payload::Request(r) => (**r).clone(),
-            // A response envelope addressed to a plant is a protocol
-            // violation; drop it.
-            Payload::Response(_) => return,
+        // A response envelope addressed to a plant is a protocol
+        // violation; drop it.
+        let Payload::Request(request) = &env.body else {
+            return;
         };
 
         // Crash-consistent refusal: a dead plant answers nothing from
@@ -189,17 +200,18 @@ impl Plant {
             }
         }
 
-        match request {
+        // Only a request that executes is copied out of its envelope.
+        match (**request).clone() {
             Request::Create(order) => {
                 // VM-level idempotency backstop: if the VM this order
                 // names is already running (a previous transmission's
                 // effect whose cache entry was evicted), replay its
                 // classad instead of re-entering production.
                 if let Some(id) = &order.vm_id {
-                    let state = self.inner.borrow();
+                    let mut state = self.inner.borrow_mut();
                     if let Some(record) = state.info.get(id) {
                         if record.state == VmState::Running {
-                            let ad = record.classad.clone();
+                            let ad = state.info.classad(id).expect("record found above");
                             drop(state);
                             let renv = self.response_to(&env, Response::Ad(ad));
                             engine.schedule(SimDuration::ZERO, move |engine| reply(engine, renv));
@@ -230,12 +242,23 @@ impl Plant {
                 self.collect(
                     engine,
                     &id,
-                    Box::new(move |engine, result| {
-                        let response = match result {
-                            Ok(ad) => Response::Ad(ad),
-                            Err(e) => Response::plant_error(&e),
-                        };
-                        plant.finish(engine, &env, epoch, response, reply);
+                    Box::new(move |engine, result| match result {
+                        // A VM still in production is refused, not
+                        // destroyed. The refusal stays out of the cache:
+                        // the shop's later destroy of the same VM reuses
+                        // this key and must run.
+                        Err(e @ PlantError::InvalidOrder(_)) => {
+                            plant.inner.borrow_mut().dedup.abandon(&env.key, epoch);
+                            let renv = plant.response_to(&env, Response::plant_error(&e));
+                            reply(engine, renv);
+                        }
+                        result => {
+                            let response = match result {
+                                Ok(ad) => Response::Ad(ad),
+                                Err(e) => Response::plant_error(&e),
+                            };
+                            plant.finish(engine, &env, epoch, response, reply);
+                        }
                     }),
                 );
             }
@@ -429,6 +452,48 @@ mod tests {
             Payload::Response(Response::Ad(_)) => {}
             other => panic!("expected replayed classad, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn refused_destroy_is_not_cached_for_the_later_destroy() {
+        let (mut engine, plant) = plant();
+        let (seen, reply) = collector();
+        let create = Envelope::request("shop", 0, 0, "create:vm-1", Request::Create(order("vm-1")));
+        plant.serve(&mut engine, create, Rc::clone(&reply));
+        engine.run_until(vmplants_simkit::SimTime::from_secs(2));
+        let destroy = Envelope::request(
+            "shop",
+            0,
+            1,
+            "destroy:vm-1",
+            Request::Destroy(VmId("vm-1".into())),
+        );
+        // Still cloning: refused, and nothing is torn down.
+        plant.serve(&mut engine, destroy.clone(), Rc::clone(&reply));
+        engine.run();
+        let cached = plant.inner.borrow().dedup.entries.contains_key("destroy:vm-1");
+        assert!(!cached, "the refusal must not be cached");
+        // The same key once the VM runs executes instead of replaying
+        // the refusal.
+        plant.serve(&mut engine, destroy, Rc::clone(&reply));
+        engine.run();
+        let seen = seen.borrow();
+        let bodies: Vec<&Payload> = seen.iter().map(|e| &e.body).collect();
+        match bodies.as_slice() {
+            [Payload::Response(Response::Error { code, message }), Payload::Response(Response::Ad(running)), Payload::Response(Response::Ad(collected))] =>
+            {
+                assert_eq!(*code, ErrorCode::InvalidOrder);
+                assert!(
+                    message.contains("cannot collect a VM in state 'cloning'"),
+                    "{message}"
+                );
+                assert_eq!(running.get_str("state"), Some("running".into()));
+                assert_eq!(collected.get_str("state"), Some("collected".into()));
+            }
+            other => panic!("unexpected replies: {other:?}"),
+        }
+        assert_eq!(plant.vm_count(), 0);
+        assert_eq!(plant.networks_in_use(), 0);
     }
 
     #[test]

@@ -136,6 +136,47 @@ fn collect_releases_all_resources() {
 }
 
 #[test]
+fn collect_refuses_a_vm_still_in_production() {
+    let mut s = site();
+    let created = Rc::new(RefCell::new(None));
+    let created2 = Rc::clone(&created);
+    s.plant.create(
+        &mut s.engine,
+        order(64),
+        Box::new(move |_, res| *created2.borrow_mut() = Some(res)),
+    );
+    s.engine.run_until(vmplants_simkit::SimTime::from_secs(2));
+    let id = s
+        .plant
+        .list_vms()
+        .unwrap()
+        .pop()
+        .expect("record inserted on accept");
+    let refused = Rc::new(RefCell::new(None));
+    let refused2 = Rc::clone(&refused);
+    s.plant.collect(
+        &mut s.engine,
+        &id,
+        Box::new(move |_, res| *refused2.borrow_mut() = Some(res)),
+    );
+    s.engine.run();
+    match refused.borrow_mut().take() {
+        Some(Err(PlantError::InvalidOrder(m))) => {
+            assert_eq!(m, "cannot collect a VM in state 'cloning'")
+        }
+        other => panic!("expected a refusal, got {other:?}"),
+    }
+    // The production line kept its clone tree and memory and finished.
+    let ad = created.borrow_mut().take().unwrap().unwrap();
+    assert_eq!(ad.get_str("state"), Some("running".into()));
+    let final_ad = run_collect(&mut s, &id).unwrap();
+    assert_eq!(final_ad.get_str("state"), Some("collected".into()));
+    assert_eq!(s.plant.vm_count(), 0);
+    assert_eq!(s.plant.host().vm_count(), 0);
+    assert_eq!(s.domains.allocated_count("ufl.edu"), 0);
+}
+
+#[test]
 fn query_refreshes_dynamic_attributes() {
     let mut s = site();
     let ad = run_create(&mut s, order(64)).unwrap();

@@ -429,6 +429,44 @@ fn destroy_through_the_shop() {
 }
 
 #[test]
+fn destroy_of_a_vm_in_production_is_refused_then_succeeds() {
+    let mut s = site_with(2, CostModel::FreeMemoryPrototype);
+    let created = Rc::new(RefCell::new(None));
+    let created2 = Rc::clone(&created);
+    s.shop.create(
+        &mut s.engine,
+        order(64),
+        Box::new(move |_, res| *created2.borrow_mut() = Some(res)),
+    );
+    s.engine.run_until(vmplants_simkit::SimTime::from_secs(5));
+    let id = s
+        .plants
+        .iter()
+        .find_map(|p| p.list_vms().unwrap().pop())
+        .expect("a VM in production");
+    let refused = Rc::new(RefCell::new(None));
+    let refused2 = Rc::clone(&refused);
+    s.shop.destroy(
+        &mut s.engine,
+        &id,
+        Box::new(move |_, res| *refused2.borrow_mut() = Some(res)),
+    );
+    s.engine.run();
+    match refused.borrow_mut().take() {
+        Some(Err(ShopError::Plant(vmplants_plant::PlantError::InvalidOrder(m)))) => {
+            assert!(m.contains("cannot collect a VM in state 'cloning'"), "{m}")
+        }
+        other => panic!("expected a refusal, got {other:?}"),
+    }
+    let ad = created.borrow_mut().take().unwrap().unwrap();
+    assert_eq!(ad.get_str("vmid"), Some(id.0.clone()));
+    // The later destroy reuses the shop's `destroy:{id}` key and runs.
+    let final_ad = run_destroy(&mut s, &id).unwrap();
+    assert_eq!(final_ad.get_str("state"), Some("collected".into()));
+    assert_eq!(total_vms(&s), 0);
+}
+
+#[test]
 fn brokered_plants_participate_in_bidding() {
     let mut s = site_with(1, CostModel::FreeMemoryPrototype);
     // A second plant reachable only through a broker.
