@@ -206,19 +206,20 @@ impl NfsServer {
     pub fn fetch<F>(
         &self,
         engine: &mut Engine,
-        src: &str,
+        src: impl Into<String>,
         dst_store: &FileStore,
-        dst: &str,
+        dst: impl Into<String>,
         done: F,
     ) where
         F: FnOnce(&mut Engine, TransferResult) + 'static,
     {
+        let src = src.into();
         if !self.is_online() {
             let err = StoreError::Unavailable(format!("nfs server {} offline", self.name()));
             engine.schedule(SimDuration::ZERO, move |engine| done(engine, Err(err)));
             return;
         }
-        let (bytes, kind) = match (self.store.resolved_size(src), self.store.resolved_kind(src)) {
+        let (bytes, kind) = match (self.store.resolved_size(&src), self.store.resolved_kind(&src)) {
             (Ok(b), Ok(k)) => (b, k),
             (Err(e), _) | (_, Err(e)) => {
                 engine.schedule(SimDuration::ZERO, move |engine| done(engine, Err(e)));
@@ -226,7 +227,7 @@ impl NfsServer {
             }
         };
         let dst_store = dst_store.clone();
-        let dst = dst.to_owned();
+        let dst = dst.into();
         let overhead = self.per_file_overhead;
         // Wrap the completion with the observability bookkeeping: count
         // bytes/failures and record the fetch's [start, end] window as a
@@ -242,21 +243,20 @@ impl NfsServer {
             )
         };
         let started = engine.now();
-        let src_name = src.to_owned();
         let done = move |engine: &mut Engine, result: TransferResult| {
             match &result {
                 Ok(bytes) => {
                     fetched_bytes.add(*bytes);
                     let span =
                         obs.span(SpanId::NONE, obs_track, "nfs_fetch", started, engine.now());
-                    obs.span_attr(span, "file", &src_name);
+                    obs.span_attr(span, "file", &src);
                     obs.span_attr(span, "bytes", bytes);
                 }
                 Err(e) => {
                     failed_fetches.inc();
                     let span =
                         obs.span(SpanId::NONE, obs_track, "nfs_fetch", started, engine.now());
-                    obs.span_attr(span, "file", &src_name);
+                    obs.span_attr(span, "file", &src);
                     obs.span_attr(span, "error", e);
                 }
             }
@@ -299,7 +299,7 @@ impl NfsServer {
                     return;
                 }
                 if let Some(done) = done.borrow_mut().take() {
-                    let result = dst_store.put(&dst, bytes, kind).map(|()| bytes);
+                    let result = dst_store.put(dst, bytes, kind).map(|()| bytes);
                     done(engine, result);
                 }
             });
@@ -321,34 +321,29 @@ impl NfsServer {
     ) where
         F: FnOnce(&mut Engine, TransferResult) + 'static,
     {
-        self.fetch_all_from(engine, pairs, dst_store, 0, 0, done);
+        self.fetch_all_from(engine, pairs.into_iter(), dst_store.clone(), 0, done);
     }
 
+    /// Fetch the remaining `pairs`, each moved into its transfer, then
+    /// report `moved` plus their bytes.
     fn fetch_all_from<F>(
         &self,
         engine: &mut Engine,
-        pairs: Vec<(String, String)>,
-        dst_store: &FileStore,
-        idx: usize,
+        mut pairs: std::vec::IntoIter<(String, String)>,
+        dst_store: FileStore,
         moved: u64,
         done: F,
     ) where
         F: FnOnce(&mut Engine, TransferResult) + 'static,
     {
-        if idx >= pairs.len() {
+        let Some((src, dst)) = pairs.next() else {
             engine.schedule(SimDuration::ZERO, move |engine| done(engine, Ok(moved)));
             return;
-        }
-        let (src, dst) = pairs[idx].clone();
+        };
         let this = self.clone();
-        let dst_store = dst_store.clone();
-        self.fetch(engine, &src, &dst_store.clone(), &dst, move |engine, res| {
-            match res {
-                Ok(bytes) => {
-                    this.fetch_all_from(engine, pairs, &dst_store, idx + 1, moved + bytes, done)
-                }
-                Err(e) => done(engine, Err(e)),
-            }
+        self.fetch(engine, src, &dst_store.clone(), dst, move |engine, res| match res {
+            Ok(bytes) => this.fetch_all_from(engine, pairs, dst_store, moved + bytes, done),
+            Err(e) => done(engine, Err(e)),
         });
     }
 
@@ -469,7 +464,7 @@ mod tests {
         let times: Rc<RefCell<Vec<f64>>> = Rc::new(RefCell::new(Vec::new()));
         for src in ["/f1", "/f2"] {
             let t = Rc::clone(&times);
-            nfs.fetch(&mut engine, src, &local, &format!("/l{src}"), move |e, res| {
+            nfs.fetch(&mut engine, src, &local, format!("/l{src}"), move |e, res| {
                 res.unwrap();
                 t.borrow_mut().push(e.now().as_secs_f64());
             });

@@ -10,7 +10,7 @@ use vmplants_cluster::nfs::NfsServer;
 use vmplants_simkit::obs::{Counter, Obs, TrackId};
 use vmplants_simkit::{Engine, SimDuration, SimRng, SimTime};
 use vmplants_virt::hypervisor::CloneStats;
-use vmplants_virt::{Hypervisor, TimingModel, UmlLike, VmState, VmmType, VmwareLike};
+use vmplants_virt::{Hypervisor, TimingModel, UmlLike, VmmType, VmwareLike};
 use vmplants_vnet::{HostOnlyPool, VnetBridge};
 use vmplants_warehouse::Warehouse;
 
@@ -401,9 +401,9 @@ impl Plant {
     }
 
     /// **Collect** (destroy): tear a running VM down and return its final
-    /// classad. A VM still in production (or publishing, or migrating)
-    /// is refused with [`PlantError::InvalidOrder`]; collect it once it
-    /// runs.
+    /// classad. A VM still in production (or publishing, or migrating, or
+    /// already being collected) is refused with
+    /// [`PlantError::InvalidOrder`]; collect it once it runs.
     pub fn collect(&self, engine: &mut Engine, id: &VmId, done: DoneAd) {
         let id = id.clone();
         let refusal = {
@@ -413,10 +413,7 @@ impl Plant {
             } else {
                 match state.info.get(&id) {
                     None => Some(PlantError::UnknownVm(id.clone())),
-                    Some(r) if r.state != VmState::Running => Some(PlantError::InvalidOrder(
-                        format!("cannot collect a VM in state '{}'", r.state),
-                    )),
-                    Some(_) => None,
+                    Some(r) => r.refusal("collect"),
                 }
             }
         };

@@ -919,20 +919,26 @@ fn release_lease_and_record(plant: &Plant, domain: &str, lease: &NetworkLease, v
 /// Entry point called by [`Plant::collect`].
 pub(crate) fn collect_vm(plant: Plant, engine: &mut Engine, id: VmId, done: DoneAd) {
     let found = {
-        let mut state = plant.inner.borrow_mut();
+        let mut guard = plant.inner.borrow_mut();
+        let state = &mut *guard;
         let classad = state.info.classad(&id);
-        classad.and_then(|classad| {
-            let record = state.info.get(&id)?;
-            Some((
-                Rc::clone(&state.hypervisors[&record.spec.vmm]),
-                state.host.clone(),
-                record.spec.clone(),
-                record.clone_dir.clone(),
-                record.lease.clone(),
-                record.get_str("client_domain").unwrap_or_default(),
-                classad,
-            ))
-        })
+        match (classad, state.info.get_mut(&id)) {
+            (Some(classad), Some(record)) => {
+                // Until the record is dropped below, the VM takes no
+                // further publish, migrate or collect.
+                record.begin_collect();
+                Some((
+                    Rc::clone(&state.hypervisors[&record.spec.vmm]),
+                    state.host.clone(),
+                    record.spec.clone(),
+                    record.clone_dir.clone(),
+                    record.lease.clone(),
+                    record.get_str("client_domain").unwrap_or_default(),
+                    classad,
+                ))
+            }
+            _ => None,
+        }
     };
     // The record can vanish between the caller's check and this call
     // when a crash drains the information system.

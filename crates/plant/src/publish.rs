@@ -65,19 +65,13 @@ impl Plant {
                 );
             }
             let host = state.host.clone();
-            let (spec, vm_state) = match state.info.get(&id) {
-                Some(r) => (r.spec.clone(), r.state.clone()),
+            let spec = match state.info.get(&id) {
+                Some(r) => match r.refusal("publish") {
+                    Some(err) => return fail(engine, done, err),
+                    None => r.spec.clone(),
+                },
                 None => return fail(engine, done, PlantError::UnknownVm(id)),
             };
-            if vm_state != VmState::Running {
-                return fail(
-                    engine,
-                    done,
-                    PlantError::InvalidOrder(format!(
-                        "cannot publish a VM in state '{vm_state}'"
-                    )),
-                );
-            }
             state
                 .info
                 .get_mut(&id)

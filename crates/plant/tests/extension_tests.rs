@@ -189,6 +189,89 @@ fn publish_rejects_duplicates_and_bad_states() {
     ));
 }
 
+/// While a collect's destroy is in flight the VM's record stays
+/// `Running`. A publish, a migrate or a second collect issued in that
+/// window is refused, the first collect completes, and the host's books
+/// still match the VMs it holds.
+#[test]
+fn a_vm_being_collected_takes_no_publish_migrate_or_collect() {
+    let mut s = site(2);
+    create_on(&mut s, 0, order(64, "arijit"));
+    let doomed = create_on(&mut s, 0, order(32, "arijit"));
+    let id = VmId(doomed.get_str("vmid").unwrap());
+    let collected = Rc::new(RefCell::new(None));
+    let refusals: Rc<RefCell<Vec<PlantError>>> = Rc::default();
+    let collected2 = Rc::clone(&collected);
+    s.plants[0].collect(
+        &mut s.engine,
+        &id,
+        Box::new(move |_, res| *collected2.borrow_mut() = Some(res)),
+    );
+    // The same instant: the backend's destroy has not run yet.
+    let refused = Rc::clone(&refusals);
+    s.plants[0].publish_vm(
+        &mut s.engine,
+        &id,
+        "mid-destroy",
+        "mid-destroy",
+        Box::new(move |_, res| refused.borrow_mut().push(res.unwrap_err())),
+    );
+    let refused = Rc::clone(&refusals);
+    let (source, target) = (s.plants[0].clone(), s.plants[1].clone());
+    migrate(
+        &mut s.engine,
+        &source,
+        &target,
+        &id,
+        None,
+        Box::new(move |_, res| refused.borrow_mut().push(res.unwrap_err())),
+    );
+    let refused = Rc::clone(&refusals);
+    s.plants[0].collect(
+        &mut s.engine,
+        &id,
+        Box::new(move |_, res| refused.borrow_mut().push(res.unwrap_err())),
+    );
+    s.engine.run();
+
+    let final_ad = collected.borrow_mut().take().unwrap().unwrap();
+    assert_eq!(final_ad.get_str("state"), Some("collected".into()));
+    let messages: Vec<String> = refusals
+        .borrow()
+        .iter()
+        .map(|e| match e {
+            PlantError::InvalidOrder(m) => m.clone(),
+            other => panic!("expected a refusal, got {other:?}"),
+        })
+        .collect();
+    assert_eq!(
+        messages,
+        [
+            "cannot publish a VM that is being collected",
+            "cannot migrate a VM that is being collected",
+            "cannot collect a VM that is being collected",
+        ]
+    );
+    assert!(s.warehouse.borrow().get(&GoldenId("mid-destroy".into())).is_none());
+    assert_eq!(s.plants[1].vm_count(), 0);
+    // The host's committed memory is the sum over the VMs it still holds.
+    for plant in &s.plants {
+        let host = plant.host();
+        let live: u64 = plant
+            .list_vms()
+            .unwrap()
+            .iter()
+            .map(|id| {
+                let mem = plant.query(&s.engine, id).unwrap().get_int("memory_mb").unwrap();
+                mem as u64 + host.spec().per_vm_overhead_mb
+            })
+            .sum();
+        assert_eq!(host.committed_mb(), live, "{}", plant.name());
+        assert_eq!(host.vm_count(), plant.vm_count(), "{}", plant.name());
+    }
+    assert_eq!(s.plants[0].vm_count(), 1);
+}
+
 // -------------------------------------------------------------- migration
 
 fn run_migrate(s: &mut Site, from: usize, to: usize, id: &VmId) -> Result<ClassAd, PlantError> {

@@ -4,7 +4,7 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
-use vmplants_classad::{parse_classad, AdTable, ClassAd};
+use vmplants_classad::{AdTable, ClassAd};
 use vmplants_cluster::files::StoreError;
 use vmplants_plant::{
     Envelope, Payload, Plant, PlantError, ProductionOrder, ReplyFn, Request, Response, VmId,
@@ -520,6 +520,12 @@ impl VmShop {
         self.inner.borrow().journal.len()
     }
 
+    /// Number of classads the order journal holds: one per VM it
+    /// published that the shop has not since destroyed.
+    pub fn journal_ads(&self) -> usize {
+        self.inner.borrow().journal.live_ads().count()
+    }
+
     /// The shop process dies. Every volatile structure is lost — soft
     /// cache, pending plant calls (their timers are cancelled), order
     /// bookkeeping, client waiters — while the write-ahead journal
@@ -556,7 +562,7 @@ impl VmShop {
     /// Panics when the shop is still alive — recovery without a crash
     /// would silently fork the incarnation bookkeeping.
     pub fn recover(&self, engine: &mut Engine) -> RecoveryStats {
-        let (epoch, span, unsettled, settled) = {
+        let (epoch, span, unsettled) = {
             let mut state = self.inner.borrow_mut();
             assert!(!state.alive, "recover() without a preceding crash()");
             state.alive = true;
@@ -566,33 +572,26 @@ impl VmShop {
                 .obs
                 .span_start(SpanId::NONE, state.obs_track, "recovery", engine.now());
             state.obs.span_attr(span, "incarnation", state.epoch);
-            (
-                state.epoch,
-                span,
-                state.journal.unsettled(),
-                state.journal.settled(),
-            )
+            (state.epoch, span, state.journal.unsettled())
+        };
+        // Settled orders: restore the classads of VMs published and not
+        // since destroyed into the soft cache so queries stay fast and
+        // gc_orphans keeps recognizing the VMs (plants remain the source
+        // of truth; stale entries are invalidated on the first miss).
+        let settled = {
+            let now = engine.now();
+            let mut state = self.inner.borrow_mut();
+            let ShopState { journal, cache, .. } = &mut *state;
+            for (vm_id, plant, ad) in journal.live_ads() {
+                cache.put(vm_id.clone(), ad.clone(), plant.to_owned(), now);
+            }
+            journal.settled_count()
         };
         let mut stats = RecoveryStats {
             incarnation: epoch,
-            settled: settled.len(),
+            settled,
             ..RecoveryStats::default()
         };
-        // Settled orders: restore published classads into the soft
-        // cache so queries stay fast and gc_orphans keeps recognizing
-        // the VMs (plants remain the source of truth; stale entries are
-        // invalidated on the first miss).
-        {
-            let now = engine.now();
-            let mut state = self.inner.borrow_mut();
-            for (vm_id, order) in &settled {
-                if let Some(JournalOutcome::Published { plant, ad }) = order.outcome() {
-                    if let Ok(ad) = parse_classad(ad) {
-                        state.cache.put(vm_id.clone(), ad, plant.clone(), now);
-                    }
-                }
-            }
-        }
         let plants = self.plants();
         for (vm_id, journaled) in unsettled {
             self.reconcile_order(engine, epoch, &plants, vm_id, journaled, &mut stats);
@@ -650,9 +649,7 @@ impl VmShop {
                     .cache
                     .put(vm_id.clone(), ad.clone(), plant.name(), now);
                 if state.tuning.journal {
-                    state
-                        .journal
-                        .published(vm_id.clone(), plant.name(), ad.to_string(), now);
+                    state.journal.published(vm_id.clone(), plant.name(), ad, now);
                     state.journal_records.inc();
                 }
                 state.request_log.push(ShopRequestLog {
@@ -1031,12 +1028,10 @@ impl VmShop {
         }
         // Settled in a previous (or this) life: replay the journaled
         // outcome without re-executing anything.
-        if let Some(outcome) = state.journal.outcome_for_key(&key) {
+        if let Some((vm_id, outcome)) = state.journal.outcome_for_key(&key) {
             let result = match outcome {
-                JournalOutcome::Published { ad, .. } => match parse_classad(ad) {
-                    Ok(ad) => Ok(ad),
-                    Err(e) => Err(ShopError::Journaled(format!("corrupt journaled classad: {e}"))),
-                },
+                JournalOutcome::Published { ad, .. } => Ok(ad.clone()),
+                JournalOutcome::Destroyed => Err(ShopError::UnknownVm(vm_id.clone())),
                 JournalOutcome::Failed { error } => Err(ShopError::Journaled(error.clone())),
             };
             drop(state);
@@ -1364,7 +1359,7 @@ impl VmShop {
                     Ok(ad) => state.journal.published(
                         vm_id.clone(),
                         plant.clone().unwrap_or_default(),
-                        ad.to_string(),
+                        ad.clone(),
                         now,
                     ),
                     Err(e) => state.journal.failed(vm_id.clone(), e.to_string(), now),
@@ -1524,7 +1519,11 @@ impl VmShop {
                 Box::new(move |engine, res| {
                     shop2.inner.borrow_mut().cache.invalidate(&id2);
                     match res {
-                        Ok(Response::Ad(ad)) => done(engine, Ok(ad)),
+                        Ok(Response::Ad(ad)) => {
+                            // The VM is gone: its journaled classad goes too.
+                            shop2.inner.borrow_mut().journal.destroyed(&id2);
+                            done(engine, Ok(ad))
+                        }
                         Ok(Response::Error { code, message }) => done(
                             engine,
                             Err(ShopError::Plant(code.into_plant_error(message))),

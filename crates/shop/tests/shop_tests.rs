@@ -799,6 +799,65 @@ fn shop_crash_post_publish_replays_from_the_journal_without_a_second_vm() {
     );
 }
 
+/// `n` keyed orders, run one at a time; each VM is destroyed through
+/// the shop once created, except the last `live`. Returns the site and
+/// every VMID in order.
+fn churn(n: usize, live: usize) -> (Site, Vec<VmId>) {
+    let mut s = site_with(2, CostModel::FreeMemoryPrototype);
+    let mut ids = Vec::new();
+    for i in 0..n {
+        let out = submit_keyed(&mut s, &format!("order:c:{i}"), order(64));
+        s.engine.run();
+        let ad = out.borrow().clone().unwrap().unwrap();
+        let id = VmId(ad.get_str("vmid").unwrap());
+        if i + live < n {
+            run_destroy(&mut s, &id).unwrap();
+        }
+        ids.push(id);
+    }
+    (s, ids)
+}
+
+/// The journal holds a classad only while its VM lives: at N and at 4N
+/// orders it holds as many as there are live VMs, while its records keep
+/// growing at four per order. A destroyed VM's key replays a typed error
+/// and re-executes nothing, and a recovery restores only live VMs into
+/// the soft cache.
+#[test]
+fn journal_classads_are_bounded_by_live_vms() {
+    const N: usize = 6;
+    const LIVE: usize = 2;
+    for n in [N, 4 * N] {
+        let (mut s, ids) = churn(n, LIVE);
+        assert_eq!(total_vms(&s), LIVE, "n={n}");
+        assert_eq!(s.shop.journal_ads(), LIVE, "n={n}");
+        assert_eq!(s.shop.journal_len(), 4 * n, "n={n}");
+
+        let replay = submit_keyed(&mut s, "order:c:0", order(64));
+        s.engine.run();
+        assert_eq!(
+            replay.borrow().clone().unwrap(),
+            Err(ShopError::UnknownVm(ids[0].clone())),
+            "n={n}"
+        );
+        assert_eq!(total_vms(&s), LIVE, "n={n}: the replay created a VM");
+        assert_eq!(s.shop.journal_len(), 4 * n, "n={n}: the replay journaled");
+
+        s.shop.crash(&mut s.engine);
+        let stats = s.shop.recover(&mut s.engine);
+        assert_eq!(stats.settled, n, "{stats:?}");
+        let cached: Vec<VmId> = s
+            .shop
+            .select("memory_mb == 64")
+            .unwrap()
+            .into_iter()
+            .map(|(id, _)| id)
+            .collect();
+        assert_eq!(cached, ids[n - LIVE..], "n={n}");
+        assert_eq!(s.shop.journal_ads(), LIVE, "n={n}");
+    }
+}
+
 #[test]
 fn vm_finished_during_downtime_is_adopted_not_reexecuted() {
     let mut s = site_with(2, CostModel::FreeMemoryPrototype);
