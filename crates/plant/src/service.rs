@@ -119,8 +119,13 @@ impl DedupCache {
         }
     }
 
+    /// Drop a dead incarnation's entry, and its key's place in the FIFO
+    /// queue: a stale queued key would later evict the re-executed
+    /// request's live answer early.
     fn forget(&mut self, key: &str) {
-        self.entries.remove(key);
+        if self.entries.remove(key).is_some() {
+            self.order.retain(|k| k != key);
+        }
     }
 
     /// Drop a `Pending` entry this incarnation began, caching no answer:
@@ -559,5 +564,24 @@ mod tests {
         // Oldest entries evicted first.
         assert!(!cache.entries.contains_key("k0"));
         assert!(cache.entries.contains_key(&format!("k{}", DEDUP_CAPACITY + 49)));
+    }
+
+    #[test]
+    fn forgotten_answer_does_not_evict_its_successor() {
+        let mut cache = DedupCache::with_capacity(4);
+        let resp = Envelope::request("x", 0, 0, "k", Request::Query(VmId("v".into())));
+        cache.begin("k", 1);
+        cache.complete("k", 1, resp.clone());
+        // A crash bumped the epoch: the retransmit forgets the old answer
+        // and the request runs again under epoch 2.
+        cache.forget("k");
+        cache.begin("k", 2);
+        cache.complete("k", 2, resp.clone());
+        for other in ["a", "b", "c"] {
+            cache.begin(other, 2);
+            cache.complete(other, 2, resp.clone());
+        }
+        assert!(cache.entries.contains_key("k"), "live answer evicted early");
+        assert_eq!(cache.len(), 4);
     }
 }
