@@ -14,12 +14,15 @@ use crate::value::Value;
 ///
 /// The attribute list is copy-on-write: cloning an ad (into a reply
 /// envelope, the dedup cache, the shop's soft cache) shares the storage,
-/// and the first mutation of a shared ad copies it.
+/// and the first mutation of a shared ad copies it. Attribute names and
+/// string values are shared too (`Rc<str>`), so that copy is one vector
+/// allocation plus reference-count bumps for a literal-valued ad, and
+/// dropping the last copy of an ad frees one vector.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ClassAd {
     // (name, expr) matched ASCII-case-insensitively; linear scan is
     // appropriate for the tens-of-attributes ads this middleware produces.
-    entries: Rc<Vec<(String, Expr)>>,
+    entries: Rc<Vec<(Rc<str>, Expr)>>,
 }
 
 impl ClassAd {
@@ -41,14 +44,14 @@ impl ClassAd {
     /// Bind `name` to an expression, replacing any existing binding
     /// (case-insensitively) while keeping its position; the binding takes
     /// the new spelling of `name`.
-    pub fn set(&mut self, name: impl AsRef<str> + Into<String>, expr: Expr) {
+    pub fn set(&mut self, name: impl AsRef<str> + Into<Rc<str>>, expr: Expr) {
         let entries = Rc::make_mut(&mut self.entries);
         match entries
             .iter_mut()
             .find(|(n, _)| n.eq_ignore_ascii_case(name.as_ref()))
         {
             Some(slot) => {
-                if slot.0 != name.as_ref() {
+                if *slot.0 != *name.as_ref() {
                     slot.0 = name.into();
                 }
                 slot.1 = expr;
@@ -58,7 +61,7 @@ impl ClassAd {
     }
 
     /// Bind `name` to a literal value.
-    pub fn set_value(&mut self, name: impl AsRef<str> + Into<String>, value: impl Into<Value>) {
+    pub fn set_value(&mut self, name: impl AsRef<str> + Into<Rc<str>>, value: impl Into<Value>) {
         self.set(name, Expr::Lit(value.into()));
     }
 
@@ -107,7 +110,7 @@ impl ClassAd {
     /// Evaluate and coerce to `String`.
     pub fn get_str(&self, name: &str) -> Option<String> {
         match self.eval(name) {
-            Value::Str(s) => Some(s),
+            Value::Str(s) => Some(String::from(&*s)),
             _ => None,
         }
     }
@@ -119,12 +122,12 @@ impl ClassAd {
 
     /// Iterate `(name, expr)` in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Expr)> {
-        self.entries.iter().map(|(n, e)| (n.as_str(), e))
+        self.entries.iter().map(|(n, e)| (&**n, e))
     }
 
     /// Attribute names in insertion order.
     pub fn names(&self) -> impl Iterator<Item = &str> {
-        self.entries.iter().map(|(n, _)| n.as_str())
+        self.entries.iter().map(|(n, _)| &**n)
     }
 
     /// Merge another ad into this one: `other`'s bindings win on collision.

@@ -342,7 +342,7 @@ fn arithmetic(op: BinOp, l: &Value, r: &Value) -> Value {
     // String concatenation via `+`.
     if op == BinOp::Add {
         if let (Str(a), Str(b)) = (l, r) {
-            return Str(format!("{a}{b}"));
+            return Str(format!("{a}{b}").into());
         }
     }
     // Integer arithmetic stays integral; mixed promotes to real.
@@ -460,7 +460,7 @@ fn apply_call(lower_name: &str, vals: &[Value]) -> Value {
         ("string", [v]) => match v {
             Value::Str(_) => v.clone(),
             Value::Undefined | Value::Err => v.clone(),
-            other => Value::Str(other.to_string()),
+            other => Value::Str(other.to_string().into()),
         },
         ("strcat", parts) => {
             let mut out = String::new();
@@ -472,10 +472,10 @@ fn apply_call(lower_name: &str, vals: &[Value]) -> Value {
                     other => out.push_str(&other.to_string()),
                 }
             }
-            Value::Str(out)
+            Value::Str(out.into())
         }
-        ("toupper", [Value::Str(s)]) => Value::Str(s.to_uppercase()),
-        ("tolower", [Value::Str(s)]) => Value::Str(s.to_lowercase()),
+        ("toupper", [Value::Str(s)]) => Value::Str(s.to_uppercase().into()),
+        ("tolower", [Value::Str(s)]) => Value::Str(s.to_lowercase().into()),
         _ => Value::Err,
     }
 }

@@ -265,7 +265,7 @@ impl Parser {
         match self.next() {
             Some(Token::Int(i)) => Ok((Expr::Lit(Value::Int(i)), 0)),
             Some(Token::Real(r)) => Ok((Expr::Lit(Value::Real(r)), 0)),
-            Some(Token::Str(s)) => Ok((Expr::Lit(Value::Str(s)), 0)),
+            Some(Token::Str(s)) => Ok((Expr::Lit(Value::Str(s.into())), 0)),
             Some(Token::LParen) => {
                 self.enter()?;
                 let (e, depth) = self.expr()?;

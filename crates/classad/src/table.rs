@@ -15,6 +15,7 @@
 //! for any expression over any mix of rows.
 
 use std::collections::HashMap;
+use std::rc::Rc;
 
 use crate::ad::ClassAd;
 use crate::expr::{AttrScope, BinOp, Expr};
@@ -79,8 +80,8 @@ enum ColVals {
     Bools(Vec<bool>),
     Strs {
         idx: Vec<u32>,
-        pool: Vec<String>,
-        by_str: HashMap<String, u32>,
+        pool: Vec<Rc<str>>,
+        by_str: HashMap<Rc<str>, u32>,
     },
     /// Heterogeneous or non-scalar values, stored as-is.
     Mixed(Vec<Value>),
@@ -170,7 +171,7 @@ impl Column {
                 true
             }
             (ColVals::Strs { idx, pool, by_str }, Value::Str(s)) => {
-                let id = match by_str.get(s) {
+                let id = match by_str.get(&**s) {
                     Some(&id) => id,
                     None => {
                         let id = pool.len() as u32;

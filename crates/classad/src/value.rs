@@ -1,6 +1,7 @@
 //! The classad value domain with Condor's tri-state semantics.
 
 use std::fmt;
+use std::rc::Rc;
 
 /// A classad runtime value.
 ///
@@ -21,16 +22,17 @@ pub enum Value {
     Int(i64),
     /// A double-precision real.
     Real(f64),
-    /// A string.
-    Str(String),
+    /// A string. Shared: cloning a string value (into a copied ad, a
+    /// reply, a cache) bumps a reference count instead of copying bytes.
+    Str(Rc<str>),
     /// A list of values.
     List(Vec<Value>),
 }
 
 impl Value {
     /// Build a string value.
-    pub fn str(s: impl Into<String>) -> Value {
-        Value::Str(s.into())
+    pub fn str(s: impl AsRef<str>) -> Value {
+        Value::Str(s.as_ref().into())
     }
 
     /// True for the `UNDEFINED` sentinel.
@@ -179,12 +181,12 @@ impl From<f64> for Value {
 }
 impl From<&str> for Value {
     fn from(s: &str) -> Value {
-        Value::Str(s.to_owned())
+        Value::Str(s.into())
     }
 }
 impl From<String> for Value {
     fn from(s: String) -> Value {
-        Value::Str(s)
+        Value::Str(s.into())
     }
 }
 impl<T: Into<Value>> From<Vec<T>> for Value {

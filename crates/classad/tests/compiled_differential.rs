@@ -74,7 +74,7 @@ fn gen_value(rng: &mut Lcg, depth: u32) -> Value {
         0 => Value::Int(rng.below(41) as i64 - 20),
         1 => Value::Real((rng.below(81) as f64 - 40.0) / 4.0),
         2 => Value::Bool(rng.chance(50)),
-        3 => Value::Str(STRINGS[rng.below(STRINGS.len() as u64) as usize].to_owned()),
+        3 => Value::str(STRINGS[rng.below(STRINGS.len() as u64) as usize]),
         4 => Value::Undefined,
         5 => Value::Err,
         6 => Value::Int(rng.below(5) as i64), // small ints for %, member

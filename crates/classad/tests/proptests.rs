@@ -14,7 +14,7 @@ fn leaf_value() -> impl Strategy<Value = Value> {
         any::<bool>().prop_map(Value::Bool),
         (-1_000_000i64..1_000_000).prop_map(Value::Int),
         (-1e6f64..1e6).prop_map(Value::Real),
-        "[a-zA-Z0-9 _.:/\\\\\"-]{0,24}".prop_map(Value::Str),
+        "[a-zA-Z0-9 _.:/\\\\\"-]{0,24}".prop_map(Value::from),
     ]
 }
 

@@ -40,7 +40,9 @@ pub struct FileMeta {
     pub kind: FileKind,
     /// If set, this entry is a symlink to the given path *within the same
     /// store or another store's namespace*; size queries resolve through it.
-    pub link_target: Option<String>,
+    /// Shared: a linked clone's extent links point at the golden's own
+    /// path strings, so removing the clone only drops reference counts.
+    pub link_target: Option<Rc<str>>,
     /// Small text files (descriptors, configs) keep their actual content so
     /// services can be restored from "disk" after a crash. Bulk data files
     /// carry sizes only.
@@ -225,7 +227,7 @@ impl FileStore {
 
     /// Create a symlink at `path` pointing to `target`. The target need not
     /// exist yet (dangling links resolve to `NotFound` at read time).
-    pub fn link(&self, path: impl Into<String>, target: impl Into<String>) {
+    pub fn link(&self, path: impl Into<String>, target: impl Into<Rc<str>>) {
         self.inner.borrow_mut().insert(
             path.into(),
             FileMeta {
@@ -412,7 +414,7 @@ impl StoreInner {
                 .get(current)
                 .ok_or_else(|| StoreError::NotFound(current.to_owned()))?;
             match &meta.link_target {
-                Some(target) => current = target,
+                Some(target) => current = &**target,
                 None => return Ok(meta),
             }
         }
@@ -836,7 +838,7 @@ mod tests {
                     }
                     2 => {
                         let target = path(rng.uniform_u64(0, last));
-                        s.link(&p, &target);
+                        s.link(&p, target.as_str());
                         files.insert(p, ModelEntry::Link(target));
                         Ok(())
                     }

@@ -125,7 +125,7 @@ proptest! {
             let mut target = "/real".to_owned();
             for i in 0..chain_len {
                 let p = format!("/l{i}");
-                store.link(&p, &target);
+                store.link(&p, target.as_str());
                 target = p;
             }
             prop_assert_eq!(store.resolved_size(&target).unwrap(), bytes);

@@ -241,7 +241,7 @@ pub fn copy_vs_clone(seed: u64) -> CopyVsClone {
             .iter()
             .map(|src| {
                 let name = src.rsplit('/').next().expect("path");
-                (src.clone(), format!("/clones/vm/{name}"))
+                (String::from(&**src), format!("/clones/vm/{name}"))
             })
             .collect();
         let out = Rc::new(RefCell::new(None));

@@ -23,6 +23,7 @@
 //!   caller can read stale monitor values.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::rc::Rc;
 
 use vmplants_classad::{ClassAd, Value};
 use vmplants_cluster::host::Host;
@@ -145,7 +146,7 @@ impl VmRecord {
     }
 
     /// Bind a classad attribute (anything but the monitor's).
-    pub fn set_value(&mut self, name: impl AsRef<str> + Into<String>, value: impl Into<Value>) {
+    pub fn set_value(&mut self, name: impl AsRef<str> + Into<Rc<str>>, value: impl Into<Value>) {
         debug_assert!(
             !is_monitor_attr(name.as_ref()),
             "monitor attribute set directly"

@@ -9,6 +9,8 @@
 //! host-only network attachment (re-leased on the target under the same
 //! domain, preserving the §3.3 exclusivity invariant).
 
+use std::rc::Rc;
+
 use vmplants_simkit::resource::FairShare;
 use vmplants_simkit::{Engine, SimDuration};
 use vmplants_virt::image::{BASE_REDO_BYTES, CONFIG_BYTES};
@@ -234,7 +236,7 @@ fn finish_migration(
             .warehouse
             .borrow()
             .get(&record.golden)
-            .map(|g| g.files.clone());
+            .map(|g| Rc::clone(&g.files));
         if let Some(image) = image {
             for (link, dst) in image.link_set(&clone_dir) {
                 tstate.host.disk.link(link, dst);

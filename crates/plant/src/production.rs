@@ -13,7 +13,7 @@ use vmplants_simkit::obs::{Obs, SpanId, TrackId};
 use vmplants_simkit::{Engine, SimDuration, SimTime};
 use vmplants_virt::guest::GuestScript;
 use vmplants_virt::hypervisor::CloneStats;
-use vmplants_virt::{VirtError, VmSpec, VmState, VmmType};
+use vmplants_virt::{ImageFiles, VirtError, VmSpec, VmState, VmmType};
 use vmplants_vnet::NetworkLease;
 use vmplants_warehouse::GoldenId;
 
@@ -89,14 +89,14 @@ pub(crate) fn start_creation(
 
         // PPP: golden-image matching (hardware filter + the three DAG
         // tests).
-        let golden: Option<(GoldenId, vmplants_virt::ImageFiles, Vec<String>, vmplants_dag::PerformedLog)> = {
+        let golden: Option<(GoldenId, Rc<ImageFiles>, Vec<String>, vmplants_dag::PerformedLog)> = {
             let warehouse = state.warehouse.borrow();
             warehouse
                 .find_golden(&order.spec, &order.dag)
                 .map(|(img, report)| {
                     (
                         img.id.clone(),
-                        img.files.clone(),
+                        Rc::clone(&img.files),
                         report.residual,
                         img.performed.clone(),
                     )
@@ -376,7 +376,7 @@ pub(crate) fn prewarm_spares(
         let warehouse = state.warehouse.borrow();
         warehouse
             .find_golden(&spec, &dag)
-            .map(|(img, _)| (img.id.clone(), img.files.clone()))
+            .map(|(img, _)| (img.id.clone(), Rc::clone(&img.files)))
     };
     let Some((golden_id, image_files)) = golden else {
         engine.schedule(SimDuration::ZERO, move |engine| {
@@ -393,7 +393,7 @@ fn prewarm_one(
     engine: &mut Engine,
     spec: VmSpec,
     golden_id: vmplants_warehouse::GoldenId,
-    image_files: vmplants_virt::ImageFiles,
+    image_files: Rc<ImageFiles>,
     want: usize,
     have: usize,
     done: DoneCount,
@@ -424,7 +424,7 @@ fn prewarm_one(
     };
     let plant2 = plant.clone();
     let spec2 = spec.clone();
-    let image_for_call = image_files.clone();
+    let image_for_call = Rc::clone(&image_files);
     let dir_for_record = clone_dir.clone();
     hv.instantiate(
         engine,

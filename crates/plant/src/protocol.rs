@@ -17,6 +17,8 @@
 //!   key on the envelope, which is what turns at-least-once delivery
 //!   into exactly-once *effect*.
 
+use std::rc::Rc;
+
 use vmplants_classad::{parse_classad, ClassAd};
 use vmplants_dag::xml::{dag_from_xml, dag_to_xml};
 use vmplants_cluster::files::StoreError;
@@ -531,9 +533,10 @@ impl Response {
 /// What an envelope carries.
 #[derive(Clone, Debug)]
 pub enum Payload {
-    /// A request, travelling shop → plant. Boxed: a DAG-bearing create
-    /// order dwarfs every response variant.
-    Request(Box<Request>),
+    /// A request, travelling shop → plant. Shared by retransmits and
+    /// duplicates: cloning the envelope bumps a reference count, so every
+    /// transmission of a create carries the same production order.
+    Request(Rc<Request>),
     /// A response, travelling plant → shop.
     Response(Response),
 }
@@ -581,7 +584,7 @@ impl Envelope {
             seq,
             key: key.into(),
             reply_epoch: None,
-            body: Payload::Request(Box::new(request)),
+            body: Payload::Request(Rc::new(request)),
         }
     }
 
@@ -650,7 +653,7 @@ impl Envelope {
         // Requests and responses use disjoint element names, so the
         // child's name alone disambiguates the payload kind.
         let body = match Request::from_xml(body_el) {
-            Ok(req) => Payload::Request(Box::new(req)),
+            Ok(req) => Payload::Request(Rc::new(req)),
             Err(_) => Payload::Response(Response::from_xml(body_el)?),
         };
         Ok(Envelope {

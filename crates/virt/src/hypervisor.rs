@@ -236,11 +236,13 @@ impl BackendCore {
             )
         };
         // The ISO appears on the host disk for the duration of the round.
-        let iso_path = format!(
-            "{}/config-{}.iso",
+        let iso_path = [
             clone_dir.trim_end_matches('/'),
-            script.action_id
-        );
+            "/config-",
+            &script.action_id,
+            ".iso",
+        ]
+        .concat();
         if let Err(e) = host.disk.put(&iso_path, script.iso_bytes(), FileKind::IsoImage) {
             engine.schedule(SimDuration::ZERO, move |engine| {
                 done(engine, Err(VirtError::Io(e)))
@@ -292,7 +294,7 @@ impl BackendCore {
         let host = host.clone();
         let epoch = host.boot_epoch();
         let mem = spec.memory_mb;
-        let dir = format!("{}/", clone_dir.trim_end_matches('/'));
+        let dir = [clone_dir.trim_end_matches('/'), "/"].concat();
         engine.schedule(delay, move |engine| {
             if host.same_boot(epoch) {
                 host.unregister_vm(mem);
@@ -327,7 +329,7 @@ impl ObsCtx {
 /// Plan of the transfer phase, shared by both backends.
 struct TransferPlan {
     copy_pairs: Vec<(String, String)>,
-    links: Vec<(String, String)>,
+    links: Vec<(String, Rc<str>)>,
 }
 
 fn build_transfer_plan(
@@ -345,7 +347,7 @@ fn build_transfer_plan(
             let clone_dir = clone_dir.trim_end_matches('/');
             for src in &image.disk_extents {
                 let file_name = src.rsplit('/').next().expect("non-empty path");
-                copy_pairs.push((src.clone(), format!("{clone_dir}/{file_name}")));
+                copy_pairs.push((String::from(&**src), [clone_dir, "/", file_name].concat()));
             }
         }
     }

@@ -1,5 +1,7 @@
 //! On-warehouse layout of a golden machine's state files.
 
+use std::rc::Rc;
+
 use vmplants_cluster::files::{mb, FileKind, FileStore};
 
 use crate::vm::VmmType;
@@ -17,7 +19,8 @@ pub struct ImageFiles {
     /// The VM configuration file path.
     pub config: String,
     /// Base virtual-disk extent paths (shared read-only by all clones).
-    pub disk_extents: Vec<String>,
+    /// Each clone's extent symlinks point at these very strings.
+    pub disk_extents: Vec<Rc<str>>,
     /// The base redo log the checkpoint was taken against (VMware-like).
     pub base_redo: Option<String>,
     /// The suspended memory state (VMware-like; `None` for UML images,
@@ -53,7 +56,7 @@ impl ImageFiles {
     pub fn plan(dir: &str, vmm: VmmType, memory_mb: u64, disk_bytes: u64) -> ImageFiles {
         let dir = dir.trim_end_matches('/').to_owned();
         let disk_extents = (0..DISK_EXTENT_COUNT)
-            .map(|i| format!("{dir}/disk-s{i:03}.vmdk"))
+            .map(|i| Rc::from(format!("{dir}/disk-s{i:03}.vmdk")))
             .collect();
         let _ = disk_bytes; // recorded at materialization; layout is fixed
         match vmm {
@@ -96,7 +99,7 @@ impl ImageFiles {
         store.put(&self.config, CONFIG_BYTES, FileKind::VmConfig)?;
         let per_extent = disk_bytes / self.disk_extents.len() as u64;
         for path in &self.disk_extents {
-            store.put(path, per_extent, FileKind::DiskExtent)?;
+            store.put(&**path, per_extent, FileKind::DiskExtent)?;
         }
         if let Some(redo) = &self.base_redo {
             store.put(redo, BASE_REDO_BYTES, FileKind::RedoLog)?;
@@ -118,7 +121,7 @@ impl ImageFiles {
             .iter()
             .enumerate()
             .map(|(i, path)| BulkFile {
-                path: path.clone(),
+                path: String::from(&**path),
                 kind: FileKind::DiskExtent,
                 bytes: per_extent,
                 role: "extent",
@@ -154,7 +157,7 @@ impl ImageFiles {
         let mut pairs = Vec::with_capacity(3);
         let mut push = |src: &String| {
             let file_name = src.rsplit('/').next().expect("non-empty path");
-            pairs.push((src.clone(), format!("{clone_dir}/{file_name}")));
+            pairs.push((src.clone(), [clone_dir, "/", file_name].concat()));
         };
         push(&self.config);
         if let Some(redo) = &self.base_redo {
@@ -167,14 +170,15 @@ impl ImageFiles {
     }
 
     /// The symlinks a clone creates for the shared base disk, as
-    /// `(link_path, target)` pairs.
-    pub fn link_set(&self, clone_dir: &str) -> Vec<(String, String)> {
+    /// `(link_path, target)` pairs. Each target shares the golden's own
+    /// extent path string.
+    pub fn link_set(&self, clone_dir: &str) -> Vec<(String, Rc<str>)> {
         let clone_dir = clone_dir.trim_end_matches('/');
         self.disk_extents
             .iter()
             .map(|src| {
                 let file_name = src.rsplit('/').next().expect("non-empty path");
-                (format!("{clone_dir}/{file_name}"), src.clone())
+                ([clone_dir, "/", file_name].concat(), Rc::clone(src))
             })
             .collect()
     }
@@ -182,7 +186,7 @@ impl ImageFiles {
     /// Every path of the image (for deletion / inventory).
     pub fn all_paths(&self) -> Vec<&str> {
         let mut out = vec![self.config.as_str()];
-        out.extend(self.disk_extents.iter().map(String::as_str));
+        out.extend(self.disk_extents.iter().map(|p| &**p));
         if let Some(r) = &self.base_redo {
             out.push(r);
         }

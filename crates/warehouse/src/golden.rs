@@ -1,5 +1,7 @@
 //! Golden image descriptors.
 
+use std::rc::Rc;
+
 use vmplants_classad::ClassAd;
 use vmplants_dag::PerformedLog;
 use vmplants_virt::{ImageFiles, VmSpec};
@@ -24,8 +26,10 @@ pub struct GoldenImage {
     pub name: String,
     /// Hardware identity of the machine the image was checkpointed from.
     pub spec: VmSpec,
-    /// The image's files on the warehouse export.
-    pub files: ImageFiles,
+    /// The image's files on the warehouse export. Shared: every order
+    /// cloned from this golden takes the layout by reference count, so
+    /// its path strings are never copied per clone.
+    pub files: Rc<ImageFiles>,
     /// Configuration actions already performed, in order.
     pub performed: PerformedLog,
 }
@@ -77,7 +81,12 @@ mod tests {
         GoldenImage {
             id: GoldenId(format!("g-{mem}")),
             name: "test image".into(),
-            files: ImageFiles::plan(&format!("/warehouse/g-{mem}"), vmm, mem, gb(2)),
+            files: Rc::new(ImageFiles::plan(
+                &format!("/warehouse/g-{mem}"),
+                vmm,
+                mem,
+                gb(2),
+            )),
             performed: PerformedLog::from_actions(vec![Action::guest("A", "install-os")]),
             spec,
         }

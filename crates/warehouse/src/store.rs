@@ -2,6 +2,7 @@
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
+use std::rc::Rc;
 
 use vmplants_classad::{AdTable, AttrScope, BinOp, ClassAd, Expr, Value};
 use vmplants_cluster::files::{FileKind, StoreError};
@@ -251,7 +252,12 @@ impl Warehouse {
             return Err(PublishError::DuplicateId(id));
         }
         let dir = format!("/warehouse/{}", id.0);
-        let files = ImageFiles::plan(&dir, spec.vmm, spec.memory_mb, GOLDEN_DISK_BYTES);
+        let files = Rc::new(ImageFiles::plan(
+            &dir,
+            spec.vmm,
+            spec.memory_mb,
+            GOLDEN_DISK_BYTES,
+        ));
         let image = GoldenImage {
             id: id.clone(),
             name: name.into(),

@@ -14,6 +14,8 @@
 //! </golden-image>
 //! ```
 
+use std::rc::Rc;
+
 use vmplants_dag::xml::{dag_from_xml, dag_to_xml, DagXmlError};
 use vmplants_dag::{ConfigDag, PerformedLog};
 use vmplants_virt::{ImageFiles, VmSpec, VmmType};
@@ -137,7 +139,12 @@ pub fn image_from_xml(el: &Element) -> Result<GoldenImage, DescError> {
     Ok(GoldenImage {
         id: GoldenId(id.to_owned()),
         name: name.to_owned(),
-        files: ImageFiles::plan(&dir, spec.vmm, spec.memory_mb, GOLDEN_DISK_BYTES),
+        files: Rc::new(ImageFiles::plan(
+            &dir,
+            spec.vmm,
+            spec.memory_mb,
+            GOLDEN_DISK_BYTES,
+        )),
         spec,
         performed,
     })
@@ -158,12 +165,12 @@ mod tests {
             id: GoldenId("mandrake81-64mb".into()),
             name: "Mandrake 8.1, 64 MB".into(),
             spec: VmSpec::mandrake(64),
-            files: ImageFiles::plan(
+            files: Rc::new(ImageFiles::plan(
                 "/warehouse/mandrake81-64mb",
                 VmmType::VmwareLike,
                 64,
                 GOLDEN_DISK_BYTES,
-            ),
+            )),
             performed,
         }
     }
@@ -194,12 +201,12 @@ mod tests {
     fn uml_spec_round_trips() {
         let mut img = sample_image();
         img.spec = VmSpec::uml(32);
-        img.files = ImageFiles::plan(
+        img.files = Rc::new(ImageFiles::plan(
             "/warehouse/mandrake81-64mb",
             VmmType::UmlLike,
             32,
             GOLDEN_DISK_BYTES,
-        );
+        ));
         let decoded = image_from_xml(&image_to_xml(&img)).unwrap();
         assert_eq!(decoded.spec.vmm, VmmType::UmlLike);
         assert!(decoded.files.memory_state.is_none());
