@@ -460,6 +460,8 @@ pub fn run_chaos_with_obs(config: &ChaosConfig, obs: Obs) -> (ChaosReport, SimSi
         SimSite::build_with_obs(site_config, obs)
     };
     site.shop.set_tuning(config.tuning.clone());
+    // Every chaos report carries the run's envelope trace.
+    site.shop.transport().record_trace();
     for plant in &site.plants {
         plant.set_dedup_capacity(config.tuning.dedup_capacity);
     }
@@ -710,6 +712,19 @@ mod tests {
         assert_eq!(report.recovered, 0);
         assert_eq!(report.orphans_collected, 0);
         assert_eq!(report.hung_orders, 0);
+    }
+
+    #[test]
+    fn chaos_reports_always_carry_the_envelope_trace() {
+        // Transports record only on request; a chaos run always asks, so
+        // even a fault-free report lists every message it sent.
+        let report = run_chaos(&ChaosConfig {
+            schedule: OrderSpec::constant(4, SimDuration::from_secs(30), 64),
+            ..ChaosConfig::default()
+        });
+        let lines = report.envelope_trace.lines().count() as u64;
+        assert!(lines > 0, "{}", report.render());
+        assert_eq!(lines, report.transport.sent + report.transport.duplicated);
     }
 
     #[test]

@@ -111,7 +111,7 @@ pub fn run_creation_experiment(memory_mb: u64, requests: usize, seed: u64) -> Cr
                     seq: 0,
                     clone_s: entry.stats.total.as_secs_f64(),
                     resident_before: entry.resident_before,
-                    plant: plant.name(),
+                    plant: plant.name().to_owned(),
                 },
             ));
         }

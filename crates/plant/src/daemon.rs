@@ -112,6 +112,10 @@ pub(crate) struct PlantState {
 /// engine explicitly.
 #[derive(Clone)]
 pub struct Plant {
+    /// The plant's name, fixed at construction: held outside the mutable
+    /// state and shared by reference count wherever it must be kept
+    /// (envelope senders, the shop's pending calls).
+    pub(crate) name: Rc<str>,
     pub(crate) inner: Rc<RefCell<PlantState>>,
 }
 
@@ -158,6 +162,7 @@ impl Plant {
         );
         let pool = HostOnlyPool::new(config.host_only_networks);
         Plant {
+            name: config.name.as_str().into(),
             inner: Rc::new(RefCell::new(PlantState {
                 config,
                 host,
@@ -210,8 +215,14 @@ impl Plant {
     }
 
     /// Plant name.
-    pub fn name(&self) -> String {
-        self.inner.borrow().config.name.clone()
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// Plant name as a shared handle, for holders that outlive a borrow
+    /// of the plant.
+    pub fn shared_name(&self) -> Rc<str> {
+        Rc::clone(&self.name)
     }
 
     /// The plant's host (for experiment instrumentation).

@@ -35,5 +35,5 @@ pub use migration::migrate;
 pub use domains::DomainDirectory;
 pub use infosys::{InfoSystem, VmRecord};
 pub use order::{PlantError, ProductionOrder, VmId};
-pub use protocol::{Envelope, ErrorCode, MessageError, Payload, Request, Response};
+pub use protocol::{Envelope, EnvelopeLabel, ErrorCode, MessageError, Payload, Request, Response};
 pub use service::{DedupCache, ReplyFn, DEDUP_CAPACITY};

@@ -22,6 +22,7 @@ use std::rc::Rc;
 use vmplants_classad::{parse_classad, ClassAd};
 use vmplants_dag::xml::{dag_from_xml, dag_to_xml};
 use vmplants_cluster::files::StoreError;
+use vmplants_simkit::TraceLabel;
 use vmplants_virt::{VirtError, VmSpec, VmmType};
 use vmplants_vnet::ProxyEndpoint;
 use vmplants_xmlmsg::Element;
@@ -541,6 +542,20 @@ pub enum Payload {
     Response(Response),
 }
 
+/// An envelope's transport-trace label (`kind/key#seq`), rendered only
+/// when the transport records ([`Envelope::trace_label`]).
+pub struct EnvelopeLabel {
+    kind: &'static str,
+    key: Rc<str>,
+    seq: u64,
+}
+
+impl TraceLabel for EnvelopeLabel {
+    fn render(self) -> String {
+        format!("{}/{}#{}", self.kind, self.key, self.seq)
+    }
+}
+
 /// The unreliable-transport framing around a [`Request`]/[`Response`].
 ///
 /// `(from, epoch, seq)` identifies one transmission source: `from` is
@@ -552,17 +567,21 @@ pub enum Payload {
 /// served. A response echoes the request's key and carries the request
 /// sender's epoch in `reply_epoch`, so a shop that restarted can drop
 /// answers addressed to its previous life.
+///
+/// `from` and `key` are shared, not copied: a call's key is allocated
+/// once and the same text backs its transmissions, retransmissions, the
+/// plant's dedup entry, and the response.
 #[derive(Clone, Debug)]
 pub struct Envelope {
     /// Sender name.
-    pub from: String,
+    pub from: Rc<str>,
     /// Sender incarnation number.
     pub epoch: u64,
     /// Per-sender monotone sequence number (unique per transmission).
     pub seq: u64,
     /// Idempotency key — stable across retransmissions of one logical
     /// request; echoed by the response.
-    pub key: String,
+    pub key: Rc<str>,
     /// On responses: the epoch of the request this answers.
     pub reply_epoch: Option<u64>,
     /// The message itself.
@@ -572,10 +591,10 @@ pub struct Envelope {
 impl Envelope {
     /// Frame a request.
     pub fn request(
-        from: impl Into<String>,
+        from: impl Into<Rc<str>>,
         epoch: u64,
         seq: u64,
-        key: impl Into<String>,
+        key: impl Into<Rc<str>>,
         request: Request,
     ) -> Envelope {
         Envelope {
@@ -590,7 +609,7 @@ impl Envelope {
 
     /// Frame a response to a request envelope.
     pub fn response(
-        from: impl Into<String>,
+        from: impl Into<Rc<str>>,
         epoch: u64,
         seq: u64,
         to_request: &Envelope,
@@ -600,28 +619,32 @@ impl Envelope {
             from: from.into(),
             epoch,
             seq,
-            key: to_request.key.clone(),
+            key: Rc::clone(&to_request.key),
             reply_epoch: Some(to_request.epoch),
             body: Payload::Response(response),
         }
     }
 
-    /// A short label for transport traces: `kind/key#seq`.
-    pub fn label(&self) -> String {
-        let kind = match &self.body {
-            Payload::Request(r) => r.label(),
-            Payload::Response(r) => r.label(),
-        };
-        format!("{kind}/{}#{}", self.key, self.seq)
+    /// The transport-trace label, `kind/key#seq`, unrendered: it shares
+    /// the key and is formatted only if the transport is recording.
+    pub fn trace_label(&self) -> EnvelopeLabel {
+        EnvelopeLabel {
+            kind: match &self.body {
+                Payload::Request(r) => r.label(),
+                Payload::Response(r) => r.label(),
+            },
+            key: Rc::clone(&self.key),
+            seq: self.seq,
+        }
     }
 
     /// Encode to an XML element.
     pub fn to_xml(&self) -> Element {
         let mut el = Element::new("envelope")
-            .with_attr("from", &self.from)
+            .with_attr("from", &*self.from)
             .with_attr("epoch", self.epoch.to_string())
             .with_attr("seq", self.seq.to_string())
-            .with_attr("key", &self.key);
+            .with_attr("key", &*self.key);
         if let Some(re) = self.reply_epoch {
             el.set_attr("re-epoch", re.to_string());
         }
@@ -657,10 +680,10 @@ impl Envelope {
             Err(_) => Payload::Response(Response::from_xml(body_el)?),
         };
         Ok(Envelope {
-            from: attr("from")?.to_owned(),
+            from: attr("from")?.into(),
             epoch: num("epoch")?,
             seq: num("seq")?,
-            key: attr("key")?.to_owned(),
+            key: attr("key")?.into(),
             reply_epoch: match el.attr("re-epoch") {
                 Some(_) => Some(num("re-epoch")?),
                 None => None,
@@ -842,10 +865,10 @@ mod tests {
         let req_env = Envelope::request("shop", 2, 17, "create:vm-1", Request::Create(order()));
         let wire = req_env.to_wire();
         let decoded = Envelope::from_wire(&wire).unwrap();
-        assert_eq!(decoded.from, "shop");
+        assert_eq!(&*decoded.from, "shop");
         assert_eq!(decoded.epoch, 2);
         assert_eq!(decoded.seq, 17);
-        assert_eq!(decoded.key, "create:vm-1");
+        assert_eq!(&*decoded.key, "create:vm-1");
         assert_eq!(decoded.reply_epoch, None);
         assert!(
             matches!(&decoded.body, Payload::Request(r) if matches!(**r, Request::Create(_)))
@@ -862,8 +885,8 @@ mod tests {
             },
         );
         let decoded = Envelope::from_wire(&resp_env.to_wire()).unwrap();
-        assert_eq!(decoded.from, "node0");
-        assert_eq!(decoded.key, "create:vm-1");
+        assert_eq!(&*decoded.from, "node0");
+        assert_eq!(&*decoded.key, "create:vm-1");
         assert_eq!(decoded.reply_epoch, Some(2));
         match decoded.body {
             Payload::Response(Response::Error { code, .. }) => {
@@ -871,9 +894,120 @@ mod tests {
             }
             other => panic!("wrong decode: {other:?}"),
         }
-        assert_eq!(resp_env.label(), "error/create:vm-1#3");
+        assert_eq!(resp_env.trace_label().render(), "error/create:vm-1#3");
 
         assert!(Envelope::from_wire("<envelope/>").is_err());
         assert!(Envelope::from_wire("<nope/>").is_err());
+    }
+
+    /// One span mutation of `text`: delete, insert, overwrite, or
+    /// duplicate a short run of characters. Inserted characters come
+    /// from the XML-significant set plus a few letters and digits.
+    fn mutate(text: &mut Vec<char>, rng: &mut vmplants_simkit::SimRng) {
+        const ALPHABET: &[char] = &[
+            '<', '>', '/', '=', '"', '\'', '&', ';', '#', ' ', '\n', '!', '?', '-', '[', ']', 'a',
+            'e', 'k', 'x', 'v', '0', '1', '9', '.', ':', 'é',
+        ];
+        let len = text.len();
+        let at = rng.index(len + 1);
+        let span = 1 + rng.index(8);
+        let end = (at + span).min(len);
+        match rng.index(4) {
+            0 => {
+                text.drain(at..end);
+            }
+            1 => {
+                let fresh: Vec<char> = (0..span)
+                    .map(|_| ALPHABET[rng.index(ALPHABET.len())])
+                    .collect();
+                text.splice(at..at, fresh);
+            }
+            2 => {
+                for c in &mut text[at..end] {
+                    *c = ALPHABET[rng.index(ALPHABET.len())];
+                }
+            }
+            _ => {
+                let copy: Vec<char> = text[at..end].to_vec();
+                let to = rng.index(text.len() + 1);
+                text.splice(to..to, copy);
+            }
+        }
+    }
+
+    /// Hostile wire input: seeded span mutations of the envelope form of
+    /// every request and response kind never panic the decoder, and
+    /// whatever still decodes re-encodes to a fixed point.
+    #[test]
+    fn mutated_envelopes_never_panic_and_reencode_stably() {
+        let mut ad = ClassAd::new();
+        ad.set_value("vmid", "vm-1");
+        ad.set_value("memory_mb", 64i64);
+        ad.set_value("note", "quotes \" and <angles> & amps");
+        let requests = [
+            Request::Create(order()),
+            Request::Estimate(order()),
+            Request::Query(VmId("vm-1".into())),
+            Request::Destroy(VmId("vm-2".into())),
+            Request::Migrate {
+                id: VmId("vm-1".into()),
+                target: "node3".into(),
+            },
+            Request::Publish {
+                id: VmId("vm-1".into()),
+                golden_id: "my-app".into(),
+                name: "My application image".into(),
+            },
+        ];
+        let responses = [
+            Response::Ad(ad),
+            Response::Bid(52.5),
+            Response::Published {
+                golden_id: "my-app".into(),
+            },
+            Response::Error {
+                code: ErrorCode::PlantDown,
+                message: "plant 'node0' is down".into(),
+            },
+        ];
+        let mut corpus: Vec<Vec<char>> = Vec::new();
+        for (seq, request) in (0u64..).zip(requests) {
+            let env = Envelope::request("shop", 1, seq, format!("k:{seq}"), request);
+            corpus.push(env.to_wire().chars().collect());
+        }
+        let asked = Envelope::request(
+            "shop",
+            3,
+            9,
+            "create:vm-1",
+            Request::Query(VmId("vm-1".into())),
+        );
+        for (seq, response) in (0u64..).zip(responses) {
+            let env = Envelope::response("node0", 2, seq, &asked, response);
+            corpus.push(env.to_wire().chars().collect());
+        }
+        let mut rng = vmplants_simkit::SimRng::seed_from_u64(2104);
+        let mut decoded = 0usize;
+        for _ in 0..20_000 {
+            let mut text = corpus[rng.index(corpus.len())].clone();
+            for _ in 0..1 + rng.index(3) {
+                mutate(&mut text, &mut rng);
+            }
+            let wire: String = text.into_iter().collect();
+            let result = std::panic::catch_unwind(|| Envelope::from_wire(&wire));
+            let Ok(result) = result else {
+                panic!("decoder panicked on {wire:?}");
+            };
+            let Ok(env) = result else { continue };
+            decoded += 1;
+            let once = env.to_wire();
+            let again = Envelope::from_wire(&once)
+                .unwrap_or_else(|e| panic!("re-encoding of {wire:?} does not decode: {e}"))
+                .to_wire();
+            assert_eq!(once, again, "re-encoding of {wire:?} is not stable");
+        }
+        // The mutations must leave a fair share decodable, or the
+        // re-encoding half of the check exercises nothing.
+        assert!(decoded > 1_000, "only {decoded} mutants decoded");
     }
 }

@@ -51,11 +51,13 @@ struct DedupEntry {
     slot: Slot,
 }
 
-/// Bounded, epoch-guarded request dedup cache (see module docs).
+/// Bounded, epoch-guarded request dedup cache (see module docs). Keys
+/// are the request envelopes' shared key text, so an entry and its FIFO
+/// slot copy no strings.
 pub struct DedupCache {
-    entries: BTreeMap<String, DedupEntry>,
+    entries: BTreeMap<Rc<str>, DedupEntry>,
     /// Completed keys in completion order, for FIFO eviction.
-    order: VecDeque<String>,
+    order: VecDeque<Rc<str>>,
     /// Maximum completed entries retained before FIFO eviction.
     capacity: usize,
 }
@@ -91,9 +93,9 @@ impl DedupCache {
         self.entries.is_empty()
     }
 
-    fn begin(&mut self, key: &str, epoch: u64) {
+    fn begin(&mut self, key: &Rc<str>, epoch: u64) {
         self.entries.insert(
-            key.to_owned(),
+            Rc::clone(key),
             DedupEntry {
                 epoch,
                 slot: Slot::Pending,
@@ -101,14 +103,14 @@ impl DedupCache {
         );
     }
 
-    fn complete(&mut self, key: &str, epoch: u64, response: Envelope) {
-        match self.entries.get_mut(key) {
+    fn complete(&mut self, key: &Rc<str>, epoch: u64, response: Envelope) {
+        match self.entries.get_mut(&**key) {
             // Only the incarnation that began the entry may complete it;
             // a continuation that straddled a crash must not publish a
             // pre-crash answer into the post-crash cache.
             Some(entry) if entry.epoch == epoch => {
                 entry.slot = Slot::Done(Box::new(response));
-                self.order.push_back(key.to_owned());
+                self.order.push_back(Rc::clone(key));
                 while self.order.len() > self.capacity {
                     if let Some(old) = self.order.pop_front() {
                         self.entries.remove(&old);
@@ -124,7 +126,7 @@ impl DedupCache {
     /// request's live answer early.
     fn forget(&mut self, key: &str) {
         if self.entries.remove(key).is_some() {
-            self.order.retain(|k| k != key);
+            self.order.retain(|k| &**k != key);
         }
     }
 
@@ -323,7 +325,7 @@ impl Plant {
         let seq = state.next_msg;
         state.next_msg += 1;
         Envelope::response(
-            state.config.name.clone(),
+            Rc::clone(&self.name),
             state.epoch,
             seq,
             request_env,
@@ -556,30 +558,32 @@ mod tests {
         let mut cache = DedupCache::new();
         let resp = Envelope::request("x", 0, 0, "k", Request::Query(VmId("v".into())));
         for i in 0..(DEDUP_CAPACITY + 50) {
-            let key = format!("k{i}");
+            let key: Rc<str> = format!("k{i}").into();
             cache.begin(&key, 0);
             cache.complete(&key, 0, resp.clone());
         }
         assert_eq!(cache.len(), DEDUP_CAPACITY);
         // Oldest entries evicted first.
         assert!(!cache.entries.contains_key("k0"));
-        assert!(cache.entries.contains_key(&format!("k{}", DEDUP_CAPACITY + 49)));
+        assert!(cache.entries.contains_key(format!("k{}", DEDUP_CAPACITY + 49).as_str()));
     }
 
     #[test]
     fn forgotten_answer_does_not_evict_its_successor() {
         let mut cache = DedupCache::with_capacity(4);
         let resp = Envelope::request("x", 0, 0, "k", Request::Query(VmId("v".into())));
-        cache.begin("k", 1);
-        cache.complete("k", 1, resp.clone());
+        let k: Rc<str> = "k".into();
+        cache.begin(&k, 1);
+        cache.complete(&k, 1, resp.clone());
         // A crash bumped the epoch: the retransmit forgets the old answer
         // and the request runs again under epoch 2.
         cache.forget("k");
-        cache.begin("k", 2);
-        cache.complete("k", 2, resp.clone());
+        cache.begin(&k, 2);
+        cache.complete(&k, 2, resp.clone());
         for other in ["a", "b", "c"] {
-            cache.begin(other, 2);
-            cache.complete(other, 2, resp.clone());
+            let other: Rc<str> = other.into();
+            cache.begin(&other, 2);
+            cache.complete(&other, 2, resp.clone());
         }
         assert!(cache.entries.contains_key("k"), "live answer evicted early");
         assert_eq!(cache.len(), 4);

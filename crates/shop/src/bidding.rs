@@ -6,6 +6,8 @@
 //! bids containing estimated VM creation costs from VMPlants (directly,
 //! or indirectly through VMBrokers)."
 
+use std::rc::Rc;
+
 use vmplants_plant::{Plant, ProductionOrder};
 use vmplants_simkit::SimRng;
 
@@ -77,10 +79,10 @@ pub fn collect_bids(plants: &[Plant], order: &ProductionOrder) -> Vec<Bid> {
 /// Select the winning bid: lowest cost, ties broken uniformly at random
 /// ("The VMShop picks one plant at random", §3.4). `exclude` filters out
 /// plants that already failed this request (re-bid path).
-pub fn select_bid(bids: &[Bid], exclude: &[String], rng: &mut SimRng) -> Option<Bid> {
+pub fn select_bid(bids: &[Bid], exclude: &[Rc<str>], rng: &mut SimRng) -> Option<Bid> {
     let eligible: Vec<&Bid> = bids
         .iter()
-        .filter(|b| !exclude.contains(&b.plant.name()))
+        .filter(|b| !exclude.iter().any(|name| **name == *b.plant.name()))
         .collect();
     let min_cost = eligible
         .iter()
@@ -102,7 +104,6 @@ pub fn select_bid(bids: &[Bid], exclude: &[String], rng: &mut SimRng) -> Option<
 mod tests {
     use super::*;
     use std::cell::RefCell;
-    use std::rc::Rc;
     use vmplants_cluster::host::{Host, HostSpec};
     use vmplants_cluster::nfs::NfsServer;
     use vmplants_dag::ConfigDag;
@@ -158,7 +159,12 @@ mod tests {
         let mut rng = SimRng::seed_from_u64(7);
         let mut seen = std::collections::BTreeSet::new();
         for _ in 0..64 {
-            seen.insert(select_bid(&bids, &[], &mut rng).unwrap().plant.name());
+            seen.insert(
+                select_bid(&bids, &[], &mut rng)
+                    .unwrap()
+                    .plant
+                    .shared_name(),
+            );
         }
         assert_eq!(seen.len(), 2, "both tied plants get picked eventually");
     }
@@ -171,7 +177,7 @@ mod tests {
         let bids = collect_bids(&[a, b], &order());
         let mut rng = SimRng::seed_from_u64(5);
         // a would win, but has already failed this request.
-        let winner = select_bid(&bids, &["a".to_owned()], &mut rng).unwrap();
+        let winner = select_bid(&bids, &["a".into()], &mut rng).unwrap();
         assert_eq!(winner.plant.name(), "b");
         // Excluding everyone yields no winner.
         assert!(select_bid(&bids, &["a".into(), "b".into()], &mut rng).is_none());

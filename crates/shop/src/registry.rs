@@ -39,7 +39,7 @@ impl Registry {
     /// Publish a plant under its own name.
     pub fn publish_plant(&mut self, plant: Plant) {
         self.entries
-            .insert(plant.name(), ServiceEntry::Plant(plant));
+            .insert(plant.name().to_owned(), ServiceEntry::Plant(plant));
     }
 
     /// Publish a generic endpoint.

@@ -195,7 +195,6 @@ pub struct RecoveryStats {
 }
 
 struct ShopState {
-    name: String,
     registry: Registry,
     brokers: Vec<VmBroker>,
     cache: ClassAdCache,
@@ -216,8 +215,9 @@ struct ShopState {
     epoch: u64,
     /// Per-shop monotone sequence number for outgoing envelopes.
     next_msg: u64,
-    /// In-flight plant calls, by idempotency key.
-    pending: BTreeMap<String, PendingCall>,
+    /// In-flight plant calls, by idempotency key (the request
+    /// envelope's shared key text).
+    pending: BTreeMap<Rc<str>, PendingCall>,
     /// Orders currently being produced — their VMIDs are not yet cached,
     /// but they are not orphans either.
     inflight: BTreeSet<VmId>,
@@ -270,7 +270,7 @@ type CallDone = Box<dyn FnOnce(&mut Engine, Result<Response, PlantError>)>;
 struct PendingCall {
     /// The plant expected to answer; responses from anyone else (e.g. a
     /// plant abandoned by an earlier attempt) are dropped.
-    plant: String,
+    plant: Rc<str>,
     /// Shop epoch the request was issued under.
     epoch: u64,
     /// The pending retransmission timer.
@@ -283,6 +283,9 @@ struct PendingCall {
 /// The VMShop front-end. Cheap `Rc` handle.
 #[derive(Clone)]
 pub struct VmShop {
+    /// The shop's name, fixed at construction: held outside the mutable
+    /// state and shared by every envelope the shop sends.
+    name: Rc<str>,
     inner: Rc<RefCell<ShopState>>,
 }
 
@@ -292,7 +295,7 @@ struct Attempt {
     vm_id: VmId,
     requested_at: SimTime,
     /// Plants that already failed this order (re-bid exclusion list).
-    excluded: Vec<String>,
+    excluded: Vec<Rc<str>>,
     /// Zero-based dispatch count (drives the backoff exponent).
     attempt: u32,
     /// Most recent plant failure, for terminal error reports.
@@ -320,8 +323,8 @@ impl VmShop {
     pub fn new(name: impl Into<String>, mut rng: SimRng) -> VmShop {
         let transport = Transport::new(rng.fork(3));
         VmShop {
+            name: name.into().into(),
             inner: Rc::new(RefCell::new(ShopState {
-                name: name.into(),
                 registry: Registry::new(),
                 brokers: Vec::new(),
                 cache: ClassAdCache::new(),
@@ -363,7 +366,7 @@ impl VmShop {
         let transport = {
             let mut state = self.inner.borrow_mut();
             state.obs = obs.clone();
-            state.obs_track = obs.track(&state.name);
+            state.obs_track = obs.track(&self.name);
             obs.register_counter("shop.bids_requested", &state.bids_requested);
             obs.register_counter("shop.retransmits", &state.retransmits);
             obs.register_counter("shop.watchdog_fires", &state.watchdog_fires);
@@ -400,8 +403,8 @@ impl VmShop {
     }
 
     /// Shop name.
-    pub fn name(&self) -> String {
-        self.inner.borrow().name.clone()
+    pub fn name(&self) -> &str {
+        &self.name
     }
 
     /// Publish a plant into the shop's registry.
@@ -418,11 +421,11 @@ impl VmShop {
     pub fn plants(&self) -> Vec<Plant> {
         let state = self.inner.borrow();
         let mut plants = state.registry.discover_plants();
-        let mut seen: Vec<String> = plants.iter().map(Plant::name).collect();
+        // A broker-fronted plant joins once, whether it is also
+        // registered directly or fronted by several brokers.
         for broker in &state.brokers {
             for p in broker.plants() {
-                if !seen.contains(&p.name()) {
-                    seen.push(p.name());
+                if !plants.iter().any(|q| q.name() == p.name()) {
                     plants.push(p.clone());
                 }
             }
@@ -493,10 +496,12 @@ impl VmShop {
             let Ok(ids) = plant.list_vms() else { continue };
             for id in ids {
                 if let Ok(ad) = plant.query(engine, &id) {
-                    self.inner
-                        .borrow_mut()
-                        .cache
-                        .put(id, ad, plant.name(), engine.now());
+                    self.inner.borrow_mut().cache.put(
+                        id,
+                        ad,
+                        plant.name().to_owned(),
+                        engine.now(),
+                    );
                     restored += 1;
                 }
             }
@@ -647,15 +652,17 @@ impl VmShop {
                 let mut state = self.inner.borrow_mut();
                 state
                     .cache
-                    .put(vm_id.clone(), ad.clone(), plant.name(), now);
+                    .put(vm_id.clone(), ad.clone(), plant.name().to_owned(), now);
                 if state.tuning.journal {
-                    state.journal.published(vm_id.clone(), plant.name(), ad, now);
+                    state
+                        .journal
+                        .published(vm_id.clone(), plant.name().to_owned(), ad, now);
                     state.journal_records.inc();
                 }
                 state.request_log.push(ShopRequestLog {
                     vm_id: vm_id.clone(),
                     memory_mb: order.spec.memory_mb,
-                    plant: plant.name(),
+                    plant: plant.name().to_owned(),
                     requested_at: journaled.received_at,
                     responded_at: now,
                     latency: now.since(journaled.received_at),
@@ -681,7 +688,7 @@ impl VmShop {
         // the plant's dedup cache drops the duplicate while producing
         // and replays the recorded answer once it settles.
         if let Some(plant) = producing_on {
-            if let Some(attempt) = last_attempt_for(&plant.name()) {
+            if let Some(attempt) = last_attempt_for(plant.name()) {
                 let span = self.recovered_order_span(engine, &vm_id, "resumed");
                 let mut order = order;
                 order.trace_parent = span;
@@ -777,7 +784,7 @@ impl VmShop {
         &self,
         engine: &mut Engine,
         plant: Plant,
-        key: String,
+        key: Rc<str>,
         request: Request,
         on_done: CallDone,
     ) {
@@ -798,7 +805,7 @@ impl VmShop {
             let seq = state.next_msg;
             state.next_msg += 1;
             (
-                Envelope::request(state.name.clone(), state.epoch, seq, key.clone(), request),
+                Envelope::request(Rc::clone(&self.name), state.epoch, seq, key, request),
                 state.tuning.attempt_timeout,
             )
         };
@@ -806,9 +813,9 @@ impl VmShop {
         // retransmissions — means the plant or both directions of the
         // link are gone. Treat as Unresponsive.
         let shop = self.clone();
-        let key_w = key.clone();
+        let key = Rc::clone(&env.key);
         let watchdog = engine.schedule(timeout, move |engine| {
-            let p = shop.inner.borrow_mut().pending.remove(&key_w);
+            let p = shop.inner.borrow_mut().pending.remove(&key);
             if let Some(p) = p {
                 shop.inner.borrow().watchdog_fires.inc();
                 engine.cancel(p.retransmit);
@@ -816,9 +823,9 @@ impl VmShop {
             }
         });
         self.inner.borrow_mut().pending.insert(
-            key.clone(),
+            Rc::clone(&env.key),
             PendingCall {
-                plant: plant.name(),
+                plant: plant.shared_name(),
                 epoch: env.epoch,
                 // Placeholder until the first transmit schedules the
                 // real timer.
@@ -827,56 +834,50 @@ impl VmShop {
                 handler: on_done,
             },
         );
-        self.transmit(engine, plant, key, env, 0);
+        self.transmit(engine, plant, env, 0);
     }
 
     /// Transmit (or retransmit) a request envelope and arm the next
     /// retransmission timer. No-op once the call has settled.
-    fn transmit(
-        &self,
-        engine: &mut Engine,
-        plant: Plant,
-        key: String,
-        env: Envelope,
-        attempt: u32,
-    ) {
+    fn transmit(&self, engine: &mut Engine, plant: Plant, env: Envelope, attempt: u32) {
         {
             let state = self.inner.borrow();
-            if !state.pending.contains_key(&key) {
+            if !state.pending.contains_key(&env.key) {
                 return;
             }
             if attempt > 0 {
                 state.retransmits.inc();
             }
         }
-        let shop_name = self.name();
-        let plant_name = plant.name();
         let transport = self.transport();
         // The plant answers through this closure: the response envelope
         // makes its own unreliable hop back to the shop.
         let reply: ReplyFn = {
             let shop = self.clone();
             let transport = transport.clone();
-            let shop_name = shop_name.clone();
-            let plant_name = plant_name.clone();
+            let plant_name = plant.shared_name();
             Rc::new(move |engine: &mut Engine, renv: Envelope| {
-                let shop = shop.clone();
-                let label = renv.label();
-                transport.send(engine, &plant_name, &shop_name, &label, move |engine| {
-                    shop.deliver_response(engine, renv.clone())
+                let label = renv.trace_label();
+                let shop_d = shop.clone();
+                transport.send(engine, &plant_name, &shop.name, label, move |engine| {
+                    shop_d.deliver_response(engine, renv.clone())
                 });
             })
         };
         let env_d = env.clone();
         let plant_d = plant.clone();
-        transport.send(engine, &shop_name, &plant_name, &env.label(), move |engine| {
-            plant_d.serve(engine, env_d.clone(), Rc::clone(&reply))
-        });
+        transport.send(
+            engine,
+            &self.name,
+            plant.name(),
+            env.trace_label(),
+            move |engine| plant_d.serve(engine, env_d.clone(), Rc::clone(&reply)),
+        );
         let rto = self.rto_for(attempt);
         let shop = self.clone();
-        let key_r = key.clone();
+        let key = Rc::clone(&env.key);
         let retransmit = engine.schedule(rto, move |engine| {
-            shop.transmit(engine, plant, key_r, env, attempt + 1);
+            shop.transmit(engine, plant, env, attempt + 1);
         });
         if let Some(p) = self.inner.borrow_mut().pending.get_mut(&key) {
             p.retransmit = retransmit;
@@ -937,7 +938,7 @@ impl VmShop {
                 let mut state = self.inner.borrow_mut();
                 let seq = state.next_vm;
                 state.next_vm += 1;
-                let id = VmId(format!("vm-{}-{:05}", state.name, seq));
+                let id = VmId(format!("vm-{}-{:05}", self.name, seq));
                 drop(state);
                 id
             }
@@ -1052,7 +1053,7 @@ impl VmShop {
             None => {
                 let seq = state.next_vm;
                 state.next_vm += 1;
-                VmId(format!("vm-{}-{:05}", state.name, seq))
+                VmId(format!("vm-{}-{:05}", self.name, seq))
             }
         };
         order.vm_id = Some(vm_id.clone());
@@ -1239,7 +1240,7 @@ impl VmShop {
     /// turns a persistent silence into `Unresponsive` so the re-bid
     /// machinery can move on.
     fn dispatch_to_plant(&self, engine: &mut Engine, att: Attempt, plant: Plant, done: ShopDone) {
-        let plant_name = plant.name();
+        let plant_name = plant.shared_name();
         // The key is per (order, dispatch): retransmissions of this
         // dispatch share it, while a later re-bid — possibly to the same
         // plant — is a fresh logical request and must not replay this
@@ -1250,7 +1251,7 @@ impl VmShop {
             if state.tuning.journal {
                 state.journal.dispatched(
                     att.vm_id.clone(),
-                    plant_name.clone(),
+                    plant_name.to_string(),
                     att.attempt,
                     engine.now(),
                 );
@@ -1262,7 +1263,7 @@ impl VmShop {
         self.call_plant(
             engine,
             plant,
-            key,
+            key.into(),
             Request::Create(order),
             Box::new(move |engine, res| match res {
                 Ok(Response::Ad(ad)) => {
@@ -1296,7 +1297,7 @@ impl VmShop {
         &self,
         engine: &mut Engine,
         mut att: Attempt,
-        plant_name: String,
+        plant_name: Rc<str>,
         err: PlantError,
         done: ShopDone,
     ) {
@@ -1332,7 +1333,7 @@ impl VmShop {
         &self,
         engine: &mut Engine,
         att: Attempt,
-        plant: Option<String>,
+        plant: Option<Rc<str>>,
         result: Result<ClassAd, ShopError>,
         done: ShopDone,
     ) {
@@ -1358,7 +1359,7 @@ impl VmShop {
                 match &result {
                     Ok(ad) => state.journal.published(
                         vm_id.clone(),
-                        plant.clone().unwrap_or_default(),
+                        plant.as_deref().unwrap_or_default().to_owned(),
                         ad.clone(),
                         now,
                     ),
@@ -1378,14 +1379,17 @@ impl VmShop {
                 }
                 state.obs.span_end(span, responded_at);
                 if let (Ok(ad), Some(plant_name)) = (&result, &plant) {
-                    state
-                        .cache
-                        .put(vm_id.clone(), ad.clone(), plant_name.clone(), responded_at);
+                    state.cache.put(
+                        vm_id.clone(),
+                        ad.clone(),
+                        plant_name.to_string(),
+                        responded_at,
+                    );
                 }
                 state.request_log.push(ShopRequestLog {
                     vm_id,
                     memory_mb,
-                    plant: plant.unwrap_or_default(),
+                    plant: plant.as_deref().unwrap_or_default().to_owned(),
                     requested_at,
                     responded_at,
                     latency: responded_at.since(requested_at),
@@ -1426,8 +1430,7 @@ impl VmShop {
                 // even though the winning copy is cached.
                 let known = {
                     let state = self.inner.borrow();
-                    state.cache.plant_of(&id) == Some(plant_name.as_str())
-                        || state.inflight.contains(&id)
+                    state.cache.plant_of(&id) == Some(plant_name) || state.inflight.contains(&id)
                 };
                 if known {
                     continue;
@@ -1486,7 +1489,7 @@ impl VmShop {
                     self.inner.borrow_mut().cache.put(
                         id.clone(),
                         ad.clone(),
-                        plant.name(),
+                        plant.name().to_owned(),
                         engine.now(),
                     );
                     return Ok(ad);
@@ -1514,7 +1517,7 @@ impl VmShop {
             shop.call_plant(
                 engine,
                 plant,
-                format!("destroy:{id}"),
+                format!("destroy:{id}").into(),
                 Request::Destroy(id.clone()),
                 Box::new(move |engine, res| {
                     shop2.inner.borrow_mut().cache.invalidate(&id2);
@@ -1565,7 +1568,7 @@ impl VmShop {
             shop.call_plant(
                 engine,
                 plant,
-                format!("publish:{id}:{golden_id}"),
+                format!("publish:{id}:{golden_id}").into(),
                 Request::Publish {
                     id: id.clone(),
                     golden_id: golden_id.clone(),

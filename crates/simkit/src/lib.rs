@@ -75,4 +75,4 @@ pub use obs::{
 pub use rng::SimRng;
 pub use stats::{SketchMetric, WindowSeries, SKETCH_ALPHA};
 pub use time::{SimDuration, SimTime};
-pub use transport::{LinkTuning, Transport, TransportStats};
+pub use transport::{LinkTuning, TraceLabel, Transport, TransportStats};

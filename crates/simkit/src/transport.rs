@@ -8,9 +8,13 @@
 //! duplication decision, and a reordering hold, then schedules the
 //! delivery closure(s) on the engine. All decisions are made — and
 //! recorded — at send time, so a run's full message history is
-//! byte-comparable across same-seed replays. A decision is recorded as a
-//! small struct (interned endpoints, label, outcome, delay) and rendered
-//! as text only when [`Transport::trace_text`] asks for it.
+//! byte-comparable across same-seed replays. Recording is opt-in: a
+//! transport keeps no history until [`Transport::record_trace`] is
+//! called, and a send's label is a [`TraceLabel`] that is rendered only
+//! while recording, so a run that never asks for its trace neither
+//! formats nor stores one. A recorded decision is a small struct
+//! (interned endpoints, label, outcome, delay), rendered as text only
+//! when [`Transport::trace_text`] asks for it.
 //!
 //! Fault windows are layered on top as *overrides*: a chaos scenario
 //! raises the drop/duplication/reordering probability for messages
@@ -137,6 +141,28 @@ impl fmt::Display for Outcome {
     }
 }
 
+/// The label of one send in the envelope trace, rendered only while the
+/// transport records ([`Transport::record_trace`]). A literal works
+/// as-is; a closure (`|| format!("m{i}")`) or a typed label defers the
+/// formatting, so a transport that is not recording never builds the
+/// text.
+pub trait TraceLabel {
+    /// The label text.
+    fn render(self) -> String;
+}
+
+impl TraceLabel for &str {
+    fn render(self) -> String {
+        self.to_owned()
+    }
+}
+
+impl<F: FnOnce() -> String> TraceLabel for F {
+    fn render(self) -> String {
+        self()
+    }
+}
+
 /// One recorded send-time decision; `from`/`to` index the interned
 /// endpoint names.
 struct TraceEntry {
@@ -166,14 +192,15 @@ impl Trace {
         }
     }
 
-    fn record(&mut self, at: SimTime, from: &str, to: &str, label: &str, outcomes: &[Outcome]) {
+    fn record(&mut self, at: SimTime, from: &str, to: &str, label: String, outcomes: &[Outcome]) {
         let (from, to) = (self.endpoint(from), self.endpoint(to));
+        let label: Box<str> = label.into();
         for &outcome in outcomes {
             self.entries.push(TraceEntry {
                 at,
                 from,
                 to,
-                label: label.into(),
+                label: label.clone(),
                 outcome,
             });
         }
@@ -217,7 +244,8 @@ struct TransportState {
     partitions: Vec<Override>,
     next_override: u64,
     counters: TransportCounters,
-    trace: Trace,
+    /// The envelope trace; `None` until [`Transport::record_trace`].
+    trace: Option<Trace>,
 }
 
 impl TransportState {
@@ -227,6 +255,55 @@ impl TransportState {
             .filter(|o| scope_matches(&o.scope, from, to))
             .map(|o| o.probability)
             .fold(base, f64::max)
+    }
+
+    /// Sample and count the fate of one message `from -> to`: partition,
+    /// loss, delay, duplication, and reordering, in that fixed order so
+    /// the RNG stream is reproducible. Returns the first copy's outcome
+    /// and the duplicate's delay, if one was made.
+    fn decide(&mut self, from: &str, to: &str) -> (Outcome, Option<f64>) {
+        self.counters.sent.inc();
+        if self
+            .partitions
+            .iter()
+            .any(|o| scope_matches(&o.scope, from, to))
+        {
+            self.counters.partitioned.inc();
+            return (Outcome::Partitioned, None);
+        }
+        let (lo, hi) = self.tuning.delay;
+        let mut delay = self.rng.uniform(lo, hi);
+        let drop_p = self.effective(self.tuning.drop_p, &self.loss, from, to);
+        if drop_p > 0.0 && self.rng.chance(drop_p) {
+            self.counters.dropped.inc();
+            return (Outcome::Dropped, None);
+        }
+        let dup_p = self.effective(self.tuning.dup_p, &self.duplication, from, to);
+        let dup_delay = if dup_p > 0.0 && self.rng.chance(dup_p) {
+            Some(self.rng.uniform(lo, hi))
+        } else {
+            None
+        };
+        let reorder_p = self.effective(self.tuning.reorder_p, &self.reorder, from, to);
+        let mut held = false;
+        if reorder_p > 0.0 && self.rng.chance(reorder_p) {
+            let (hlo, hhi) = self.tuning.reorder_hold;
+            delay += self.rng.uniform(hlo, hhi);
+            held = true;
+        }
+        let first = if held {
+            self.counters.reordered.inc();
+            Outcome::Held(delay)
+        } else {
+            Outcome::Delivered(delay)
+        };
+        if dup_delay.is_some() {
+            self.counters.duplicated.inc();
+            self.counters.delivered.add(2);
+        } else {
+            self.counters.delivered.inc();
+        }
+        (first, dup_delay)
     }
 }
 
@@ -249,15 +326,22 @@ impl Transport {
                 partitions: Vec::new(),
                 next_override: 0,
                 counters: TransportCounters::default(),
-                trace: Trace::default(),
+                trace: None,
             })),
         }
     }
 
+    /// Start recording the envelope trace: every later send's decision
+    /// is kept for [`Transport::trace_text`]. Until this is called the
+    /// transport keeps no history and renders no labels. Idempotent.
+    pub fn record_trace(&self) {
+        self.inner.borrow_mut().trace.get_or_insert_with(Trace::default);
+    }
+
     /// Attach an observability handle: the fabric's decision counters are
     /// registered as `transport.*` metrics (the registry adopts the very
-    /// handles `send` counts through). The per-message history stays in
-    /// [`Transport::trace_text`].
+    /// handles `send` counts through). The per-message history, when
+    /// recorded, stays in [`Transport::trace_text`].
     pub fn set_obs(&self, obs: &Obs) {
         let state = self.inner.borrow();
         obs.register_counter("transport.sent", &state.counters.sent);
@@ -373,72 +457,38 @@ impl Transport {
 
     /// Send a message `from -> to`. Samples partition, loss, delay,
     /// duplication, and reordering (in that fixed order, so the RNG
-    /// stream is reproducible), records one trace entry per copy, and
-    /// schedules `deliver` for every surviving copy.
-    pub fn send<F>(&self, engine: &mut Engine, from: &str, to: &str, label: &str, deliver: F)
+    /// stream is reproducible), records one trace entry per copy while
+    /// recording (rendering `label` only then), and schedules `deliver`
+    /// for every surviving copy. `label` must not call back into the
+    /// transport.
+    pub fn send<L, F>(&self, engine: &mut Engine, from: &str, to: &str, label: L, deliver: F)
     where
+        L: TraceLabel,
         F: Fn(&mut Engine) + 'static,
     {
-        let now = engine.now();
-        let delays = {
+        let (first, dup) = {
             let mut state = self.inner.borrow_mut();
-            state.counters.sent.inc();
-            if state
-                .partitions
-                .iter()
-                .any(|o| scope_matches(&o.scope, from, to))
-            {
-                state.counters.partitioned.inc();
-                state
-                    .trace
-                    .record(now, from, to, label, &[Outcome::Partitioned]);
-                return;
-            }
-            let (lo, hi) = state.tuning.delay;
-            let mut delay = state.rng.uniform(lo, hi);
-            let drop_p = state.effective(state.tuning.drop_p, &state.loss, from, to);
-            if drop_p > 0.0 && state.rng.chance(drop_p) {
-                state.counters.dropped.inc();
-                state.trace.record(now, from, to, label, &[Outcome::Dropped]);
-                return;
-            }
-            let dup_p = state.effective(state.tuning.dup_p, &state.duplication, from, to);
-            let dup_delay = if dup_p > 0.0 && state.rng.chance(dup_p) {
-                Some(state.rng.uniform(lo, hi))
-            } else {
-                None
-            };
-            let reorder_p = state.effective(state.tuning.reorder_p, &state.reorder, from, to);
-            let mut held = false;
-            if reorder_p > 0.0 && state.rng.chance(reorder_p) {
-                let (hlo, hhi) = state.tuning.reorder_hold;
-                delay += state.rng.uniform(hlo, hhi);
-                held = true;
-            }
-            let first = if held {
-                state.counters.reordered.inc();
-                Outcome::Held(delay)
-            } else {
-                Outcome::Delivered(delay)
-            };
-            match dup_delay {
-                None => {
-                    state.trace.record(now, from, to, label, &[first]);
-                    state.counters.delivered.inc();
-                }
-                Some(d) => {
-                    state.counters.duplicated.inc();
-                    state.trace.record(now, from, to, label, &[first, Outcome::Dup(d)]);
-                    state.counters.delivered.add(2);
+            let (first, dup) = state.decide(from, to);
+            if let Some(trace) = &mut state.trace {
+                let now = engine.now();
+                match dup {
+                    None => trace.record(now, from, to, label.render(), &[first]),
+                    Some(d) => {
+                        trace.record(now, from, to, label.render(), &[first, Outcome::Dup(d)])
+                    }
                 }
             }
-            (delay, dup_delay)
+            (first, dup)
         };
-        match delays {
-            (delay, None) => {
+        let delay = match first {
+            Outcome::Delivered(d) | Outcome::Held(d) => d,
+            Outcome::Partitioned | Outcome::Dropped | Outcome::Dup(_) => return,
+        };
+        match dup {
+            None => {
                 engine.schedule(SimDuration::from_secs_f64(delay), deliver);
             }
-            (delay, Some(dup)) => {
+            Some(dup) => {
                 let deliver = Rc::new(deliver);
                 for delay in [delay, dup] {
                     let deliver = Rc::clone(&deliver);
@@ -463,15 +513,22 @@ impl Transport {
         }
     }
 
-    /// Number of trace lines recorded so far.
+    /// Number of trace lines recorded so far (always 0 on a transport
+    /// that is not recording).
     pub fn trace_len(&self) -> usize {
-        self.inner.borrow().trace.entries.len()
+        self.inner.borrow().trace.as_ref().map_or(0, |t| t.entries.len())
     }
 
-    /// One line per send-time decision — the byte-comparable message
-    /// history of the run, rendered on demand.
+    /// One line per send-time decision since [`Transport::record_trace`]
+    /// — the byte-comparable message history of the run, rendered on
+    /// demand. Empty on a transport that is not recording.
     pub fn trace_text(&self) -> String {
-        self.inner.borrow().trace.render()
+        self.inner
+            .borrow()
+            .trace
+            .as_ref()
+            .map(Trace::render)
+            .unwrap_or_default()
     }
 }
 
@@ -493,6 +550,7 @@ mod tests {
     fn reliable_send_delivers_once_within_delay_bounds() {
         let mut engine = Engine::new();
         let t = Transport::new(SimRng::seed_from_u64(1));
+        t.record_trace();
         let hits = counter();
         let f = bump(&hits);
         t.send(&mut engine, "shop", "node0", "ping", move |e| f(e));
@@ -531,6 +589,7 @@ mod tests {
     fn certain_duplication_delivers_twice() {
         let mut engine = Engine::new();
         let t = Transport::new(SimRng::seed_from_u64(3));
+        t.record_trace();
         t.set_duplication("shop", 1.0);
         let hits = counter();
         let f = bump(&hits);
@@ -569,6 +628,7 @@ mod tests {
     fn reordering_holds_a_message_past_later_traffic() {
         let mut engine = Engine::new();
         let t = Transport::new(SimRng::seed_from_u64(5));
+        t.record_trace();
         t.set_reorder("shop", 1.0);
         let order: Rc<RefCell<Vec<u32>>> = Rc::new(RefCell::new(Vec::new()));
         let o1 = Rc::clone(&order);
@@ -591,6 +651,7 @@ mod tests {
     fn obs_registry_adopts_transport_counters() {
         let mut engine = Engine::new();
         let t = Transport::new(SimRng::seed_from_u64(9));
+        t.record_trace();
         let obs = Obs::enabled();
         t.set_obs(&obs);
         t.set_loss("node0", 1.0);
@@ -618,11 +679,12 @@ mod tests {
         let run = |seed: u64| {
             let mut engine = Engine::new();
             let t = Transport::new(SimRng::seed_from_u64(seed));
+            t.record_trace();
             t.set_loss("shop", 0.3);
             t.set_duplication("shop", 0.2);
             t.set_reorder("shop", 0.3);
             for i in 0..50 {
-                t.send(&mut engine, "shop", "node0", &format!("m{i}"), |_| {});
+                t.send(&mut engine, "shop", "node0", || format!("m{i}"), |_| {});
             }
             engine.run();
             (t.trace_text(), t.stats())
@@ -634,5 +696,51 @@ mod tests {
         assert!(stats_a.dropped > 0 && stats_a.duplicated > 0 && stats_a.reordered > 0);
         let (trace_c, _) = run(8);
         assert_ne!(trace_a, trace_c);
+    }
+
+    #[test]
+    fn an_unrecording_transport_decides_identically_without_labels() {
+        // The same sends on the same seed, once recording and once not:
+        // every decision, counter, and delivery time must match, and the
+        // silent transport must neither render a label nor keep a trace.
+        let run = |record: bool| {
+            let mut engine = Engine::new();
+            let t = Transport::new(SimRng::seed_from_u64(13));
+            if record {
+                t.record_trace();
+            }
+            t.set_loss("shop", 0.3);
+            t.set_duplication("node0", 0.3);
+            t.set_reorder("shop", 0.4);
+            t.set_partition("shop->node2");
+            let arrivals: Rc<RefCell<Vec<(u32, SimTime)>>> = Rc::new(RefCell::new(Vec::new()));
+            for i in 0..60u32 {
+                let to = ["node0", "node1", "node2"][i as usize % 3];
+                let sink = Rc::clone(&arrivals);
+                let deliver = move |engine: &mut Engine| sink.borrow_mut().push((i, engine.now()));
+                if record {
+                    t.send(&mut engine, "shop", to, || format!("m{i}"), deliver);
+                } else {
+                    let label = || -> String { panic!("label rendered without a trace") };
+                    t.send(&mut engine, "shop", to, label, deliver);
+                }
+            }
+            engine.run();
+            let arrivals = arrivals.borrow().clone();
+            (t.stats(), arrivals, t.trace_len())
+        };
+        let (stats_on, arrivals_on, len_on) = run(true);
+        let (stats_off, arrivals_off, len_off) = run(false);
+        assert_eq!(len_off, 0);
+        assert_eq!(stats_off, stats_on);
+        assert_eq!(arrivals_off, arrivals_on);
+        assert!(len_on as u64 >= stats_on.sent);
+        assert!(
+            stats_on.dropped > 0
+                && stats_on.duplicated > 0
+                && stats_on.reordered > 0
+                && stats_on.partitioned > 0,
+            "{stats_on}"
+        );
     }
 }

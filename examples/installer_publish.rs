@@ -114,7 +114,7 @@ fn main() {
     site.shop.migrate(
         &mut site.engine,
         &id,
-        &target,
+        target,
         Box::new(move |_, res| {
             *out2.borrow_mut() = Some(res);
         }),

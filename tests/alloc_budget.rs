@@ -8,6 +8,8 @@
 //! is created — and checks that the event loop's allocations per order
 //! stay under a ceiling. The stream is deterministic, so the count is
 //! exact and repeats from run to run in debug and release builds alike.
+//! The same stream also checks that a fault-free site keeps no transport
+//! trace: its memory must not grow with run length.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -65,12 +67,13 @@ static GLOBAL: Counting = Counting;
 const ORDERS: u64 = 300;
 
 /// Allocations per order the event loop may make. The stream measures
-/// 531.0 per order; the ceiling leaves 5 % of headroom. Lower it when a
+/// 429.5 per order; the ceiling leaves 5 % of headroom. Lower it when a
 /// change removes allocations, so the saving stays pinned.
-const CEILING_PER_ORDER: f64 = 557.0;
+const CEILING_PER_ORDER: f64 = 451.0;
 
-/// Run the stream; returns (allocations per order, successful creates).
-fn allocations_per_order() -> (f64, usize) {
+/// Run the stream; returns (allocations per order, successful creates,
+/// transport trace lines kept at quiesce).
+fn allocations_per_order() -> (f64, usize, usize) {
     let mut site = SimSite::build(SiteConfig {
         seed: 1,
         ..SiteConfig::default()
@@ -120,13 +123,15 @@ fn allocations_per_order() -> (f64, usize) {
 
     assert_eq!(failed_destroys.get(), 0, "a fault-free destroy failed");
     let allocs = ALLOCS.with(|n| n.replace(0));
-    (allocs as f64 / ORDERS as f64, created.get())
+    let trace_len = site.shop.transport().trace_len();
+    (allocs as f64 / ORDERS as f64, created.get(), trace_len)
 }
 
 #[test]
 fn steady_order_path_stays_within_its_allocation_budget() {
-    let (per_order, created) = allocations_per_order();
+    let (per_order, created, trace_len) = allocations_per_order();
     assert_eq!(created as u64, ORDERS, "the fault-free stream lost orders");
+    assert_eq!(trace_len, 0, "a site nobody asked for a trace kept one");
     println!("{per_order:.2} allocations per order");
     assert!(
         per_order <= CEILING_PER_ORDER,

@@ -127,7 +127,7 @@ fn render() -> String {
             shop.migrate(
                 engine,
                 &id.clone(),
-                &target,
+                target,
                 Box::new(move |engine, res| {
                     record(&log2, engine, "migrate", &what, &res);
                     let log = Rc::clone(&log2);

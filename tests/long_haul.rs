@@ -71,7 +71,7 @@ fn soak_two_hundred_requests_with_churn() {
                     site.shop.migrate(
                         &mut site.engine,
                         &id,
-                        &target,
+                        target,
                         Box::new(move |_, res| {
                             *out2.borrow_mut() = Some(res);
                         }),
