@@ -1,9 +1,9 @@
 //! The persistent performance baseline (E17): kernel event throughput,
 //! matchmaking throughput at several warehouse sizes (naive linear path
 //! vs the interned/indexed fast path), classad bidding at fleet scale
-//! (per-ad tree walk vs one constraint batch-evaluated by a column scan
-//! over a columnar ad table), and experiment wall times under the serial
-//! and parallel harnesses. Emits `BENCH_vmplants.json`.
+//! (one order constraint tree-walked per plant ad), and experiment wall
+//! times under the serial and parallel harnesses. Emits
+//! `BENCH_vmplants.json`.
 //!
 //! Usage:
 //!
@@ -199,12 +199,10 @@ fn bench_matching(goldens: usize, quick: bool) -> MatchNumbers {
 }
 
 // ---------------------------------------------------------------------
-// Matchmaking at scale: one order constraint batch-evaluated (a column
-// scan, since it is a conjunction of simple predicates) over a columnar
-// table of 10k/100k/1M plant ads vs the per-ad tree
-// walk. The table sizes are identical in quick and full mode (the CI
-// validator pins them); quick mode shrinks the tree-walk sample and the
-// batch repetition count instead.
+// Matchmaking at scale: one order constraint tree-walked over plant ads
+// from fleets of 10k/100k/1M. The fleet sizes are identical in quick and
+// full mode (the CI validator pins them); quick mode shrinks the walked
+// sample instead.
 // ---------------------------------------------------------------------
 
 struct ScaleNumbers {
@@ -212,8 +210,6 @@ struct ScaleNumbers {
     sampled: usize,
     matches: usize,
     tree_rows_per_sec: f64,
-    batch_rows_per_sec: f64,
-    speedup: f64,
 }
 
 /// A deterministic plant ad with realistic column variety: memory and VM
@@ -235,52 +231,24 @@ const SCALE_CONSTRAINT: &str =
     "alive && os == \"linux\" && freememory >= 256 && vmcount < 8 && memutilization < 0.9";
 
 fn bench_matchmaking_at_scale(ads: usize, quick: bool) -> ScaleNumbers {
-    use vmplants_classad::{parse_expr, AdTable};
-
-    let expr = parse_expr(SCALE_CONSTRAINT).expect("bench constraint parses");
+    let expr = vmplants_classad::parse_expr(SCALE_CONSTRAINT).expect("bench constraint parses");
     let pool: Vec<_> = (0..ads).map(scale_ad).collect();
-    let mut table = AdTable::new();
-    for ad in &pool {
-        table.push(ad);
-    }
 
     // Tree walk on a capped sample: the rate extrapolates, and a full
     // million-ad walk would dominate the bench run.
     let sampled = ads.min(if quick { 10_000 } else { 200_000 });
     let started = Instant::now();
-    let mut tree_matches = 0usize;
-    for ad in &pool[..sampled] {
-        if expr.eval_solo(ad).is_true() {
-            tree_matches += 1;
-        }
-    }
+    let matches = pool[..sampled]
+        .iter()
+        .filter(|ad| expr.eval_solo(*ad).is_true())
+        .count();
     let tree_rows_per_sec = sampled as f64 / started.elapsed().as_secs_f64().max(1e-9);
-
-    // Batch over the full table, repeated until the measured
-    // window is comfortably above timer resolution.
-    let reps = if quick { 1 } else { (4_000_000 / ads).max(1) };
-    let started = Instant::now();
-    let mut matches = 0;
-    for _ in 0..reps {
-        matches = table.eval_batch(&expr).count();
-    }
-    let batch_rows_per_sec = (ads * reps) as f64 / started.elapsed().as_secs_f64().max(1e-9);
-
-    // Differential check: both paths must agree on the sampled prefix.
-    let hits = table.eval_batch(&expr);
-    let batch_sample_matches = (0..sampled).filter(|&r| hits.contains(r)).count();
-    assert_eq!(
-        batch_sample_matches, tree_matches,
-        "batch diverged from tree walk"
-    );
 
     ScaleNumbers {
         ads,
         sampled,
         matches,
         tree_rows_per_sec,
-        batch_rows_per_sec,
-        speedup: batch_rows_per_sec / tree_rows_per_sec,
     }
 }
 
@@ -648,7 +616,7 @@ fn render_json(
 ) -> String {
     let mut out = String::new();
     out.push_str("{\n");
-    out.push_str("  \"schema\": \"vmplants-bench-baseline/7\",\n");
+    out.push_str("  \"schema\": \"vmplants-bench-baseline/8\",\n");
     let _ = writeln!(out, "  \"quick\": {quick},");
     let _ = writeln!(out, "  \"seed\": {seed},");
     out.push_str("  \"kernel\": {\n");
@@ -675,8 +643,8 @@ fn render_json(
         out.push_str("    {");
         let _ = write!(
             out,
-            "\"ads\": {}, \"sampled\": {}, \"matches\": {}, \"tree_walk_rows_per_sec\": {:.0}, \"compiled_batch_rows_per_sec\": {:.0}, \"speedup\": {:.2}",
-            m.ads, m.sampled, m.matches, m.tree_rows_per_sec, m.batch_rows_per_sec, m.speedup
+            "\"ads\": {}, \"sampled\": {}, \"matches\": {}, \"tree_walk_rows_per_sec\": {:.0}",
+            m.ads, m.sampled, m.matches, m.tree_rows_per_sec
         );
         out.push_str(if i + 1 < at_scale.len() { "},\n" } else { "}\n" });
     }
@@ -805,8 +773,8 @@ fn main() {
         eprintln!("[bench] matchmaking at scale: {ads} ads");
         let m = bench_matchmaking_at_scale(ads, quick);
         eprintln!(
-            "[bench]   tree walk {:.0} rows/s vs column-scan batch {:.0} rows/s ({:.1}x, {} matches)",
-            m.tree_rows_per_sec, m.batch_rows_per_sec, m.speedup, m.matches
+            "[bench]   tree walk {:.0} rows/s ({} of {} sampled ads match)",
+            m.tree_rows_per_sec, m.matches, m.sampled
         );
         at_scale.push(m);
     }

@@ -232,15 +232,15 @@ const GATES: &[(&str, Gate)] = &[
     ("matchmaking[1].indexed_matches_per_sec", Gate::RateFloor(0.20)),
     ("matchmaking[2].indexed_matches_per_sec", Gate::RateFloor(0.20)),
     (
-        "matchmaking_at_scale[0].compiled_batch_rows_per_sec",
+        "matchmaking_at_scale[0].tree_walk_rows_per_sec",
         Gate::RateFloor(0.25),
     ),
     (
-        "matchmaking_at_scale[1].compiled_batch_rows_per_sec",
+        "matchmaking_at_scale[1].tree_walk_rows_per_sec",
         Gate::RateFloor(0.25),
     ),
     (
-        "matchmaking_at_scale[2].compiled_batch_rows_per_sec",
+        "matchmaking_at_scale[2].tree_walk_rows_per_sec",
         Gate::RateFloor(0.25),
     ),
     ("scenario.compiles_per_sec", Gate::RateFloor(0.25)),
@@ -341,7 +341,7 @@ mod tests {
         let baseline = parse(BASELINE).expect("committed baseline parses");
         assert_eq!(
             baseline.path("schema").and_then(Json::str),
-            Some("vmplants-bench-baseline/7")
+            Some("vmplants-bench-baseline/8")
         );
         let (_, violations) = check(&baseline, &baseline, 1.0);
         assert!(violations.is_empty(), "self-check failed: {violations:?}");

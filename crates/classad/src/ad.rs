@@ -115,11 +115,6 @@ impl ClassAd {
         }
     }
 
-    /// Evaluate and coerce to `bool`.
-    pub fn get_bool(&self, name: &str) -> Option<bool> {
-        self.eval(name).as_bool()
-    }
-
     /// Iterate `(name, expr)` in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Expr)> {
         self.entries.iter().map(|(n, e)| (&**n, e))
@@ -226,6 +221,14 @@ mod tests {
         assert_eq!(ad.eval("nope"), Value::Undefined);
         assert_eq!(ad.get_int("nope"), None);
         assert_eq!(ad.get_str("nope"), None);
+        // Evaluation is one-sided: `other.` has no ad to read, even for
+        // an attribute this ad binds.
+        let mut ad = ClassAd::new();
+        ad.set_value("mem", 64i64);
+        let read = |src: &str| crate::parse_expr(src).unwrap().eval_solo(&ad);
+        assert_eq!(read("my.mem"), Value::Int(64));
+        assert_eq!(read("other.mem"), Value::Undefined);
+        assert_eq!(read("target.mem >= 0"), Value::Undefined);
     }
 
     #[test]

@@ -51,11 +51,13 @@ pub enum BinOp {
 /// Which ad an attribute reference is anchored to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum AttrScope {
-    /// Unqualified: search the current ad first, then the other ad.
+    /// Unqualified: the current ad.
     Current,
-    /// `my.attr` / `self.attr`: the current ad only.
+    /// `my.attr` / `self.attr`: the current ad.
     My,
-    /// `other.attr` / `target.attr`: the other ad only.
+    /// `other.attr` / `target.attr`: the other ad of a two-sided match.
+    /// Parsed and printed for fidelity; evaluation is one-sided, so it
+    /// reads `UNDEFINED`.
     Other,
 }
 
@@ -92,7 +94,7 @@ impl Expr {
 
 /// An attribute namespace: the evaluator looks expressions up by name.
 ///
-/// Implemented by [`crate::ClassAd`]; kept as a trait so matchmaking can run
+/// Implemented by [`crate::ClassAd`]; kept as a trait so evaluation can run
 /// against composite or lazily materialized scopes.
 pub trait Scope {
     /// The expression bound to `name`, if any. Lookup must be
@@ -100,50 +102,31 @@ pub trait Scope {
     fn lookup(&self, name: &str) -> Option<&Expr>;
 }
 
-/// Evaluation environment: the ad being evaluated plus, during matchmaking,
-/// the candidate ad on the other side.
+/// Evaluation environment: the ad being evaluated.
 #[derive(Clone, Copy)]
 pub struct Env<'a> {
     /// The ad whose expression is being evaluated.
     pub my: &'a dyn Scope,
-    /// The other ad in a two-sided match, if any.
-    pub other: Option<&'a dyn Scope>,
 }
 
 impl<'a> Env<'a> {
-    /// Environment with no "other" side.
+    /// Environment of one ad.
     pub fn solo(my: &'a dyn Scope) -> Env<'a> {
-        Env { my, other: None }
-    }
-
-    /// Environment for two-sided matchmaking.
-    pub fn matched(my: &'a dyn Scope, other: &'a dyn Scope) -> Env<'a> {
-        Env {
-            my,
-            other: Some(other),
-        }
-    }
-
-    fn flipped(self) -> Option<Env<'a>> {
-        self.other.map(|o| Env {
-            my: o,
-            other: Some(self.my),
-        })
+        Env { my }
     }
 }
 
-/// Guard against reference cycles: tracks `(side, attr)` frames currently
-/// being evaluated. `side` is 0 for the root `my` ad, 1 for the other.
+/// Guard against reference cycles: tracks the (lowercased) attributes
+/// currently being evaluated.
 #[derive(Default)]
 pub struct EvalTrace {
-    visiting: Vec<(u8, String)>,
-    root_is_other: bool,
+    visiting: Vec<String>,
 }
 
 const MAX_EVAL_DEPTH: usize = 64;
 
 impl Expr {
-    /// Evaluate against a single ad (no matchmaking partner).
+    /// Evaluate against a single ad.
     pub fn eval_solo(&self, scope: &dyn Scope) -> Value {
         self.eval(Env::solo(scope), &mut EvalTrace::default())
     }
@@ -182,37 +165,21 @@ impl Expr {
         scope: AttrScope,
         name: &str,
     ) -> Value {
-        // Resolve which side(s) to search.
-        let try_sides: &[u8] = match scope {
-            AttrScope::My => &[0],
-            AttrScope::Other => &[1],
-            AttrScope::Current => &[0, 1],
-        };
-        for &side in try_sides {
-            let target_env = if side == 0 {
-                Some(env)
-            } else {
-                env.flipped()
-            };
-            let Some(target_env) = target_env else {
-                continue;
-            };
-            if let Some(expr) = target_env.my.lookup(name) {
-                let abs_side = side ^ u8::from(trace.root_is_other);
-                let key = (abs_side, name.to_ascii_lowercase());
-                if trace.visiting.contains(&key) {
-                    return Value::Err; // cycle
-                }
-                trace.visiting.push(key);
-                let flipped = trace.root_is_other;
-                trace.root_is_other = abs_side == 1;
-                let v = expr.eval(target_env, trace);
-                trace.root_is_other = flipped;
-                trace.visiting.pop();
-                return v;
-            }
+        // Evaluation is one-sided: there is no other ad to read.
+        if scope == AttrScope::Other {
+            return Value::Undefined;
         }
-        Value::Undefined
+        let Some(expr) = env.my.lookup(name) else {
+            return Value::Undefined;
+        };
+        let key = name.to_ascii_lowercase();
+        if trace.visiting.contains(&key) {
+            return Value::Err; // cycle
+        }
+        trace.visiting.push(key);
+        let v = expr.eval(env, trace);
+        trace.visiting.pop();
+        v
     }
 }
 

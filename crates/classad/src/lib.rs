@@ -18,14 +18,9 @@
 //! * a parser and printer with round-trip fidelity ([`parse_classad`],
 //!   [`parse_expr`]); the parser refuses expressions nested deeper than
 //!   a fixed 128 levels, so wire input cannot overflow the stack;
-//! * two-sided matchmaking ([`symmetric_match`], [`rank`]) used by the shop
-//!   to pair creation requests with plants and by the warehouse to pre-filter
-//!   golden images;
-//! * a columnar [`AdTable`] that batch-evaluates one expression across a
-//!   whole fleet of ads: a conjunction of simple predicates becomes one
-//!   vectorized column scan per conjunct, and every other expression (or
-//!   ad with computed attributes) goes through the tree-walker, which is
-//!   also the differential oracle.
+//! * one evaluator, the tree walker [`Expr::eval_solo`]: the shop keeps
+//!   the cached VM ads a `select` constraint holds for, and the plants
+//!   whose resource ad satisfies an order's `requirements`.
 //!
 //! ```
 //! use vmplants_classad::{parse_classad, Value};
@@ -41,15 +36,11 @@
 
 pub mod ad;
 pub mod expr;
-pub mod matchmaking;
 pub mod parser;
-pub mod table;
 pub mod token;
 pub mod value;
 
 pub use ad::ClassAd;
 pub use expr::{AttrScope, BinOp, Expr, Scope, UnOp};
-pub use table::{AdTable, RowSet};
-pub use matchmaking::{rank, symmetric_match, MatchOutcome};
 pub use parser::{parse_classad, parse_expr, ParseError};
 pub use value::Value;

@@ -8,8 +8,8 @@ use std::rc::Rc;
 /// `Undefined` arises from references to missing attributes; `Err` from type
 /// mismatches and division by zero. Both propagate through most operators
 /// (with the short-circuit exceptions implemented in
-/// [`crate::expr`]), which is what makes one-sided matchmaking robust when
-/// an ad omits an attribute the other side probes for.
+/// [`crate::expr`]), which is what keeps a constraint well-defined when
+/// an ad omits an attribute it probes for.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Value {
     /// The `UNDEFINED` sentinel.
@@ -137,19 +137,6 @@ impl Value {
                 a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.is_identical(y))
             }
             _ => false,
-        }
-    }
-
-    /// A short name for the value's type (diagnostics).
-    pub fn type_name(&self) -> &'static str {
-        match self {
-            Value::Undefined => "undefined",
-            Value::Err => "error",
-            Value::Bool(_) => "boolean",
-            Value::Int(_) => "integer",
-            Value::Real(_) => "real",
-            Value::Str(_) => "string",
-            Value::List(_) => "list",
         }
     }
 }

@@ -1509,11 +1509,6 @@ pub fn render_report(seed: u64) -> String {
     out
 }
 
-/// Convenience: the p-th percentile of a run's latencies.
-pub fn latency_percentile(run: &CreationRun, p: f64) -> f64 {
-    percentile(&run.latencies, p)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

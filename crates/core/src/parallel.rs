@@ -9,7 +9,7 @@
 //! never in completion order, so the output of a parallel sweep is
 //! byte-identical to the serial sweep it replaces.
 
-use crate::ablations::{burst_row, depth_ablation_dag, matching_depth_row, BurstRow, BURST_SIZES};
+use crate::ablations::{burst_row, BurstRow, BURST_SIZES};
 use crate::experiments::{run_creation_experiment, CreationRun};
 
 /// Job counts below this run serially (see [`run_ordered`]).
@@ -84,18 +84,6 @@ pub fn concurrent_burst_parallel(seed: u64) -> Vec<BurstRow> {
         BURST_SIZES
             .iter()
             .map(|&burst| move || burst_row(burst, seed))
-            .collect(),
-    )
-}
-
-/// E11's matching-depth sweep with one thread per depth, rows in depth
-/// order — identical to the serial
-/// [`crate::ablations::matching_depth_ablation`].
-pub fn matching_depth_parallel(per_depth: usize, seed: u64) -> Vec<(usize, f64)> {
-    let depths = depth_ablation_dag().len();
-    run_ordered(
-        (0..=depths)
-            .map(|depth| move || matching_depth_row(depth, per_depth, seed))
             .collect(),
     )
 }

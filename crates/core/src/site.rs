@@ -14,7 +14,6 @@ use vmplants_simkit::{Engine, Obs, SimRng};
 use vmplants_virt::{TimingModel, VmSpec};
 use vmplants_warehouse::store::publish_experiment_goldens;
 use vmplants_warehouse::{Warehouse, WarehouseConfig};
-use vmplants_vnet::ProxyEndpoint;
 
 /// Configuration of a simulated site.
 #[derive(Clone, Debug)]
@@ -196,15 +195,6 @@ impl SimSite {
             rng,
             obs,
         }
-    }
-
-    /// The default proxy endpoint for the default client domain.
-    pub fn default_proxy(&self) -> ProxyEndpoint {
-        let domain = self
-            .default_domain
-            .clone()
-            .unwrap_or_else(|| "ufl.edu".to_owned());
-        ProxyEndpoint::new(domain.clone(), format!("proxy.{domain}"), 9300)
     }
 
     /// Build an order for the default client domain.

@@ -4,7 +4,7 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
-use vmplants_classad::{AdTable, ClassAd};
+use vmplants_classad::ClassAd;
 use vmplants_cluster::files::StoreError;
 use vmplants_plant::{
     Envelope, Payload, Plant, PlantError, ProductionOrder, ReplyFn, Request, Response, VmId,
@@ -450,7 +450,9 @@ impl VmShop {
     }
 
     /// Query the soft cache for VMs whose cached classads satisfy a
-    /// constraint expression (the `condor_status -constraint` idiom).
+    /// constraint expression (the `condor_status -constraint` idiom):
+    /// the constraint is parsed once per distinct text and evaluated
+    /// against each cached ad, keeping those for which it is `true`.
     /// Returns matches in VMID order. Purely a cache view: VMs created
     /// before a shop restart only reappear after
     /// [`VmShop::rebuild_cache`].
@@ -460,20 +462,11 @@ impl VmShop {
     ) -> Result<Vec<(VmId, ClassAd)>, vmplants_classad::ParseError> {
         let mut state = self.inner.borrow_mut();
         let expr = state.exprs.parse(constraint)?;
-        // One batch pass over the cached fleet: a conjunction of simple
-        // predicates is a column scan, anything else (and any ad with
-        // computed attributes) is tree-walked inside eval_batch.
-        let mut table = AdTable::new();
-        let entries: Vec<(&VmId, &crate::cache::CachedAd)> = state.cache.iter().collect();
-        for (_, e) in &entries {
-            table.push(&e.ad);
-        }
-        let hits = table.eval_batch(&expr);
-        Ok(entries
-            .into_iter()
-            .enumerate()
-            .filter(|(row, _)| hits.contains(*row))
-            .map(|(_, (id, e))| (id.clone(), e.ad.clone()))
+        Ok(state
+            .cache
+            .iter()
+            .filter(|(_, e)| expr.eval_solo(&e.ad).is_true())
+            .map(|(id, e)| (id.clone(), e.ad.clone()))
             .collect())
     }
 
@@ -1139,27 +1132,18 @@ impl VmShop {
         // Requirements filter (§3.4's Condor-style matchmaking): only
         // plants whose resource ad satisfies the order's constraint may
         // bid. The expression is parsed once per distinct text, then
-        // batch-evaluated over the fleet's resource ads in one columnar
-        // pass; when no constraint is set this path is untouched
-        // (determinism of existing runs preserved).
+        // evaluated against each plant's resource ad; when no constraint
+        // is set this path is untouched (determinism of existing runs
+        // preserved).
         let plants = match &att.order.requirements {
             None => plants,
             Some(text) => {
                 let parsed = self.inner.borrow_mut().exprs.parse(text);
                 match parsed {
-                    Ok(expr) => {
-                        let mut table = AdTable::new();
-                        for p in &plants {
-                            table.push(&p.resource_ad());
-                        }
-                        let hits = table.eval_batch(&expr);
-                        plants
-                            .into_iter()
-                            .enumerate()
-                            .filter(|(row, _)| hits.contains(*row))
-                            .map(|(_, p)| p)
-                            .collect()
-                    }
+                    Ok(expr) => plants
+                        .into_iter()
+                        .filter(|p| expr.eval_solo(&p.resource_ad()).is_true())
+                        .collect(),
                     Err(e) => {
                         return self.respond_create(
                             engine,

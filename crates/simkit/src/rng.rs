@@ -144,12 +144,6 @@ impl SimRng {
         mean + sd * self.standard_normal()
     }
 
-    /// Normal sample truncated below at `floor` (re-draws are not needed: a
-    /// simple clamp is adequate for noise terms and keeps cost constant).
-    pub fn normal_clamped(&mut self, mean: f64, sd: f64, floor: f64) -> f64 {
-        self.normal(mean, sd).max(floor)
-    }
-
     /// Lognormal sample parameterized by the *target* mean and the shape
     /// sigma (standard deviation of the underlying normal). Latency tails in
     /// the paper's histograms are right-skewed; lognormal reproduces that.

@@ -34,19 +34,27 @@ pub struct GoldenImage {
     pub performed: PerformedLog,
 }
 
+/// The paper's hardware matching criterion (§3.2): "the golden machine
+/// must match the client machine specification in terms of memory,
+/// disk, the operating system installed". Memory must be equal (the
+/// checkpointed memory state fixes the VM's memory size), the disk
+/// geometry must be equal (the virtual disk is shared read-only), the
+/// OS must be the same (case-insensitively), and the VMM technology
+/// must agree. The warehouse index applies it to the spec it keeps per
+/// row, so the indexed and naive lookups share this one definition.
+pub(crate) fn spec_matches(golden: &VmSpec, request: &VmSpec) -> bool {
+    golden.memory_mb == request.memory_mb
+        && golden.disk_gb == request.disk_gb
+        && golden.os.eq_ignore_ascii_case(&request.os)
+        && golden.vmm == request.vmm
+}
+
 impl GoldenImage {
-    /// The paper's hardware matching criterion (§3.2): "the golden machine
-    /// must match the client machine specification in terms of memory,
-    /// disk, the operating system installed". Memory must be equal (the
-    /// checkpointed memory state fixes the VM's memory size), the disk
-    /// geometry must be equal (the virtual disk is shared read-only), the
-    /// OS must be the same (case-insensitively), and the VMM technology
-    /// must agree.
+    /// Whether this image meets §3.2's hardware criterion for `request`:
+    /// equal memory and disk, the same OS ignoring ASCII case, the same
+    /// VMM.
     pub fn hardware_matches(&self, request: &VmSpec) -> bool {
-        self.spec.memory_mb == request.memory_mb
-            && self.spec.disk_gb == request.disk_gb
-            && self.spec.os.eq_ignore_ascii_case(&request.os)
-            && self.spec.vmm == request.vmm
+        spec_matches(&self.spec, request)
     }
 
     /// A classad describing this image (published into information systems

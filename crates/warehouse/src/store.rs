@@ -4,7 +4,6 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
-use vmplants_classad::{AdTable, AttrScope, BinOp, ClassAd, Expr, Value};
 use vmplants_cluster::files::{FileKind, StoreError};
 use vmplants_cluster::nfs::NfsServer;
 use vmplants_dag::{CompiledDag, ConfigDag, InternedLog, PerformedLog, SigInterner};
@@ -14,7 +13,7 @@ use vmplants_virt::image::CONFIG_BYTES;
 use vmplants_virt::{ImageFiles, VmSpec};
 
 use crate::chunks::{fnv_str, ChunkPlan, ChunkStore};
-use crate::golden::{GoldenId, GoldenImage};
+use crate::golden::{spec_matches, GoldenId, GoldenImage};
 use crate::xmldesc;
 
 /// Failures while publishing an image.
@@ -94,10 +93,10 @@ impl Default for WarehouseConfig {
 /// its state files.
 ///
 /// Besides the id index, the warehouse keeps a **signature-subset index**:
-/// a per-site [`SigInterner`] plus each image's performed log as interned
-/// ids, stored row-aligned with the columnar hardware table.
-/// [`Warehouse::lookup`] compiles the request DAG once, then prunes every
-/// hardware-matching row whose id set is not a subset of the request's
+/// a per-site [`SigInterner`] plus one row per image holding its hardware
+/// spec and its performed log as interned ids. [`Warehouse::lookup`]
+/// compiles the request DAG once, then skips every row that fails the
+/// hardware criterion or whose id set is not a subset of the request's
 /// before the Prefix/Partial-Order tests run — and materializes a
 /// [`MatchReport`](vmplants_dag::MatchReport) (the only string-cloning
 /// step) for the winning candidate alone.
@@ -106,13 +105,10 @@ pub struct Warehouse {
     /// Signature interner shared by every published log (the per-site
     /// interner of the matchmaking fast path).
     interner: SigInterner,
-    /// Columnar table of per-golden hardware ads (memory/disk/OS/VMM),
-    /// batch-filtered by a compiled constraint ahead of the DAG tests.
-    hw_table: AdTable,
-    /// Per row of [`Warehouse::hw_table`]: the golden's id and its
-    /// performed log as interned ids (computed once at publish), so the
-    /// lookup's per-row loop touches no string-keyed map.
-    hw_rows: Vec<(GoldenId, InternedLog)>,
+    /// One row per golden, in publish order: its id, its hardware spec
+    /// and its performed log as interned ids (computed once at publish),
+    /// so the lookup's per-row loop touches no string-keyed map.
+    hw_rows: Vec<(GoldenId, VmSpec, InternedLog)>,
     /// Matchmaking counters: shared handles the metrics registry adopts
     /// via [`Warehouse::set_obs`] (lookup takes `&self`, so the interior-
     /// mutable handles are exactly what is needed).
@@ -167,7 +163,6 @@ impl Warehouse {
         Warehouse {
             images: BTreeMap::new(),
             interner: SigInterner::new(),
-            hw_table: AdTable::new(),
             hw_rows: Vec::new(),
             lookups: Counter::new(),
             hits: Counter::new(),
@@ -332,24 +327,12 @@ impl Warehouse {
         self.logical_bytes_gauge.set(self.logical_footprint() as i64);
     }
 
-    /// Add an image to the lookup index: its hardware identity as a row of
-    /// the columnar ad table the batch pre-filter evaluates over, and, on
-    /// the same row, its performed log interned for the subset pre-check.
+    /// Add an image to the lookup index: a row with its hardware spec and
+    /// its performed log interned for the subset pre-check.
     fn index(&mut self, image: &GoldenImage) {
         let log = InternedLog::from_log(&image.performed, &mut self.interner);
-        self.hw_table.push(&Self::hardware_ad(&image.spec));
-        self.hw_rows.push((image.id.clone(), log));
-    }
-
-    /// The hardware ad [`Warehouse::hardware_constraint`] is evaluated
-    /// against.
-    fn hardware_ad(spec: &VmSpec) -> ClassAd {
-        let mut ad = ClassAd::new();
-        ad.set_value("memory_mb", spec.memory_mb);
-        ad.set_value("disk_gb", spec.disk_gb);
-        ad.set_value("os", spec.os.clone());
-        ad.set_value("vmm", spec.vmm.to_string());
-        ad
+        self.hw_rows
+            .push((image.id.clone(), image.spec.clone(), log));
     }
 
     /// Remove an image and its files from the export. Chunks whose last
@@ -367,13 +350,7 @@ impl Warehouse {
                 self.hit_counts.borrow_mut().remove(id);
                 self.replicated.remove(id);
                 self.refresh_footprint_gauges();
-                // Columns have no row removal; drop the row and rebuild the
-                // small hardware table from the survivors, in row order.
-                self.hw_rows.retain(|(gid, _)| gid != id);
-                self.hw_table = AdTable::new();
-                for (gid, _) in &self.hw_rows {
-                    self.hw_table.push(&Self::hardware_ad(&self.images[gid].spec));
-                }
+                self.hw_rows.retain(|(gid, _, _)| gid != id);
                 nfs.store.remove_tree(&format!("/warehouse/{}/", id.0));
                 true
             }
@@ -413,36 +390,11 @@ impl Warehouse {
         self.lookup(spec, dag)
     }
 
-    /// The hardware constraint as a classad expression over the ads
-    /// [`Warehouse::hardware_ad`] builds. `==` on strings is
-    /// case-insensitive, matching [`GoldenImage::hardware_matches`]'s
-    /// `eq_ignore_ascii_case` on the OS, and [`vmplants_virt::VmmType`]'s
-    /// `Display` is injective, so string equality on it is enum equality.
-    fn hardware_constraint(spec: &VmSpec) -> Expr {
-        let eq = |name: &str, v: Value| {
-            Expr::Binary(
-                BinOp::Eq,
-                Box::new(Expr::Attr(AttrScope::Current, name.to_owned())),
-                Box::new(Expr::Lit(v)),
-            )
-        };
-        [
-            eq("memory_mb", Value::Int(spec.memory_mb as i64)),
-            eq("disk_gb", Value::Int(spec.disk_gb as i64)),
-            eq("os", Value::str(&spec.os)),
-            eq("vmm", Value::str(spec.vmm.to_string())),
-        ]
-        .into_iter()
-        .reduce(|a, b| Expr::Binary(BinOp::And, Box::new(a), Box::new(b)))
-        .expect("non-empty conjunction")
-    }
-
-    /// The indexed lookup: batch-evaluate the hardware constraint over the
-    /// columnar ad table (a column scan), compile the request DAG once
-    /// (signature→node map, ancestor bitsets, topo order), prune rows whose
-    /// interned sig bitsets fail the cheap subset pre-check, run the
-    /// remaining tests on interned logs, and touch the image and clone
-    /// report strings for the winner only.
+    /// The indexed lookup: compile the request DAG once (signature→node
+    /// map, ancestor bitsets, topo order), skip rows that fail the
+    /// hardware criterion or whose interned sig bitsets fail the cheap
+    /// subset pre-check, run the remaining tests on interned logs, and
+    /// touch the image and clone report strings for the winner only.
     pub fn lookup(
         &self,
         spec: &VmSpec,
@@ -451,14 +403,12 @@ impl Warehouse {
         self.lookups.inc();
         let compiled = CompiledDag::compile_readonly(dag, &self.interner);
         let request_sigs = compiled.sig_bits();
-        let hw_hits = self.hw_table.eval_batch(&Self::hardware_constraint(spec));
         let mut best: Option<(&GoldenId, vmplants_dag::MatchedSet)> = None;
-        for row in hw_hits.ones() {
-            let (id, log) = &self.hw_rows[row];
-            // Subset pre-check against the index: any sig outside the
-            // request's set means the Subset Test must fail — skip the
-            // candidate without touching the heavier tests.
-            if !log.sig_bits().is_subset(request_sigs) {
+        for (id, golden_spec, log) in &self.hw_rows {
+            // Hardware criterion, then the subset pre-check against the
+            // index: any sig outside the request's set means the Subset
+            // Test must fail — skip the row without the heavier tests.
+            if !spec_matches(golden_spec, spec) || !log.sig_bits().is_subset(request_sigs) {
                 continue;
             }
             if let Ok(matched) = compiled.verdict(log, &self.interner) {
@@ -1058,15 +1008,38 @@ mod tests {
             .unwrap();
         w.publish(&nfs, "blank", "b", VmSpec::mandrake(64), PerformedLog::new())
             .unwrap();
+        // The deepest log of all, on a different disk: it must win only
+        // requests for that disk.
+        let big_disk = VmSpec {
+            disk_gb: 8,
+            ..VmSpec::mandrake(64)
+        };
+        let deep: PerformedLog = ["A", "B", "C", "D", "E"]
+            .iter()
+            .map(|id| dag.action(id).unwrap().clone())
+            .collect();
+        w.publish(&nfs, "big-disk", "d", big_disk.clone(), deep)
+            .unwrap();
+        let mixed_case_os = VmSpec {
+            os: "LINUX-Mandrake-8.1".into(),
+            ..VmSpec::mandrake(64)
+        };
         for spec in [
             VmSpec::mandrake(64),
             VmSpec::mandrake(32),
             VmSpec::mandrake(128),
             VmSpec::uml(64),
+            mixed_case_os.clone(),
+            big_disk.clone(),
         ] {
             assert_lookup_matches_naive(&w, &spec, &dag);
             assert_lookup_matches_naive(&w, &spec, &invigo_workspace_dag("jian"));
         }
+        // The OS compares case-insensitively, the disk exactly.
+        let (img, _) = w.lookup(&mixed_case_os, &dag).unwrap();
+        assert_eq!(img.id, GoldenId("long".into()));
+        let (img, _) = w.lookup(&big_disk, &dag).unwrap();
+        assert_eq!(img.id, GoldenId("big-disk".into()));
         // Removal drops the candidate from the index too.
         assert!(w.remove(&nfs, &GoldenId("long".into())));
         assert_lookup_matches_naive(&w, &VmSpec::mandrake(64), &dag);
