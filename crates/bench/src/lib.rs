@@ -13,10 +13,10 @@
 //! | `cost_function` | §3.4's worked bidding example (E6) |
 //! | `runtime_overhead` | §4.3's quoted run-time overheads (E9) |
 //! | `full_report` | everything above in one text report |
+//! | `ablations` | the E10–E15 ablation tables |
+//! | `bench_baseline` | `BENCH_vmplants.json`: kernel, matchmaking and classad rates, experiment walls; `--check` gates a fresh run against it ([`check`]) |
 //!
-//! Criterion micro-benches (`cargo bench`) cover the hot mechanisms:
-//! DAG matching, bidding, classad evaluation, the DES substrate, and
-//! whole creation runs per memory size.
+//! The order-lifecycle benchmark is the separate `perfbench` package.
 
 pub mod check;
 

@@ -355,7 +355,7 @@ pub const BURST_SIZES: [usize; 4] = [1, 4, 8, 16];
 /// One E14 burst replica: `burst` simultaneous 64 MB creations at t=0 on
 /// a fresh 8-plant site seeded `seed + burst` (each replica owns its
 /// whole simulation, so replicas are independent and parallelizable).
-pub fn burst_row(burst: usize, seed: u64) -> BurstRow {
+fn burst_row(burst: usize, seed: u64) -> BurstRow {
     let mut site = SimSite::build(SiteConfig {
         seed: seed + burst as u64,
         ..SiteConfig::default()
@@ -390,11 +390,15 @@ pub fn burst_row(burst: usize, seed: u64) -> BurstRow {
 /// Run E14: bursts of simultaneous 64 MB creations on the 8-plant site.
 /// The paper measures only sequential streams; under a burst, clones
 /// contend on the shared NFS pipe and latency grows with burst size.
+/// Each burst size is an independent replica, so the sweep runs them on
+/// [`crate::parallel::run_ordered`], rows in sweep order.
 pub fn concurrent_burst(seed: u64) -> Vec<BurstRow> {
-    BURST_SIZES
-        .iter()
-        .map(|&burst| burst_row(burst, seed))
-        .collect()
+    crate::parallel::run_ordered(
+        BURST_SIZES
+            .iter()
+            .map(|&burst| move || burst_row(burst, seed))
+            .collect(),
+    )
 }
 
 #[cfg(test)]

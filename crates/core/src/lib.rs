@@ -69,7 +69,7 @@ pub mod scenario;
 pub mod site;
 
 pub use chaos::{run_chaos, run_chaos_with_obs, ChaosConfig, ChaosReport, OrderSpec};
-pub use parallel::{concurrent_burst_parallel, paper_runs_parallel, run_ordered};
+pub use parallel::run_ordered;
 pub use scenario::{Scenario, ScenarioError};
 pub use site::{SimSite, SiteConfig};
 

@@ -9,9 +9,6 @@
 //! never in completion order, so the output of a parallel sweep is
 //! byte-identical to the serial sweep it replaces.
 
-use crate::ablations::{burst_row, BurstRow, BURST_SIZES};
-use crate::experiments::{run_creation_experiment, CreationRun};
-
 /// Job counts below this run serially (see [`run_ordered`]).
 pub const SERIAL_THRESHOLD: usize = 4;
 
@@ -65,33 +62,10 @@ where
     })
 }
 
-/// The three §4.2 creation runs of [`crate::experiments::paper_runs`],
-/// one thread each. Same seeds, same merge order — the returned runs are
-/// identical to the serial version's.
-pub fn paper_runs_parallel(seed: u64) -> Vec<CreationRun> {
-    let jobs: Vec<Box<dyn FnOnce() -> CreationRun + Send>> = vec![
-        Box::new(move || run_creation_experiment(32, 128, seed)),
-        Box::new(move || run_creation_experiment(64, 128, seed + 1)),
-        Box::new(move || run_creation_experiment(256, 40, seed + 2)),
-    ];
-    run_ordered(jobs)
-}
-
-/// E14's burst sweep with one thread per burst size, rows in sweep order
-/// — identical to [`crate::ablations::concurrent_burst`].
-pub fn concurrent_burst_parallel(seed: u64) -> Vec<BurstRow> {
-    run_ordered(
-        BURST_SIZES
-            .iter()
-            .map(|&burst| move || burst_row(burst, seed))
-            .collect(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::paper_runs;
+    use crate::experiments::run_creation_experiment;
 
     #[test]
     fn run_ordered_preserves_job_order() {
@@ -143,27 +117,5 @@ mod tests {
         let at_threshold =
             run_ordered((0..SERIAL_THRESHOLD as u64).map(|i| move || i).collect());
         assert_eq!(at_threshold, (0..SERIAL_THRESHOLD as u64).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn parallel_bursts_match_serial_sweep() {
-        let serial = crate::ablations::concurrent_burst(501);
-        let parallel = concurrent_burst_parallel(501);
-        assert_eq!(serial.len(), parallel.len());
-        for (s, p) in serial.iter().zip(&parallel) {
-            assert_eq!(s.burst, p.burst);
-            assert_eq!(s.mean_s, p.mean_s);
-            assert_eq!(s.max_s, p.max_s);
-        }
-    }
-
-    #[test]
-    #[ignore = "full-size E1 replica; run with --ignored for the complete check"]
-    fn full_paper_runs_parallel_equals_serial() {
-        let serial = paper_runs(2004);
-        let parallel = paper_runs_parallel(2004);
-        for (s, p) in serial.iter().zip(&parallel) {
-            assert_eq!(s.latencies, p.latencies);
-        }
     }
 }

@@ -17,8 +17,8 @@
 //!   the full [`MatchReport`] for the winning candidate only.
 //!
 //! The compiled path returns *identical* verdicts, reports and
-//! [`MatchFailure`]s to the naive path (property-tested behind the
-//! `proptests` feature); the warehouse uses it together with a
+//! [`MatchFailure`]s to the naive path (checked on seeded random DAGs and
+//! logs by `tests/properties.rs`); the warehouse uses it together with a
 //! signature-subset index to prune non-matching goldens cheaply.
 
 use std::collections::{BTreeSet, HashMap};

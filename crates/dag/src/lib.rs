@@ -17,7 +17,8 @@
 //!    the DAG against cached "golden" images that already have a prefix of
 //!    the actions applied, using the paper's three matching criteria —
 //!    **Subset**, **Prefix**, and **Partial Order** ([`matching`]) — and
-//!    only the residual actions are executed after cloning ([`plan`]).
+//!    only the residual actions are executed after cloning
+//!    ([`MatchReport::residual`]).
 //!
 //! ```
 //! use vmplants_dag::{ConfigDag, Action};
@@ -35,11 +36,9 @@ pub mod action;
 pub mod graph;
 pub mod intern;
 pub mod matching;
-pub mod plan;
 pub mod xml;
 
 pub use action::{Action, ActionKind, ErrorPolicy};
 pub use graph::{ConfigDag, DagError};
 pub use intern::{BitSet, CompiledDag, InternedLog, MatchedSet, SigId, SigInterner};
 pub use matching::{match_image, MatchFailure, MatchReport, PerformedLog};
-pub use plan::{plan_production, ProductionPlan};

@@ -235,27 +235,6 @@ pub fn match_image(dag: &ConfigDag, performed: &PerformedLog) -> Result<MatchRep
     })
 }
 
-/// Among several candidate logs, pick the best-matching one (highest score;
-/// ties to the lowest index). Returns `(index, report)`.
-pub fn best_image<'a, I>(dag: &ConfigDag, candidates: I) -> Option<(usize, MatchReport)>
-where
-    I: IntoIterator<Item = &'a PerformedLog>,
-{
-    let mut best: Option<(usize, MatchReport)> = None;
-    for (idx, log) in candidates.into_iter().enumerate() {
-        if let Ok(report) = match_image(dag, log) {
-            let better = match &best {
-                Some((_, b)) => report.score() > b.score(),
-                None => true,
-            };
-            if better {
-                best = Some((idx, report));
-            }
-        }
-    }
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -399,32 +378,6 @@ mod tests {
         let log = PerformedLog::from_actions(vec![a.clone(), a]);
         let err = match_image(&dag, &log).unwrap_err();
         assert!(matches!(err, MatchFailure::AmbiguousSignature { .. }));
-    }
-
-    #[test]
-    fn best_image_prefers_longer_prefixes() {
-        let dag = invigo_workspace_dag("arijit");
-        let short: PerformedLog = ["A", "B"]
-            .iter()
-            .map(|id| dag.action(id).unwrap().clone())
-            .collect();
-        let long = figure3_cached("arijit");
-        let broken: PerformedLog = ["B"]
-            .iter()
-            .map(|id| dag.action(id).unwrap().clone())
-            .collect();
-        let candidates = [short, long, broken];
-        let (idx, report) = best_image(&dag, candidates.iter()).unwrap();
-        assert_eq!(idx, 1);
-        assert_eq!(report.score(), 6);
-    }
-
-    #[test]
-    fn best_image_none_when_all_fail() {
-        let dag = invigo_workspace_dag("arijit");
-        let foreign = PerformedLog::from_actions(vec![Action::guest("X", "foreign")]);
-        assert!(best_image(&dag, std::iter::once(&foreign)).is_none());
-        assert!(best_image(&dag, std::iter::empty()).is_none());
     }
 
     #[test]

@@ -92,7 +92,7 @@ pub(crate) fn start_creation(
         let golden: Option<(GoldenId, Rc<ImageFiles>, Vec<String>, vmplants_dag::PerformedLog)> = {
             let warehouse = state.warehouse.borrow();
             warehouse
-                .find_golden(&order.spec, &order.dag)
+                .lookup(&order.spec, &order.dag)
                 .map(|(img, report)| {
                     (
                         img.id.clone(),
@@ -375,7 +375,7 @@ pub(crate) fn prewarm_spares(
         let state = plant.inner.borrow();
         let warehouse = state.warehouse.borrow();
         warehouse
-            .find_golden(&spec, &dag)
+            .lookup(&spec, &dag)
             .map(|(img, _)| (img.id.clone(), Rc::clone(&img.files)))
     };
     let Some((golden_id, image_files)) = golden else {

@@ -112,7 +112,7 @@ fn publish_vm_creates_a_matching_golden_and_resumes_the_vm() {
     let img = warehouse.get(&gid).unwrap();
     assert_eq!(img.performed.len(), 9);
     let (best, report) = warehouse
-        .find_golden(&VmSpec::mandrake(64), &invigo_workspace_dag("arijit"))
+        .lookup(&VmSpec::mandrake(64), &invigo_workspace_dag("arijit"))
         .unwrap();
     assert_eq!(best.id, gid);
     assert!(report.is_complete());

@@ -692,25 +692,39 @@ mod tests {
         assert_eq!(s.max(), 9.0);
     }
 
+    /// Merging two summaries equals pooling their observations: one fixed
+    /// split, then seeded random samples split at every kind of point,
+    /// empty sides included.
     #[test]
     fn summary_merge_equals_pooled() {
         let data: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0 + 5.0).collect();
-        let mut pooled = Summary::new();
-        for &x in &data {
-            pooled.record(x);
+        let mut cases = vec![(data, 37)];
+        for seed in 0..128 {
+            let mut rng = crate::rng::SimRng::seed_from_u64(seed);
+            let n = rng.index(128);
+            let xs: Vec<f64> = (0..n).map(|_| rng.uniform(-100.0, 100.0)).collect();
+            cases.push((xs, rng.index(n + 1)));
         }
-        let mut left = Summary::new();
-        let mut right = Summary::new();
-        for &x in &data[..37] {
-            left.record(x);
+        for (data, split) in cases {
+            let mut pooled = Summary::new();
+            for &x in &data {
+                pooled.record(x);
+            }
+            let mut left = Summary::new();
+            let mut right = Summary::new();
+            for &x in &data[..split] {
+                left.record(x);
+            }
+            for &x in &data[split..] {
+                right.record(x);
+            }
+            left.merge(&right);
+            assert_eq!(left.count(), pooled.count());
+            if pooled.count() > 0 {
+                assert!((left.mean() - pooled.mean()).abs() < 1e-9, "{data:?} at {split}");
+                assert!((left.std_dev() - pooled.std_dev()).abs() < 1e-9, "{data:?} at {split}");
+            }
         }
-        for &x in &data[37..] {
-            right.record(x);
-        }
-        left.merge(&right);
-        assert_eq!(left.count(), pooled.count());
-        assert!((left.mean() - pooled.mean()).abs() < 1e-9);
-        assert!((left.std_dev() - pooled.std_dev()).abs() < 1e-9);
     }
 
     #[test]

@@ -378,23 +378,13 @@ impl Warehouse {
             .collect()
     }
 
-    /// Full PPP lookup: hardware pre-filter, then the three DAG matching
-    /// tests, returning the best image (most actions already performed)
-    /// and its match report. Delegates to the indexed fast path
-    /// ([`Warehouse::lookup`]).
-    pub fn find_golden(
-        &self,
-        spec: &VmSpec,
-        dag: &ConfigDag,
-    ) -> Option<(&GoldenImage, vmplants_dag::MatchReport)> {
-        self.lookup(spec, dag)
-    }
-
-    /// The indexed lookup: compile the request DAG once (signature→node
-    /// map, ancestor bitsets, topo order), skip rows that fail the
-    /// hardware criterion or whose interned sig bitsets fail the cheap
-    /// subset pre-check, run the remaining tests on interned logs, and
-    /// touch the image and clone report strings for the winner only.
+    /// Full PPP lookup: the best image for the request (most actions
+    /// already performed, ties to the lowest id) and its match report.
+    /// Compiles the request DAG once (signature→node map, ancestor
+    /// bitsets, topo order), skips rows that fail the hardware criterion
+    /// or whose interned sig bitsets fail the cheap subset pre-check, runs
+    /// the remaining tests on interned logs, and touches the image and
+    /// clone report strings for the winner only.
     pub fn lookup(
         &self,
         spec: &VmSpec,
@@ -916,14 +906,14 @@ mod tests {
         let mut w = Warehouse::new();
         publish_experiment_goldens(&mut w, &nfs);
         let dag = invigo_workspace_dag("arijit");
-        let (img, report) = w.find_golden(&VmSpec::mandrake(64), &dag).unwrap();
+        let (img, report) = w.lookup(&VmSpec::mandrake(64), &dag).unwrap();
         assert_eq!(img.spec.memory_mb, 64);
         assert_eq!(report.score(), 3);
         assert_eq!(report.residual.len(), 6);
         // The base A/B/C actions are user-independent, so another user's
         // workspace DAG reuses the same goldens (score 3 again).
         let other = invigo_workspace_dag("jian");
-        let (_, other_report) = w.find_golden(&VmSpec::mandrake(64), &other).unwrap();
+        let (_, other_report) = w.lookup(&VmSpec::mandrake(64), &other).unwrap();
         assert_eq!(other_report.score(), 3);
     }
 
@@ -944,7 +934,7 @@ mod tests {
             .unwrap();
         w.publish(&nfs, "long", "l", VmSpec::mandrake(64), long)
             .unwrap();
-        let (img, report) = w.find_golden(&VmSpec::mandrake(64), &dag).unwrap();
+        let (img, report) = w.lookup(&VmSpec::mandrake(64), &dag).unwrap();
         assert_eq!(img.id, GoldenId("long".into()));
         assert_eq!(report.score(), 4);
     }
@@ -961,7 +951,7 @@ mod tests {
         let blank = PerformedLog::new();
         w.publish(&nfs, "blank", "b", VmSpec::mandrake(64), blank)
             .unwrap();
-        let (img, report) = w.find_golden(&VmSpec::mandrake(64), &dag).unwrap();
+        let (img, report) = w.lookup(&VmSpec::mandrake(64), &dag).unwrap();
         assert_eq!(img.id, GoldenId("blank".into()));
         assert_eq!(report.score(), 0);
     }
@@ -1058,7 +1048,7 @@ mod tests {
         // …and rebuilt wholesale from the on-disk descriptors.
         let restored = Warehouse::restore_from(&nfs, WarehouseConfig::default());
         assert_eq!(restored.len(), 3);
-        let (img, report) = restored.find_golden(&VmSpec::mandrake(64), &dag).unwrap();
+        let (img, report) = restored.lookup(&VmSpec::mandrake(64), &dag).unwrap();
         assert_eq!(img.id, GoldenId("mandrake81-64mb".into()));
         assert_eq!(report.score(), 3);
         // Performed logs survived with order intact.
@@ -1188,7 +1178,7 @@ mod tests {
             .store
             .exists("/warehouse/mandrake81-64mb/descriptor.xml"));
         let dag = invigo_workspace_dag("arijit");
-        let (img, _) = w.find_golden(&VmSpec::mandrake(64), &dag).unwrap();
+        let (img, _) = w.lookup(&VmSpec::mandrake(64), &dag).unwrap();
         assert_eq!(img.id, GoldenId("mandrake81-64mb".into()));
     }
 

@@ -7,7 +7,7 @@
 use vmplants::chaos::{run_chaos, run_chaos_with_site, ChaosConfig, OrderSpec};
 use vmplants_plant::Plant;
 use vmplants_shop::ShopError;
-use vmplants_simkit::{FaultPlan, SimDuration, SimTime};
+use vmplants_simkit::{FaultPlan, SimDuration, SimRng, SimTime};
 
 /// Whole-run drop 0.3 + dup 0.2 + reorder 0.3 windows on every
 /// shop↔plant link.
@@ -92,22 +92,66 @@ fn transport_storm_replays_byte_identically() {
     assert_eq!(first, second, "same-seed storm runs diverged");
 }
 
-/// The exactly-once invariants hold across several seeds, not just the
-/// blessed one.
+/// The exactly-once invariants hold across seeds and fault schedules: the
+/// storm plan under four more seeds, then twelve schedules whose drop, dup
+/// and reorder probabilities, one-way partition and seed are drawn from a
+/// seeded generator. Every order settles, each success is one VM resident
+/// on one plant, duplicate destroys are no-ops, and cleanup reclaims every
+/// lease.
 #[test]
 fn storm_invariants_hold_across_seeds() {
-    for seed in [1, 2, 3, 99] {
-        let (report, site) = run_chaos_with_site(&storm_config(seed, 10));
-        assert_eq!(report.hung_orders, 0, "seed {seed}: orders hung");
-        assert_eq!(
-            site.total_vms(),
-            report.successes,
-            "seed {seed}: VM count diverges from successes"
-        );
+    let mut configs: Vec<ChaosConfig> =
+        [1, 2, 3, 99].iter().map(|&seed| storm_config(seed, 10)).collect();
+    let mut rng = SimRng::seed_from_u64(2004);
+    let window = SimDuration::from_secs(30 * 86_400);
+    for _ in 0..12 {
+        let mut plan = FaultPlan::new()
+            .message_loss_at(SimTime::ZERO, "shop", rng.uniform(0.0, 0.4), window)
+            .message_duplicate_at(SimTime::ZERO, "shop", rng.uniform(0.0, 0.3), window)
+            .message_reorder_at(SimTime::ZERO, "shop", rng.uniform(0.0, 0.4), window);
+        if rng.chance(0.5) {
+            plan = plan.partition_at(
+                SimTime::from_secs(30),
+                "shop->node2",
+                SimDuration::from_secs(45),
+            );
+        }
+        configs.push(ChaosConfig {
+            seed: rng.uniform_u64(0, 9_999),
+            schedule: OrderSpec::constant(6, SimDuration::from_secs(20), 64),
+            plan,
+            ..ChaosConfig::default()
+        });
+    }
+    for (case, config) in configs.iter().enumerate() {
+        let ctx = format!("case {case}, seed {}", config.seed);
+        let (report, mut site) = run_chaos_with_site(config);
+        assert_eq!(report.hung_orders, 0, "{ctx}: orders hung");
         assert_eq!(
             report.successes + report.errors.len(),
             report.requests,
-            "seed {seed}: some order settled without a success or typed error"
+            "{ctx}: some order settled without a success or typed error"
         );
+        assert_eq!(
+            site.total_vms(),
+            report.successes,
+            "{ctx}: VM count diverges from successes"
+        );
+        let mut ids = std::collections::BTreeSet::new();
+        for plant in &site.plants {
+            for id in plant.list_vms().unwrap_or_default() {
+                assert!(ids.insert(id.clone()), "{ctx}: vm {id:?} is resident twice");
+            }
+        }
+        for id in &ids {
+            assert!(site.destroy_vm(id).is_ok(), "{ctx}: first destroy of {id:?}");
+            assert!(
+                matches!(site.destroy_vm(id), Err(ShopError::UnknownVm(_))),
+                "{ctx}: duplicate destroy of {id:?} was not a no-op"
+            );
+        }
+        assert_eq!(site.total_vms(), 0, "{ctx}");
+        let leases: usize = site.plants.iter().map(Plant::networks_in_use).sum();
+        assert_eq!(leases, 0, "{ctx}: network leases leaked");
     }
 }

@@ -1,7 +1,6 @@
 //! Scenario grammar and compiler regression tests: seeded-random
-//! round-trip + determinism (the ungated stand-in for the feature-gated
-//! proptests), and pinned-fixture checks for the committed scenario
-//! files under `scenarios/`.
+//! round-trip + determinism, and pinned-fixture checks for the committed
+//! scenario files under `scenarios/`.
 
 use vmplants::chaos::run_chaos;
 use vmplants::scenario::shrink::FailureSignature;
@@ -209,6 +208,42 @@ fn generated_scenarios_round_trip_through_xml() {
         assert_eq!(back, scenario, "seed {seed}: round-trip changed the scenario");
         assert_eq!(back.to_xml(), xml, "seed {seed}: canonical form not a fixpoint");
     }
+}
+
+/// The scenario reader never panics on malformed files, and whatever it
+/// accepts compiles to a config or a typed error: generated scenarios
+/// with a few characters of their XML replaced, inserted or deleted.
+#[test]
+fn mutated_scenario_xml_never_panics() {
+    let alphabet: Vec<char> = "<>/=\"&; #x-.e0123456789aoz".chars().collect();
+    let mut accepted = 0;
+    for seed in 0..2_000u64 {
+        let mut rng = SimRng::seed_from_u64(seed);
+        let mut xml: Vec<char> = random_scenario(seed).to_xml().chars().collect();
+        for _ in 0..1 + rng.index(3) {
+            let at = rng.index(xml.len() + 1);
+            let c = alphabet[rng.index(alphabet.len())];
+            match rng.index(3) {
+                0 if at < xml.len() => xml[at] = c,
+                1 => xml.insert(at, c),
+                _ if at < xml.len() => {
+                    xml.remove(at);
+                }
+                _ => {}
+            }
+        }
+        let xml: String = xml.into_iter().collect();
+        let outcome = std::panic::catch_unwind(|| {
+            Scenario::from_xml(&xml).map(|scenario| {
+                let _ = scenario.compile();
+            })
+        });
+        match outcome {
+            Ok(parsed) => accepted += usize::from(parsed.is_ok()),
+            Err(_) => panic!("seed {seed}: scenario reader or compiler panicked on\n{xml}"),
+        }
+    }
+    assert!(accepted > 100, "only {accepted} mutated scenarios parsed");
 }
 
 /// Any generated scenario compiles, runs, and produces a byte-identical
