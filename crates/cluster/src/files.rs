@@ -9,9 +9,36 @@
 //! that chunk manifests list their contents from.
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Bound;
 use std::rc::Rc;
+
+/// Hasher for tables keyed by a content hash: the key is an FNV hash,
+/// already well mixed, so it is its own table hash. The keys come from
+/// chunk plans the program computes, never from outside input, so the
+/// tables need no protection against crafted collisions.
+#[derive(Default)]
+pub struct PassThroughHasher(u64);
+
+impl Hasher for PassThroughHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+}
+
+/// A table keyed by content hash, hashed by [`PassThroughHasher`].
+pub type HashKeyed<V> = HashMap<u64, V, BuildHasherDefault<PassThroughHasher>>;
 
 /// What role a file plays, for reporting and sanity checks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -60,7 +87,7 @@ struct StoreInner {
     files: BTreeMap<String, FileMeta>,
     /// The content-addressed chunk table: hash → size. Chunks take
     /// physical bytes but live outside the path namespace.
-    chunks: BTreeMap<u64, u64>,
+    chunks: HashKeyed<u64>,
     /// Sum of `bytes` over `files` plus the sizes in `chunks`, kept by
     /// [`StoreInner::insert`], [`StoreInner::remove`],
     /// [`FileStore::remove_tree`] and the chunk-table methods — the only
@@ -271,7 +298,9 @@ impl FileStore {
 
     /// Every chunk hash in the chunk table, ascending.
     pub fn chunk_hashes(&self) -> Vec<u64> {
-        self.inner.borrow().chunks.keys().copied().collect()
+        let mut hashes: Vec<u64> = self.inner.borrow().chunks.keys().copied().collect();
+        hashes.sort_unstable();
+        hashes
     }
 
     /// Remove a file or symlink; returns its metadata.

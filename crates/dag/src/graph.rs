@@ -55,14 +55,29 @@ pub struct ConfigDag {
     graph: Rc<Graph>,
 }
 
-#[derive(Clone, Debug, Default, PartialEq)]
+#[derive(Clone, Debug, Default)]
 struct Graph {
     // Insertion-ordered node storage; indices are stable.
     nodes: Vec<Action>,
     index: HashMap<String, usize>,
-    // Adjacency by node index.
+    // Adjacency by node index, in edge-insertion order.
     succs: Vec<Vec<usize>>,
     preds: Vec<Vec<usize>>,
+}
+
+/// Nodes compare in insertion order, edges as a set: two graphs whose
+/// edges were added in different orders are equal (`dag_to_xml` writes
+/// edges grouped by source). `index` and `preds` follow from `nodes`
+/// and `succs`, and no list holds an edge twice.
+impl PartialEq for Graph {
+    fn eq(&self, other: &Graph) -> bool {
+        self.nodes == other.nodes
+            && self
+                .succs
+                .iter()
+                .zip(&other.succs)
+                .all(|(a, b)| a.len() == b.len() && a.iter().all(|to| b.contains(to)))
+    }
 }
 
 impl ConfigDag {

@@ -197,6 +197,27 @@ mod tests {
         assert_eq!(dag, decoded2);
     }
 
+    /// Equality ignores the order edges were added in: the writer emits
+    /// them grouped by source, so `4→5` added before `3→5` comes back
+    /// as `3→5`, `4→5`.
+    #[test]
+    fn round_trips_edges_added_out_of_source_order() {
+        let mut dag = ConfigDag::new();
+        for i in 0..6 {
+            dag.add_action(Action::guest(format!("n{i}"), format!("op-{i}")))
+                .unwrap();
+        }
+        dag.add_edge("n4", "n5").unwrap();
+        dag.add_edge("n3", "n5").unwrap();
+        let text = dag_to_xml(&dag).to_xml();
+        let decoded = dag_from_xml(&vmplants_xmlmsg::parse(&text).unwrap()).unwrap();
+        assert_eq!(dag, decoded);
+        // A different edge set still compares unequal.
+        let mut other = decoded.clone();
+        other.add_edge("n2", "n5").unwrap();
+        assert_ne!(dag, other);
+    }
+
     #[test]
     fn round_trips_error_policies() {
         let mut dag = ConfigDag::new();

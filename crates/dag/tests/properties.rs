@@ -15,9 +15,8 @@ const SEEDS: std::ops::Range<u64> = 0..256;
 
 /// A random DAG of 2–11 nodes. Edges run only from lower to higher
 /// insertion index, so the DAG is acyclic at generation time (insertion
-/// still re-checks). They are added in (source, target) order, the order
-/// `dag_to_xml` writes them: `ConfigDag`'s equality compares adjacency
-/// lists in insertion order.
+/// still re-checks). They are added in the random order drawn, not
+/// grouped by source; a repeated draw is skipped.
 fn random_dag(rng: &mut SimRng) -> ConfigDag {
     let n = 2 + rng.index(10);
     let mut dag = ConfigDag::new();
@@ -25,12 +24,12 @@ fn random_dag(rng: &mut SimRng) -> ConfigDag {
         dag.add_action(Action::guest(format!("n{i}"), format!("op-{i}")))
             .unwrap();
     }
-    let edges: BTreeSet<(usize, usize)> = (0..rng.index(2 * n))
-        .map(|_| (rng.index(n), rng.index(n)))
-        .filter(|(a, b)| a < b)
-        .collect();
-    for (a, b) in edges {
-        dag.add_edge(&format!("n{a}"), &format!("n{b}")).unwrap();
+    let mut seen = BTreeSet::new();
+    for _ in 0..rng.index(2 * n) {
+        let (a, b) = (rng.index(n), rng.index(n));
+        if a < b && seen.insert((a, b)) {
+            dag.add_edge(&format!("n{a}"), &format!("n{b}")).unwrap();
+        }
     }
     dag
 }

@@ -15,10 +15,10 @@
 //! always rewrites the redo log and memory snapshot — a memory image never
 //! survives an action untouched, but most of a 2 GB installed disk does.
 
-use std::collections::BTreeMap;
+use std::collections::hash_map::Entry;
 use std::rc::Rc;
 
-use vmplants_cluster::files::{FileKind, FileStore, StoreError};
+use vmplants_cluster::files::{FileKind, FileStore, HashKeyed, StoreError};
 use vmplants_dag::action::ActionSignature;
 use vmplants_dag::PerformedLog;
 use vmplants_virt::{ImageFiles, VmSpec};
@@ -163,7 +163,7 @@ impl ChunkPlan {
 
     /// Every distinct chunk hash in the plan with its size.
     #[cfg(test)]
-    pub(crate) fn unique_chunks(&self) -> BTreeMap<u64, u64> {
+    pub(crate) fn unique_chunks(&self) -> HashKeyed<u64> {
         self.chunk_refs().collect()
     }
 }
@@ -182,8 +182,9 @@ impl ChunkPlan {
 /// its plan would reclaim — current on every refcount change.
 #[derive(Default)]
 pub struct ChunkStore {
-    /// Content hash → (refcount, size, XOR of the referencing owners).
-    refs: BTreeMap<u64, (u64, u64, u64)>,
+    /// Content hash → (refcount, size, XOR of the referencing owners),
+    /// hashed by the content hash itself.
+    refs: HashKeyed<(u64, u64, u64)>,
     /// Per owner slot: bytes of the chunks whose refcount is exactly 1
     /// and whose one reference is that owner's plan.
     sole_bytes: Vec<u64>,
@@ -230,8 +231,9 @@ impl ChunkStore {
     /// Add one reference from `owner` to a chunk. Returns whether the chunk
     /// is new to the store (it still has to be written to the export).
     fn incref(&mut self, hash: u64, size: u64, owner: u64) -> bool {
-        match self.refs.get_mut(&hash) {
-            Some((count, size, owners)) => {
+        match self.refs.entry(hash) {
+            Entry::Occupied(mut entry) => {
+                let (count, size, owners) = entry.get_mut();
                 if *count == 1 {
                     self.sole_bytes[*owners as usize] -= *size;
                 }
@@ -240,8 +242,8 @@ impl ChunkStore {
                 self.dedup_hits += 1;
                 false
             }
-            None => {
-                self.refs.insert(hash, (1, size, owner));
+            Entry::Vacant(entry) => {
+                entry.insert((1, size, owner));
                 self.sole_bytes[owner as usize] += size;
                 self.physical += size;
                 self.dedup_misses += 1;
@@ -253,13 +255,16 @@ impl ChunkStore {
     /// Drop one reference from `owner` to a chunk. Returns the chunk's size
     /// when that was its last reference (the caller deletes the chunk).
     fn decref(&mut self, hash: u64, owner: u64) -> Option<u64> {
-        let (count, size, owners) = self.refs.get_mut(&hash)?;
+        let Entry::Occupied(mut entry) = self.refs.entry(hash) else {
+            return None;
+        };
+        let (count, size, owners) = entry.get_mut();
         let size = *size;
         *count -= 1;
         *owners ^= owner;
         match *count {
             0 => {
-                self.refs.remove(&hash);
+                entry.remove();
                 self.sole_bytes[owner as usize] -= size;
                 self.physical -= size;
                 Some(size)
@@ -367,6 +372,15 @@ impl ChunkStore {
             .sum()
     }
 
+    /// Every live chunk's refcount, by hash: the test view of the table.
+    #[cfg(test)]
+    pub(crate) fn refcounts(&self) -> HashKeyed<u64> {
+        self.refs
+            .iter()
+            .map(|(&hash, &(count, _, _))| (hash, count))
+            .collect()
+    }
+
     /// Re-register a plan published on a *replica* export: writes any
     /// chunks missing there plus the manifests, without touching the
     /// refcounts (the primary's counts are authoritative). Returns the
@@ -388,6 +402,7 @@ impl ChunkStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
     use vmplants_dag::graph::invigo_workspace_dag;
     use vmplants_simkit::rng::SimRng;
     use vmplants_virt::VmmType;

@@ -1,7 +1,7 @@
 //! The warehouse service: publish, enumerate, pre-filter.
 
-use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet};
+use std::cell::Cell;
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use vmplants_cluster::files::{FileKind, StoreError};
@@ -88,6 +88,149 @@ impl Default for WarehouseConfig {
     }
 }
 
+/// One published golden: its image and all the warehouse tracks about
+/// it, so eviction and re-derivation touch one record.
+struct Golden {
+    image: GoldenImage,
+    /// Chunk-store owner slot, dense from 0 in the order records are
+    /// made, kept across eviction and re-derivation.
+    slot: u64,
+    /// How its bulk state files are laid out on the export.
+    bulk: Bulk,
+    /// Whether its state files are on the export (false once eviction
+    /// reduced it to descriptor + derivation DAG).
+    resident: bool,
+    /// Live clone/spare references: a pinned golden is never evicted
+    /// (its clone trees still link into its files).
+    pins: u64,
+    /// Demand counter, driving the replication policy. A `Cell` because
+    /// [`Warehouse::lookup`] takes `&self`.
+    hits: Cell<u64>,
+    /// Already copied to every replica server.
+    replicated: bool,
+}
+
+/// A golden's bulk state files.
+enum Bulk {
+    /// Chunk manifests (dedup mode). The plan is a pure function of the
+    /// descriptor, kept across eviction so re-derivation never re-plans.
+    Chunked(ChunkPlan),
+    /// Plain full-size files of this many bytes (full-copy mode; 0 before
+    /// the first materialize).
+    Full(u64),
+}
+
+impl Golden {
+    fn new(image: GoldenImage, slot: u64) -> Golden {
+        Golden {
+            image,
+            slot,
+            bulk: Bulk::Full(0),
+            resident: false,
+            pins: 0,
+            hits: Cell::new(0),
+            replicated: false,
+        }
+    }
+
+    /// The §Virtual-Data estimate of what re-deriving this golden from
+    /// its DAG would cost: a base clone-and-resume plus replaying every
+    /// performed action.
+    fn rederive_cost_s(&self) -> f64 {
+        REDERIVE_BASE_S + REDERIVE_PER_ACTION_S * self.image.performed.len() as f64
+    }
+
+    /// Bytes of its resident full-copy bulk files (0 when evicted or
+    /// chunked).
+    fn resident_full_bytes(&self) -> u64 {
+        match self.bulk {
+            Bulk::Full(bytes) if self.resident => bytes,
+            _ => 0,
+        }
+    }
+
+    /// Bytes evicting this golden would actually reclaim right now: a
+    /// lookup, with no per-chunk work.
+    fn reclaimable_bytes(&self, chunks: &ChunkStore, dedup: bool) -> u64 {
+        if dedup {
+            chunks.reclaimable_bytes(self.slot)
+        } else {
+            self.resident_full_bytes()
+        }
+    }
+
+    /// Bring the state files onto the export: content-addressed chunks +
+    /// manifests in dedup mode, plain full-size files otherwise. Either
+    /// way the config file is a real (tiny) file.
+    fn materialize(
+        &mut self,
+        nfs: &NfsServer,
+        chunks: &mut ChunkStore,
+        dedup: bool,
+    ) -> Result<(), StoreError> {
+        let image = &self.image;
+        if dedup {
+            nfs.store
+                .put(&image.files.config, CONFIG_BYTES, FileKind::VmConfig)?;
+            if let Bulk::Full(_) = self.bulk {
+                self.bulk = Bulk::Chunked(chunk_plan(image));
+            }
+            if let Bulk::Chunked(plan) = &self.bulk {
+                chunks.publish(&nfs.store, plan, self.slot)?;
+            }
+        } else {
+            image
+                .files
+                .materialize(&nfs.store, image.spec.memory_mb, GOLDEN_DISK_BYTES)?;
+            self.bulk = Bulk::Full(full_copy_bytes(image));
+        }
+        self.resident = true;
+        Ok(())
+    }
+
+    /// Drop the state files down to descriptor + derivation DAG. The
+    /// index entry survives, so matchmaking still finds the golden;
+    /// [`Warehouse::ensure_resident`] re-derives it on demand.
+    fn evict(&mut self, nfs: &NfsServer, chunks: &mut ChunkStore) {
+        let files = &self.image.files;
+        match &self.bulk {
+            Bulk::Chunked(plan) => {
+                chunks.release(&nfs.store, plan, self.slot);
+                for file in &plan.files {
+                    let _ = nfs.store.remove(&file.path);
+                }
+            }
+            Bulk::Full(_) => {
+                for bulk in files.bulk_files(self.image.spec.memory_mb, GOLDEN_DISK_BYTES) {
+                    let _ = nfs.store.remove(&bulk.path);
+                }
+            }
+        }
+        let _ = nfs.store.remove(&files.config);
+        self.resident = false;
+    }
+}
+
+/// A golden's chunk plan: recomputable at any time from its descriptor.
+fn chunk_plan(image: &GoldenImage) -> ChunkPlan {
+    ChunkPlan::plan(
+        &image.files,
+        &image.spec,
+        &image.performed,
+        GOLDEN_DISK_BYTES,
+    )
+}
+
+/// Bytes of a golden's bulk state files as full copies.
+fn full_copy_bytes(image: &GoldenImage) -> u64 {
+    image
+        .files
+        .bulk_files(image.spec.memory_mb, GOLDEN_DISK_BYTES)
+        .iter()
+        .map(|b| b.bytes)
+        .sum()
+}
+
 /// The VM Warehouse: golden images stored under `/warehouse/<id>/` on the
 /// NFS export, indexed in memory, each with an XML descriptor alongside
 /// its state files.
@@ -101,7 +244,11 @@ impl Default for WarehouseConfig {
 /// [`MatchReport`](vmplants_dag::MatchReport) (the only string-cloning
 /// step) for the winning candidate alone.
 pub struct Warehouse {
-    images: BTreeMap<GoldenId, GoldenImage>,
+    /// One record per golden: image, owner slot, chunk plan or bulk
+    /// bytes, residency, pins, demand and replication.
+    goldens: BTreeMap<GoldenId, Golden>,
+    /// Owner slots handed out so far.
+    slots: u64,
     /// Signature interner shared by every published log (the per-site
     /// interner of the matchmaking fast path).
     interner: SigInterner,
@@ -120,25 +267,6 @@ pub struct Warehouse {
     config: WarehouseConfig,
     /// Site-wide content-addressed chunk bookkeeping (dedup mode).
     chunk_store: ChunkStore,
-    /// Per-resident-golden chunk plans (dedup mode), for release and
-    /// replication.
-    plans: BTreeMap<GoldenId, ChunkPlan>,
-    /// Per-golden chunk-store owner slot, dense from 0, assigned at the
-    /// first materialize and kept across eviction and re-derivation.
-    owner_slots: BTreeMap<GoldenId, u64>,
-    /// Per-resident-golden bulk bytes (full-copy mode), for the capacity
-    /// accounting that dedup mode reads off the chunk store instead.
-    resident_bulk: BTreeMap<GoldenId, u64>,
-    /// Goldens reduced to descriptor + derivation DAG by eviction.
-    evicted: BTreeSet<GoldenId>,
-    /// Live clone/spare references per golden: a pinned golden is never
-    /// evicted (its clone trees still link into its files).
-    pins: BTreeMap<GoldenId, u64>,
-    /// Demand counter per golden, driving the replication policy.
-    /// `RefCell` because [`Warehouse::lookup`] takes `&self`.
-    hit_counts: RefCell<BTreeMap<GoldenId, u64>>,
-    /// Goldens already copied to every replica server.
-    replicated: BTreeSet<GoldenId>,
     /// Secondary NFS servers hot goldens replicate to.
     replicas: Vec<NfsServer>,
     /// Cache/footprint metrics (see [`Warehouse::set_obs`]).
@@ -161,7 +289,8 @@ impl Warehouse {
     /// An empty warehouse with an explicit policy.
     pub fn with_config(config: WarehouseConfig) -> Warehouse {
         Warehouse {
-            images: BTreeMap::new(),
+            goldens: BTreeMap::new(),
+            slots: 0,
             interner: SigInterner::new(),
             hw_rows: Vec::new(),
             lookups: Counter::new(),
@@ -170,13 +299,6 @@ impl Warehouse {
             match_depth: HistogramMetric::new(&[0.0, 1.0, 2.0, 4.0, 8.0, 16.0]),
             config,
             chunk_store: ChunkStore::new(),
-            plans: BTreeMap::new(),
-            owner_slots: BTreeMap::new(),
-            resident_bulk: BTreeMap::new(),
-            evicted: BTreeSet::new(),
-            pins: BTreeMap::new(),
-            hit_counts: RefCell::new(BTreeMap::new()),
-            replicated: BTreeSet::new(),
             replicas: Vec::new(),
             evictions: Counter::new(),
             rederives: Counter::new(),
@@ -221,12 +343,12 @@ impl Warehouse {
 
     /// Number of published images.
     pub fn len(&self) -> usize {
-        self.images.len()
+        self.goldens.len()
     }
 
     /// True when no images are published.
     pub fn is_empty(&self) -> bool {
-        self.images.is_empty()
+        self.goldens.is_empty()
     }
 
     /// Publish a golden image: materialize its state files on the export,
@@ -243,7 +365,7 @@ impl Warehouse {
         performed: PerformedLog,
     ) -> Result<&GoldenImage, PublishError> {
         let id = GoldenId(id.into());
-        if self.images.contains_key(&id) {
+        if self.goldens.contains_key(&id) {
             return Err(PublishError::DuplicateId(id));
         }
         let dir = format!("/warehouse/{}", id.0);
@@ -260,66 +382,27 @@ impl Warehouse {
             files,
             performed,
         };
-        self.materialize_image(nfs, &image)?;
-        let descriptor = xmldesc::image_to_xml(&image).to_pretty_xml();
+        let mut golden = Golden::new(image, self.slots);
+        self.slots += 1;
+        golden.materialize(nfs, &mut self.chunk_store, self.config.dedup)?;
+        let descriptor = xmldesc::image_to_xml(&golden.image).to_pretty_xml();
         nfs.store
             .put_text(format!("{dir}/descriptor.xml"), descriptor, FileKind::Generic)?;
-        self.index(&image);
-        self.images.insert(id.clone(), image);
+        self.index(&golden.image);
+        self.goldens.insert(id.clone(), golden);
+        self.note_materialized();
         // A fresh publish may push the footprint over budget; evict cold
         // goldens (never the one just published) until it fits.
         self.enforce_capacity(nfs, Some(&id));
-        Ok(&self.images[&id])
+        Ok(&self.goldens[&id].image)
     }
 
-    /// Bring an image's state files onto the export: content-addressed
-    /// chunks + manifests in dedup mode, plain full-size files otherwise.
-    /// Either way the config file is a real (tiny) file.
-    fn materialize_image(
-        &mut self,
-        nfs: &NfsServer,
-        image: &GoldenImage,
-    ) -> Result<(), StoreError> {
-        if self.config.dedup {
-            nfs.store
-                .put(&image.files.config, CONFIG_BYTES, FileKind::VmConfig)?;
-            let plan = ChunkPlan::plan(
-                &image.files,
-                &image.spec,
-                &image.performed,
-                GOLDEN_DISK_BYTES,
-            );
-            let owner = self.owner_slot(&image.id);
-            self.chunk_store.publish(&nfs.store, &plan, owner)?;
-            self.plans.insert(image.id.clone(), plan);
-        } else {
-            image
-                .files
-                .materialize(&nfs.store, image.spec.memory_mb, GOLDEN_DISK_BYTES)?;
-            let bulk: u64 = image
-                .files
-                .bulk_files(image.spec.memory_mb, GOLDEN_DISK_BYTES)
-                .iter()
-                .map(|b| b.bytes)
-                .sum();
-            self.resident_bulk.insert(image.id.clone(), bulk);
-        }
-        self.evicted.remove(&image.id);
+    /// Mirror the chunk store's dedup counters and the footprint gauges
+    /// after a golden's state files reached the export.
+    fn note_materialized(&self) {
         sync_counter(&self.chunk_dedup_hits, self.chunk_store.dedup_hits);
         sync_counter(&self.chunk_dedup_misses, self.chunk_store.dedup_misses);
         self.refresh_footprint_gauges();
-        Ok(())
-    }
-
-    /// The golden's chunk-store owner slot, assigning the next free one on
-    /// first use.
-    fn owner_slot(&mut self, id: &GoldenId) -> u64 {
-        if let Some(&slot) = self.owner_slots.get(id) {
-            return slot;
-        }
-        let slot = self.owner_slots.len() as u64;
-        self.owner_slots.insert(id.clone(), slot);
-        slot
     }
 
     fn refresh_footprint_gauges(&self) {
@@ -338,42 +421,33 @@ impl Warehouse {
     /// Remove an image and its files from the export. Chunks whose last
     /// reference this was are garbage-collected from the chunk tree.
     pub fn remove(&mut self, nfs: &NfsServer, id: &GoldenId) -> bool {
-        match self.images.remove(id) {
-            Some(_) => {
-                if let Some(plan) = self.plans.remove(id) {
-                    self.chunk_store
-                        .release(&nfs.store, &plan, self.owner_slots[id]);
-                }
-                self.resident_bulk.remove(id);
-                self.evicted.remove(id);
-                self.pins.remove(id);
-                self.hit_counts.borrow_mut().remove(id);
-                self.replicated.remove(id);
-                self.refresh_footprint_gauges();
-                self.hw_rows.retain(|(gid, _, _)| gid != id);
-                nfs.store.remove_tree(&format!("/warehouse/{}/", id.0));
-                true
-            }
-            None => false,
+        let Some(golden) = self.goldens.remove(id) else {
+            return false;
+        };
+        if let (true, Bulk::Chunked(plan)) = (golden.resident, &golden.bulk) {
+            self.chunk_store.release(&nfs.store, plan, golden.slot);
         }
+        self.refresh_footprint_gauges();
+        self.hw_rows.retain(|(gid, _, _)| gid != id);
+        nfs.store.remove_tree(&format!("/warehouse/{}/", id.0));
+        true
     }
 
     /// Look up an image by id.
     pub fn get(&self, id: &GoldenId) -> Option<&GoldenImage> {
-        self.images.get(id)
+        self.goldens.get(id).map(|g| &g.image)
     }
 
     /// All images, ordered by id.
     pub fn images(&self) -> impl Iterator<Item = &GoldenImage> {
-        self.images.values()
+        self.goldens.values().map(|g| &g.image)
     }
 
     /// The hardware pre-filter: images whose memory/disk/OS/VMM identity
     /// matches the request (§3.2's first matching stage, ahead of the
     /// DAG-level tests).
     pub fn hardware_candidates(&self, spec: &VmSpec) -> Vec<&GoldenImage> {
-        self.images
-            .values()
+        self.images()
             .filter(|img| img.hardware_matches(spec))
             .collect()
     }
@@ -421,14 +495,9 @@ impl Warehouse {
                 self.hits.inc();
                 self.match_depth.record(matched.score() as f64);
                 // Per-golden demand, driving the replication policy.
-                let mut hit_counts = self.hit_counts.borrow_mut();
-                match hit_counts.get_mut(id) {
-                    Some(n) => *n += 1,
-                    None => {
-                        hit_counts.insert(id.clone(), 1);
-                    }
-                }
-                Some((&self.images[id], compiled.report(&matched)))
+                let golden = &self.goldens[id];
+                golden.hits.set(golden.hits.get() + 1);
+                Some((&golden.image, compiled.report(&matched)))
             }
             None => {
                 self.misses.inc();
@@ -470,7 +539,7 @@ impl Warehouse {
         if self.config.dedup {
             self.chunk_store.physical_bytes()
         } else {
-            self.resident_bulk.values().sum()
+            self.goldens.values().map(Golden::resident_full_bytes).sum()
         }
     }
 
@@ -480,7 +549,7 @@ impl Warehouse {
         if self.config.dedup {
             self.chunk_store.logical_bytes()
         } else {
-            self.resident_bulk.values().sum()
+            self.goldens.values().map(Golden::resident_full_bytes).sum()
         }
     }
 
@@ -497,7 +566,7 @@ impl Warehouse {
     /// Whether a golden's state files are currently on the export (false
     /// once eviction reduced it to descriptor + derivation DAG).
     pub fn is_resident(&self, id: &GoldenId) -> bool {
-        self.images.contains_key(id) && !self.evicted.contains(id)
+        self.goldens.get(id).is_some_and(|g| g.resident)
     }
 
     /// Evictions performed so far.
@@ -512,48 +581,23 @@ impl Warehouse {
 
     /// Goldens currently replicated to the secondary servers.
     pub fn replicated_count(&self) -> usize {
-        self.replicated.len()
+        self.goldens.values().filter(|g| g.replicated).count()
     }
 
     /// Pin a golden against eviction: its clone trees (or spares) link
     /// into its files, so the state must stay resident while any live
     /// clone references it. Balanced by [`Warehouse::unpin`].
     pub fn pin(&mut self, id: &GoldenId) {
-        *self.pins.entry(id.clone()).or_insert(0) += 1;
+        if let Some(golden) = self.goldens.get_mut(id) {
+            golden.pins += 1;
+        }
     }
 
     /// Drop one clone reference; at zero the golden becomes evictable
     /// again (the dead clone tree's chunk references are reclaimable).
     pub fn unpin(&mut self, id: &GoldenId) {
-        if let Some(count) = self.pins.get_mut(id) {
-            *count -= 1;
-            if *count == 0 {
-                self.pins.remove(id);
-            }
-        }
-    }
-
-    /// The §Virtual-Data estimate of what re-deriving this golden from
-    /// its DAG would cost: a base clone-and-resume plus replaying every
-    /// performed action.
-    fn rederive_cost_s(&self, id: &GoldenId) -> f64 {
-        let actions = self
-            .images
-            .get(id)
-            .map(|img| img.performed.len())
-            .unwrap_or(0);
-        REDERIVE_BASE_S + REDERIVE_PER_ACTION_S * actions as f64
-    }
-
-    /// Bytes evicting this golden would actually reclaim right now: a
-    /// lookup, with no per-chunk work.
-    fn reclaimable_bytes(&self, id: &GoldenId) -> u64 {
-        if self.config.dedup {
-            self.owner_slots
-                .get(id)
-                .map_or(0, |&slot| self.chunk_store.reclaimable_bytes(slot))
-        } else {
-            self.resident_bulk.get(id).copied().unwrap_or(0)
+        if let Some(golden) = self.goldens.get_mut(id) {
+            golden.pins = golden.pins.saturating_sub(1);
         }
     }
 
@@ -568,78 +612,51 @@ impl Warehouse {
         };
         let mut evicted = 0;
         while self.physical_footprint() > cap {
+            let (chunks, dedup) = (&self.chunk_store, self.config.dedup);
             let victim = self
-                .images
-                .keys()
-                .filter(|id| {
-                    self.is_resident(id)
-                        && !self.pins.contains_key(*id)
-                        && Some(*id) != keep
+                .goldens
+                .iter_mut()
+                .filter(|(id, g)| g.resident && g.pins == 0 && Some(*id) != keep)
+                .map(|(id, g)| {
+                    let reclaimable = g.reclaimable_bytes(chunks, dedup).max(1);
+                    (g.rederive_cost_s() / reclaimable as f64, id, g)
                 })
-                .map(|id| {
-                    let score = self.rederive_cost_s(id)
-                        / self.reclaimable_bytes(id).max(1) as f64;
-                    (score, id.clone())
-                })
-                .min_by(|(a, aid), (b, bid)| {
+                .min_by(|(a, aid, _), (b, bid, _)| {
                     a.partial_cmp(b)
                         .unwrap_or(std::cmp::Ordering::Equal)
                         .then_with(|| aid.cmp(bid))
                 });
-            let Some((_, id)) = victim else {
+            let Some((_, _, golden)) = victim else {
                 break; // everything left is pinned or already cold
             };
-            self.evict(nfs, &id);
+            golden.evict(nfs, &mut self.chunk_store);
+            self.evictions.inc();
+            self.refresh_footprint_gauges();
             evicted += 1;
         }
         evicted
     }
 
-    /// Drop a golden's state files down to descriptor + derivation DAG.
-    /// The index entry survives, so matchmaking still finds it;
-    /// [`Warehouse::ensure_resident`] re-derives it on demand.
-    fn evict(&mut self, nfs: &NfsServer, id: &GoldenId) {
-        if let Some(plan) = self.plans.remove(id) {
-            self.chunk_store
-                .release(&nfs.store, &plan, self.owner_slots[id]);
-            for file in &plan.files {
-                let _ = nfs.store.remove(&file.path);
-            }
-        }
-        if let Some(img) = self.images.get(id) {
-            let config = img.files.config.clone();
-            if self.resident_bulk.remove(id).is_some() {
-                for bulk in img.files.bulk_files(img.spec.memory_mb, GOLDEN_DISK_BYTES) {
-                    let _ = nfs.store.remove(&bulk.path);
-                }
-            }
-            let _ = nfs.store.remove(&config);
-        }
-        self.evicted.insert(id.clone());
-        self.evictions.inc();
-        self.refresh_footprint_gauges();
-    }
-
     /// Make sure a golden's state files are on the export, re-deriving
     /// them from the descriptor + derivation DAG when eviction dropped
     /// them (CMS Virtual Data: the DAG *is* the address, so the chunk
-    /// plan — and hence the content — is recomputable at any time).
-    /// Returns the simulated re-derivation delay to charge the caller
-    /// ([`SimDuration::ZERO`] when already resident).
+    /// plan — and hence the content — is recomputable at any time; the
+    /// record keeps it). Returns the simulated re-derivation delay to
+    /// charge the caller ([`SimDuration::ZERO`] when already resident).
     pub fn ensure_resident(
         &mut self,
         nfs: &NfsServer,
         id: &GoldenId,
     ) -> Result<SimDuration, StoreError> {
-        if !self.images.contains_key(id) {
+        let Some(golden) = self.goldens.get_mut(id) else {
             return Err(StoreError::NotFound(format!("golden {id}")));
-        }
-        if !self.evicted.contains(id) {
+        };
+        if golden.resident {
             return Ok(SimDuration::ZERO);
         }
-        let cost = SimDuration::from_secs_f64(self.rederive_cost_s(id));
-        let image = self.images[id].clone();
-        self.materialize_image(nfs, &image)?;
+        let cost = SimDuration::from_secs_f64(golden.rederive_cost_s());
+        golden.materialize(nfs, &mut self.chunk_store, self.config.dedup)?;
+        self.note_materialized();
         self.rederives.inc();
         // Re-admitting the derived state may displace something colder.
         self.enforce_capacity(nfs, Some(id));
@@ -654,30 +671,24 @@ impl Warehouse {
         let Some(threshold) = self.config.replicate_after else {
             return false;
         };
+        let Some(golden) = self.goldens.get_mut(id) else {
+            return false;
+        };
         if self.replicas.is_empty()
-            || self.replicated.contains(id)
-            || !self.is_resident(id)
+            || golden.replicated
+            || !golden.resident
+            || golden.hits.get() < threshold
         {
             return false;
         }
-        let hot = self
-            .hit_counts
-            .borrow()
-            .get(id)
-            .is_some_and(|&n| n >= threshold);
-        if !hot {
-            return false;
-        }
-        let Some(img) = self.images.get(id) else {
-            return false;
-        };
+        let img = &golden.image;
         let descriptor = nfs
             .store
             .read_text(&format!("{}/descriptor.xml", img.files.dir))
             .ok();
         for replica in &self.replicas {
             if self.config.dedup {
-                if let Some(plan) = self.plans.get(id) {
+                if let Bulk::Chunked(plan) = &golden.bulk {
                     let _ = self.chunk_store.replicate(&replica.store, plan);
                 }
             } else {
@@ -696,7 +707,7 @@ impl Warehouse {
                 );
             }
         }
-        self.replicated.insert(id.clone());
+        golden.replicated = true;
         self.replications.inc();
         true
     }
@@ -707,7 +718,7 @@ impl Warehouse {
     /// — the "nearest replica" of a symmetric-topology site. `None`
     /// means use the primary.
     pub fn fetch_server_for(&self, id: &GoldenId, plant_name: &str) -> Option<NfsServer> {
-        if self.replicas.is_empty() || !self.replicated.contains(id) {
+        if self.replicas.is_empty() || !self.goldens.get(id).is_some_and(|g| g.replicated) {
             return None;
         }
         let slot = fnv_str(plant_name) as usize % (self.replicas.len() + 1);
@@ -742,48 +753,35 @@ impl Warehouse {
             };
             // One row per golden: a second descriptor claiming an indexed
             // id would leave a row whose log is not the image's.
-            if warehouse.images.contains_key(&image.id) {
+            if warehouse.goldens.contains_key(&image.id) {
                 continue;
             }
             warehouse.index(&image);
-            warehouse.images.insert(image.id.clone(), image);
+            let golden = Golden::new(image, warehouse.slots);
+            warehouse.slots += 1;
+            warehouse.goldens.insert(golden.image.id.clone(), golden);
         }
         // Rebuild the chunk/residency bookkeeping from what is actually on
         // the export: the refcounts are soft state too, and the plan is
         // recomputable from the descriptor (the DAG is the address).
-        let images: Vec<GoldenImage> = warehouse.images.values().cloned().collect();
-        for image in images {
+        for golden in warehouse.goldens.values_mut() {
+            let image = &golden.image;
             let probe = &image.files.disk_extents[0];
-            let chunked = matches!(nfs.store.manifest(probe), Ok(Some(_)));
-            if chunked {
-                let plan = ChunkPlan::plan(
-                    &image.files,
-                    &image.spec,
-                    &image.performed,
-                    GOLDEN_DISK_BYTES,
-                );
+            if matches!(nfs.store.manifest(probe), Ok(Some(_))) {
                 // Re-publishing increfs existing chunks (rewriting a chunk
                 // file is an idempotent same-size put), restoring the
                 // refcounts image by image. A golden whose chunks cannot
                 // all be registered is treated as evicted and re-derived on
                 // demand.
-                let owner = warehouse.owner_slot(&image.id);
-                let registered = warehouse.chunk_store.publish(&nfs.store, &plan, owner);
-                if registered.is_ok() {
-                    warehouse.plans.insert(image.id.clone(), plan);
-                } else {
-                    warehouse.evicted.insert(image.id.clone());
-                }
+                let plan = chunk_plan(image);
+                let registered = warehouse
+                    .chunk_store
+                    .publish(&nfs.store, &plan, golden.slot);
+                golden.resident = registered.is_ok();
+                golden.bulk = Bulk::Chunked(plan);
             } else if nfs.store.exists(probe) {
-                let bulk: u64 = image
-                    .files
-                    .bulk_files(image.spec.memory_mb, GOLDEN_DISK_BYTES)
-                    .iter()
-                    .map(|b| b.bytes)
-                    .sum();
-                warehouse.resident_bulk.insert(image.id.clone(), bulk);
-            } else {
-                warehouse.evicted.insert(image.id.clone());
+                golden.bulk = Bulk::Full(full_copy_bytes(image));
+                golden.resident = true;
             }
         }
         warehouse.refresh_footprint_gauges();
@@ -832,6 +830,7 @@ pub fn publish_experiment_goldens(
 mod tests {
     use vmplants_cluster::files::gb;
     use super::*;
+    use vmplants_cluster::files::HashKeyed;
     use vmplants_dag::graph::invigo_workspace_dag;
     use vmplants_dag::Action;
     use vmplants_virt::VmmType;
@@ -1072,10 +1071,13 @@ mod tests {
     /// Every resident golden's incremental reclaimable bytes equal the
     /// per-chunk scan over its plan.
     fn assert_reclaimable_matches_oracle(w: &Warehouse) {
-        assert!(!w.plans.is_empty());
-        for (id, plan) in &w.plans {
+        assert!(w.goldens.values().any(|g| g.resident));
+        for (id, golden) in w.goldens.iter().filter(|(_, g)| g.resident) {
+            let Bulk::Chunked(plan) = &golden.bulk else {
+                panic!("golden {id} is not chunked");
+            };
             assert_eq!(
-                w.reclaimable_bytes(id),
+                golden.reclaimable_bytes(&w.chunk_store, true),
                 w.chunk_store.reclaimable_bytes_scan(plan),
                 "golden {id}"
             );
@@ -1102,7 +1104,7 @@ mod tests {
         let mut restored = Warehouse::restore_from(&nfs, config);
         assert_eq!(restored.config().capacity_bytes, Some(gb(2) + mb(360)));
         assert!(!restored.is_resident(&GoldenId("mandrake81-64mb".into())));
-        assert_eq!(restored.plans.len(), 2);
+        assert_eq!(restored.goldens.values().filter(|g| g.resident).count(), 2);
         assert_reclaimable_matches_oracle(&restored);
         let dag = invigo_workspace_dag("template");
         let base: PerformedLog = ["A", "B", "C"]
@@ -1349,6 +1351,167 @@ mod tests {
         assert!(nfs
             .store
             .exists(&w.get(&evicted[0]).unwrap().files.config));
+    }
+
+    /// The chunk-store conservation invariants, checked against the
+    /// records: every refcount equals the references from resident
+    /// goldens' plans, the export's chunk table holds exactly the live
+    /// hashes, the export's used bytes are the live chunk bytes plus the
+    /// file bytes, and each resident golden's reclaimable bytes equal the
+    /// per-chunk scan. A resident golden's manifests resolve to full
+    /// size; an evicted one keeps only its descriptor.
+    fn assert_conserved(w: &Warehouse, nfs: &NfsServer, ctx: &str) {
+        let mut refs: HashKeyed<u64> = HashKeyed::default();
+        let mut sizes: HashKeyed<u64> = HashKeyed::default();
+        for golden in w.goldens.values() {
+            let files = &golden.image.files;
+            let on_export = nfs.store.list(&format!("{}/", files.dir));
+            if !golden.resident {
+                let descriptor = format!("{}/descriptor.xml", files.dir);
+                assert_eq!(
+                    on_export,
+                    [descriptor],
+                    "{ctx}: evicted {}",
+                    golden.image.id
+                );
+                continue;
+            }
+            let Bulk::Chunked(plan) = &golden.bulk else {
+                panic!("{ctx}: resident golden {} is not chunked", golden.image.id);
+            };
+            assert_eq!(
+                on_export.len(),
+                plan.files.len() + 2,
+                "{ctx}: {}",
+                golden.image.id
+            );
+            for file in &plan.files {
+                assert_eq!(nfs.store.resolved_size(&file.path), Ok(file.bytes), "{ctx}");
+            }
+            for (hash, size) in plan.files.iter().flat_map(|f| f.chunks()) {
+                *refs.entry(hash).or_insert(0) += 1;
+                sizes.insert(hash, size);
+            }
+            assert_eq!(
+                golden.reclaimable_bytes(&w.chunk_store, true),
+                w.chunk_store.reclaimable_bytes_scan(plan),
+                "{ctx}: reclaimable bytes of {}",
+                golden.image.id
+            );
+        }
+        assert_eq!(w.chunk_store.refcounts(), refs, "{ctx}: refcounts");
+        let mut live: Vec<u64> = refs.keys().copied().collect();
+        live.sort_unstable();
+        assert_eq!(nfs.store.chunk_hashes(), live, "{ctx}: chunk table");
+        let chunk_bytes: u64 = sizes.values().sum();
+        assert_eq!(
+            w.chunk_store.physical_bytes(),
+            chunk_bytes,
+            "{ctx}: physical"
+        );
+        let file_bytes: u64 = nfs
+            .store
+            .list("/")
+            .iter()
+            .map(|p| nfs.store.stat(p).unwrap().bytes)
+            .sum();
+        assert_eq!(
+            nfs.store.used_bytes(),
+            chunk_bytes + file_bytes,
+            "{ctx}: used"
+        );
+    }
+
+    /// Seeded publish / lookup + re-derive / pin / unpin / enforce /
+    /// remove sequences on a capacity-bounded warehouse keep the chunk
+    /// store conserved after every step. Goldens are prefixes of one
+    /// action chain at three memory sizes, and several ids share a
+    /// derivation (hence every chunk), so eviction meets shared, private
+    /// and doubly-owned chunks.
+    #[test]
+    fn chunk_store_is_conserved_under_churn() {
+        use vmplants_simkit::SimRng;
+        let actions: Vec<Action> = (0..8)
+            .map(|i| Action::guest(format!("a{i}"), format!("step-{i}")))
+            .collect();
+        let chain = |depth: usize| {
+            let mut dag = ConfigDag::new();
+            for a in &actions[..depth] {
+                dag.add_action(a.clone()).unwrap();
+            }
+            let ids: Vec<&str> = actions[..depth].iter().map(|a| a.id.as_str()).collect();
+            dag.chain(&ids).unwrap();
+            dag
+        };
+        let cap = gb(3);
+        for seed in 1..=8u64 {
+            let nfs = nfs();
+            let mut w = Warehouse::with_config(WarehouseConfig {
+                dedup: true,
+                capacity_bytes: Some(cap),
+                replicate_after: None,
+            });
+            let mut rng = SimRng::seed_from_u64(seed);
+            let mut pinned: Vec<GoldenId> = Vec::new();
+            let mut published = 0;
+            for step in 0..120 {
+                let ctx = format!("seed {seed}, step {step}");
+                let ids: Vec<GoldenId> = w.goldens.keys().cloned().collect();
+                let mem = [32u64, 64, 256][rng.index(3)];
+                match rng.index(8) {
+                    0..=1 => {
+                        let depth = rng.index(actions.len() + 1);
+                        let log = PerformedLog::from_actions(actions[..depth].to_vec());
+                        let id = format!("g{}", rng.index(published + 2));
+                        match w.publish(&nfs, &id, "g", VmSpec::mandrake(mem), log) {
+                            Ok(_) => published += 1,
+                            Err(e) => {
+                                assert!(matches!(e, PublishError::DuplicateId(_)), "{ctx}: {e}")
+                            }
+                        }
+                    }
+                    2..=3 => {
+                        let request = chain(rng.index(actions.len() + 1));
+                        let hit = w
+                            .lookup(&VmSpec::mandrake(mem), &request)
+                            .map(|(g, _)| g.id.clone());
+                        if let Some(id) = hit {
+                            let cost = w.ensure_resident(&nfs, &id).unwrap();
+                            assert!(w.is_resident(&id), "{ctx}: {id} after {cost:?}");
+                        }
+                    }
+                    4 if !ids.is_empty() => {
+                        let id = ids[rng.index(ids.len())].clone();
+                        w.pin(&id);
+                        pinned.push(id);
+                    }
+                    5 if !pinned.is_empty() => {
+                        let id = pinned.swap_remove(rng.index(pinned.len()));
+                        w.unpin(&id);
+                    }
+                    6 => {
+                        w.enforce_capacity(&nfs, None);
+                        assert!(
+                            w.physical_footprint() <= cap
+                                || w.goldens.values().all(|g| !g.resident || g.pins > 0),
+                            "{ctx}: over budget with an evictable golden"
+                        );
+                    }
+                    7 if !ids.is_empty() && rng.chance(0.5) => {
+                        let id = &ids[rng.index(ids.len())];
+                        assert!(w.remove(&nfs, id));
+                        pinned.retain(|p| p != id);
+                        assert!(nfs.store.list(&format!("/warehouse/{}/", id.0)).is_empty());
+                    }
+                    _ => {}
+                }
+                assert_conserved(&w, &nfs, &ctx);
+            }
+            assert!(
+                w.eviction_count() > 0 && w.rederive_count() > 0,
+                "seed {seed}"
+            );
+        }
     }
 
     #[test]
