@@ -52,6 +52,25 @@ fn arg_value(name: &str) -> Option<String> {
         .map(|w| w[1].clone())
 }
 
+/// Timed batches behind each gated rate.
+const BATCHES: usize = 5;
+
+/// Run [`BATCHES`] equal timed batches and return the median batch rate,
+/// in operations per second: the median rides out a descheduled batch
+/// that one timed loop would report as the rate. `batch(i)` runs batch
+/// `i` and returns how many operations it did.
+fn median_batch_rate(mut batch: impl FnMut(usize) -> usize) -> f64 {
+    let mut rates: Vec<f64> = (0..BATCHES)
+        .map(|i| {
+            let started = Instant::now();
+            let ops = batch(i);
+            ops as f64 / started.elapsed().as_secs_f64().max(1e-9)
+        })
+        .collect();
+    rates.sort_by(f64::total_cmp);
+    rates[BATCHES / 2]
+}
+
 // ---------------------------------------------------------------------
 // Kernel throughput: chains of self-rescheduling events with a cancelled
 // decoy per hop on the slab engine.
@@ -64,7 +83,7 @@ struct KernelNumbers {
 
 const CHAINS: usize = 64;
 
-fn slab_kernel_run(hops: usize) -> (u64, f64) {
+fn slab_kernel_run(hops: usize) -> u64 {
     let mut engine = Engine::new();
     let fired = Rc::new(Cell::new(0u64));
     fn hop(engine: &mut Engine, fired: Rc<Cell<u64>>, left: usize) {
@@ -84,18 +103,21 @@ fn slab_kernel_run(hops: usize) -> (u64, f64) {
         engine.schedule(SimDuration::from_millis(1), move |e| hop(e, f, hops));
     }
     engine.run();
-    let t = engine.throughput();
-    (t.events, t.events_per_sec())
+    engine.throughput().events
 }
 
 fn bench_kernel(quick: bool) -> KernelNumbers {
     let hops = if quick { 2_000 } else { 20_000 };
     // Warm-up discard, then measure.
     let _ = slab_kernel_run(hops / 4);
-    let (events, slab) = slab_kernel_run(hops);
+    let mut events = 0;
+    let slab_events_per_sec = median_batch_rate(|_| {
+        events = slab_kernel_run(hops);
+        events as usize
+    });
     KernelNumbers {
         events,
-        slab_events_per_sec: slab,
+        slab_events_per_sec,
     }
 }
 
@@ -179,16 +201,15 @@ fn bench_matching(goldens: usize, quick: bool) -> MatchNumbers {
         }
         lookups as f64 / started.elapsed().as_secs_f64().max(1e-9)
     };
-    let indexed_per_sec = {
-        let started = Instant::now();
+    let indexed_per_sec = median_batch_rate(|_| {
         for _ in 0..lookups {
             let got = w
                 .lookup(&spec, &dag)
                 .map(|(img, r)| (img.id.clone(), r.score()));
             assert_eq!(got, expected, "indexed lookup diverged from naive");
         }
-        lookups as f64 / started.elapsed().as_secs_f64().max(1e-9)
-    };
+        lookups
+    });
     MatchNumbers {
         goldens,
         lookups,
@@ -460,27 +481,19 @@ fn bench_scenario(quick: bool) -> ScenarioNumbers {
 
     let grid = e20_grid();
     let rounds = if quick { 200 } else { 2_000 };
-    // Five equal timed batches; the median batch rate rides out a
-    // descheduled batch that one timed loop would report as the rate.
-    const BATCHES: usize = 5;
     let per_batch = rounds / BATCHES;
-    let mut rates: Vec<f64> = (0..BATCHES)
-        .map(|batch| {
-            let started = Instant::now();
-            for round in batch * per_batch..(batch + 1) * per_batch {
-                for scenario in &grid {
-                    let config = scenario
-                        .compile_with_seed(round as u64)
-                        .expect("E20 scenario compiles");
-                    assert!(!config.schedule.is_empty());
-                }
+    let compiles_per_sec = median_batch_rate(|batch| {
+        for round in batch * per_batch..(batch + 1) * per_batch {
+            for scenario in &grid {
+                let config = scenario
+                    .compile_with_seed(round as u64)
+                    .expect("E20 scenario compiles");
+                assert!(!config.schedule.is_empty());
             }
-            (per_batch * grid.len()) as f64 / started.elapsed().as_secs_f64().max(1e-9)
-        })
-        .collect();
-    rates.sort_by(f64::total_cmp);
+        }
+        per_batch * grid.len()
+    });
     let compiles = BATCHES * per_batch * grid.len();
-    let compiles_per_sec = rates[BATCHES / 2];
 
     let seeds: &[u64] = if quick { &E20_QUICK_SEEDS } else { &E20_SEEDS };
     let started = Instant::now();

@@ -279,8 +279,7 @@ pub fn uml_checkpoint_ablation(n: usize, seed: u64) -> UmlCheckpointAblation {
     use vmplants_cluster::host::{Host, HostSpec};
     use vmplants_cluster::nfs::NfsServer;
     use vmplants_simkit::{Engine, SimRng};
-    use vmplants_virt::hypervisor::{Hypervisor, UmlLike};
-    use vmplants_virt::ImageFiles;
+    use vmplants_virt::{Hypervisor, ImageFiles};
 
     let run = |checkpoint: bool, seed: u64| -> f64 {
         let mut engine = Engine::new();
@@ -293,8 +292,7 @@ pub fn uml_checkpoint_ablation(n: usize, seed: u64) -> UmlCheckpointAblation {
         };
         img.materialize(&nfs.store, 32, gb(2)).expect("publish");
         let rng = Rc::new(RefCell::new(SimRng::seed_from_u64(seed)));
-        let mut hv = UmlLike::new(rng);
-        hv.set_checkpoint_resume(checkpoint);
+        let hv = Hypervisor::new(rng);
         let mut total = 0.0;
         for i in 0..n {
             let out = Rc::new(RefCell::new(0.0));
@@ -460,6 +458,9 @@ mod tests {
         assert!((68.0..84.0).contains(&r.boot_mean_s), "{r:?}");
         assert!(r.resume_mean_s < 16.0, "{r:?}");
         assert!(r.speedup > 4.5, "{r:?}");
+        // Exact means, so any change to either UML clone path shows.
+        assert_eq!(r.boot_mean_s, 73.6875, "{r:?}");
+        assert_eq!(r.resume_mean_s, 9.250250000000001, "{r:?}");
     }
 
     #[test]

@@ -18,9 +18,8 @@ use vmplants_simkit::{
     Engine, FlightRecorder, Obs, SamplerConfig, SamplerStats, SimDuration, SimRng, SimTime,
     SketchMetric, WindowSeries,
 };
-use vmplants_virt::hypervisor::{DiskStrategy, Hypervisor, VmwareLike};
 use vmplants_virt::overhead::{overhead_percent, AppProfile};
-use vmplants_virt::{ImageFiles, VmSpec, VmmType};
+use vmplants_virt::{Hypervisor, ImageFiles, VmSpec, VmmType};
 
 use crate::site::{SimSite, SiteConfig};
 
@@ -262,8 +261,7 @@ pub fn copy_vs_clone(seed: u64) -> CopyVsClone {
         let image = ImageFiles::plan("/warehouse/g256", VmmType::VmwareLike, 256, gb(2));
         image.materialize(&nfs.store, 256, gb(2)).expect("publish");
         let rng = Rc::new(RefCell::new(SimRng::seed_from_u64(seed)));
-        let mut hv = VmwareLike::new(rng);
-        hv.set_disk_strategy(DiskStrategy::Linked);
+        let hv = Hypervisor::new(rng);
         let out = Rc::new(RefCell::new(None));
         let out2 = Rc::clone(&out);
         hv.instantiate(

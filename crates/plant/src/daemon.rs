@@ -10,7 +10,7 @@ use vmplants_cluster::nfs::NfsServer;
 use vmplants_simkit::obs::{Counter, Obs, TrackId};
 use vmplants_simkit::{Engine, SimDuration, SimRng, SimTime};
 use vmplants_virt::hypervisor::CloneStats;
-use vmplants_virt::{Hypervisor, TimingModel, UmlLike, VmmType, VmwareLike};
+use vmplants_virt::{Hypervisor, TimingModel};
 use vmplants_vnet::{HostOnlyPool, VnetBridge};
 use vmplants_warehouse::Warehouse;
 
@@ -73,7 +73,7 @@ pub(crate) struct PlantState {
     pub(crate) host: Host,
     pub(crate) nfs: NfsServer,
     pub(crate) warehouse: Rc<RefCell<Warehouse>>,
-    pub(crate) hypervisors: BTreeMap<VmmType, Rc<dyn Hypervisor>>,
+    pub(crate) hypervisor: Rc<Hypervisor>,
     pub(crate) pool: HostOnlyPool,
     pub(crate) bridge: VnetBridge,
     pub(crate) domains: DomainDirectory,
@@ -151,15 +151,7 @@ impl Plant {
     ) -> Plant {
         let backend_rng = Rc::new(RefCell::new(rng.fork(1)));
         let plant_rng = Rc::new(RefCell::new(rng.fork(2)));
-        let mut hypervisors: BTreeMap<VmmType, Rc<dyn Hypervisor>> = BTreeMap::new();
-        hypervisors.insert(
-            VmmType::VmwareLike,
-            Rc::new(VmwareLike::with_timing(timing.clone(), Rc::clone(&backend_rng))),
-        );
-        hypervisors.insert(
-            VmmType::UmlLike,
-            Rc::new(UmlLike::with_timing(timing.clone(), Rc::clone(&backend_rng))),
-        );
+        let hypervisor = Rc::new(Hypervisor::with_timing(timing.clone(), backend_rng));
         let pool = HostOnlyPool::new(config.host_only_networks);
         Plant {
             name: config.name.as_str().into(),
@@ -168,7 +160,7 @@ impl Plant {
                 host,
                 nfs,
                 warehouse,
-                hypervisors,
+                hypervisor,
                 pool,
                 bridge: VnetBridge::new(),
                 domains,
@@ -204,14 +196,12 @@ impl Plant {
         let name = state.config.name.clone();
         obs.register_counter(&format!("plant.{name}.dedup_drops"), &state.dedup_drops);
         obs.register_counter(&format!("plant.{name}.dedup_replays"), &state.dedup_replays);
-        for hv in state.hypervisors.values() {
-            hv.set_obs(obs, track);
-        }
+        state.hypervisor.set_obs(obs, track);
     }
 
-    /// Install a custom hypervisor backend (fault-injection tests).
-    pub fn install_hypervisor(&self, vmm: VmmType, hv: Rc<dyn Hypervisor>) {
-        self.inner.borrow_mut().hypervisors.insert(vmm, hv);
+    /// Replace the plant's VMM backend (fault-injection tests).
+    pub fn install_hypervisor(&self, hv: Hypervisor) {
+        self.inner.borrow_mut().hypervisor = Rc::new(hv);
     }
 
     /// Plant name.

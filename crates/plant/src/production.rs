@@ -234,7 +234,7 @@ pub(crate) fn start_creation(
             .map(|id| order.dag.action(id).expect("residual from dag").clone())
             .collect();
 
-        let hv = Rc::clone(&state.hypervisors[&order.spec.vmm]);
+        let hv = Rc::clone(&state.hypervisor);
         let host = state.host.clone();
         // Clone from the nearest replica when the golden is replicated.
         let nfs = fetch_nfs.unwrap_or_else(|| state.nfs.clone());
@@ -415,7 +415,7 @@ fn prewarm_one(
             warehouse.pin(&golden_id);
         }
         (
-            Rc::clone(&state.hypervisors[&spec.vmm]),
+            Rc::clone(&state.hypervisor),
             state.host.clone(),
             state.nfs.clone(),
             format!("/spares/{}-{:04}", state.config.name, seq),
@@ -650,14 +650,14 @@ fn execute_host_action(engine: &mut Engine, job: &JobRef, action: Action, is_rec
 }
 
 fn execute_guest_action(engine: &mut Engine, job: &JobRef, action: Action, is_recovery: bool) {
-    let (plant, hv, host, spec, clone_dir) = {
+    let (plant, hv, host, clone_dir) = {
         let j = job.borrow();
         let plant = j.plant.clone();
         let state = plant.inner.borrow();
-        let hv = Rc::clone(&state.hypervisors[&j.spec.vmm]);
+        let hv = Rc::clone(&state.hypervisor);
         let host = state.host.clone();
         drop(state);
-        (plant, hv, host, j.spec.clone(), j.clone_dir.clone())
+        (plant, hv, host, j.clone_dir.clone())
     };
     let script = GuestScript {
         action_id: action.id.clone(),
@@ -677,7 +677,6 @@ fn execute_guest_action(engine: &mut Engine, job: &JobRef, action: Action, is_re
     hv.exec_script(
         engine,
         &host,
-        &spec,
         &clone_dir,
         &script,
         Box::new(move |engine, res| {
@@ -839,7 +838,7 @@ fn abort_creation(engine: &mut Engine, job: &JobRef, err: PlantError) {
         let j = job.borrow();
         let plant = j.plant.clone();
         let state = plant.inner.borrow();
-        let hv = Rc::clone(&state.hypervisors[&j.spec.vmm]);
+        let hv = Rc::clone(&state.hypervisor);
         let host = state.host.clone();
         drop(state);
         (
@@ -928,7 +927,7 @@ pub(crate) fn collect_vm(plant: Plant, engine: &mut Engine, id: VmId, done: Done
                 // further publish, migrate or collect.
                 record.begin_collect();
                 Some((
-                    Rc::clone(&state.hypervisors[&record.spec.vmm]),
+                    Rc::clone(&state.hypervisor),
                     state.host.clone(),
                     record.spec.clone(),
                     record.clone_dir.clone(),

@@ -10,7 +10,7 @@ use vmplants_dag::graph::invigo_workspace_dag;
 use vmplants_dag::{Action, ConfigDag, ErrorPolicy, PerformedLog};
 use vmplants_plant::{DomainDirectory, Plant, PlantConfig, PlantError, ProductionOrder, VmId};
 use vmplants_simkit::{Engine, SimDuration, SimRng};
-use vmplants_virt::{VmSpec, VmmType, VmwareLike};
+use vmplants_virt::{Hypervisor, VmSpec};
 use vmplants_warehouse::store::publish_experiment_goldens;
 use vmplants_warehouse::Warehouse;
 use vmplants_vnet::DomainIpAllocator;
@@ -287,11 +287,11 @@ fn failing_site(policy: ErrorPolicy, failure_rate: f64) -> (Site, ProductionOrde
             PerformedLog::new(),
         )
         .unwrap();
-    // Replace the VMware backend with a fault-injecting one.
+    // Replace the backend with a fault-injecting one.
     let rng = Rc::new(RefCell::new(SimRng::seed_from_u64(77)));
-    let mut hv = VmwareLike::new(rng);
+    let mut hv = Hypervisor::new(rng);
     hv.set_exec_failure_rate(failure_rate);
-    s.plant.install_hypervisor(VmmType::VmwareLike, Rc::new(hv));
+    s.plant.install_hypervisor(hv);
     let order = ProductionOrder::new(VmSpec::mandrake(64), dag, "ufl.edu");
     (s, order)
 }

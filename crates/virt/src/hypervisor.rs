@@ -1,19 +1,21 @@
-//! The two simulated VMM backends behind one trait.
+//! The simulated VMM backend serving both of §4.1's production lines.
 //!
-//! * [`VmwareLike`] — §4.1's VMware GSX production line: clone by
-//!   symlinking the 16 base-disk extents, copying the config file, base
-//!   redo log and memory-state file, then **resuming** the checkpoint.
-//!   "The memory state … needs to be copied because of an
+//! One [`Hypervisor`] runs one clone lifecycle — link the golden disk,
+//! fetch the small state files over NFS, hold a CPU slot, activate — and
+//! branches on the spec's [`VmmType`] only where the lines differ:
+//!
+//! * VMware GSX: copy the config file, base redo log and memory-state
+//!   file, let the copy settle against the local disk, then **resume** the
+//!   checkpoint. "The memory state … needs to be copied because of an
 //!   implementation-dependent restriction imposed by VMware GSX" (footnote
 //!   2) — which is exactly why larger-memory VMs clone slower in Figure 4.
-//! * [`UmlLike`] — the UML production line: copy-on-write overlay plus a
-//!   full **boot** ("the current UML production line boots the virtual
-//!   machine after cloning", §4.1), giving the 76 s average of §4.3.
-//!
-//! Both also support the *baseline* strategy (full disk copy instead of
-//! links) so experiment E4 can compare the two.
+//! * UML: add a copy-on-write overlay per extent, then **boot** ("the
+//!   current UML production line boots the virtual machine after
+//!   cloning", §4.1), giving the 76 s average of §4.3 — or resume, when
+//!   the image carries an SBUML-style memory snapshot
+//!   ([`ImageFiles::plan_uml_checkpoint`]).
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use vmplants_cluster::files::{FileKind, StoreError};
@@ -73,14 +75,14 @@ pub type Done<T> = Box<dyn FnOnce(&mut Engine, Result<T, VirtError>)>;
 /// Figures 5 and 6.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CloneStats {
-    /// Bytes physically copied (config + redo + memory state, or the whole
-    /// disk in full-copy mode).
+    /// Bytes physically copied (config, plus redo log and memory state
+    /// where the image has them).
     pub copied_bytes: u64,
     /// Symlinks (or COW overlays) created instead of copies.
     pub links_created: usize,
     /// Link + copy phase duration.
     pub transfer: SimDuration,
-    /// Resume (VMware-like) or boot (UML-like) duration.
+    /// Resume (VMware-like, checkpointed UML) or boot (UML-like) duration.
     pub activate: SimDuration,
     /// End-to-end: request to VM running.
     pub total: SimDuration,
@@ -95,96 +97,50 @@ pub struct ExecStats {
     pub outputs: Vec<(String, String)>,
 }
 
-/// How a backend materializes the base virtual disk for a clone.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DiskStrategy {
-    /// Symbolic links / COW overlays sharing the golden disk (the paper's
-    /// mechanism).
-    Linked,
-    /// Full copy of every extent — the baseline of §4.3's "210 seconds"
-    /// comparison.
-    FullCopy,
-}
-
-/// A simulated virtual machine monitor.
-pub trait Hypervisor {
-    /// Which technology this backend provides.
-    fn vmm_type(&self) -> VmmType;
-
-    /// Clone `image` into `clone_dir` on `host` and bring the VM to the
-    /// running state. Registers the VM's memory with the host on success.
-    #[allow(clippy::too_many_arguments)]
-    fn instantiate(
-        &self,
-        engine: &mut Engine,
-        image: &ImageFiles,
-        spec: &VmSpec,
-        host: &Host,
-        nfs: &NfsServer,
-        clone_dir: &str,
-        done: Done<CloneStats>,
-    );
-
-    /// Execute one configuration script in the (running) guest via the
-    /// ISO/CD-ROM path.
-    fn exec_script(
-        &self,
-        engine: &mut Engine,
-        host: &Host,
-        spec: &VmSpec,
-        clone_dir: &str,
-        script: &GuestScript,
-        done: Done<ExecStats>,
-    );
-
-    /// Tear a VM down: unregister its memory and reclaim its files.
-    fn destroy(
-        &self,
-        engine: &mut Engine,
-        host: &Host,
-        spec: &VmSpec,
-        clone_dir: &str,
-        done: Done<()>,
-    );
-
-    /// Attach an observability handle and the track clone-phase spans are
-    /// drawn on. Backends record their phase breakdown (`clone_disk`,
-    /// `copy_vmss`, `resume`/`boot`, `guest_script`) under the *ambient*
-    /// parent span pinned by the caller around `instantiate`/`exec_script`
-    /// (the trait signatures stay parent-free). Default: no-op.
-    fn set_obs(&self, _obs: &Obs, _track: TrackId) {}
-}
-
-/// State shared by both backend implementations.
-struct BackendCore {
+/// The simulated VMM: one backend for both production lines, sharing one
+/// timing model and one random stream.
+pub struct Hypervisor {
     timing: TimingModel,
     rng: Rc<RefCell<SimRng>>,
-    disk_strategy: DiskStrategy,
     /// Probability any single guest script execution fails (fault
     /// injection for error-policy tests; 0 by default).
     exec_failure_rate: f64,
     /// Monotonic nonce for synthesized guest outputs.
-    nonce: std::cell::Cell<u64>,
+    nonce: Cell<u64>,
     /// Observability handle (disabled by default) and the track the phase
-    /// spans land on. Interior-mutable because the trait hands out `&self`.
+    /// spans land on. Interior-mutable so a shared backend can be wired up.
     obs: RefCell<Obs>,
-    obs_track: std::cell::Cell<TrackId>,
+    obs_track: Cell<TrackId>,
 }
 
-impl BackendCore {
-    fn new(timing: TimingModel, rng: Rc<RefCell<SimRng>>) -> BackendCore {
-        BackendCore {
+impl Hypervisor {
+    /// Backend with the default timing model.
+    pub fn new(rng: Rc<RefCell<SimRng>>) -> Hypervisor {
+        Hypervisor::with_timing(TimingModel::default(), rng)
+    }
+
+    /// Backend with an explicit timing model (ablations).
+    pub fn with_timing(timing: TimingModel, rng: Rc<RefCell<SimRng>>) -> Hypervisor {
+        Hypervisor {
             timing,
             rng,
-            disk_strategy: DiskStrategy::Linked,
             exec_failure_rate: 0.0,
-            nonce: std::cell::Cell::new(0),
+            nonce: Cell::new(0),
             obs: RefCell::new(Obs::disabled()),
-            obs_track: std::cell::Cell::new(TrackId::DEFAULT),
+            obs_track: Cell::new(TrackId::DEFAULT),
         }
     }
 
-    fn set_obs(&self, obs: &Obs, track: TrackId) {
+    /// Enable fault injection on guest scripts.
+    pub fn set_exec_failure_rate(&mut self, rate: f64) {
+        self.exec_failure_rate = rate.clamp(0.0, 1.0);
+    }
+
+    /// Attach an observability handle and the track clone-phase spans are
+    /// drawn on. The phase breakdown (`clone_disk`, `copy_vmss`/`copy_state`,
+    /// `resume`/`boot`, `guest_script`) is recorded under the *ambient*
+    /// parent span pinned by the caller around `instantiate`/`exec_script`.
+    pub fn set_obs(&self, obs: &Obs, track: TrackId) {
         *self.obs.borrow_mut() = obs.clone();
         self.obs_track.set(track);
     }
@@ -208,9 +164,169 @@ impl BackendCore {
         n
     }
 
-    /// Shared guest-script execution path (identical for both VMMs: ISO,
-    /// attach, poll, run, collect).
-    fn exec_script_impl(
+    /// Clone `image` into `clone_dir` on `host` and bring the VM to the
+    /// running state. Registers the VM's memory with the host on success.
+    /// The image must be laid out for `spec.vmm`: only VMware-like images
+    /// carry a base redo log, and a VMware clone needs a memory state to
+    /// resume from.
+    #[allow(clippy::too_many_arguments)]
+    pub fn instantiate(
+        &self,
+        engine: &mut Engine,
+        image: &ImageFiles,
+        spec: &VmSpec,
+        host: &Host,
+        nfs: &NfsServer,
+        clone_dir: &str,
+        done: Done<CloneStats>,
+    ) {
+        let uml = spec.vmm == VmmType::UmlLike;
+        let refusal = match spec.vmm {
+            VmmType::UmlLike if image.base_redo.is_some() => {
+                Some("a UML VM cannot clone a VMware image")
+            }
+            VmmType::VmwareLike if image.base_redo.is_none() || image.memory_state.is_none() => {
+                Some("image has no VMware checkpoint to resume from")
+            }
+            _ => None,
+        };
+        if let Some(msg) = refusal {
+            let err = VirtError::UnsupportedSpec(msg.into());
+            engine.schedule(SimDuration::ZERO, move |engine| done(engine, Err(err)));
+            return;
+        }
+        if !host.is_up() {
+            let err = VirtError::HostDown(host.name());
+            engine.schedule(SimDuration::ZERO, move |engine| done(engine, Err(err)));
+            return;
+        }
+        let started = engine.now();
+        let octx = self.obs_ctx();
+        let copy_pairs = image.copy_set(clone_dir);
+        let links = image.link_set(clone_dir);
+        // The VM's memory is committed up front (GSX reserves it when the
+        // clone is registered), so the clone itself feels the pressure it
+        // creates — this is the Figure 6 mechanism.
+        let epoch = host.boot_epoch();
+        host.register_vm(spec.memory_mb);
+        let pressure = host.pressure_factor();
+        let setup = {
+            let mut rng = self.rng.borrow_mut();
+            let cow = if uml {
+                self.timing.sample_cow_setup(&mut rng)
+            } else {
+                SimDuration::ZERO
+            };
+            cow + self.timing.sample_links(&mut rng, links.len())
+        };
+        let resumes = image.memory_state.is_some();
+        let timing = self.timing.clone();
+        let rng = Rc::clone(&self.rng);
+        let host = host.clone();
+        let nfs = nfs.clone();
+        let mem = spec.memory_mb;
+
+        engine.schedule(setup, move |engine| {
+            if !host.same_boot(epoch) {
+                // Crashed while linking; the crash already zeroed the books.
+                return done(engine, Err(VirtError::HostDown(host.name())));
+            }
+            let links_created = links.len();
+            for (link, target) in links {
+                // UML clones write to a fresh (empty) overlay per extent.
+                let overlay = uml.then(|| format!("{link}.cow"));
+                host.disk.link(link, target);
+                if let Some(overlay) = overlay {
+                    let _ = host.disk.put(overlay, 4 * 1024, FileKind::RedoLog);
+                }
+            }
+            let copy_started = engine.now();
+            let link_span = octx.span("clone_disk", started, copy_started);
+            octx.obs.span_attr(link_span, "links", links_created);
+            let disk = host.disk.clone();
+            nfs.fetch_all(engine, copy_pairs, &disk, move |engine, res| {
+                if !host.same_boot(epoch) {
+                    return done(engine, Err(VirtError::HostDown(host.name())));
+                }
+                let copied = match res {
+                    Ok(b) => b,
+                    Err(e) => {
+                        host.unregister_vm_epoch(mem, epoch);
+                        return done(engine, Err(VirtError::Io(e)));
+                    }
+                };
+                let (settle, activate) = {
+                    let mut rng = rng.borrow_mut();
+                    // VMware's write side can bound the copy: at high
+                    // warehouse bandwidths the node's local SCSI disk
+                    // (pipelined with the network) becomes the bottleneck,
+                    // and page-cache write pressure and cluster noise
+                    // stretch the copy beyond the raw transfer time.
+                    let settle = (!uml).then(|| {
+                        let copy_elapsed = engine.now().since(copy_started);
+                        let disk_floor =
+                            SimDuration::from_secs_f64(copied as f64 / host.spec().disk_bw);
+                        let noise = timing.sample_copy_noise(&mut rng);
+                        let stretch =
+                            (TimingModel::copy_pressure_factor(pressure) * noise - 1.0).max(0.0);
+                        disk_floor.saturating_sub(copy_elapsed)
+                            + copy_elapsed.max(disk_floor).mul_f64(stretch)
+                    });
+                    let activate = if resumes {
+                        timing.sample_resume(&mut rng, mem, host.pressure_factor())
+                    } else {
+                        timing.sample_boot(&mut rng, mem, host.pressure_factor())
+                    };
+                    (settle, activate)
+                };
+                // The settle (I/O) runs gate-free; activation is CPU-bound
+                // and holds one of the node's CPU slots, so concurrent
+                // clones on one host serialize here.
+                let run = move |engine: &mut Engine| {
+                    let copy_name = if uml { "copy_state" } else { "copy_vmss" };
+                    let copy_span = octx.span(copy_name, copy_started, engine.now());
+                    octx.obs.span_attr(copy_span, "bytes", copied);
+                    let gate = host.cpu_gate.clone();
+                    let gate_release = gate.clone();
+                    gate.acquire(engine, move |engine| {
+                        engine.schedule(activate, move |engine| {
+                            gate_release.release(engine);
+                            if !host.same_boot(epoch) {
+                                return done(engine, Err(VirtError::HostDown(host.name())));
+                            }
+                            let now = engine.now();
+                            octx.span(
+                                if resumes { "resume" } else { "boot" },
+                                SimTime::from_millis(now.as_millis() - activate.as_millis()),
+                                now,
+                            );
+                            let total = now.since(started);
+                            done(
+                                engine,
+                                Ok(CloneStats {
+                                    copied_bytes: copied,
+                                    links_created,
+                                    transfer: total.saturating_sub(activate),
+                                    activate,
+                                    total,
+                                }),
+                            );
+                        });
+                    });
+                };
+                match settle {
+                    Some(settle) => {
+                        engine.schedule(settle, run);
+                    }
+                    None => run(engine),
+                }
+            });
+        });
+    }
+
+    /// Execute one configuration script in the (running) guest via the
+    /// ISO/CD-ROM path: ISO, attach, poll, run, collect.
+    pub fn exec_script(
         &self,
         engine: &mut Engine,
         host: &Host,
@@ -282,7 +398,8 @@ impl BackendCore {
         });
     }
 
-    fn destroy_impl(
+    /// Tear a VM down: unregister its memory and reclaim its files.
+    pub fn destroy(
         &self,
         engine: &mut Engine,
         host: &Host,
@@ -326,428 +443,6 @@ impl ObsCtx {
     }
 }
 
-/// Plan of the transfer phase, shared by both backends.
-struct TransferPlan {
-    copy_pairs: Vec<(String, String)>,
-    links: Vec<(String, Rc<str>)>,
-}
-
-fn build_transfer_plan(
-    image: &ImageFiles,
-    clone_dir: &str,
-    strategy: DiskStrategy,
-) -> TransferPlan {
-    let mut copy_pairs = image.copy_set(clone_dir);
-    let mut links = Vec::new();
-    match strategy {
-        DiskStrategy::Linked => {
-            links = image.link_set(clone_dir);
-        }
-        DiskStrategy::FullCopy => {
-            let clone_dir = clone_dir.trim_end_matches('/');
-            for src in &image.disk_extents {
-                let file_name = src.rsplit('/').next().expect("non-empty path");
-                copy_pairs.push((String::from(&**src), [clone_dir, "/", file_name].concat()));
-            }
-        }
-    }
-    TransferPlan {
-        copy_pairs,
-        links,
-    }
-}
-
-/// The VMware-GSX-like backend.
-pub struct VmwareLike {
-    core: BackendCore,
-}
-
-impl VmwareLike {
-    /// Backend with the default timing model.
-    pub fn new(rng: Rc<RefCell<SimRng>>) -> VmwareLike {
-        VmwareLike::with_timing(TimingModel::default(), rng)
-    }
-
-    /// Backend with an explicit timing model (ablations).
-    pub fn with_timing(timing: TimingModel, rng: Rc<RefCell<SimRng>>) -> VmwareLike {
-        VmwareLike {
-            core: BackendCore::new(timing, rng),
-        }
-    }
-
-    /// Switch between linked and full-copy disk strategies (experiment E4).
-    pub fn set_disk_strategy(&mut self, strategy: DiskStrategy) {
-        self.core.disk_strategy = strategy;
-    }
-
-    /// Enable fault injection on guest scripts.
-    pub fn set_exec_failure_rate(&mut self, rate: f64) {
-        self.core.exec_failure_rate = rate.clamp(0.0, 1.0);
-    }
-}
-
-impl Hypervisor for VmwareLike {
-    fn vmm_type(&self) -> VmmType {
-        VmmType::VmwareLike
-    }
-
-    fn set_obs(&self, obs: &Obs, track: TrackId) {
-        self.core.set_obs(obs, track);
-    }
-
-    fn instantiate(
-        &self,
-        engine: &mut Engine,
-        image: &ImageFiles,
-        spec: &VmSpec,
-        host: &Host,
-        nfs: &NfsServer,
-        clone_dir: &str,
-        done: Done<CloneStats>,
-    ) {
-        if spec.vmm != VmmType::VmwareLike {
-            let msg = format!("VmwareLike cannot host a {} VM", spec.vmm);
-            engine.schedule(SimDuration::ZERO, move |engine| {
-                done(engine, Err(VirtError::UnsupportedSpec(msg)))
-            });
-            return;
-        }
-        if image.memory_state.is_none() {
-            engine.schedule(SimDuration::ZERO, move |engine| {
-                done(
-                    engine,
-                    Err(VirtError::UnsupportedSpec(
-                        "image has no memory state to resume from".into(),
-                    )),
-                )
-            });
-            return;
-        }
-        if !host.is_up() {
-            let err = VirtError::HostDown(host.name());
-            engine.schedule(SimDuration::ZERO, move |engine| done(engine, Err(err)));
-            return;
-        }
-        let started = engine.now();
-        let octx = self.core.obs_ctx();
-        let plan = build_transfer_plan(image, clone_dir, self.core.disk_strategy);
-        // The VM's memory is committed up front (GSX reserves it when the
-        // clone is registered), so the clone itself feels the pressure it
-        // creates — this is the Figure 6 mechanism.
-        let epoch = host.boot_epoch();
-        host.register_vm(spec.memory_mb);
-        let pressure = host.pressure_factor();
-        let link_time = self
-            .core
-            .timing
-            .sample_links(&mut self.core.rng.borrow_mut(), plan.links.len());
-        let timing = self.core.timing.clone();
-        let rng = Rc::clone(&self.core.rng);
-        let host2 = host.clone();
-        let nfs2 = nfs.clone();
-        let mem = spec.memory_mb;
-        let links = plan.links;
-        let copy_pairs = plan.copy_pairs;
-
-        engine.schedule(link_time, move |engine| {
-            if !host2.same_boot(epoch) {
-                // Crashed while linking; the crash already zeroed the books.
-                return done(engine, Err(VirtError::HostDown(host2.name())));
-            }
-            let links_created = links.len();
-            for (link, target) in links {
-                host2.disk.link(link, target);
-            }
-            let copy_started = engine.now();
-            let host3 = host2.clone();
-            let link_span = octx.span("clone_disk", started, copy_started);
-            octx.obs.span_attr(link_span, "links", links_created);
-            nfs2.fetch_all(
-                engine,
-                copy_pairs,
-                &host3.disk.clone(),
-                move |engine, res| {
-                    if !host3.same_boot(epoch) {
-                        return done(engine, Err(VirtError::HostDown(host3.name())));
-                    }
-                    let copied = match res {
-                        Ok(b) => b,
-                        Err(e) => {
-                            host3.unregister_vm_epoch(mem, epoch);
-                            done(engine, Err(VirtError::Io(e)));
-                            return;
-                        }
-                    };
-                    // The write side can bound the copy: at high warehouse
-                    // bandwidths the node's local SCSI disk (pipelined with
-                    // the network) becomes the bottleneck.
-                    let copy_elapsed = engine.now().since(copy_started);
-                    let disk_floor = SimDuration::from_secs_f64(
-                        copied as f64 / host3.spec().disk_bw,
-                    );
-                    let disk_wait = disk_floor.saturating_sub(copy_elapsed);
-                    // Page-cache write pressure and cluster noise stretch
-                    // the copy beyond the raw transfer time.
-                    let (settle, resume) = {
-                        let mut rng = rng.borrow_mut();
-                        let noise = timing.sample_copy_noise(&mut rng);
-                        let stretch =
-                            (TimingModel::copy_pressure_factor(pressure) * noise - 1.0).max(0.0);
-                        (
-                            disk_wait + copy_elapsed.max(disk_floor).mul_f64(stretch),
-                            timing.sample_resume(&mut rng, mem, host3.pressure_factor()),
-                        )
-                    };
-                    // The settle (I/O) runs gate-free; the resume itself is
-                    // CPU-bound and holds one of the node's CPU slots, so
-                    // concurrent clones on one host serialize here.
-                    engine.schedule(settle, move |engine| {
-                        let copy_span = octx.span("copy_vmss", copy_started, engine.now());
-                        octx.obs.span_attr(copy_span, "bytes", copied);
-                        let gate = host3.cpu_gate.clone();
-                        let gate_release = gate.clone();
-                        gate.acquire(engine, move |engine| {
-                            engine.schedule(resume, move |engine| {
-                                gate_release.release(engine);
-                                if !host3.same_boot(epoch) {
-                                    return done(
-                                        engine,
-                                        Err(VirtError::HostDown(host3.name())),
-                                    );
-                                }
-                                let now = engine.now();
-                                octx.span(
-                                    "resume",
-                                    SimTime::from_millis(
-                                        now.as_millis() - resume.as_millis(),
-                                    ),
-                                    now,
-                                );
-                                let total = engine.now().since(started);
-                                done(
-                                    engine,
-                                    Ok(CloneStats {
-                                        copied_bytes: copied,
-                                        links_created,
-                                        transfer: total.saturating_sub(resume),
-                                        activate: resume,
-                                        total,
-                                    }),
-                                );
-                            });
-                        });
-                    });
-                },
-            );
-        });
-    }
-
-    fn exec_script(
-        &self,
-        engine: &mut Engine,
-        host: &Host,
-        _spec: &VmSpec,
-        clone_dir: &str,
-        script: &GuestScript,
-        done: Done<ExecStats>,
-    ) {
-        self.core.exec_script_impl(engine, host, clone_dir, script, done);
-    }
-
-    fn destroy(
-        &self,
-        engine: &mut Engine,
-        host: &Host,
-        spec: &VmSpec,
-        clone_dir: &str,
-        done: Done<()>,
-    ) {
-        self.core.destroy_impl(engine, host, spec, clone_dir, done);
-    }
-}
-
-/// The User-Mode-Linux-like backend.
-///
-/// By default clones boot from scratch (the prototype's behaviour). When
-/// the golden image carries an SBUML-style memory snapshot
-/// ([`crate::image::ImageFiles::plan_uml_checkpoint`]) and
-/// [`UmlLike::set_checkpoint_resume`] is enabled, clones resume from the
-/// snapshot instead — the §4.3 "on-going experimental studies" path.
-pub struct UmlLike {
-    core: BackendCore,
-    checkpoint_resume: bool,
-}
-
-impl UmlLike {
-    /// Backend with the default timing model.
-    pub fn new(rng: Rc<RefCell<SimRng>>) -> UmlLike {
-        UmlLike::with_timing(TimingModel::default(), rng)
-    }
-
-    /// Backend with an explicit timing model.
-    pub fn with_timing(timing: TimingModel, rng: Rc<RefCell<SimRng>>) -> UmlLike {
-        UmlLike {
-            core: BackendCore::new(timing, rng),
-            checkpoint_resume: false,
-        }
-    }
-
-    /// Enable fault injection on guest scripts.
-    pub fn set_exec_failure_rate(&mut self, rate: f64) {
-        self.core.exec_failure_rate = rate.clamp(0.0, 1.0);
-    }
-
-    /// Enable SBUML-style checkpoint resume for images that carry a
-    /// memory snapshot (no effect on snapshot-less images).
-    pub fn set_checkpoint_resume(&mut self, enabled: bool) {
-        self.checkpoint_resume = enabled;
-    }
-}
-
-impl Hypervisor for UmlLike {
-    fn vmm_type(&self) -> VmmType {
-        VmmType::UmlLike
-    }
-
-    fn set_obs(&self, obs: &Obs, track: TrackId) {
-        self.core.set_obs(obs, track);
-    }
-
-    fn instantiate(
-        &self,
-        engine: &mut Engine,
-        image: &ImageFiles,
-        spec: &VmSpec,
-        host: &Host,
-        nfs: &NfsServer,
-        clone_dir: &str,
-        done: Done<CloneStats>,
-    ) {
-        if spec.vmm != VmmType::UmlLike {
-            let msg = format!("UmlLike cannot host a {} VM", spec.vmm);
-            engine.schedule(SimDuration::ZERO, move |engine| {
-                done(engine, Err(VirtError::UnsupportedSpec(msg)))
-            });
-            return;
-        }
-        if !host.is_up() {
-            let err = VirtError::HostDown(host.name());
-            engine.schedule(SimDuration::ZERO, move |engine| done(engine, Err(err)));
-            return;
-        }
-        let started = engine.now();
-        let octx = self.core.obs_ctx();
-        let plan = build_transfer_plan(image, clone_dir, DiskStrategy::Linked);
-        let epoch = host.boot_epoch();
-        host.register_vm(spec.memory_mb);
-        let (cow, link_time) = {
-            let mut rng = self.core.rng.borrow_mut();
-            (
-                self.core.timing.sample_cow_setup(&mut rng),
-                self.core
-                    .timing
-                    .sample_links(&mut rng, plan.links.len()),
-            )
-        };
-        let timing = self.core.timing.clone();
-        let rng = Rc::clone(&self.core.rng);
-        let host2 = host.clone();
-        let nfs2 = nfs.clone();
-        let mem = spec.memory_mb;
-        let links = plan.links;
-        let copy_pairs = plan.copy_pairs;
-        let resume_from_snapshot = self.checkpoint_resume && image.memory_state.is_some();
-        engine.schedule(cow + link_time, move |engine| {
-            if !host2.same_boot(epoch) {
-                return done(engine, Err(VirtError::HostDown(host2.name())));
-            }
-            // COW overlays: a fresh (empty) overlay file per extent plus
-            // read-only links to the shared base.
-            let links_created = links.len();
-            for (link, target) in links {
-                let overlay = format!("{link}.cow");
-                host2.disk.link(link, target);
-                let _ = host2.disk.put(overlay, 4 * 1024, FileKind::RedoLog);
-            }
-            let host3 = host2.clone();
-            let copy_started = engine.now();
-            let link_span = octx.span("clone_disk", started, copy_started);
-            octx.obs.span_attr(link_span, "links", links_created);
-            nfs2.fetch_all(engine, copy_pairs, &host3.disk.clone(), move |engine, res| {
-                if !host3.same_boot(epoch) {
-                    return done(engine, Err(VirtError::HostDown(host3.name())));
-                }
-                let copied = match res {
-                    Ok(b) => b,
-                    Err(e) => {
-                        host3.unregister_vm_epoch(mem, epoch);
-                        done(engine, Err(VirtError::Io(e)));
-                        return;
-                    }
-                };
-                let copy_span = octx.span("copy_state", copy_started, engine.now());
-                octx.obs.span_attr(copy_span, "bytes", copied);
-                let boot = if resume_from_snapshot {
-                    timing.sample_resume(&mut rng.borrow_mut(), mem, host3.pressure_factor())
-                } else {
-                    timing.sample_boot(&mut rng.borrow_mut(), mem, host3.pressure_factor())
-                };
-                // Booting is CPU-bound: hold one of the node's CPU slots.
-                let gate = host3.cpu_gate.clone();
-                let gate_release = gate.clone();
-                gate.acquire(engine, move |engine| {
-                    engine.schedule(boot, move |engine| {
-                        gate_release.release(engine);
-                        if !host3.same_boot(epoch) {
-                            return done(engine, Err(VirtError::HostDown(host3.name())));
-                        }
-                        let now = engine.now();
-                        octx.span(
-                            if resume_from_snapshot { "resume" } else { "boot" },
-                            SimTime::from_millis(now.as_millis() - boot.as_millis()),
-                            now,
-                        );
-                        let total = engine.now().since(started);
-                        done(
-                            engine,
-                            Ok(CloneStats {
-                                copied_bytes: copied,
-                                links_created,
-                                transfer: total.saturating_sub(boot),
-                                activate: boot,
-                                total,
-                            }),
-                        );
-                    });
-                });
-            });
-        });
-    }
-
-    fn exec_script(
-        &self,
-        engine: &mut Engine,
-        host: &Host,
-        _spec: &VmSpec,
-        clone_dir: &str,
-        script: &GuestScript,
-        done: Done<ExecStats>,
-    ) {
-        self.core.exec_script_impl(engine, host, clone_dir, script, done);
-    }
-
-    fn destroy(
-        &self,
-        engine: &mut Engine,
-        host: &Host,
-        spec: &VmSpec,
-        clone_dir: &str,
-        done: Done<()>,
-    ) {
-        self.core.destroy_impl(engine, host, spec, clone_dir, done);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -769,7 +464,7 @@ mod tests {
     }
 
     fn run_instantiate(
-        hv: &dyn Hypervisor,
+        hv: &Hypervisor,
         engine: &mut Engine,
         img: &ImageFiles,
         spec: &VmSpec,
@@ -797,7 +492,7 @@ mod tests {
     fn vmware_clone_32mb_lands_near_ten_seconds() {
         let (mut engine, host, nfs, rng) = setup();
         let img = golden(&nfs, VmmType::VmwareLike, 32);
-        let hv = VmwareLike::new(rng);
+        let hv = Hypervisor::new(rng);
         let stats =
             run_instantiate(&hv, &mut engine, &img, &VmSpec::mandrake(32), &host, &nfs).unwrap();
         let secs = stats.total.as_secs_f64();
@@ -818,7 +513,7 @@ mod tests {
         let (mut engine, host, nfs, rng) = setup();
         let img32 = golden(&nfs, VmmType::VmwareLike, 32);
         let img256 = golden(&nfs, VmmType::VmwareLike, 256);
-        let hv = VmwareLike::new(rng);
+        let hv = Hypervisor::new(rng);
         let s32 =
             run_instantiate(&hv, &mut engine, &img32, &VmSpec::mandrake(32), &host, &nfs).unwrap();
         let s256 = run_instantiate(
@@ -841,37 +536,10 @@ mod tests {
     }
 
     #[test]
-    fn full_copy_strategy_reproduces_the_210s_baseline() {
-        let (mut engine, host, nfs, _) = setup();
-        // This envelope test is sample-path sensitive; seed 17 is a
-        // representative path for the in-tree xoshiro256++ stream.
-        let rng = Rc::new(RefCell::new(SimRng::seed_from_u64(17)));
-        let img = golden(&nfs, VmmType::VmwareLike, 256);
-        let mut hv = VmwareLike::new(rng);
-        hv.set_disk_strategy(DiskStrategy::FullCopy);
-        let stats = run_instantiate(
-            &hv,
-            &mut engine,
-            &img,
-            &VmSpec::mandrake(256),
-            &host,
-            &nfs,
-        )
-        .unwrap();
-        let secs = stats.total.as_secs_f64();
-        assert!(
-            (215.0..260.0).contains(&secs),
-            "full copy took {secs}s (2GB disk + 256MB memory + resume)"
-        );
-        assert_eq!(stats.links_created, 0);
-        assert!(stats.copied_bytes > gb(2));
-    }
-
-    #[test]
     fn uml_clone_boots_in_about_76_seconds() {
         let (mut engine, host, nfs, rng) = setup();
         let img = golden(&nfs, VmmType::UmlLike, 32);
-        let hv = UmlLike::new(rng);
+        let hv = Hypervisor::new(rng);
         let stats = run_instantiate(&hv, &mut engine, &img, &VmSpec::uml(32), &host, &nfs).unwrap();
         let secs = stats.total.as_secs_f64();
         assert!((70.0..84.0).contains(&secs), "UML clone-and-boot {secs}s");
@@ -883,8 +551,7 @@ mod tests {
         let (mut engine, host, nfs, rng) = setup();
         let img = ImageFiles::plan_uml_checkpoint("/warehouse/sbuml32", 32, gb(2));
         img.materialize(&nfs.store, 32, gb(2)).unwrap();
-        let mut hv = UmlLike::new(rng);
-        hv.set_checkpoint_resume(true);
+        let hv = Hypervisor::new(rng);
         let stats = run_instantiate(&hv, &mut engine, &img, &VmSpec::uml(32), &host, &nfs).unwrap();
         let secs = stats.total.as_secs_f64();
         // Resume path: ~COW setup + config/snapshot copy + resume — about
@@ -895,23 +562,47 @@ mod tests {
             stats.copied_bytes,
             crate::image::CONFIG_BYTES + 32 * 1024 * 1024
         );
-        // Without the flag, the same image still boots.
-        let rng2 = Rc::new(RefCell::new(SimRng::seed_from_u64(43)));
-        let hv_boot = UmlLike::new(rng2);
+        // The same golden without its snapshot boots.
+        let plain = golden(&nfs, VmmType::UmlLike, 32);
+        let hv_boot = Hypervisor::new(Rc::new(RefCell::new(SimRng::seed_from_u64(43))));
         let boot_stats =
-            run_instantiate(&hv_boot, &mut engine, &img, &VmSpec::uml(32), &host, &nfs).unwrap();
+            run_instantiate(&hv_boot, &mut engine, &plain, &VmSpec::uml(32), &host, &nfs).unwrap();
         assert!(boot_stats.total.as_secs_f64() > 60.0);
     }
 
     #[test]
     fn wrong_vmm_type_is_rejected() {
-        let (mut engine, host, nfs, rng) = setup();
-        let img = golden(&nfs, VmmType::VmwareLike, 32);
-        let hv = VmwareLike::new(rng);
-        let err =
-            run_instantiate(&hv, &mut engine, &img, &VmSpec::uml(32), &host, &nfs).unwrap_err();
-        assert!(matches!(err, VirtError::UnsupportedSpec(_)));
-        assert_eq!(host.vm_count(), 0, "no registration on failure");
+        let (vmware, uml) = (VmSpec::mandrake(32), VmSpec::uml(32));
+        // (refused spec, the image layout it is offered, a valid spec)
+        for (spec, layout, next) in [
+            (&uml, VmmType::VmwareLike, &vmware),
+            (&vmware, VmmType::UmlLike, &uml),
+        ] {
+            let clone_time = |refuse_first: bool| {
+                let (mut engine, host, nfs, rng) = setup();
+                let hv = Hypervisor::new(rng);
+                let wrong = ImageFiles::plan("/warehouse/wrong", layout, 32, gb(2));
+                wrong.materialize(&nfs.store, 32, gb(2)).unwrap();
+                if refuse_first {
+                    let err =
+                        run_instantiate(&hv, &mut engine, &wrong, spec, &host, &nfs).unwrap_err();
+                    assert!(
+                        matches!(err, VirtError::UnsupportedSpec(_)),
+                        "{spec:?}: {err:?}"
+                    );
+                    assert_eq!(host.vm_count(), 0, "no registration on failure");
+                }
+                let right = golden(&nfs, next.vmm, 32);
+                run_instantiate(&hv, &mut engine, &right, next, &host, &nfs)
+                    .unwrap()
+                    .total
+            };
+            assert_eq!(
+                clone_time(true),
+                clone_time(false),
+                "the refusal drew no random numbers"
+            );
+        }
     }
 
     #[test]
@@ -919,7 +610,7 @@ mod tests {
         let (mut engine, host, nfs, rng) = setup();
         // Plan but do not materialize: the fetch will fail.
         let img = ImageFiles::plan("/warehouse/ghost", VmmType::VmwareLike, 32, gb(2));
-        let hv = VmwareLike::new(rng);
+        let hv = Hypervisor::new(rng);
         let err =
             run_instantiate(&hv, &mut engine, &img, &VmSpec::mandrake(32), &host, &nfs).unwrap_err();
         assert!(matches!(err, VirtError::Io(_)));
@@ -930,7 +621,7 @@ mod tests {
     fn exec_script_runs_and_reports_outputs() {
         let (mut engine, host, nfs, rng) = setup();
         let img = golden(&nfs, VmmType::VmwareLike, 32);
-        let hv = VmwareLike::new(rng);
+        let hv = Hypervisor::new(rng);
         run_instantiate(&hv, &mut engine, &img, &VmSpec::mandrake(32), &host, &nfs).unwrap();
         let script = GuestScript {
             action_id: "D".into(),
@@ -945,7 +636,6 @@ mod tests {
         hv.exec_script(
             &mut engine,
             &host,
-            &VmSpec::mandrake(32),
             "/clones/vm1",
             &script,
             Box::new(move |_, res| {
@@ -966,7 +656,7 @@ mod tests {
     fn injected_failures_surface_as_guest_failures() {
         let (mut engine, host, nfs, rng) = setup();
         let img = golden(&nfs, VmmType::VmwareLike, 32);
-        let mut hv = VmwareLike::new(rng);
+        let mut hv = Hypervisor::new(rng);
         hv.set_exec_failure_rate(1.0);
         run_instantiate(&hv, &mut engine, &img, &VmSpec::mandrake(32), &host, &nfs).unwrap();
         let script = GuestScript {
@@ -981,7 +671,6 @@ mod tests {
         hv.exec_script(
             &mut engine,
             &host,
-            &VmSpec::mandrake(32),
             "/clones/vm1",
             &script,
             Box::new(move |_, res| {
@@ -1000,7 +689,7 @@ mod tests {
     fn host_crash_mid_clone_aborts_with_typed_error() {
         let (mut engine, host, nfs, rng) = setup();
         let img = golden(&nfs, VmmType::VmwareLike, 256);
-        let hv = VmwareLike::new(rng);
+        let hv = Hypervisor::new(rng);
         let out: Rc<RefCell<Option<Result<CloneStats, VirtError>>>> = Rc::new(RefCell::new(None));
         let out2 = Rc::clone(&out);
         hv.instantiate(
@@ -1039,7 +728,7 @@ mod tests {
     fn nfs_outage_mid_clone_fails_with_unavailable_and_releases_memory() {
         let (mut engine, host, nfs, rng) = setup();
         let img = golden(&nfs, VmmType::VmwareLike, 256);
-        let hv = VmwareLike::new(rng);
+        let hv = Hypervisor::new(rng);
         let out: Rc<RefCell<Option<Result<CloneStats, VirtError>>>> = Rc::new(RefCell::new(None));
         let out2 = Rc::clone(&out);
         hv.instantiate(
@@ -1072,7 +761,7 @@ mod tests {
     fn instantiate_on_a_down_host_fails_immediately() {
         let (mut engine, host, nfs, rng) = setup();
         let img = golden(&nfs, VmmType::VmwareLike, 64);
-        let hv = VmwareLike::new(rng);
+        let hv = Hypervisor::new(rng);
         host.crash();
         let res = run_instantiate(&hv, &mut engine, &img, &VmSpec::mandrake(64), &host, &nfs);
         assert!(matches!(res, Err(VirtError::HostDown(_))));
@@ -1083,7 +772,7 @@ mod tests {
     fn destroy_releases_everything() {
         let (mut engine, host, nfs, rng) = setup();
         let img = golden(&nfs, VmmType::VmwareLike, 64);
-        let hv = VmwareLike::new(rng);
+        let hv = Hypervisor::new(rng);
         run_instantiate(&hv, &mut engine, &img, &VmSpec::mandrake(64), &host, &nfs).unwrap();
         assert_eq!(host.vm_count(), 1);
         assert!(host.disk.file_count() > 0);
@@ -1110,14 +799,15 @@ mod tests {
         // Fill the host with 15 64MB VMs, then compare a clone on a loaded
         // host against one on a fresh host — the Figure 6 mechanism.
         let (mut engine, fresh, nfs, _) = setup();
-        // Sample-path-sensitive ratio check; see the full-copy test above.
+        // This ratio check is sample-path sensitive; seed 17 is a
+        // representative path for the in-tree xoshiro256++ stream.
         let rng = Rc::new(RefCell::new(SimRng::seed_from_u64(17)));
         let loaded = Host::new(HostSpec::e1350_node("node1"));
         for _ in 0..15 {
             loaded.register_vm(64);
         }
         let img = golden(&nfs, VmmType::VmwareLike, 64);
-        let hv = VmwareLike::new(rng);
+        let hv = Hypervisor::new(rng);
         let fast =
             run_instantiate(&hv, &mut engine, &img, &VmSpec::mandrake(64), &fresh, &nfs).unwrap();
         let slow =

@@ -16,10 +16,10 @@
 //!   memory;
 //! * [`vm`] — VM specs and the lifecycle state machine
 //!   (Off → Cloning → Resuming/Booting → Running → Configuring → …);
-//! * [`hypervisor`] — the two backends behind one [`Hypervisor`] trait:
-//!   [`hypervisor::VmwareLike`] clones by symlinking the base disk and
-//!   copying config + redo + memory state, then *resumes*;
-//!   [`hypervisor::UmlLike`] creates COW overlays and *boots*;
+//! * [`hypervisor`] — one [`Hypervisor`] backend for both production
+//!   lines: a VMware-like clone symlinks the base disk, copies config +
+//!   redo + memory state, then *resumes*; a UML-like clone adds COW
+//!   overlays and *boots* (or resumes a checkpointed image's snapshot);
 //! * [`guest`] — §4.1's configuration path: scripts burned into ISO images,
 //!   attached as virtual CD-ROMs, executed by the in-guest daemon;
 //! * [`timing::TimingModel`] — every constant that shapes Figures 4–6, in
@@ -34,7 +34,7 @@ pub mod overhead;
 pub mod timing;
 pub mod vm;
 
-pub use hypervisor::{CloneStats, ExecStats, Hypervisor, UmlLike, VirtError, VmwareLike};
+pub use hypervisor::{CloneStats, ExecStats, Hypervisor, VirtError};
 pub use image::ImageFiles;
 pub use timing::TimingModel;
 pub use vm::{VmSpec, VmState, VmmType};

@@ -9,7 +9,7 @@ use vmplants_cluster::files::gb;
 use vmplants_cluster::host::{Host, HostSpec};
 use vmplants_cluster::nfs::NfsServer;
 use vmplants_simkit::{Engine, SimRng};
-use vmplants_virt::hypervisor::{DiskStrategy, Hypervisor, UmlLike, VmwareLike};
+use vmplants_virt::Hypervisor;
 use vmplants_virt::{ImageFiles, VmSpec, VmmType};
 
 #[derive(Clone, Debug)]
@@ -44,8 +44,7 @@ fn clone_destroy_accounting_balances() {
         let host = Host::new(HostSpec::e1350_node("node0"));
         let nfs = NfsServer::new("storage");
         let rng = Rc::new(RefCell::new(SimRng::seed_from_u64(seed)));
-        let vmware = VmwareLike::new(Rc::clone(&rng));
-        let uml = UmlLike::new(Rc::clone(&rng));
+        let hv = Hypervisor::new(rng);
         // Publish goldens for both VMM types at every size.
         let mut images = std::collections::BTreeMap::new();
         for mem in [32u64, 64, 256] {
@@ -64,10 +63,10 @@ fn clone_destroy_accounting_balances() {
                     uml: is_uml,
                 } => {
                     let mem = [32u64, 64, 256][mem_idx as usize];
-                    let (hv, spec): (&dyn Hypervisor, VmSpec) = if is_uml {
-                        (&uml, VmSpec::uml(mem))
+                    let spec = if is_uml {
+                        VmSpec::uml(mem)
                     } else {
-                        (&vmware, VmSpec::mandrake(mem))
+                        VmSpec::mandrake(mem)
                     };
                     let dir = format!("/clones/vm{next}");
                     next += 1;
@@ -95,10 +94,6 @@ fn clone_destroy_accounting_balances() {
                         continue;
                     }
                     let (dir, spec) = live.remove(0);
-                    let hv: &dyn Hypervisor = match spec.vmm {
-                        VmmType::VmwareLike => &vmware,
-                        VmmType::UmlLike => &uml,
-                    };
                     hv.destroy(
                         &mut engine,
                         &host,
@@ -116,10 +111,6 @@ fn clone_destroy_accounting_balances() {
         }
         // Drain.
         while let Some((dir, spec)) = live.pop() {
-            let hv: &dyn Hypervisor = match spec.vmm {
-                VmmType::VmwareLike => &vmware,
-                VmmType::UmlLike => &uml,
-            };
             hv.destroy(
                 &mut engine,
                 &host,
@@ -136,20 +127,18 @@ fn clone_destroy_accounting_balances() {
     }
 }
 
-/// Clone time grows with memory size, and the full-copy strategy always
-/// takes longer than the linked strategy.
+/// Linked-clone time grows with memory size.
 #[test]
 fn timing_orderings_hold() {
     for seed in 0..200 {
-        let measure = |mem: u64, strategy: DiskStrategy, seed: u64| -> f64 {
+        let measure = |mem: u64, seed: u64| -> f64 {
             let mut engine = Engine::new();
             let host = Host::new(HostSpec::e1350_node("n"));
             let nfs = NfsServer::new("s");
             let img = ImageFiles::plan("/w/g", VmmType::VmwareLike, mem, gb(2));
             img.materialize(&nfs.store, mem, gb(2)).unwrap();
             let rng = Rc::new(RefCell::new(SimRng::seed_from_u64(seed)));
-            let mut hv = VmwareLike::new(rng);
-            hv.set_disk_strategy(strategy);
+            let hv = Hypervisor::new(rng);
             let out = Rc::new(RefCell::new(0.0));
             let out2 = Rc::clone(&out);
             hv.instantiate(
@@ -167,14 +156,9 @@ fn timing_orderings_hold() {
             let t = *out.borrow();
             t
         };
-        let t32 = measure(32, DiskStrategy::Linked, seed);
-        let t256 = measure(256, DiskStrategy::Linked, seed + 1);
-        let t256_full = measure(256, DiskStrategy::FullCopy, seed + 2);
+        let t32 = measure(32, seed);
+        let t256 = measure(256, seed + 1);
         assert!(t32 < t256, "seed {seed}: 32MB {t32} vs 256MB {t256}");
-        assert!(
-            t256 < t256_full,
-            "seed {seed}: linked {t256} vs full {t256_full}"
-        );
         assert!(t32 > 0.0, "seed {seed}");
     }
 }

@@ -67,7 +67,7 @@ static GLOBAL: Counting = Counting;
 const ORDERS: u64 = 300;
 
 /// Allocations per order the event loop may make. The stream measures
-/// 394.5 per order; the ceiling leaves 5 % of headroom. Lower it when a
+/// 393.5 per order; the ceiling leaves 5 % of headroom. Lower it when a
 /// change removes allocations, so the saving stays pinned.
 const CEILING_PER_ORDER: f64 = 414.0;
 
