@@ -6,7 +6,7 @@
 //! substrate the paper's prototype ran on, rebuilt as a deterministic
 //! discrete-event simulation (see `DESIGN.md` at the repository root).
 //!
-//! ## The architecture in one paragraph
+//! ## The design in one paragraph
 //!
 //! Clients ask a front-end **VMShop** for virtual machines, specifying
 //! hardware (memory/disk/OS/VMM) plus a **configuration DAG** of software

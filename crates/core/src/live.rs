@@ -4,12 +4,12 @@
 //! "services … specified as XML strings" (§4.1). This module runs a
 //! VMShop (with its full simulated site behind it) inside a dedicated
 //! thread, listening on a localhost TCP socket and speaking the
-//! [`vmplants_shop::messages`] XML protocol with length-prefixed frames.
+//! [`vmplants_plant::protocol`] XML protocol with length-prefixed frames.
 //!
 //! The substrate clock stays *virtual*: a Create request returns as fast
 //! as the event loop can drain, but the returned classad's `create_s`
 //! attribute reports the simulated creation latency — so live mode
-//! demonstrates the service architecture (framing, XML, discovery by
+//! demonstrates the service design (framing, XML, discovery by
 //! address, concurrent clients) without making tests slow.
 
 use std::io::{self, Read, Write};
@@ -17,9 +17,9 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::thread::JoinHandle;
 
 use vmplants_classad::ClassAd;
+use vmplants_plant::protocol::{ErrorCode, Request, Response};
 use vmplants_plant::{PlantError, ProductionOrder, VmId};
 use vmplants_shop::bidding::collect_bids;
-use vmplants_shop::messages::{ErrorCode, Request, Response};
 use vmplants_shop::ShopError;
 
 use crate::site::{SimSite, SiteConfig};

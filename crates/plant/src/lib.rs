@@ -1,7 +1,7 @@
 //! # vmplants-plant — the VMPlant daemon
 //!
 //! One VMPlant runs on every physical node (Figure 1) and implements the
-//! internal architecture of Figure 2:
+//! internal structure of Figure 2:
 //!
 //! * the **Production Process Planner** ([`daemon::Plant::create`]) matches
 //!   a creation request's configuration DAG against golden images in the

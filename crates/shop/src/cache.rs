@@ -71,7 +71,7 @@ impl ClassAdCache {
         self.entries.remove(id).is_some()
     }
 
-    /// Drop everything (shop restart).
+    /// Drop everything (shop crash).
     pub fn clear(&mut self) {
         self.entries.clear();
     }

@@ -17,10 +17,9 @@
 //!   facilitating service restoration in the presence of failures.
 //!   VMShop may, however, cache classad information … to speed up
 //!   queries";
-//! * [`messages`] — the XML request/response encoding of the service
-//!   protocol;
 //! * [`shop`] — the [`VmShop`] service itself, with plant-failure
-//!   handling (re-bid on creation, cache rebuild after restart);
+//!   handling (re-bid on creation) and crash recovery that rebuilds the
+//!   cache from the journal and the plants;
 //! * [`journal`] — the durable write-ahead order journal that lets a
 //!   crashed shop restart deterministically and reconcile in-flight
 //!   orders with the plants;
@@ -31,7 +30,6 @@ pub mod bidding;
 pub mod cache;
 pub mod client;
 pub mod journal;
-pub mod messages;
 pub mod registry;
 pub mod shop;
 

@@ -3,7 +3,7 @@
 //! The paper delegates discovery to "standard mechanisms for dynamic or
 //! static discovery (e.g. UDDI)" and explicitly scopes them out of the
 //! design. This registry provides the same three verbs over in-process
-//! handles so the rest of the architecture can exercise the flow.
+//! handles so the rest of the system can exercise the flow.
 
 use std::collections::BTreeMap;
 

@@ -10,9 +10,9 @@ use std::rc::Rc;
 use vmplants_cluster::host::{Host, HostSpec};
 use vmplants_cluster::nfs::NfsServer;
 use vmplants_dag::{Action, ConfigDag};
+use vmplants_plant::protocol::{ErrorCode, Request, Response};
 use vmplants_plant::{DomainDirectory, Plant, PlantConfig, ProductionOrder, VmId};
 use vmplants_shop::bidding::{select_bid, Bid};
-use vmplants_shop::messages::{ErrorCode, Request, Response};
 use vmplants_simkit::SimRng;
 use vmplants_virt::{VmSpec, VmmType};
 use vmplants_vnet::ProxyEndpoint;

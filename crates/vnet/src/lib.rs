@@ -23,17 +23,13 @@
 //!   gateway-with-SSH-tunnels deployment of §3.3;
 //! * [`service::VirtualNetworkService`] — the facade VMShop drives to
 //!   set up and tear down VNET handlers ("the front-end VMShop becomes a
-//!   client to this service");
-//! * [`architect`] — the §6 VMArchitect: planning router VMs and tunnels
-//!   that join one domain's segments across plants into a virtual LAN.
+//!   client to this service").
 
-pub mod architect;
 pub mod bridge;
 pub mod ip;
 pub mod pool;
 pub mod service;
 
-pub use architect::{plan_virtual_lan, TopologyPlan};
 pub use bridge::{BridgeError, ProxyEndpoint, VnetBridge};
 pub use ip::DomainIpAllocator;
 pub use pool::{HostOnlyPool, NetworkId, PoolError};

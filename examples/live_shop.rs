@@ -10,8 +10,8 @@
 use vmplants::live::{LiveClient, LiveShop};
 use vmplants::SiteConfig;
 use vmplants_dag::graph::invigo_workspace_dag;
+use vmplants_plant::protocol::Request;
 use vmplants_plant::{ProductionOrder, VmId};
-use vmplants_shop::messages::Request;
 use vmplants_virt::VmSpec;
 
 fn main() {

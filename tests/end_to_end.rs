@@ -136,7 +136,7 @@ fn shop_survives_plant_crash_and_cache_loss_together() {
             ad.get_str("plant").unwrap(),
         ));
     }
-    // One plant crashes; the shop loses its cache at the same time.
+    // One plant crashes; the shop crashes and recovers while it is down.
     let crashed = ids[0].1.clone();
     let crashed_plant = site
         .plants
@@ -145,7 +145,9 @@ fn shop_survives_plant_crash_and_cache_loss_together() {
         .unwrap()
         .clone();
     crashed_plant.fail();
-    site.shop.restart();
+    site.shop.crash(&mut site.engine);
+    let stats = site.shop.recover(&mut site.engine);
+    assert_eq!((stats.settled, stats.reaped), (6, 0), "{stats:?}");
 
     // New creations keep working (re-bid around the dead plant).
     let ad = site
@@ -153,17 +155,18 @@ fn shop_survives_plant_crash_and_cache_loss_together() {
         .unwrap();
     assert_ne!(ad.get_str("plant"), Some(crashed.clone()));
 
-    // VMs on live plants are still queryable through the search path.
+    // VMs on live plants are still queryable.
     let on_live = ids.iter().find(|(_, p)| *p != crashed);
     if let Some((id, _)) = on_live {
         assert!(site.query_vm(id).is_ok());
     }
 
-    // The crashed plant's VMs return after it revives; a cache rebuild
-    // restores everything the site still hosts.
+    // The crashed plant's VMs return after it revives. Recovery kept
+    // them cached, so the soft cache covers everything the site hosts
+    // and the orphan sweep leaves them alone.
     crashed_plant.revive();
-    let restored = site.shop.rebuild_cache(&site.engine);
-    assert_eq!(restored, site.total_vms());
+    assert_eq!(site.shop.select("true").unwrap().len(), site.total_vms());
+    assert_eq!(site.shop.gc_orphans(&mut site.engine), 0);
     for (id, _) in &ids {
         assert!(site.query_vm(id).is_ok(), "VM {id} lost after recovery");
     }

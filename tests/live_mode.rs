@@ -68,7 +68,7 @@ fn multiple_clients_share_one_shop() {
 fn malformed_requests_get_structured_errors() {
     use std::net::TcpStream;
     use vmplants::live::{read_frame, write_frame};
-    use vmplants_shop::messages::Response;
+    use vmplants_plant::protocol::Response;
 
     let shop = LiveShop::start(SiteConfig::default()).unwrap();
     let mut stream = TcpStream::connect(shop.addr()).unwrap();
@@ -118,7 +118,7 @@ fn deeply_nested_requirements_are_refused_and_the_shop_keeps_serving() {
 fn deeply_nested_xml_frame_is_refused_and_the_shop_keeps_serving() {
     use std::net::TcpStream;
     use vmplants::live::{read_frame, write_frame};
-    use vmplants_shop::messages::Response;
+    use vmplants_plant::protocol::Response;
 
     // 10,000 levels is 70 KB, far under the frame limit, so only the XML
     // parser's depth bound keeps it from overflowing the shop thread's
