@@ -26,8 +26,9 @@
 //! the client's reply and the soft cache, and a resubmission or a
 //! recovery hands it out again without parsing anything. When the shop
 //! destroys the VM, the fold drops that ad (`Journal::destroyed`), so
-//! the classads the journal holds are bounded by the live VMs. Dropping
-//! it appends no record.
+//! the classads the journal holds are bounded by the live VMs; when it
+//! migrates the VM, the fold repoints the outcome at the target plant
+//! (`Journal::migrated`). Neither appends a record.
 
 use std::collections::BTreeMap;
 use std::fmt::{self, Write};
@@ -264,6 +265,18 @@ impl Journal {
         }
     }
 
+    /// The shop migrated the published VM `vm_id` to `plant`, where its
+    /// classad is now `ad`: repoint the outcome so recovery and
+    /// resubmissions name the hosting plant. Appends no record; an order
+    /// that is not published and live is left as it is.
+    pub(crate) fn migrated(&mut self, vm_id: &VmId, plant: String, ad: ClassAd) {
+        if let Some(order) = self.orders.get_mut(vm_id) {
+            if let OrderStatus::Settled(JournalOutcome::Published { .. }) = order.status {
+                order.status = OrderStatus::Settled(JournalOutcome::Published { plant, ad });
+            }
+        }
+    }
+
     /// Record the outcome in place of the order payload.
     fn settle(&mut self, vm_id: &VmId, outcome: JournalOutcome) {
         if let Some(order) = self.orders.get_mut(vm_id) {
@@ -369,6 +382,11 @@ mod tests {
             Some((id, JournalOutcome::Published { plant, ad: kept }))
                 if *id == vm(0) && plant == "node1" && *kept == ad
         ));
+        assert_eq!(j.len(), 4);
+
+        // Migrating the VM repoints its outcome and appends nothing.
+        j.migrated(&vm(0), "node2".into(), ad.clone());
+        assert!(matches!(j.live_ads().next(), Some((_, "node2", _))));
         assert_eq!(j.len(), 4);
 
         // Destroying the VM drops its classad and appends nothing.
