@@ -1,10 +1,84 @@
 //! The classad record type.
 
 use std::fmt;
+use std::ops::Deref;
 use std::rc::Rc;
 
 use crate::expr::{Expr, Scope};
 use crate::value::Value;
+
+/// An attribute name as an ad stores it.
+///
+/// A name spelled as a literal in the program (`"vmid"`) is kept as the
+/// `&'static str` itself, so binding it allocates nothing; a name made
+/// at run time (parsed from text, taken from an action's outputs) is
+/// shared by reference count. Either kind compares, prints and
+/// debug-formats as the plain string.
+///
+/// The shared text is an `Rc<String>`, a thin pointer, so the whole name
+/// fits in the two words of a `&str`; with an `Rc<str>` it would take a
+/// third word, and every attribute of every ad would grow by it.
+#[derive(Clone)]
+pub enum AttrName {
+    /// A name spelled in the program.
+    Static(&'static str),
+    /// A name made at run time.
+    Shared(Rc<String>),
+}
+
+impl AttrName {
+    /// The name's text.
+    pub fn as_str(&self) -> &str {
+        match self {
+            AttrName::Static(s) => s,
+            AttrName::Shared(s) => s,
+        }
+    }
+}
+
+impl Deref for AttrName {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl AsRef<str> for AttrName {
+    fn as_ref(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl PartialEq for AttrName {
+    fn eq(&self, other: &AttrName) -> bool {
+        self.as_str() == other.as_str()
+    }
+}
+
+impl fmt::Debug for AttrName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
+impl fmt::Display for AttrName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
+    }
+}
+
+impl From<&'static str> for AttrName {
+    fn from(name: &'static str) -> AttrName {
+        AttrName::Static(name)
+    }
+}
+
+impl From<String> for AttrName {
+    fn from(name: String) -> AttrName {
+        AttrName::Shared(Rc::new(name))
+    }
+}
 
 /// An ordered attribute → expression record.
 ///
@@ -14,15 +88,15 @@ use crate::value::Value;
 ///
 /// The attribute list is copy-on-write: cloning an ad (into a reply
 /// envelope, the dedup cache, the shop's soft cache) shares the storage,
-/// and the first mutation of a shared ad copies it. Attribute names and
-/// string values are shared too (`Rc<str>`), so that copy is one vector
-/// allocation plus reference-count bumps for a literal-valued ad, and
-/// dropping the last copy of an ad frees one vector.
+/// and the first mutation of a shared ad copies it. Attribute names
+/// ([`AttrName`]) and string values are shared too, so that copy is one
+/// vector allocation plus reference-count bumps for a literal-valued ad,
+/// and dropping the last copy of an ad frees one vector.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ClassAd {
     // (name, expr) matched ASCII-case-insensitively; linear scan is
     // appropriate for the tens-of-attributes ads this middleware produces.
-    entries: Rc<Vec<(Rc<str>, Expr)>>,
+    entries: Rc<Vec<(AttrName, Expr)>>,
 }
 
 impl ClassAd {
@@ -43,8 +117,9 @@ impl ClassAd {
 
     /// Bind `name` to an expression, replacing any existing binding
     /// (case-insensitively) while keeping its position; the binding takes
-    /// the new spelling of `name`.
-    pub fn set(&mut self, name: impl AsRef<str> + Into<Rc<str>>, expr: Expr) {
+    /// the new spelling of `name`. A `&'static str` name is stored
+    /// without allocating.
+    pub fn set(&mut self, name: impl AsRef<str> + Into<AttrName>, expr: Expr) {
         let entries = Rc::make_mut(&mut self.entries);
         match entries
             .iter_mut()
@@ -61,7 +136,7 @@ impl ClassAd {
     }
 
     /// Bind `name` to a literal value.
-    pub fn set_value(&mut self, name: impl AsRef<str> + Into<Rc<str>>, value: impl Into<Value>) {
+    pub fn set_value(&mut self, name: impl AsRef<str> + Into<AttrName>, value: impl Into<Value>) {
         self.set(name, Expr::Lit(value.into()));
     }
 
@@ -88,6 +163,9 @@ impl ClassAd {
     /// attributes yield [`Value::Undefined`].
     pub fn eval(&self, name: &str) -> Value {
         match self.lookup(name) {
+            // A literal is its own value: no reference to follow, no
+            // cycle to guard against.
+            Some(Expr::Lit(v)) => v.clone(),
             Some(_) => Expr::attr(name).eval_solo(self),
             None => Value::Undefined,
         }
@@ -117,18 +195,18 @@ impl ClassAd {
 
     /// Iterate `(name, expr)` in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Expr)> {
-        self.entries.iter().map(|(n, e)| (&**n, e))
+        self.entries.iter().map(|(n, e)| (n.as_str(), e))
     }
 
     /// Attribute names in insertion order.
     pub fn names(&self) -> impl Iterator<Item = &str> {
-        self.entries.iter().map(|(n, _)| &**n)
+        self.entries.iter().map(|(n, _)| n.as_str())
     }
 
     /// Merge another ad into this one: `other`'s bindings win on collision.
     pub fn absorb(&mut self, other: &ClassAd) {
-        for (name, expr) in other.iter() {
-            self.set(name, expr.clone());
+        for (name, expr) in other.entries.iter() {
+            self.set(name.clone(), expr.clone());
         }
     }
 
@@ -213,6 +291,40 @@ mod tests {
         let names: Vec<&str> = ad.names().collect();
         assert_eq!(names, vec!["alpha", "MEMORY_mb", "zeta"]);
         assert_eq!(ad.get_int("memory_mb"), Some(2));
+    }
+
+    #[test]
+    fn a_name_is_two_words() {
+        assert_eq!(std::mem::size_of::<AttrName>(), std::mem::size_of::<&str>());
+    }
+
+    #[test]
+    fn static_and_shared_names_behave_alike() {
+        let mut by_static = ClassAd::new();
+        let mut by_shared = ClassAd::new();
+        by_static.set_value("Memory_MB", 256i64);
+        by_shared.set_value(String::from("Memory_MB"), 256i64);
+        assert!(matches!(by_static.entries[0].0, AttrName::Static(_)));
+        assert!(matches!(by_shared.entries[0].0, AttrName::Shared(_)));
+        assert_eq!(by_static, by_shared);
+        for ad in [&by_static, &by_shared] {
+            assert_eq!(ad.get_int("memory_mb"), Some(256));
+            assert_eq!(ad.get_int("MEMORY_MB"), Some(256));
+        }
+        // A re-cased set renames, whichever kind either spelling is.
+        by_static.set_value(String::from("MEMORY_mb"), 512i64);
+        by_shared.set_value("MEMORY_mb", 512i64);
+        for ad in [&by_static, &by_shared] {
+            assert_eq!(ad.names().collect::<Vec<_>>(), ["MEMORY_mb"]);
+            assert_eq!(ad.get_int("memory_mb"), Some(512));
+        }
+        assert_eq!(by_static, by_shared);
+        assert_eq!(by_static.to_string(), by_shared.to_string());
+        assert_eq!(format!("{by_static:?}"), format!("{by_shared:?}"));
+        // The parser makes shared names; the round trip is exact.
+        for ad in [&by_static, &by_shared] {
+            assert_eq!(&crate::parse_classad(&ad.to_string()).unwrap(), ad);
+        }
     }
 
     #[test]

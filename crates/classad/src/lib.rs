@@ -40,7 +40,7 @@ pub mod parser;
 pub mod token;
 pub mod value;
 
-pub use ad::ClassAd;
+pub use ad::{AttrName, ClassAd};
 pub use expr::{AttrScope, BinOp, Expr, Scope, UnOp};
 pub use parser::{parse_classad, parse_expr, ParseError};
 pub use value::Value;

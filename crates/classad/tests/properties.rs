@@ -143,7 +143,7 @@ fn evaluation_never_panics() {
         let mut names = Vec::new();
         collect_attrs(&e, &mut names);
         for name in names {
-            ad.set_value(name.as_str(), any_value(&mut rng, 2));
+            ad.set_value(name, any_value(&mut rng, 2));
         }
         let _ = e.eval_solo(&ad);
     }

@@ -99,7 +99,7 @@ impl ConfigDag {
     /// Add an action node.
     pub fn add_action(&mut self, action: Action) -> Result<(), DagError> {
         if self.graph.index.contains_key(&action.id) {
-            return Err(DagError::DuplicateId(action.id));
+            return Err(DagError::DuplicateId(action.id.clone()));
         }
         let g = Rc::make_mut(&mut self.graph);
         g.index.insert(action.id.clone(), g.nodes.len());

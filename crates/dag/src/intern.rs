@@ -21,9 +21,11 @@
 //! logs by `tests/properties.rs`); the warehouse uses it together with a
 //! signature-subset index to prune non-matching goldens cheaply.
 
+use std::borrow::Borrow;
 use std::collections::{BTreeSet, HashMap};
+use std::hash::{Hash, Hasher};
 
-use crate::action::ActionSignature;
+use crate::action::{ActionSignature, SigRef};
 use crate::graph::ConfigDag;
 use crate::matching::{MatchFailure, MatchReport, PerformedLog};
 
@@ -55,20 +57,20 @@ impl SigInterner {
         self.sigs.is_empty()
     }
 
-    /// Intern a signature, cloning it only on first sight.
-    pub fn intern(&mut self, sig: &ActionSignature) -> SigId {
-        if let Some(&id) = self.ids.get(sig) {
+    /// Intern a signature, copying it only on first sight.
+    pub fn intern(&mut self, sig: SigRef<'_>) -> SigId {
+        if let Some(id) = self.get(sig) {
             return id;
         }
         let id = self.sigs.len() as SigId;
-        self.ids.insert(sig.clone(), id);
-        self.sigs.push(sig.clone());
+        self.ids.insert(sig.to_signature(), id);
+        self.sigs.push(sig.to_signature());
         id
     }
 
     /// The id of an already-interned signature.
-    pub fn get(&self, sig: &ActionSignature) -> Option<SigId> {
-        self.ids.get(sig).copied()
+    pub fn get(&self, sig: SigRef<'_>) -> Option<SigId> {
+        self.ids.get(&sig as &dyn SigKey).copied()
     }
 
     /// The signature behind an id.
@@ -80,6 +82,44 @@ impl SigInterner {
         &self.sigs[id as usize]
     }
 }
+
+/// What the interner's map is probed with: an owned key and a borrowed
+/// [`SigRef`] both read as a `SigRef`, and hash and compare as one.
+trait SigKey {
+    fn key(&self) -> SigRef<'_>;
+}
+
+impl SigKey for ActionSignature {
+    fn key(&self) -> SigRef<'_> {
+        self.sig_ref()
+    }
+}
+
+impl SigKey for SigRef<'_> {
+    fn key(&self) -> SigRef<'_> {
+        *self
+    }
+}
+
+impl<'a> Borrow<dyn SigKey + 'a> for ActionSignature {
+    fn borrow(&self) -> &(dyn SigKey + 'a) {
+        self
+    }
+}
+
+impl Hash for dyn SigKey + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.key().hash(state);
+    }
+}
+
+impl PartialEq for dyn SigKey + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl Eq for dyn SigKey + '_ {}
 
 /// A compact bitset over small dense ids (node indices, signature ids).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -133,7 +173,11 @@ pub struct InternedLog {
 impl InternedLog {
     /// Intern every signature of `log`.
     pub fn from_log(log: &PerformedLog, interner: &mut SigInterner) -> InternedLog {
-        let ids: Vec<SigId> = log.signatures().map(|sig| interner.intern(&sig)).collect();
+        let ids: Vec<SigId> = log
+            .actions()
+            .iter()
+            .map(|action| interner.intern(action.sig_ref()))
+            .collect();
         let mut bits = BitSet::default();
         for &id in &ids {
             bits.insert(id as usize);
@@ -184,14 +228,14 @@ impl MatchedSet {
 /// ancestor bitsets and topological order, all computed exactly once.
 pub struct CompiledDag<'d> {
     dag: &'d ConfigDag,
-    /// Each node's signature, by node index.
-    sigs: Vec<ActionSignature>,
+    /// Each node's signature, by node index, borrowed from the DAG.
+    sigs: Vec<SigRef<'d>>,
     /// Interned signature id → node index (only signatures the interner
     /// knows; an unknown signature cannot appear in any interned log).
     by_sig: HashMap<SigId, usize>,
     /// First duplicated signature in insertion order, if any — matching by
     /// signature needs signatures unambiguous within the DAG.
-    dup_sig: Option<ActionSignature>,
+    dup_sig: Option<SigRef<'d>>,
     /// Ancestor bitset per node (bits are node indices).
     ancestors: Vec<BitSet>,
     /// Topological order as node indices (same tie-breaks as
@@ -215,20 +259,17 @@ impl<'d> CompiledDag<'d> {
         Self::build(dag, |sig| interner.get(sig))
     }
 
-    fn build(dag: &'d ConfigDag, mut id_of: impl FnMut(&ActionSignature) -> Option<SigId>) -> CompiledDag<'d> {
+    fn build(dag: &'d ConfigDag, mut id_of: impl FnMut(SigRef<'d>) -> Option<SigId>) -> CompiledDag<'d> {
         let n = dag.len();
-        let mut sigs = Vec::with_capacity(n);
+        let sigs: Vec<SigRef<'d>> = dag.actions().map(|action| action.sig_ref()).collect();
         let mut by_sig = HashMap::with_capacity(n);
         let mut dup_sig = None;
         let mut sig_bits = BitSet::default();
-        let mut seen: HashMap<&ActionSignature, usize> = HashMap::with_capacity(n);
-        for action in dag.actions() {
-            sigs.push(action.signature());
-        }
-        for (idx, sig) in sigs.iter().enumerate() {
+        let mut seen: HashMap<SigRef<'d>, usize> = HashMap::with_capacity(n);
+        for (idx, &sig) in sigs.iter().enumerate() {
             if seen.insert(sig, idx).is_some() {
                 if dup_sig.is_none() {
-                    dup_sig = Some(sig.clone());
+                    dup_sig = Some(sig);
                 }
                 continue;
             }
@@ -423,10 +464,10 @@ mod tests {
         let mut i = SigInterner::new();
         let a = Action::guest("A", "x").signature();
         let b = Action::guest("B", "y").signature();
-        assert_eq!(i.intern(&a), 0);
-        assert_eq!(i.intern(&b), 1);
-        assert_eq!(i.intern(&a), 0, "re-interning is idempotent");
-        assert_eq!(i.get(&b), Some(1));
+        assert_eq!(i.intern(a.sig_ref()), 0);
+        assert_eq!(i.intern(b.sig_ref()), 1);
+        assert_eq!(i.intern(a.sig_ref()), 0, "re-interning is idempotent");
+        assert_eq!(i.get(b.sig_ref()), Some(1));
         assert_eq!(i.resolve(0), &a);
         assert_eq!(i.len(), 2);
     }

@@ -38,7 +38,7 @@ pub mod intern;
 pub mod matching;
 pub mod xml;
 
-pub use action::{Action, ActionKind, ErrorPolicy};
+pub use action::{Action, ActionBody, ActionKind, ErrorPolicy};
 pub use graph::{ConfigDag, DagError};
 pub use intern::{BitSet, CompiledDag, InternedLog, MatchedSet, SigId, SigInterner};
 pub use matching::{match_image, MatchFailure, MatchReport, PerformedLog};

@@ -16,12 +16,12 @@
 //!   if the DAG orders A before B and both were performed, A appears before
 //!   B in the log.
 //!
-//! Operations are compared by [`crate::action::ActionSignature`] (kind +
+//! Operations are compared by [`crate::action::SigRef`] (kind +
 //! command + parameters), not by node label.
 
 use std::collections::HashMap;
 
-use crate::action::{Action, ActionSignature};
+use crate::action::{Action, SigRef};
 use crate::graph::ConfigDag;
 
 /// The ordered log of actions already performed on a cached image.
@@ -60,13 +60,6 @@ impl PerformedLog {
     /// True when nothing has been performed.
     pub fn is_empty(&self) -> bool {
         self.actions.is_empty()
-    }
-
-    /// Signatures in performed order, computed lazily — no `Vec` is
-    /// allocated (interned logs are built from this exactly once, at
-    /// publish time).
-    pub fn signatures(&self) -> impl Iterator<Item = ActionSignature> + '_ {
-        self.actions.iter().map(Action::signature)
     }
 }
 
@@ -165,10 +158,10 @@ impl MatchReport {
 /// Order).
 pub fn match_image(dag: &ConfigDag, performed: &PerformedLog) -> Result<MatchReport, MatchFailure> {
     // Build signature -> label maps, rejecting ambiguity.
-    let mut dag_by_sig: HashMap<ActionSignature, &str> = HashMap::new();
+    let mut dag_by_sig: HashMap<SigRef<'_>, &str> = HashMap::new();
     for action in dag.actions() {
-        let sig = action.signature();
-        if dag_by_sig.insert(sig.clone(), &action.id).is_some() {
+        let sig = action.sig_ref();
+        if dag_by_sig.insert(sig, &action.id).is_some() {
             return Err(MatchFailure::AmbiguousSignature {
                 signature: sig.to_string(),
             });
@@ -179,7 +172,7 @@ pub fn match_image(dag: &ConfigDag, performed: &PerformedLog) -> Result<MatchRep
     let mut matched_labels: Vec<&str> = Vec::with_capacity(performed.len());
     let mut position: HashMap<&str, usize> = HashMap::new();
     for (pos, action) in performed.actions().iter().enumerate() {
-        let sig = action.signature();
+        let sig = action.sig_ref();
         let Some(&label) = dag_by_sig.get(&sig) else {
             return Err(MatchFailure::NotSubset {
                 extra_operation: sig.to_string(),
@@ -238,6 +231,7 @@ pub fn match_image(dag: &ConfigDag, performed: &PerformedLog) -> Result<MatchRep
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::action::ActionBody;
     use crate::graph::invigo_workspace_dag;
 
     /// The Figure 3 cached description: S → A B C D E F (a linear prefix of
@@ -386,9 +380,12 @@ mod tests {
         let dag = invigo_workspace_dag("arijit");
         let mut relabeled = Vec::new();
         for (i, id) in ["A", "B"].iter().enumerate() {
-            let mut a = dag.action(id).unwrap().clone();
-            a.id = format!("weird-{i}");
-            relabeled.push(a);
+            let a = dag.action(id).unwrap();
+            let body = ActionBody {
+                id: format!("weird-{i}"),
+                ..ActionBody::clone(a)
+            };
+            relabeled.push(Action::from(body));
         }
         let report = match_image(&dag, &PerformedLog::from_actions(relabeled)).unwrap();
         assert_eq!(report.matched, vec!["A", "B"]);

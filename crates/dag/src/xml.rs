@@ -141,23 +141,21 @@ fn action_from_xml(el: &Element) -> Result<Action, DagXmlError> {
         let ms = ms_text.parse().map_err(|_| {
             DagXmlError::Malformed(format!("bad nominal-ms '{ms_text}' on action '{id}'"))
         })?;
-        action.nominal_ms = Some(ms);
+        action = action.with_nominal_ms(ms);
     }
     for p in el.children_named("param") {
         let name = p
             .attr("name")
             .ok_or_else(|| DagXmlError::Malformed("<param> missing 'name'".into()))?;
-        action
-            .params
-            .insert(name.to_owned(), p.text().unwrap_or("").to_owned());
+        action = action.with_param(name, p.text().unwrap_or(""));
     }
     for o in el.children_named("output") {
         if let Some(text) = o.text() {
-            action.outputs.push(text.to_owned());
+            action = action.with_output(text);
         }
     }
     if let Some(err_el) = el.child("on-error") {
-        action.on_error = if let Some(n) = err_el.attr("retry") {
+        let policy = if let Some(n) = err_el.attr("retry") {
             let n = n.parse().map_err(|_| {
                 DagXmlError::Malformed(format!("bad retry count on action '{id}'"))
             })?;
@@ -175,6 +173,7 @@ fn action_from_xml(el: &Element) -> Result<Action, DagXmlError> {
                 ErrorPolicy::Recover(recover)
             }
         };
+        action = action.with_error_policy(policy);
     }
     Ok(action)
 }

@@ -5,7 +5,7 @@
 use std::collections::{BTreeSet, HashMap, HashSet};
 use vmplants_dag::xml::{dag_from_xml, dag_to_xml};
 use vmplants_dag::{
-    match_image, Action, CompiledDag, ConfigDag, InternedLog, MatchFailure, PerformedLog,
+    match_image, Action, ActionBody, CompiledDag, ConfigDag, InternedLog, MatchFailure, PerformedLog,
     SigInterner,
 };
 use vmplants_simkit::SimRng;
@@ -197,6 +197,29 @@ fn gaps_fail_prefix() {
     assert!(gaps > SEEDS.end / 4, "only {gaps} gaps were tried");
 }
 
+/// A valid prefix of `dag`, then maybe broken by an order swap, a gap, a
+/// foreign operation or a duplicated signature.
+fn mutated_log(dag: &ConfigDag, rng: &mut SimRng) -> PerformedLog {
+    let len = rng.index(12);
+    let mut actions = valid_prefix(dag, rng, len).actions().to_vec();
+    match rng.index(5) {
+        1 if actions.len() >= 2 => {
+            let n = actions.len();
+            actions.swap(0, n - 1);
+        }
+        2 if !actions.is_empty() => {
+            actions.remove(0);
+        }
+        3 => actions.push(Action::guest("alien", "operation-not-in-any-dag")),
+        4 if !actions.is_empty() => {
+            let dup = actions[0].clone();
+            actions.push(dup);
+        }
+        _ => {}
+    }
+    PerformedLog::from_actions(actions)
+}
+
 /// The interned/compiled matcher is observationally identical to the
 /// naive three-test path: the same report on valid prefixes and the same
 /// `MatchFailure` on logs with an order swap, a gap, a foreign operation
@@ -207,24 +230,7 @@ fn compiled_matching_equals_naive() {
     for seed in SEEDS {
         let mut rng = SimRng::seed_from_u64(seed);
         let dag = random_dag(&mut rng);
-        let len = rng.index(12);
-        let mut actions = valid_prefix(&dag, &mut rng, len).actions().to_vec();
-        match rng.index(5) {
-            1 if actions.len() >= 2 => {
-                let n = actions.len();
-                actions.swap(0, n - 1);
-            }
-            2 if !actions.is_empty() => {
-                actions.remove(0);
-            }
-            3 => actions.push(Action::guest("alien", "operation-not-in-any-dag")),
-            4 if !actions.is_empty() => {
-                let dup = actions[0].clone();
-                actions.push(dup);
-            }
-            _ => {}
-        }
-        let log = PerformedLog::from_actions(actions);
+        let log = mutated_log(&dag, &mut rng);
         let naive = match_image(&dag, &log);
         let mut interner = SigInterner::new();
         let interned = InternedLog::from_log(&log, &mut interner);
@@ -234,6 +240,38 @@ fn compiled_matching_equals_naive() {
         assert_eq!(naive, fast, "seed {seed}");
     }
     assert!(failures > 0 && failures < SEEDS.end as usize);
+}
+
+/// Sharing is invisible to matching. A log whose actions share their
+/// bodies with the DAG's nodes and one holding separate copies of them
+/// intern to the same ids, a borrowed signature finds the id its owned
+/// copy was interned under, and the compiled matcher gives both logs the
+/// naive path's answer.
+#[test]
+fn compiled_matching_is_the_same_on_shared_and_copied_actions() {
+    for seed in SEEDS {
+        let mut rng = SimRng::seed_from_u64(seed);
+        let dag = random_dag(&mut rng);
+        let shared = mutated_log(&dag, &mut rng);
+        let copied: PerformedLog = shared
+            .actions()
+            .iter()
+            .map(|a| Action::from(ActionBody::clone(a)))
+            .collect();
+        assert_eq!(shared, copied, "seed {seed}");
+        let mut interner = SigInterner::new();
+        let shared_ids = InternedLog::from_log(&shared, &mut interner);
+        for (action, &id) in copied.actions().iter().zip(shared_ids.ids()) {
+            assert_eq!(interner.get(action.sig_ref()), Some(id), "seed {seed}");
+            assert_eq!(interner.resolve(id), &action.signature(), "seed {seed}");
+        }
+        let copied_ids = InternedLog::from_log(&copied, &mut interner);
+        assert_eq!(shared_ids, copied_ids, "seed {seed}");
+        let naive = match_image(&dag, &copied);
+        let compiled = CompiledDag::compile_readonly(&dag, &interner);
+        assert_eq!(compiled.match_log(&shared_ids, &interner), naive, "seed {seed}");
+        assert_eq!(compiled.match_log(&copied_ids, &interner), naive, "seed {seed}");
+    }
 }
 
 /// XML round-trip is the identity on DAGs.

@@ -23,9 +23,8 @@
 //!   caller can read stale monitor values.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::rc::Rc;
 
-use vmplants_classad::{ClassAd, Value};
+use vmplants_classad::{AttrName, ClassAd, Value};
 use vmplants_cluster::host::Host;
 use vmplants_dag::PerformedLog;
 use vmplants_simkit::SimTime;
@@ -146,7 +145,7 @@ impl VmRecord {
     }
 
     /// Bind a classad attribute (anything but the monitor's).
-    pub fn set_value(&mut self, name: impl AsRef<str> + Into<Rc<str>>, value: impl Into<Value>) {
+    pub fn set_value(&mut self, name: impl AsRef<str> + Into<AttrName>, value: impl Into<Value>) {
         debug_assert!(
             !is_monitor_attr(name.as_ref()),
             "monitor attribute set directly"

@@ -31,9 +31,9 @@ struct Job {
     schedule: Vec<Action>,
     idx: usize,
     attempts_on_current: u32,
-    /// Pending recovery actions (from an `ErrorPolicy::Recover`) and the
-    /// next index within them.
-    recovery: Option<(Vec<Action>, usize)>,
+    /// The failed action whose `ErrorPolicy::Recover` sequence is
+    /// running, and the next index within that sequence.
+    recovery: Option<(Action, usize)>,
     /// Whether the current action already had its one post-recovery retry.
     recovered_once: bool,
     lease: NetworkLease,
@@ -57,7 +57,7 @@ type JobRef = Rc<RefCell<Job>>;
 pub(crate) fn start_creation(
     plant: Plant,
     engine: &mut Engine,
-    order: ProductionOrder,
+    mut order: ProductionOrder,
     done: DoneAd,
 ) {
     // Phase 1 (synchronous planning) under one borrow.
@@ -178,7 +178,7 @@ pub(crate) fn start_creation(
         state.next_vm += 1;
         let vmid = order
             .vm_id
-            .clone()
+            .take()
             .unwrap_or_else(|| VmId(format!("vm-{}-{:04}", state.config.name, seq)));
         // A pre-created spare of the same golden short-circuits cloning
         // (§6's speculative pre-creation).
@@ -201,21 +201,21 @@ pub(crate) fn start_creation(
             None => format!("/clones/{}", vmid.0),
         };
         let mut classad = ClassAd::new();
-        classad.set_value("vmid", vmid.0.clone());
-        classad.set_value("plant", state.config.name.clone());
+        classad.set_value("vmid", vmid.0.as_str());
+        classad.set_value("plant", state.config.name.as_str());
         classad.set_value("host", state.host.name());
         classad.set_value("memory_mb", order.spec.memory_mb);
         classad.set_value("disk_gb", order.spec.disk_gb);
-        classad.set_value("os", order.spec.os.clone());
+        classad.set_value("os", order.spec.os.as_str());
         classad.set_value("vmm", order.spec.vmm.to_string());
-        classad.set_value("golden_id", golden_id.0.clone());
-        classad.set_value("client_domain", order.client_domain.clone());
+        classad.set_value("golden_id", golden_id.0.as_str());
+        classad.set_value("client_domain", order.client_domain.as_str());
         classad.set_value("network", lease.network.to_string());
         // The lease's addresses go into the classad up front (§3.1: the
         // classad is how clients learn how to reach their VM); a
         // configure-mac-ip DAG action applies them *inside* the guest.
-        classad.set_value("ip_address", lease.ip.clone());
-        classad.set_value("mac_address", lease.mac.clone());
+        classad.set_value("ip_address", lease.ip.as_str());
+        classad.set_value("mac_address", lease.mac.as_str());
         classad.set_value("state", "cloning");
         state.info.insert(VmRecord::new(
             vmid.clone(),
@@ -265,16 +265,22 @@ pub(crate) fn start_creation(
         let state = plant.inner.borrow();
         (state.epoch, state.obs.clone(), state.obs_track)
     };
-    let span = obs.span_start(order.trace_parent, obs_track, "produce", engine.now());
+    let ProductionOrder {
+        spec,
+        client_domain,
+        trace_parent,
+        ..
+    } = order;
+    let span = obs.span_start(trace_parent, obs_track, "produce", engine.now());
     obs.span_attr(span, "vmid", &vmid);
     // The PPP's own planning/matching overhead elapses before cloning.
     obs.span(span, obs_track, "ppp", engine.now(), engine.now() + ppp_overhead);
     let job = Rc::new(RefCell::new(Job {
         plant: plant.clone(),
-        vmid: vmid.clone(),
-        spec: order.spec.clone(),
-        client_domain: order.client_domain.clone(),
-        clone_dir: clone_dir.clone(),
+        vmid,
+        spec,
+        client_domain,
+        clone_dir,
         schedule,
         idx: 0,
         attempts_on_current: 0,
@@ -337,17 +343,17 @@ pub(crate) fn start_creation(
     }
     engine.schedule(ppp_overhead + rederive_delay, move |engine| {
         let job2 = Rc::clone(&job);
-        let spec = order.spec.clone();
         // Pin the produce span as the ambient parent for the phase spans
         // the backend records (clone_disk / copy_vmss / resume / boot).
         let prev = obs.set_ambient(span);
+        let j = job.borrow();
         hv.instantiate(
             engine,
             &image_files,
-            &spec,
+            &j.spec,
             &host,
             &nfs,
-            &clone_dir,
+            &j.clone_dir,
             Box::new(move |engine, res| match res {
                 Err(e) => {
                     // The backend released the memory registration itself;
@@ -566,18 +572,21 @@ fn run_next_action(engine: &mut Engine, job: &JobRef) {
     // Recovery sub-sequence takes precedence.
     let recovery_action = {
         let mut j = job.borrow_mut();
+        let j = &mut *j;
         match &mut j.recovery {
-            Some((actions, next)) if *next < actions.len() => {
-                let action = actions[*next].clone();
-                *next += 1;
-                Some(action)
-            }
-            Some(_) => {
-                // Recovery finished: retry the original action once.
-                j.recovery = None;
-                j.recovered_once = true;
-                None
-            }
+            Some((failed, next)) => match &failed.on_error {
+                ErrorPolicy::Recover(actions) if *next < actions.len() => {
+                    let action = actions[*next].clone();
+                    *next += 1;
+                    Some(action)
+                }
+                _ => {
+                    // Recovery finished: retry the original action once.
+                    j.recovery = None;
+                    j.recovered_once = true;
+                    None
+                }
+            },
             None => None,
         }
     };
@@ -630,11 +639,10 @@ fn execute_host_action(engine: &mut Engine, job: &JobRef, action: Action, is_rec
                 .span(j.span, j.obs_track, "host_action", action_started, engine.now());
             j.obs.span_attr(span, "action", &action.id);
             let mut state = plant.inner.borrow_mut();
-            let lease = j.lease.clone();
             if let Some(record) = state.info.get_mut(&j.vmid) {
                 if action.command == "configure-mac-ip" {
-                    record.set_value("ip_address", lease.ip.clone());
-                    record.set_value("mac_address", lease.mac.clone());
+                    record.set_value("ip_address", j.lease.ip.as_str());
+                    record.set_value("mac_address", j.lease.mac.as_str());
                 } else {
                     for output in &action.outputs {
                         record.set_value(output.clone(), format!("{}-{}", action.command, output));
@@ -650,34 +658,28 @@ fn execute_host_action(engine: &mut Engine, job: &JobRef, action: Action, is_rec
 }
 
 fn execute_guest_action(engine: &mut Engine, job: &JobRef, action: Action, is_recovery: bool) {
-    let (plant, hv, host, clone_dir) = {
-        let j = job.borrow();
-        let plant = j.plant.clone();
+    let j = job.borrow();
+    let plant = j.plant.clone();
+    let (hv, host) = {
         let state = plant.inner.borrow();
-        let hv = Rc::clone(&state.hypervisor);
-        let host = state.host.clone();
-        drop(state);
-        (plant, hv, host, j.clone_dir.clone())
+        (Rc::clone(&state.hypervisor), state.host.clone())
     };
     let script = GuestScript {
-        action_id: action.id.clone(),
-        command: action.command.clone(),
-        params: action.params.clone(),
+        action_id: &action.id,
+        command: &action.command,
+        params: &action.params,
         nominal_ms: action.nominal_ms,
-        outputs: action.outputs.clone(),
+        outputs: &action.outputs,
     };
     let job2 = Rc::clone(job);
+    let ran = action.clone();
     // Pin the produce span so the backend's guest_script span nests
     // under it.
-    let (obs, span) = {
-        let j = job.borrow();
-        (j.obs.clone(), j.span)
-    };
-    let prev = obs.set_ambient(span);
+    let prev = j.obs.set_ambient(j.span);
     hv.exec_script(
         engine,
         &host,
-        &clone_dir,
+        &j.clone_dir,
         &script,
         Box::new(move |engine, res| {
             if crashed_out(engine, &job2) {
@@ -693,17 +695,17 @@ fn execute_guest_action(engine: &mut Engine, job: &JobRef, action: Action, is_re
                                 record.set_value(name, value);
                             }
                             if !is_recovery {
-                                record.performed.push(action.clone());
+                                record.performed.push(ran);
                             }
                         }
                     }
                     advance_after_success(engine, &job2, is_recovery);
                 }
-                Err(e) => on_action_failure(engine, &job2, action.clone(), e, is_recovery),
+                Err(e) => on_action_failure(engine, &job2, ran, e, is_recovery),
             }
         }),
     );
-    obs.set_ambient(prev);
+    j.obs.set_ambient(prev);
 }
 
 fn advance_after_success(engine: &mut Engine, job: &JobRef, is_recovery: bool) {
@@ -733,7 +735,7 @@ fn on_action_failure(
             engine,
             job,
             PlantError::ActionFailed {
-                action_id: action.id,
+                action_id: action.id.clone(),
                 reason: format!("recovery action failed: {err}"),
             },
         );
@@ -751,11 +753,11 @@ fn on_action_failure(
                     Decision::Abort
                 }
             }
-            ErrorPolicy::Recover(actions) => {
+            ErrorPolicy::Recover(_) => {
                 if j.recovered_once {
                     Decision::Abort
                 } else {
-                    j.recovery = Some((actions.clone(), 0));
+                    j.recovery = Some((action.clone(), 0));
                     Decision::RetrySame // run_next_action picks recovery up
                 }
             }
@@ -766,7 +768,7 @@ fn on_action_failure(
             engine,
             job,
             PlantError::ActionFailed {
-                action_id: action.id,
+                action_id: action.id.clone(),
                 reason: err.to_string(),
             },
         ),

@@ -52,7 +52,7 @@ fn random_dag(rng: &mut SimRng) -> ConfigDag {
         };
         let nominal = rng.uniform_u64(0, 99_999);
         if nominal > 0 {
-            a.nominal_ms = Some(nominal);
+            a = a.with_nominal_ms(nominal);
         }
         dag.add_action(a).unwrap();
         if let Some(p) = prev {

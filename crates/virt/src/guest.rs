@@ -11,46 +11,70 @@
 //! rendered script plus the output attributes it is expected to report.
 
 use std::collections::BTreeMap;
+use std::fmt::{self, Write};
 
 /// A rendered configuration script destined for one guest execution round.
-#[derive(Clone, Debug, PartialEq)]
-pub struct GuestScript {
+///
+/// The script borrows its fields from the configuration action it was
+/// made from, so handing one to the hypervisor copies nothing.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct GuestScript<'a> {
     /// The originating DAG node label (for error reporting).
-    pub action_id: String,
+    pub action_id: &'a str,
     /// The command the script runs.
-    pub command: String,
+    pub command: &'a str,
     /// Parameters rendered into the script.
-    pub params: BTreeMap<String, String>,
+    pub params: &'a BTreeMap<String, String>,
     /// Nominal duration from the DAG node, if any.
     pub nominal_ms: Option<u64>,
     /// Output attributes the script reports back.
-    pub outputs: Vec<String>,
+    pub outputs: &'a [String],
 }
 
-impl GuestScript {
+impl GuestScript<'_> {
     /// Render the script body as it would be burned onto the ISO — a
     /// shell-ish transliteration of the prototype's generated Perl. Purely
     /// cosmetic in the simulation, but exercised by the examples so the
     /// hand-off format stays visible.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        out.push_str("#!/bin/sh\n");
-        out.push_str(&format!("# vmplant action {}\n", self.action_id));
-        for (k, v) in &self.params {
-            out.push_str(&format!("export VMP_{}='{}'\n", k.to_uppercase(), v));
-        }
-        out.push_str(&format!("vmp-run '{}'\n", self.command));
-        for output in &self.outputs {
-            out.push_str(&format!("vmp-report '{output}'\n"));
-        }
+        self.write_body(&mut out)
+            .expect("writing to a String cannot fail");
         out
+    }
+
+    fn write_body(&self, out: &mut impl Write) -> fmt::Result {
+        out.write_str("#!/bin/sh\n")?;
+        writeln!(out, "# vmplant action {}", self.action_id)?;
+        for (k, v) in self.params {
+            out.write_str("export VMP_")?;
+            for c in k.chars().flat_map(char::to_uppercase) {
+                out.write_char(c)?;
+            }
+            writeln!(out, "='{v}'")?;
+        }
+        writeln!(out, "vmp-run '{}'", self.command)?;
+        for output in self.outputs {
+            writeln!(out, "vmp-report '{output}'")?;
+        }
+        Ok(())
     }
 
     /// Approximate ISO payload size in bytes (script + ISO9660 envelope);
     /// the configuration ISOs are tiny, so this only matters for the file
-    /// accounting invariants.
+    /// accounting invariants. The script is measured, not rendered.
     pub fn iso_bytes(&self) -> u64 {
-        64 * 1024 + self.render().len() as u64
+        /// Counts the bytes written to it.
+        struct Len(usize);
+        impl Write for Len {
+            fn write_str(&mut self, s: &str) -> fmt::Result {
+                self.0 += s.len();
+                Ok(())
+            }
+        }
+        let mut len = Len(0);
+        self.write_body(&mut len).expect("counting cannot fail");
+        64 * 1024 + len.0 as u64
     }
 
     /// The simulated guest daemon's report for this script: one value per
@@ -74,19 +98,22 @@ impl GuestScript {
 mod tests {
     use super::*;
 
-    fn script() -> GuestScript {
-        GuestScript {
-            action_id: "E".into(),
-            command: "create-user".into(),
-            params: [("name".to_owned(), "arijit".to_owned())].into(),
+    /// Run `f` on the `create-user` script reporting `outputs`.
+    fn with_script<R>(outputs: &[&str], f: impl FnOnce(GuestScript<'_>) -> R) -> R {
+        let params = [("name".to_owned(), "arijit".to_owned())].into();
+        let outputs: Vec<String> = outputs.iter().map(|&o| o.to_owned()).collect();
+        f(GuestScript {
+            action_id: "E",
+            command: "create-user",
+            params: &params,
             nominal_ms: Some(1500),
-            outputs: vec!["user_name".into()],
-        }
+            outputs: &outputs,
+        })
     }
 
     #[test]
     fn render_includes_params_and_outputs() {
-        let body = script().render();
+        let body = with_script(&["user_name"], |s| s.render());
         assert!(body.contains("VMP_NAME='arijit'"));
         assert!(body.contains("vmp-run 'create-user'"));
         assert!(body.contains("vmp-report 'user_name'"));
@@ -95,25 +122,25 @@ mod tests {
 
     #[test]
     fn iso_size_is_envelope_plus_script() {
-        let s = script();
-        assert_eq!(s.iso_bytes(), 64 * 1024 + s.render().len() as u64);
+        with_script(&["user_name", "home"], |s| {
+            assert_eq!(s.iso_bytes(), 64 * 1024 + s.render().len() as u64);
+        });
     }
 
     #[test]
     fn outputs_are_deterministic_per_nonce() {
-        let s = script();
-        assert_eq!(s.synthesize_outputs(7), s.synthesize_outputs(7));
-        assert_ne!(s.synthesize_outputs(7), s.synthesize_outputs(8));
-        let outs = s.synthesize_outputs(7);
-        assert_eq!(outs.len(), 1);
-        assert_eq!(outs[0].0, "user_name");
-        assert!(outs[0].1.starts_with("create-user-user_name-"));
+        with_script(&["user_name"], |s| {
+            assert_eq!(s.synthesize_outputs(7), s.synthesize_outputs(7));
+            assert_ne!(s.synthesize_outputs(7), s.synthesize_outputs(8));
+            let outs = s.synthesize_outputs(7);
+            assert_eq!(outs.len(), 1);
+            assert_eq!(outs[0].0, "user_name");
+            assert!(outs[0].1.starts_with("create-user-user_name-"));
+        });
     }
 
     #[test]
     fn no_outputs_means_empty_report() {
-        let mut s = script();
-        s.outputs.clear();
-        assert!(s.synthesize_outputs(1).is_empty());
+        with_script(&[], |s| assert!(s.synthesize_outputs(1).is_empty()));
     }
 }

@@ -331,7 +331,7 @@ impl Hypervisor {
         engine: &mut Engine,
         host: &Host,
         clone_dir: &str,
-        script: &GuestScript,
+        script: &GuestScript<'_>,
         done: Done<ExecStats>,
     ) {
         if !host.is_up() {
@@ -355,7 +355,7 @@ impl Hypervisor {
         let iso_path = [
             clone_dir.trim_end_matches('/'),
             "/config-",
-            &script.action_id,
+            script.action_id,
             ".iso",
         ]
         .concat();
@@ -367,7 +367,7 @@ impl Hypervisor {
         }
         let started = engine.now();
         let outputs = script.synthesize_outputs(self.next_nonce());
-        let action_id = script.action_id.clone();
+        let action_id = script.action_id.to_owned();
         let host = host.clone();
         engine.schedule(round + run, move |engine| {
             if !host.same_boot(epoch) {
@@ -623,12 +623,14 @@ mod tests {
         let img = golden(&nfs, VmmType::VmwareLike, 32);
         let hv = Hypervisor::new(rng);
         run_instantiate(&hv, &mut engine, &img, &VmSpec::mandrake(32), &host, &nfs).unwrap();
+        let params = Default::default();
+        let outputs = ["ip_address".to_owned()];
         let script = GuestScript {
-            action_id: "D".into(),
-            command: "configure-mac-ip".into(),
-            params: Default::default(),
+            action_id: "D",
+            command: "configure-mac-ip",
+            params: &params,
             nominal_ms: Some(2_000),
-            outputs: vec!["ip_address".into()],
+            outputs: &outputs,
         };
         let out = Rc::new(RefCell::new(None));
         let out2 = Rc::clone(&out);
@@ -659,12 +661,13 @@ mod tests {
         let mut hv = Hypervisor::new(rng);
         hv.set_exec_failure_rate(1.0);
         run_instantiate(&hv, &mut engine, &img, &VmSpec::mandrake(32), &host, &nfs).unwrap();
+        let params = Default::default();
         let script = GuestScript {
-            action_id: "E".into(),
-            command: "create-user".into(),
-            params: Default::default(),
+            action_id: "E",
+            command: "create-user",
+            params: &params,
             nominal_ms: None,
-            outputs: vec![],
+            outputs: &[],
         };
         let out = Rc::new(RefCell::new(None));
         let out2 = Rc::clone(&out);

@@ -19,7 +19,7 @@ use std::collections::hash_map::Entry;
 use std::rc::Rc;
 
 use vmplants_cluster::files::{FileKind, FileStore, HashKeyed, StoreError};
-use vmplants_dag::action::ActionSignature;
+use vmplants_dag::action::{ActionKind, SigRef};
 use vmplants_dag::PerformedLog;
 use vmplants_virt::{ImageFiles, VmSpec};
 
@@ -53,10 +53,14 @@ pub fn fnv_str(s: &str) -> u64 {
 }
 
 /// Stable content hash of an action's matching identity.
-pub fn sig_hash(sig: &ActionSignature) -> u64 {
-    let mut h = fnv_bytes(FNV_OFFSET, format!("{:?}", sig.kind).as_bytes());
+pub fn sig_hash(sig: SigRef<'_>) -> u64 {
+    let kind = match sig.kind {
+        ActionKind::Guest => "Guest",
+        ActionKind::Host => "Host",
+    };
+    let mut h = fnv_bytes(FNV_OFFSET, kind.as_bytes());
     h = fnv_bytes(h, sig.command.as_bytes());
-    for (k, v) in &sig.params {
+    for (k, v) in sig.params {
         h = fnv_bytes(h, k.as_bytes());
         h = fnv_bytes(h, v.as_bytes());
     }
@@ -115,7 +119,7 @@ impl ChunkPlan {
         let mut base = fnv_bytes(FNV_OFFSET, spec.os.as_bytes());
         base = fnv_bytes(base, spec.vmm.to_string().as_bytes());
         base = fnv_u64(base, spec.disk_gb);
-        let sigs: Vec<u64> = performed.actions().iter().map(|a| sig_hash(&a.signature())).collect();
+        let sigs: Vec<u64> = performed.actions().iter().map(|a| sig_hash(a.sig_ref())).collect();
         let mut out = Vec::new();
         for bulk in files.bulk_files(spec.memory_mb, disk_bytes) {
             let mut role_key = fnv_bytes(base, bulk.role.as_bytes());

@@ -1,25 +1,35 @@
-//! Heap-allocation budget of the steady order path.
+//! Heap-allocation budget of the order path.
 //!
 //! A counting global allocator counts allocations (including
-//! reallocations) made on this test's thread while a flag is set. The
-//! test drives a fixed, fault-free stream through `VmShop::create` — the
-//! `steady_lifecycle` shape: `experiment_dag` orders 10 sim s apart, VM
+//! reallocations) made on this test's thread while a flag is set. Each
+//! test drives a fixed, fault-free stream through `VmShop::create` — VM
 //! monitors ticking every 10 sim s, each VM destroyed 600 sim s after it
 //! is created — and checks that the event loop's allocations per order
-//! stay under a ceiling. The stream is deterministic, so the count is
-//! exact and repeats from run to run in debug and release builds alike.
-//! The same stream also checks that a fault-free site keeps no transport
-//! trace: its memory must not grow with run length.
+//! stay under a ceiling. Two streams:
+//!
+//! * steady — the `steady_lifecycle` shape: `experiment_dag` orders 10
+//!   sim s apart against the experiment goldens;
+//! * zipf — the `zipf_warehouse` shape: `zipf_dag` orders 15 sim s apart,
+//!   their ranks drawn from a seeded Zipf(1.1) over 120 published
+//!   goldens, under a 32 GiB warehouse budget, so eviction and
+//!   re-derivation run on the order path.
+//!
+//! The streams are deterministic, so the counts are exact and repeat from
+//! run to run in debug and release builds alike. The steady stream also
+//! checks that a fault-free site keeps no transport trace: its memory
+//! must not grow with run length.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::rc::Rc;
 
 use vmplants::{SimSite, SiteConfig};
-use vmplants_dag::graph::experiment_dag;
+use vmplants_dag::graph::{experiment_dag, zipf_dag};
+use vmplants_dag::ConfigDag;
 use vmplants_plant::VmId;
-use vmplants_simkit::{SimDuration, SimTime};
+use vmplants_simkit::{SimDuration, SimRng, SimTime};
 use vmplants_virt::VmSpec;
+use vmplants_warehouse::WarehouseConfig;
 
 struct Counting;
 
@@ -66,26 +76,37 @@ static GLOBAL: Counting = Counting;
 
 const ORDERS: u64 = 300;
 
-/// Allocations per order the event loop may make. The stream measures
-/// 393.5 per order; the ceiling leaves 5 % of headroom. Lower it when a
-/// change removes allocations, so the saving stays pinned.
-const CEILING_PER_ORDER: f64 = 414.0;
+/// Allocations per order the steady stream may make. It measures 281.52
+/// per order; the ceiling leaves 5 % of headroom. Lower it when a change
+/// removes allocations, so the saving stays pinned.
+const STEADY_CEILING_PER_ORDER: f64 = 295.0;
 
-/// Run the stream; returns (allocations per order, successful creates,
-/// transport trace lines kept at quiesce).
-fn allocations_per_order() -> (f64, usize, usize) {
-    let mut site = SimSite::build(SiteConfig {
-        seed: 1,
-        ..SiteConfig::default()
-    });
-    let orders: Vec<_> = (0..ORDERS)
-        .map(|_| site.order(VmSpec::mandrake(64), experiment_dag("arijit")))
+/// Allocations per order the zipf stream may make. It measures 299.44
+/// per order; the ceiling leaves 5 % of headroom.
+const ZIPF_CEILING_PER_ORDER: f64 = 314.0;
+
+/// What one stream measured.
+struct Stream {
+    per_order: f64,
+    created: usize,
+    /// Transport trace lines kept at quiesce.
+    trace_len: usize,
+    site: SimSite,
+}
+
+/// Order `dags` into `site`, `spacing_s` sim s apart, and count the event
+/// loop's allocations.
+fn run_stream(mut site: SimSite, dags: Vec<ConfigDag>, spacing_s: u64) -> Stream {
+    let count = dags.len() as u64;
+    let orders: Vec<_> = dags
+        .into_iter()
+        .map(|dag| site.order(VmSpec::mandrake(64), dag))
         .collect();
     let created = Rc::new(Cell::new(0usize));
     let failed_destroys = Rc::new(Cell::new(0usize));
 
     COUNTING.with(|on| on.set(true));
-    let horizon = SimTime::from_secs(ORDERS * 10 + 7_500);
+    let horizon = SimTime::from_secs(count * spacing_s + 7_500);
     for plant in &site.plants {
         plant.start_monitor(&mut site.engine, SimDuration::from_secs(10), horizon);
     }
@@ -94,7 +115,7 @@ fn allocations_per_order() -> (f64, usize, usize) {
         let created = Rc::clone(&created);
         let failed_destroys = Rc::clone(&failed_destroys);
         site.engine
-            .schedule_at(SimTime::from_secs(10 * i), move |engine| {
+            .schedule_at(SimTime::from_secs(spacing_s * i), move |engine| {
                 let destroyer = shop.clone();
                 shop.create(
                     engine,
@@ -123,18 +144,77 @@ fn allocations_per_order() -> (f64, usize, usize) {
 
     assert_eq!(failed_destroys.get(), 0, "a fault-free destroy failed");
     let allocs = ALLOCS.with(|n| n.replace(0));
-    let trace_len = site.shop.transport().trace_len();
-    (allocs as f64 / ORDERS as f64, created.get(), trace_len)
+    Stream {
+        per_order: allocs as f64 / count as f64,
+        created: created.get(),
+        trace_len: site.shop.transport().trace_len(),
+        site,
+    }
+}
+
+/// `ORDERS` ranks of a Zipf(1.1) over `population` goldens, drawn from a
+/// seeded stream: rank *k* has weight 1 / (k + 1)^1.1.
+fn zipf_ranks(population: u32, seed: u64) -> Vec<u32> {
+    let mut cumulative = Vec::with_capacity(population as usize);
+    let mut total = 0.0;
+    for k in 0..population {
+        total += 1.0 / f64::from(k + 1).powf(1.1);
+        cumulative.push(total);
+    }
+    let mut rng = SimRng::seed_from_u64(seed);
+    (0..ORDERS)
+        .map(|_| {
+            let u = rng.uniform(0.0, total);
+            cumulative.partition_point(|&c| c <= u).min(population as usize - 1) as u32
+        })
+        .collect()
 }
 
 #[test]
 fn steady_order_path_stays_within_its_allocation_budget() {
-    let (per_order, created, trace_len) = allocations_per_order();
-    assert_eq!(created as u64, ORDERS, "the fault-free stream lost orders");
-    assert_eq!(trace_len, 0, "a site nobody asked for a trace kept one");
-    println!("{per_order:.2} allocations per order");
+    let site = SimSite::build(SiteConfig {
+        seed: 1,
+        ..SiteConfig::default()
+    });
+    let dags = (0..ORDERS).map(|_| experiment_dag("arijit")).collect();
+    let stream = run_stream(site, dags, 10);
+    assert_eq!(stream.created as u64, ORDERS, "the fault-free stream lost orders");
+    assert_eq!(stream.trace_len, 0, "a site nobody asked for a trace kept one");
+    let per_order = stream.per_order;
+    println!("steady: {per_order:.2} allocations per order");
     assert!(
-        per_order <= CEILING_PER_ORDER,
-        "{per_order:.1} allocations per order exceeds the ceiling of {CEILING_PER_ORDER}"
+        per_order <= STEADY_CEILING_PER_ORDER,
+        "{per_order:.1} allocations per order exceeds the ceiling of {STEADY_CEILING_PER_ORDER}"
+    );
+}
+
+#[test]
+fn zipf_order_path_stays_within_its_allocation_budget() {
+    let mut config = SiteConfig {
+        seed: 1,
+        zipf_goldens: 120,
+        warehouse: WarehouseConfig {
+            dedup: true,
+            capacity_bytes: Some(32 << 30),
+            replicate_after: Some(6),
+        },
+        ..SiteConfig::default()
+    };
+    config.testbed.replica_servers = 2;
+    let site = SimSite::build(config);
+    let dags = zipf_ranks(120, 1)
+        .into_iter()
+        .map(|rank| zipf_dag(rank, "arijit"))
+        .collect();
+    let stream = run_stream(site, dags, 15);
+    assert_eq!(stream.created as u64, ORDERS, "the fault-free stream lost orders");
+    let warehouse = stream.site.warehouse.borrow();
+    assert!(warehouse.eviction_count() > 0, "the budget evicted nothing");
+    assert!(warehouse.rederive_count() > 0, "no evicted golden was re-derived");
+    let per_order = stream.per_order;
+    println!("zipf: {per_order:.2} allocations per order");
+    assert!(
+        per_order <= ZIPF_CEILING_PER_ORDER,
+        "{per_order:.1} allocations per order exceeds the ceiling of {ZIPF_CEILING_PER_ORDER}"
     );
 }
