@@ -1,7 +1,6 @@
 //! The classad record type.
 
 use std::fmt;
-use std::ops::Deref;
 use std::rc::Rc;
 
 use crate::expr::{Expr, Scope};
@@ -36,14 +35,6 @@ impl AttrName {
     }
 }
 
-impl Deref for AttrName {
-    type Target = str;
-
-    fn deref(&self) -> &str {
-        self.as_str()
-    }
-}
-
 impl AsRef<str> for AttrName {
     fn as_ref(&self) -> &str {
         self.as_str()
@@ -59,12 +50,6 @@ impl PartialEq for AttrName {
 impl fmt::Debug for AttrName {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         fmt::Debug::fmt(self.as_str(), f)
-    }
-}
-
-impl fmt::Display for AttrName {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
     }
 }
 
@@ -123,10 +108,10 @@ impl ClassAd {
         let entries = Rc::make_mut(&mut self.entries);
         match entries
             .iter_mut()
-            .find(|(n, _)| n.eq_ignore_ascii_case(name.as_ref()))
+            .find(|(n, _)| n.as_str().eq_ignore_ascii_case(name.as_ref()))
         {
             Some(slot) => {
-                if *slot.0 != *name.as_ref() {
+                if slot.0.as_str() != name.as_ref() {
                     slot.0 = name.into();
                 }
                 slot.1 = expr;
@@ -145,7 +130,7 @@ impl ClassAd {
         let idx = self
             .entries
             .iter()
-            .position(|(n, _)| n.eq_ignore_ascii_case(name))?;
+            .position(|(n, _)| n.as_str().eq_ignore_ascii_case(name))?;
         Some(Rc::make_mut(&mut self.entries).remove(idx).1)
     }
 
@@ -213,7 +198,7 @@ impl ClassAd {
     fn lookup(&self, name: &str) -> Option<&Expr> {
         self.entries
             .iter()
-            .find(|(n, _)| n.eq_ignore_ascii_case(name))
+            .find(|(n, _)| n.as_str().eq_ignore_ascii_case(name))
             .map(|(_, e)| e)
     }
 }

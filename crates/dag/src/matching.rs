@@ -16,7 +16,7 @@
 //!   if the DAG orders A before B and both were performed, A appears before
 //!   B in the log.
 //!
-//! Operations are compared by [`crate::action::SigRef`] (kind +
+//! Operations are compared by [`crate::action::ActionSignature`] (kind +
 //! command + parameters), not by node label.
 
 use std::collections::HashMap;
