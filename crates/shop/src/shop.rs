@@ -1420,12 +1420,16 @@ impl VmShop {
 
     /// **Query**: serve from the authoritative plant (refreshing the
     /// cache); fall back to a search across plants on a cache miss — the
-    /// cache is an accelerator, never the source of truth.
+    /// cache is an accelerator, never the source of truth. A crashed shop
+    /// refuses with [`ShopError::ShopDown`].
     pub fn query(&self, engine: &mut Engine, id: &VmId, done: ShopDone) {
         let id = id.clone();
         let shop = self.clone();
         let hop = self.sample_hop() + self.sample_hop();
         engine.schedule(hop, move |engine| {
+            if !shop.is_alive() {
+                return done(engine, Err(ShopError::ShopDown));
+            }
             let result = shop.query_now(engine, &id);
             done(engine, result);
         });
@@ -1477,12 +1481,16 @@ impl VmShop {
     }
 
     /// **Destroy** (collect): find the authoritative plant, collect the
-    /// VM, invalidate the cache entry.
+    /// VM, invalidate the cache entry. A crashed shop refuses with
+    /// [`ShopError::ShopDown`].
     pub fn destroy(&self, engine: &mut Engine, id: &VmId, done: ShopDone) {
         let id = id.clone();
         let shop = self.clone();
         let hop = self.sample_hop();
         engine.schedule(hop, move |engine| {
+            if !shop.is_alive() {
+                return done(engine, Err(ShopError::ShopDown));
+            }
             // Resolve the plant: cache first, then search.
             let plant = shop.resolve_plant(engine, &id);
             let Some(plant) = plant else {
@@ -1523,7 +1531,7 @@ impl VmShop {
 
     /// **Publish**: suspend a running VM and register its state as a new
     /// golden image (§3.2's installer flow), routed to the authoritative
-    /// plant.
+    /// plant. A crashed shop refuses with [`ShopError::ShopDown`].
     pub fn publish(
         &self,
         engine: &mut Engine,
@@ -1538,6 +1546,9 @@ impl VmShop {
         let shop = self.clone();
         let hop = self.sample_hop();
         engine.schedule(hop, move |engine| {
+            if !shop.is_alive() {
+                return done(engine, Err(ShopError::ShopDown));
+            }
             let Some(plant) = shop.resolve_plant(engine, &id) else {
                 return done(engine, Err(ShopError::UnknownVm(id)));
             };
@@ -1573,13 +1584,17 @@ impl VmShop {
 
     /// **Migrate** a running VM to a named target plant (§6's "migration
     /// of active VMs across plants"). The shop resolves the authoritative
-    /// source plant, drives the migration, and repoints its cache.
+    /// source plant, drives the migration, and repoints its cache. A
+    /// crashed shop refuses with [`ShopError::ShopDown`].
     pub fn migrate(&self, engine: &mut Engine, id: &VmId, target: &str, done: ShopDone) {
         let id = id.clone();
         let target = target.to_owned();
         let shop = self.clone();
         let hop = self.sample_hop();
         engine.schedule(hop, move |engine| {
+            if !shop.is_alive() {
+                return done(engine, Err(ShopError::ShopDown));
+            }
             let Some(source) = shop.resolve_plant(engine, &id) else {
                 return done(engine, Err(ShopError::UnknownVm(id)));
             };

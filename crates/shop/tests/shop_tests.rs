@@ -998,6 +998,70 @@ fn direct_create_on_a_crashed_shop_is_refused_and_never_resurrected() {
     assert_eq!(total_vms(&s), 0, "recovery built a VM nobody is waiting for");
 }
 
+/// A crashed shop answers nothing: query, destroy, publish and migrate
+/// each refuse with `ShopDown` and leave the plants' VMs as they were,
+/// and the recovered shop still serves the VM.
+#[test]
+fn crashed_shop_refuses_query_destroy_publish_and_migrate() {
+    let mut s = site_with(2, CostModel::FreeMemoryPrototype);
+    let ad = run_create(&mut s, order(64)).unwrap();
+    let id = VmId(ad.get_str("vmid").unwrap());
+    let target = if ad.get_str("plant").unwrap() == "node0" {
+        "node1"
+    } else {
+        "node0"
+    };
+    let vms_per_plant = |s: &Site| s.plants.iter().map(Plant::vm_count).collect::<Vec<_>>();
+    let before = vms_per_plant(&s);
+    s.shop.crash(&mut s.engine);
+
+    let answers = Rc::new(RefCell::new(Vec::new()));
+    let a = Rc::clone(&answers);
+    s.shop.query(
+        &mut s.engine,
+        &id,
+        Box::new(move |_, res| a.borrow_mut().push(("query", res.err()))),
+    );
+    let a = Rc::clone(&answers);
+    s.shop.destroy(
+        &mut s.engine,
+        &id,
+        Box::new(move |_, res| a.borrow_mut().push(("destroy", res.err()))),
+    );
+    let a = Rc::clone(&answers);
+    s.shop.publish(
+        &mut s.engine,
+        &id,
+        "published-while-down",
+        "published while the shop is down",
+        Box::new(move |_, res| a.borrow_mut().push(("publish", res.err()))),
+    );
+    let a = Rc::clone(&answers);
+    s.shop.migrate(
+        &mut s.engine,
+        &id,
+        target,
+        Box::new(move |_, res| a.borrow_mut().push(("migrate", res.err()))),
+    );
+    s.engine.run();
+
+    let answers = answers.borrow();
+    assert_eq!(answers.len(), 4, "{answers:?}");
+    for (op, err) in answers.iter() {
+        assert!(matches!(err, Some(ShopError::ShopDown)), "{op}: {err:?}");
+    }
+    assert_eq!(
+        vms_per_plant(&s),
+        before,
+        "a crashed shop changed the plants"
+    );
+    s.shop.recover(&mut s.engine);
+    s.engine.run();
+    let q = run_query(&mut s, &id).unwrap();
+    assert_eq!(q.get_str("plant"), ad.get_str("plant"));
+    assert_eq!(q.get_str("state"), Some("running".into()));
+}
+
 #[test]
 fn permanent_shop_crash_fails_clients_without_hanging() {
     let mut s = site_with(2, CostModel::FreeMemoryPrototype);
