@@ -5,8 +5,8 @@
 use std::collections::{BTreeSet, HashMap, HashSet};
 use vmplants_dag::xml::{dag_from_xml, dag_to_xml};
 use vmplants_dag::{
-    match_image, Action, ActionBody, CompiledDag, ConfigDag, InternedLog, MatchFailure, PerformedLog,
-    SigInterner,
+    match_image, Action, ActionBody, CompiledDag, ConfigDag, InternedLog, MatchFailure,
+    PerformedLog, SigInterner,
 };
 use vmplants_simkit::SimRng;
 
@@ -269,8 +269,16 @@ fn compiled_matching_is_the_same_on_shared_and_copied_actions() {
         assert_eq!(shared_ids, copied_ids, "seed {seed}");
         let naive = match_image(&dag, &copied);
         let compiled = CompiledDag::compile_readonly(&dag, &interner);
-        assert_eq!(compiled.match_log(&shared_ids, &interner), naive, "seed {seed}");
-        assert_eq!(compiled.match_log(&copied_ids, &interner), naive, "seed {seed}");
+        assert_eq!(
+            compiled.match_log(&shared_ids, &interner),
+            naive,
+            "seed {seed}"
+        );
+        assert_eq!(
+            compiled.match_log(&copied_ids, &interner),
+            naive,
+            "seed {seed}"
+        );
     }
 }
 

@@ -165,7 +165,9 @@ fn zipf_ranks(population: u32, seed: u64) -> Vec<u32> {
     (0..ORDERS)
         .map(|_| {
             let u = rng.uniform(0.0, total);
-            cumulative.partition_point(|&c| c <= u).min(population as usize - 1) as u32
+            cumulative
+                .partition_point(|&c| c <= u)
+                .min(population as usize - 1) as u32
         })
         .collect()
 }
@@ -178,8 +180,14 @@ fn steady_order_path_stays_within_its_allocation_budget() {
     });
     let dags = (0..ORDERS).map(|_| experiment_dag("arijit")).collect();
     let stream = run_stream(site, dags, 10);
-    assert_eq!(stream.created as u64, ORDERS, "the fault-free stream lost orders");
-    assert_eq!(stream.trace_len, 0, "a site nobody asked for a trace kept one");
+    assert_eq!(
+        stream.created as u64, ORDERS,
+        "the fault-free stream lost orders"
+    );
+    assert_eq!(
+        stream.trace_len, 0,
+        "a site nobody asked for a trace kept one"
+    );
     let per_order = stream.per_order;
     println!("steady: {per_order:.2} allocations per order");
     assert!(
@@ -207,10 +215,16 @@ fn zipf_order_path_stays_within_its_allocation_budget() {
         .map(|rank| zipf_dag(rank, "arijit"))
         .collect();
     let stream = run_stream(site, dags, 15);
-    assert_eq!(stream.created as u64, ORDERS, "the fault-free stream lost orders");
+    assert_eq!(
+        stream.created as u64, ORDERS,
+        "the fault-free stream lost orders"
+    );
     let warehouse = stream.site.warehouse.borrow();
     assert!(warehouse.eviction_count() > 0, "the budget evicted nothing");
-    assert!(warehouse.rederive_count() > 0, "no evicted golden was re-derived");
+    assert!(
+        warehouse.rederive_count() > 0,
+        "no evicted golden was re-derived"
+    );
     let per_order = stream.per_order;
     println!("zipf: {per_order:.2} allocations per order");
     assert!(
