@@ -16,7 +16,7 @@
 //!   proportional to the number of VMs already operating.
 
 use vmplants_cluster::host::Host;
-use vmplants_vnet::HostOnlyPool;
+use vmplants_vnet::VirtualNetworkService;
 
 /// §3.4's worked example uses a network cost of 50 …
 pub const EXAMPLE_NETWORK_COST: f64 = 50.0;
@@ -52,8 +52,8 @@ impl CostModel {
     }
 
     /// Estimate the cost of creating one VM for `client_domain` on a plant
-    /// with the given host and network pool.
-    pub fn estimate(&self, host: &Host, pool: &HostOnlyPool, client_domain: &str) -> f64 {
+    /// with the given host and network service.
+    pub fn estimate(&self, host: &Host, net: &VirtualNetworkService, client_domain: &str) -> f64 {
         match *self {
             CostModel::FreeMemoryPrototype => host.committed_mb() as f64,
             CostModel::Uniform => 1.0,
@@ -61,7 +61,7 @@ impl CostModel {
                 network_cost,
                 compute_per_vm,
             } => {
-                let net = if pool.needs_new_network(client_domain) {
+                let net = if net.needs_new_network(client_domain) {
                     network_cost
                 } else {
                     0.0
@@ -76,21 +76,32 @@ impl CostModel {
 mod tests {
     use super::*;
     use vmplants_cluster::host::HostSpec;
+    use vmplants_vnet::{DomainDirectory, ProxyEndpoint, Reachability};
 
     fn host() -> Host {
         Host::new(HostSpec::e1350_node("node0"))
     }
 
+    fn service() -> VirtualNetworkService {
+        let reach = Reachability::Direct { port: 9400 };
+        VirtualNetworkService::new(4, reach, DomainDirectory::new())
+    }
+
+    fn attach(net: &mut VirtualNetworkService, domain: &str) {
+        let proxy = ProxyEndpoint::new(domain, format!("proxy.{domain}"), 9300);
+        net.attach(domain, &proxy).unwrap();
+    }
+
     #[test]
     fn prototype_model_tracks_committed_memory() {
         let h = host();
-        let pool = HostOnlyPool::new(4);
+        let net = service();
         let m = CostModel::FreeMemoryPrototype;
-        assert_eq!(m.estimate(&h, &pool, "d"), 0.0);
+        assert_eq!(m.estimate(&h, &net, "d"), 0.0);
         h.register_vm(64);
-        assert_eq!(m.estimate(&h, &pool, "d"), 88.0); // 64 + 24 overhead
+        assert_eq!(m.estimate(&h, &net, "d"), 88.0); // 64 + 24 overhead
         h.register_vm(64);
-        assert_eq!(m.estimate(&h, &pool, "d"), 176.0);
+        assert_eq!(m.estimate(&h, &net, "d"), 176.0);
     }
 
     #[test]
@@ -98,44 +109,44 @@ mod tests {
         // Reproduce the §3.4 narrative: empty plant bids 50 (network), a
         // plant already serving the domain bids 4 per VM.
         let h = host();
-        let mut pool = HostOnlyPool::new(4);
+        let mut net = service();
         let m = CostModel::section_3_4_example();
-        assert_eq!(m.estimate(&h, &pool, "client"), 50.0);
+        assert_eq!(m.estimate(&h, &net, "client"), 50.0);
         // First VM created here: network allocated, VM registered.
-        pool.attach("client").unwrap();
+        attach(&mut net, "client");
         h.register_vm(64);
-        assert_eq!(m.estimate(&h, &pool, "client"), 4.0);
+        assert_eq!(m.estimate(&h, &net, "client"), 4.0);
         // After 12 VMs the cost is 48, still under a rival's 50; after 13
         // it is 52 and the rival wins — the paper's crossover.
         for _ in 1..13 {
-            pool.attach("client").unwrap();
+            attach(&mut net, "client");
             h.register_vm(64);
         }
-        assert_eq!(m.estimate(&h, &pool, "client"), 52.0);
+        assert_eq!(m.estimate(&h, &net, "client"), 52.0);
         let rival_host = host();
-        let rival_pool = HostOnlyPool::new(4);
-        assert_eq!(m.estimate(&rival_host, &rival_pool, "client"), 50.0);
-        assert!(m.estimate(&rival_host, &rival_pool, "client") < m.estimate(&h, &pool, "client"));
+        let rival_net = service();
+        assert_eq!(m.estimate(&rival_host, &rival_net, "client"), 50.0);
+        assert!(m.estimate(&rival_host, &rival_net, "client") < m.estimate(&h, &net, "client"));
     }
 
     #[test]
     fn uniform_model_is_load_blind() {
         let h = host();
-        let pool = HostOnlyPool::new(4);
+        let net = service();
         let m = CostModel::Uniform;
-        assert_eq!(m.estimate(&h, &pool, "d"), 1.0);
+        assert_eq!(m.estimate(&h, &net, "d"), 1.0);
         h.register_vm(1024);
-        assert_eq!(m.estimate(&h, &pool, "d"), 1.0);
+        assert_eq!(m.estimate(&h, &net, "d"), 1.0);
     }
 
     #[test]
     fn different_domain_pays_network_cost_even_on_busy_plant() {
         let h = host();
-        let mut pool = HostOnlyPool::new(4);
+        let mut net = service();
         let m = CostModel::section_3_4_example();
-        pool.attach("tenant-a").unwrap();
+        attach(&mut net, "tenant-a");
         h.register_vm(64);
-        assert_eq!(m.estimate(&h, &pool, "tenant-a"), 4.0);
-        assert_eq!(m.estimate(&h, &pool, "tenant-b"), 54.0);
+        assert_eq!(m.estimate(&h, &net, "tenant-a"), 4.0);
+        assert_eq!(m.estimate(&h, &net, "tenant-b"), 54.0);
     }
 }

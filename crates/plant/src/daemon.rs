@@ -11,12 +11,11 @@ use vmplants_simkit::obs::{Counter, Obs, TrackId};
 use vmplants_simkit::{Engine, SimDuration, SimRng, SimTime};
 use vmplants_virt::hypervisor::CloneStats;
 use vmplants_virt::{Hypervisor, TimingModel};
-use vmplants_vnet::{HostOnlyPool, VnetBridge};
+use vmplants_vnet::{DomainDirectory, Reachability, VirtualNetworkService};
 use vmplants_warehouse::Warehouse;
 
 use crate::cost::CostModel;
-use crate::domains::DomainDirectory;
-use crate::infosys::InfoSystem;
+use crate::infosys::{InfoSystem, VmRecord};
 use crate::order::{PlantError, ProductionOrder, VmId};
 use crate::production;
 
@@ -74,9 +73,9 @@ pub(crate) struct PlantState {
     pub(crate) nfs: NfsServer,
     pub(crate) warehouse: Rc<RefCell<Warehouse>>,
     pub(crate) hypervisor: Rc<Hypervisor>,
-    pub(crate) pool: HostOnlyPool,
-    pub(crate) bridge: VnetBridge,
-    pub(crate) domains: DomainDirectory,
+    /// The plant's virtual network service: every lease and release of
+    /// a VM's network goes through it.
+    pub(crate) net: VirtualNetworkService,
     pub(crate) info: InfoSystem,
     pub(crate) timing: TimingModel,
     pub(crate) rng: Rc<RefCell<SimRng>>,
@@ -106,6 +105,23 @@ pub(crate) struct PlantState {
     pub(crate) dedup_drops: Counter,
     /// Duplicate requests answered by replaying a cached `Done` envelope.
     pub(crate) dedup_replays: Counter,
+}
+
+impl PlantState {
+    /// Drop a VM's record, if the plant has one, and release what it
+    /// holds (see [`PlantState::release_vm`]).
+    pub(crate) fn drop_vm(&mut self, id: &VmId) {
+        if let Some(record) = self.info.remove(id) {
+            self.release_vm(&record);
+        }
+    }
+
+    /// Release what a VM that leaves this plant for good holds: its
+    /// network lease and its clone tree's reference to its golden.
+    pub(crate) fn release_vm(&mut self, record: &VmRecord) {
+        let _ = self.net.release(&record.lease);
+        self.warehouse.borrow_mut().unpin(&record.golden);
+    }
 }
 
 /// A VMPlant daemon. Cheap `Rc` handle; all methods take the simulation
@@ -152,7 +168,10 @@ impl Plant {
         let backend_rng = Rc::new(RefCell::new(rng.fork(1)));
         let plant_rng = Rc::new(RefCell::new(rng.fork(2)));
         let hypervisor = Rc::new(Hypervisor::with_timing(timing.clone(), backend_rng));
-        let pool = HostOnlyPool::new(config.host_only_networks);
+        let reach = Reachability::Direct {
+            port: config.vnet_port,
+        };
+        let net = VirtualNetworkService::new(config.host_only_networks, reach, domains);
         Plant {
             name: config.name.as_str().into(),
             inner: Rc::new(RefCell::new(PlantState {
@@ -161,9 +180,7 @@ impl Plant {
                 nfs,
                 warehouse,
                 hypervisor,
-                pool,
-                bridge: VnetBridge::new(),
-                domains,
+                net,
                 info: InfoSystem::new(),
                 timing,
                 rng: plant_rng,
@@ -274,20 +291,8 @@ impl Plant {
             state.alive = false;
             state.epoch += 1;
             let ids: Vec<VmId> = state.info.records().map(|r| r.id.clone()).collect();
-            let mut evicted = 0usize;
             for id in &ids {
-                if let Some(record) = state.info.remove(id) {
-                    if let Some(lease) = &record.lease {
-                        if state.pool.detach(lease.network) == Ok(true) {
-                            let _ = state.bridge.disconnect(lease.network);
-                        }
-                        let domain = record.get_str("client_domain").unwrap_or_default();
-                        let _ = state.domains.release(&domain, &lease.ip);
-                    }
-                    // The wiped clone tree releases its golden reference.
-                    state.warehouse.borrow_mut().unpin(&record.golden);
-                    evicted += 1;
-                }
+                state.drop_vm(id);
             }
             // Wiped spares release their golden references too.
             {
@@ -299,7 +304,7 @@ impl Plant {
                 }
             }
             state.spares.clear();
-            (state.host.clone(), state.nfs.clone(), evicted)
+            (state.host.clone(), state.nfs.clone(), ids.len())
         };
         host.disk.remove_tree("/clones/");
         host.disk.remove_tree("/spares/");
@@ -343,7 +348,7 @@ impl Plant {
         Ok(state
             .config
             .cost_model
-            .estimate(&state.host, &state.pool, &order.client_domain))
+            .estimate(&state.host, &state.net, &order.client_domain))
     }
 
     /// **Create**: the full PPP + production-line path. `done` receives
@@ -428,8 +433,7 @@ impl Plant {
 
     /// Host-only networks currently assigned to client domains.
     pub fn networks_in_use(&self) -> usize {
-        let state = self.inner.borrow();
-        state.pool.size() - state.pool.free_count()
+        self.inner.borrow().net.networks_in_use()
     }
 
     /// Spare clones currently pre-created for a golden image.

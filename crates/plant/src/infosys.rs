@@ -75,7 +75,7 @@ pub struct VmRecord {
     /// Directory of the clone's files on the host disk.
     pub clone_dir: String,
     /// The VM's network lease.
-    pub lease: Option<NetworkLease>,
+    pub lease: NetworkLease,
     /// Which golden image it was cloned from.
     pub golden: GoldenId,
     /// Every configuration action applied to this VM, in order: the
@@ -102,7 +102,7 @@ impl VmRecord {
         spec: VmSpec,
         classad: ClassAd,
         clone_dir: String,
-        lease: Option<NetworkLease>,
+        lease: NetworkLease,
         golden: GoldenId,
         performed: PerformedLog,
         created_at: SimTime,
@@ -379,7 +379,13 @@ mod tests {
             VmSpec::mandrake(64),
             ClassAd::new(),
             format!("/clones/{id}"),
-            None,
+            NetworkLease {
+                domain: "ufl.edu".into(),
+                network: vmplants_vnet::NetworkId(0),
+                fresh_network: true,
+                ip: "128.227.56.10".into(),
+                mac: "02:56:00:00:00:01".into(),
+            },
             GoldenId("g".into()),
             PerformedLog::new(),
             SimTime::ZERO,

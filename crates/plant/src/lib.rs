@@ -20,7 +20,6 @@
 
 pub mod cost;
 pub mod daemon;
-pub mod domains;
 pub mod infosys;
 pub mod migration;
 pub mod order;
@@ -32,8 +31,8 @@ pub mod service;
 pub use cost::CostModel;
 pub use daemon::{Plant, PlantConfig};
 pub use migration::migrate;
-pub use domains::DomainDirectory;
 pub use infosys::{InfoSystem, VmRecord};
 pub use order::{PlantError, ProductionOrder, VmId};
 pub use protocol::{Envelope, EnvelopeLabel, ErrorCode, MessageError, Payload, Request, Response};
 pub use service::{DedupCache, ReplyFn, DEDUP_CAPACITY};
+pub use vmplants_vnet::DomainDirectory;

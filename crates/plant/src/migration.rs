@@ -15,7 +15,7 @@ use vmplants_simkit::resource::FairShare;
 use vmplants_simkit::{Engine, SimDuration};
 use vmplants_virt::image::{BASE_REDO_BYTES, CONFIG_BYTES};
 use vmplants_virt::VmState;
-use vmplants_vnet::NetworkLease;
+use vmplants_vnet::{NetworkLease, ProxyEndpoint};
 
 use crate::daemon::{DoneAd, Plant};
 use crate::order::{PlantError, VmId};
@@ -49,9 +49,9 @@ pub fn migrate(
             PlantError::InvalidOrder("source and target plant are the same".into()),
         );
     }
-    let (suspend, transfer_bytes, spec, domain) = {
+    let (suspend, transfer_bytes, spec, old_lease) = {
         let mut state = source.inner.borrow_mut();
-        let (spec, domain) = match state.info.get(&id) {
+        let (spec, old_lease) = match state.info.get(&id) {
             None => {
                 drop(state);
                 return fail(engine, done, PlantError::UnknownVm(id));
@@ -61,10 +61,7 @@ pub fn migrate(
                     drop(state);
                     return fail(engine, done, err);
                 }
-                None => (
-                    r.spec.clone(),
-                    r.get_str("client_domain").unwrap_or_default(),
-                ),
+                None => (r.spec.clone(), r.lease.clone()),
             },
         };
         let host = state.host.clone();
@@ -78,69 +75,27 @@ pub fn migrate(
             .expect("checked above")
             .transition(VmState::Migrating);
         let transfer_bytes = spec.memory_mb * 1024 * 1024 + BASE_REDO_BYTES + CONFIG_BYTES;
-        (suspend, transfer_bytes, spec, domain)
+        (suspend, transfer_bytes, spec, old_lease)
     };
 
-    // The target leases its network attachment up front, so a full pool
-    // rejects the migration before the VM is disturbed further.
-    let lease = {
-        let mut tstate = target.inner.borrow_mut();
-        let (network, fresh) = match tstate.pool.attach(&domain) {
-            Ok(x) => x,
-            Err(e) => {
-                drop(tstate);
-                // Roll the source back to Running.
-                let mut sstate = source.inner.borrow_mut();
-                if let Some(r) = sstate.info.get_mut(&id) {
-                    r.transition(VmState::Running);
-                }
-                drop(sstate);
-                return fail(engine, done, PlantError::NetworkExhausted(e));
-            }
-        };
-        let old_lease = {
-            let sstate = source.inner.borrow();
-            sstate.info.get(&id).and_then(|r| r.lease.clone())
-        };
-        let Some(old_lease) = old_lease else {
-            // Record gone or lease-less (a crash can drain either): undo
-            // the target attachment and roll the source back.
-            let _ = tstate.pool.detach(network);
-            drop(tstate);
-            let mut sstate = source.inner.borrow_mut();
-            if let Some(r) = sstate.info.get_mut(&id) {
+    // The target attaches its network up front, so a full pool rejects
+    // the migration before the VM is disturbed further. The VM keeps its
+    // addresses.
+    let domain = &old_lease.domain;
+    let proxy = ProxyEndpoint::new(domain.clone(), format!("proxy.{domain}"), 9300);
+    let attached = target.inner.borrow_mut().net.attach(domain, &proxy);
+    let lease = match attached {
+        Ok((network, fresh_network)) => NetworkLease {
+            network,
+            fresh_network,
+            ..old_lease
+        },
+        Err(e) => {
+            // Roll the source back to Running.
+            if let Some(r) = source.inner.borrow_mut().info.get_mut(&id) {
                 r.transition(VmState::Running);
             }
-            drop(sstate);
-            return fail(engine, done, PlantError::PlantDown);
-        };
-        let proxy = vmplants_vnet::ProxyEndpoint::new(
-            domain.clone(),
-            format!("proxy.{domain}"),
-            9300,
-        );
-        if fresh {
-            let reach = vmplants_vnet::bridge::Reachability::Direct {
-                port: tstate.config.vnet_port,
-            };
-            if let Err(e) = tstate.bridge.connect(network, &domain, proxy, reach) {
-                let _ = tstate.pool.detach(network);
-                drop(tstate);
-                let mut sstate = source.inner.borrow_mut();
-                if let Some(r) = sstate.info.get_mut(&id) {
-                    r.transition(VmState::Running);
-                }
-                drop(sstate);
-                return fail(engine, done, PlantError::Network(e.to_string()));
-            }
-        }
-        NetworkLease {
-            plant: tstate.config.name.clone(),
-            network,
-            fresh_network: fresh,
-            // The VM keeps its addresses.
-            ip: old_lease.ip,
-            mac: old_lease.mac,
+            return fail(engine, done, e.into());
         }
     };
 
@@ -180,12 +135,7 @@ fn finish_migration(
     // the plant down instead of panicking on the vanished record.
     let source_crashed = source.inner.borrow().epoch != source_epoch;
     if source_crashed || !target.is_alive() {
-        {
-            let mut tstate = target.inner.borrow_mut();
-            if tstate.pool.detach(lease.network) == Ok(true) {
-                let _ = tstate.bridge.disconnect(lease.network);
-            }
-        }
+        let _ = target.inner.borrow_mut().net.detach(lease.network);
         if !source_crashed {
             // Target died mid-transfer: the VM is still intact at the
             // source; resume it there.
@@ -208,21 +158,13 @@ fn finish_migration(
                 .host
                 .disk
                 .remove_tree(&format!("{}/", record.clone_dir));
-            if let Some(old) = &record.lease {
-                if sstate.pool.detach(old.network) == Ok(true) {
-                    let _ = sstate.bridge.disconnect(old.network);
-                }
-            }
             // The domain-level IP is NOT released: it moves with the VM.
+            let _ = sstate.net.detach(record.lease.network);
         }
         record
     };
     let Some(mut record) = taken else {
-        let mut tstate = target.inner.borrow_mut();
-        if tstate.pool.detach(lease.network) == Ok(true) {
-            let _ = tstate.bridge.disconnect(lease.network);
-        }
-        drop(tstate);
+        let _ = target.inner.borrow_mut().net.detach(lease.network);
         return fail(engine, done, PlantError::UnknownVm(id));
     };
 
@@ -258,10 +200,10 @@ fn finish_migration(
             vmplants_cluster::files::FileKind::RedoLog,
         );
         record.clone_dir = clone_dir;
-        record.lease = Some(lease.clone());
         record.set_value("plant", tstate.config.name.clone());
         record.set_value("host", tstate.host.name());
         record.set_value("network", lease.network.to_string());
+        record.lease = lease;
         record.set_value("migrated_from", source.name());
         let pressure = tstate.host.pressure_factor();
         let mut rng = tstate.rng.borrow_mut();
@@ -278,10 +220,9 @@ fn finish_migration(
             let mut tstate = target.inner.borrow_mut();
             if tstate.epoch != target_epoch {
                 // The target crashed during resume: its disk (and the
-                // transferred state with it) is gone.
-                if tstate.pool.detach(lease.network) == Ok(true) {
-                    let _ = tstate.bridge.disconnect(lease.network);
-                }
+                // transferred state with it) is gone, and with it the VM,
+                // so its lease and golden pin go too.
+                tstate.release_vm(&record);
                 Err(PlantError::PlantDown)
             } else {
                 record.transition(VmState::Running);

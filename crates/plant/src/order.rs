@@ -3,7 +3,7 @@
 use vmplants_dag::ConfigDag;
 use vmplants_simkit::obs::SpanId;
 use vmplants_virt::{VirtError, VmSpec};
-use vmplants_vnet::{PoolError, ProxyEndpoint};
+use vmplants_vnet::{PoolError, ProxyEndpoint, ServiceError};
 
 /// A VMShop-assigned unique identifier for a virtual machine (§3.1's
 /// "VMID").
@@ -141,6 +141,19 @@ impl std::error::Error for PlantError {}
 impl From<VirtError> for PlantError {
     fn from(e: VirtError) -> Self {
         PlantError::Virt(e)
+    }
+}
+
+impl From<ServiceError> for PlantError {
+    /// A full pool is `NetworkExhausted`; a bridge, IP or unknown-domain
+    /// failure is `Network` with the underlying error's text.
+    fn from(e: ServiceError) -> Self {
+        match e {
+            ServiceError::Pool(e) => PlantError::NetworkExhausted(e),
+            ServiceError::Bridge(e) => PlantError::Network(e.to_string()),
+            ServiceError::Ip(e) => PlantError::Network(e.to_string()),
+            e @ ServiceError::UnknownDomain(_) => PlantError::Network(e.to_string()),
+        }
     }
 }
 

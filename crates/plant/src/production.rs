@@ -14,7 +14,7 @@ use vmplants_simkit::{Engine, SimDuration, SimTime};
 use vmplants_virt::guest::GuestScript;
 use vmplants_virt::hypervisor::CloneStats;
 use vmplants_virt::{ImageFiles, VirtError, VmSpec, VmState, VmmType};
-use vmplants_vnet::NetworkLease;
+use vmplants_vnet::{NetworkLease, ServiceError};
 use vmplants_warehouse::GoldenId;
 
 use crate::daemon::{CloneLogEntry, DoneAd, DoneCount, Plant};
@@ -26,7 +26,6 @@ struct Job {
     plant: Plant,
     vmid: VmId,
     spec: VmSpec,
-    client_domain: String,
     clone_dir: String,
     schedule: Vec<Action>,
     idx: usize,
@@ -64,13 +63,10 @@ pub(crate) fn start_creation(
     let planned = {
         let mut state = plant.inner.borrow_mut();
 
-        if !state.domains.contains(&order.client_domain) {
+        if !state.net.domains().contains(&order.client_domain) {
+            let err = ServiceError::UnknownDomain(order.client_domain.clone());
             drop(state);
-            return fail_now(
-                engine,
-                done,
-                PlantError::Network(format!("unknown client domain '{}'", order.client_domain)),
-            );
+            return fail_now(engine, done, err.into());
         }
 
         // A shop retrying an order it believes lost may re-dispatch a
@@ -133,43 +129,12 @@ pub(crate) fn start_creation(
 
         // Network lease: host-only network (+ bridge if fresh) and a
         // client-domain IP/MAC.
-        let (network, fresh) = match state.pool.attach(&order.client_domain) {
-            Ok(x) => x,
+        let lease = match state.net.lease(&order.client_domain, &order.proxy) {
+            Ok(lease) => lease,
             Err(e) => {
                 drop(state);
-                return fail_now(engine, done, PlantError::NetworkExhausted(e));
+                return fail_now(engine, done, e.into());
             }
-        };
-        if fresh {
-            let reach = vmplants_vnet::bridge::Reachability::Direct {
-                port: state.config.vnet_port,
-            };
-            if let Err(e) =
-                state
-                    .bridge
-                    .connect(network, &order.client_domain, order.proxy.clone(), reach)
-            {
-                let _ = state.pool.detach(network);
-                drop(state);
-                return fail_now(engine, done, PlantError::Network(e.to_string()));
-            }
-        }
-        let (ip, mac) = match state.domains.allocate(&order.client_domain) {
-            Ok(x) => x,
-            Err(msg) => {
-                if state.pool.detach(network) == Ok(true) {
-                    let _ = state.bridge.disconnect(network);
-                }
-                drop(state);
-                return fail_now(engine, done, PlantError::Network(msg));
-            }
-        };
-        let lease = NetworkLease {
-            plant: state.config.name.clone(),
-            network,
-            fresh_network: fresh,
-            ip,
-            mac,
         };
 
         // Identify and record the VM (the shop assigns VMIDs; a plant
@@ -222,7 +187,7 @@ pub(crate) fn start_creation(
             order.spec.clone(),
             classad,
             clone_dir.clone(),
-            Some(lease.clone()),
+            lease.clone(),
             golden_id,
             inherited_log,
             engine.now(),
@@ -265,12 +230,7 @@ pub(crate) fn start_creation(
         let state = plant.inner.borrow();
         (state.epoch, state.obs.clone(), state.obs_track)
     };
-    let ProductionOrder {
-        spec,
-        client_domain,
-        trace_parent,
-        ..
-    } = order;
+    let ProductionOrder { spec, trace_parent, .. } = order;
     let span = obs.span_start(trace_parent, obs_track, "produce", engine.now());
     obs.span_attr(span, "vmid", &vmid);
     // The PPP's own planning/matching overhead elapses before cloning.
@@ -279,7 +239,6 @@ pub(crate) fn start_creation(
         plant: plant.clone(),
         vmid,
         spec,
-        client_domain,
         clone_dir,
         schedule,
         idx: 0,
@@ -870,7 +829,7 @@ fn abort_creation(engine: &mut Engine, job: &JobRef, err: PlantError) {
             }
             let done = {
                 let mut j = job2.borrow_mut();
-                release_lease_and_record(&j.plant, &j.client_domain, &j.lease, &j.vmid);
+                j.plant.inner.borrow_mut().drop_vm(&j.vmid);
                 j.obs.span_attr(j.span, "outcome", "failed");
                 j.obs.span_end(j.span, engine.now());
                 j.done.take()
@@ -892,28 +851,16 @@ fn cleanup_without_destroy(engine: &mut Engine, job: &JobRef, err: PlantError) {
         let mut j = job.borrow_mut();
         let plant = j.plant.clone();
         {
-            let state = plant.inner.borrow();
+            let mut state = plant.inner.borrow_mut();
             state.host.disk.remove_tree(&format!("{}/", j.clone_dir));
+            state.drop_vm(&j.vmid);
         }
-        release_lease_and_record(&plant, &j.client_domain, &j.lease, &j.vmid);
         j.obs.span_attr(j.span, "outcome", "failed");
         j.obs.span_end(j.span, engine.now());
         j.done.take()
     };
     if let Some(done) = done {
         done(engine, Err(err));
-    }
-}
-
-fn release_lease_and_record(plant: &Plant, domain: &str, lease: &NetworkLease, vmid: &VmId) {
-    let mut state = plant.inner.borrow_mut();
-    if state.pool.detach(lease.network) == Ok(true) {
-        let _ = state.bridge.disconnect(lease.network);
-    }
-    let _ = state.domains.release(domain, &lease.ip);
-    if let Some(record) = state.info.remove(vmid) {
-        // The dead clone tree no longer references the golden.
-        state.warehouse.borrow_mut().unpin(&record.golden);
     }
 }
 
@@ -933,8 +880,6 @@ pub(crate) fn collect_vm(plant: Plant, engine: &mut Engine, id: VmId, done: Done
                     state.host.clone(),
                     record.spec.clone(),
                     record.clone_dir.clone(),
-                    record.lease.clone(),
-                    record.get_str("client_domain").unwrap_or_default(),
                     classad,
                 ))
             }
@@ -943,7 +888,7 @@ pub(crate) fn collect_vm(plant: Plant, engine: &mut Engine, id: VmId, done: Done
     };
     // The record can vanish between the caller's check and this call
     // when a crash drains the information system.
-    let Some((hv, host, spec, clone_dir, lease, domain, mut classad)) = found else {
+    let Some((hv, host, spec, clone_dir, mut classad)) = found else {
         return fail_now(engine, done, PlantError::UnknownVm(id));
     };
     let plant2 = plant.clone();
@@ -962,15 +907,7 @@ pub(crate) fn collect_vm(plant: Plant, engine: &mut Engine, id: VmId, done: Done
                     if let Some(record) = state.info.get(&id) {
                         record.check_transition(&VmState::Collected);
                     }
-                    if let Some(lease) = &lease {
-                        if state.pool.detach(lease.network) == Ok(true) {
-                            let _ = state.bridge.disconnect(lease.network);
-                        }
-                        let _ = state.domains.release(&domain, &lease.ip);
-                    }
-                    if let Some(record) = state.info.remove(&id) {
-                        state.warehouse.borrow_mut().unpin(&record.golden);
-                    }
+                    state.drop_vm(&id);
                 }
             }
             classad.set_value("state", "collected");

@@ -366,7 +366,7 @@ mod tests {
     use vmplants_warehouse::Warehouse;
 
     use crate::daemon::PlantConfig;
-    use crate::domains::DomainDirectory;
+    use vmplants_vnet::DomainDirectory;
     use crate::order::{ProductionOrder, VmId};
     use crate::protocol::ErrorCode;
 

@@ -11,7 +11,7 @@ use vmplants_dag::graph::invigo_workspace_dag;
 use vmplants_plant::{
     migrate, DomainDirectory, Plant, PlantConfig, PlantError, ProductionOrder, VmId,
 };
-use vmplants_simkit::{Engine, SimRng};
+use vmplants_simkit::{Engine, SimDuration, SimRng};
 use vmplants_virt::VmSpec;
 use vmplants_warehouse::store::publish_experiment_goldens;
 use vmplants_warehouse::{GoldenId, Warehouse};
@@ -402,6 +402,38 @@ fn migration_respects_target_network_exhaustion() {
     let q = s.plants[0].query(&s.engine, &id).unwrap();
     assert_eq!(q.get_str("state"), Some("running".into()));
     assert_eq!(s.plants[0].vm_count(), 1);
+}
+
+#[test]
+fn target_crash_during_resume_releases_the_moved_vms_lease() {
+    // An undisturbed twin times the migration; the run under test then
+    // crashes the target 1 ms before the resume would finish.
+    let (start, end) = {
+        let mut twin = site(2);
+        let ad = create_on(&mut twin, 0, order(64, "arijit"));
+        let start = twin.engine.now();
+        run_migrate(&mut twin, 0, 1, &VmId(ad.get_str("vmid").unwrap())).unwrap();
+        (start, twin.engine.now())
+    };
+    let mut s = site(2);
+    let ad = create_on(&mut s, 0, order(64, "arijit"));
+    let id = VmId(ad.get_str("vmid").unwrap());
+    assert_eq!(s.engine.now(), start);
+    let target = s.plants[1].clone();
+    let crash_in = end.since(start) - SimDuration::from_millis(1);
+    s.engine.schedule(crash_in, move |engine| {
+        target.host_crashed(engine);
+    });
+    assert!(matches!(
+        run_migrate(&mut s, 0, 1, &id),
+        Err(PlantError::PlantDown)
+    ));
+    assert_eq!(s.plants[0].vm_count(), 0);
+    assert_eq!(s.plants[1].vm_count(), 0);
+    assert_eq!(s.plants[0].networks_in_use(), 0);
+    assert_eq!(s.plants[1].networks_in_use(), 0);
+    // The VM is gone with the target's disk, and so is its address.
+    assert_eq!(s.domains.allocated_count("ufl.edu"), 0);
 }
 
 // ------------------------------------------------------------- prewarming

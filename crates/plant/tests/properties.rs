@@ -236,13 +236,20 @@ impl Fixture {
             "seed {}: memory leak",
             self.seed
         );
-        // Per-plant VM counts match.
+        // Per-plant VM counts match, and a plant holds its one domain's
+        // host-only network exactly while it hosts a VM.
         for (idx, plant) in self.plants.iter().enumerate() {
             let here = self.live.iter().filter(|&&(_, p, _)| p == idx).count();
             assert_eq!(
                 plant.vm_count(),
                 here,
                 "seed {}: plant {idx} record drift",
+                self.seed
+            );
+            assert_eq!(
+                plant.networks_in_use(),
+                usize::from(here > 0),
+                "seed {}: plant {idx} network leak",
                 self.seed
             );
         }

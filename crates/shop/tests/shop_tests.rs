@@ -20,6 +20,7 @@ struct Site {
     shop: VmShop,
     plants: Vec<Plant>,
     nfs: NfsServer,
+    domains: DomainDirectory,
 }
 
 fn site_with(n_plants: usize, cost_model: CostModel) -> Site {
@@ -54,6 +55,7 @@ fn site_with(n_plants: usize, cost_model: CostModel) -> Site {
         shop,
         plants,
         nfs,
+        domains,
     }
 }
 
@@ -1382,6 +1384,22 @@ fn sweep_run(k: u64, fault: Option<Fault>) -> Result<u64, String> {
             total_vms(&s),
             SWEEP_ORDERS.len()
         ));
+    }
+    // Network leases: one client-domain IP per hosted VM, and a plant
+    // holds the domain's host-only network exactly while it hosts a VM.
+    let leased = s.domains.allocated_count("ufl.edu");
+    if leased != total_vms(&s) {
+        return Err(format!("{leased} IPs leased for {} VMs", total_vms(&s)));
+    }
+    for plant in &s.plants {
+        if plant.networks_in_use() != usize::from(plant.vm_count() > 0) {
+            return Err(format!(
+                "{}: {} networks in use for {} VMs",
+                plant.name(),
+                plant.networks_in_use(),
+                plant.vm_count()
+            ));
+        }
     }
     Ok(s.engine.events_executed())
 }

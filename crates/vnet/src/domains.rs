@@ -2,13 +2,15 @@
 //!
 //! IP addresses belong to *client domains*, not to plants: two VMs of the
 //! same domain created on different plants must not collide. The directory
-//! is therefore shared (one per site) and handed to every plant.
+//! is therefore shared (one per site) and handed to every plant's
+//! [`VirtualNetworkService`](crate::VirtualNetworkService).
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use vmplants_vnet::DomainIpAllocator;
+use crate::ip::DomainIpAllocator;
+use crate::service::ServiceError;
 
 /// Shared registry of client-domain IP allocators.
 #[derive(Clone, Default)]
@@ -35,23 +37,23 @@ impl DomainDirectory {
     }
 
     /// Allocate an IP + MAC for a VM of `domain`.
-    pub fn allocate(&self, domain: &str) -> Result<(String, String), String> {
+    pub(crate) fn allocate(&self, domain: &str) -> Result<(String, String), ServiceError> {
         let mut inner = self.inner.borrow_mut();
         let alloc = inner
             .get_mut(domain)
-            .ok_or_else(|| format!("unknown client domain '{domain}'"))?;
-        let ip = alloc.allocate().map_err(|e| e.to_string())?;
+            .ok_or_else(|| ServiceError::UnknownDomain(domain.to_owned()))?;
+        let ip = alloc.allocate()?;
         let mac = alloc.next_mac();
         Ok((ip, mac))
     }
 
     /// Release a VM's IP back to its domain.
-    pub fn release(&self, domain: &str, ip: &str) -> Result<(), String> {
+    pub(crate) fn release(&self, domain: &str, ip: &str) -> Result<(), ServiceError> {
         let mut inner = self.inner.borrow_mut();
         let alloc = inner
             .get_mut(domain)
-            .ok_or_else(|| format!("unknown client domain '{domain}'"))?;
-        alloc.release(ip).map_err(|e| e.to_string())
+            .ok_or_else(|| ServiceError::UnknownDomain(domain.to_owned()))?;
+        Ok(alloc.release(ip)?)
     }
 
     /// Allocated addresses for a domain (0 for unknown domains).
@@ -73,6 +75,7 @@ impl DomainDirectory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ip::IpError;
 
     #[test]
     fn allocations_are_site_wide_unique() {
@@ -95,14 +98,19 @@ mod tests {
         let (ip, _) = dir.allocate("d").unwrap();
         dir.release("d", &ip).unwrap();
         assert_eq!(dir.allocated_count("d"), 0);
-        assert!(dir.release("d", &ip).is_err(), "double release rejected");
+        assert_eq!(
+            dir.release("d", &ip),
+            Err(ServiceError::Ip(IpError::NotAllocated(ip))),
+            "double release rejected"
+        );
     }
 
     #[test]
     fn unknown_domain_errors() {
         let dir = DomainDirectory::new();
-        assert!(dir.allocate("ghost").is_err());
-        assert!(dir.release("ghost", "1.2.3.4").is_err());
+        let unknown = Err(ServiceError::UnknownDomain("ghost".into()));
+        assert_eq!(dir.allocate("ghost").map(|_| ()), unknown);
+        assert_eq!(dir.release("ghost", "1.2.3.4"), unknown);
         assert!(!dir.contains("ghost"));
         assert_eq!(dir.allocated_count("ghost"), 0);
     }

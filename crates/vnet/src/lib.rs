@@ -21,16 +21,23 @@
 //!   domain");
 //! * [`bridge`] — VNET server / Proxy attachment records, including the
 //!   gateway-with-SSH-tunnels deployment of §3.3;
-//! * [`service::VirtualNetworkService`] — the facade VMShop drives to
-//!   set up and tear down VNET handlers ("the front-end VMShop becomes a
-//!   client to this service").
+//! * [`domains::DomainDirectory`] — the site-wide registry of client-domain
+//!   allocators, shared by every plant;
+//! * [`service::VirtualNetworkService`] — one plant's service over its pool
+//!   and bridge and the shared directory: the only code that leases or
+//!   releases a VM's network. §3.3 has "the front-end VMShop become a
+//!   client to this service"; here each plant is the client of its own
+//!   service, because the plant decides the attach at production time
+//!   (after PPP matching, before cloning).
 
 pub mod bridge;
+pub mod domains;
 pub mod ip;
 pub mod pool;
 pub mod service;
 
-pub use bridge::{BridgeError, ProxyEndpoint, VnetBridge};
+pub use bridge::{BridgeError, ProxyEndpoint, Reachability, VnetBridge};
+pub use domains::DomainDirectory;
 pub use ip::DomainIpAllocator;
 pub use pool::{HostOnlyPool, NetworkId, PoolError};
 pub use service::{NetworkLease, ServiceError, VirtualNetworkService};

@@ -1,23 +1,29 @@
-//! The virtual network service facade.
+//! The virtual network service.
 //!
 //! §3.3: "The necessary requirements for virtual networking can be
-//! encapsulated behind a virtual network service. The front-end VMShop
-//! becomes a client to this service, and uses it to dynamically set up and
-//! tear down VNET handlers." This module composes the per-plant pools and
-//! bridges behind that single interface: lease a network + bridge + IP for
-//! a VM, release it when the VM is collected.
-
-use std::collections::BTreeMap;
+//! encapsulated behind a virtual network service." Each plant owns one
+//! service over its host-only pool and VNET bridge; every service of a
+//! site shares one [`DomainDirectory`], since IP addresses belong to client
+//! domains. The service is the only code that leases or releases a VM's
+//! network, in two layers:
+//!
+//! * [`attach`](VirtualNetworkService::attach) /
+//!   [`detach`](VirtualNetworkService::detach) — the host-only network and
+//!   its bridge only (a migrated VM keeps its IP and MAC);
+//! * [`lease`](VirtualNetworkService::lease) /
+//!   [`release`](VirtualNetworkService::release) — the same plus a
+//!   client-domain IP and MAC.
 
 use crate::bridge::{BridgeError, ProxyEndpoint, Reachability, VnetBridge};
-use crate::ip::{DomainIpAllocator, IpError};
+use crate::domains::DomainDirectory;
+use crate::ip::IpError;
 use crate::pool::{HostOnlyPool, NetworkId, PoolError};
 
-/// Everything networking-related a freshly created VM receives.
+/// Everything networking-related a VM holds on its plant.
 #[derive(Clone, Debug, PartialEq)]
 pub struct NetworkLease {
-    /// The plant the lease lives on.
-    pub plant: String,
+    /// The client domain the VM belongs to.
+    pub domain: String,
     /// The host-only network the VM's NIC joins.
     pub network: NetworkId,
     /// Whether the network was freshly allocated to the domain (this is
@@ -32,8 +38,6 @@ pub struct NetworkLease {
 /// Service failures.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ServiceError {
-    /// The named plant is not registered with the service.
-    UnknownPlant(String),
     /// The client domain has no registered IP allocator.
     UnknownDomain(String),
     /// Network pool failure.
@@ -47,7 +51,6 @@ pub enum ServiceError {
 impl std::fmt::Display for ServiceError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ServiceError::UnknownPlant(p) => write!(f, "unknown plant '{p}'"),
             ServiceError::UnknownDomain(d) => write!(f, "unknown client domain '{d}'"),
             ServiceError::Pool(e) => write!(f, "network pool: {e}"),
             ServiceError::Bridge(e) => write!(f, "vnet bridge: {e}"),
@@ -74,188 +77,127 @@ impl From<IpError> for ServiceError {
     }
 }
 
-struct PlantNet {
+/// One plant's virtual network service.
+pub struct VirtualNetworkService {
     pool: HostOnlyPool,
     bridge: VnetBridge,
-    reachability_template: Reachability,
-}
-
-/// The site-wide virtual network service.
-pub struct VirtualNetworkService {
-    plants: BTreeMap<String, PlantNet>,
-    domains: BTreeMap<String, DomainIpAllocator>,
+    reachability: Reachability,
+    domains: DomainDirectory,
 }
 
 impl VirtualNetworkService {
-    /// An empty service.
-    pub fn new() -> VirtualNetworkService {
-        VirtualNetworkService {
-            plants: BTreeMap::new(),
-            domains: BTreeMap::new(),
-        }
-    }
-
-    /// Register a plant with `networks` host-only networks, reachable
-    /// directly on `vnet_port`.
-    pub fn register_plant(&mut self, name: impl Into<String>, networks: usize, vnet_port: u16) {
-        self.plants.insert(
-            name.into(),
-            PlantNet {
-                pool: HostOnlyPool::new(networks),
-                bridge: VnetBridge::new(),
-                reachability_template: Reachability::Direct { port: vnet_port },
-            },
-        );
-    }
-
-    /// Register a plant behind a gateway with a static SSH tunnel (the
-    /// §3.3 private-network deployment).
-    pub fn register_plant_behind_gateway(
-        &mut self,
-        name: impl Into<String>,
+    /// A service over `networks` host-only networks whose VNET server is
+    /// reached through `reachability`, allocating addresses from the
+    /// site's `domains`.
+    pub fn new(
         networks: usize,
-        gateway: impl Into<String>,
-        public_port: u16,
-        plant_port: u16,
-    ) {
-        self.plants.insert(
-            name.into(),
-            PlantNet {
-                pool: HostOnlyPool::new(networks),
-                bridge: VnetBridge::new(),
-                reachability_template: Reachability::GatewayTunnel {
-                    gateway: gateway.into(),
-                    public_port,
-                    plant_port,
-                },
-            },
-        );
+        reachability: Reachability,
+        domains: DomainDirectory,
+    ) -> VirtualNetworkService {
+        VirtualNetworkService {
+            pool: HostOnlyPool::new(networks),
+            bridge: VnetBridge::new(),
+            reachability,
+            domains,
+        }
     }
 
-    /// Register a client domain's IP pool.
-    pub fn register_domain(&mut self, allocator: DomainIpAllocator) {
-        self.domains
-            .insert(allocator.domain().to_owned(), allocator);
+    /// The site-wide client-domain directory.
+    pub fn domains(&self) -> &DomainDirectory {
+        &self.domains
     }
 
-    /// Would a VM for `domain` on `plant` need a fresh host-only network?
-    /// (Feeds the §3.4 cost function.)
-    pub fn needs_new_network(&self, plant: &str, domain: &str) -> Result<bool, ServiceError> {
-        let p = self
-            .plants
-            .get(plant)
-            .ok_or_else(|| ServiceError::UnknownPlant(plant.to_owned()))?;
-        Ok(p.pool.needs_new_network(domain))
+    /// Would a VM for `domain` need a fresh host-only network? (Feeds the
+    /// §3.4 cost function.)
+    pub fn needs_new_network(&self, domain: &str) -> bool {
+        self.pool.needs_new_network(domain)
     }
 
-    /// Free host-only networks on a plant.
-    pub fn free_networks(&self, plant: &str) -> Result<usize, ServiceError> {
-        let p = self
-            .plants
-            .get(plant)
-            .ok_or_else(|| ServiceError::UnknownPlant(plant.to_owned()))?;
-        Ok(p.pool.free_count())
+    /// Host-only networks currently assigned to client domains.
+    pub fn networks_in_use(&self) -> usize {
+        self.pool.size() - self.pool.free_count()
     }
 
-    /// Set up networking for one VM of `proxy.domain` on `plant`: allocate
-    /// (or reuse) the domain's host-only network, establish the VNET
-    /// bridge if the network is fresh, and assign an IP and MAC from the
-    /// client domain.
-    pub fn lease(
+    /// Attach one VM of `domain` to the domain's host-only network,
+    /// allocating the network and bridging it to `proxy` when it is
+    /// fresh. A failed bridge rolls the attach back.
+    pub fn attach(
         &mut self,
-        plant: &str,
+        domain: &str,
         proxy: &ProxyEndpoint,
-    ) -> Result<NetworkLease, ServiceError> {
-        let p = self
-            .plants
-            .get_mut(plant)
-            .ok_or_else(|| ServiceError::UnknownPlant(plant.to_owned()))?;
-        let allocator = self
-            .domains
-            .get_mut(&proxy.domain)
-            .ok_or_else(|| ServiceError::UnknownDomain(proxy.domain.clone()))?;
-        let (network, fresh_network) = p.pool.attach(&proxy.domain)?;
-        if fresh_network {
-            let reach = p.reachability_template.clone();
-            if let Err(e) = p.bridge.connect(network, &proxy.domain, proxy.clone(), reach) {
-                // Roll the pool attach back so the failure is atomic.
-                let _ = p.pool.detach(network);
+    ) -> Result<(NetworkId, bool), ServiceError> {
+        let (network, fresh) = self.pool.attach(domain)?;
+        if fresh {
+            let reach = self.reachability.clone();
+            if let Err(e) = self.bridge.connect(network, domain, proxy.clone(), reach) {
+                let _ = self.pool.detach(network);
                 return Err(e.into());
             }
         }
-        let ip = match allocator.allocate() {
-            Ok(ip) => ip,
-            Err(e) => {
-                if p.pool.detach(network) == Ok(true) {
-                    let _ = p.bridge.disconnect(network);
-                }
-                return Err(e.into());
-            }
-        };
-        let mac = allocator.next_mac();
-        Ok(NetworkLease {
-            plant: plant.to_owned(),
-            network,
-            fresh_network,
-            ip,
-            mac,
-        })
+        Ok((network, fresh))
     }
 
-    /// Release one VM's lease; tears the bridge down when the network's
-    /// last VM leaves.
-    pub fn release(&mut self, lease: &NetworkLease) -> Result<(), ServiceError> {
-        let p = self
-            .plants
-            .get_mut(&lease.plant)
-            .ok_or_else(|| ServiceError::UnknownPlant(lease.plant.clone()))?;
-        let domain = p
-            .pool
-            .domain_of(lease.network)
-            .ok_or(ServiceError::Pool(PoolError::NotAttached {
-                network: lease.network,
-            }))?
-            .to_owned();
-        let reclaimed = p.pool.detach(lease.network)?;
-        if reclaimed {
-            p.bridge.disconnect(lease.network)?;
+    /// Detach one VM from `network`; the bridge goes down with the
+    /// network's last VM.
+    pub fn detach(&mut self, network: NetworkId) -> Result<(), ServiceError> {
+        if self.pool.detach(network)? {
+            self.bridge.disconnect(network)?;
         }
-        let allocator = self
-            .domains
-            .get_mut(&domain)
-            .ok_or(ServiceError::UnknownDomain(domain))?;
-        allocator.release(&lease.ip)?;
         Ok(())
     }
 
-    /// Pool invariant across all plants (test hook).
-    pub fn invariants_hold(&self) -> bool {
-        self.plants.values().all(|p| p.pool.invariant_holds())
+    /// [`attach`](Self::attach) plus an IP and MAC from `domain`. A
+    /// failed allocation rolls the attach back.
+    pub fn lease(
+        &mut self,
+        domain: &str,
+        proxy: &ProxyEndpoint,
+    ) -> Result<NetworkLease, ServiceError> {
+        let (network, fresh_network) = self.attach(domain, proxy)?;
+        match self.domains.allocate(domain) {
+            Ok((ip, mac)) => Ok(NetworkLease {
+                domain: domain.to_owned(),
+                network,
+                fresh_network,
+                ip,
+                mac,
+            }),
+            Err(e) => {
+                let _ = self.detach(network);
+                Err(e)
+            }
+        }
     }
-}
 
-impl Default for VirtualNetworkService {
-    fn default() -> Self {
-        VirtualNetworkService::new()
+    /// [`detach`](Self::detach) plus the IP's return to its domain. Both
+    /// halves run even if the first fails.
+    pub fn release(&mut self, lease: &NetworkLease) -> Result<(), ServiceError> {
+        let detached = self.detach(lease.network);
+        self.domains.release(&lease.domain, &lease.ip)?;
+        detached
+    }
+
+    /// The pool's exclusivity invariant (test hook).
+    pub fn invariant_holds(&self) -> bool {
+        self.pool.invariant_holds()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ip::DomainIpAllocator;
 
-    fn service() -> VirtualNetworkService {
-        let mut s = VirtualNetworkService::new();
-        s.register_plant("plantA", 4, 9400);
-        s.register_plant("plantB", 4, 9400);
-        s.register_domain(DomainIpAllocator::new("ufl.edu", [128, 227, 56], 10, 50));
-        s.register_domain(DomainIpAllocator::new(
+    fn service(networks: usize) -> VirtualNetworkService {
+        let domains = DomainDirectory::new();
+        domains.register(DomainIpAllocator::new("ufl.edu", [128, 227, 56], 10, 50));
+        domains.register(DomainIpAllocator::new(
             "northwestern.edu",
             [129, 105, 44],
             100,
             150,
         ));
-        s
+        VirtualNetworkService::new(networks, Reachability::Direct { port: 9400 }, domains)
     }
 
     fn ufl_proxy() -> ProxyEndpoint {
@@ -264,102 +206,125 @@ mod tests {
 
     #[test]
     fn first_lease_allocates_later_leases_reuse() {
-        let mut s = service();
-        let l1 = s.lease("plantA", &ufl_proxy()).unwrap();
+        let mut s = service(4);
+        let l1 = s.lease("ufl.edu", &ufl_proxy()).unwrap();
         assert!(l1.fresh_network);
         assert_eq!(l1.ip, "128.227.56.10");
-        let l2 = s.lease("plantA", &ufl_proxy()).unwrap();
+        let l2 = s.lease("ufl.edu", &ufl_proxy()).unwrap();
         assert!(!l2.fresh_network);
         assert_eq!(l2.network, l1.network);
         assert_ne!(l2.ip, l1.ip);
         assert_ne!(l2.mac, l1.mac);
-        assert!(s.invariants_hold());
+        assert!(s.invariant_holds());
     }
 
     #[test]
     fn release_reclaims_network_and_ip() {
-        let mut s = service();
-        let l1 = s.lease("plantA", &ufl_proxy()).unwrap();
-        let l2 = s.lease("plantA", &ufl_proxy()).unwrap();
+        let mut s = service(4);
+        let l1 = s.lease("ufl.edu", &ufl_proxy()).unwrap();
+        let l2 = s.lease("ufl.edu", &ufl_proxy()).unwrap();
         s.release(&l1).unwrap();
-        assert!(!s.needs_new_network("plantA", "ufl.edu").unwrap());
+        assert!(!s.needs_new_network("ufl.edu"));
         s.release(&l2).unwrap();
-        assert!(s.needs_new_network("plantA", "ufl.edu").unwrap());
-        assert_eq!(s.free_networks("plantA").unwrap(), 4);
+        assert!(s.needs_new_network("ufl.edu"));
+        assert_eq!(s.networks_in_use(), 0);
         // Both IPs are free again.
-        let l3 = s.lease("plantA", &ufl_proxy()).unwrap();
+        assert_eq!(s.domains().allocated_count("ufl.edu"), 0);
+        let l3 = s.lease("ufl.edu", &ufl_proxy()).unwrap();
         assert_eq!(l3.ip, "128.227.56.10");
     }
 
     #[test]
-    fn domains_are_isolated_per_network() {
-        let mut s = service();
-        let l_ufl = s.lease("plantA", &ufl_proxy()).unwrap();
-        let l_nw = s
-            .lease(
-                "plantA",
-                &ProxyEndpoint::new("northwestern.edu", "proxy.nw.edu", 9301),
-            )
-            .unwrap();
-        assert_ne!(l_ufl.network, l_nw.network);
-        assert!(l_nw.ip.starts_with("129.105.44."));
-        assert!(s.invariants_hold());
+    fn attach_and_detach_leave_addresses_alone() {
+        let mut s = service(4);
+        let (network, fresh) = s.attach("ufl.edu", &ufl_proxy()).unwrap();
+        assert!(fresh);
+        assert_eq!(s.networks_in_use(), 1);
+        assert_eq!(s.domains().allocated_count("ufl.edu"), 0);
+        s.detach(network).unwrap();
+        assert_eq!(s.networks_in_use(), 0);
+        assert!(s.detach(network).is_err(), "double detach rejected");
     }
 
     #[test]
-    fn unknown_plant_and_domain_fail_cleanly() {
-        let mut s = service();
+    fn domains_are_isolated_per_network() {
+        let mut s = service(4);
+        let l_ufl = s.lease("ufl.edu", &ufl_proxy()).unwrap();
+        let nw_proxy = ProxyEndpoint::new("northwestern.edu", "proxy.nw.edu", 9301);
+        let l_nw = s.lease("northwestern.edu", &nw_proxy).unwrap();
+        assert_ne!(l_ufl.network, l_nw.network);
+        assert!(l_nw.ip.starts_with("129.105.44."));
+        assert!(s.invariant_holds());
+    }
+
+    #[test]
+    fn unknown_domain_fails_cleanly() {
+        let mut s = service(4);
         assert!(matches!(
-            s.lease("ghost", &ufl_proxy()),
-            Err(ServiceError::UnknownPlant(_))
-        ));
-        assert!(matches!(
-            s.lease("plantA", &ProxyEndpoint::new("nowhere.org", "p", 1)),
+            s.lease("nowhere.org", &ProxyEndpoint::new("nowhere.org", "p", 1)),
             Err(ServiceError::UnknownDomain(_))
         ));
+        assert_eq!(s.networks_in_use(), 0, "the attach was rolled back");
+    }
+
+    #[test]
+    fn proxy_of_another_domain_is_refused() {
+        let mut s = service(4);
+        let err = s.lease("northwestern.edu", &ufl_proxy()).unwrap_err();
+        assert!(matches!(
+            err,
+            ServiceError::Bridge(BridgeError::DomainMismatch { .. })
+        ));
+        assert_eq!(s.networks_in_use(), 0, "the attach was rolled back");
     }
 
     #[test]
     fn pool_exhaustion_surfaces_and_leaves_state_clean() {
-        let mut s = VirtualNetworkService::new();
-        s.register_plant("tiny", 1, 9400);
-        s.register_domain(DomainIpAllocator::new("d1", [10, 0, 0], 1, 5));
-        s.register_domain(DomainIpAllocator::new("d2", [10, 0, 1], 1, 5));
-        s.lease("tiny", &ProxyEndpoint::new("d1", "p1", 1)).unwrap();
+        let domains = DomainDirectory::new();
+        domains.register(DomainIpAllocator::new("d1", [10, 0, 0], 1, 5));
+        domains.register(DomainIpAllocator::new("d2", [10, 0, 1], 1, 5));
+        let mut s = VirtualNetworkService::new(1, Reachability::Direct { port: 9400 }, domains);
+        s.lease("d1", &ProxyEndpoint::new("d1", "p1", 1)).unwrap();
         let err = s
-            .lease("tiny", &ProxyEndpoint::new("d2", "p2", 1))
+            .lease("d2", &ProxyEndpoint::new("d2", "p2", 1))
             .unwrap_err();
         assert!(matches!(err, ServiceError::Pool(PoolError::Exhausted)));
-        assert!(s.invariants_hold());
+        assert!(s.invariant_holds());
     }
 
     #[test]
     fn ip_exhaustion_rolls_back_the_network_attach() {
-        let mut s = VirtualNetworkService::new();
-        s.register_plant("p", 2, 9400);
-        s.register_domain(DomainIpAllocator::new("d", [10, 0, 0], 1, 1));
-        let l1 = s.lease("p", &ProxyEndpoint::new("d", "proxy", 1)).unwrap();
-        let err = s.lease("p", &ProxyEndpoint::new("d", "proxy", 1)).unwrap_err();
+        let domains = DomainDirectory::new();
+        domains.register(DomainIpAllocator::new("d", [10, 0, 0], 1, 1));
+        let mut s = VirtualNetworkService::new(2, Reachability::Direct { port: 9400 }, domains);
+        let proxy = ProxyEndpoint::new("d", "proxy", 1);
+        let l1 = s.lease("d", &proxy).unwrap();
+        let err = s.lease("d", &proxy).unwrap_err();
         assert!(matches!(err, ServiceError::Ip(IpError::PoolExhausted)));
         // The failed lease must not leak a VM attachment.
         s.release(&l1).unwrap();
-        assert_eq!(s.free_networks("p").unwrap(), 2);
+        assert_eq!(s.networks_in_use(), 0);
     }
 
     #[test]
     fn gateway_plants_lease_like_direct_ones() {
-        let mut s = VirtualNetworkService::new();
-        s.register_plant_behind_gateway("private0", 2, "gw.site", 10_000, 9400);
-        s.register_domain(DomainIpAllocator::new("ufl.edu", [128, 227, 56], 10, 20));
-        let lease = s.lease("private0", &ufl_proxy()).unwrap();
+        let domains = DomainDirectory::new();
+        domains.register(DomainIpAllocator::new("ufl.edu", [128, 227, 56], 10, 20));
+        let reach = Reachability::GatewayTunnel {
+            gateway: "gw.site".into(),
+            public_port: 10_000,
+            plant_port: 9400,
+        };
+        let mut s = VirtualNetworkService::new(2, reach, domains);
+        let lease = s.lease("ufl.edu", &ufl_proxy()).unwrap();
         assert!(lease.fresh_network);
     }
 
     #[test]
     fn release_of_unknown_lease_fails() {
-        let mut s = service();
+        let mut s = service(4);
         let bogus = NetworkLease {
-            plant: "plantA".into(),
+            domain: "ufl.edu".into(),
             network: NetworkId(0),
             fresh_network: true,
             ip: "128.227.56.10".into(),

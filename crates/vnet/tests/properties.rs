@@ -5,7 +5,8 @@
 
 use vmplants_simkit::SimRng;
 use vmplants_vnet::{
-    DomainIpAllocator, HostOnlyPool, NetworkId, ProxyEndpoint, VirtualNetworkService,
+    DomainDirectory, DomainIpAllocator, HostOnlyPool, NetworkId, ProxyEndpoint, Reachability,
+    VirtualNetworkService,
 };
 
 /// Cases per property: one `SimRng` seed each.
@@ -66,28 +67,30 @@ fn pool_invariant_under_churn() {
     }
 }
 
-/// Leases through the full service never leak: after releasing every
+/// Leases through a plant's service never leak: after releasing every
 /// lease, all networks and IPs are free again.
 #[test]
 fn service_leases_are_leak_free() {
     for seed in SEEDS {
         let mut rng = SimRng::seed_from_u64(seed);
-        let mut s = VirtualNetworkService::new();
-        s.register_plant("p", 3, 9400);
+        let domains = DomainDirectory::new();
         for d in 0..5u8 {
-            s.register_domain(DomainIpAllocator::new(
+            domains.register(DomainIpAllocator::new(
                 format!("domain{d}"),
                 [10, 0, d],
                 1,
                 200,
             ));
         }
+        let reach = Reachability::Direct { port: 9400 };
+        let mut s = VirtualNetworkService::new(3, reach, domains.clone());
         let mut leases = Vec::new();
         for op in random_ops(&mut rng) {
             match op {
                 Op::Attach(d) => {
-                    let proxy = ProxyEndpoint::new(format!("domain{d}"), "proxy", 1);
-                    if let Ok(l) = s.lease("p", &proxy) {
+                    let domain = format!("domain{d}");
+                    let proxy = ProxyEndpoint::new(domain.clone(), "proxy", 1);
+                    if let Ok(l) = s.lease(&domain, &proxy) {
                         leases.push(l);
                     }
                 }
@@ -97,11 +100,18 @@ fn service_leases_are_leak_free() {
                     }
                 }
             }
-            assert!(s.invariants_hold(), "seed {seed}");
+            assert!(s.invariant_holds(), "seed {seed}");
         }
         for l in leases {
             s.release(&l).unwrap();
         }
-        assert_eq!(s.free_networks("p").unwrap(), 3, "seed {seed}");
+        assert_eq!(s.networks_in_use(), 0, "seed {seed}");
+        for d in 0..5u8 {
+            assert_eq!(
+                domains.allocated_count(&format!("domain{d}")),
+                0,
+                "seed {seed}"
+            );
+        }
     }
 }
