@@ -4,7 +4,7 @@ use std::fmt;
 use std::rc::Rc;
 
 use crate::expr::{Expr, Scope};
-use crate::value::Value;
+use crate::value::{Text, Value};
 
 /// An attribute name as an ad stores it.
 ///
@@ -90,6 +90,14 @@ impl ClassAd {
         ClassAd::default()
     }
 
+    /// An empty ad with room for `attributes` bindings, so building it up
+    /// to that size never grows its storage.
+    pub fn with_capacity(attributes: usize) -> Self {
+        ClassAd {
+            entries: Rc::new(Vec::with_capacity(attributes)),
+        }
+    }
+
     /// Number of attributes.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -105,7 +113,7 @@ impl ClassAd {
     /// the new spelling of `name`. A `&'static str` name is stored
     /// without allocating.
     pub fn set(&mut self, name: impl AsRef<str> + Into<AttrName>, expr: Expr) {
-        let entries = Rc::make_mut(&mut self.entries);
+        let entries = self.entries_mut();
         match entries
             .iter_mut()
             .find(|(n, _)| n.as_str().eq_ignore_ascii_case(name.as_ref()))
@@ -125,13 +133,39 @@ impl ClassAd {
         self.set(name, Expr::Lit(value.into()));
     }
 
+    /// Bind `name` to the display text of `value` ([`Value::display`]),
+    /// unless the ad already binds that very text under that spelling:
+    /// then it is left as it is, and a shared ad is not copied.
+    pub fn set_display(&mut self, name: impl AsRef<str> + Into<AttrName>, value: impl fmt::Display) {
+        let text = Text::of(value);
+        let held = self.entries.iter().any(|(n, expr)| {
+            n.as_str() == name.as_ref()
+                && matches!(expr, Expr::Lit(Value::Str(s)) if **s == *text.as_str())
+        });
+        if !held {
+            self.set(name, Expr::Lit(Value::Str(text.as_str().into())));
+        }
+    }
+
     /// Remove a binding; returns the removed expression if present.
     pub fn remove(&mut self, name: &str) -> Option<Expr> {
         let idx = self
             .entries
             .iter()
             .position(|(n, _)| n.as_str().eq_ignore_ascii_case(name))?;
-        Some(Rc::make_mut(&mut self.entries).remove(idx).1)
+        Some(self.entries_mut().remove(idx).1)
+    }
+
+    /// The attribute list, for writing: a shared list is copied first,
+    /// keeping its capacity, so a binding appended to the copy of a
+    /// presized ad does not grow it again.
+    fn entries_mut(&mut self) -> &mut Vec<(AttrName, Expr)> {
+        if Rc::get_mut(&mut self.entries).is_none() {
+            let mut copy = Vec::with_capacity(self.entries.capacity());
+            copy.extend(self.entries.iter().cloned());
+            self.entries = Rc::new(copy);
+        }
+        Rc::get_mut(&mut self.entries).expect("the list was just unshared")
     }
 
     /// True if the attribute is bound.

@@ -35,6 +35,13 @@ impl Value {
         Value::Str(s.as_ref().into())
     }
 
+    /// A string value holding `value`'s display text. The text is
+    /// formatted on the stack, so the shared string is the one
+    /// allocation.
+    pub fn display(value: impl fmt::Display) -> Value {
+        Value::Str(Text::of(value).as_str().into())
+    }
+
     /// True for the `UNDEFINED` sentinel.
     pub fn is_undefined(&self) -> bool {
         matches!(self, Value::Undefined)
@@ -141,6 +148,53 @@ impl Value {
     }
 }
 
+/// Display text formatted into a stack buffer, moved to the heap only
+/// when it outgrows the buffer.
+pub(crate) struct Text {
+    buf: [u8; 48],
+    len: usize,
+    spilled: Option<String>,
+}
+
+impl Text {
+    /// Format `value`.
+    pub(crate) fn of(value: impl fmt::Display) -> Text {
+        use fmt::Write;
+        let mut text = Text {
+            buf: [0; 48],
+            len: 0,
+            spilled: None,
+        };
+        write!(text, "{value}").expect("formatting into memory does not fail");
+        text
+    }
+
+    /// The formatted text.
+    pub(crate) fn as_str(&self) -> &str {
+        match &self.spilled {
+            Some(text) => text,
+            None => std::str::from_utf8(&self.buf[..self.len]).expect("whole strs were copied in"),
+        }
+    }
+}
+
+impl fmt::Write for Text {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        if let Some(text) = &mut self.spilled {
+            text.push_str(s);
+        } else if let Some(room) = self.buf.get_mut(self.len..self.len + s.len()) {
+            room.copy_from_slice(s.as_bytes());
+            self.len += s.len();
+        } else {
+            let mut text = String::with_capacity(self.len + s.len());
+            text.push_str(self.as_str());
+            text.push_str(s);
+            self.spilled = Some(text);
+        }
+        Ok(())
+    }
+}
+
 impl From<bool> for Value {
     fn from(b: bool) -> Value {
         Value::Bool(b)
@@ -169,6 +223,11 @@ impl From<f64> for Value {
 impl From<&str> for Value {
     fn from(s: &str) -> Value {
         Value::Str(s.into())
+    }
+}
+impl From<Rc<str>> for Value {
+    fn from(s: Rc<str>) -> Value {
+        Value::Str(s)
     }
 }
 impl From<String> for Value {

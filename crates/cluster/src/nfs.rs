@@ -206,7 +206,7 @@ impl NfsServer {
     pub fn fetch<F>(
         &self,
         engine: &mut Engine,
-        src: impl Into<String>,
+        src: impl Into<Rc<str>>,
         dst_store: &FileStore,
         dst: impl Into<String>,
         done: F,
@@ -315,7 +315,7 @@ impl NfsServer {
     pub fn fetch_all<F>(
         &self,
         engine: &mut Engine,
-        pairs: Vec<(String, String)>,
+        pairs: Vec<(Rc<str>, String)>,
         dst_store: &FileStore,
         done: F,
     ) where
@@ -329,7 +329,7 @@ impl NfsServer {
     fn fetch_all_from<F>(
         &self,
         engine: &mut Engine,
-        mut pairs: std::vec::IntoIter<(String, String)>,
+        mut pairs: std::vec::IntoIter<(Rc<str>, String)>,
         dst_store: FileStore,
         moved: u64,
         done: F,
@@ -373,7 +373,7 @@ mod tests {
                 .put(format!("/warehouse/golden/disk{i}"), extent, FileKind::DiskExtent)
                 .unwrap();
             pairs.push((
-                format!("/warehouse/golden/disk{i}"),
+                format!("/warehouse/golden/disk{i}").into(),
                 format!("/local/clone/disk{i}"),
             ));
         }

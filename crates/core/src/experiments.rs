@@ -235,12 +235,12 @@ pub fn copy_vs_clone(seed: u64) -> CopyVsClone {
         let nfs = NfsServer::new("storage");
         let image = ImageFiles::plan("/warehouse/g256", VmmType::VmwareLike, 256, gb(2));
         image.materialize(&nfs.store, 256, gb(2)).expect("publish");
-        let pairs: Vec<(String, String)> = image
+        let pairs: Vec<(Rc<str>, String)> = image
             .disk_extents
             .iter()
             .map(|src| {
                 let name = src.rsplit('/').next().expect("path");
-                (String::from(&**src), format!("/clones/vm/{name}"))
+                (Rc::clone(src), format!("/clones/vm/{name}"))
             })
             .collect();
         let out = Rc::new(RefCell::new(None));

@@ -150,6 +150,21 @@ impl ConfigDag {
         self.graph.index.get(id).map(|&i| &self.graph.nodes[i])
     }
 
+    /// The action at node index `node`: nodes are numbered in insertion
+    /// order, the form a [`crate::MatchReport`] names them in.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the DAG has no node `node`.
+    pub fn action_at(&self, node: usize) -> &Action {
+        &self.graph.nodes[node]
+    }
+
+    /// The labels of the nodes `nodes`, in their order.
+    pub fn labels(&self, nodes: &[usize]) -> Vec<&str> {
+        nodes.iter().map(|&node| self.action_at(node).id.as_str()).collect()
+    }
+
     /// All actions in insertion order.
     pub fn actions(&self) -> impl Iterator<Item = &Action> {
         self.graph.nodes.iter()
@@ -281,7 +296,7 @@ impl ConfigDag {
         &self.graph.succs
     }
 
-    fn idx(&self, id: &str) -> Result<usize, DagError> {
+    pub(crate) fn idx(&self, id: &str) -> Result<usize, DagError> {
         self.graph.index
             .get(id)
             .copied()

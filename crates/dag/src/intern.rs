@@ -13,8 +13,8 @@
 //!   per-node ancestor bitsets (making the Prefix and Partial Order tests
 //!   bit-tests instead of graph walks) and the topological order.
 //! * [`CompiledDag::verdict`] runs the three tests against an interned log
-//!   without allocating any strings; [`CompiledDag::report`] materializes
-//!   the full [`MatchReport`] for the winning candidate only.
+//!   without allocating any strings; [`CompiledDag::report`] adds the
+//!   residual schedule, as node indices, for the winning candidate only.
 //!
 //! The compiled path returns *identical* verdicts, reports and
 //! [`MatchFailure`]s to the naive path (checked on seeded random DAGs and
@@ -22,7 +22,7 @@
 //! signature-subset index to prune non-matching goldens cheaply.
 
 use std::borrow::Borrow;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
 use crate::action::{ActionSignature, SigRef};
@@ -146,16 +146,12 @@ impl BitSet {
 
     /// Membership test (out-of-range bits are absent).
     pub fn contains(&self, bit: usize) -> bool {
-        self.words
-            .get(bit / 64)
-            .is_some_and(|w| w & (1 << (bit % 64)) != 0)
+        has_bit(&self.words, bit)
     }
 
     /// True when every member of `self` is in `other`.
     pub fn is_subset(&self, other: &BitSet) -> bool {
-        self.words.iter().enumerate().all(|(i, &w)| {
-            w & !other.words.get(i).copied().unwrap_or(0) == 0
-        })
+        is_subset_of(&self.words, &other.words)
     }
 }
 
@@ -206,9 +202,7 @@ impl InternedLog {
     }
 }
 
-/// A successful verdict: which DAG nodes an image covers, as indices —
-/// no strings are cloned until [`CompiledDag::report`] is called for the
-/// winning candidate.
+/// A successful verdict: which DAG nodes an image covers, as indices.
 #[derive(Clone, Debug)]
 pub struct MatchedSet {
     /// Matched node indices in performed (log) order.
@@ -224,20 +218,34 @@ impl MatchedSet {
     }
 }
 
+/// Whether `bit` is set in the bitset `words`.
+fn has_bit(words: &[u64], bit: usize) -> bool {
+    words.get(bit / 64).is_some_and(|w| w & (1 << (bit % 64)) != 0)
+}
+
+/// Whether every bit set in `words` is set in `of`.
+fn is_subset_of(words: &[u64], of: &[u64]) -> bool {
+    words
+        .iter()
+        .enumerate()
+        .all(|(i, &w)| w & !of.get(i).copied().unwrap_or(0) == 0)
+}
+
 /// A request DAG compiled for repeated matching: signature→node map,
 /// ancestor bitsets and topological order, all computed exactly once.
 pub struct CompiledDag<'d> {
     dag: &'d ConfigDag,
-    /// Each node's signature, by node index, borrowed from the DAG.
-    sigs: Vec<SigRef<'d>>,
     /// Interned signature id → node index (only signatures the interner
     /// knows; an unknown signature cannot appear in any interned log).
     by_sig: HashMap<SigId, usize>,
-    /// First duplicated signature in insertion order, if any — matching by
-    /// signature needs signatures unambiguous within the DAG.
-    dup_sig: Option<SigRef<'d>>,
-    /// Ancestor bitset per node (bits are node indices).
-    ancestors: Vec<BitSet>,
+    /// The first node, in insertion order, whose signature an earlier
+    /// node already has — matching by signature needs signatures
+    /// unambiguous within the DAG.
+    dup_sig: Option<usize>,
+    /// Ancestor bitsets (bits are node indices), `words` words per node,
+    /// node after node in one buffer.
+    ancestors: Vec<u64>,
+    words: usize,
     /// Topological order as node indices (same tie-breaks as
     /// [`ConfigDag::topo_sort`]).
     topo: Vec<usize>,
@@ -249,83 +257,83 @@ pub struct CompiledDag<'d> {
 impl<'d> CompiledDag<'d> {
     /// Compile against a mutable interner, interning every DAG signature.
     pub fn compile(dag: &'d ConfigDag, interner: &mut SigInterner) -> CompiledDag<'d> {
-        Self::build(dag, |sig| Some(interner.intern(sig)))
+        let bits = interner.len() + dag.len();
+        Self::build(dag, bits, |sig| Some(interner.intern(sig)))
     }
 
     /// Compile against a read-only interner: DAG signatures the interner
     /// has never seen get no id, which is safe because no interned log can
     /// contain them either.
     pub fn compile_readonly(dag: &'d ConfigDag, interner: &SigInterner) -> CompiledDag<'d> {
-        Self::build(dag, |sig| interner.get(sig))
+        Self::build(dag, interner.len(), |sig| interner.get(sig))
     }
 
-    fn build(dag: &'d ConfigDag, mut id_of: impl FnMut(SigRef<'d>) -> Option<SigId>) -> CompiledDag<'d> {
-        let n = dag.len();
-        let sigs: Vec<SigRef<'d>> = dag.actions().map(|action| action.sig_ref()).collect();
+    /// `sig_ids` is the number of signature ids `id_of` may return.
+    fn build(
+        dag: &'d ConfigDag,
+        sig_ids: usize,
+        mut id_of: impl FnMut(SigRef<'d>) -> Option<SigId>,
+    ) -> CompiledDag<'d> {
+        let nodes = dag.nodes_raw();
+        let n = nodes.len();
         let mut by_sig = HashMap::with_capacity(n);
         let mut dup_sig = None;
-        let mut sig_bits = BitSet::default();
-        let mut seen: HashMap<SigRef<'d>, usize> = HashMap::with_capacity(n);
-        for (idx, &sig) in sigs.iter().enumerate() {
-            if seen.insert(sig, idx).is_some() {
-                if dup_sig.is_none() {
-                    dup_sig = Some(sig);
-                }
-                continue;
-            }
-            if let Some(id) = id_of(sig) {
+        let mut sig_bits = BitSet::with_capacity(sig_ids);
+        for (idx, action) in nodes.iter().enumerate() {
+            let sig = action.sig_ref();
+            let id = id_of(sig);
+            // A known signature is a duplicate when an earlier node took
+            // its id; an unknown one, when an earlier node has it too
+            // (that node's signature is unknown as well).
+            let dup = match id {
+                Some(id) => by_sig.contains_key(&id),
+                None => nodes[..idx].iter().any(|earlier| earlier.sig_ref() == sig),
+            };
+            if dup {
+                dup_sig.get_or_insert(idx);
+            } else if let Some(id) = id {
                 by_sig.insert(id, idx);
                 sig_bits.insert(id as usize);
             }
         }
         // Ancestor bitsets in topological order: anc(v) = ⋃ anc(p) ∪ {p}.
+        // The ready set is a bitset too; its lowest member goes next, the
+        // tie-break of `ConfigDag::topo_sort`.
         let preds = dag.preds_raw();
         let succs = dag.succs_raw();
+        let words = n.div_ceil(64);
+        let mut ancestors = vec![0u64; n * words];
         let mut indegree: Vec<usize> = preds.iter().map(Vec::len).collect();
-        let mut ready: BTreeSet<usize> = indegree
-            .iter()
-            .enumerate()
-            .filter(|&(_, &d)| d == 0)
-            .map(|(i, _)| i)
-            .collect();
+        let mut ready = vec![0u64; words];
+        for (v, _) in indegree.iter().enumerate().filter(|&(_, &d)| d == 0) {
+            ready[v / 64] |= 1 << (v % 64);
+        }
         let mut topo = Vec::with_capacity(n);
-        let mut ancestors: Vec<BitSet> = (0..n).map(|_| BitSet::with_capacity(n)).collect();
-        while let Some(&v) = ready.iter().next() {
-            ready.remove(&v);
+        while let Some(w) = ready.iter().position(|&w| w != 0) {
+            let v = w * 64 + ready[w].trailing_zeros() as usize;
+            ready[w] &= !(1 << (v % 64));
             topo.push(v);
             for &p in &preds[v] {
                 // Union the predecessor's ancestors plus the predecessor.
-                let (pa, va) = if p < v {
-                    let (lo, hi) = ancestors.split_at_mut(v);
-                    (&lo[p], &mut hi[0])
-                } else {
-                    let (lo, hi) = ancestors.split_at_mut(p);
-                    (&hi[0], &mut lo[v])
-                };
-                for (i, &w) in pa.words.iter().enumerate() {
-                    if w != 0 {
-                        if i >= va.words.len() {
-                            va.words.resize(i + 1, 0);
-                        }
-                        va.words[i] |= w;
-                    }
+                for i in 0..words {
+                    ancestors[v * words + i] |= ancestors[p * words + i];
                 }
-                va.insert(p);
+                ancestors[v * words + p / 64] |= 1 << (p % 64);
             }
             for &s in &succs[v] {
                 indegree[s] -= 1;
                 if indegree[s] == 0 {
-                    ready.insert(s);
+                    ready[s / 64] |= 1 << (s % 64);
                 }
             }
         }
         debug_assert_eq!(topo.len(), n, "cycle slipped through");
         CompiledDag {
             dag,
-            sigs,
             by_sig,
             dup_sig,
             ancestors,
+            words,
             topo,
             sig_bits,
         }
@@ -339,40 +347,43 @@ impl<'d> CompiledDag<'d> {
     }
 
     fn label(&self, idx: usize) -> &str {
-        &self.dag.nodes_raw()[idx].id
+        &self.dag.action_at(idx).id
+    }
+
+    /// The ancestor bitset of node `v`.
+    fn ancestors(&self, v: usize) -> &[u64] {
+        &self.ancestors[v * self.words..(v + 1) * self.words]
     }
 
     /// Run the three §3.2 tests against an interned log. Failure selection
     /// matches [`crate::matching::match_image`] exactly; success carries
-    /// only node indices (no allocation per candidate).
+    /// only node indices.
     pub fn verdict(
         &self,
         log: &InternedLog,
         interner: &SigInterner,
     ) -> Result<MatchedSet, MatchFailure> {
-        if let Some(sig) = &self.dup_sig {
+        if let Some(idx) = self.dup_sig {
             return Err(MatchFailure::AmbiguousSignature {
-                signature: sig.to_string(),
+                signature: self.dag.action_at(idx).sig_ref().to_string(),
             });
         }
         // Subset Test, translating ids into node indices.
         let n = self.dag.len();
         let mut nodes = Vec::with_capacity(log.len());
         let mut bits = BitSet::with_capacity(n);
-        let mut position: Vec<usize> = vec![usize::MAX; n];
-        for (pos, &id) in log.ids().iter().enumerate() {
+        for &id in log.ids() {
             let Some(&idx) = self.by_sig.get(&id) else {
                 return Err(MatchFailure::NotSubset {
                     extra_operation: interner.resolve(id).to_string(),
                 });
             };
-            if position[idx] != usize::MAX {
+            if bits.contains(idx) {
                 // The same operation performed twice on one image.
                 return Err(MatchFailure::AmbiguousSignature {
-                    signature: self.sigs[idx].to_string(),
+                    signature: self.dag.action_at(idx).sig_ref().to_string(),
                 });
             }
-            position[idx] = pos;
             bits.insert(idx);
             nodes.push(idx);
         }
@@ -380,9 +391,10 @@ impl<'d> CompiledDag<'d> {
         // reference path reports the lexicographically smallest missing
         // ancestor label (BTreeSet iteration order); mirror that.
         for &v in &nodes {
-            if !self.ancestors[v].is_subset(&bits) {
+            let ancestors = self.ancestors(v);
+            if !is_subset_of(ancestors, &bits.words) {
                 let missing = (0..n)
-                    .filter(|&a| self.ancestors[v].contains(a) && !bits.contains(a))
+                    .filter(|&a| has_bit(ancestors, a) && !bits.contains(a))
                     .map(|a| self.label(a))
                     .min()
                     .expect("non-subset ancestors have a missing member");
@@ -397,7 +409,7 @@ impl<'d> CompiledDag<'d> {
         // `b` in the DAG iff `a` is an ancestor of `b` — one bit-test.
         for (a_pos, &a) in nodes.iter().enumerate() {
             for (b_pos, &b) in nodes.iter().enumerate() {
-                if a != b && self.ancestors[b].contains(a) && a_pos > b_pos {
+                if a != b && has_bit(self.ancestors(b), a) && a_pos > b_pos {
                     return Err(MatchFailure::OrderViolation {
                         before: self.label(a).to_owned(),
                         after: self.label(b).to_owned(),
@@ -408,22 +420,17 @@ impl<'d> CompiledDag<'d> {
         Ok(MatchedSet { nodes, bits })
     }
 
-    /// Materialize the full report for a successful verdict — called for
-    /// the winning candidate only, so label strings are cloned exactly
-    /// once per lookup.
-    pub fn report(&self, matched: &MatchedSet) -> MatchReport {
+    /// The full report for a successful verdict: its matched nodes, and
+    /// the residual ones in topological order.
+    pub fn report(&self, matched: MatchedSet) -> MatchReport {
         MatchReport {
-            matched: matched
-                .nodes
-                .iter()
-                .map(|&v| self.label(v).to_owned())
-                .collect(),
             residual: self
                 .topo
                 .iter()
-                .filter(|&&v| !matched.bits.contains(v))
-                .map(|&v| self.label(v).to_owned())
+                .copied()
+                .filter(|&v| !matched.bits.contains(v))
                 .collect(),
+            matched: matched.nodes,
         }
     }
 
@@ -434,7 +441,7 @@ impl<'d> CompiledDag<'d> {
         log: &InternedLog,
         interner: &SigInterner,
     ) -> Result<MatchReport, MatchFailure> {
-        self.verdict(log, interner).map(|m| self.report(&m))
+        self.verdict(log, interner).map(|m| self.report(m))
     }
 }
 
@@ -449,12 +456,16 @@ mod tests {
         InternedLog::from_log(log, interner)
     }
 
-    /// Compiled and naive paths agree on report and failure for a log.
+    /// Compiled and naive paths agree on report and failure for a log,
+    /// compiled read-only against the log's signatures alone (the DAG's
+    /// others unknown) and against an interner holding them all.
     fn assert_equivalent(dag: &ConfigDag, log: &PerformedLog) {
         let mut interner = SigInterner::new();
         let ilog = interned(log, &mut interner);
-        let compiled = CompiledDag::compile(dag, &mut interner);
         let naive = match_image(dag, log);
+        let readonly = CompiledDag::compile_readonly(dag, &interner).match_log(&ilog, &interner);
+        assert_eq!(naive, readonly, "naive and read-only compiled paths must agree");
+        let compiled = CompiledDag::compile(dag, &mut interner);
         let fast = compiled.match_log(&ilog, &interner);
         assert_eq!(naive, fast, "naive and compiled paths must agree");
     }
@@ -565,7 +576,7 @@ mod tests {
         let compiled = CompiledDag::compile_readonly(&dag, &interner);
         // The known log still matches...
         let report = compiled.match_log(&ilog, &interner).unwrap();
-        assert_eq!(report.matched, vec!["A", "B"]);
+        assert_eq!(dag.labels(&report.matched), vec!["A", "B"]);
         // ...and the request's sig set only covers interned ids.
         assert!(compiled.sig_bits().contains(0));
         assert!(compiled.sig_bits().contains(1));
@@ -573,7 +584,7 @@ mod tests {
     }
 
     #[test]
-    fn verdict_allocates_report_strings_only_on_demand() {
+    fn verdict_carries_the_matched_nodes_into_the_report() {
         let dag = invigo_workspace_dag("arijit");
         let mut interner = SigInterner::new();
         let log: PerformedLog = ["A", "B", "C"]
@@ -584,8 +595,8 @@ mod tests {
         let compiled = CompiledDag::compile(&dag, &mut interner);
         let verdict = compiled.verdict(&ilog, &interner).unwrap();
         assert_eq!(verdict.score(), 3);
-        let report = compiled.report(&verdict);
-        assert_eq!(report.matched, vec!["A", "B", "C"]);
+        let report = compiled.report(verdict);
+        assert_eq!(dag.labels(&report.matched), vec!["A", "B", "C"]);
         assert_eq!(report.residual.len(), 6);
     }
 }

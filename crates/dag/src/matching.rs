@@ -128,13 +128,17 @@ impl std::fmt::Display for MatchFailure {
 }
 
 /// A successful match of a cached image against a request DAG.
+///
+/// Nodes are named by their index in the DAG ([`ConfigDag::action_at`];
+/// [`ConfigDag::labels`] gives their labels), so a report copies no
+/// strings.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MatchReport {
-    /// DAG node labels satisfied by the cached image, in performed order.
-    pub matched: Vec<String>,
-    /// DAG node labels still to execute after cloning, in a valid
-    /// topological order of the residual sub-DAG.
-    pub residual: Vec<String>,
+    /// DAG nodes satisfied by the cached image, in performed order.
+    pub matched: Vec<usize>,
+    /// DAG nodes still to execute after cloning, in a valid topological
+    /// order of the residual sub-DAG.
+    pub residual: Vec<usize>,
 }
 
 impl MatchReport {
@@ -215,15 +219,17 @@ pub fn match_image(dag: &ConfigDag, performed: &PerformedLog) -> Result<MatchRep
     }
 
     // Residual: full topological order minus the matched set.
+    let node = |label: &str| dag.idx(label).expect("label from dag");
     let residual = dag
         .topo_sort()
         .expect("ConfigDag is acyclic by construction")
-        .into_iter()
+        .iter()
         .filter(|id| !position.contains_key(id.as_str()))
+        .map(|id| node(id))
         .collect();
 
     Ok(MatchReport {
-        matched: matched_labels.iter().map(|s| (*s).to_owned()).collect(),
+        matched: matched_labels.iter().map(|label| node(label)).collect(),
         residual,
     })
 }
@@ -248,15 +254,16 @@ mod tests {
     fn figure3_match_produces_residual_g_i_h() {
         let dag = invigo_workspace_dag("arijit");
         let report = match_image(&dag, &figure3_cached("arijit")).unwrap();
-        assert_eq!(report.matched, vec!["A", "B", "C", "D", "E", "F"]);
+        assert_eq!(dag.labels(&report.matched), vec!["A", "B", "C", "D", "E", "F"]);
         assert_eq!(report.score(), 6);
         assert!(!report.is_complete());
         // Residual must contain exactly G, H, I with G before H.
-        let mut sorted = report.residual.clone();
+        let residual = dag.labels(&report.residual);
+        let mut sorted = residual.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, vec!["G", "H", "I"]);
-        let g = report.residual.iter().position(|x| x == "G").unwrap();
-        let h = report.residual.iter().position(|x| x == "H").unwrap();
+        let g = residual.iter().position(|x| *x == "G").unwrap();
+        let h = residual.iter().position(|x| *x == "H").unwrap();
         assert!(g < h);
     }
 
@@ -353,7 +360,7 @@ mod tests {
         log.push(dag.action("G").unwrap().clone());
         let report = match_image(&dag, &log).unwrap();
         assert_eq!(report.score(), 8);
-        assert_eq!(report.residual, vec!["H"]);
+        assert_eq!(dag.labels(&report.residual), vec!["H"]);
     }
 
     #[test]
@@ -388,6 +395,6 @@ mod tests {
             relabeled.push(Action::from(body));
         }
         let report = match_image(&dag, &PerformedLog::from_actions(relabeled)).unwrap();
-        assert_eq!(report.matched, vec!["A", "B"]);
+        assert_eq!(dag.labels(&report.matched), vec!["A", "B"]);
     }
 }

@@ -62,11 +62,11 @@ fn valid_prefix(dag: &ConfigDag, rng: &mut SimRng, len: usize) -> PerformedLog {
 }
 
 /// Position of each id in `order`.
-fn positions(order: &[String]) -> HashMap<&str, usize> {
+fn positions<S: AsRef<str>>(order: &[S]) -> HashMap<&str, usize> {
     order
         .iter()
         .enumerate()
-        .map(|(i, id)| (id.as_str(), i))
+        .map(|(i, id)| (id.as_ref(), i))
         .collect()
 }
 
@@ -104,12 +104,13 @@ fn valid_prefixes_always_match() {
             dag.len(),
             "seed {seed}"
         );
-        let matched: HashSet<&String> = report.matched.iter().collect();
+        let matched: HashSet<&usize> = report.matched.iter().collect();
         assert!(
             report.residual.iter().all(|r| !matched.contains(r)),
             "seed {seed}: a node is both matched and residual"
         );
-        let pos = positions(&report.residual);
+        let residual = dag.labels(&report.residual);
+        let pos = positions(&residual);
         for (from, to) in dag.edges() {
             if let (Some(&f), Some(&t)) = (pos.get(from), pos.get(to)) {
                 assert!(f < t, "seed {seed}: residual puts {to} before {from}");
@@ -221,9 +222,12 @@ fn mutated_log(dag: &ConfigDag, rng: &mut SimRng) -> PerformedLog {
 }
 
 /// The interned/compiled matcher is observationally identical to the
-/// naive three-test path: the same report on valid prefixes and the same
-/// `MatchFailure` on logs with an order swap, a gap, a foreign operation
-/// or a duplicated signature.
+/// naive three-test path: the same index-form report on valid prefixes
+/// and the same `MatchFailure` on logs with an order swap, a gap, a
+/// foreign operation or a duplicated signature — compiled read-only
+/// against the log's signatures alone, and against an interner that also
+/// holds the DAG's. A report's node indices name the log's actions in
+/// performed order, and the rest of the DAG in `topo_sort` order.
 #[test]
 fn compiled_matching_equals_naive() {
     let mut failures = 0;
@@ -234,10 +238,25 @@ fn compiled_matching_equals_naive() {
         let naive = match_image(&dag, &log);
         let mut interner = SigInterner::new();
         let interned = InternedLog::from_log(&log, &mut interner);
+        let readonly = CompiledDag::compile_readonly(&dag, &interner).match_log(&interned, &interner);
+        assert_eq!(naive, readonly, "seed {seed}");
         let compiled = CompiledDag::compile(&dag, &mut interner);
         let fast = compiled.match_log(&interned, &interner);
-        failures += usize::from(naive.is_err());
         assert_eq!(naive, fast, "seed {seed}");
+        match naive {
+            Err(_) => failures += 1,
+            Ok(report) => {
+                let performed: Vec<&str> = log.actions().iter().map(|a| a.id.as_str()).collect();
+                assert_eq!(dag.labels(&report.matched), performed, "seed {seed}");
+                let rest: Vec<String> = dag
+                    .topo_sort()
+                    .unwrap()
+                    .into_iter()
+                    .filter(|id| !performed.contains(&id.as_str()))
+                    .collect();
+                assert_eq!(dag.labels(&report.residual), rest, "seed {seed}");
+            }
+        }
     }
     assert!(failures > 0 && failures < SEEDS.end as usize);
 }

@@ -18,6 +18,7 @@ use crate::cost::CostModel;
 use crate::infosys::{InfoSystem, VmRecord};
 use crate::order::{PlantError, ProductionOrder, VmId};
 use crate::production;
+use crate::protocol::SharedOrder;
 
 /// Static configuration of one plant.
 #[derive(Clone, Debug)]
@@ -352,15 +353,16 @@ impl Plant {
     }
 
     /// **Create**: the full PPP + production-line path. `done` receives
-    /// the new VM's classad.
-    pub fn create(&self, engine: &mut Engine, order: ProductionOrder, done: DoneAd) {
+    /// the new VM's classad. The order is produced as given: a
+    /// [`SharedOrder`] is borrowed, not copied.
+    pub fn create(&self, engine: &mut Engine, order: impl Into<SharedOrder>, done: DoneAd) {
         if !self.inner.borrow().alive {
             engine.schedule(SimDuration::ZERO, move |engine| {
                 done(engine, Err(PlantError::PlantDown))
             });
             return;
         }
-        production::start_creation(self.clone(), engine, order, done);
+        production::start_creation(self.clone(), engine, order.into(), done);
     }
 
     /// **Query**: the authoritative classad of an active VM, with dynamic
@@ -434,6 +436,14 @@ impl Plant {
     /// Host-only networks currently assigned to client domains.
     pub fn networks_in_use(&self) -> usize {
         self.inner.borrow().net.networks_in_use()
+    }
+
+    /// The bridge patching the host-only network of VM `id` through to
+    /// its client's proxy, if this plant hosts the VM.
+    pub fn bridge_of(&self, id: &VmId) -> Option<vmplants_vnet::Bridge> {
+        let state = self.inner.borrow();
+        let network = state.info.get(id)?.lease.network;
+        state.net.bridge(network).cloned()
     }
 
     /// Spare clones currently pre-created for a golden image.

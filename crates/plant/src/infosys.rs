@@ -21,26 +21,74 @@
 //!   [`InfoSystem::hand_over`], which first bring its attributes up to
 //!   the latest sample. [`VmRecord`] keeps its classad private, so no
 //!   caller can read stale monitor values.
+//!
+//! The `state` attribute is written the same way: a lifecycle step
+//! ([`VmRecord::transition`]) only records the [`VmState`], and reading
+//! the classad writes the state's name into the attribute's slot, which
+//! every record has from its creation on.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::rc::Rc;
 
-use vmplants_classad::{AttrName, ClassAd, Value};
+use vmplants_classad::{AttrName, ClassAd, Expr, Value};
 use vmplants_cluster::host::Host;
 use vmplants_dag::PerformedLog;
 use vmplants_simkit::SimTime;
 use vmplants_virt::{VmSpec, VmState};
-use vmplants_vnet::NetworkLease;
+use vmplants_vnet::{NetworkLease, ProxyEndpoint};
 use vmplants_warehouse::GoldenId;
 
 use crate::order::{PlantError, VmId};
 
-/// The attributes the VM monitor writes.
-const MONITOR_ATTRS: [&str; 4] = [
+/// The attributes written when a classad is read: the VM monitor's and
+/// the lifecycle state.
+const WRITTEN_ON_READ: [&str; 5] = [
     "uptime_s",
     "host_free_mb",
     "host_pressure",
     "last_monitor_s",
+    "state",
 ];
+
+/// The `state` attribute's value for `state`. The name of a state
+/// without a reason is allocated once per thread and shared by every
+/// classad that holds it.
+pub(crate) fn state_value(state: &VmState) -> Value {
+    thread_local! {
+        static NAMES: [Rc<str>; 8] = [
+            VmState::Cloning,
+            VmState::Resuming,
+            VmState::Booting,
+            VmState::Configuring,
+            VmState::Running,
+            VmState::Publishing,
+            VmState::Migrating,
+            VmState::Collected,
+        ]
+        .map(|state| Rc::from(state.name()));
+    }
+    if let VmState::Failed(_) = state {
+        return Value::from(state.to_string());
+    }
+    NAMES.with(|names| {
+        let name = names
+            .iter()
+            .find(|name| ***name == *state.name())
+            .expect("every state without a reason is listed");
+        Value::Str(Rc::clone(name))
+    })
+}
+
+/// Whether `text` is what [`state_value`] gives for `state`.
+fn names_state(text: &str, state: &VmState) -> bool {
+    match state {
+        VmState::Failed(reason) => text
+            .strip_prefix(state.name())
+            .and_then(|rest| rest.strip_prefix(": "))
+            == Some(reason.as_str()),
+        _ => text == state.name(),
+    }
+}
 
 /// One monitor reading of the plant's host.
 #[derive(Clone, Copy, Debug)]
@@ -67,15 +115,21 @@ pub struct VmRecord {
     pub id: VmId,
     /// Hardware spec it was created with.
     pub spec: VmSpec,
-    /// Lifecycle state.
+    /// Lifecycle state. The classad's `state` attribute follows it when
+    /// the classad is read.
     pub state: VmState,
-    /// The authoritative classad. Its monitor attributes may trail the
-    /// latest sample; it is read through [`InfoSystem::classad`].
+    /// The authoritative classad. Its monitor attributes and `state` may
+    /// trail the latest sample and lifecycle step; it is read through
+    /// [`InfoSystem::classad`].
     classad: ClassAd,
     /// Directory of the clone's files on the host disk.
     pub clone_dir: String,
-    /// The VM's network lease.
+    /// The VM's network lease: its host-only network and its client-domain
+    /// IP and MAC. The record is the lease's one holder.
     pub lease: NetworkLease,
+    /// The client's VNET proxy, as the order named it: a migration bridges
+    /// the target's network to it.
+    pub proxy: Rc<ProxyEndpoint>,
     /// Which golden image it was cloned from.
     pub golden: GoldenId,
     /// Every configuration action applied to this VM, in order: the
@@ -95,7 +149,9 @@ pub struct VmRecord {
 }
 
 impl VmRecord {
-    /// A record for a VM entering production (state `Cloning`).
+    /// A record for a VM entering production (state `Cloning`). The
+    /// classad's `state` attribute is written here, appended when
+    /// `classad` has none, so the attribute has its slot from now on.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         id: VmId,
@@ -103,24 +159,28 @@ impl VmRecord {
         classad: ClassAd,
         clone_dir: String,
         lease: NetworkLease,
+        proxy: Rc<ProxyEndpoint>,
         golden: GoldenId,
         performed: PerformedLog,
         created_at: SimTime,
     ) -> VmRecord {
-        VmRecord {
+        let mut record = VmRecord {
             id,
             spec,
             state: VmState::Cloning,
             classad,
             clone_dir,
             lease,
+            proxy,
             golden,
             performed,
             created_at,
             running_at: None,
             monitor: Synced::default(),
             collecting: false,
-        }
+        };
+        record.write_state();
+        record
     }
 
     /// Mark the VM as being collected, until its record is removed.
@@ -144,21 +204,32 @@ impl VmRecord {
         )))
     }
 
-    /// Bind a classad attribute (anything but the monitor's).
+    /// Bind a classad attribute (anything but those written on read).
     pub fn set_value(&mut self, name: impl AsRef<str> + Into<AttrName>, value: impl Into<Value>) {
         debug_assert!(
-            !is_monitor_attr(name.as_ref()),
-            "monitor attribute set directly"
+            !is_written_on_read(name.as_ref()),
+            "attribute written on read set directly"
         );
         self.classad.set_value(name, value);
     }
 
-    /// Read a string attribute the monitor does not write (those are
+    /// Bind a classad attribute (anything but those written on read) to
+    /// the display text of `value`, leaving it alone when it already
+    /// holds that text ([`ClassAd::set_display`]).
+    pub fn set_display(&mut self, name: &'static str, value: impl std::fmt::Display) {
+        debug_assert!(
+            !is_written_on_read(name),
+            "attribute written on read set directly"
+        );
+        self.classad.set_display(name, value);
+    }
+
+    /// Read a string attribute that is not written on read (those are
     /// current only through [`InfoSystem::classad`]).
     pub fn get_str(&self, name: &str) -> Option<String> {
         debug_assert!(
-            !is_monitor_attr(name),
-            "monitor attribute read around the monitor"
+            !is_written_on_read(name),
+            "attribute written on read read around the information system"
         );
         self.classad.get_str(name)
     }
@@ -180,11 +251,23 @@ impl VmRecord {
     }
 
     /// Advance the lifecycle state, asserting legality
-    /// ([`VmRecord::check_transition`]).
+    /// ([`VmRecord::check_transition`]). The classad's `state` follows
+    /// on its next read.
     pub fn transition(&mut self, next: VmState) {
         self.check_transition(&next);
-        self.classad.set_value("state", next.to_string());
         self.state = next;
+    }
+
+    /// Write the lifecycle state into the classad's `state` attribute,
+    /// unless it already holds it.
+    fn write_state(&mut self) {
+        let current = matches!(
+            self.classad.get_expr("state"),
+            Some(Expr::Lit(Value::Str(text))) if names_state(text, &self.state)
+        );
+        if !current {
+            self.classad.set_value("state", state_value(&self.state));
+        }
     }
 
     /// Write `sample` into the monitor attributes, with `uptime_s` when
@@ -207,8 +290,8 @@ impl VmRecord {
     }
 }
 
-fn is_monitor_attr(name: &str) -> bool {
-    MONITOR_ATTRS.iter().any(|a| a.eq_ignore_ascii_case(name))
+fn is_written_on_read(name: &str) -> bool {
+    WRITTEN_ON_READ.iter().any(|a| a.eq_ignore_ascii_case(name))
 }
 
 /// The per-plant store of VM records.
@@ -255,10 +338,12 @@ impl InfoSystem {
         self.records.get_mut(id)
     }
 
-    /// The record's classad, its monitor attributes brought up to the
-    /// latest sample: the one way a classad leaves the plant.
+    /// The record's classad, its `state` and monitor attributes brought
+    /// up to the lifecycle state and the latest sample: the one way a
+    /// classad leaves the plant.
     pub fn classad(&mut self, id: &VmId) -> Option<ClassAd> {
         let record = self.records.get_mut(id)?;
+        record.write_state();
         if let Some((seq, sample)) = &self.latest {
             if record.monitor.seq.is_some_and(|at| at < *seq) {
                 let uptime = record.monitor.uptime;
@@ -276,8 +361,8 @@ impl InfoSystem {
     }
 
     /// Remove a record that carries its classad to another plant
-    /// (migration): its monitor attributes are first brought up to the
-    /// latest sample.
+    /// (migration): its `state` and monitor attributes are first brought
+    /// up to date.
     pub fn hand_over(&mut self, id: &VmId) -> Option<VmRecord> {
         self.classad(id)?;
         self.remove(id)
@@ -383,9 +468,10 @@ mod tests {
                 domain: "ufl.edu".into(),
                 network: vmplants_vnet::NetworkId(0),
                 fresh_network: true,
-                ip: "128.227.56.10".into(),
-                mac: "02:56:00:00:00:01".into(),
+                ip: std::net::Ipv4Addr::new(128, 227, 56, 10),
+                mac: vmplants_vnet::MacAddr([2, 0x56, 0, 0, 0, 1]),
             },
+            Rc::new(ProxyEndpoint::new("ufl.edu", "proxy.ufl.edu", 9300)),
             GoldenId("g".into()),
             PerformedLog::new(),
             SimTime::ZERO,
@@ -421,11 +507,41 @@ mod tests {
     }
 
     #[test]
-    fn transitions_update_classad() {
-        let mut r = record("vm-1");
+    fn transitions_reach_the_classad_when_it_is_read() {
+        let mut sys = InfoSystem::new();
+        let id = VmId("vm-1".into());
+        sys.insert(record("vm-1"));
+        let r = sys.get_mut(&id).unwrap();
+        assert_eq!(r.classad.get_str("state"), Some("cloning".into()));
         r.transition(VmState::Resuming);
         r.transition(VmState::Configuring);
-        assert_eq!(r.classad.get_str("state"), Some("configuring".into()));
+        assert_eq!(r.classad.get_str("state"), Some("cloning".into()), "not yet read");
+        let ad = sys.classad(&id).unwrap();
+        assert_eq!(ad.get_str("state"), Some("configuring".into()));
+        sys.get_mut(&id)
+            .unwrap()
+            .transition(VmState::Failed("disk full".into()));
+        let ad = sys.classad(&id).unwrap();
+        assert_eq!(ad.get_str("state"), Some("failed: disk full".into()));
+        assert_eq!(ad.names().filter(|n| *n == "state").count(), 1);
+    }
+
+    #[test]
+    fn a_read_of_an_unchanged_state_writes_nothing() {
+        let mut sys = InfoSystem::new();
+        let id = VmId("vm-1".into());
+        sys.insert(record("vm-1"));
+        running(&mut sys, &id, SimTime::from_secs(1));
+        let first = sys.classad(&id).unwrap();
+        // The record still shares its list with the first reply: a second
+        // read with nothing new must not copy it.
+        let second = sys.classad(&id).unwrap();
+        assert_eq!(first, second);
+        assert_eq!(state_value(&VmState::Running), Value::str("running"));
+        assert_eq!(
+            state_value(&VmState::Failed("x".into())),
+            Value::str("failed: x")
+        );
     }
 
     #[test]
@@ -518,6 +634,22 @@ mod tests {
             self.eager.refresh_eager(now, &self.host);
         }
 
+        /// Move `id` to `next` (through `start_running` when it enters
+        /// `Running` from `Configuring`). The oracle writes `state` into
+        /// its classad at the step, as every step did before the state
+        /// was written on read.
+        fn step(&mut self, id: &VmId, next: &VmState, now: SimTime) {
+            let configuring = self.lazy.get(id).unwrap().state == VmState::Configuring;
+            self.each(|sys| {
+                if configuring && *next == VmState::Running {
+                    sys.start_running(id, now).unwrap();
+                } else {
+                    sys.get_mut(id).unwrap().transition(next.clone());
+                }
+            });
+            write_state_eagerly(self.eager.get_mut(id).unwrap());
+        }
+
         /// Compare what a client would read: the lazy system through its
         /// accessor, the oracle's classad as the eager pass left it.
         fn check(&mut self, id: &VmId, ctx: &str) {
@@ -550,7 +682,6 @@ mod tests {
                         next_id += 1;
                         let mut r = record(&id.0);
                         r.set_value("vmid", id.0.clone());
-                        r.set_value("state", "cloning");
                         r.created_at = now;
                         plants[p].each(|sys| sys.insert(r.clone()));
                         plants[p].host.register_vm(32);
@@ -566,19 +697,11 @@ mod tests {
                     3 => {
                         if let Some((id, p)) = pick {
                             let state = plants[p].lazy.get(&id).unwrap().state.clone();
-                            let next = match state {
-                                VmState::Cloning => Some(VmState::Resuming),
-                                VmState::Resuming => Some(VmState::Configuring),
-                                VmState::Configuring => None,
-                                VmState::Running => Some(VmState::Publishing),
-                                _ => Some(VmState::Running),
-                            };
-                            plants[p].each(|sys| match &next {
-                                Some(next) => sys.get_mut(&id).unwrap().transition(next.clone()),
-                                None => {
-                                    sys.start_running(&id, now).unwrap();
-                                }
-                            });
+                            let next = successors(&state);
+                            if !next.is_empty() {
+                                let next = &next[rng.index(next.len())];
+                                plants[p].step(&id, next, now);
+                            }
                         }
                     }
                     4 | 5 => {
@@ -613,8 +736,7 @@ mod tests {
                             continue;
                         }
                         let q = 1 - p;
-                        plants[p]
-                            .each(|sys| sys.get_mut(&id).unwrap().transition(VmState::Migrating));
+                        plants[p].step(&id, &VmState::Migrating, now);
                         let mut lazy = plants[p].lazy.hand_over(&id).unwrap();
                         let mut eager = plants[p].eager.remove(&id).unwrap();
                         for r in [&mut lazy, &mut eager] {
@@ -622,6 +744,7 @@ mod tests {
                             r.set_value("migrated_from", format!("node{p}"));
                             r.transition(VmState::Running);
                         }
+                        write_state_eagerly(&mut eager);
                         plants[q].lazy.insert(lazy);
                         plants[q].eager.insert(eager);
                         plants[q].check(&id, &ctx);
@@ -633,6 +756,81 @@ mod tests {
             }
             for (id, p) in live {
                 plants[p].check(&id, &format!("seed {seed} final"));
+            }
+        }
+    }
+
+    /// What every lifecycle step did before `state` was written on read.
+    fn write_state_eagerly(record: &mut VmRecord) {
+        record.classad.set_value("state", record.state.to_string());
+    }
+
+    /// Every state `state` may legally move to.
+    fn successors(state: &VmState) -> Vec<VmState> {
+        [
+            VmState::Cloning,
+            VmState::Resuming,
+            VmState::Booting,
+            VmState::Configuring,
+            VmState::Running,
+            VmState::Publishing,
+            VmState::Migrating,
+            VmState::Collected,
+            VmState::Failed("host crashed".into()),
+        ]
+        .into_iter()
+        .filter(|next| state.can_transition_to(next))
+        .collect()
+    }
+
+    /// Every legal lifecycle path from `Cloning` of at most `len` steps.
+    fn paths(len: usize) -> Vec<Vec<VmState>> {
+        let mut all = vec![Vec::new()];
+        let mut frontier = vec![Vec::new()];
+        for _ in 0..len {
+            let mut longer = Vec::new();
+            for path in &frontier {
+                let last: &VmState = path.last().unwrap_or(&VmState::Cloning);
+                for next in successors(last) {
+                    let mut path = path.clone();
+                    path.push(next);
+                    longer.push(path);
+                }
+            }
+            all.extend(longer.iter().cloned());
+            frontier = longer;
+        }
+        all
+    }
+
+    #[test]
+    fn state_written_on_read_matches_eager_writes_on_every_path() {
+        // Nine steps reach every state and every cycle through `Running`
+        // more than once.
+        let paths = paths(9);
+        assert_eq!(paths.len(), 124);
+        for path in &paths {
+            // Between steps: nothing, a monitor sample, a read, or both.
+            for schedule in 0..4u32 {
+                let mut twin = Twin::new("node0");
+                let id = VmId("vm-0".into());
+                let mut r = record(&id.0);
+                r.set_value("vmid", id.0.clone());
+                twin.each(|sys| sys.insert(r.clone()));
+                twin.host.register_vm(32);
+                let mut now = SimTime::ZERO;
+                for (step, next) in path.iter().enumerate() {
+                    now += SimDuration::from_secs(10);
+                    twin.step(&id, next, now);
+                    if schedule & 1 != 0 {
+                        twin.sample(now);
+                    }
+                    if schedule & 2 != 0 {
+                        twin.check(&id, &format!("{path:?} schedule {schedule} step {step}"));
+                    }
+                }
+                twin.sample(now + SimDuration::from_secs(10));
+                twin.check(&id, &format!("{path:?} schedule {schedule} end"));
             }
         }
     }

@@ -33,6 +33,8 @@ pub use daemon::{Plant, PlantConfig};
 pub use migration::migrate;
 pub use infosys::{InfoSystem, VmRecord};
 pub use order::{PlantError, ProductionOrder, VmId};
-pub use protocol::{Envelope, EnvelopeLabel, ErrorCode, MessageError, Payload, Request, Response};
+pub use protocol::{
+    Envelope, EnvelopeLabel, ErrorCode, MessageError, Payload, Request, Response, SharedOrder,
+};
 pub use service::{DedupCache, ReplyFn, DEDUP_CAPACITY};
 pub use vmplants_vnet::DomainDirectory;

@@ -6,8 +6,9 @@
 //! The moved VM keeps its identity: VMID, client-domain IP and MAC, classad
 //! history, and performed-action log all travel with it. Only the
 //! plant-local resources change hands — host memory, clone files, and the
-//! host-only network attachment (re-leased on the target under the same
-//! domain, preserving the §3.3 exclusivity invariant).
+//! host-only network attachment (re-attached on the target under the same
+//! domain, preserving the §3.3 exclusivity invariant, and bridged to the
+//! proxy the VM's order named).
 
 use std::rc::Rc;
 
@@ -15,7 +16,7 @@ use vmplants_simkit::resource::FairShare;
 use vmplants_simkit::{Engine, SimDuration};
 use vmplants_virt::image::{BASE_REDO_BYTES, CONFIG_BYTES};
 use vmplants_virt::VmState;
-use vmplants_vnet::{NetworkLease, ProxyEndpoint};
+use vmplants_vnet::NetworkId;
 
 use crate::daemon::{DoneAd, Plant};
 use crate::order::{PlantError, VmId};
@@ -49,9 +50,9 @@ pub fn migrate(
             PlantError::InvalidOrder("source and target plant are the same".into()),
         );
     }
-    let (suspend, transfer_bytes, spec, old_lease) = {
+    let (suspend, transfer_bytes, spec, domain, proxy) = {
         let mut state = source.inner.borrow_mut();
-        let (spec, old_lease) = match state.info.get(&id) {
+        let (spec, domain, proxy) = match state.info.get(&id) {
             None => {
                 drop(state);
                 return fail(engine, done, PlantError::UnknownVm(id));
@@ -61,7 +62,7 @@ pub fn migrate(
                     drop(state);
                     return fail(engine, done, err);
                 }
-                None => (r.spec.clone(), r.lease.clone()),
+                None => (r.spec.clone(), r.lease.domain.clone(), Rc::clone(&r.proxy)),
             },
         };
         let host = state.host.clone();
@@ -75,21 +76,15 @@ pub fn migrate(
             .expect("checked above")
             .transition(VmState::Migrating);
         let transfer_bytes = spec.memory_mb * 1024 * 1024 + BASE_REDO_BYTES + CONFIG_BYTES;
-        (suspend, transfer_bytes, spec, old_lease)
+        (suspend, transfer_bytes, spec, domain, proxy)
     };
 
-    // The target attaches its network up front, so a full pool rejects
-    // the migration before the VM is disturbed further. The VM keeps its
-    // addresses.
-    let domain = &old_lease.domain;
-    let proxy = ProxyEndpoint::new(domain.clone(), format!("proxy.{domain}"), 9300);
-    let attached = target.inner.borrow_mut().net.attach(domain, &proxy);
-    let lease = match attached {
-        Ok((network, fresh_network)) => NetworkLease {
-            network,
-            fresh_network,
-            ..old_lease
-        },
+    // The target attaches its network up front, bridged to the client's
+    // own proxy, so a full pool rejects the migration before the VM is
+    // disturbed further. The VM keeps its addresses.
+    let attached = target.inner.borrow_mut().net.attach(&domain, &proxy);
+    let attachment = match attached {
+        Ok(attachment) => attachment,
         Err(e) => {
             // Roll the source back to Running.
             if let Some(r) = source.inner.borrow_mut().info.get_mut(&id) {
@@ -105,7 +100,7 @@ pub fn migrate(
     engine.schedule(suspend, move |engine| {
         // Phase 2: transfer the mutable state node-to-node.
         let after_transfer = move |engine: &mut Engine| {
-            finish_migration(engine, &source, &target, id, spec, lease, source_epoch, done);
+            finish_migration(engine, &source, &target, id, spec, attachment, source_epoch, done);
         };
         match lan {
             Some(lan) => {
@@ -126,7 +121,7 @@ fn finish_migration(
     target: &Plant,
     id: VmId,
     spec: vmplants_virt::VmSpec,
-    lease: NetworkLease,
+    (network, fresh_network): (NetworkId, bool),
     source_epoch: u64,
     done: DoneAd,
 ) {
@@ -135,7 +130,7 @@ fn finish_migration(
     // the plant down instead of panicking on the vanished record.
     let source_crashed = source.inner.borrow().epoch != source_epoch;
     if source_crashed || !target.is_alive() {
-        let _ = target.inner.borrow_mut().net.detach(lease.network);
+        let _ = target.inner.borrow_mut().net.detach(network);
         if !source_crashed {
             // Target died mid-transfer: the VM is still intact at the
             // source; resume it there.
@@ -164,7 +159,7 @@ fn finish_migration(
         record
     };
     let Some(mut record) = taken else {
-        let _ = target.inner.borrow_mut().net.detach(lease.network);
+        let _ = target.inner.borrow_mut().net.detach(network);
         return fail(engine, done, PlantError::UnknownVm(id));
     };
 
@@ -202,8 +197,9 @@ fn finish_migration(
         record.clone_dir = clone_dir;
         record.set_value("plant", tstate.config.name.clone());
         record.set_value("host", tstate.host.name());
-        record.set_value("network", lease.network.to_string());
-        record.lease = lease;
+        record.set_display("network", network);
+        record.lease.network = network;
+        record.lease.fresh_network = fresh_network;
         record.set_value("migrated_from", source.name());
         let pressure = tstate.host.pressure_factor();
         let mut rng = tstate.rng.borrow_mut();

@@ -1,5 +1,7 @@
 //! Production orders, VM identifiers, and plant errors.
 
+use std::rc::Rc;
+
 use vmplants_dag::ConfigDag;
 use vmplants_simkit::obs::SpanId;
 use vmplants_virt::{VirtError, VmSpec};
@@ -9,6 +11,13 @@ use vmplants_vnet::{PoolError, ProxyEndpoint, ServiceError};
 /// "VMID").
 #[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct VmId(pub String);
+
+/// A VMID looks up as its text, so maps keyed by `VmId` answer a `&str`.
+impl std::borrow::Borrow<str> for VmId {
+    fn borrow(&self) -> &str {
+        &self.0
+    }
+}
 
 impl std::fmt::Display for VmId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -27,8 +36,9 @@ pub struct ProductionOrder {
     /// The requesting client's domain (drives host-only network
     /// assignment and the §3.4 network cost).
     pub client_domain: String,
-    /// The client's VNET proxy endpoint.
-    pub proxy: ProxyEndpoint,
+    /// The client's VNET proxy endpoint, shared with the record of the VM
+    /// it is produced for.
+    pub proxy: Rc<ProxyEndpoint>,
     /// VMShop-assigned identifier (§3.1: the VMID is assigned by the
     /// shop). `None` lets the plant generate one (direct-to-plant use).
     pub vm_id: Option<VmId>,
@@ -48,7 +58,7 @@ impl ProductionOrder {
     /// tests and experiments where the proxy endpoint is immaterial).
     pub fn new(spec: VmSpec, dag: ConfigDag, client_domain: impl Into<String>) -> ProductionOrder {
         let client_domain = client_domain.into();
-        let proxy = ProxyEndpoint::new(client_domain.clone(), format!("proxy.{client_domain}"), 9300);
+        let proxy = ProxyEndpoint::new(client_domain.clone(), format!("proxy.{client_domain}"), 9300).into();
         ProductionOrder {
             spec,
             dag,

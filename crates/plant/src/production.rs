@@ -7,27 +7,36 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use vmplants_classad::ClassAd;
+use vmplants_classad::{ClassAd, Value};
 use vmplants_dag::{Action, ActionKind, ErrorPolicy};
 use vmplants_simkit::obs::{Obs, SpanId, TrackId};
 use vmplants_simkit::{Engine, SimDuration, SimTime};
 use vmplants_virt::guest::GuestScript;
 use vmplants_virt::hypervisor::CloneStats;
 use vmplants_virt::{ImageFiles, VirtError, VmSpec, VmState, VmmType};
-use vmplants_vnet::{NetworkLease, ServiceError};
+use vmplants_vnet::ServiceError;
 use vmplants_warehouse::GoldenId;
 
 use crate::daemon::{CloneLogEntry, DoneAd, DoneCount, Plant};
-use crate::infosys::VmRecord;
-use crate::order::{PlantError, ProductionOrder, VmId};
+use crate::infosys::{state_value, VmRecord};
+use crate::order::{PlantError, VmId};
+use crate::protocol::SharedOrder;
+
+/// Attributes a VM's classad ends up with besides its actions' outputs:
+/// twelve written at creation, `state`, the monitor's four, and
+/// `clone_s`, `config_s` and `create_s`.
+const VM_ATTRS: usize = 20;
 
 /// In-flight creation job state.
 struct Job {
     plant: Plant,
     vmid: VmId,
-    spec: VmSpec,
+    /// The order being produced (shared with the request that carried it).
+    order: SharedOrder,
     clone_dir: String,
-    schedule: Vec<Action>,
+    /// The residual actions still to run, as node indices of the order's
+    /// DAG in schedule order.
+    schedule: Vec<usize>,
     idx: usize,
     attempts_on_current: u32,
     /// The failed action whose `ErrorPolicy::Recover` sequence is
@@ -35,13 +44,12 @@ struct Job {
     recovery: Option<(Action, usize)>,
     /// Whether the current action already had its one post-recovery retry.
     recovered_once: bool,
-    lease: NetworkLease,
     created_at: SimTime,
     clone_stats: Option<CloneStats>,
     config_started: SimTime,
     /// Plant incarnation when the job started. A continuation that finds
     /// the plant on a later epoch knows [`Plant::host_crashed`] already
-    /// reclaimed the job's record/lease/files.
+    /// reclaimed the job's record (with its lease) and files.
     epoch: u64,
     done: Option<DoneAd>,
     obs: Obs,
@@ -53,12 +61,7 @@ struct Job {
 type JobRef = Rc<RefCell<Job>>;
 
 /// Entry point called by [`Plant::create`].
-pub(crate) fn start_creation(
-    plant: Plant,
-    engine: &mut Engine,
-    mut order: ProductionOrder,
-    done: DoneAd,
-) {
+pub(crate) fn start_creation(plant: Plant, engine: &mut Engine, order: SharedOrder, done: DoneAd) {
     // Phase 1 (synchronous planning) under one borrow.
     let planned = {
         let mut state = plant.inner.borrow_mut();
@@ -85,7 +88,7 @@ pub(crate) fn start_creation(
 
         // PPP: golden-image matching (hardware filter + the three DAG
         // tests).
-        let golden: Option<(GoldenId, Rc<ImageFiles>, Vec<String>, vmplants_dag::PerformedLog)> = {
+        let golden: Option<(GoldenId, Rc<ImageFiles>, Vec<usize>, vmplants_dag::PerformedLog)> = {
             let warehouse = state.warehouse.borrow();
             warehouse
                 .lookup(&order.spec, &order.dag)
@@ -143,7 +146,7 @@ pub(crate) fn start_creation(
         state.next_vm += 1;
         let vmid = order
             .vm_id
-            .take()
+            .clone()
             .unwrap_or_else(|| VmId(format!("vm-{}-{:04}", state.config.name, seq)));
         // A pre-created spare of the same golden short-circuits cloning
         // (§6's speculative pre-creation).
@@ -165,39 +168,37 @@ pub(crate) fn start_creation(
             Some(s) => s.clone_dir.clone(),
             None => format!("/clones/{}", vmid.0),
         };
-        let mut classad = ClassAd::new();
+        // Sized for every attribute the VM's classad will hold, so no
+        // binding grows it.
+        let outputs: usize = order.dag.actions().map(|a| a.outputs.len()).sum();
+        let mut classad = ClassAd::with_capacity(VM_ATTRS + outputs);
         classad.set_value("vmid", vmid.0.as_str());
-        classad.set_value("plant", state.config.name.as_str());
+        classad.set_value("plant", Value::Str(Rc::clone(&plant.name)));
         classad.set_value("host", state.host.name());
         classad.set_value("memory_mb", order.spec.memory_mb);
         classad.set_value("disk_gb", order.spec.disk_gb);
         classad.set_value("os", order.spec.os.as_str());
-        classad.set_value("vmm", order.spec.vmm.to_string());
+        classad.set_display("vmm", order.spec.vmm);
         classad.set_value("golden_id", golden_id.0.as_str());
         classad.set_value("client_domain", order.client_domain.as_str());
-        classad.set_value("network", lease.network.to_string());
+        classad.set_display("network", lease.network);
         // The lease's addresses go into the classad up front (§3.1: the
         // classad is how clients learn how to reach their VM); a
         // configure-mac-ip DAG action applies them *inside* the guest.
-        classad.set_value("ip_address", lease.ip.as_str());
-        classad.set_value("mac_address", lease.mac.as_str());
-        classad.set_value("state", "cloning");
+        classad.set_display("ip_address", lease.ip);
+        classad.set_display("mac_address", lease.mac);
+        // The record appends `state` and keeps the lease.
         state.info.insert(VmRecord::new(
             vmid.clone(),
             order.spec.clone(),
             classad,
             clone_dir.clone(),
-            lease.clone(),
+            lease,
+            Rc::clone(&order.proxy),
             golden_id,
             inherited_log,
             engine.now(),
         ));
-
-        // Residual schedule as owned actions.
-        let schedule: Vec<Action> = residual
-            .iter()
-            .map(|id| order.dag.action(id).expect("residual from dag").clone())
-            .collect();
 
         let hv = Rc::clone(&state.hypervisor);
         let host = state.host.clone();
@@ -207,45 +208,31 @@ pub(crate) fn start_creation(
             state.rng.borrow_mut().uniform(0.15, 0.45),
         );
         (
-            vmid, clone_dir, schedule, hv, host, nfs, image_files, lease, ppp_overhead, order,
-            spare, rederive_delay,
+            vmid, clone_dir, residual, hv, host, nfs, image_files, ppp_overhead, spare,
+            rederive_delay,
         )
     };
-    let (
-        vmid,
-        clone_dir,
-        schedule,
-        hv,
-        host,
-        nfs,
-        image_files,
-        lease,
-        ppp_overhead,
-        order,
-        spare,
-        rederive_delay,
-    ) = planned;
+    let (vmid, clone_dir, schedule, hv, host, nfs, image_files, ppp_overhead, spare, rederive_delay) =
+        planned;
 
     let (epoch, obs, obs_track) = {
         let state = plant.inner.borrow();
         (state.epoch, state.obs.clone(), state.obs_track)
     };
-    let ProductionOrder { spec, trace_parent, .. } = order;
-    let span = obs.span_start(trace_parent, obs_track, "produce", engine.now());
+    let span = obs.span_start(order.trace_parent, obs_track, "produce", engine.now());
     obs.span_attr(span, "vmid", &vmid);
     // The PPP's own planning/matching overhead elapses before cloning.
     obs.span(span, obs_track, "ppp", engine.now(), engine.now() + ppp_overhead);
     let job = Rc::new(RefCell::new(Job {
         plant: plant.clone(),
         vmid,
-        spec,
+        order,
         clone_dir,
         schedule,
         idx: 0,
         attempts_on_current: 0,
         recovery: None,
         recovered_once: false,
-        lease,
         created_at: engine.now(),
         clone_stats: None,
         config_started: engine.now(),
@@ -309,7 +296,7 @@ pub(crate) fn start_creation(
         hv.instantiate(
             engine,
             &image_files,
-            &j.spec,
+            &j.order.spec,
             &host,
             &nfs,
             &j.clone_dir,
@@ -486,11 +473,11 @@ fn on_cloned(engine: &mut Engine, job: &JobRef, stats: CloneStats) {
         let resident_before = state.host.vm_count().saturating_sub(1);
         state.clone_log.push(CloneLogEntry {
             vm: j.vmid.clone(),
-            memory_mb: j.spec.memory_mb,
+            memory_mb: j.order.spec.memory_mb,
             stats: stats.clone(),
             resident_before,
         });
-        let activate_state = match j.spec.vmm {
+        let activate_state = match j.order.spec.vmm {
             VmmType::VmwareLike => VmState::Resuming,
             VmmType::UmlLike => VmState::Booting,
         };
@@ -554,7 +541,8 @@ fn run_next_action(engine: &mut Engine, job: &JobRef) {
     }
     let next = {
         let j = job.borrow();
-        j.schedule.get(j.idx).cloned()
+        let node = j.schedule.get(j.idx);
+        node.map(|&node| j.order.dag.action_at(node).clone())
     };
     match next {
         Some(action) => execute_action(engine, job, action, false),
@@ -600,8 +588,9 @@ fn execute_host_action(engine: &mut Engine, job: &JobRef, action: Action, is_rec
             let mut state = plant.inner.borrow_mut();
             if let Some(record) = state.info.get_mut(&j.vmid) {
                 if action.command == "configure-mac-ip" {
-                    record.set_value("ip_address", j.lease.ip.as_str());
-                    record.set_value("mac_address", j.lease.mac.as_str());
+                    let (ip, mac) = (record.lease.ip, record.lease.mac);
+                    record.set_display("ip_address", ip);
+                    record.set_display("mac_address", mac);
                 } else {
                     for output in &action.outputs {
                         record.set_value(output.clone(), format!("{}-{}", action.command, output));
@@ -806,7 +795,7 @@ fn abort_creation(engine: &mut Engine, job: &JobRef, err: PlantError) {
             plant,
             hv,
             host,
-            j.spec.clone(),
+            j.order.spec.clone(),
             j.clone_dir.clone(),
             j.vmid.clone(),
         )
@@ -910,7 +899,7 @@ pub(crate) fn collect_vm(plant: Plant, engine: &mut Engine, id: VmId, done: Done
                     state.drop_vm(&id);
                 }
             }
-            classad.set_value("state", "collected");
+            classad.set_value("state", state_value(&VmState::Collected));
             classad.set_value("collected_s", engine.now().as_secs_f64());
             match res {
                 Ok(()) => done(engine, Ok(classad)),

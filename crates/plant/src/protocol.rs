@@ -234,6 +234,47 @@ pub enum Request {
     },
 }
 
+/// A production order framed once as a [`Request::Create`] and shared by
+/// reference count: the shop admits an order as one, and its journal,
+/// every dispatch envelope and the plant producing it hold that one
+/// request. It reads as the [`ProductionOrder`] it carries.
+#[derive(Clone, Debug)]
+pub struct SharedOrder(Rc<Request>);
+
+impl SharedOrder {
+    /// Frame `order` as a create request.
+    pub fn new(order: ProductionOrder) -> SharedOrder {
+        SharedOrder(Rc::new(Request::Create(order)))
+    }
+
+    /// Share a request's order, when it is a create.
+    pub fn of(request: &Rc<Request>) -> Option<SharedOrder> {
+        matches!(**request, Request::Create(_)).then(|| SharedOrder(Rc::clone(request)))
+    }
+
+    /// The create request itself, for an envelope to carry.
+    pub fn request(&self) -> Rc<Request> {
+        Rc::clone(&self.0)
+    }
+}
+
+impl From<ProductionOrder> for SharedOrder {
+    fn from(order: ProductionOrder) -> SharedOrder {
+        SharedOrder::new(order)
+    }
+}
+
+impl std::ops::Deref for SharedOrder {
+    type Target = ProductionOrder;
+
+    fn deref(&self) -> &ProductionOrder {
+        match &*self.0 {
+            Request::Create(order) => order,
+            _ => unreachable!("a shared order is a create request"),
+        }
+    }
+}
+
 /// A shop/plant → client response.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Response {
@@ -322,7 +363,8 @@ fn order_from_element(el: &Element) -> Result<ProductionOrder, MessageError> {
             .attr("port")
             .and_then(|p| p.parse().ok())
             .ok_or_else(|| MessageError("proxy missing/bad 'port'".into()))?,
-    );
+    )
+    .into();
     let dag_el = el
         .child("dag")
         .ok_or_else(|| MessageError("missing <dag>".into()))?;
@@ -589,13 +631,13 @@ pub struct Envelope {
 }
 
 impl Envelope {
-    /// Frame a request.
+    /// Frame a request (shared as it is when it comes shared).
     pub fn request(
         from: impl Into<Rc<str>>,
         epoch: u64,
         seq: u64,
         key: impl Into<Rc<str>>,
-        request: Request,
+        request: impl Into<Rc<Request>>,
     ) -> Envelope {
         Envelope {
             from: from.into(),
@@ -603,7 +645,7 @@ impl Envelope {
             seq,
             key: key.into(),
             reply_epoch: None,
-            body: Payload::Request(Rc::new(request)),
+            body: Payload::Request(request.into()),
         }
     }
 

@@ -31,7 +31,7 @@ use vmplants_virt::VmState;
 
 use crate::daemon::Plant;
 use crate::order::PlantError;
-use crate::protocol::{Envelope, Payload, Request, Response};
+use crate::protocol::{Envelope, Payload, Request, Response, SharedOrder};
 
 /// Maximum completed entries the dedup cache retains.
 pub const DEDUP_CAPACITY: usize = 256;
@@ -207,8 +207,7 @@ impl Plant {
             }
         }
 
-        // Only a request that executes is copied out of its envelope.
-        match (**request).clone() {
+        match &**request {
             Request::Create(order) => {
                 // VM-level idempotency backstop: if the VM this order
                 // names is already running (a previous transmission's
@@ -229,6 +228,7 @@ impl Plant {
                         return;
                     }
                 }
+                let order = SharedOrder::of(request).expect("a create request");
                 self.inner.borrow_mut().dedup.begin(&env.key, epoch);
                 let plant = self.clone();
                 self.create(
@@ -244,6 +244,7 @@ impl Plant {
                 );
             }
             Request::Destroy(id) => {
+                let id = id.clone();
                 self.inner.borrow_mut().dedup.begin(&env.key, epoch);
                 let plant = self.clone();
                 self.collect(
@@ -270,6 +271,7 @@ impl Plant {
                 );
             }
             Request::Publish { id, golden_id, name } => {
+                let (id, golden_id, name) = (id.clone(), golden_id.clone(), name.clone());
                 self.inner.borrow_mut().dedup.begin(&env.key, epoch);
                 let plant = self.clone();
                 self.publish_vm(
@@ -292,7 +294,7 @@ impl Plant {
             // replaying a stale cached answer would be *worse* than
             // recomputing, so they bypass the dedup cache.
             Request::Query(id) => {
-                let response = match self.query(engine, &id) {
+                let response = match self.query(engine, id) {
                     Ok(ad) => Response::Ad(ad),
                     Err(e) => Response::plant_error(&e),
                 };
@@ -300,7 +302,7 @@ impl Plant {
                 engine.schedule(SimDuration::ZERO, move |engine| reply(engine, renv));
             }
             Request::Estimate(order) => {
-                let response = match self.estimate(&order) {
+                let response = match self.estimate(order) {
                     Ok(bid) => Response::Bid(bid),
                     Err(e) => Response::plant_error(&e),
                 };

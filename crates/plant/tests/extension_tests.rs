@@ -9,10 +9,11 @@ use vmplants_cluster::host::{Host, HostSpec};
 use vmplants_cluster::nfs::NfsServer;
 use vmplants_dag::graph::invigo_workspace_dag;
 use vmplants_plant::{
-    migrate, DomainDirectory, Plant, PlantConfig, PlantError, ProductionOrder, VmId,
+    migrate, DomainDirectory, Plant, PlantConfig, PlantError, ProductionOrder, Request, VmId,
 };
 use vmplants_simkit::{Engine, SimDuration, SimRng};
 use vmplants_virt::VmSpec;
+use vmplants_vnet::ProxyEndpoint;
 use vmplants_warehouse::store::publish_experiment_goldens;
 use vmplants_warehouse::{GoldenId, Warehouse};
 
@@ -290,6 +291,28 @@ fn run_migrate(s: &mut Site, from: usize, to: usize, id: &VmId) -> Result<ClassA
     );
     s.engine.run();
     Rc::try_unwrap(out).ok().unwrap().into_inner().unwrap()
+}
+
+/// A migrated VM's target network is bridged to the proxy its order
+/// named — here one decoded from the wire with its own host and port,
+/// not the `proxy.<domain>:9300` a bare order synthesizes.
+#[test]
+fn migration_bridges_to_the_proxy_the_order_named() {
+    let mut s = site(2);
+    let proxy = ProxyEndpoint::new("ufl.edu", "vnet.cise.ufl.edu", 9412);
+    let mut sent = order(64, "arijit");
+    sent.proxy = proxy.clone().into();
+    let wire = Request::Create(sent).to_wire();
+    let Ok(Request::Create(decoded)) = Request::from_wire(&wire) else {
+        panic!("a create request decodes");
+    };
+    let ad = create_on(&mut s, 0, decoded);
+    let id = VmId(ad.get_str("vmid").unwrap());
+    assert_eq!(s.plants[0].bridge_of(&id).unwrap().proxy, proxy);
+
+    run_migrate(&mut s, 0, 1, &id).unwrap();
+    let bridge = s.plants[1].bridge_of(&id).expect("the target bridged the VM's network");
+    assert_eq!(bridge.proxy, proxy);
 }
 
 #[test]

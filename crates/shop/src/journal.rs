@@ -17,10 +17,13 @@
 //! no events, so journaling never perturbs the simulation's byte-level
 //! determinism.
 //!
-//! The journal keeps one copy of each order's payload. A record holds
-//! only what [`Journal::render`] prints. The per-order fold holds the
-//! typed [`ProductionOrder`] while the order is unsettled — recovery
-//! re-dispatches it as is — and drops it when the order settles. A
+//! The journal copies no order payload. A record holds only what
+//! [`Journal::render`] prints, and an order's key, VMID text and plant
+//! names are shared by reference count between its records and its fold.
+//! The per-order fold holds the [`SharedOrder`] the shop admitted — the
+//! very request its dispatch envelopes carry — while the order is
+//! unsettled, so recovery re-dispatches it as is, and drops it when the
+//! order settles. A
 //! published outcome holds the [`ClassAd`] itself, never a rendering of
 //! it: the ad is copy-on-write, so the outcome shares its storage with
 //! the client's reply and the soft cache, and a resubmission or a
@@ -32,9 +35,10 @@
 
 use std::collections::BTreeMap;
 use std::fmt::{self, Write};
+use std::rc::Rc;
 
 use vmplants_classad::ClassAd;
-use vmplants_plant::{ProductionOrder, VmId};
+use vmplants_plant::{SharedOrder, VmId};
 use vmplants_simkit::SimTime;
 
 /// One order lifecycle transition, as journaled and rendered.
@@ -44,16 +48,16 @@ pub enum JournalRecord {
     /// client's idempotency key (synthesized for legacy direct calls).
     Received {
         /// Client idempotency key.
-        key: String,
+        key: Rc<str>,
         /// The VMID the shop assigned.
-        vm_id: VmId,
+        vm_id: Rc<str>,
         /// When the shop accepted the order.
         at: SimTime,
     },
     /// Bids were solicited from `plants` candidate plants.
     BidsRequested {
         /// The order's VMID.
-        vm_id: VmId,
+        vm_id: Rc<str>,
         /// How many plants were asked to bid.
         plants: usize,
         /// When the bid round started.
@@ -65,9 +69,9 @@ pub enum JournalRecord {
     /// on the plant's dedup cache.
     Dispatched {
         /// The order's VMID.
-        vm_id: VmId,
+        vm_id: Rc<str>,
         /// The plant that won the bid.
-        plant: String,
+        plant: Rc<str>,
         /// Zero-based dispatch count.
         attempt: u32,
         /// When the dispatch was issued.
@@ -77,9 +81,9 @@ pub enum JournalRecord {
     /// classad itself lives in the order's settled outcome.
     Published {
         /// The order's VMID.
-        vm_id: VmId,
+        vm_id: Rc<str>,
         /// The plant hosting the VM.
-        plant: String,
+        plant: Rc<str>,
         /// When the shop responded.
         at: SimTime,
     },
@@ -87,7 +91,7 @@ pub enum JournalRecord {
     /// [`crate::ShopError`], replayed verbatim to resubmissions.
     Failed {
         /// The order's VMID.
-        vm_id: VmId,
+        vm_id: Rc<str>,
         /// The rendered terminal error.
         error: String,
         /// When the shop responded.
@@ -128,7 +132,7 @@ pub enum JournalOutcome {
     /// back into the soft cache.
     Published {
         /// Hosting plant.
-        plant: String,
+        plant: Rc<str>,
         /// The published classad, shared copy-on-write with the reply
         /// and the soft cache.
         ad: ClassAd,
@@ -150,7 +154,7 @@ pub enum OrderStatus {
     /// Accepted and not yet settled: the order itself, held so a
     /// recovering incarnation can re-dispatch it without any volatile
     /// state.
-    Pending(ProductionOrder),
+    Pending(SharedOrder),
     /// Settled; the order payload has been dropped.
     Settled(JournalOutcome),
 }
@@ -160,11 +164,11 @@ pub enum OrderStatus {
 #[derive(Clone, Debug)]
 pub struct OrderState {
     /// Client idempotency key.
-    pub key: String,
+    pub key: Rc<str>,
     /// When the order was accepted (deadlines survive restarts).
     pub received_at: SimTime,
     /// Every dispatch issued, in order: `(plant, attempt)`.
-    pub dispatches: Vec<(String, u32)>,
+    pub dispatches: Vec<(Rc<str>, u32)>,
     /// The pending order, or its terminal outcome once settled.
     pub status: OrderStatus,
 }
@@ -180,12 +184,13 @@ impl OrderState {
 }
 
 /// Append-only order journal with an incrementally-maintained fold
-/// (per-order state and key index).
+/// (per-order state and key index). Both maps are keyed by shared text:
+/// `orders` by the VMID, `by_key` by the client key, naming the VMID.
 #[derive(Default)]
 pub struct Journal {
     records: Vec<JournalRecord>,
-    orders: BTreeMap<VmId, OrderState>,
-    by_key: BTreeMap<String, VmId>,
+    orders: BTreeMap<Rc<str>, OrderState>,
+    by_key: BTreeMap<Rc<str>, Rc<str>>,
 }
 
 impl Journal {
@@ -196,12 +201,13 @@ impl Journal {
 
     /// The order was accepted under client key `key`: journal it and
     /// hold `order` in the fold until it settles.
-    pub fn received(&mut self, key: String, vm_id: VmId, order: ProductionOrder, at: SimTime) {
-        self.by_key.insert(key.clone(), vm_id.clone());
+    pub fn received(&mut self, key: Rc<str>, vm_id: &VmId, order: SharedOrder, at: SimTime) {
+        let vm_id: Rc<str> = vm_id.0.as_str().into();
+        self.by_key.insert(Rc::clone(&key), Rc::clone(&vm_id));
         self.orders.insert(
-            vm_id.clone(),
+            Rc::clone(&vm_id),
             OrderState {
-                key: key.clone(),
+                key: Rc::clone(&key),
                 received_at: at,
                 dispatches: Vec::new(),
                 status: OrderStatus::Pending(order),
@@ -210,19 +216,29 @@ impl Journal {
         self.records.push(JournalRecord::Received { key, vm_id, at });
     }
 
+    /// The text of `vm_id` the journal's records share: the order's, once
+    /// it was received.
+    fn shared_id(&self, vm_id: &VmId) -> Rc<str> {
+        match self.orders.get_key_value(vm_id.0.as_str()) {
+            Some((id, _)) => Rc::clone(id),
+            None => vm_id.0.as_str().into(),
+        }
+    }
+
     /// A bid round was solicited from `plants` candidate plants.
-    pub fn bids_requested(&mut self, vm_id: VmId, plants: usize, at: SimTime) {
+    pub fn bids_requested(&mut self, vm_id: &VmId, plants: usize, at: SimTime) {
+        let vm_id = self.shared_id(vm_id);
         self.records
             .push(JournalRecord::BidsRequested { vm_id, plants, at });
     }
 
     /// The order was dispatched to `plant` as dispatch number `attempt`.
-    pub fn dispatched(&mut self, vm_id: VmId, plant: String, attempt: u32, at: SimTime) {
-        if let Some(order) = self.orders.get_mut(&vm_id) {
-            order.dispatches.push((plant.clone(), attempt));
+    pub fn dispatched(&mut self, vm_id: &VmId, plant: Rc<str>, attempt: u32, at: SimTime) {
+        if let Some(order) = self.orders.get_mut(vm_id.0.as_str()) {
+            order.dispatches.push((Rc::clone(&plant), attempt));
         }
         self.records.push(JournalRecord::Dispatched {
-            vm_id,
+            vm_id: self.shared_id(vm_id),
             plant,
             attempt,
             at,
@@ -231,34 +247,41 @@ impl Journal {
 
     /// The order settled with its VM running on `plant`; `ad` is the
     /// published classad.
-    pub fn published(&mut self, vm_id: VmId, plant: String, ad: ClassAd, at: SimTime) {
+    pub fn published(&mut self, vm_id: &VmId, plant: Rc<str>, ad: ClassAd, at: SimTime) {
         self.settle(
-            &vm_id,
+            vm_id,
             JournalOutcome::Published {
-                plant: plant.clone(),
+                plant: Rc::clone(&plant),
                 ad,
             },
         );
-        self.records
-            .push(JournalRecord::Published { vm_id, plant, at });
+        self.records.push(JournalRecord::Published {
+            vm_id: self.shared_id(vm_id),
+            plant,
+            at,
+        });
     }
 
     /// The order failed terminally with the rendered `error`.
-    pub fn failed(&mut self, vm_id: VmId, error: String, at: SimTime) {
+    pub fn failed(&mut self, vm_id: &VmId, error: String, at: SimTime) {
         self.settle(
-            &vm_id,
+            vm_id,
             JournalOutcome::Failed {
                 error: error.clone(),
             },
         );
-        self.records.push(JournalRecord::Failed { vm_id, error, at });
+        self.records.push(JournalRecord::Failed {
+            vm_id: self.shared_id(vm_id),
+            error,
+            at,
+        });
     }
 
     /// The shop destroyed the published VM `vm_id`: drop its classad.
     /// Appends no record; an order that is unsettled, failed or already
     /// destroyed is left as it is.
     pub(crate) fn destroyed(&mut self, vm_id: &VmId) {
-        if let Some(order) = self.orders.get_mut(vm_id) {
+        if let Some(order) = self.orders.get_mut(vm_id.0.as_str()) {
             if let OrderStatus::Settled(JournalOutcome::Published { .. }) = order.status {
                 order.status = OrderStatus::Settled(JournalOutcome::Destroyed);
             }
@@ -269,8 +292,8 @@ impl Journal {
     /// classad is now `ad`: repoint the outcome so recovery and
     /// resubmissions name the hosting plant. Appends no record; an order
     /// that is not published and live is left as it is.
-    pub(crate) fn migrated(&mut self, vm_id: &VmId, plant: String, ad: ClassAd) {
-        if let Some(order) = self.orders.get_mut(vm_id) {
+    pub(crate) fn migrated(&mut self, vm_id: &VmId, plant: Rc<str>, ad: ClassAd) {
+        if let Some(order) = self.orders.get_mut(vm_id.0.as_str()) {
             if let OrderStatus::Settled(JournalOutcome::Published { .. }) = order.status {
                 order.status = OrderStatus::Settled(JournalOutcome::Published { plant, ad });
             }
@@ -279,7 +302,7 @@ impl Journal {
 
     /// Record the outcome in place of the order payload.
     fn settle(&mut self, vm_id: &VmId, outcome: JournalOutcome) {
-        if let Some(order) = self.orders.get_mut(vm_id) {
+        if let Some(order) = self.orders.get_mut(vm_id.0.as_str()) {
             order.status = OrderStatus::Settled(outcome);
         }
     }
@@ -296,14 +319,14 @@ impl Journal {
 
     /// The VMID and settled outcome for a client key, if the order it
     /// names has finished — the resubmission fast path.
-    pub fn outcome_for_key(&self, key: &str) -> Option<(&VmId, &JournalOutcome)> {
+    pub fn outcome_for_key(&self, key: &str) -> Option<(&str, &JournalOutcome)> {
         let vm_id = self.by_key.get(key)?;
         Some((vm_id, self.orders.get(vm_id)?.outcome()?))
     }
 
     /// Per-order folded state, by VMID.
     pub fn order(&self, vm_id: &VmId) -> Option<&OrderState> {
-        self.orders.get(vm_id)
+        self.orders.get(vm_id.0.as_str())
     }
 
     /// Orders with no journaled outcome — the recovery work list, in
@@ -312,7 +335,7 @@ impl Journal {
         self.orders
             .iter()
             .filter(|(_, o)| o.outcome().is_none())
-            .map(|(id, o)| (id.clone(), o.clone()))
+            .map(|(id, o)| (VmId(id.to_string()), o.clone()))
             .collect()
     }
 
@@ -326,9 +349,9 @@ impl Journal {
 
     /// Every published VM not since destroyed, in VMID order, with its
     /// hosting plant and classad.
-    pub(crate) fn live_ads(&self) -> impl Iterator<Item = (&VmId, &str, &ClassAd)> {
+    pub(crate) fn live_ads(&self) -> impl Iterator<Item = (&str, &Rc<str>, &ClassAd)> {
         self.orders.iter().filter_map(|(id, o)| match o.outcome()? {
-            JournalOutcome::Published { plant, ad } => Some((id, plant.as_str(), ad)),
+            JournalOutcome::Published { plant, ad } => Some((&**id, plant, ad)),
             _ => None,
         })
     }
@@ -347,46 +370,46 @@ impl Journal {
 mod tests {
     use super::*;
     use vmplants_dag::graph::experiment_dag;
-    use vmplants_plant::Request;
+    use vmplants_plant::ProductionOrder;
     use vmplants_virt::VmSpec;
 
     fn vm(n: u32) -> VmId {
         VmId(format!("vm-shop-{n:05}"))
     }
 
-    fn order(n: u32) -> ProductionOrder {
+    fn order(n: u32) -> SharedOrder {
         let mut order =
             ProductionOrder::new(VmSpec::mandrake(64), experiment_dag("ivan"), "ufl.edu");
         order.vm_id = Some(vm(n));
-        order
+        order.into()
     }
 
     #[test]
     fn fold_tracks_lifecycle_and_outcomes() {
         let mut j = Journal::new();
-        j.received("order:c:0".into(), vm(0), order(0), SimTime::from_secs(1));
-        j.bids_requested(vm(0), 3, SimTime::from_secs(2));
-        j.dispatched(vm(0), "node1".into(), 0, SimTime::from_secs(3));
+        j.received("order:c:0".into(), &vm(0), order(0), SimTime::from_secs(1));
+        j.bids_requested(&vm(0), 3, SimTime::from_secs(2));
+        j.dispatched(&vm(0), "node1".into(), 0, SimTime::from_secs(3));
         assert!(j.outcome_for_key("order:c:0").is_none());
         assert_eq!(j.unsettled().len(), 1);
         let (_, state) = &j.unsettled()[0];
-        assert_eq!(state.dispatches, vec![("node1".to_string(), 0)]);
+        assert_eq!(state.dispatches, vec![(Rc::from("node1"), 0)]);
         assert_eq!(state.received_at, SimTime::from_secs(1));
 
         let mut ad = ClassAd::new();
         ad.set_value("vmid", "vm-shop-00000");
-        j.published(vm(0), "node1".into(), ad.clone(), SimTime::from_secs(40));
+        j.published(&vm(0), "node1".into(), ad.clone(), SimTime::from_secs(40));
         assert!(j.unsettled().is_empty());
         assert!(matches!(
             j.outcome_for_key("order:c:0"),
             Some((id, JournalOutcome::Published { plant, ad: kept }))
-                if *id == vm(0) && plant == "node1" && *kept == ad
+                if id == vm(0).0 && &**plant == "node1" && *kept == ad
         ));
         assert_eq!(j.len(), 4);
 
         // Migrating the VM repoints its outcome and appends nothing.
         j.migrated(&vm(0), "node2".into(), ad.clone());
-        assert!(matches!(j.live_ads().next(), Some((_, "node2", _))));
+        assert_eq!(j.live_ads().next().map(|(_, plant, _)| &**plant), Some("node2"));
         assert_eq!(j.len(), 4);
 
         // Destroying the VM drops its classad and appends nothing.
@@ -403,8 +426,8 @@ mod tests {
     #[test]
     fn failed_orders_settle_and_render_is_line_per_record() {
         let mut j = Journal::new();
-        j.received("k".into(), vm(1), order(1), SimTime::ZERO);
-        j.failed(vm(1), "order deadline exceeded".into(), SimTime::from_secs(9));
+        j.received("k".into(), &vm(1), order(1), SimTime::ZERO);
+        j.failed(&vm(1), "order deadline exceeded".into(), SimTime::from_secs(9));
         assert!(matches!(
             j.outcome_for_key("k"),
             Some((_, JournalOutcome::Failed { error })) if error == "order deadline exceeded"
@@ -422,23 +445,23 @@ mod tests {
     fn unsettled_orders_keep_the_accepted_order() {
         let mut j = Journal::new();
         let accepted = order(2);
-        let wire = Request::Create(accepted.clone()).to_wire();
-        j.received("k".into(), vm(2), accepted, SimTime::ZERO);
-        j.dispatched(vm(2), "node0".into(), 0, SimTime::from_secs(1));
+        j.received("k".into(), &vm(2), accepted.clone(), SimTime::ZERO);
+        j.dispatched(&vm(2), "node0".into(), 0, SimTime::from_secs(1));
         let (_, state) = &j.unsettled()[0];
         let OrderStatus::Pending(kept) = &state.status else {
             panic!("an unsettled order is pending");
         };
-        assert_eq!(Request::Create(kept.clone()).to_wire(), wire);
+        // The very request the shop admitted, not a copy of it.
+        assert!(Rc::ptr_eq(&kept.request(), &accepted.request()));
     }
 
     #[test]
     fn settling_drops_the_order_payload() {
         let mut j = Journal::new();
-        j.received("a".into(), vm(3), order(3), SimTime::ZERO);
-        j.received("b".into(), vm(4), order(4), SimTime::ZERO);
-        j.published(vm(3), "node0".into(), ClassAd::new(), SimTime::from_secs(5));
-        j.failed(vm(4), "no VMPlants available".into(), SimTime::from_secs(5));
+        j.received("a".into(), &vm(3), order(3), SimTime::ZERO);
+        j.received("b".into(), &vm(4), order(4), SimTime::ZERO);
+        j.published(&vm(3), "node0".into(), ClassAd::new(), SimTime::from_secs(5));
+        j.failed(&vm(4), "no VMPlants available".into(), SimTime::from_secs(5));
         for id in [vm(3), vm(4)] {
             let state = j.order(&id).unwrap();
             assert!(

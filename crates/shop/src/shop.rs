@@ -7,7 +7,8 @@ use std::rc::Rc;
 use vmplants_classad::ClassAd;
 use vmplants_cluster::files::StoreError;
 use vmplants_plant::{
-    Envelope, Payload, Plant, PlantError, ProductionOrder, ReplyFn, Request, Response, VmId,
+    Envelope, Payload, Plant, PlantError, ProductionOrder, ReplyFn, Request, Response,
+    SharedOrder, VmId,
 };
 use vmplants_simkit::obs::{Counter, Obs, SpanId, TrackId};
 use vmplants_simkit::{Engine, EventId, SimDuration, SimRng, SimTime, Transport};
@@ -300,7 +301,9 @@ pub struct VmShop {
 
 /// Mutable per-order recovery state threaded through re-bid attempts.
 struct Attempt {
-    order: ProductionOrder,
+    /// The order as admitted, shared with the journal and every dispatch
+    /// envelope.
+    order: SharedOrder,
     vm_id: VmId,
     requested_at: SimTime,
     /// Plants that already failed this order (re-bid exclusion list).
@@ -576,9 +579,9 @@ impl VmShop {
                 // that plant reports it, or did not answer (the orphan
                 // sweep then spares it once the plant is back); a VM its
                 // answering plant no longer hosts is left out.
-                let answer = census.iter().find(|(p, _)| p.name() == plant);
+                let answer = census.iter().find(|(p, _)| p.name() == &**plant);
                 if answer.is_none_or(|(_, vms)| vms.contains_key(vm_id)) {
-                    cache.put(vm_id.clone(), ad.clone(), plant.to_owned(), now);
+                    cache.put(VmId(vm_id.to_owned()), ad.clone(), plant.to_string(), now);
                 }
             }
             journal.settled_count()
@@ -649,7 +652,7 @@ impl VmShop {
                 if state.tuning.journal {
                     state
                         .journal
-                        .published(vm_id.clone(), plant.name().to_owned(), ad, now);
+                        .published(&vm_id, plant.shared_name(), ad, now);
                     state.journal_records.inc();
                 }
                 state.request_log.push(ShopRequestLog {
@@ -667,7 +670,7 @@ impl VmShop {
             }
         }
         let resume_on = journaled.dispatches.last().and_then(|(name, attempt)| {
-            let (plant, _) = census.iter().find(|(plant, _)| plant.name() == name)?;
+            let (plant, _) = census.iter().find(|(plant, _)| plant.name() == &**name)?;
             Some((plant.clone(), *attempt))
         });
         let how = if resume_on.is_some() {
@@ -676,8 +679,11 @@ impl VmShop {
             "restarted"
         };
         let span = self.recovered_order_span(engine, &vm_id, how);
-        let mut order = order;
-        order.trace_parent = span;
+        // The next incarnation traces the order under its own span.
+        let order = SharedOrder::new(ProductionOrder {
+            trace_parent: span,
+            ..(*order).clone()
+        });
         self.register_recovered(&journaled.key, &vm_id);
         let mut att = Attempt {
             order,
@@ -688,7 +694,7 @@ impl VmShop {
             last_err: None,
             span,
             epoch,
-            client_key: Some(journaled.key),
+            client_key: Some(journaled.key.to_string()),
         };
         match resume_on {
             // Resume: re-dispatch under the *journaled* key. The plant's
@@ -759,7 +765,7 @@ impl VmShop {
         engine: &mut Engine,
         plant: Plant,
         key: Rc<str>,
-        request: Request,
+        request: impl Into<Rc<Request>>,
         on_done: CallDone,
     ) {
         let (env, timeout) = {
@@ -918,33 +924,29 @@ impl VmShop {
             }
         };
         order.vm_id = Some(vm_id.clone());
-        let epoch = {
-            let mut state = self.inner.borrow_mut();
-            // WAL: the order is durable the moment it is accepted. A
-            // direct call has no client key; synthesize one.
-            if state.tuning.journal {
-                let key = format!("order:{vm_id}");
-                state
-                    .journal
-                    .received(key, vm_id.clone(), order.clone(), requested_at);
-                state.journal_records.inc();
-            }
-            state.epoch
-        };
-        let span = {
-            let mut state = self.inner.borrow_mut();
-            state.inflight.insert(vm_id.clone());
-            // Keyed root: in sampled mode the VMID drives the
-            // deterministic head-sampling decision.
-            let span = state
-                .obs
-                .trace_root(state.obs_track, "order", &vm_id.0, requested_at);
-            state.obs.span_attr(span, "vmid", &vm_id);
-            span
-        };
+        let mut state = self.inner.borrow_mut();
+        state.inflight.insert(vm_id.clone());
+        // Keyed root: in sampled mode the VMID drives the deterministic
+        // head-sampling decision.
+        let span = state
+            .obs
+            .trace_root(state.obs_track, "order", &vm_id.0, requested_at);
+        state.obs.span_attr(span, "vmid", &vm_id);
         // Propagate the trace context so the serving plant parents its
         // `produce` span under this order.
         order.trace_parent = span;
+        let order = SharedOrder::new(order);
+        // WAL: the order is durable the moment it is accepted. A direct
+        // call has no client key; synthesize one.
+        if state.tuning.journal {
+            let key = format!("order:{vm_id}");
+            state
+                .journal
+                .received(key.into(), &vm_id, order.clone(), requested_at);
+            state.journal_records.inc();
+        }
+        let epoch = state.epoch;
+        drop(state);
         let shop = self.clone();
         // Inbound hop: client -> shop.
         let inbound = self.sample_hop();
@@ -1006,7 +1008,7 @@ impl VmShop {
         if let Some((vm_id, outcome)) = state.journal.outcome_for_key(&key) {
             let result = match outcome {
                 JournalOutcome::Published { ad, .. } => Ok(ad.clone()),
-                JournalOutcome::Destroyed => Err(ShopError::UnknownVm(vm_id.clone())),
+                JournalOutcome::Destroyed => Err(ShopError::UnknownVm(VmId(vm_id.to_owned()))),
                 JournalOutcome::Failed { error } => Err(ShopError::Journaled(error.clone())),
             };
             drop(state);
@@ -1031,21 +1033,22 @@ impl VmShop {
             }
         };
         order.vm_id = Some(vm_id.clone());
-        if state.tuning.journal {
-            state
-                .journal
-                .received(key.clone(), vm_id.clone(), order.clone(), requested_at);
-            state.journal_records.inc();
-        }
         state.client_keys.insert(key.clone(), vm_id.clone());
         state.inflight.insert(vm_id.clone());
         let span = state
             .obs
             .trace_root(state.obs_track, "order", &vm_id.0, requested_at);
         state.obs.span_attr(span, "vmid", &vm_id);
+        order.trace_parent = span;
+        let order = SharedOrder::new(order);
+        if state.tuning.journal {
+            state
+                .journal
+                .received(key.as_str().into(), &vm_id, order.clone(), requested_at);
+            state.journal_records.inc();
+        }
         let epoch = state.epoch;
         drop(state);
-        order.trace_parent = span;
         self.attempt_create(
             engine,
             Attempt {
@@ -1148,7 +1151,7 @@ impl VmShop {
             if state.tuning.journal {
                 state
                     .journal
-                    .bids_requested(att.vm_id.clone(), plants.len(), engine.now());
+                    .bids_requested(&att.vm_id, plants.len(), engine.now());
                 state.journal_records.inc();
             }
             state.obs.span(
@@ -1215,21 +1218,21 @@ impl VmShop {
             let mut state = self.inner.borrow_mut();
             if state.tuning.journal {
                 state.journal.dispatched(
-                    att.vm_id.clone(),
-                    plant_name.to_string(),
+                    &att.vm_id,
+                    Rc::clone(&plant_name),
                     att.attempt,
                     engine.now(),
                 );
                 state.journal_records.inc();
             }
         }
-        let order = att.order.clone();
+        let request = att.order.request();
         let shop = self.clone();
         self.call_plant(
             engine,
             plant,
             key.into(),
-            Request::Create(order),
+            request,
             Box::new(move |engine, res| match res {
                 Ok(Response::Ad(ad)) => {
                     shop.respond_create(engine, att, Some(plant_name), Ok(ad), done)
@@ -1323,12 +1326,12 @@ impl VmShop {
                 let now = engine.now();
                 match &result {
                     Ok(ad) => state.journal.published(
-                        vm_id.clone(),
-                        plant.as_deref().unwrap_or_default().to_owned(),
+                        &vm_id,
+                        plant.clone().unwrap_or_else(|| Rc::from("")),
                         ad.clone(),
                         now,
                     ),
-                    Err(e) => state.journal.failed(vm_id.clone(), e.to_string(), now),
+                    Err(e) => state.journal.failed(&vm_id, e.to_string(), now),
                 }
                 state.journal_records.inc();
             }
@@ -1619,7 +1622,7 @@ impl VmShop {
                         let mut state = shop2.inner.borrow_mut();
                         // The journal follows the VM, so a recovery
                         // re-caches it at the target, not the source.
-                        state.journal.migrated(&id2, target.clone(), ad.clone());
+                        state.journal.migrated(&id2, target.as_str().into(), ad.clone());
                         state.cache.put(id2, ad.clone(), target, engine.now());
                         drop(state);
                         done(engine, Ok(ad));

@@ -76,7 +76,7 @@ fn random_order(rng: &mut SimRng) -> ProductionOrder {
     };
     let domain = word(rng, ".-", 16);
     let mut order = ProductionOrder::new(spec, random_dag(rng), domain.clone());
-    order.proxy = ProxyEndpoint::new(domain, "proxy.example", 9300);
+    order.proxy = ProxyEndpoint::new(domain, "proxy.example", 9300).into();
     if rng.chance(0.5) {
         let len = 1 + rng.index(12);
         order.vm_id = Some(VmId(chars(rng, &format!("{LOWER}0123456789-"), len)));

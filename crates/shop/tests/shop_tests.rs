@@ -241,6 +241,61 @@ fn total_message_loss_hits_the_deadline_instead_of_hanging() {
     assert!((120.0..200.0).contains(&lat), "latency {lat}");
 }
 
+/// Milliseconds of each trace line whose label mentions `key`.
+fn sends_of(trace: &str, key: &str) -> Vec<u64> {
+    trace
+        .lines()
+        .filter(|line| line.contains(key))
+        .map(|line| {
+            let secs = &line[1..line.find("s]").expect("timestamped line")];
+            (secs.parse::<f64>().expect("seconds") * 1000.0).round() as u64
+        })
+        .collect()
+}
+
+/// An unanswered call settles `Unresponsive` exactly at its attempt
+/// timeout, after the retransmissions due strictly before it — also when
+/// a retransmission falls due at the very deadline (31 s: the RTOs
+/// 1, 2, 4, 8, 8, 8 s end there).
+#[test]
+fn an_unanswered_call_fails_unresponsive_exactly_at_the_attempt_timeout() {
+    for timeout_s in [30, 31] {
+        let mut s = site_with(1, CostModel::FreeMemoryPrototype);
+        let ad = run_create(&mut s, order(64)).expect("created");
+        let id = VmId(ad.get_str("vmid").unwrap());
+        s.shop.set_tuning(vmplants_shop::ShopTuning {
+            attempt_timeout: SimDuration::from_secs(timeout_s),
+            rto_base: SimDuration::from_secs(1),
+            rto_cap: SimDuration::from_secs(8),
+            ..vmplants_shop::ShopTuning::default()
+        });
+        let transport = s.shop.transport();
+        transport.record_trace();
+        transport.set_loss("shop", 1.0);
+        let out = Rc::new(RefCell::new(None));
+        let out2 = Rc::clone(&out);
+        s.shop.destroy(
+            &mut s.engine,
+            &id,
+            Box::new(move |engine, res| {
+                *out2.borrow_mut() = Some((engine.now().as_millis(), res));
+            }),
+        );
+        s.engine.run();
+        let (settled_ms, res) = out.borrow_mut().take().expect("the call settled");
+        assert_eq!(
+            res.unwrap_err(),
+            ShopError::Plant(vmplants_plant::PlantError::Unresponsive)
+        );
+        let sends = sends_of(&transport.trace_text(), &format!("destroy:{id}"));
+        let first = sends[0];
+        assert_eq!(settled_ms, first + timeout_s * 1000, "timeout {timeout_s} s");
+        let offsets: Vec<u64> = sends.iter().map(|ms| (ms - first) / 1000).collect();
+        assert_eq!(offsets, [0, 1, 3, 7, 15, 23], "timeout {timeout_s} s");
+        assert_eq!(s.plants[0].vm_count(), 1, "the VM was never reached");
+    }
+}
+
 #[test]
 fn degraded_mode_sheds_load_when_too_few_plants_are_alive() {
     let mut s = site_with(2, CostModel::FreeMemoryPrototype);

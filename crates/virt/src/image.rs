@@ -16,16 +16,18 @@ use crate::vm::VmmType;
 pub struct ImageFiles {
     /// Warehouse directory of the image (all other paths live under it).
     pub dir: String,
-    /// The VM configuration file path.
-    pub config: String,
+    /// The VM configuration file path. It and the other state paths are
+    /// shared, like the extent paths: every clone's copy of a file names
+    /// its source with the golden's own string.
+    pub config: Rc<str>,
     /// Base virtual-disk extent paths (shared read-only by all clones).
     /// Each clone's extent symlinks point at these very strings.
     pub disk_extents: Vec<Rc<str>>,
     /// The base redo log the checkpoint was taken against (VMware-like).
-    pub base_redo: Option<String>,
+    pub base_redo: Option<Rc<str>>,
     /// The suspended memory state (VMware-like; `None` for UML images,
     /// which boot from disk).
-    pub memory_state: Option<String>,
+    pub memory_state: Option<Rc<str>>,
 }
 
 /// One bulk state file of a golden image, as enumerated by
@@ -61,14 +63,14 @@ impl ImageFiles {
         let _ = disk_bytes; // recorded at materialization; layout is fixed
         match vmm {
             VmmType::VmwareLike => ImageFiles {
-                config: format!("{dir}/machine.vmx"),
-                base_redo: Some(format!("{dir}/base.redo")),
-                memory_state: Some(format!("{dir}/machine-{memory_mb}mb.vmss")),
+                config: format!("{dir}/machine.vmx").into(),
+                base_redo: Some(format!("{dir}/base.redo").into()),
+                memory_state: Some(format!("{dir}/machine-{memory_mb}mb.vmss").into()),
                 disk_extents,
                 dir,
             },
             VmmType::UmlLike => ImageFiles {
-                config: format!("{dir}/machine.uml"),
+                config: format!("{dir}/machine.uml").into(),
                 base_redo: None,
                 memory_state: None,
                 disk_extents,
@@ -84,7 +86,7 @@ impl ImageFiles {
     /// snapshot.
     pub fn plan_uml_checkpoint(dir: &str, memory_mb: u64, disk_bytes: u64) -> ImageFiles {
         let mut files = ImageFiles::plan(dir, VmmType::UmlLike, memory_mb, disk_bytes);
-        files.memory_state = Some(format!("{}/machine-{memory_mb}mb.sbuml", files.dir));
+        files.memory_state = Some(format!("{}/machine-{memory_mb}mb.sbuml", files.dir).into());
         files
     }
 
@@ -96,16 +98,16 @@ impl ImageFiles {
         memory_mb: u64,
         disk_bytes: u64,
     ) -> Result<(), vmplants_cluster::files::StoreError> {
-        store.put(&self.config, CONFIG_BYTES, FileKind::VmConfig)?;
+        store.put(&*self.config, CONFIG_BYTES, FileKind::VmConfig)?;
         let per_extent = disk_bytes / self.disk_extents.len() as u64;
         for path in &self.disk_extents {
             store.put(&**path, per_extent, FileKind::DiskExtent)?;
         }
         if let Some(redo) = &self.base_redo {
-            store.put(redo, BASE_REDO_BYTES, FileKind::RedoLog)?;
+            store.put(&**redo, BASE_REDO_BYTES, FileKind::RedoLog)?;
         }
         if let Some(mem) = &self.memory_state {
-            store.put(mem, mb(memory_mb), FileKind::MemoryState)?;
+            store.put(&**mem, mb(memory_mb), FileKind::MemoryState)?;
         }
         Ok(())
     }
@@ -130,7 +132,7 @@ impl ImageFiles {
             .collect();
         if let Some(redo) = &self.base_redo {
             out.push(BulkFile {
-                path: redo.clone(),
+                path: String::from(&**redo),
                 kind: FileKind::RedoLog,
                 bytes: BASE_REDO_BYTES,
                 role: "redo",
@@ -139,7 +141,7 @@ impl ImageFiles {
         }
         if let Some(mem) = &self.memory_state {
             out.push(BulkFile {
-                path: mem.clone(),
+                path: String::from(&**mem),
                 kind: FileKind::MemoryState,
                 bytes: mb(memory_mb),
                 role: "vmss",
@@ -150,14 +152,15 @@ impl ImageFiles {
     }
 
     /// The files a clone must *copy* (config, base redo, memory state) as
-    /// `(src, dst)` pairs under `clone_dir`. Disk extents are excluded —
-    /// clones access them through symlinks.
-    pub fn copy_set(&self, clone_dir: &str) -> Vec<(String, String)> {
+    /// `(src, dst)` pairs under `clone_dir`; each source shares the
+    /// golden's own path string. Disk extents are excluded — clones access
+    /// them through symlinks.
+    pub fn copy_set(&self, clone_dir: &str) -> Vec<(Rc<str>, String)> {
         let clone_dir = clone_dir.trim_end_matches('/');
         let mut pairs = Vec::with_capacity(3);
-        let mut push = |src: &String| {
+        let mut push = |src: &Rc<str>| {
             let file_name = src.rsplit('/').next().expect("non-empty path");
-            pairs.push((src.clone(), [clone_dir, "/", file_name].concat()));
+            pairs.push((Rc::clone(src), [clone_dir, "/", file_name].concat()));
         };
         push(&self.config);
         if let Some(redo) = &self.base_redo {
@@ -185,7 +188,7 @@ impl ImageFiles {
 
     /// Every path of the image (for deletion / inventory).
     pub fn all_paths(&self) -> Vec<&str> {
-        let mut out = vec![self.config.as_str()];
+        let mut out = vec![&*self.config];
         out.extend(self.disk_extents.iter().map(|p| &**p));
         if let Some(r) = &self.base_redo {
             out.push(r);
@@ -203,7 +206,7 @@ mod tests {
     use vmplants_cluster::files::gb;
 
     /// The bytes a clone copies for `pairs`, read from the store.
-    fn copied_bytes(pairs: &[(String, String)], store: &FileStore) -> u64 {
+    fn copied_bytes(pairs: &[(Rc<str>, String)], store: &FileStore) -> u64 {
         pairs
             .iter()
             .map(|(src, _)| store.resolved_size(src).unwrap())

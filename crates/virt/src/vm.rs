@@ -102,6 +102,22 @@ impl VmState {
         matches!(self, VmState::Collected | VmState::Failed(_))
     }
 
+    /// The state's name. It is the whole display text of every state but
+    /// `Failed`, which prints its reason after the name.
+    pub fn name(&self) -> &'static str {
+        match self {
+            VmState::Cloning => "cloning",
+            VmState::Resuming => "resuming",
+            VmState::Booting => "booting",
+            VmState::Configuring => "configuring",
+            VmState::Running => "running",
+            VmState::Publishing => "publishing",
+            VmState::Migrating => "migrating",
+            VmState::Collected => "collected",
+            VmState::Failed(_) => "failed",
+        }
+    }
+
     /// Legal state transitions; the plant asserts on these so bookkeeping
     /// bugs surface immediately.
     pub fn can_transition_to(&self, next: &VmState) -> bool {
@@ -127,15 +143,8 @@ impl VmState {
 impl fmt::Display for VmState {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            VmState::Cloning => write!(f, "cloning"),
-            VmState::Resuming => write!(f, "resuming"),
-            VmState::Booting => write!(f, "booting"),
-            VmState::Configuring => write!(f, "configuring"),
-            VmState::Running => write!(f, "running"),
-            VmState::Publishing => write!(f, "publishing"),
-            VmState::Migrating => write!(f, "migrating"),
-            VmState::Collected => write!(f, "collected"),
-            VmState::Failed(reason) => write!(f, "failed: {reason}"),
+            VmState::Failed(reason) => write!(f, "{}: {reason}", self.name()),
+            _ => f.write_str(self.name()),
         }
     }
 }

@@ -7,9 +7,10 @@
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::net::Ipv4Addr;
 use std::rc::Rc;
 
-use crate::ip::DomainIpAllocator;
+use crate::ip::{DomainIpAllocator, MacAddr};
 use crate::service::ServiceError;
 
 /// Shared registry of client-domain IP allocators.
@@ -37,7 +38,7 @@ impl DomainDirectory {
     }
 
     /// Allocate an IP + MAC for a VM of `domain`.
-    pub(crate) fn allocate(&self, domain: &str) -> Result<(String, String), ServiceError> {
+    pub(crate) fn allocate(&self, domain: &str) -> Result<(Ipv4Addr, MacAddr), ServiceError> {
         let mut inner = self.inner.borrow_mut();
         let alloc = inner
             .get_mut(domain)
@@ -48,7 +49,7 @@ impl DomainDirectory {
     }
 
     /// Release a VM's IP back to its domain.
-    pub(crate) fn release(&self, domain: &str, ip: &str) -> Result<(), ServiceError> {
+    pub(crate) fn release(&self, domain: &str, ip: Ipv4Addr) -> Result<(), ServiceError> {
         let mut inner = self.inner.borrow_mut();
         let alloc = inner
             .get_mut(domain)
@@ -96,11 +97,11 @@ mod tests {
         let dir = DomainDirectory::new();
         dir.register(DomainIpAllocator::new("d", [10, 0, 0], 1, 2));
         let (ip, _) = dir.allocate("d").unwrap();
-        dir.release("d", &ip).unwrap();
+        dir.release("d", ip).unwrap();
         assert_eq!(dir.allocated_count("d"), 0);
         assert_eq!(
-            dir.release("d", &ip),
-            Err(ServiceError::Ip(IpError::NotAllocated(ip))),
+            dir.release("d", ip),
+            Err(ServiceError::Ip(IpError::NotAllocated(ip.to_string()))),
             "double release rejected"
         );
     }
@@ -110,7 +111,7 @@ mod tests {
         let dir = DomainDirectory::new();
         let unknown = Err(ServiceError::UnknownDomain("ghost".into()));
         assert_eq!(dir.allocate("ghost").map(|_| ()), unknown);
-        assert_eq!(dir.release("ghost", "1.2.3.4"), unknown);
+        assert_eq!(dir.release("ghost", Ipv4Addr::new(1, 2, 3, 4)), unknown);
         assert!(!dir.contains("ghost"));
         assert_eq!(dir.allocated_count("ghost"), 0);
     }
@@ -122,6 +123,6 @@ mod tests {
         assert_eq!(name, "ufl.edu");
         assert!(dir.contains("ufl.edu"));
         let (ip, _) = dir.allocate(&name).unwrap();
-        assert!(ip.starts_with("128.227.56."));
+        assert_eq!(ip.octets()[..3], [128, 227, 56]);
     }
 }

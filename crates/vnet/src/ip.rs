@@ -7,7 +7,20 @@
 //! as NIS/NFS)". The allocator below manages a /24-style pool per client
 //! domain and generates locally administered MAC addresses.
 
-use std::collections::BTreeSet;
+use std::fmt;
+use std::net::Ipv4Addr;
+
+/// A MAC address. It is printed, in the classad and in errors, as six
+/// colon-separated lowercase hex octets.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct MacAddr(pub [u8; 6]);
+
+impl fmt::Display for MacAddr {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let [a, b, c, d, e, g] = self.0;
+        write!(f, "{a:02x}:{b:02x}:{c:02x}:{d:02x}:{e:02x}:{g:02x}")
+    }
+}
 
 /// IP/MAC allocator for one client domain.
 #[derive(Clone, Debug)]
@@ -18,7 +31,8 @@ pub struct DomainIpAllocator {
     /// Host-octet range available for VMs.
     first_host: u8,
     last_host: u8,
-    in_use: BTreeSet<u8>,
+    /// Host octets in use, one bit each.
+    in_use: [u64; 4],
     next_mac: u64,
 }
 
@@ -29,7 +43,7 @@ pub enum IpError {
     PoolExhausted,
     /// Releasing an address that was not allocated (or not ours).
     NotAllocated(String),
-    /// The textual address did not parse or is outside the pool.
+    /// The address is outside this domain's pool.
     Foreign(String),
 }
 
@@ -58,7 +72,7 @@ impl DomainIpAllocator {
             prefix,
             first_host,
             last_host,
-            in_use: BTreeSet::new(),
+            in_use: [0; 4],
             next_mac: 1,
         }
     }
@@ -69,76 +83,49 @@ impl DomainIpAllocator {
     }
 
     /// Allocate the lowest free address.
-    pub fn allocate(&mut self) -> Result<String, IpError> {
-        for host in self.first_host..=self.last_host {
-            if !self.in_use.contains(&host) {
-                self.in_use.insert(host);
-                return Ok(self.render(host));
-            }
-        }
-        Err(IpError::PoolExhausted)
+    pub fn allocate(&mut self) -> Result<Ipv4Addr, IpError> {
+        let host = (self.first_host..=self.last_host)
+            .find(|&host| !self.is_used(host))
+            .ok_or(IpError::PoolExhausted)?;
+        self.in_use[usize::from(host / 64)] |= 1 << (host % 64);
+        let [a, b, c] = self.prefix;
+        Ok(Ipv4Addr::new(a, b, c, host))
     }
 
     /// Release a previously allocated address.
-    pub fn release(&mut self, ip: &str) -> Result<(), IpError> {
-        let host = self.parse_host(ip)?;
-        if self.in_use.remove(&host) {
-            Ok(())
-        } else {
-            Err(IpError::NotAllocated(ip.to_owned()))
+    pub fn release(&mut self, ip: Ipv4Addr) -> Result<(), IpError> {
+        let [a, b, c, host] = ip.octets();
+        if [a, b, c] != self.prefix || host < self.first_host || host > self.last_host {
+            return Err(IpError::Foreign(ip.to_string()));
         }
+        if !self.is_used(host) {
+            return Err(IpError::NotAllocated(ip.to_string()));
+        }
+        self.in_use[usize::from(host / 64)] &= !(1 << (host % 64));
+        Ok(())
+    }
+
+    fn is_used(&self, host: u8) -> bool {
+        self.in_use[usize::from(host / 64)] & (1 << (host % 64)) != 0
     }
 
     /// Addresses currently assigned.
     pub fn allocated_count(&self) -> usize {
-        self.in_use.len()
+        self.in_use.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// Addresses still free.
     pub fn free_count(&self) -> usize {
-        (self.last_host - self.first_host + 1) as usize - self.in_use.len()
+        (self.last_host - self.first_host + 1) as usize - self.allocated_count()
     }
 
     /// Generate a fresh locally administered MAC address.
-    pub fn next_mac(&mut self) -> String {
+    pub fn next_mac(&mut self) -> MacAddr {
         let n = self.next_mac;
         self.next_mac += 1;
-        // 02: locally administered, unicast.
-        format!(
-            "02:vm:{:02x}:{:02x}:{:02x}:{:02x}",
-            (n >> 24) & 0xff,
-            (n >> 16) & 0xff,
-            (n >> 8) & 0xff,
-            n & 0xff
-        )
-        .replace("vm", "56")
-    }
-
-    fn render(&self, host: u8) -> String {
-        format!(
-            "{}.{}.{}.{}",
-            self.prefix[0], self.prefix[1], self.prefix[2], host
-        )
-    }
-
-    fn parse_host(&self, ip: &str) -> Result<u8, IpError> {
-        let parts: Vec<&str> = ip.split('.').collect();
-        if parts.len() != 4 {
-            return Err(IpError::Foreign(ip.to_owned()));
-        }
-        let octets: Vec<u8> = parts
-            .iter()
-            .map(|p| p.parse::<u8>())
-            .collect::<Result<_, _>>()
-            .map_err(|_| IpError::Foreign(ip.to_owned()))?;
-        if octets[..3] != self.prefix {
-            return Err(IpError::Foreign(ip.to_owned()));
-        }
-        let host = octets[3];
-        if host < self.first_host || host > self.last_host {
-            return Err(IpError::Foreign(ip.to_owned()));
-        }
-        Ok(host)
+        // 02: locally administered, unicast; 56: this site's tag.
+        let [.., a, b, c, d] = n.to_be_bytes();
+        MacAddr([0x02, 0x56, a, b, c, d])
     }
 }
 
@@ -150,13 +137,17 @@ mod tests {
         DomainIpAllocator::new("ufl.edu", [128, 227, 56], 10, 13)
     }
 
+    fn ip(host: u8) -> Ipv4Addr {
+        Ipv4Addr::new(128, 227, 56, host)
+    }
+
     #[test]
     fn allocates_lowest_free_and_reuses_released() {
         let mut p = pool();
-        assert_eq!(p.allocate().unwrap(), "128.227.56.10");
-        assert_eq!(p.allocate().unwrap(), "128.227.56.11");
-        p.release("128.227.56.10").unwrap();
-        assert_eq!(p.allocate().unwrap(), "128.227.56.10");
+        assert_eq!(p.allocate().unwrap().to_string(), "128.227.56.10");
+        assert_eq!(p.allocate().unwrap(), ip(11));
+        p.release(ip(10)).unwrap();
+        assert_eq!(p.allocate().unwrap(), ip(10));
         assert_eq!(p.allocated_count(), 2);
         assert_eq!(p.free_count(), 2);
     }
@@ -168,26 +159,22 @@ mod tests {
             p.allocate().unwrap();
         }
         assert_eq!(p.allocate(), Err(IpError::PoolExhausted));
-        p.release("128.227.56.12").unwrap();
-        assert_eq!(p.allocate().unwrap(), "128.227.56.12");
+        p.release(ip(12)).unwrap();
+        assert_eq!(p.allocate().unwrap(), ip(12));
     }
 
     #[test]
     fn release_validates_ownership() {
         let mut p = pool();
         assert_eq!(
-            p.release("128.227.56.10"),
+            p.release(ip(10)),
             Err(IpError::NotAllocated("128.227.56.10".into()))
         );
         assert!(matches!(
-            p.release("10.0.0.1"),
+            p.release(Ipv4Addr::new(10, 0, 0, 1)),
             Err(IpError::Foreign(_))
         ));
-        assert!(matches!(
-            p.release("128.227.56.200"),
-            Err(IpError::Foreign(_))
-        ));
-        assert!(matches!(p.release("not-an-ip"), Err(IpError::Foreign(_))));
+        assert!(matches!(p.release(ip(200)), Err(IpError::Foreign(_))));
     }
 
     #[test]
@@ -196,7 +183,7 @@ mod tests {
         let m1 = p.next_mac();
         let m2 = p.next_mac();
         assert_ne!(m1, m2);
-        assert!(m1.starts_with("02:"), "{m1}");
-        assert_eq!(m1.split(':').count(), 6);
+        assert_eq!(m1.to_string(), "02:56:00:00:00:01");
+        assert_eq!(MacAddr([2, 0x56, 0, 1, 0xab, 0x10]).to_string(), "02:56:00:01:ab:10");
     }
 }

@@ -36,8 +36,8 @@ pub mod ip;
 pub mod pool;
 pub mod service;
 
-pub use bridge::{BridgeError, ProxyEndpoint, Reachability, VnetBridge};
+pub use bridge::{Bridge, BridgeError, ProxyEndpoint, Reachability, VnetBridge};
 pub use domains::DomainDirectory;
-pub use ip::DomainIpAllocator;
+pub use ip::{DomainIpAllocator, MacAddr};
 pub use pool::{HostOnlyPool, NetworkId, PoolError};
 pub use service::{NetworkLease, ServiceError, VirtualNetworkService};

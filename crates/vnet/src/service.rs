@@ -14,9 +14,11 @@
 //!   [`release`](VirtualNetworkService::release) — the same plus a
 //!   client-domain IP and MAC.
 
-use crate::bridge::{BridgeError, ProxyEndpoint, Reachability, VnetBridge};
+use std::net::Ipv4Addr;
+
+use crate::bridge::{Bridge, BridgeError, ProxyEndpoint, Reachability, VnetBridge};
 use crate::domains::DomainDirectory;
-use crate::ip::IpError;
+use crate::ip::{IpError, MacAddr};
 use crate::pool::{HostOnlyPool, NetworkId, PoolError};
 
 /// Everything networking-related a VM holds on its plant.
@@ -30,9 +32,9 @@ pub struct NetworkLease {
     /// the event §3.4's cost function charges for).
     pub fresh_network: bool,
     /// The client-domain IP assigned to the VM.
-    pub ip: String,
+    pub ip: Ipv4Addr,
     /// The generated MAC address.
-    pub mac: String,
+    pub mac: MacAddr,
 }
 
 /// Service failures.
@@ -113,6 +115,11 @@ impl VirtualNetworkService {
         self.pool.needs_new_network(domain)
     }
 
+    /// The bridge patching `network` through to its client's proxy.
+    pub fn bridge(&self, network: NetworkId) -> Option<&Bridge> {
+        self.bridge.bridge(network)
+    }
+
     /// Host-only networks currently assigned to client domains.
     pub fn networks_in_use(&self) -> usize {
         self.pool.size() - self.pool.free_count()
@@ -173,7 +180,7 @@ impl VirtualNetworkService {
     /// halves run even if the first fails.
     pub fn release(&mut self, lease: &NetworkLease) -> Result<(), ServiceError> {
         let detached = self.detach(lease.network);
-        self.domains.release(&lease.domain, &lease.ip)?;
+        self.domains.release(&lease.domain, lease.ip)?;
         detached
     }
 
@@ -209,7 +216,7 @@ mod tests {
         let mut s = service(4);
         let l1 = s.lease("ufl.edu", &ufl_proxy()).unwrap();
         assert!(l1.fresh_network);
-        assert_eq!(l1.ip, "128.227.56.10");
+        assert_eq!(l1.ip.to_string(), "128.227.56.10");
         let l2 = s.lease("ufl.edu", &ufl_proxy()).unwrap();
         assert!(!l2.fresh_network);
         assert_eq!(l2.network, l1.network);
@@ -231,7 +238,7 @@ mod tests {
         // Both IPs are free again.
         assert_eq!(s.domains().allocated_count("ufl.edu"), 0);
         let l3 = s.lease("ufl.edu", &ufl_proxy()).unwrap();
-        assert_eq!(l3.ip, "128.227.56.10");
+        assert_eq!(l3.ip, l1.ip);
     }
 
     #[test]
@@ -253,7 +260,7 @@ mod tests {
         let nw_proxy = ProxyEndpoint::new("northwestern.edu", "proxy.nw.edu", 9301);
         let l_nw = s.lease("northwestern.edu", &nw_proxy).unwrap();
         assert_ne!(l_ufl.network, l_nw.network);
-        assert!(l_nw.ip.starts_with("129.105.44."));
+        assert_eq!(l_nw.ip.octets()[..3], [129, 105, 44]);
         assert!(s.invariant_holds());
     }
 
@@ -327,8 +334,8 @@ mod tests {
             domain: "ufl.edu".into(),
             network: NetworkId(0),
             fresh_network: true,
-            ip: "128.227.56.10".into(),
-            mac: "02:56:00:00:00:01".into(),
+            ip: Ipv4Addr::new(128, 227, 56, 10),
+            mac: MacAddr([2, 0x56, 0, 0, 0, 1]),
         };
         assert!(s.release(&bogus).is_err());
     }

@@ -171,7 +171,7 @@ impl Golden {
         let image = &self.image;
         if dedup {
             nfs.store
-                .put(&image.files.config, CONFIG_BYTES, FileKind::VmConfig)?;
+                .put(&*image.files.config, CONFIG_BYTES, FileKind::VmConfig)?;
             if let Bulk::Full(_) = self.bulk {
                 self.bulk = Bulk::Chunked(chunk_plan(image));
             }
@@ -240,9 +240,9 @@ fn full_copy_bytes(image: &GoldenImage) -> u64 {
 /// spec and its performed log as interned ids. [`Warehouse::lookup`]
 /// compiles the request DAG once, then skips every row that fails the
 /// hardware criterion or whose id set is not a subset of the request's
-/// before the Prefix/Partial-Order tests run — and materializes a
-/// [`MatchReport`](vmplants_dag::MatchReport) (the only string-cloning
-/// step) for the winning candidate alone.
+/// before the Prefix/Partial-Order tests run — and builds a
+/// [`MatchReport`](vmplants_dag::MatchReport) for the winning candidate
+/// alone.
 pub struct Warehouse {
     /// One record per golden: image, owner slot, chunk plan or bulk
     /// bytes, residency, pins, demand and replication.
@@ -457,8 +457,8 @@ impl Warehouse {
     /// Compiles the request DAG once (signature→node map, ancestor
     /// bitsets, topo order), skips rows that fail the hardware criterion
     /// or whose interned sig bitsets fail the cheap subset pre-check, runs
-    /// the remaining tests on interned logs, and touches the image and
-    /// clone report strings for the winner only.
+    /// the remaining tests on interned logs, and builds the report (node
+    /// indices of the request DAG) for the winner only.
     pub fn lookup(
         &self,
         spec: &VmSpec,
@@ -497,7 +497,7 @@ impl Warehouse {
                 // Per-golden demand, driving the replication policy.
                 let golden = &self.goldens[id];
                 golden.hits.set(golden.hits.get() + 1);
-                Some((&golden.image, compiled.report(&matched)))
+                Some((&golden.image, compiled.report(matched)))
             }
             None => {
                 self.misses.inc();
@@ -698,7 +698,7 @@ impl Warehouse {
             }
             let _ = replica
                 .store
-                .put(&img.files.config, CONFIG_BYTES, FileKind::VmConfig);
+                .put(&*img.files.config, CONFIG_BYTES, FileKind::VmConfig);
             if let Some(text) = &descriptor {
                 let _ = replica.store.put_text(
                     format!("{}/descriptor.xml", img.files.dir),

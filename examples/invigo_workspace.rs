@@ -45,7 +45,7 @@ fn main() {
     println!(
         "matched {} actions; residual (steps 4-5): {:?}\n",
         report.score(),
-        report.residual
+        dag.labels(&report.residual)
     );
 
     // Counter-examples: each test failing in isolation.
