@@ -133,10 +133,15 @@ impl ClassAd {
         self.set(name, Expr::Lit(value.into()));
     }
 
-    /// Bind `name` to the display text of `value` ([`Value::display`]),
-    /// unless the ad already binds that very text under that spelling:
-    /// then it is left as it is, and a shared ad is not copied.
-    pub fn set_display(&mut self, name: impl AsRef<str> + Into<AttrName>, value: impl fmt::Display) {
+    /// Bind `name` to the display text of `value`, unless the ad already
+    /// binds that very text under that spelling: then it is left as it
+    /// is, and a shared ad is not copied. The text is formatted on the
+    /// stack, so a new binding's shared string is its one allocation.
+    pub fn set_display(
+        &mut self,
+        name: impl AsRef<str> + Into<AttrName>,
+        value: impl fmt::Display,
+    ) {
         let text = Text::of(value);
         let held = self.entries.iter().any(|(n, expr)| {
             n.as_str() == name.as_ref()

@@ -35,13 +35,6 @@ impl Value {
         Value::Str(s.as_ref().into())
     }
 
-    /// A string value holding `value`'s display text. The text is
-    /// formatted on the stack, so the shared string is the one
-    /// allocation.
-    pub fn display(value: impl fmt::Display) -> Value {
-        Value::Str(Text::of(value).as_str().into())
-    }
-
     /// True for the `UNDEFINED` sentinel.
     pub fn is_undefined(&self) -> bool {
         matches!(self, Value::Undefined)

@@ -78,6 +78,8 @@ struct HostInner {
 #[derive(Clone)]
 pub struct Host {
     inner: Rc<RefCell<HostInner>>,
+    /// The node's name, shared by every handle.
+    name: Rc<str>,
     /// The node's local file system.
     pub disk: FileStore,
     /// The node's disk arm as a shared resource.
@@ -94,6 +96,7 @@ impl Host {
         let disk_link = FairShare::new(format!("{}:disk-bw", spec.name), spec.disk_bw);
         let cpu_gate = Gate::new(format!("{}:cpus", spec.name), spec.cpus.max(1) as usize);
         Host {
+            name: spec.name.as_str().into(),
             inner: Rc::new(RefCell::new(HostInner {
                 spec,
                 committed_mb: 0,
@@ -111,7 +114,12 @@ impl Host {
 
     /// Node name.
     pub fn name(&self) -> String {
-        self.inner.borrow().spec.name.clone()
+        self.name.to_string()
+    }
+
+    /// Node name, shared rather than copied.
+    pub fn shared_name(&self) -> Rc<str> {
+        Rc::clone(&self.name)
     }
 
     /// Hardware spec.

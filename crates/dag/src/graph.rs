@@ -162,7 +162,10 @@ impl ConfigDag {
 
     /// The labels of the nodes `nodes`, in their order.
     pub fn labels(&self, nodes: &[usize]) -> Vec<&str> {
-        nodes.iter().map(|&node| self.action_at(node).id.as_str()).collect()
+        nodes
+            .iter()
+            .map(|&node| self.action_at(node).id.as_str())
+            .collect()
     }
 
     /// All actions in insertion order.

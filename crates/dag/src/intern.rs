@@ -220,7 +220,9 @@ impl MatchedSet {
 
 /// Whether `bit` is set in the bitset `words`.
 fn has_bit(words: &[u64], bit: usize) -> bool {
-    words.get(bit / 64).is_some_and(|w| w & (1 << (bit % 64)) != 0)
+    words
+        .get(bit / 64)
+        .is_some_and(|w| w & (1 << (bit % 64)) != 0)
 }
 
 /// Whether every bit set in `words` is set in `of`.
@@ -464,7 +466,10 @@ mod tests {
         let ilog = interned(log, &mut interner);
         let naive = match_image(dag, log);
         let readonly = CompiledDag::compile_readonly(dag, &interner).match_log(&ilog, &interner);
-        assert_eq!(naive, readonly, "naive and read-only compiled paths must agree");
+        assert_eq!(
+            naive, readonly,
+            "naive and read-only compiled paths must agree"
+        );
         let compiled = CompiledDag::compile(dag, &mut interner);
         let fast = compiled.match_log(&ilog, &interner);
         assert_eq!(naive, fast, "naive and compiled paths must agree");

@@ -254,7 +254,10 @@ mod tests {
     fn figure3_match_produces_residual_g_i_h() {
         let dag = invigo_workspace_dag("arijit");
         let report = match_image(&dag, &figure3_cached("arijit")).unwrap();
-        assert_eq!(dag.labels(&report.matched), vec!["A", "B", "C", "D", "E", "F"]);
+        assert_eq!(
+            dag.labels(&report.matched),
+            vec!["A", "B", "C", "D", "E", "F"]
+        );
         assert_eq!(report.score(), 6);
         assert!(!report.is_complete());
         // Residual must contain exactly G, H, I with G before H.

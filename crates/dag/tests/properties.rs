@@ -238,7 +238,8 @@ fn compiled_matching_equals_naive() {
         let naive = match_image(&dag, &log);
         let mut interner = SigInterner::new();
         let interned = InternedLog::from_log(&log, &mut interner);
-        let readonly = CompiledDag::compile_readonly(&dag, &interner).match_log(&interned, &interner);
+        let readonly =
+            CompiledDag::compile_readonly(&dag, &interner).match_log(&interned, &interner);
         assert_eq!(naive, readonly, "seed {seed}");
         let compiled = CompiledDag::compile(&dag, &mut interner);
         let fast = compiled.match_log(&interned, &interner);

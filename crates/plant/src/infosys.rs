@@ -82,10 +82,11 @@ pub(crate) fn state_value(state: &VmState) -> Value {
 /// Whether `text` is what [`state_value`] gives for `state`.
 fn names_state(text: &str, state: &VmState) -> bool {
     match state {
-        VmState::Failed(reason) => text
-            .strip_prefix(state.name())
-            .and_then(|rest| rest.strip_prefix(": "))
-            == Some(reason.as_str()),
+        VmState::Failed(reason) => {
+            text.strip_prefix(state.name())
+                .and_then(|rest| rest.strip_prefix(": "))
+                == Some(reason.as_str())
+        }
         _ => text == state.name(),
     }
 }
@@ -515,7 +516,11 @@ mod tests {
         assert_eq!(r.classad.get_str("state"), Some("cloning".into()));
         r.transition(VmState::Resuming);
         r.transition(VmState::Configuring);
-        assert_eq!(r.classad.get_str("state"), Some("cloning".into()), "not yet read");
+        assert_eq!(
+            r.classad.get_str("state"),
+            Some("cloning".into()),
+            "not yet read"
+        );
         let ad = sys.classad(&id).unwrap();
         assert_eq!(ad.get_str("state"), Some("configuring".into()));
         sys.get_mut(&id)

@@ -100,7 +100,16 @@ pub fn migrate(
     engine.schedule(suspend, move |engine| {
         // Phase 2: transfer the mutable state node-to-node.
         let after_transfer = move |engine: &mut Engine| {
-            finish_migration(engine, &source, &target, id, spec, attachment, source_epoch, done);
+            finish_migration(
+                engine,
+                &source,
+                &target,
+                id,
+                spec,
+                attachment,
+                source_epoch,
+                done,
+            );
         };
         match lan {
             Some(lan) => {
@@ -196,7 +205,7 @@ fn finish_migration(
         );
         record.clone_dir = clone_dir;
         record.set_value("plant", tstate.config.name.clone());
-        record.set_value("host", tstate.host.name());
+        record.set_value("host", tstate.host.shared_name());
         record.set_display("network", network);
         record.lease.network = network;
         record.lease.fresh_network = fresh_network;

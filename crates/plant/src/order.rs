@@ -58,7 +58,12 @@ impl ProductionOrder {
     /// tests and experiments where the proxy endpoint is immaterial).
     pub fn new(spec: VmSpec, dag: ConfigDag, client_domain: impl Into<String>) -> ProductionOrder {
         let client_domain = client_domain.into();
-        let proxy = ProxyEndpoint::new(client_domain.clone(), format!("proxy.{client_domain}"), 9300).into();
+        let proxy = ProxyEndpoint::new(
+            client_domain.clone(),
+            format!("proxy.{client_domain}"),
+            9300,
+        )
+        .into();
         ProductionOrder {
             spec,
             dag,

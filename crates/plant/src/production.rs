@@ -7,7 +7,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use vmplants_classad::{ClassAd, Value};
+use vmplants_classad::ClassAd;
 use vmplants_dag::{Action, ActionKind, ErrorPolicy};
 use vmplants_simkit::obs::{Obs, SpanId, TrackId};
 use vmplants_simkit::{Engine, SimDuration, SimTime};
@@ -88,7 +88,12 @@ pub(crate) fn start_creation(plant: Plant, engine: &mut Engine, order: SharedOrd
 
         // PPP: golden-image matching (hardware filter + the three DAG
         // tests).
-        let golden: Option<(GoldenId, Rc<ImageFiles>, Vec<usize>, vmplants_dag::PerformedLog)> = {
+        let golden: Option<(
+            GoldenId,
+            Rc<ImageFiles>,
+            Vec<usize>,
+            vmplants_dag::PerformedLog,
+        )> = {
             let warehouse = state.warehouse.borrow();
             warehouse
                 .lookup(&order.spec, &order.dag)
@@ -173,8 +178,8 @@ pub(crate) fn start_creation(plant: Plant, engine: &mut Engine, order: SharedOrd
         let outputs: usize = order.dag.actions().map(|a| a.outputs.len()).sum();
         let mut classad = ClassAd::with_capacity(VM_ATTRS + outputs);
         classad.set_value("vmid", vmid.0.as_str());
-        classad.set_value("plant", Value::Str(Rc::clone(&plant.name)));
-        classad.set_value("host", state.host.name());
+        classad.set_value("plant", plant.shared_name());
+        classad.set_value("host", state.host.shared_name());
         classad.set_value("memory_mb", order.spec.memory_mb);
         classad.set_value("disk_gb", order.spec.disk_gb);
         classad.set_value("os", order.spec.os.as_str());
@@ -208,12 +213,30 @@ pub(crate) fn start_creation(plant: Plant, engine: &mut Engine, order: SharedOrd
             state.rng.borrow_mut().uniform(0.15, 0.45),
         );
         (
-            vmid, clone_dir, residual, hv, host, nfs, image_files, ppp_overhead, spare,
+            vmid,
+            clone_dir,
+            residual,
+            hv,
+            host,
+            nfs,
+            image_files,
+            ppp_overhead,
+            spare,
             rederive_delay,
         )
     };
-    let (vmid, clone_dir, schedule, hv, host, nfs, image_files, ppp_overhead, spare, rederive_delay) =
-        planned;
+    let (
+        vmid,
+        clone_dir,
+        schedule,
+        hv,
+        host,
+        nfs,
+        image_files,
+        ppp_overhead,
+        spare,
+        rederive_delay,
+    ) = planned;
 
     let (epoch, obs, obs_track) = {
         let state = plant.inner.borrow();

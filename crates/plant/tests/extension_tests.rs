@@ -311,7 +311,9 @@ fn migration_bridges_to_the_proxy_the_order_named() {
     assert_eq!(s.plants[0].bridge_of(&id).unwrap().proxy, proxy);
 
     run_migrate(&mut s, 0, 1, &id).unwrap();
-    let bridge = s.plants[1].bridge_of(&id).expect("the target bridged the VM's network");
+    let bridge = s.plants[1]
+        .bridge_of(&id)
+        .expect("the target bridged the VM's network");
     assert_eq!(bridge.proxy, proxy);
 }
 

@@ -409,7 +409,10 @@ mod tests {
 
         // Migrating the VM repoints its outcome and appends nothing.
         j.migrated(&vm(0), "node2".into(), ad.clone());
-        assert_eq!(j.live_ads().next().map(|(_, plant, _)| &**plant), Some("node2"));
+        assert_eq!(
+            j.live_ads().next().map(|(_, plant, _)| &**plant),
+            Some("node2")
+        );
         assert_eq!(j.len(), 4);
 
         // Destroying the VM drops its classad and appends nothing.
@@ -427,7 +430,11 @@ mod tests {
     fn failed_orders_settle_and_render_is_line_per_record() {
         let mut j = Journal::new();
         j.received("k".into(), &vm(1), order(1), SimTime::ZERO);
-        j.failed(&vm(1), "order deadline exceeded".into(), SimTime::from_secs(9));
+        j.failed(
+            &vm(1),
+            "order deadline exceeded".into(),
+            SimTime::from_secs(9),
+        );
         assert!(matches!(
             j.outcome_for_key("k"),
             Some((_, JournalOutcome::Failed { error })) if error == "order deadline exceeded"
@@ -460,8 +467,17 @@ mod tests {
         let mut j = Journal::new();
         j.received("a".into(), &vm(3), order(3), SimTime::ZERO);
         j.received("b".into(), &vm(4), order(4), SimTime::ZERO);
-        j.published(&vm(3), "node0".into(), ClassAd::new(), SimTime::from_secs(5));
-        j.failed(&vm(4), "no VMPlants available".into(), SimTime::from_secs(5));
+        j.published(
+            &vm(3),
+            "node0".into(),
+            ClassAd::new(),
+            SimTime::from_secs(5),
+        );
+        j.failed(
+            &vm(4),
+            "no VMPlants available".into(),
+            SimTime::from_secs(5),
+        );
         for id in [vm(3), vm(4)] {
             let state = j.order(&id).unwrap();
             assert!(

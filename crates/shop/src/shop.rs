@@ -7,8 +7,8 @@ use std::rc::Rc;
 use vmplants_classad::ClassAd;
 use vmplants_cluster::files::StoreError;
 use vmplants_plant::{
-    Envelope, Payload, Plant, PlantError, ProductionOrder, ReplyFn, Request, Response,
-    SharedOrder, VmId,
+    Envelope, Payload, Plant, PlantError, ProductionOrder, ReplyFn, Request, Response, SharedOrder,
+    VmId,
 };
 use vmplants_simkit::obs::{Counter, Obs, SpanId, TrackId};
 use vmplants_simkit::{Engine, EventId, SimDuration, SimRng, SimTime, Transport};
@@ -1622,7 +1622,9 @@ impl VmShop {
                         let mut state = shop2.inner.borrow_mut();
                         // The journal follows the VM, so a recovery
                         // re-caches it at the target, not the source.
-                        state.journal.migrated(&id2, target.as_str().into(), ad.clone());
+                        state
+                            .journal
+                            .migrated(&id2, target.as_str().into(), ad.clone());
                         state.cache.put(id2, ad.clone(), target, engine.now());
                         drop(state);
                         done(engine, Ok(ad));

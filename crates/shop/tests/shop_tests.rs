@@ -289,7 +289,11 @@ fn an_unanswered_call_fails_unresponsive_exactly_at_the_attempt_timeout() {
         );
         let sends = sends_of(&transport.trace_text(), &format!("destroy:{id}"));
         let first = sends[0];
-        assert_eq!(settled_ms, first + timeout_s * 1000, "timeout {timeout_s} s");
+        assert_eq!(
+            settled_ms,
+            first + timeout_s * 1000,
+            "timeout {timeout_s} s"
+        );
         let offsets: Vec<u64> = sends.iter().map(|ms| (ms - first) / 1000).collect();
         assert_eq!(offsets, [0, 1, 3, 7, 15, 23], "timeout {timeout_s} s");
         assert_eq!(s.plants[0].vm_count(), 1, "the VM was never reached");

@@ -184,6 +184,9 @@ mod tests {
         let m2 = p.next_mac();
         assert_ne!(m1, m2);
         assert_eq!(m1.to_string(), "02:56:00:00:00:01");
-        assert_eq!(MacAddr([2, 0x56, 0, 1, 0xab, 0x10]).to_string(), "02:56:00:01:ab:10");
+        assert_eq!(
+            MacAddr([2, 0x56, 0, 1, 0xab, 0x10]).to_string(),
+            "02:56:00:01:ab:10"
+        );
     }
 }
