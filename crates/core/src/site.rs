@@ -12,6 +12,7 @@ use vmplants_plant::{CostModel, DomainDirectory, Plant, PlantConfig, ProductionO
 use vmplants_shop::{ShopError, VmShop};
 use vmplants_simkit::{Engine, Obs, SimRng};
 use vmplants_virt::{TimingModel, VmSpec};
+use vmplants_vnet::ProxyEndpoint;
 use vmplants_warehouse::store::publish_experiment_goldens;
 use vmplants_warehouse::{Warehouse, WarehouseConfig};
 
@@ -122,6 +123,9 @@ pub struct SimSite {
     pub domains: DomainDirectory,
     /// The default client domain name, if registered.
     pub default_domain: Option<String>,
+    /// The default client's VNET proxy, shared by the orders
+    /// [`SimSite::order`] builds.
+    client_proxy: Rc<ProxyEndpoint>,
     /// Spare RNG for client-side decisions.
     pub rng: SimRng,
     /// The site-wide observability handle (same one every component got).
@@ -184,6 +188,9 @@ impl SimSite {
             shop.register_plant(plant.clone());
             plants.push(plant);
         }
+        let client_proxy = Rc::new(ProductionOrder::default_proxy(
+            default_domain.as_deref().unwrap_or("ufl.edu"),
+        ));
         SimSite {
             engine,
             shop,
@@ -192,6 +199,7 @@ impl SimSite {
             warehouse,
             domains,
             default_domain,
+            client_proxy,
             rng,
             obs,
         }
@@ -199,11 +207,14 @@ impl SimSite {
 
     /// Build an order for the default client domain.
     pub fn order(&self, spec: VmSpec, dag: ConfigDag) -> ProductionOrder {
-        let domain = self
-            .default_domain
-            .clone()
-            .unwrap_or_else(|| "ufl.edu".to_owned());
-        ProductionOrder::new(spec, dag, domain)
+        let domain = self.default_domain.as_deref().unwrap_or("ufl.edu");
+        // `default_domain` is public: an order for a domain set after the
+        // site was built gets its own proxy.
+        if self.client_proxy.domain != domain {
+            return ProductionOrder::new(spec, dag, domain);
+        }
+        let proxy = Rc::clone(&self.client_proxy);
+        ProductionOrder::with_proxy(spec, dag, domain.to_owned(), proxy)
     }
 
     /// Synchronously create a VM through the shop: issue the request, run

@@ -230,7 +230,7 @@ impl VmRecord {
     pub fn get_str(&self, name: &str) -> Option<String> {
         debug_assert!(
             !is_written_on_read(name),
-            "attribute written on read read around the information system"
+            "attribute written on read, read without InfoSystem::classad"
         );
         self.classad.get_str(name)
     }

@@ -58,12 +58,23 @@ impl ProductionOrder {
     /// tests and experiments where the proxy endpoint is immaterial).
     pub fn new(spec: VmSpec, dag: ConfigDag, client_domain: impl Into<String>) -> ProductionOrder {
         let client_domain = client_domain.into();
-        let proxy = ProxyEndpoint::new(
-            client_domain.clone(),
-            format!("proxy.{client_domain}"),
-            9300,
-        )
-        .into();
+        let proxy = Rc::new(ProductionOrder::default_proxy(&client_domain));
+        ProductionOrder::with_proxy(spec, dag, client_domain, proxy)
+    }
+
+    /// The proxy [`ProductionOrder::new`] synthesizes for `domain`.
+    pub fn default_proxy(domain: &str) -> ProxyEndpoint {
+        ProxyEndpoint::new(domain, format!("proxy.{domain}"), 9300)
+    }
+
+    /// Order from the client of `client_domain` behind `proxy`; one
+    /// client's orders can share its endpoint.
+    pub fn with_proxy(
+        spec: VmSpec,
+        dag: ConfigDag,
+        client_domain: String,
+        proxy: Rc<ProxyEndpoint>,
+    ) -> ProductionOrder {
         ProductionOrder {
             spec,
             dag,

@@ -23,13 +23,12 @@
 //! The per-order fold holds the [`SharedOrder`] the shop admitted — the
 //! very request its dispatch envelopes carry — while the order is
 //! unsettled, so recovery re-dispatches it as is, and drops it when the
-//! order settles. A
-//! published outcome holds the [`ClassAd`] itself, never a rendering of
-//! it: the ad is copy-on-write, so the outcome shares its storage with
-//! the client's reply and the soft cache, and a resubmission or a
-//! recovery hands it out again without parsing anything. When the shop
-//! destroys the VM, the fold drops that ad (`Journal::destroyed`), so
-//! the classads the journal holds are bounded by the live VMs; when it
+//! order settles. A published outcome holds the [`ClassAd`] itself, never
+//! a rendering of it: the ad is copy-on-write, so the outcome shares its
+//! storage with the client's reply and the soft cache, and a resubmission
+//! or a recovery hands it out again without parsing anything. When the
+//! shop destroys the VM, the fold drops that ad (`Journal::destroyed`),
+//! so the classads the journal holds are bounded by the live VMs; when it
 //! migrates the VM, the fold repoints the outcome at the target plant
 //! (`Journal::migrated`). Neither appends a record.
 
