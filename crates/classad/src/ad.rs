@@ -416,6 +416,41 @@ mod tests {
     }
 
     #[test]
+    fn set_display_writes_text_and_leaves_an_equal_binding_alone() {
+        let mut ad = ClassAd::with_capacity(4);
+        ad.set_display("network", format_args!("vmnet{}", 3));
+        assert_eq!(ad.get_str("network"), Some("vmnet3".into()));
+        let reply = ad.clone();
+        ad.set_display("network", "vmnet3");
+        assert!(
+            Rc::ptr_eq(&ad.entries, &reply.entries),
+            "an equal binding is not rewritten, so the shared list is not copied"
+        );
+        ad.set_display("Network", "vmnet3");
+        assert_eq!(
+            ad.names().collect::<Vec<_>>(),
+            ["Network"],
+            "a new spelling is written"
+        );
+        // Text longer than the stack buffer moves to the heap whole.
+        let long = "segment-".repeat(12);
+        ad.set_display("long", &long);
+        assert_eq!(ad.get_str("long"), Some(long));
+    }
+
+    #[test]
+    fn a_copy_on_write_keeps_the_capacity() {
+        let mut ad = ClassAd::with_capacity(8);
+        ad.set_value("a", 1i64);
+        ad.set_value("b", 2i64);
+        let mut copy = ad.clone();
+        copy.set_value("c", 3i64);
+        assert!(copy.entries.capacity() >= 8, "{}", copy.entries.capacity());
+        assert_eq!(ad.len(), 2);
+        assert_eq!(copy.len(), 3);
+    }
+
+    #[test]
     fn display_is_parseable() {
         let mut ad = ClassAd::new();
         ad.set_value("name", "vm-1");

@@ -508,7 +508,7 @@ mod tests {
     }
 
     #[test]
-    fn transitions_reach_the_classad_when_it_is_read() {
+    fn transitions_update_classad() {
         let mut sys = InfoSystem::new();
         let id = VmId("vm-1".into());
         sys.insert(record("vm-1"));
