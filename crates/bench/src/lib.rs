@@ -14,11 +14,9 @@
 //! | `runtime_overhead` | §4.3's quoted run-time overheads (E9) |
 //! | `full_report` | everything above in one text report |
 //! | `ablations` | the E10–E15 ablation tables |
-//! | `bench_baseline` | `BENCH_vmplants.json`: kernel, matchmaking and classad rates, experiment walls; `--check` gates a fresh run against it ([`check`]) |
 //!
-//! The order-lifecycle benchmark is the separate `perfbench` package.
-
-pub mod check;
+//! Host-time performance is measured by the separate `perfbench` package
+//! (the order-lifecycle benchmark), not by these binaries.
 
 /// Shared seed so every harness regenerates the same report by default.
 pub const DEFAULT_SEED: u64 = 2004;

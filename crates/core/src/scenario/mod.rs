@@ -38,7 +38,7 @@ use std::fmt;
 use vmplants_simkit::{FaultEvent, FaultPlanError, SimDuration, SimTime};
 
 pub use shrink::{shrink, FailureSignature, ShrinkResult};
-pub use sweep::{run_sweep, run_sweep_serial, Score, SweepReport, SweepRow};
+pub use sweep::{run_sweep, Score, SweepReport, SweepRow};
 
 /// Why a scenario failed to parse, validate or compile.
 #[derive(Clone, Debug, PartialEq)]

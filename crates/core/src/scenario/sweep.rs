@@ -194,8 +194,8 @@ impl SweepReport {
 
 /// Compile every (scenario, seed) cell, run them on the parallel
 /// harness, and score the results. Cell order is scenario-major,
-/// seed-minor; the merged output is byte-identical to
-/// [`run_sweep_serial`] on the same grid.
+/// seed-minor; the merged output is byte-identical to a serial run of
+/// the same grid (asserted by this module's tests).
 pub fn run_sweep(scenarios: &[Scenario], seeds: &[u64]) -> Result<SweepReport, ScenarioError> {
     let cells = compile_cells(scenarios, seeds)?;
     let rows = run_ordered(
@@ -213,28 +213,6 @@ pub fn run_sweep(scenarios: &[Scenario], seeds: &[u64]) -> Result<SweepReport, S
             })
             .collect(),
     );
-    Ok(SweepReport { rows })
-}
-
-/// The serial reference: same grid, same output, one thread. Exists so
-/// the benchmark can price the parallel harness and tests can assert
-/// the byte-identical merge.
-pub fn run_sweep_serial(
-    scenarios: &[Scenario],
-    seeds: &[u64],
-) -> Result<SweepReport, ScenarioError> {
-    let cells = compile_cells(scenarios, seeds)?;
-    let rows = cells
-        .into_iter()
-        .map(|(name, seed, config)| {
-            let report = run_chaos(&config);
-            SweepRow {
-                name,
-                seed,
-                score: Score::of(&report),
-            }
-        })
-        .collect();
     Ok(SweepReport { rows })
 }
 
@@ -259,6 +237,26 @@ mod tests {
     use vmplants_simkit::SimDuration;
 
     use super::*;
+
+    /// The serial reference: same grid, same output, one thread.
+    fn run_sweep_serial(
+        scenarios: &[Scenario],
+        seeds: &[u64],
+    ) -> Result<SweepReport, ScenarioError> {
+        let cells = compile_cells(scenarios, seeds)?;
+        let rows = cells
+            .into_iter()
+            .map(|(name, seed, config)| {
+                let report = run_chaos(&config);
+                SweepRow {
+                    name,
+                    seed,
+                    score: Score::of(&report),
+                }
+            })
+            .collect();
+        Ok(SweepReport { rows })
+    }
 
     fn score(successes: usize, hung: usize, p99: f64) -> Score {
         Score {

@@ -6,7 +6,7 @@ use std::rc::Rc;
 
 use vmplants_cluster::files::{FileKind, StoreError};
 use vmplants_cluster::nfs::NfsServer;
-use vmplants_dag::{CompiledDag, ConfigDag, InternedLog, PerformedLog, SigInterner};
+use vmplants_dag::{BitSet, CompiledDag, ConfigDag, InternedLog, PerformedLog, SigInterner};
 use vmplants_simkit::obs::{Counter, Gauge, HistogramMetric, Obs};
 use vmplants_simkit::SimDuration;
 use vmplants_virt::image::CONFIG_BYTES;
@@ -466,15 +466,8 @@ impl Warehouse {
     ) -> Option<(&GoldenImage, vmplants_dag::MatchReport)> {
         self.lookups.inc();
         let compiled = CompiledDag::compile_readonly(dag, &self.interner);
-        let request_sigs = compiled.sig_bits();
         let mut best: Option<(&GoldenId, vmplants_dag::MatchedSet)> = None;
-        for (id, golden_spec, log) in &self.hw_rows {
-            // Hardware criterion, then the subset pre-check against the
-            // index: any sig outside the request's set means the Subset
-            // Test must fail — skip the row without the heavier tests.
-            if !spec_matches(golden_spec, spec) || !log.sig_bits().is_subset(request_sigs) {
-                continue;
-            }
+        for (id, _, log) in self.tested_rows(spec, compiled.sig_bits()) {
             if let Ok(matched) = compiled.verdict(log, &self.interner) {
                 // Rows are not in id order, so break score ties by id to
                 // replicate the naive path's first-in-id-order win.
@@ -506,10 +499,26 @@ impl Warehouse {
         }
     }
 
+    /// The index rows [`Warehouse::lookup`] runs the three §3.2 tests on:
+    /// those that pass the hardware criterion and whose signatures are a
+    /// subset of the request's (`request_sigs`). A signature outside the
+    /// request's set means the Subset Test must fail, so the pre-check
+    /// skips that row without the heavier tests.
+    fn tested_rows<'a>(
+        &'a self,
+        spec: &'a VmSpec,
+        request_sigs: &'a BitSet,
+    ) -> impl Iterator<Item = &'a (GoldenId, VmSpec, InternedLog)> {
+        self.hw_rows.iter().filter(move |(_, golden_spec, log)| {
+            spec_matches(golden_spec, spec) && log.sig_bits().is_subset(request_sigs)
+        })
+    }
+
     /// The pre-index reference lookup: linear three-test matching via
     /// [`vmplants_dag::match_image`] against every hardware candidate.
-    /// Kept as the regression oracle for [`Warehouse::lookup`] and as the
-    /// baseline side of the `bench_baseline` throughput comparison.
+    /// The tests' oracle for [`Warehouse::lookup`]: both must return the
+    /// same image and report, and the oracle runs the three tests on
+    /// every hardware candidate the index would skip.
     pub fn find_golden_naive(
         &self,
         spec: &VmSpec,
@@ -1034,6 +1043,80 @@ mod tests {
         assert_lookup_matches_naive(&w, &VmSpec::mandrake(64), &dag);
         let (img, _) = w.lookup(&VmSpec::mandrake(64), &dag).unwrap();
         assert_eq!(img.id, GoldenId("mandrake81-64mb".into()));
+    }
+
+    /// A 48-action chain request: long enough that the three matching
+    /// tests dominate a row's cost.
+    fn chain_dag() -> vmplants_dag::ConfigDag {
+        let mut dag = vmplants_dag::ConfigDag::new();
+        let ids: Vec<String> = (0..48).map(|i| format!("s{i:02}")).collect();
+        for id in &ids {
+            dag.add_action(Action::guest(id, format!("install-{id}")))
+                .unwrap();
+        }
+        let refs: Vec<&str> = ids.iter().map(String::as_str).collect();
+        dag.chain(&refs).unwrap();
+        dag
+    }
+
+    /// `goldens` goldens of the request's hardware: one in eight a genuine
+    /// prefix of the chain (4 to 35 actions deep), the rest carrying a
+    /// foreign action log.
+    fn chain_warehouse(dag: &vmplants_dag::ConfigDag, goldens: usize) -> Warehouse {
+        let nfs = nfs();
+        let mut w = Warehouse::new();
+        let order = dag.topo_sort().unwrap();
+        for i in 0..goldens {
+            let performed: PerformedLog = if i % 8 == 0 {
+                order
+                    .iter()
+                    .take(4 + (i % 32))
+                    .map(|id| dag.action(id).unwrap().clone())
+                    .collect()
+            } else {
+                (0..12)
+                    .map(|j| Action::guest(format!("x{i}-{j}"), format!("foreign-{i}-{j}")))
+                    .collect()
+            };
+            w.publish(
+                &nfs,
+                format!("chain-{i:04}"),
+                "chain golden",
+                VmSpec::mandrake(64),
+                performed,
+            )
+            .unwrap();
+        }
+        w
+    }
+
+    /// The rows that reach §3.2's three matching tests, as an exact count
+    /// per path: the naive scan tests every hardware candidate, the index
+    /// only the rows whose signatures pass the subset pre-check — the
+    /// prefix goldens, one in eight.
+    #[test]
+    fn subset_precheck_sends_only_prefix_rows_to_the_matching_tests() {
+        let dag = chain_dag();
+        let spec = VmSpec::mandrake(64);
+        for (goldens, naive_rows, indexed_rows, depth) in
+            [(10, 10, 2, 12), (100, 100, 13, 28), (1000, 1000, 125, 28)]
+        {
+            let w = chain_warehouse(&dag, goldens);
+            let compiled = CompiledDag::compile_readonly(&dag, &w.interner);
+            assert_eq!(
+                w.hardware_candidates(&spec).len(),
+                naive_rows,
+                "naive rows at {goldens} goldens"
+            );
+            assert_eq!(
+                w.tested_rows(&spec, compiled.sig_bits()).count(),
+                indexed_rows,
+                "indexed rows at {goldens} goldens"
+            );
+            assert_lookup_matches_naive(&w, &spec, &dag);
+            let (_, report) = w.lookup(&spec, &dag).unwrap();
+            assert_eq!(report.score(), depth, "deepest prefix at {goldens} goldens");
+        }
     }
 
     #[test]

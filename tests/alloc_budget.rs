@@ -14,10 +14,16 @@
 //!   goldens, under a 32 GiB warehouse budget, so eviction and
 //!   re-derivation run on the order path.
 //!
+//! The steady stream runs twice: untraced, and on a site built with
+//! `Obs::enabled()`, which records and retains every span. The traced
+//! run prices the observability layer as allocations per order.
+//!
 //! The streams are deterministic, so the counts are exact and repeat from
-//! run to run in debug and release builds alike. The steady stream also
-//! checks that a fault-free site keeps no transport trace: its memory
-//! must not grow with run length.
+//! run to run in debug and release builds alike. Besides allocations, the
+//! steady streams pin two more exact counts: spans per order (none
+//! untraced) and shop journal records per order. The untraced steady
+//! stream also checks that a fault-free site keeps no transport trace:
+//! its memory must not grow with run length.
 //!
 //! Not all of a count is order-path cost. The monitors keep ticking over
 //! the 7,500 sim s tail after the last order, and each tick reschedules
@@ -32,7 +38,7 @@ use vmplants::{SimSite, SiteConfig};
 use vmplants_dag::graph::{experiment_dag, zipf_dag};
 use vmplants_dag::ConfigDag;
 use vmplants_plant::VmId;
-use vmplants_simkit::{SimDuration, SimRng, SimTime};
+use vmplants_simkit::{Obs, SimDuration, SimRng, SimTime};
 use vmplants_virt::VmSpec;
 use vmplants_warehouse::WarehouseConfig;
 
@@ -85,6 +91,18 @@ const ORDERS: u64 = 300;
 /// per order; the ceiling leaves 5 % of headroom. Lower it when a change
 /// removes allocations, so the saving stays pinned.
 const STEADY_CEILING_PER_ORDER: f64 = 216.0;
+
+/// Allocations per order the steady stream may make with every trace
+/// recorded (`Obs::enabled`). It measures 269.57 per order; the ceiling
+/// leaves 5 % of headroom. Typed spans should lower it towards the
+/// untraced count.
+const TRACED_CEILING_PER_ORDER: f64 = 283.0;
+
+/// Spans one traced steady order records, exactly.
+const SPANS_PER_ORDER: f64 = 13.0;
+
+/// Records one steady order appends to the shop's journal, exactly.
+const JOURNAL_RECORDS_PER_ORDER: f64 = 4.0;
 
 /// Allocations per order the zipf stream may make. It measures 219.38
 /// per order; the ceiling leaves 5 % of headroom.
@@ -177,27 +195,78 @@ fn zipf_ranks(population: u32, seed: u64) -> Vec<u32> {
         .collect()
 }
 
-#[test]
-fn steady_order_path_stays_within_its_allocation_budget() {
-    let site = SimSite::build(SiteConfig {
-        seed: 1,
-        ..SiteConfig::default()
-    });
+/// Run the steady stream on a site built with `obs`.
+fn steady_stream(obs: Obs) -> Stream {
+    let site = SimSite::build_with_obs(
+        SiteConfig {
+            seed: 1,
+            ..SiteConfig::default()
+        },
+        obs,
+    );
     let dags = (0..ORDERS).map(|_| experiment_dag("arijit")).collect();
     let stream = run_stream(site, dags, 10);
     assert_eq!(
         stream.created as u64, ORDERS,
         "the fault-free stream lost orders"
     );
+    stream
+}
+
+/// Spans and journal records per order of a stream, from its site's
+/// registry.
+fn spans_and_records_per_order(stream: &Stream) -> (f64, f64) {
+    let obs = &stream.site.obs;
+    let records = obs
+        .counter_value("shop.journal_records")
+        .expect("the shop registers its journal counter");
+    (
+        obs.span_count() as f64 / ORDERS as f64,
+        records as f64 / ORDERS as f64,
+    )
+}
+
+#[test]
+fn steady_order_path_stays_within_its_allocation_budget() {
+    let stream = steady_stream(Obs::disabled());
     assert_eq!(
         stream.trace_len, 0,
         "a site nobody asked for a trace kept one"
     );
+    let (spans, records) = spans_and_records_per_order(&stream);
     let per_order = stream.per_order;
-    println!("steady: {per_order:.2} allocations per order");
+    println!(
+        "steady: {per_order:.2} allocations per order; {spans:.2} spans and \
+         {records:.2} journal records per order"
+    );
+    assert_eq!(spans, 0.0, "a disabled sink recorded spans");
+    assert_eq!(
+        records, JOURNAL_RECORDS_PER_ORDER,
+        "journal records per order"
+    );
     assert!(
         per_order <= STEADY_CEILING_PER_ORDER,
         "{per_order:.1} allocations per order exceeds the ceiling of {STEADY_CEILING_PER_ORDER}"
+    );
+}
+
+#[test]
+fn traced_steady_order_path_stays_within_its_allocation_budget() {
+    let stream = steady_stream(Obs::enabled());
+    let (spans, records) = spans_and_records_per_order(&stream);
+    let per_order = stream.per_order;
+    println!(
+        "steady traced: {per_order:.2} allocations per order; {spans:.2} spans and \
+         {records:.2} journal records per order"
+    );
+    assert_eq!(spans, SPANS_PER_ORDER, "spans per traced order");
+    assert_eq!(
+        records, JOURNAL_RECORDS_PER_ORDER,
+        "journal records per order"
+    );
+    assert!(
+        per_order <= TRACED_CEILING_PER_ORDER,
+        "{per_order:.1} allocations per order exceeds the ceiling of {TRACED_CEILING_PER_ORDER}"
     );
 }
 

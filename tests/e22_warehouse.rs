@@ -227,3 +227,78 @@ fn quick_cell_exercises_the_whole_machinery() {
         render_warehouse_sweep(&warehouse_sweep_quick(E22_SEED))
     );
 }
+
+/// Publish zipf golden `rank` (the A→B→C base plus its private P, Q)
+/// and return how many state files it has.
+fn publish_zipf_golden(w: &mut Warehouse, nfs: &NfsServer, rank: u32) -> usize {
+    let dag = vmplants_dag::graph::zipf_dag(rank, "bench");
+    let performed: PerformedLog = ["A", "B", "C", "P", "Q"]
+        .iter()
+        .map(|id| dag.action(id).expect("zipf action").clone())
+        .collect();
+    let img = w
+        .publish(
+            nfs,
+            format!("zipf-{rank:04}"),
+            format!("zipf golden {rank}"),
+            VmSpec::mandrake(64),
+            performed,
+        )
+        .expect("publish");
+    img.files.all_paths().len()
+}
+
+/// The chunk store's storage and clone-latency numbers at 120
+/// prefix-sharing goldens, pinned exactly. One store dedups, one keeps
+/// full copies; the 120th golden is the marginal one: the bytes it adds
+/// to each store are what a clone of it moves once the shared prefix is
+/// resident (chunked) or always (full copy), priced by the NFS model.
+#[test]
+fn dedup_and_clone_latency_at_120_goldens_are_pinned() {
+    const GOLDENS: u32 = 120;
+    const GB: f64 = (1u64 << 30) as f64;
+    const MB: f64 = (1u64 << 20) as f64;
+    let store = |dedup| {
+        Warehouse::with_config(WarehouseConfig {
+            dedup,
+            capacity_bytes: None,
+            replicate_after: None,
+        })
+    };
+    let nfs_chunked = NfsServer::new("chunked");
+    let nfs_full = NfsServer::new("fullcopy");
+    let (mut chunked, mut fullcopy) = (store(true), store(false));
+    for rank in 0..GOLDENS - 1 {
+        publish_zipf_golden(&mut chunked, &nfs_chunked, rank);
+        publish_zipf_golden(&mut fullcopy, &nfs_full, rank);
+    }
+    let chunked_before = chunked.physical_footprint();
+    let full_before = fullcopy.physical_footprint();
+    let state_files = publish_zipf_golden(&mut chunked, &nfs_chunked, GOLDENS - 1);
+    publish_zipf_golden(&mut fullcopy, &nfs_full, GOLDENS - 1);
+    let private_bytes = chunked.physical_footprint() - chunked_before;
+    let full_bytes = fullcopy.physical_footprint() - full_before;
+
+    // Dedup changes the physical layout only: both stores serve the same
+    // logical content.
+    assert_eq!(chunked.logical_footprint(), fullcopy.physical_footprint());
+
+    let full_clone_s = nfs_chunked.estimate(full_bytes, state_files).as_secs_f64();
+    let chunked_clone_s = nfs_chunked.estimate(private_bytes, state_files).as_secs_f64();
+    let measured = format!(
+        "{state_files} state files; {:.1} GB logical in {:.1} GB physical ({:.2}x dedup); \
+         {:.1} MB private per clone; clone {:.1} s full copy vs {:.1} s chunked ({:.2}x)",
+        chunked.logical_footprint() as f64 / GB,
+        chunked.physical_footprint() as f64 / GB,
+        chunked.dedup_factor(),
+        private_bytes as f64 / MB,
+        full_clone_s,
+        chunked_clone_s,
+        full_clone_s / chunked_clone_s,
+    );
+    assert_eq!(
+        measured,
+        "19 state files; 249.4 GB logical in 41.1 GB physical (6.06x dedup); \
+         336.0 MB private per clone; clone 218.5 s full copy vs 39.3 s chunked (5.56x)"
+    );
+}
