@@ -283,10 +283,9 @@ struct PendingCall {
     plant: Rc<str>,
     /// Shop epoch the request was issued under.
     epoch: u64,
-    /// The pending retransmission timer.
-    retransmit: EventId,
-    /// The attempt-timeout watchdog.
-    watchdog: EventId,
+    /// The call's one timer: the next retransmission, or the attempt
+    /// timeout when that comes first.
+    timer: EventId,
     handler: CallDone,
 }
 
@@ -524,8 +523,7 @@ impl VmShop {
             std::mem::take(&mut state.pending)
         };
         for (_, p) in pending {
-            engine.cancel(p.watchdog);
-            engine.cancel(p.retransmit);
+            engine.cancel(p.timer);
         }
     }
 
@@ -768,7 +766,7 @@ impl VmShop {
         request: impl Into<Rc<Request>>,
         on_done: CallDone,
     ) {
-        let (env, timeout) = {
+        let (env, deadline) = {
             let mut state = self.inner.borrow_mut();
             if state.pending.contains_key(&key) {
                 drop(state);
@@ -786,49 +784,78 @@ impl VmShop {
             state.next_msg += 1;
             (
                 Envelope::request(Rc::clone(&self.name), state.epoch, seq, key, request),
-                state.tuning.attempt_timeout,
+                engine.now() + state.tuning.attempt_timeout,
             )
         };
-        // Watchdog: no response within the attempt timeout — despite
-        // retransmissions — means the plant or both directions of the
-        // link are gone. Treat as Unresponsive.
-        let shop = self.clone();
-        let key = Rc::clone(&env.key);
-        let watchdog = engine.schedule(timeout, move |engine| {
-            let p = shop.inner.borrow_mut().pending.remove(&key);
-            if let Some(p) = p {
-                shop.inner.borrow().watchdog_fires.inc();
-                engine.cancel(p.retransmit);
-                (p.handler)(engine, Err(PlantError::Unresponsive));
-            }
-        });
+        let plant_name = plant.shared_name();
+        let (key, epoch) = (Rc::clone(&env.key), env.epoch);
+        self.send_request(engine, &plant, &env);
+        let timer = self.arm(engine, plant, env, deadline, 0);
         self.inner.borrow_mut().pending.insert(
-            Rc::clone(&env.key),
+            key,
             PendingCall {
-                plant: plant.shared_name(),
-                epoch: env.epoch,
-                // Placeholder until the first transmit schedules the
-                // real timer.
-                retransmit: watchdog,
-                watchdog,
+                plant: plant_name,
+                epoch,
+                timer,
                 handler: on_done,
             },
         );
-        self.transmit(engine, plant, env, 0);
     }
 
-    /// Transmit (or retransmit) a request envelope and arm the next
-    /// retransmission timer. No-op once the call has settled.
-    fn transmit(&self, engine: &mut Engine, plant: Plant, env: Envelope, attempt: u32) {
+    /// A pending call's timer fired. No response by `deadline` — despite
+    /// retransmissions — means the plant or both directions of the link
+    /// are gone: settle the call `Unresponsive`. Before the deadline,
+    /// retransmit and re-arm. No-op once the call has settled.
+    fn on_timer(
+        &self,
+        engine: &mut Engine,
+        plant: Plant,
+        env: Envelope,
+        deadline: SimTime,
+        attempt: u32,
+    ) {
+        if engine.now() >= deadline {
+            let p = self.inner.borrow_mut().pending.remove(&env.key);
+            if let Some(p) = p {
+                self.inner.borrow().watchdog_fires.inc();
+                (p.handler)(engine, Err(PlantError::Unresponsive));
+            }
+            return;
+        }
         {
             let state = self.inner.borrow();
             if !state.pending.contains_key(&env.key) {
                 return;
             }
-            if attempt > 0 {
-                state.retransmits.inc();
-            }
+            state.retransmits.inc();
         }
+        self.send_request(engine, &plant, &env);
+        let key = Rc::clone(&env.key);
+        let timer = self.arm(engine, plant, env, deadline, attempt);
+        if let Some(p) = self.inner.borrow_mut().pending.get_mut(&key) {
+            p.timer = timer;
+        }
+    }
+
+    /// Schedule the call's timer after (re)transmission number `attempt`:
+    /// one retransmission timeout from now, or the deadline if sooner.
+    fn arm(
+        &self,
+        engine: &mut Engine,
+        plant: Plant,
+        env: Envelope,
+        deadline: SimTime,
+        attempt: u32,
+    ) -> EventId {
+        let at = (engine.now() + self.rto_for(attempt)).min(deadline);
+        let shop = self.clone();
+        engine.schedule_at(at, move |engine| {
+            shop.on_timer(engine, plant, env, deadline, attempt + 1);
+        })
+    }
+
+    /// Put a request envelope on the transport to `plant`.
+    fn send_request(&self, engine: &mut Engine, plant: &Plant, env: &Envelope) {
         let transport = self.transport();
         // The plant answers through this closure: the response envelope
         // makes its own unreliable hop back to the shop.
@@ -853,15 +880,6 @@ impl VmShop {
             env.trace_label(),
             move |engine| plant_d.serve(engine, env_d.clone(), Rc::clone(&reply)),
         );
-        let rto = self.rto_for(attempt);
-        let shop = self.clone();
-        let key = Rc::clone(&env.key);
-        let retransmit = engine.schedule(rto, move |engine| {
-            shop.transmit(engine, plant, env, attempt + 1);
-        });
-        if let Some(p) = self.inner.borrow_mut().pending.get_mut(&key) {
-            p.retransmit = retransmit;
-        }
     }
 
     /// A response envelope arrived. Settle the matching pending call;
@@ -882,8 +900,7 @@ impl VmShop {
             }
         };
         let Some(p) = pending else { return };
-        engine.cancel(p.watchdog);
-        engine.cancel(p.retransmit);
+        engine.cancel(p.timer);
         if let Payload::Response(response) = env.body {
             (p.handler)(engine, Ok(response));
         }
