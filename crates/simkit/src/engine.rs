@@ -17,10 +17,8 @@
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::time::Instant;
 
 use crate::obs::{Counter, Gauge, Obs};
-use crate::stats::KernelThroughput;
 use crate::time::{SimDuration, SimTime};
 
 /// Identifier of a scheduled event, usable for cancellation.
@@ -90,9 +88,6 @@ pub struct Engine {
     executed: Counter,
     /// Monotonic cancelled-event counter.
     cancelled: Counter,
-    /// Cumulative wall-clock time spent inside `run`/`run_until` loops,
-    /// in nanoseconds — the denominator of the events/sec counter.
-    busy_nanos: u128,
 }
 
 impl Engine {
@@ -107,7 +102,6 @@ impl Engine {
             live: Gauge::new(),
             executed: Counter::new(),
             cancelled: Counter::new(),
-            busy_nanos: 0,
         }
     }
 
@@ -134,17 +128,6 @@ impl Engine {
     /// Number of events still pending.
     pub fn pending(&self) -> usize {
         self.live.get() as usize
-    }
-
-    /// Kernel throughput so far: events executed (read from the monotonic
-    /// registry counter) and the wall-clock time spent executing them
-    /// (accumulated around the `run`/`run_until` loops, so per-event timing
-    /// overhead never touches the hot path).
-    pub fn throughput(&self) -> KernelThroughput {
-        KernelThroughput {
-            events: self.executed.get(),
-            busy_nanos: self.busy_nanos,
-        }
     }
 
     /// Schedule `action` to run `delay` after the current time.
@@ -251,16 +234,13 @@ impl Engine {
 
     /// Run until the event heap is exhausted.
     pub fn run(&mut self) {
-        let started = Instant::now();
         while self.step() {}
-        self.busy_nanos += started.elapsed().as_nanos();
     }
 
     /// Run until the heap is exhausted or the clock would pass `horizon`.
     /// Events scheduled exactly at the horizon still run; later events stay
     /// queued and the clock is left at the horizon.
     pub fn run_until(&mut self, horizon: SimTime) {
-        let started = Instant::now();
         while let Some(at) = self.peek_live() {
             if at > horizon {
                 break;
@@ -270,7 +250,6 @@ impl Engine {
         if horizon > self.now {
             self.now = horizon;
         }
-        self.busy_nanos += started.elapsed().as_nanos();
     }
 
     /// Convenience: advance the clock by `delay` with no event (useful in
@@ -418,16 +397,14 @@ mod tests {
     #[test]
     fn throughput_counts_executed_events() {
         let mut e = Engine::new();
+        let obs = Obs::default();
+        e.set_obs(&obs);
         for _ in 0..100 {
             e.schedule(SimDuration::from_secs(1), |_| {});
         }
         e.run();
-        let t = e.throughput();
-        assert_eq!(t.events, 100);
-        assert!(t.busy_nanos > 0);
-        assert!(t.events_per_sec() > 0.0);
-        let text = t.to_string();
-        assert!(text.contains("events/sec"), "{text}");
+        assert_eq!(e.events_executed(), 100);
+        assert_eq!(obs.counter_value("engine.events_executed"), Some(100));
     }
 
     #[test]

@@ -18,43 +18,6 @@ use std::fmt;
 
 use crate::time::{SimDuration, SimTime};
 
-/// Event-kernel throughput: how many events the engine executed and how
-/// much wall-clock time its run loops spent executing them. Produced by
-/// `Engine::throughput`; the `events/sec` figure is the kernel metric the
-/// bench baseline (`BENCH_vmplants.json`) tracks across perf PRs.
-///
-/// Wall-clock time never feeds back into the simulation, so the counter is
-/// free of determinism hazards.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct KernelThroughput {
-    /// Events executed.
-    pub events: u64,
-    /// Wall-clock nanoseconds spent inside `run`/`run_until` loops.
-    pub busy_nanos: u128,
-}
-
-impl KernelThroughput {
-    /// Events executed per wall-clock second (0 when nothing was timed).
-    pub fn events_per_sec(&self) -> f64 {
-        if self.busy_nanos == 0 {
-            return 0.0;
-        }
-        self.events as f64 / (self.busy_nanos as f64 / 1e9)
-    }
-}
-
-impl fmt::Display for KernelThroughput {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} events in {:.3}s ({:.0} events/sec)",
-            self.events,
-            self.busy_nanos as f64 / 1e9,
-            self.events_per_sec()
-        )
-    }
-}
-
 /// Online mean/variance via Welford's algorithm, plus min/max.
 #[derive(Clone, Debug, Default)]
 pub struct Summary {

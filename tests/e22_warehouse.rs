@@ -284,7 +284,9 @@ fn dedup_and_clone_latency_at_120_goldens_are_pinned() {
     assert_eq!(chunked.logical_footprint(), fullcopy.physical_footprint());
 
     let full_clone_s = nfs_chunked.estimate(full_bytes, state_files).as_secs_f64();
-    let chunked_clone_s = nfs_chunked.estimate(private_bytes, state_files).as_secs_f64();
+    let chunked_clone_s = nfs_chunked
+        .estimate(private_bytes, state_files)
+        .as_secs_f64();
     let measured = format!(
         "{state_files} state files; {:.1} GB logical in {:.1} GB physical ({:.2}x dedup); \
          {:.1} MB private per clone; clone {:.1} s full copy vs {:.1} s chunked ({:.2}x)",
