@@ -943,6 +943,60 @@ fn shop_crash_post_publish_replays_from_the_journal_without_a_second_vm() {
     );
 }
 
+/// A direct (unkeyed) order is journaled under the key derived from its
+/// VMID, and a shop crash mid-production resumes it on its journaled
+/// plant and settles it exactly once.
+#[test]
+fn direct_order_journal_lines_and_crash_mid_order_resume_once() {
+    let mut s = site_with(2, CostModel::FreeMemoryPrototype);
+    let settled = Rc::new(RefCell::new(0));
+    let settled2 = Rc::clone(&settled);
+    s.shop.create(
+        &mut s.engine,
+        order(64),
+        Box::new(move |_, _| *settled2.borrow_mut() += 1),
+    );
+    let (journal, stats) = crash_then_recover(
+        &mut s,
+        SimDuration::from_secs(12),
+        SimDuration::from_secs(15),
+    );
+    s.engine.run();
+
+    assert_eq!(
+        *journal.borrow(),
+        "[0.000s] received vm-shop-00000 key=order:vm-shop-00000\n\
+         [0.138s] bids-requested vm-shop-00000 plants=2\n\
+         [0.343s] dispatched vm-shop-00000 -> node0 attempt=0\n"
+    );
+    let stats = stats.borrow().clone().unwrap();
+    assert_eq!(stats.resumed, 1, "{stats:?}");
+    assert_eq!(stats.adopted + stats.restarted, 0, "{stats:?}");
+    // The crashed incarnation's caller is never answered; the resumed
+    // order settles once, on the one VM.
+    assert_eq!(*settled.borrow(), 0);
+    // One received line, and the resumed dispatch reuses the journaled
+    // plant and attempt before the one publication.
+    assert_eq!(
+        s.shop.journal_text(),
+        "[0.000s] received vm-shop-00000 key=order:vm-shop-00000\n\
+         [0.138s] bids-requested vm-shop-00000 plants=2\n\
+         [0.343s] dispatched vm-shop-00000 -> node0 attempt=0\n\
+         [15.000s] dispatched vm-shop-00000 -> node0 attempt=0\n\
+         [50.281s] published vm-shop-00000 plant=node0\n"
+    );
+    let log = s.shop.request_log();
+    assert_eq!(log.len(), 1, "{log:?}");
+    assert!(log[0].success);
+    assert_eq!(total_vms(&s), 1, "the resumed order forked a duplicate");
+    assert_eq!(s.shop.gc_orphans(&mut s.engine), 0, "no orphans");
+    let id = VmId("vm-shop-00000".into());
+    assert_eq!(
+        run_query(&mut s, &id).unwrap().get_str("state"),
+        Some("running".into())
+    );
+}
+
 /// `n` keyed orders, run one at a time; each VM is destroyed through
 /// the shop once created, except the last `live`. Returns the site and
 /// every VMID in order.
