@@ -44,10 +44,11 @@ use vmplants_simkit::SimTime;
 #[derive(Clone, Debug)]
 pub enum JournalRecord {
     /// The order was accepted and assigned a VMID. `key` is the
-    /// client's idempotency key (synthesized for legacy direct calls).
+    /// client's idempotency key; a direct call has none and renders as
+    /// `order:{vm_id}`.
     Received {
-        /// Client idempotency key.
-        key: Rc<str>,
+        /// Client idempotency key, if the order came with one.
+        key: Option<Rc<str>>,
         /// The VMID the shop assigned.
         vm_id: Rc<str>,
         /// When the shop accepted the order.
@@ -101,9 +102,10 @@ pub enum JournalRecord {
 impl fmt::Display for JournalRecord {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            JournalRecord::Received { key, vm_id, at } => {
-                write!(f, "[{at}] received {vm_id} key={key}")
-            }
+            JournalRecord::Received { key, vm_id, at } => match key {
+                Some(key) => write!(f, "[{at}] received {vm_id} key={key}"),
+                None => write!(f, "[{at}] received {vm_id} key=order:{vm_id}"),
+            },
             JournalRecord::BidsRequested { vm_id, plants, at } => {
                 write!(f, "[{at}] bids-requested {vm_id} plants={plants}")
             }
@@ -162,8 +164,8 @@ pub enum OrderStatus {
 /// incarnation needs to decide adopt / resume / restart.
 #[derive(Clone, Debug)]
 pub struct OrderState {
-    /// Client idempotency key.
-    pub key: Rc<str>,
+    /// Client idempotency key; `None` for a direct call.
+    pub key: Option<Rc<str>>,
     /// When the order was accepted (deadlines survive restarts).
     pub received_at: SimTime,
     /// Every dispatch issued, in order: `(plant, attempt)`.
@@ -198,15 +200,24 @@ impl Journal {
         Journal::default()
     }
 
-    /// The order was accepted under client key `key`: journal it and
-    /// hold `order` in the fold until it settles.
-    pub fn received(&mut self, key: Rc<str>, vm_id: &VmId, order: SharedOrder, at: SimTime) {
+    /// The order was accepted under client key `key` (`None` for a
+    /// direct call, which resubmissions cannot name): journal it and hold
+    /// `order` in the fold until it settles.
+    pub fn received(
+        &mut self,
+        key: Option<Rc<str>>,
+        vm_id: &VmId,
+        order: SharedOrder,
+        at: SimTime,
+    ) {
         let vm_id: Rc<str> = vm_id.0.as_str().into();
-        self.by_key.insert(Rc::clone(&key), Rc::clone(&vm_id));
+        if let Some(key) = &key {
+            self.by_key.insert(Rc::clone(key), Rc::clone(&vm_id));
+        }
         self.orders.insert(
             Rc::clone(&vm_id),
             OrderState {
-                key: Rc::clone(&key),
+                key: key.clone(),
                 received_at: at,
                 dispatches: Vec::new(),
                 status: OrderStatus::Pending(order),
@@ -386,7 +397,7 @@ mod tests {
     #[test]
     fn fold_tracks_lifecycle_and_outcomes() {
         let mut j = Journal::new();
-        j.received("order:c:0".into(), &vm(0), order(0), SimTime::from_secs(1));
+        j.received(Some("order:c:0".into()), &vm(0), order(0), SimTime::from_secs(1));
         j.bids_requested(&vm(0), 3, SimTime::from_secs(2));
         j.dispatched(&vm(0), "node1".into(), 0, SimTime::from_secs(3));
         assert!(j.outcome_for_key("order:c:0").is_none());
@@ -428,7 +439,7 @@ mod tests {
     #[test]
     fn failed_orders_settle_and_render_is_line_per_record() {
         let mut j = Journal::new();
-        j.received("k".into(), &vm(1), order(1), SimTime::ZERO);
+        j.received(Some("k".into()), &vm(1), order(1), SimTime::ZERO);
         j.failed(
             &vm(1),
             "order deadline exceeded".into(),
@@ -451,7 +462,7 @@ mod tests {
     fn unsettled_orders_keep_the_accepted_order() {
         let mut j = Journal::new();
         let accepted = order(2);
-        j.received("k".into(), &vm(2), accepted.clone(), SimTime::ZERO);
+        j.received(Some("k".into()), &vm(2), accepted.clone(), SimTime::ZERO);
         j.dispatched(&vm(2), "node0".into(), 0, SimTime::from_secs(1));
         let (_, state) = &j.unsettled()[0];
         let OrderStatus::Pending(kept) = &state.status else {
@@ -464,8 +475,8 @@ mod tests {
     #[test]
     fn settling_drops_the_order_payload() {
         let mut j = Journal::new();
-        j.received("a".into(), &vm(3), order(3), SimTime::ZERO);
-        j.received("b".into(), &vm(4), order(4), SimTime::ZERO);
+        j.received(Some("a".into()), &vm(3), order(3), SimTime::ZERO);
+        j.received(None, &vm(4), order(4), SimTime::ZERO);
         j.published(
             &vm(3),
             "node0".into(),
@@ -484,11 +495,14 @@ mod tests {
                 "{id} still holds its order"
             );
         }
+        // A direct order has no key: its line derives one from the VMID,
+        // and no resubmission can name it.
+        assert!(j.outcome_for_key("order:vm-shop-00004").is_none());
         // The rendered trace names the outcome, never the payloads.
         assert_eq!(
             j.render(),
             "[0.000s] received vm-shop-00003 key=a\n\
-             [0.000s] received vm-shop-00004 key=b\n\
+             [0.000s] received vm-shop-00004 key=order:vm-shop-00004\n\
              [5.000s] published vm-shop-00003 plant=node0\n\
              [5.000s] failed vm-shop-00004: no VMPlants available\n"
         );

@@ -682,7 +682,7 @@ impl VmShop {
             trace_parent: span,
             ..(*order).clone()
         });
-        self.register_recovered(&journaled.key, &vm_id);
+        self.register_recovered(journaled.key.as_deref(), &vm_id);
         let mut att = Attempt {
             order,
             vm_id,
@@ -692,7 +692,7 @@ impl VmShop {
             last_err: None,
             span,
             epoch,
-            client_key: Some(journaled.key.to_string()),
+            client_key: journaled.key.as_deref().map(str::to_owned),
         };
         match resume_on {
             // Resume: re-dispatch under the *journaled* key. The plant's
@@ -735,11 +735,13 @@ impl VmShop {
     }
 
     /// Re-register a recovered order's volatile bookkeeping so client
-    /// resubmissions attach to it instead of forking a second
-    /// execution.
-    fn register_recovered(&self, key: &str, vm_id: &VmId) {
+    /// resubmissions under its `key` (a direct order has none) attach to
+    /// it instead of forking a second execution.
+    fn register_recovered(&self, key: Option<&str>, vm_id: &VmId) {
         let mut state = self.inner.borrow_mut();
-        state.client_keys.insert(key.to_owned(), vm_id.clone());
+        if let Some(key) = key {
+            state.client_keys.insert(key.to_owned(), vm_id.clone());
+        }
         state.inflight.insert(vm_id.clone());
     }
 
@@ -954,12 +956,11 @@ impl VmShop {
         order.trace_parent = span;
         let order = SharedOrder::new(order);
         // WAL: the order is durable the moment it is accepted. A direct
-        // call has no client key; synthesize one.
+        // call has no client key.
         if state.tuning.journal {
-            let key = format!("order:{vm_id}");
             state
                 .journal
-                .received(key.into(), &vm_id, order.clone(), requested_at);
+                .received(None, &vm_id, order.clone(), requested_at);
             state.journal_records.inc();
         }
         let epoch = state.epoch;
@@ -1061,7 +1062,7 @@ impl VmShop {
         if state.tuning.journal {
             state
                 .journal
-                .received(key.as_str().into(), &vm_id, order.clone(), requested_at);
+                .received(Some(key.as_str().into()), &vm_id, order.clone(), requested_at);
             state.journal_records.inc();
         }
         let epoch = state.epoch;
