@@ -88,9 +88,6 @@ pub(crate) struct PlantState {
     /// clone files) was already reclaimed by the crash path and must not
     /// touch it again.
     pub(crate) epoch: u64,
-    /// Virtual time of the last monitor pass while alive (the plant's
-    /// heartbeat, which the shop and the chaos harness read).
-    pub(crate) last_heartbeat: SimTime,
     pub(crate) clone_log: Vec<CloneLogEntry>,
     pub(crate) spares: BTreeMap<vmplants_warehouse::GoldenId, Vec<Spare>>,
     pub(crate) next_spare: u64,
@@ -188,7 +185,6 @@ impl Plant {
                 next_vm: 0,
                 alive: true,
                 epoch: 0,
-                last_heartbeat: SimTime::ZERO,
                 clone_log: Vec::new(),
                 spares: BTreeMap::new(),
                 next_spare: 0,
@@ -270,13 +266,6 @@ impl Plant {
         self.inner.borrow().epoch
     }
 
-    /// Virtual time of the last monitor pass while alive. A shop (or the
-    /// chaos harness) compares this against the monitor interval to tell
-    /// a live plant from a dead one.
-    pub fn last_heartbeat(&self) -> SimTime {
-        self.inner.borrow().last_heartbeat
-    }
-
     /// The plant's physical host crashed under it: the daemon marks
     /// itself down, bumps its incarnation, reclaims every network lease,
     /// drops all VM records and spares, wipes the clone trees from the
@@ -317,13 +306,12 @@ impl Plant {
     /// The host came back (reboot finished): power it on and resume
     /// serving requests. VM records do not survive a crash — clients
     /// re-create through the shop.
-    pub fn host_recovered(&self, engine: &Engine) {
+    pub fn host_recovered(&self, _engine: &Engine) {
         let mut state = self.inner.borrow_mut();
         if !state.host.is_up() {
             state.host.power_on();
         }
         state.alive = true;
-        state.last_heartbeat = engine.now();
     }
 
     /// The plant's own resource classad (§3.4's Condor-style matchmaking
@@ -488,7 +476,6 @@ impl Plant {
                 if state.alive {
                     let host = state.host.clone();
                     state.info.refresh_dynamic(engine.now(), &host);
-                    state.last_heartbeat = engine.now();
                 }
             }
             if engine.now() + interval <= horizon {

@@ -440,17 +440,36 @@ fn host_crash_evicts_running_vms_and_recovery_serves_again() {
 #[test]
 fn monitor_heartbeat_stops_when_the_plant_dies() {
     let mut s = site();
-    let horizon = s.engine.now() + SimDuration::from_secs(100);
+    let ad = run_create(&mut s, order(64)).unwrap();
+    let id = VmId(ad.get_str("vmid").unwrap());
+    let start = s.engine.now();
+    let horizon = start + SimDuration::from_secs(100);
     s.plant
         .start_monitor(&mut s.engine, SimDuration::from_secs(10), horizon);
     let plant = s.plant.clone();
-    s.engine.schedule(SimDuration::from_secs(45), move |engine| {
-        plant.host_crashed(engine);
+    s.engine.schedule(SimDuration::from_secs(45), move |_| plant.fail());
+    // Revive at 72 s and at once collect the VM: collecting hands over
+    // the classad as the monitor last wrote it, without a fresh sample
+    // (a query would take one).
+    let plant = s.plant.clone();
+    let out = Rc::new(RefCell::new(None));
+    let out2 = Rc::clone(&out);
+    s.engine.schedule(SimDuration::from_secs(72), move |engine| {
+        plant.revive();
+        plant.collect(
+            engine,
+            &id,
+            Box::new(move |_, res| *out2.borrow_mut() = Some(res)),
+        );
     });
     s.engine.run();
-    // Heartbeats advanced while alive, then froze at the last tick
-    // before the crash.
-    assert_eq!(s.plant.last_heartbeat(), vmplants_simkit::SimTime::from_secs(40));
+    // The monitor ticked while the plant was alive, then froze at the
+    // last tick before the failure.
+    let collected = out.borrow_mut().take().unwrap().unwrap();
+    assert_eq!(
+        collected.get_f64("last_monitor_s"),
+        Some((start + SimDuration::from_secs(40)).as_secs_f64())
+    );
 }
 
 #[test]
