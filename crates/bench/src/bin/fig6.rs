@@ -19,7 +19,7 @@ fn main() {
     let runs = paper_runs(seed);
     for (mem, series) in fig6(&runs) {
         println!("{}", series.render(&format!("{mem} MB golden"), "seq#", "clone (s)"));
-        let n = series.len();
+        let n = series.points().len();
         println!(
             "  first-quartile mean {:.1}s | last-quartile mean {:.1}s | slope {:+.3} s/request\n",
             series.mean_y_in(1.0, (n / 4).max(1) as f64),

@@ -27,7 +27,7 @@ pub enum AttrName {
 
 impl AttrName {
     /// The name's text.
-    pub fn as_str(&self) -> &str {
+    pub(crate) fn as_str(&self) -> &str {
         match self {
             AttrName::Static(s) => s,
             AttrName::Shared(s) => s,
@@ -98,16 +98,6 @@ impl ClassAd {
         }
     }
 
-    /// Number of attributes.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True if the ad has no attributes.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Bind `name` to an expression, replacing any existing binding
     /// (case-insensitively) while keeping its position; the binding takes
     /// the new spelling of `name`. A `&'static str` name is stored
@@ -152,15 +142,6 @@ impl ClassAd {
         }
     }
 
-    /// Remove a binding; returns the removed expression if present.
-    pub fn remove(&mut self, name: &str) -> Option<Expr> {
-        let idx = self
-            .entries
-            .iter()
-            .position(|(n, _)| n.as_str().eq_ignore_ascii_case(name))?;
-        Some(self.entries_mut().remove(idx).1)
-    }
-
     /// The attribute list, for writing: a shared list is copied first,
     /// keeping its capacity, so a binding appended to the copy of a
     /// presized ad does not grow it again.
@@ -171,11 +152,6 @@ impl ClassAd {
             self.entries = Rc::new(copy);
         }
         Rc::get_mut(&mut self.entries).expect("the list was just unshared")
-    }
-
-    /// True if the attribute is bound.
-    pub fn contains(&self, name: &str) -> bool {
-        self.lookup(name).is_some()
     }
 
     /// The bound expression, un-evaluated.
@@ -227,13 +203,6 @@ impl ClassAd {
         self.entries.iter().map(|(n, _)| n.as_str())
     }
 
-    /// Merge another ad into this one: `other`'s bindings win on collision.
-    pub fn absorb(&mut self, other: &ClassAd) {
-        for (name, expr) in other.entries.iter() {
-            self.set(name.clone(), expr.clone());
-        }
-    }
-
     fn lookup(&self, name: &str) -> Option<&Expr> {
         self.entries
             .iter()
@@ -281,10 +250,10 @@ mod tests {
         ad.set_value("Memory_MB", 256i64);
         assert_eq!(ad.get_int("memory_mb"), Some(256));
         assert_eq!(ad.get_int("MEMORY_MB"), Some(256));
-        assert!(ad.contains("memory_mb"));
+        assert!(ad.get_expr("memory_mb").is_some());
         // Replacement keeps a single entry.
         ad.set_value("memory_mb", 512i64);
-        assert_eq!(ad.len(), 1);
+        assert_eq!(ad.names().count(), 1);
         assert_eq!(ad.get_int("Memory_MB"), Some(512));
     }
 
@@ -299,10 +268,10 @@ mod tests {
         assert_eq!(b.get_str("state"), Some("collected".into()));
         let c = a.clone();
         a.set_value("uptime_s", 5i64);
-        a.remove("vmid");
-        assert_eq!(c.len(), 2);
+        a.set_value("vmid", "vm-2");
+        assert_eq!(c.names().count(), 2);
         assert_eq!(c.get_str("vmid"), Some("vm-1".into()));
-        assert!(!c.contains("uptime_s"));
+        assert!(c.get_expr("uptime_s").is_none());
     }
 
     #[test]
@@ -392,22 +361,6 @@ mod tests {
     }
 
     #[test]
-    fn remove_and_absorb() {
-        let mut a = ClassAd::new();
-        a.set_value("x", 1i64);
-        a.set_value("y", 2i64);
-        assert!(a.remove("X").is_some());
-        assert!(a.remove("X").is_none());
-        let mut b = ClassAd::new();
-        b.set_value("y", 20i64);
-        b.set_value("z", 30i64);
-        a.absorb(&b);
-        assert_eq!(a.get_int("y"), Some(20));
-        assert_eq!(a.get_int("z"), Some(30));
-        assert_eq!(a.len(), 2);
-    }
-
-    #[test]
     fn eval_resolves_intra_ad_references() {
         let mut ad = ClassAd::new();
         ad.set_value("base_cost", 50i64);
@@ -446,8 +399,8 @@ mod tests {
         let mut copy = ad.clone();
         copy.set_value("c", 3i64);
         assert!(copy.entries.capacity() >= 8, "{}", copy.entries.capacity());
-        assert_eq!(ad.len(), 2);
-        assert_eq!(copy.len(), 3);
+        assert_eq!(ad.names().count(), 2);
+        assert_eq!(copy.names().count(), 3);
     }
 
     #[test]
@@ -463,11 +416,11 @@ mod tests {
     #[test]
     fn from_iterator_collects() {
         let ad: ClassAd = vec![
-            ("a".to_owned(), Expr::lit(1i64)),
-            ("b".to_owned(), Expr::lit(2i64)),
+            ("a".to_owned(), Expr::Lit(Value::Int(1))),
+            ("b".to_owned(), Expr::Lit(Value::Int(2))),
         ]
         .into_iter()
         .collect();
-        assert_eq!(ad.len(), 2);
+        assert_eq!(ad.names().count(), 2);
     }
 }

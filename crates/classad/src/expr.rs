@@ -81,11 +81,6 @@ pub enum Expr {
 }
 
 impl Expr {
-    /// A literal expression from any value-convertible type.
-    pub fn lit(v: impl Into<Value>) -> Expr {
-        Expr::Lit(v.into())
-    }
-
     /// An unqualified attribute reference.
     pub fn attr(name: impl Into<String>) -> Expr {
         Expr::Attr(AttrScope::Current, name.into())
@@ -111,7 +106,7 @@ pub struct Env<'a> {
 
 impl<'a> Env<'a> {
     /// Environment of one ad.
-    pub fn solo(my: &'a dyn Scope) -> Env<'a> {
+    pub(crate) fn solo(my: &'a dyn Scope) -> Env<'a> {
         Env { my }
     }
 }
@@ -133,7 +128,7 @@ impl Expr {
 
     /// Evaluate in a full environment. Cycles and excessive depth yield
     /// [`Value::Err`].
-    pub fn eval(&self, env: Env<'_>, trace: &mut EvalTrace) -> Value {
+    pub(crate) fn eval(&self, env: Env<'_>, trace: &mut EvalTrace) -> Value {
         if trace.visiting.len() > MAX_EVAL_DEPTH {
             return Value::Err;
         }
@@ -655,7 +650,7 @@ mod tests {
     #[test]
     fn attr_lookup_within_ad() {
         let mut ad = ClassAd::new();
-        ad.set("base", Expr::lit(10i64));
+        ad.set("base", Expr::Lit(Value::Int(10)));
         ad.set("derived", crate::parser::parse_expr("base * 2").unwrap());
         assert_eq!(ad.eval("derived"), Value::Int(20));
     }

@@ -362,7 +362,7 @@ mod tests {
             ]"#,
         )
         .unwrap();
-        assert_eq!(ad.len(), 4);
+        assert_eq!(ad.names().count(), 4);
         assert_eq!(ad.eval("cost"), Value::Int(138));
         assert_eq!(
             ad.eval("tags"),
@@ -372,9 +372,9 @@ mod tests {
 
     #[test]
     fn empty_record_and_optional_trailing_semi() {
-        assert_eq!(parse_classad("[]").unwrap().len(), 0);
-        assert_eq!(parse_classad("[a = 1]").unwrap().len(), 1);
-        assert_eq!(parse_classad("[a = 1;]").unwrap().len(), 1);
+        assert_eq!(parse_classad("[]").unwrap().names().count(), 0);
+        assert_eq!(parse_classad("[a = 1]").unwrap().names().count(), 1);
+        assert_eq!(parse_classad("[a = 1;]").unwrap().names().count(), 1);
     }
 
     #[test]

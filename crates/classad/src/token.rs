@@ -129,7 +129,7 @@ impl std::error::Error for LexError {}
 
 /// Tokenize classad source text. Comments (`// …` to end of line) and all
 /// ASCII whitespace are skipped.
-pub fn lex(input: &str) -> Result<Vec<Token>, LexError> {
+pub(crate) fn lex(input: &str) -> Result<Vec<Token>, LexError> {
     let bytes = input.as_bytes();
     let mut tokens = Vec::new();
     let mut i = 0usize;

@@ -36,52 +36,20 @@ impl Value {
     }
 
     /// True for the `UNDEFINED` sentinel.
-    pub fn is_undefined(&self) -> bool {
+    pub(crate) fn is_undefined(&self) -> bool {
         matches!(self, Value::Undefined)
     }
 
     /// True for the `ERROR` sentinel.
-    pub fn is_error(&self) -> bool {
+    pub(crate) fn is_error(&self) -> bool {
         matches!(self, Value::Err)
     }
 
     /// Numeric view (integers widen to reals); `None` for non-numbers.
-    pub fn as_f64(&self) -> Option<f64> {
+    pub(crate) fn as_f64(&self) -> Option<f64> {
         match self {
             Value::Int(i) => Some(*i as f64),
             Value::Real(r) => Some(*r),
-            _ => None,
-        }
-    }
-
-    /// Integer view; `None` for anything but `Int`.
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Value::Int(i) => Some(*i),
-            _ => None,
-        }
-    }
-
-    /// Boolean view; `None` for anything but `Bool`.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// String view; `None` for anything but `Str`.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// List view; `None` for anything but `List`.
-    pub fn as_list(&self) -> Option<&[Value]> {
-        match self {
-            Value::List(items) => Some(items),
             _ => None,
         }
     }
@@ -370,13 +338,5 @@ mod tests {
         assert_eq!(Value::Int(7).as_f64(), Some(7.0));
         assert_eq!(Value::Real(2.5).as_f64(), Some(2.5));
         assert_eq!(Value::str("x").as_f64(), None);
-        assert_eq!(Value::Int(7).as_i64(), Some(7));
-        assert_eq!(Value::Real(7.0).as_i64(), None);
-        assert_eq!(Value::Bool(true).as_bool(), Some(true));
-        assert_eq!(Value::str("s").as_str(), Some("s"));
-        assert_eq!(
-            Value::from(vec![1i64]).as_list(),
-            Some(&[Value::Int(1)][..])
-        );
     }
 }

@@ -27,7 +27,7 @@ pub struct Cluster {
 
 impl Cluster {
     /// A cluster around the given storage server.
-    pub fn new(nfs: NfsServer) -> Cluster {
+    pub(crate) fn new(nfs: NfsServer) -> Cluster {
         Cluster {
             hosts: Vec::new(),
             nfs,
@@ -36,7 +36,7 @@ impl Cluster {
     }
 
     /// Attach a secondary storage server (a replication target).
-    pub fn add_replica(&mut self, replica: NfsServer) {
+    pub(crate) fn add_replica(&mut self, replica: NfsServer) {
         self.replicas.push(replica);
     }
 
@@ -46,29 +46,9 @@ impl Cluster {
     }
 
     /// Add a node; returns its id.
-    pub fn add_host(&mut self, host: Host) -> HostId {
+    pub(crate) fn add_host(&mut self, host: Host) -> HostId {
         self.hosts.push(host);
         HostId(self.hosts.len() - 1)
-    }
-
-    /// Number of nodes.
-    pub fn len(&self) -> usize {
-        self.hosts.len()
-    }
-
-    /// True when the cluster has no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.hosts.is_empty()
-    }
-
-    /// A node by id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id is out of range (ids come from [`Cluster::add_host`],
-    /// so this indicates a wiring bug).
-    pub fn host(&self, id: HostId) -> &Host {
-        &self.hosts[id.0]
     }
 
     /// All nodes with their ids.
@@ -79,23 +59,6 @@ impl Cluster {
     /// The storage server.
     pub fn nfs(&self) -> &NfsServer {
         &self.nfs
-    }
-
-    /// The host with the most free memory (the prototype's bidding metric,
-    /// §4.1). Ties break to the lowest id.
-    pub fn most_free_host(&self) -> Option<HostId> {
-        self.hosts()
-            .max_by(|(a_id, a), (b_id, b)| {
-                a.free_mb()
-                    .cmp(&b.free_mb())
-                    .then(b_id.0.cmp(&a_id.0)) // reversed: prefer lower id
-            })
-            .map(|(id, _)| id)
-    }
-
-    /// Total VMs resident across the site.
-    pub fn total_vms(&self) -> usize {
-        self.hosts.iter().map(Host::vm_count).sum()
     }
 }
 
@@ -114,30 +77,17 @@ mod tests {
     #[test]
     fn host_lookup_and_iteration() {
         let c = two_node_cluster();
-        assert_eq!(c.len(), 2);
-        assert_eq!(c.host(HostId(1)).name(), "node1");
-        let names: Vec<String> = c.hosts().map(|(_, h)| h.name()).collect();
-        assert_eq!(names, vec!["node0", "node1"]);
-    }
-
-    #[test]
-    fn most_free_host_tracks_registrations() {
-        let c = two_node_cluster();
-        // Tie: lowest id wins.
-        assert_eq!(c.most_free_host(), Some(HostId(0)));
-        c.host(HostId(0)).register_vm(256);
-        assert_eq!(c.most_free_host(), Some(HostId(1)));
-        c.host(HostId(1)).register_vm(512);
-        assert_eq!(c.most_free_host(), Some(HostId(0)));
-        assert_eq!(c.total_vms(), 2);
+        let hosts: Vec<(HostId, String)> = c.hosts().map(|(id, h)| (id, h.name())).collect();
+        assert_eq!(
+            hosts,
+            vec![(HostId(0), "node0".into()), (HostId(1), "node1".into())]
+        );
     }
 
     #[test]
     fn empty_cluster() {
         let c = Cluster::new(NfsServer::new("s"));
-        assert!(c.is_empty());
-        assert_eq!(c.most_free_host(), None);
-        assert_eq!(c.total_vms(), 0);
+        assert_eq!(c.hosts().count(), 0);
     }
 
     #[test]

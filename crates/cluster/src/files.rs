@@ -83,7 +83,6 @@ pub struct FileMeta {
 
 #[derive(Default)]
 struct StoreInner {
-    name: String,
     files: BTreeMap<String, FileMeta>,
     /// The content-addressed chunk table: hash → size. Chunks take
     /// physical bytes but live outside the path namespace.
@@ -96,8 +95,8 @@ struct StoreInner {
     capacity_bytes: Option<u64>,
 }
 
-/// A named simulated file tree. Cheap `Rc` handle.
-#[derive(Clone)]
+/// A simulated file tree. Cheap `Rc` handle.
+#[derive(Clone, Default)]
 pub struct FileStore {
     inner: Rc<RefCell<StoreInner>>,
 }
@@ -141,29 +140,19 @@ const MAX_LINK_HOPS: usize = 16;
 
 impl FileStore {
     /// An unbounded store.
-    pub fn new(name: impl Into<String>) -> FileStore {
-        FileStore {
-            inner: Rc::new(RefCell::new(StoreInner {
-                name: name.into(),
-                ..StoreInner::default()
-            })),
-        }
+    pub fn new() -> FileStore {
+        FileStore::default()
     }
 
     /// A store with a byte capacity (e.g. an 18 GB node disk).
-    pub fn with_capacity(name: impl Into<String>, capacity_bytes: u64) -> FileStore {
-        let s = FileStore::new(name);
+    pub fn with_capacity(capacity_bytes: u64) -> FileStore {
+        let s = FileStore::new();
         s.inner.borrow_mut().capacity_bytes = Some(capacity_bytes);
         s
     }
 
-    /// Store name.
-    pub fn name(&self) -> String {
-        self.inner.borrow().name.clone()
-    }
-
     /// True when both handles refer to the same underlying store.
-    pub fn same_store(&self, other: &FileStore) -> bool {
+    pub(crate) fn same_store(&self, other: &FileStore) -> bool {
         Rc::ptr_eq(&self.inner, &other.inner)
     }
 
@@ -364,7 +353,7 @@ impl FileStore {
     }
 
     /// The kind of the final target, following symlinks.
-    pub fn resolved_kind(&self, path: &str) -> Result<FileKind, StoreError> {
+    pub(crate) fn resolved_kind(&self, path: &str) -> Result<FileKind, StoreError> {
         let inner = self.inner.borrow();
         Ok(inner.resolve(path)?.kind)
     }
@@ -483,7 +472,7 @@ mod tests {
 
     #[test]
     fn put_stat_remove() {
-        let s = FileStore::new("test");
+        let s = FileStore::new();
         s.put("/w/golden/disk0", mb(128), FileKind::DiskExtent)
             .unwrap();
         assert!(s.exists("/w/golden/disk0"));
@@ -501,7 +490,7 @@ mod tests {
 
     #[test]
     fn symlinks_cost_nothing_but_resolve_to_target_size() {
-        let s = FileStore::new("test");
+        let s = FileStore::new();
         s.put("/warehouse/base.disk", gb(2), FileKind::DiskExtent)
             .unwrap();
         s.link("/clones/vm1/disk", "/warehouse/base.disk");
@@ -517,7 +506,7 @@ mod tests {
 
     #[test]
     fn dangling_and_looping_links() {
-        let s = FileStore::new("test");
+        let s = FileStore::new();
         s.link("/a", "/missing");
         assert!(matches!(
             s.resolved_size("/a"),
@@ -530,7 +519,7 @@ mod tests {
 
     #[test]
     fn chained_links_resolve() {
-        let s = FileStore::new("test");
+        let s = FileStore::new();
         s.put("/real", 42, FileKind::Generic).unwrap();
         s.link("/l1", "/real");
         s.link("/l2", "/l1");
@@ -539,7 +528,7 @@ mod tests {
 
     #[test]
     fn capacity_is_enforced() {
-        let s = FileStore::with_capacity("disk", mb(100));
+        let s = FileStore::with_capacity(mb(100));
         s.put("/a", mb(60), FileKind::Generic).unwrap();
         assert_eq!(s.free_bytes(), Some(mb(40)));
         let err = s.put("/b", mb(50), FileKind::Generic).unwrap_err();
@@ -551,7 +540,7 @@ mod tests {
 
     #[test]
     fn remove_tree_clears_a_clone_directory() {
-        let s = FileStore::new("test");
+        let s = FileStore::new();
         for f in ["cfg", "mem", "redo"] {
             s.put(format!("/clones/vm7/{f}"), 10, FileKind::Generic)
                 .unwrap();
@@ -564,7 +553,7 @@ mod tests {
 
     #[test]
     fn remove_tree_stops_at_the_prefix() {
-        let s = FileStore::new("test");
+        let s = FileStore::new();
         s.put("/clones/vm-1/cfg", 10, FileKind::Generic).unwrap();
         s.put("/clones/vm-1/mem", 10, FileKind::Generic).unwrap();
         s.put("/clones/vm-10/cfg", 10, FileKind::Generic).unwrap();
@@ -581,7 +570,7 @@ mod tests {
     #[test]
     fn remove_tree_at_the_top_of_the_key_space() {
         let top = char::MAX;
-        let s = FileStore::new("test");
+        let s = FileStore::new();
         let paths = [
             "/clones/".to_owned(),
             format!("/clones/{top}"),
@@ -632,7 +621,7 @@ mod tests {
 
     #[test]
     fn used_bytes_tracks_every_mutation() {
-        let s = FileStore::new("test");
+        let s = FileStore::new();
         let summed = |s: &FileStore| -> u64 {
             s.list("").iter().map(|p| s.stat(p).unwrap().bytes).sum()
         };
@@ -663,7 +652,7 @@ mod tests {
 
     #[test]
     fn list_is_sorted_and_prefix_filtered() {
-        let s = FileStore::new("test");
+        let s = FileStore::new();
         s.put("/b", 1, FileKind::Generic).unwrap();
         s.put("/a/2", 1, FileKind::Generic).unwrap();
         s.put("/a/1", 1, FileKind::Generic).unwrap();
@@ -673,7 +662,7 @@ mod tests {
 
     #[test]
     fn text_files_round_trip_and_follow_links() {
-        let s = FileStore::new("t");
+        let s = FileStore::new();
         s.put_text("/w/descriptor.xml", "<golden-image id=\"x\"/>", FileKind::Generic)
             .unwrap();
         assert_eq!(
@@ -691,7 +680,7 @@ mod tests {
 
     #[test]
     fn chunk_manifests_resolve_to_summed_chunk_sizes() {
-        let s = FileStore::new("nfs");
+        let s = FileStore::new();
         assert_eq!(s.put_chunk(0xaa, mb(4)), Ok(true));
         assert_eq!(s.put_chunk(0xbb, mb(4)), Ok(true));
         assert_eq!(s.put_chunk(0xcc, mb(2)), Ok(true));
@@ -735,7 +724,7 @@ mod tests {
     /// leaves no trace.
     #[test]
     fn chunk_table_respects_capacity() {
-        let s = FileStore::with_capacity("export", mb(10));
+        let s = FileStore::with_capacity(mb(10));
         s.put("/a", mb(4), FileKind::Generic).unwrap();
         assert_eq!(s.put_chunk(1, mb(4)), Ok(true));
         assert_eq!(
@@ -844,7 +833,7 @@ mod tests {
         // Manifest reads seen, by outcome: whole, and missing a chunk.
         let (mut whole, mut missing) = (0, 0);
         for seed in 1..=8 {
-            let s = FileStore::with_capacity("export", CAPACITY);
+            let s = FileStore::with_capacity(CAPACITY);
             let mut rng = SimRng::seed_from_u64(seed);
             let mut files: BTreeMap<String, ModelEntry> = BTreeMap::new();
             let mut chunks: BTreeMap<u64, u64> = BTreeMap::new();

@@ -42,35 +42,19 @@ impl HostSpec {
     }
 }
 
-/// Power/lifecycle state of a node.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum HostPower {
-    /// Serving normally.
-    Up,
-    /// Crashed; resident VMs are gone.
-    Down,
-    /// Crashed and on its way back up (fault injector schedules the
-    /// power-on).
-    Rebooting,
-}
-
 struct HostInner {
     spec: HostSpec,
     /// Memory committed to resident VMs (their sizes + per-VM overhead).
     committed_mb: u64,
     /// Currently resident VMs.
     vm_count: usize,
-    /// Lifetime counters for reporting.
-    total_registered: u64,
-    /// Current power state.
-    power: HostPower,
+    /// False from a crash until the node powers on again.
+    up: bool,
     /// Bumped on every crash. Operations capture it when they start and
     /// re-check before touching accounting, so callbacks that straddle a
     /// crash become safe no-ops instead of corrupting (or panicking on)
     /// the fresh boot's books.
     boot_epoch: u64,
-    /// Lifetime crash count, for reporting.
-    crashes: u64,
 }
 
 /// A cluster node. Cheap `Rc` handle shared by the plant daemon and the
@@ -92,8 +76,8 @@ pub struct Host {
 impl Host {
     /// Build a host from its spec.
     pub fn new(spec: HostSpec) -> Host {
-        let disk = FileStore::with_capacity(format!("{}:disk", spec.name), spec.disk_bytes);
-        let disk_link = FairShare::new(format!("{}:disk-bw", spec.name), spec.disk_bw);
+        let disk = FileStore::with_capacity(spec.disk_bytes);
+        let disk_link = FairShare::new(spec.disk_bw);
         let cpu_gate = Gate::new(format!("{}:cpus", spec.name), spec.cpus.max(1) as usize);
         Host {
             name: spec.name.as_str().into(),
@@ -101,10 +85,8 @@ impl Host {
                 spec,
                 committed_mb: 0,
                 vm_count: 0,
-                total_registered: 0,
-                power: HostPower::Up,
+                up: true,
                 boot_epoch: 0,
-                crashes: 0,
             })),
             disk,
             disk_link,
@@ -132,7 +114,6 @@ impl Host {
         let mut inner = self.inner.borrow_mut();
         inner.committed_mb += mem_mb + inner.spec.per_vm_overhead_mb;
         inner.vm_count += 1;
-        inner.total_registered += 1;
     }
 
     /// Account a VM of `mem_mb` leaving (destroyed or migrated).
@@ -191,19 +172,9 @@ impl Host {
         1.0 + SLOPE * (u - KNEE).max(0.0)
     }
 
-    /// Lifetime count of VMs ever registered (for experiment reporting).
-    pub fn total_registered(&self) -> u64 {
-        self.inner.borrow().total_registered
-    }
-
-    /// Current power state.
-    pub fn power(&self) -> HostPower {
-        self.inner.borrow().power
-    }
-
     /// True when the node is serving.
     pub fn is_up(&self) -> bool {
-        self.inner.borrow().power == HostPower::Up
+        self.inner.borrow().up
     }
 
     /// The current boot incarnation. Capture before a multi-event operation
@@ -216,7 +187,7 @@ impl Host {
     /// captured.
     pub fn same_boot(&self, epoch: u64) -> bool {
         let inner = self.inner.borrow();
-        inner.power == HostPower::Up && inner.boot_epoch == epoch
+        inner.up && inner.boot_epoch == epoch
     }
 
     /// Unregister guarded by a boot epoch: a no-op when the host crashed
@@ -230,35 +201,18 @@ impl Host {
     /// Power failure: every resident VM vanishes and the commit accounting
     /// resets. The local disk contents survive (they are garbage to the
     /// next boot; the plant wipes them on recovery). Callers that model a
-    /// reboot follow up with [`Host::begin_reboot`] / [`Host::power_on`].
+    /// reboot follow up with [`Host::power_on`].
     pub fn crash(&self) {
         let mut inner = self.inner.borrow_mut();
-        inner.power = HostPower::Down;
+        inner.up = false;
         inner.committed_mb = 0;
         inner.vm_count = 0;
         inner.boot_epoch += 1;
-        inner.crashes += 1;
-    }
-
-    /// Mark a crashed node as booting back up.
-    pub fn begin_reboot(&self) {
-        let mut inner = self.inner.borrow_mut();
-        assert!(
-            inner.power != HostPower::Up,
-            "host {}: begin_reboot while up",
-            inner.spec.name
-        );
-        inner.power = HostPower::Rebooting;
     }
 
     /// Bring the node back into service.
     pub fn power_on(&self) {
-        self.inner.borrow_mut().power = HostPower::Up;
-    }
-
-    /// Lifetime crash count.
-    pub fn crashes(&self) -> u64 {
-        self.inner.borrow().crashes
+        self.inner.borrow_mut().up = true;
     }
 }
 
@@ -281,7 +235,6 @@ mod tests {
         assert_eq!(h.committed_mb(), 2 * (64 + 24));
         h.unregister_vm(64);
         assert_eq!(h.vm_count(), 1);
-        assert_eq!(h.total_registered(), 2);
     }
 
     #[test]
@@ -349,16 +302,13 @@ mod tests {
         let epoch = h.boot_epoch();
         assert!(h.is_up() && h.same_boot(epoch));
         h.crash();
-        assert_eq!(h.power(), HostPower::Down);
+        assert!(!h.is_up());
         assert_eq!(h.vm_count(), 0);
         assert_eq!(h.committed_mb(), 0);
-        assert_eq!(h.crashes(), 1);
         assert!(!h.same_boot(epoch));
         // Stale unregister from before the crash: must be a no-op, not a
         // panic or an underflow against the next boot's accounting.
         h.unregister_vm_epoch(64, epoch);
-        h.begin_reboot();
-        assert_eq!(h.power(), HostPower::Rebooting);
         h.power_on();
         assert!(h.is_up());
         assert!(!h.same_boot(epoch), "epoch does not roll back on reboot");

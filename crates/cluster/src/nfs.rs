@@ -75,15 +75,15 @@ impl NfsServer {
 
     /// A server with explicit bandwidth and per-file overhead (used by the
     /// ablation benches).
-    pub fn with_params(
+    pub(crate) fn with_params(
         name: impl Into<String>,
         bandwidth: f64,
         per_file_overhead: SimDuration,
     ) -> NfsServer {
         let name = name.into();
         NfsServer {
-            store: FileStore::new(format!("{name}:export")),
-            pipe: FairShare::new(format!("{name}:pipe"), bandwidth),
+            store: FileStore::new(),
+            pipe: FairShare::new(bandwidth),
             per_file_overhead,
             state: Rc::new(RefCell::new(NfsState {
                 name,
@@ -118,13 +118,8 @@ impl NfsServer {
     }
 
     /// True when the server is reachable.
-    pub fn is_online(&self) -> bool {
+    pub(crate) fn is_online(&self) -> bool {
         self.state.borrow().online
-    }
-
-    /// Transfers currently in flight.
-    pub fn inflight_count(&self) -> usize {
-        self.state.borrow().inflight.len()
     }
 
     /// Take the server offline: every in-flight transfer is aborted and
@@ -203,7 +198,7 @@ impl NfsServer {
     ///
     /// Missing sources fail *immediately* (the NFS lookup fails before any
     /// data moves).
-    pub fn fetch<F>(
+    pub(crate) fn fetch<F>(
         &self,
         engine: &mut Engine,
         src: impl Into<Rc<str>>,
@@ -377,7 +372,7 @@ mod tests {
                 format!("/local/clone/disk{i}"),
             ));
         }
-        let local = FileStore::new("node0");
+        let local = FileStore::new();
         let finished = Rc::new(RefCell::new(None));
         let f = Rc::clone(&finished);
         nfs.fetch_all(&mut engine, pairs, &local, move |engine, res| {
@@ -399,7 +394,7 @@ mod tests {
         nfs.store
             .put("/warehouse/g/mem", mb(256), FileKind::MemoryState)
             .unwrap();
-        let local = FileStore::new("node0");
+        let local = FileStore::new();
         let t = Rc::new(RefCell::new(0.0));
         let t2 = Rc::clone(&t);
         nfs.fetch(&mut engine, "/warehouse/g/mem", &local, "/c/mem", move |e, res| {
@@ -415,7 +410,7 @@ mod tests {
     fn missing_source_fails_without_consuming_time() {
         let mut engine = Engine::new();
         let nfs = NfsServer::new("storage");
-        let local = FileStore::new("node0");
+        let local = FileStore::new();
         let result = Rc::new(RefCell::new(None));
         let r = Rc::clone(&result);
         nfs.fetch(&mut engine, "/nope", &local, "/x", move |e, res| {
@@ -433,7 +428,7 @@ mod tests {
         let mut engine = Engine::new();
         let nfs = NfsServer::new("storage");
         nfs.store.put("/a", mb(1), FileKind::Generic).unwrap();
-        let local = FileStore::new("n");
+        let local = FileStore::new();
         let result = Rc::new(RefCell::new(None));
         let r = Rc::clone(&result);
         nfs.fetch_all(
@@ -460,7 +455,7 @@ mod tests {
         let nfs = NfsServer::new("storage");
         nfs.store.put("/f1", mb(100), FileKind::Generic).unwrap();
         nfs.store.put("/f2", mb(100), FileKind::Generic).unwrap();
-        let local = FileStore::new("n");
+        let local = FileStore::new();
         let times: Rc<RefCell<Vec<f64>>> = Rc::new(RefCell::new(Vec::new()));
         for src in ["/f1", "/f2"] {
             let t = Rc::clone(&times);
@@ -489,7 +484,7 @@ mod tests {
         let mut engine = Engine::new();
         let nfs = NfsServer::new("storage");
         nfs.store.put("/f", mb(100), FileKind::Generic).unwrap();
-        let local = FileStore::new("n");
+        let local = FileStore::new();
         let results: Rc<RefCell<Vec<(f64, TransferResult)>>> = Rc::new(RefCell::new(Vec::new()));
         let r1 = Rc::clone(&results);
         // 100 MB at 10 MB/s would finish at ~10.3 s; outage at t=5 kills it.
@@ -501,7 +496,7 @@ mod tests {
         let r2 = Rc::clone(&results);
         engine.schedule(SimDuration::from_secs(5), move |e| {
             n2.set_offline(e);
-            assert_eq!(n2.inflight_count(), 0);
+            assert!(n2.state.borrow().inflight.is_empty());
             // A fetch attempted during the outage fails immediately.
             n2.fetch(e, "/f", &local2, "/l2", move |e, res| {
                 r2.borrow_mut().push((e.now().as_secs_f64(), res));
@@ -533,7 +528,7 @@ mod tests {
         let mut engine = Engine::new();
         let nfs = NfsServer::new("storage");
         nfs.store.put("/f", mb(100), FileKind::Generic).unwrap();
-        let local = FileStore::new("n");
+        let local = FileStore::new();
         let t = Rc::new(RefCell::new(0.0));
         let t2 = Rc::clone(&t);
         nfs.fetch(&mut engine, "/f", &local, "/l", move |e, res| {
@@ -556,8 +551,8 @@ mod tests {
         let mut engine = Engine::new();
         let nfs = NfsServer::new("storage");
         nfs.store.put("/f", mb(50), FileKind::Generic).unwrap();
-        let doomed = FileStore::new("doomed");
-        let healthy = FileStore::new("healthy");
+        let doomed = FileStore::new();
+        let healthy = FileStore::new();
         let results: Rc<RefCell<Vec<(String, TransferResult)>>> =
             Rc::new(RefCell::new(Vec::new()));
         for (label, store) in [("doomed", &doomed), ("healthy", &healthy)] {
@@ -591,7 +586,7 @@ mod tests {
     fn empty_fetch_all_completes_immediately() {
         let mut engine = Engine::new();
         let nfs = NfsServer::new("storage");
-        let local = FileStore::new("n");
+        let local = FileStore::new();
         let hit = Rc::new(RefCell::new(false));
         let h = Rc::clone(&hit);
         nfs.fetch_all(&mut engine, vec![], &local, move |_, res| {

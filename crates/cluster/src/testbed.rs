@@ -66,7 +66,7 @@ mod tests {
     #[test]
     fn default_testbed_matches_section_4_2() {
         let c = e1350();
-        assert_eq!(c.len(), 8);
+        assert_eq!(c.hosts().count(), 8);
         for (_, h) in c.hosts() {
             let spec = h.spec();
             assert_eq!(spec.cpus, 2);
@@ -84,7 +84,7 @@ mod tests {
             nfs_per_file_overhead: SimDuration::from_millis(10),
             replica_servers: 0,
         });
-        assert_eq!(c.len(), 2);
+        assert_eq!(c.hosts().count(), 2);
         assert!((c.nfs().pipe.capacity() - 50.0 * 1024.0 * 1024.0).abs() < 1.0);
     }
 

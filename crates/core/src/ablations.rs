@@ -98,7 +98,7 @@ pub fn precreation_ablation(n: usize, seed: u64) -> PrecreationAblation {
 /// The application DAG used by the matching-depth ablation: a realistic
 /// install chain where early actions are expensive (OS and application
 /// installs) and late ones cheap (per-instance configuration).
-pub fn depth_ablation_dag() -> ConfigDag {
+pub(crate) fn depth_ablation_dag() -> ConfigDag {
     let mut dag = ConfigDag::new();
     let actions = [
         Action::guest("os", "install-base-os").with_nominal_ms(600_000),
@@ -119,7 +119,7 @@ pub fn depth_ablation_dag() -> ConfigDag {
 /// One E11 replica: mean creation latency on a single-plant site whose
 /// only golden covers the first `depth` actions of the ablation DAG.
 /// Self-contained (fresh site per call), so depths can run in parallel.
-pub fn matching_depth_row(depth: usize, per_depth: usize, seed: u64) -> (usize, f64) {
+pub(crate) fn matching_depth_row(depth: usize, per_depth: usize, seed: u64) -> (usize, f64) {
     let dag = depth_ablation_dag();
     let order_of_actions = dag.topo_sort().expect("dag");
     let mut config = SiteConfig {
@@ -157,7 +157,7 @@ pub fn matching_depth_row(depth: usize, per_depth: usize, seed: u64) -> (usize, 
 /// Run E11: mean creation latency with a golden covering the first
 /// `depth` actions, for every depth 0..=6. Returns `(depth, mean_s)`.
 pub fn matching_depth_ablation(per_depth: usize, seed: u64) -> Vec<(usize, f64)> {
-    let depths = depth_ablation_dag().len();
+    let depths = depth_ablation_dag().actions().count();
     (0..=depths)
         .map(|depth| matching_depth_row(depth, per_depth, seed))
         .collect()

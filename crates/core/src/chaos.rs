@@ -80,7 +80,7 @@ impl SloSpec {
     }
 
     /// One-line deterministic rendering of the declared objectives.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut parts = Vec::new();
         if let Some(r) = self.success_rate {
             parts.push(format!("success-rate>={r}"));
@@ -212,7 +212,7 @@ pub struct ChaosReport {
 
 impl ChaosReport {
     /// Fraction of requests that succeeded.
-    pub fn success_rate(&self) -> f64 {
+    pub(crate) fn success_rate(&self) -> f64 {
         if self.requests == 0 {
             return 1.0;
         }
@@ -221,17 +221,17 @@ impl ChaosReport {
 
     /// Median successful-order latency from the sketch, seconds (NaN
     /// when nothing succeeded).
-    pub fn p50(&self) -> f64 {
+    pub(crate) fn p50(&self) -> f64 {
         self.latency_sketch.quantile(0.5)
     }
 
     /// p99 successful-order latency from the sketch, seconds.
-    pub fn p99(&self) -> f64 {
+    pub(crate) fn p99(&self) -> f64 {
         self.latency_sketch.quantile(0.99)
     }
 
     /// p99.9 successful-order latency from the sketch, seconds.
-    pub fn p999(&self) -> f64 {
+    pub(crate) fn p999(&self) -> f64 {
         self.latency_sketch.quantile(0.999)
     }
 

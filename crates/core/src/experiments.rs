@@ -54,7 +54,7 @@ pub struct CreationRun {
 
 impl CreationRun {
     /// Summary of the end-to-end latencies.
-    pub fn latency_summary(&self) -> Summary {
+    pub(crate) fn latency_summary(&self) -> Summary {
         let mut s = Summary::new();
         for &l in &self.latencies {
             s.record(l);
@@ -63,7 +63,7 @@ impl CreationRun {
     }
 
     /// Summary of the cloning latencies.
-    pub fn clone_summary(&self) -> Summary {
+    pub(crate) fn clone_summary(&self) -> Summary {
         let mut s = Summary::new();
         for c in &self.clones {
             s.record(c.clone_s);
@@ -544,7 +544,7 @@ pub struct AdversarialSweepReport {
 /// * `blackout` — a heterogeneous memory mix while six of eight hosts
 ///   crash early under a `min_live_plants` floor and a tight deadline:
 ///   designed to fail, so the sweep always has something to shrink.
-pub fn e20_grid() -> Vec<crate::scenario::Scenario> {
+pub(crate) fn e20_grid() -> Vec<crate::scenario::Scenario> {
     use crate::scenario::{MemoryWeight, RuleDecl, Scenario, Workload};
     use vmplants_simkit::{FaultKind, SimDuration, SimTime};
 
@@ -684,7 +684,7 @@ pub fn e20_grid() -> Vec<crate::scenario::Scenario> {
     vec![calm, lossy, spot, shop_outage, blackout]
 }
 
-/// Run E20: sweep the [`e20_grid`] across `seeds` on the parallel
+/// Run E20: sweep the `e20_grid` across `seeds` on the parallel
 /// harness, pick the worst (scenario, seed) cell, capture its failure
 /// signature, and delta-debug it into a minimal reproducing scenario.
 /// Fully deterministic: same seeds ⇒ byte-identical
@@ -1352,7 +1352,7 @@ pub struct CriticalPathReport {
 /// sum exactly to that order's latency — this is the paper's Table/§4.2
 /// latency breakdown (bidding, PPP, cloning, resume, configuration)
 /// recovered from the trace rather than from ad-hoc log parsing.
-pub fn critical_path_breakdown(memory_mb: u64, requests: usize, seed: u64) -> CriticalPathReport {
+pub(crate) fn critical_path_breakdown(memory_mb: u64, requests: usize, seed: u64) -> CriticalPathReport {
     use vmplants_simkit::Obs;
 
     let obs = Obs::enabled();
@@ -1395,7 +1395,7 @@ pub fn critical_path_breakdown(memory_mb: u64, requests: usize, seed: u64) -> Cr
 
 /// Render E19: aggregate phase shares across all orders, then the first
 /// order's full path.
-pub fn render_critical_paths(report: &CriticalPathReport) -> String {
+pub(crate) fn render_critical_paths(report: &CriticalPathReport) -> String {
     use std::collections::BTreeMap;
 
     let mut out = format!(
@@ -1451,11 +1451,12 @@ pub fn render_report(seed: u64) -> String {
     }
     out.push_str("\n== E3 / Figure 6: cloning time vs sequence number ==\n");
     for (mem, s) in fig6(&runs) {
+        let n = s.points().len();
         out.push_str(&format!(
             "{} MB: first-quartile mean {:.1}s, last-quartile mean {:.1}s, slope {:.3} s/req\n",
             mem,
-            s.mean_y_in(1.0, (s.len() / 4).max(1) as f64),
-            s.mean_y_in((3 * s.len() / 4) as f64, s.len() as f64),
+            s.mean_y_in(1.0, (n / 4).max(1) as f64),
+            s.mean_y_in((3 * n / 4) as f64, n as f64),
             s.slope().unwrap_or(0.0),
         ));
     }
@@ -1533,7 +1534,7 @@ mod tests {
             assert!((total - 1.0).abs() < 1e-9);
         }
         let series = fig6(&runs);
-        assert_eq!(series[0].1.len(), 6);
+        assert_eq!(series[0].1.points().len(), 6);
     }
 
     #[test]

@@ -43,7 +43,7 @@ const GOLDEN_MEMORY_MB: [u64; 3] = [32, 64, 256];
 /// Does `name` exist in the default chaos site? `run_chaos` always
 /// builds [`crate::site::SiteConfig::default`]: hosts `node0..node7`,
 /// one NFS server `storage`, one shop `shop`.
-pub fn default_site_target(name: &str) -> bool {
+pub(crate) fn default_site_target(name: &str) -> bool {
     if name == "shop" || name == "storage" {
         return true;
     }
@@ -288,7 +288,7 @@ fn expand_workload(w: &Workload, seed: u64, out: &mut Vec<OrderSpec>) {
 impl Scenario {
     /// The scenario's fault plan (pinned events + stochastic rules),
     /// unvalidated — [`Scenario::compile`] validates it.
-    pub fn fault_plan(&self) -> FaultPlan {
+    pub(crate) fn fault_plan(&self) -> FaultPlan {
         let mut plan = FaultPlan::new();
         for f in &self.faults {
             plan = plan.schedule(f.at, f.target.clone(), f.kind.clone());

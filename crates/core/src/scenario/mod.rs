@@ -239,7 +239,7 @@ pub enum Workload {
 
 impl Workload {
     /// Short label for error messages.
-    pub fn kind(&self) -> &'static str {
+    pub(crate) fn kind(&self) -> &'static str {
         match self {
             Workload::Constant { .. } => "constant",
             Workload::Diurnal { .. } => "diurnal",
@@ -250,7 +250,7 @@ impl Workload {
     }
 
     /// Number of arrivals this workload contributes.
-    pub fn requests(&self) -> usize {
+    pub(crate) fn requests(&self) -> usize {
         match self {
             Workload::Constant { requests, .. }
             | Workload::Diurnal { requests, .. }
@@ -353,12 +353,12 @@ pub struct TuningOverrides {
 
 impl TuningOverrides {
     /// True when no field is overridden.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         *self == TuningOverrides::default()
     }
 
     /// Apply the overrides on top of `base`.
-    pub fn apply(&self, base: vmplants_shop::ShopTuning) -> vmplants_shop::ShopTuning {
+    pub(crate) fn apply(&self, base: vmplants_shop::ShopTuning) -> vmplants_shop::ShopTuning {
         let mut t = base;
         if let Some(d) = self.order_deadline {
             t.order_deadline = Some(d);
@@ -406,12 +406,12 @@ pub struct LinkOverrides {
 
 impl LinkOverrides {
     /// True when no field is overridden.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         *self == LinkOverrides::default()
     }
 
     /// Apply the overrides on top of `base`.
-    pub fn apply(&self, base: vmplants_simkit::LinkTuning) -> vmplants_simkit::LinkTuning {
+    pub(crate) fn apply(&self, base: vmplants_simkit::LinkTuning) -> vmplants_simkit::LinkTuning {
         let mut l = base;
         if let Some(d) = self.delay {
             l.delay = d;
@@ -436,7 +436,7 @@ impl LinkOverrides {
 /// what the CI replay checks after re-running it.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ExpectDecl {
-    /// Expected terminal-error classes (see [`error_class`]), sorted.
+    /// Expected terminal-error classes (see `error_class`), sorted.
     pub classes: Vec<String>,
     /// Whether the run is expected to hang orders.
     pub hung: bool,
@@ -497,7 +497,7 @@ impl Scenario {
     }
 
     /// Builder: pin a fault event.
-    pub fn with_fault(
+    pub(crate) fn with_fault(
         mut self,
         at: SimTime,
         target: impl Into<String>,
@@ -528,7 +528,7 @@ impl Scenario {
 /// those separators ("all plants failed; last error: …", "degraded mode:
 /// 2 plants alive, 3 required"); the class survives shrinking while the
 /// detail does not.
-pub fn error_class(message: &str) -> String {
+pub(crate) fn error_class(message: &str) -> String {
     message
         .split([';', ':'])
         .next()

@@ -9,7 +9,7 @@
 //!
 //! 1. capture the **failure signature** of the original run — the set
 //!    of terminal-error *classes* (detail after `;`/`:` stripped, see
-//!    [`super::error_class`]) plus whether orders hung;
+//!    `error_class`) plus whether orders hung;
 //! 2. greedily try simplifications, keeping each only if the simplified
 //!    scenario still reproduces the signature (its classes remain a
 //!    superset, and it still hangs if the original hung):
@@ -60,7 +60,7 @@ impl FailureSignature {
     }
 
     /// The `<expect>` declaration equivalent to this signature.
-    pub fn to_expect(&self) -> ExpectDecl {
+    pub(crate) fn to_expect(&self) -> ExpectDecl {
         ExpectDecl {
             classes: self.classes.iter().cloned().collect(),
             hung: self.hung,
@@ -108,7 +108,7 @@ pub struct ShrinkResult {
 
 impl ShrinkResult {
     /// Deterministic rendering of the shrink history.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
             "shrink: {} candidate runs, {} accepted\n",

@@ -34,7 +34,7 @@ pub struct Score {
     /// p99 successful-order latency, seconds (0 when none succeeded).
     pub p99_latency_s: f64,
     /// Terminal-error classes and their counts (see
-    /// [`super::error_class`]).
+    /// `error_class`).
     pub error_classes: BTreeMap<String, usize>,
     /// SLO violations of the run (empty when no SLO was declared or
     /// every objective held).
@@ -44,7 +44,7 @@ pub struct Score {
 impl Score {
     /// Score a chaos report. The p99 comes from the report's mergeable
     /// latency sketch, so scoring never needs a raw sample vector.
-    pub fn of(report: &ChaosReport) -> Score {
+    pub(crate) fn of(report: &ChaosReport) -> Score {
         let mut error_classes = BTreeMap::new();
         for e in &report.errors {
             *error_classes.entry(error_class(e)).or_insert(0) += 1;
@@ -68,7 +68,7 @@ impl Score {
 
     /// The failure signature of the run this scored (the shrink target
     /// when this is the worst cell).
-    pub fn signature(&self) -> super::shrink::FailureSignature {
+    pub(crate) fn signature(&self) -> super::shrink::FailureSignature {
         super::shrink::FailureSignature {
             classes: self.error_classes.keys().cloned().collect(),
             hung: self.hung > 0,
@@ -76,7 +76,7 @@ impl Score {
     }
 
     /// Fraction of requests that succeeded.
-    pub fn success_rate(&self) -> f64 {
+    pub(crate) fn success_rate(&self) -> f64 {
         if self.requests == 0 {
             return 1.0;
         }
@@ -85,7 +85,7 @@ impl Score {
 
     /// Lexicographic badness: success rate, then hung orders, then SLO
     /// violations, then p99, then mean latency.
-    pub fn worse_than(&self, other: &Score) -> bool {
+    pub(crate) fn worse_than(&self, other: &Score) -> bool {
         if self.success_rate() != other.success_rate() {
             return self.success_rate() < other.success_rate();
         }
@@ -102,7 +102,7 @@ impl Score {
     }
 
     /// One-line deterministic rendering.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let errors = if self.error_classes.is_empty() {
             "-".to_string()
         } else {
@@ -151,7 +151,7 @@ pub struct SweepReport {
 impl SweepReport {
     /// The strictly worst row (first of the worst score class), if the
     /// grid is non-empty.
-    pub fn worst(&self) -> Option<&SweepRow> {
+    pub(crate) fn worst(&self) -> Option<&SweepRow> {
         let mut worst: Option<&SweepRow> = None;
         for row in &self.rows {
             match worst {
@@ -164,7 +164,7 @@ impl SweepReport {
     }
 
     /// Deterministic table rendering.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let name_w = self
             .rows
             .iter()

@@ -63,7 +63,7 @@ impl Default for SiteConfig {
 /// stack (`A B C P Q` of [`vmplants_dag::graph::zipf_dag`]). All ranks
 /// share the base-install DAG prefix, so under chunk dedup they share the
 /// bulk of their disk chunks.
-pub fn publish_zipf_goldens(
+pub(crate) fn publish_zipf_goldens(
     warehouse: &mut Warehouse,
     nfs: &vmplants_cluster::nfs::NfsServer,
     count: u32,
@@ -383,7 +383,7 @@ mod tests {
         for rank in (0..120).step_by(3) {
             assert!(w.remove(&nfs, &GoldenId(format!("zipf-{rank:03}"))));
         }
-        assert_eq!(w.len(), 3 + 80);
+        assert_eq!(w.golden_count(), 3 + 80);
         // Ranks 0, 7, 14, 18, …, 115: a third of them removed.
         let ranks: Vec<u32> = (0..20).map(|i| i * 6 + i % 3).collect();
         let check = |w: &Warehouse| {
@@ -412,7 +412,7 @@ mod tests {
         };
         check(&w);
         let restored = Warehouse::restore_from(&nfs, config);
-        assert_eq!(restored.len(), w.len());
+        assert_eq!(restored.golden_count(), w.golden_count());
         check(&restored);
     }
 }

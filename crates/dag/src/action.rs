@@ -150,7 +150,7 @@ impl Action {
     }
 
     /// Builder: add a parameter.
-    pub fn with_param(mut self, key: impl Into<String>, value: impl Into<String>) -> Action {
+    pub(crate) fn with_param(mut self, key: impl Into<String>, value: impl Into<String>) -> Action {
         self.body_mut().params.insert(key.into(), value.into());
         self
     }
@@ -207,7 +207,7 @@ pub struct ActionSignature {
 
 impl ActionSignature {
     /// The signature as a borrowed view.
-    pub fn sig_ref(&self) -> SigRef<'_> {
+    pub(crate) fn sig_ref(&self) -> SigRef<'_> {
         SigRef {
             kind: self.kind,
             command: &self.command,
@@ -238,7 +238,7 @@ pub struct SigRef<'a> {
 
 impl SigRef<'_> {
     /// An owned copy.
-    pub fn to_signature(self) -> ActionSignature {
+    pub(crate) fn to_signature(self) -> ActionSignature {
         ActionSignature {
             kind: self.kind,
             command: self.command.to_owned(),

@@ -4,7 +4,7 @@ use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt;
 use std::rc::Rc;
 
-use crate::action::{Action, ActionSignature};
+use crate::action::Action;
 
 /// Errors from DAG construction and queries.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -87,13 +87,8 @@ impl ConfigDag {
     }
 
     /// Number of action nodes.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.graph.nodes.len()
-    }
-
-    /// True when the DAG has no actions.
-    pub fn is_empty(&self) -> bool {
-        self.graph.nodes.is_empty()
     }
 
     /// Add an action node.
@@ -194,17 +189,8 @@ impl ConfigDag {
             .collect())
     }
 
-    /// Direct successors of a node.
-    pub fn successors(&self, id: &str) -> Result<Vec<&str>, DagError> {
-        let i = self.idx(id)?;
-        Ok(self.graph.succs[i]
-            .iter()
-            .map(|&s| self.graph.nodes[s].id.as_str())
-            .collect())
-    }
-
     /// All ancestors (transitive predecessors) of a node.
-    pub fn ancestors(&self, id: &str) -> Result<BTreeSet<String>, DagError> {
+    pub(crate) fn ancestors(&self, id: &str) -> Result<BTreeSet<String>, DagError> {
         let i = self.idx(id)?;
         let mut seen = HashSet::new();
         let mut stack = self.graph.preds[i].clone();
@@ -254,36 +240,6 @@ impl ConfigDag {
         }
         debug_assert_eq!(order.len(), self.graph.nodes.len(), "cycle slipped through");
         Ok(order)
-    }
-
-    /// Signatures of all actions, keyed by label.
-    pub fn signatures(&self) -> HashMap<&str, ActionSignature> {
-        self.graph.nodes
-            .iter()
-            .map(|a| (a.id.as_str(), a.signature()))
-            .collect()
-    }
-
-    /// The "roots": actions with no predecessors (the implicit START's
-    /// successors).
-    pub fn roots(&self) -> Vec<&str> {
-        self.graph.preds
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.is_empty())
-            .map(|(i, _)| self.graph.nodes[i].id.as_str())
-            .collect()
-    }
-
-    /// The "leaves": actions with no successors (the implicit FINISH's
-    /// predecessors).
-    pub fn leaves(&self) -> Vec<&str> {
-        self.graph.succs
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.is_empty())
-            .map(|(i, _)| self.graph.nodes[i].id.as_str())
-            .collect()
     }
 
     // Raw index-level views for the compiled matching path (`crate::intern`).
@@ -439,6 +395,28 @@ pub fn zipf_dag(rank: u32, user: &str) -> ConfigDag {
 mod tests {
     use super::*;
 
+    impl ConfigDag {
+        /// Actions with no predecessors (the implicit START's successors).
+        fn roots(&self) -> Vec<&str> {
+            self.graph.preds
+                .iter()
+                .enumerate()
+                .filter(|(_, p)| p.is_empty())
+                .map(|(i, _)| self.graph.nodes[i].id.as_str())
+                .collect()
+        }
+
+        /// Actions with no successors (the implicit FINISH's predecessors).
+        fn leaves(&self) -> Vec<&str> {
+            self.graph.succs
+                .iter()
+                .enumerate()
+                .filter(|(_, s)| s.is_empty())
+                .map(|(i, _)| self.graph.nodes[i].id.as_str())
+                .collect()
+        }
+    }
+
     fn diamond() -> ConfigDag {
         // a -> b, a -> c, b -> d, c -> d
         let mut dag = ConfigDag::new();
@@ -546,14 +524,13 @@ mod tests {
         assert_eq!(dag.leaves(), vec!["d"]);
         let empty = ConfigDag::new();
         assert!(empty.roots().is_empty());
-        assert!(empty.is_empty());
+        assert!(empty.actions().next().is_none());
     }
 
     #[test]
     fn predecessors_successors() {
         let dag = diamond();
         assert_eq!(dag.predecessors("d").unwrap(), vec!["b", "c"]);
-        assert_eq!(dag.successors("a").unwrap(), vec!["b", "c"]);
         assert!(dag.predecessors("nope").is_err());
     }
 

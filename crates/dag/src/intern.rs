@@ -48,17 +48,12 @@ impl SigInterner {
     }
 
     /// Number of distinct signatures interned.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.sigs.len()
     }
 
-    /// True when nothing has been interned.
-    pub fn is_empty(&self) -> bool {
-        self.sigs.is_empty()
-    }
-
     /// Intern a signature, copying it only on first sight.
-    pub fn intern(&mut self, sig: SigRef<'_>) -> SigId {
+    pub(crate) fn intern(&mut self, sig: SigRef<'_>) -> SigId {
         if let Some(id) = self.get(sig) {
             return id;
         }
@@ -129,14 +124,14 @@ pub struct BitSet {
 
 impl BitSet {
     /// An empty set able to hold `bits` members without reallocating.
-    pub fn with_capacity(bits: usize) -> BitSet {
+    pub(crate) fn with_capacity(bits: usize) -> BitSet {
         BitSet {
             words: vec![0; bits.div_ceil(64)],
         }
     }
 
     /// Insert a member, growing as needed.
-    pub fn insert(&mut self, bit: usize) {
+    pub(crate) fn insert(&mut self, bit: usize) {
         let word = bit / 64;
         if word >= self.words.len() {
             self.words.resize(word + 1, 0);
@@ -145,7 +140,7 @@ impl BitSet {
     }
 
     /// Membership test (out-of-range bits are absent).
-    pub fn contains(&self, bit: usize) -> bool {
+    pub(crate) fn contains(&self, bit: usize) -> bool {
         has_bit(&self.words, bit)
     }
 
@@ -192,13 +187,8 @@ impl InternedLog {
     }
 
     /// Number of performed actions.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.ids.len()
-    }
-
-    /// True when nothing was performed.
-    pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
     }
 }
 

@@ -53,7 +53,7 @@ impl CostModel {
 
     /// Estimate the cost of creating one VM for `client_domain` on a plant
     /// with the given host and network service.
-    pub fn estimate(&self, host: &Host, net: &VirtualNetworkService, client_domain: &str) -> f64 {
+    pub(crate) fn estimate(&self, host: &Host, net: &VirtualNetworkService, client_domain: &str) -> f64 {
         match *self {
             CostModel::FreeMemoryPrototype => host.committed_mb() as f64,
             CostModel::Uniform => 1.0,

@@ -11,19 +11,19 @@
 //! `last_monitor_s`. It does so by sample-and-materialize, so a monitor
 //! tick costs the same however many VMs the plant holds:
 //!
-//! * [`InfoSystem::refresh_dynamic`] records one sample of the host and
+//! * `InfoSystem::refresh_dynamic` records one sample of the host and
 //!   writes only into records that do not carry the attributes yet —
 //!   records inserted since the last sample, and `uptime_s` for records
 //!   that started running since. Every classad therefore has its
 //!   attributes in the order a rewrite of every record on every tick
 //!   would have given it.
-//! * A classad leaves the plant only through [`InfoSystem::classad`] or
-//!   [`InfoSystem::hand_over`], which first bring its attributes up to
+//! * A classad leaves the plant only through `InfoSystem::classad` or
+//!   `InfoSystem::hand_over`, which first bring its attributes up to
 //!   the latest sample. [`VmRecord`] keeps its classad private, so no
 //!   caller can read stale monitor values.
 //!
 //! The `state` attribute is written the same way: a lifecycle step
-//! ([`VmRecord::transition`]) only records the [`VmState`], and reading
+//! (`VmRecord::transition`) only records the [`VmState`], and reading
 //! the classad writes the state's name into the attribute's slot, which
 //! every record has from its creation on.
 
@@ -154,7 +154,7 @@ impl VmRecord {
     /// classad's `state` attribute is written here, appended when
     /// `classad` has none, so the attribute has its slot from now on.
     #[allow(clippy::too_many_arguments)]
-    pub fn new(
+    pub(crate) fn new(
         id: VmId,
         spec: VmSpec,
         classad: ClassAd,
@@ -206,7 +206,7 @@ impl VmRecord {
     }
 
     /// Bind a classad attribute (anything but those written on read).
-    pub fn set_value(&mut self, name: impl AsRef<str> + Into<AttrName>, value: impl Into<Value>) {
+    pub(crate) fn set_value(&mut self, name: impl AsRef<str> + Into<AttrName>, value: impl Into<Value>) {
         debug_assert!(
             !is_written_on_read(name.as_ref()),
             "attribute written on read set directly"
@@ -217,7 +217,7 @@ impl VmRecord {
     /// Bind a classad attribute (anything but those written on read) to
     /// the display text of `value`, leaving it alone when it already
     /// holds that text ([`ClassAd::set_display`]).
-    pub fn set_display(&mut self, name: &'static str, value: impl std::fmt::Display) {
+    pub(crate) fn set_display(&mut self, name: &'static str, value: impl std::fmt::Display) {
         debug_assert!(
             !is_written_on_read(name),
             "attribute written on read set directly"
@@ -227,7 +227,7 @@ impl VmRecord {
 
     /// Read a string attribute that is not written on read (those are
     /// current only through [`InfoSystem::classad`]).
-    pub fn get_str(&self, name: &str) -> Option<String> {
+    pub(crate) fn get_str(&self, name: &str) -> Option<String> {
         debug_assert!(
             !is_written_on_read(name),
             "attribute written on read, read without InfoSystem::classad"
@@ -241,7 +241,7 @@ impl VmRecord {
     ///
     /// Panics on an illegal transition — plant bookkeeping bugs must not
     /// pass silently.
-    pub fn check_transition(&self, next: &VmState) {
+    pub(crate) fn check_transition(&self, next: &VmState) {
         assert!(
             self.state.can_transition_to(next),
             "illegal VM state transition {} -> {} for {}",
@@ -254,7 +254,7 @@ impl VmRecord {
     /// Advance the lifecycle state, asserting legality
     /// ([`VmRecord::check_transition`]). The classad's `state` follows
     /// on its next read.
-    pub fn transition(&mut self, next: VmState) {
+    pub(crate) fn transition(&mut self, next: VmState) {
         self.check_transition(&next);
         self.state = next;
     }
@@ -299,8 +299,6 @@ fn is_written_on_read(name: &str) -> bool {
 #[derive(Default)]
 pub struct InfoSystem {
     records: BTreeMap<VmId, VmRecord>,
-    /// Total VMs ever created (for reporting).
-    created: u64,
     /// The latest monitor sample and its sequence number.
     latest: Option<(u64, Sample)>,
     /// Records missing attributes the next sample adds: inserted since
@@ -310,7 +308,7 @@ pub struct InfoSystem {
 
 impl InfoSystem {
     /// An empty information system.
-    pub fn new() -> InfoSystem {
+    pub(crate) fn new() -> InfoSystem {
         InfoSystem::default()
     }
 
@@ -321,28 +319,27 @@ impl InfoSystem {
     ///
     /// Panics on duplicate VM ids (they are plant-generated and unique by
     /// construction).
-    pub fn insert(&mut self, mut record: VmRecord) {
+    pub(crate) fn insert(&mut self, mut record: VmRecord) {
         record.monitor = Synced::default();
         self.unsampled.insert(record.id.clone());
         let prior = self.records.insert(record.id.clone(), record);
         assert!(prior.is_none(), "duplicate VM id");
-        self.created += 1;
     }
 
     /// Read a record.
-    pub fn get(&self, id: &VmId) -> Option<&VmRecord> {
+    pub(crate) fn get(&self, id: &VmId) -> Option<&VmRecord> {
         self.records.get(id)
     }
 
     /// Mutate a record.
-    pub fn get_mut(&mut self, id: &VmId) -> Option<&mut VmRecord> {
+    pub(crate) fn get_mut(&mut self, id: &VmId) -> Option<&mut VmRecord> {
         self.records.get_mut(id)
     }
 
     /// The record's classad, its `state` and monitor attributes brought
     /// up to the lifecycle state and the latest sample: the one way a
     /// classad leaves the plant.
-    pub fn classad(&mut self, id: &VmId) -> Option<ClassAd> {
+    pub(crate) fn classad(&mut self, id: &VmId) -> Option<ClassAd> {
         let record = self.records.get_mut(id)?;
         record.write_state();
         if let Some((seq, sample)) = &self.latest {
@@ -356,7 +353,7 @@ impl InfoSystem {
 
     /// Remove a record whose classad is not read again (collect, crash,
     /// failed creation).
-    pub fn remove(&mut self, id: &VmId) -> Option<VmRecord> {
+    pub(crate) fn remove(&mut self, id: &VmId) -> Option<VmRecord> {
         self.unsampled.remove(id);
         self.records.remove(id)
     }
@@ -364,14 +361,14 @@ impl InfoSystem {
     /// Remove a record that carries its classad to another plant
     /// (migration): its `state` and monitor attributes are first brought
     /// up to date.
-    pub fn hand_over(&mut self, id: &VmId) -> Option<VmRecord> {
+    pub(crate) fn hand_over(&mut self, id: &VmId) -> Option<VmRecord> {
         self.classad(id)?;
         self.remove(id)
     }
 
     /// Move a record to `Running` at `now`; the next sample adds its
     /// `uptime_s`. Returns the record, or `None` for an unknown id.
-    pub fn start_running(&mut self, id: &VmId, now: SimTime) -> Option<&mut VmRecord> {
+    pub(crate) fn start_running(&mut self, id: &VmId, now: SimTime) -> Option<&mut VmRecord> {
         let record = self.records.get_mut(id)?;
         record.transition(VmState::Running);
         record.running_at = Some(now);
@@ -383,38 +380,19 @@ impl InfoSystem {
     }
 
     /// All live records.
-    pub fn records(&self) -> impl Iterator<Item = &VmRecord> {
+    pub(crate) fn records(&self) -> impl Iterator<Item = &VmRecord> {
         self.records.values()
     }
 
-    /// Ids of all VMs currently in the `Running` state.
-    pub fn running_ids(&self) -> Vec<VmId> {
-        self.records
-            .values()
-            .filter(|r| r.state == VmState::Running)
-            .map(|r| r.id.clone())
-            .collect()
-    }
-
     /// Number of live records.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.records.len()
-    }
-
-    /// True when no VMs are tracked.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// Lifetime creations.
-    pub fn total_created(&self) -> u64 {
-        self.created
     }
 
     /// The VM monitor's pass (Figure 2's "update VM classad"): sample the
     /// host at `now`. Only records that lack monitor attributes are
     /// written; the rest catch up when their classad is read.
-    pub fn refresh_dynamic(&mut self, now: SimTime, host: &Host) {
+    pub(crate) fn refresh_dynamic(&mut self, now: SimTime, host: &Host) {
         let sample = Sample {
             at: now,
             free_mb: host.free_mb(),
@@ -496,7 +474,6 @@ mod tests {
         assert!(sys.remove(&VmId("vm-1".into())).is_some());
         assert!(sys.remove(&VmId("vm-1".into())).is_none());
         assert_eq!(sys.len(), 1);
-        assert_eq!(sys.total_created(), 2, "lifetime count survives removal");
     }
 
     #[test]
@@ -554,16 +531,6 @@ mod tests {
     fn illegal_transition_panics() {
         let mut r = record("vm-1");
         r.transition(VmState::Running);
-    }
-
-    #[test]
-    fn running_ids_filters_by_state() {
-        let mut sys = InfoSystem::new();
-        sys.insert(record("vm-1"));
-        let mut r2 = record("vm-2");
-        r2.state = VmState::Running;
-        sys.insert(r2);
-        assert_eq!(sys.running_ids(), vec![VmId("vm-2".into())]);
     }
 
     #[test]

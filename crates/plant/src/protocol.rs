@@ -15,7 +15,8 @@
 //!   epoch, per-sender sequence number, and an idempotency key. The
 //!   plant's dedup cache and the shop's retransmission machinery both
 //!   key on the envelope, which is what turns at-least-once delivery
-//!   into exactly-once *effect*.
+//!   into exactly-once *effect*. The simulated transport carries an
+//!   envelope as a value, so it has no wire form.
 
 use std::rc::Rc;
 
@@ -101,7 +102,7 @@ impl ErrorCode {
 
     /// The stable wire string. These strings are frozen: changing one
     /// breaks persisted fixtures and any peer speaking the protocol.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             ErrorCode::BadRequest => "bad-request",
             ErrorCode::NoPlants => "no-plants",
@@ -128,7 +129,7 @@ impl ErrorCode {
     /// Decode a wire string. Unrecognized strings map to
     /// [`ErrorCode::Unknown`] — never an error, so old peers can talk
     /// to newer ones.
-    pub fn parse(s: &str) -> ErrorCode {
+    pub(crate) fn parse(s: &str) -> ErrorCode {
         ErrorCode::ALL
             .into_iter()
             .find(|c| c.as_str() == s)
@@ -148,7 +149,7 @@ impl ErrorCode {
     }
 
     /// The code a plant-side error travels under.
-    pub fn from_plant_error(err: &PlantError) -> ErrorCode {
+    pub(crate) fn from_plant_error(err: &PlantError) -> ErrorCode {
         match err {
             PlantError::NoGoldenImage => ErrorCode::NoGolden,
             PlantError::Network(_) => ErrorCode::Network,
@@ -248,7 +249,7 @@ impl SharedOrder {
     }
 
     /// Share a request's order, when it is a create.
-    pub fn of(request: &Rc<Request>) -> Option<SharedOrder> {
+    pub(crate) fn of(request: &Rc<Request>) -> Option<SharedOrder> {
         matches!(**request, Request::Create(_)).then(|| SharedOrder(Rc::clone(request)))
     }
 
@@ -424,7 +425,7 @@ impl Request {
     }
 
     /// Decode from an XML element.
-    pub fn from_xml(el: &Element) -> Result<Request, MessageError> {
+    pub(crate) fn from_xml(el: &Element) -> Result<Request, MessageError> {
         match el.name.as_str() {
             "create-vm" => Ok(Request::Create(order_from_element(el)?)),
             "estimate-vm" => Ok(Request::Estimate(order_from_element(el)?)),
@@ -477,7 +478,7 @@ impl Request {
     }
 
     /// A short label for transport traces.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             Request::Create(_) => "create",
             Request::Query(_) => "query",
@@ -493,7 +494,7 @@ impl Response {
     /// The error response a [`PlantError`] travels as. `unknown-vm`
     /// carries the bare VM id as its message so
     /// [`ErrorCode::into_plant_error`] can rebuild the exact variant.
-    pub fn plant_error(err: &PlantError) -> Response {
+    pub(crate) fn plant_error(err: &PlantError) -> Response {
         let message = match err {
             PlantError::UnknownVm(id) => id.0.clone(),
             other => other.to_string(),
@@ -507,7 +508,7 @@ impl Response {
     /// Encode to an XML element. The classad rides as text content in its
     /// own (classad) syntax, exactly as the prototype shipped classads
     /// inside XML envelopes.
-    pub fn to_xml(&self) -> Element {
+    pub(crate) fn to_xml(&self) -> Element {
         match self {
             Response::Ad(ad) => Element::new("vm-classad").with_text(ad.to_string()),
             Response::Bid(cost) => Element::new("bid").with_attr("cost", cost.to_string()),
@@ -521,7 +522,7 @@ impl Response {
     }
 
     /// Decode from an XML element.
-    pub fn from_xml(el: &Element) -> Result<Response, MessageError> {
+    pub(crate) fn from_xml(el: &Element) -> Result<Response, MessageError> {
         match el.name.as_str() {
             "vm-classad" => {
                 let text = el
@@ -650,7 +651,7 @@ impl Envelope {
     }
 
     /// Frame a response to a request envelope.
-    pub fn response(
+    pub(crate) fn response(
         from: impl Into<Rc<str>>,
         epoch: u64,
         seq: u64,
@@ -678,71 +679,6 @@ impl Envelope {
             key: Rc::clone(&self.key),
             seq: self.seq,
         }
-    }
-
-    /// Encode to an XML element.
-    pub fn to_xml(&self) -> Element {
-        let mut el = Element::new("envelope")
-            .with_attr("from", &*self.from)
-            .with_attr("epoch", self.epoch.to_string())
-            .with_attr("seq", self.seq.to_string())
-            .with_attr("key", &*self.key);
-        if let Some(re) = self.reply_epoch {
-            el.set_attr("re-epoch", re.to_string());
-        }
-        el.push_child(match &self.body {
-            Payload::Request(r) => r.to_xml(),
-            Payload::Response(r) => r.to_xml(),
-        });
-        el
-    }
-
-    /// Decode from an XML element.
-    pub fn from_xml(el: &Element) -> Result<Envelope, MessageError> {
-        if el.name != "envelope" {
-            return Err(MessageError(format!("expected <envelope>, got <{}>", el.name)));
-        }
-        let attr = |name: &str| -> Result<&str, MessageError> {
-            el.attr(name)
-                .ok_or_else(|| MessageError(format!("envelope missing '{name}'")))
-        };
-        let num = |name: &str| -> Result<u64, MessageError> {
-            attr(name)?
-                .parse()
-                .map_err(|_| MessageError(format!("bad envelope '{name}'")))
-        };
-        let body_el = el
-            .elements()
-            .next()
-            .ok_or_else(|| MessageError("empty envelope".into()))?;
-        // Requests and responses use disjoint element names, so the
-        // child's name alone disambiguates the payload kind.
-        let body = match Request::from_xml(body_el) {
-            Ok(req) => Payload::Request(Rc::new(req)),
-            Err(_) => Payload::Response(Response::from_xml(body_el)?),
-        };
-        Ok(Envelope {
-            from: attr("from")?.into(),
-            epoch: num("epoch")?,
-            seq: num("seq")?,
-            key: attr("key")?.into(),
-            reply_epoch: match el.attr("re-epoch") {
-                Some(_) => Some(num("re-epoch")?),
-                None => None,
-            },
-            body,
-        })
-    }
-
-    /// Encode to wire text.
-    pub fn to_wire(&self) -> String {
-        self.to_xml().to_xml()
-    }
-
-    /// Decode from wire text.
-    pub fn from_wire(text: &str) -> Result<Envelope, MessageError> {
-        let el = vmplants_xmlmsg::parse(text).map_err(|e| MessageError(e.to_string()))?;
-        Envelope::from_xml(&el)
     }
 }
 
@@ -905,15 +841,12 @@ mod tests {
     #[test]
     fn envelopes_round_trip() {
         let req_env = Envelope::request("shop", 2, 17, "create:vm-1", Request::Create(order()));
-        let wire = req_env.to_wire();
-        let decoded = Envelope::from_wire(&wire).unwrap();
-        assert_eq!(&*decoded.from, "shop");
-        assert_eq!(decoded.epoch, 2);
-        assert_eq!(decoded.seq, 17);
-        assert_eq!(&*decoded.key, "create:vm-1");
-        assert_eq!(decoded.reply_epoch, None);
+        assert_eq!(&*req_env.from, "shop");
+        assert_eq!(req_env.epoch, 2);
+        assert_eq!(req_env.seq, 17);
+        assert_eq!(req_env.reply_epoch, None);
         assert!(
-            matches!(&decoded.body, Payload::Request(r) if matches!(**r, Request::Create(_)))
+            matches!(&req_env.body, Payload::Request(r) if matches!(**r, Request::Create(_)))
         );
 
         let resp_env = Envelope::response(
@@ -926,20 +859,18 @@ mod tests {
                 message: "plant 'node0' is down".into(),
             },
         );
-        let decoded = Envelope::from_wire(&resp_env.to_wire()).unwrap();
-        assert_eq!(&*decoded.from, "node0");
-        assert_eq!(&*decoded.key, "create:vm-1");
-        assert_eq!(decoded.reply_epoch, Some(2));
-        match decoded.body {
-            Payload::Response(Response::Error { code, .. }) => {
-                assert_eq!(code, ErrorCode::PlantDown)
-            }
-            other => panic!("wrong decode: {other:?}"),
-        }
+        // The response answers under the request's key and epoch.
+        assert_eq!(&*resp_env.from, "node0");
+        assert!(Rc::ptr_eq(&resp_env.key, &req_env.key));
+        assert_eq!(resp_env.reply_epoch, Some(2));
+        assert!(matches!(
+            resp_env.body,
+            Payload::Response(Response::Error {
+                code: ErrorCode::PlantDown,
+                ..
+            })
+        ));
         assert_eq!(resp_env.trace_label().render(), "error/create:vm-1#3");
-
-        assert!(Envelope::from_wire("<envelope/>").is_err());
-        assert!(Envelope::from_wire("<nope/>").is_err());
     }
 
     /// One span mutation of `text`: delete, insert, overwrite, or
@@ -977,11 +908,11 @@ mod tests {
         }
     }
 
-    /// Hostile wire input: seeded span mutations of the envelope form of
-    /// every request and response kind never panic the decoder, and
+    /// Hostile wire input: seeded span mutations of the wire form of
+    /// every request and response kind never panic the decoders, and
     /// whatever still decodes re-encodes to a fixed point.
     #[test]
-    fn mutated_envelopes_never_panic_and_reencode_stably() {
+    fn mutated_messages_never_panic_and_reencode_stably() {
         let mut ad = ClassAd::new();
         ad.set_value("vmid", "vm-1");
         ad.set_value("memory_mb", 64i64);
@@ -1012,40 +943,37 @@ mod tests {
                 message: "plant 'node0' is down".into(),
             },
         ];
-        let mut corpus: Vec<Vec<char>> = Vec::new();
-        for (seq, request) in (0u64..).zip(requests) {
-            let env = Envelope::request("shop", 1, seq, format!("k:{seq}"), request);
-            corpus.push(env.to_wire().chars().collect());
-        }
-        let asked = Envelope::request(
-            "shop",
-            3,
-            9,
-            "create:vm-1",
-            Request::Query(VmId("vm-1".into())),
-        );
-        for (seq, response) in (0u64..).zip(responses) {
-            let env = Envelope::response("node0", 2, seq, &asked, response);
-            corpus.push(env.to_wire().chars().collect());
-        }
+        // Each entry is tagged with its kind: true for a request.
+        let corpus: Vec<(bool, Vec<char>)> = requests
+            .iter()
+            .map(|r| (true, r.to_wire().chars().collect()))
+            .chain(responses.iter().map(|r| (false, r.to_wire().chars().collect())))
+            .collect();
+        // Decode `wire` as its kind and encode it again.
+        let reencode = |request: bool, wire: &str| {
+            if request {
+                Request::from_wire(wire).map(|r| r.to_wire())
+            } else {
+                Response::from_wire(wire).map(|r| r.to_wire())
+            }
+        };
         let mut rng = vmplants_simkit::SimRng::seed_from_u64(2104);
         let mut decoded = 0usize;
         for _ in 0..20_000 {
-            let mut text = corpus[rng.index(corpus.len())].clone();
+            let (request, text) = &corpus[rng.index(corpus.len())];
+            let mut text = text.clone();
             for _ in 0..1 + rng.index(3) {
                 mutate(&mut text, &mut rng);
             }
             let wire: String = text.into_iter().collect();
-            let result = std::panic::catch_unwind(|| Envelope::from_wire(&wire));
+            let result = std::panic::catch_unwind(|| reencode(*request, &wire));
             let Ok(result) = result else {
                 panic!("decoder panicked on {wire:?}");
             };
-            let Ok(env) = result else { continue };
+            let Ok(once) = result else { continue };
             decoded += 1;
-            let once = env.to_wire();
-            let again = Envelope::from_wire(&once)
-                .unwrap_or_else(|e| panic!("re-encoding of {wire:?} does not decode: {e}"))
-                .to_wire();
+            let again = reencode(*request, &once)
+                .unwrap_or_else(|e| panic!("re-encoding of {wire:?} does not decode: {e}"));
             assert_eq!(once, again, "re-encoding of {wire:?} is not stable");
         }
         // The mutations must leave a fair share decodable, or the

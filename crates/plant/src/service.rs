@@ -64,12 +64,12 @@ pub struct DedupCache {
 
 impl DedupCache {
     /// An empty cache with the default capacity.
-    pub fn new() -> DedupCache {
+    pub(crate) fn new() -> DedupCache {
         DedupCache::with_capacity(DEDUP_CAPACITY)
     }
 
     /// An empty cache retaining at most `capacity` completed entries.
-    pub fn with_capacity(capacity: usize) -> DedupCache {
+    pub(crate) fn with_capacity(capacity: usize) -> DedupCache {
         DedupCache {
             entries: BTreeMap::new(),
             order: VecDeque::new(),
@@ -79,18 +79,8 @@ impl DedupCache {
 
     /// Change the eviction bound (existing surplus entries are evicted
     /// on the next completion).
-    pub fn set_capacity(&mut self, capacity: usize) {
+    pub(crate) fn set_capacity(&mut self, capacity: usize) {
         self.capacity = capacity.max(1);
-    }
-
-    /// Number of live entries (pending + done).
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     fn begin(&mut self, key: &Rc<str>, epoch: u64) {
@@ -552,7 +542,7 @@ mod tests {
         plant.serve(&mut engine, est, Rc::clone(&reply));
         engine.run();
         assert_eq!(seen.borrow().len(), 2, "estimates answer every time");
-        assert!(plant.inner.borrow().dedup.is_empty());
+        assert!(plant.inner.borrow().dedup.entries.is_empty());
     }
 
     #[test]
@@ -564,7 +554,7 @@ mod tests {
             cache.begin(&key, 0);
             cache.complete(&key, 0, resp.clone());
         }
-        assert_eq!(cache.len(), DEDUP_CAPACITY);
+        assert_eq!(cache.entries.len(), DEDUP_CAPACITY);
         // Oldest entries evicted first.
         assert!(!cache.entries.contains_key("k0"));
         assert!(cache.entries.contains_key(format!("k{}", DEDUP_CAPACITY + 49).as_str()));
@@ -588,6 +578,6 @@ mod tests {
             cache.complete(&other, 2, resp.clone());
         }
         assert!(cache.entries.contains_key("k"), "live answer evicted early");
-        assert_eq!(cache.len(), 4);
+        assert_eq!(cache.entries.len(), 4);
     }
 }

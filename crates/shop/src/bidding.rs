@@ -33,33 +33,18 @@ impl std::fmt::Debug for Bid {
 /// plants on the shop's behalf (the "indirectly through VMBrokers" path).
 #[derive(Clone, Default)]
 pub struct VmBroker {
-    name: String,
     plants: Vec<Plant>,
 }
 
 impl VmBroker {
     /// A broker fronting the given plants.
-    pub fn new(name: impl Into<String>, plants: Vec<Plant>) -> VmBroker {
-        VmBroker {
-            name: name.into(),
-            plants,
-        }
-    }
-
-    /// Broker name.
-    pub fn name(&self) -> &str {
-        &self.name
+    pub fn new(plants: Vec<Plant>) -> VmBroker {
+        VmBroker { plants }
     }
 
     /// Plants this broker fronts.
-    pub fn plants(&self) -> &[Plant] {
+    pub(crate) fn plants(&self) -> &[Plant] {
         &self.plants
-    }
-
-    /// Collect bids from every live plant behind this broker. Dead or
-    /// erroring plants simply do not bid.
-    pub fn collect_bids(&self, order: &ProductionOrder) -> Vec<Bid> {
-        collect_bids(&self.plants, order)
     }
 }
 
@@ -188,9 +173,8 @@ mod tests {
     fn broker_fronts_its_plants() {
         let a = plant("a", CostModel::FreeMemoryPrototype);
         let b = plant("b", CostModel::FreeMemoryPrototype);
-        let broker = VmBroker::new("site-broker", vec![a, b]);
-        assert_eq!(broker.name(), "site-broker");
-        assert_eq!(broker.collect_bids(&order()).len(), 2);
+        let broker = VmBroker::new(vec![a, b]);
         assert_eq!(broker.plants().len(), 2);
+        assert_eq!(collect_bids(broker.plants(), &order()).len(), 2);
     }
 }

@@ -25,18 +25,16 @@ pub struct CachedAd {
 #[derive(Default)]
 pub struct ClassAdCache {
     entries: BTreeMap<VmId, CachedAd>,
-    hits: u64,
-    misses: u64,
 }
 
 impl ClassAdCache {
     /// An empty cache.
-    pub fn new() -> ClassAdCache {
+    pub(crate) fn new() -> ClassAdCache {
         ClassAdCache::default()
     }
 
     /// Store or refresh an entry.
-    pub fn put(&mut self, id: VmId, ad: ClassAd, plant: String, now: SimTime) {
+    pub(crate) fn put(&mut self, id: VmId, ad: ClassAd, plant: String, now: SimTime) {
         self.entries.insert(
             id,
             CachedAd {
@@ -47,57 +45,23 @@ impl ClassAdCache {
         );
     }
 
-    /// Look an entry up, counting hit/miss.
-    pub fn get(&mut self, id: &VmId) -> Option<&CachedAd> {
-        match self.entries.get(id) {
-            Some(e) => {
-                self.hits += 1;
-                Some(e)
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Which plant is authoritative for a VM (no hit/miss accounting).
-    pub fn plant_of(&self, id: &VmId) -> Option<&str> {
+    /// Which plant is authoritative for a VM.
+    pub(crate) fn plant_of(&self, id: &VmId) -> Option<&str> {
         self.entries.get(id).map(|e| e.plant.as_str())
     }
 
     /// Drop one entry.
-    pub fn invalidate(&mut self, id: &VmId) -> bool {
+    pub(crate) fn invalidate(&mut self, id: &VmId) -> bool {
         self.entries.remove(id).is_some()
     }
 
     /// Drop everything (shop crash).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.entries.clear();
     }
 
-    /// Entries present.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// `(hits, misses)` counters.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
-
-    /// Ids currently cached.
-    pub fn ids(&self) -> Vec<VmId> {
-        self.entries.keys().cloned().collect()
-    }
-
-    /// Iterate cached entries in id order (no hit/miss accounting).
-    pub fn iter(&self) -> impl Iterator<Item = (&VmId, &CachedAd)> {
+    /// Iterate cached entries in id order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&VmId, &CachedAd)> {
         self.entries.iter()
     }
 }
@@ -116,12 +80,12 @@ pub struct ExprCache {
 
 impl ExprCache {
     /// An empty cache.
-    pub fn new() -> ExprCache {
+    pub(crate) fn new() -> ExprCache {
         ExprCache::default()
     }
 
     /// Parse `text`, serving repeats from the cache.
-    pub fn parse(&mut self, text: &str) -> Result<Rc<Expr>, ParseError> {
+    pub(crate) fn parse(&mut self, text: &str) -> Result<Rc<Expr>, ParseError> {
         if let Some(cached) = self.entries.get(text) {
             self.hits += 1;
             return cached.clone();
@@ -132,18 +96,8 @@ impl ExprCache {
         parsed
     }
 
-    /// Distinct expression texts seen.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// `(hits, misses)` counters.
-    pub fn stats(&self) -> (u64, u64) {
+    pub(crate) fn stats(&self) -> (u64, u64) {
         (self.hits, self.misses)
     }
 }
@@ -163,14 +117,13 @@ mod tests {
         let mut c = ClassAdCache::new();
         let id = VmId("vm-1".into());
         c.put(id.clone(), ad("vm-1"), "node0".into(), SimTime::from_secs(5));
-        let hit = c.get(&id).unwrap();
+        let hit = &c.entries[&id];
         assert_eq!(hit.plant, "node0");
         assert_eq!(hit.cached_at, SimTime::from_secs(5));
         assert_eq!(c.plant_of(&id), Some("node0"));
         assert!(c.invalidate(&id));
         assert!(!c.invalidate(&id));
-        assert!(c.get(&id).is_none());
-        assert_eq!(c.stats(), (1, 1));
+        assert!(c.plant_of(&id).is_none());
     }
 
     #[test]
@@ -179,7 +132,7 @@ mod tests {
         let id = VmId("vm-1".into());
         c.put(id.clone(), ad("vm-1"), "node0".into(), SimTime::ZERO);
         c.put(id.clone(), ad("vm-1"), "node3".into(), SimTime::from_secs(9));
-        assert_eq!(c.len(), 1);
+        assert_eq!(c.entries.len(), 1);
         assert_eq!(c.plant_of(&id), Some("node3"));
     }
 
@@ -190,7 +143,7 @@ mod tests {
         let b = c.parse("freememory >= 256 && alive").unwrap();
         assert!(Rc::ptr_eq(&a, &b), "repeat texts share one parse");
         assert_eq!(c.stats(), (1, 1));
-        assert_eq!(c.len(), 1);
+        assert_eq!(c.entries.len(), 1);
     }
 
     #[test]
@@ -212,8 +165,8 @@ mod tests {
                 SimTime::ZERO,
             );
         }
-        assert_eq!(c.ids().len(), 4);
+        assert_eq!(c.entries.len(), 4);
         c.clear();
-        assert!(c.is_empty());
+        assert!(c.entries.is_empty());
     }
 }

@@ -18,7 +18,7 @@
 //! determinism.
 //!
 //! The journal copies no order payload. A record holds only what
-//! [`Journal::render`] prints, and an order's key, VMID text and plant
+//! `Journal::render` prints, and an order's key, VMID text and plant
 //! names are shared by reference count between its records and its fold.
 //! The per-order fold holds the [`SharedOrder`] the shop admitted — the
 //! very request its dispatch envelopes carry — while the order is
@@ -176,7 +176,7 @@ pub struct OrderState {
 
 impl OrderState {
     /// The terminal outcome, once settled.
-    pub fn outcome(&self) -> Option<&JournalOutcome> {
+    pub(crate) fn outcome(&self) -> Option<&JournalOutcome> {
         match &self.status {
             OrderStatus::Pending(_) => None,
             OrderStatus::Settled(outcome) => Some(outcome),
@@ -196,14 +196,14 @@ pub struct Journal {
 
 impl Journal {
     /// An empty journal.
-    pub fn new() -> Journal {
+    pub(crate) fn new() -> Journal {
         Journal::default()
     }
 
     /// The order was accepted under client key `key` (`None` for a
     /// direct call, which resubmissions cannot name): journal it and hold
     /// `order` in the fold until it settles.
-    pub fn received(
+    pub(crate) fn received(
         &mut self,
         key: Option<Rc<str>>,
         vm_id: &VmId,
@@ -236,14 +236,14 @@ impl Journal {
     }
 
     /// A bid round was solicited from `plants` candidate plants.
-    pub fn bids_requested(&mut self, vm_id: &VmId, plants: usize, at: SimTime) {
+    pub(crate) fn bids_requested(&mut self, vm_id: &VmId, plants: usize, at: SimTime) {
         let vm_id = self.shared_id(vm_id);
         self.records
             .push(JournalRecord::BidsRequested { vm_id, plants, at });
     }
 
     /// The order was dispatched to `plant` as dispatch number `attempt`.
-    pub fn dispatched(&mut self, vm_id: &VmId, plant: Rc<str>, attempt: u32, at: SimTime) {
+    pub(crate) fn dispatched(&mut self, vm_id: &VmId, plant: Rc<str>, attempt: u32, at: SimTime) {
         if let Some(order) = self.orders.get_mut(vm_id.0.as_str()) {
             order.dispatches.push((Rc::clone(&plant), attempt));
         }
@@ -257,7 +257,7 @@ impl Journal {
 
     /// The order settled with its VM running on `plant`; `ad` is the
     /// published classad.
-    pub fn published(&mut self, vm_id: &VmId, plant: Rc<str>, ad: ClassAd, at: SimTime) {
+    pub(crate) fn published(&mut self, vm_id: &VmId, plant: Rc<str>, ad: ClassAd, at: SimTime) {
         self.settle(
             vm_id,
             JournalOutcome::Published {
@@ -273,7 +273,7 @@ impl Journal {
     }
 
     /// The order failed terminally with the rendered `error`.
-    pub fn failed(&mut self, vm_id: &VmId, error: String, at: SimTime) {
+    pub(crate) fn failed(&mut self, vm_id: &VmId, error: String, at: SimTime) {
         self.settle(
             vm_id,
             JournalOutcome::Failed {
@@ -318,30 +318,20 @@ impl Journal {
     }
 
     /// Number of appended records.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.records.len()
-    }
-
-    /// Whether nothing has been journaled.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
     }
 
     /// The VMID and settled outcome for a client key, if the order it
     /// names has finished — the resubmission fast path.
-    pub fn outcome_for_key(&self, key: &str) -> Option<(&str, &JournalOutcome)> {
+    pub(crate) fn outcome_for_key(&self, key: &str) -> Option<(&str, &JournalOutcome)> {
         let vm_id = self.by_key.get(key)?;
         Some((vm_id, self.orders.get(vm_id)?.outcome()?))
     }
 
-    /// Per-order folded state, by VMID.
-    pub fn order(&self, vm_id: &VmId) -> Option<&OrderState> {
-        self.orders.get(vm_id.0.as_str())
-    }
-
     /// Orders with no journaled outcome — the recovery work list, in
     /// VMID order (deterministic).
-    pub fn unsettled(&self) -> Vec<(VmId, OrderState)> {
+    pub(crate) fn unsettled(&self) -> Vec<(VmId, OrderState)> {
         self.orders
             .iter()
             .filter(|(_, o)| o.outcome().is_none())
@@ -367,7 +357,7 @@ impl Journal {
     }
 
     /// One line per record — the byte-comparable recovery trace.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut out = String::new();
         for record in &self.records {
             let _ = writeln!(out, "{record}");
@@ -489,7 +479,7 @@ mod tests {
             SimTime::from_secs(5),
         );
         for id in [vm(3), vm(4)] {
-            let state = j.order(&id).unwrap();
+            let state = &j.orders[id.0.as_str()];
             assert!(
                 matches!(state.status, OrderStatus::Settled(_)),
                 "{id} still holds its order"

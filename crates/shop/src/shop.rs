@@ -396,26 +396,11 @@ impl VmShop {
         self.inner.borrow_mut().tuning = tuning;
     }
 
-    /// Current robustness knobs.
-    pub fn tuning(&self) -> ShopTuning {
-        self.inner.borrow().tuning.clone()
-    }
-
     /// The shop↔plant message fabric. Chaos scenarios raise loss /
     /// duplication / reordering / partition windows on it; tests read
     /// its stats and trace.
     pub fn transport(&self) -> Transport {
         self.inner.borrow().transport.clone()
-    }
-
-    /// Shop incarnation (bumped by [`VmShop::recover`]).
-    pub fn epoch(&self) -> u64 {
-        self.inner.borrow().epoch
-    }
-
-    /// Shop name.
-    pub fn name(&self) -> &str {
-        &self.name
     }
 
     /// Publish a plant into the shop's registry.
@@ -447,11 +432,6 @@ impl VmShop {
     /// The creation log (Figure 4's data source).
     pub fn request_log(&self) -> Vec<ShopRequestLog> {
         self.inner.borrow().request_log.clone()
-    }
-
-    /// Cache statistics `(hits, misses)`.
-    pub fn cache_stats(&self) -> (u64, u64) {
-        self.inner.borrow().cache.stats()
     }
 
     /// Expression-cache statistics `(hits, misses)` — how often order

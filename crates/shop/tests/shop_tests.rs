@@ -123,8 +123,6 @@ fn create_assigns_shop_vmid_and_caches() {
     // Query hits the cache path (plant_of known).
     let q = run_query(&mut s, &VmId(vmid)).unwrap();
     assert_eq!(q.get_str("state"), Some("running".into()));
-    let (hits, _) = s.shop.cache_stats();
-    let _ = hits; // plant_of path does not count; just ensure no panic
 }
 
 #[test]
@@ -629,7 +627,7 @@ fn brokered_plants_participate_in_bidding() {
         &mut rng,
     );
     s.shop
-        .register_broker(VmBroker::new("broker", vec![remote.clone()]));
+        .register_broker(VmBroker::new(vec![remote.clone()]));
     assert_eq!(s.shop.plants().len(), 2);
     // Fill the local plant so the brokered one wins the next bid.
     s.plants[0].host().register_vm(1024);

@@ -125,11 +125,6 @@ impl Engine {
         self.executed.get()
     }
 
-    /// Number of events still pending.
-    pub fn pending(&self) -> usize {
-        self.live.get() as usize
-    }
-
     /// Schedule `action` to run `delay` after the current time.
     pub fn schedule<F>(&mut self, delay: SimDuration, action: F) -> EventId
     where
@@ -270,6 +265,13 @@ mod tests {
     use super::*;
     use std::cell::RefCell;
     use std::rc::Rc;
+
+    impl Engine {
+        /// Number of events still pending.
+        fn pending(&self) -> usize {
+            self.live.get() as usize
+        }
+    }
 
     #[test]
     fn events_fire_in_time_order() {
@@ -421,10 +423,10 @@ mod tests {
         for id in ids.iter().step_by(3) {
             assert!(e.cancel(*id));
         }
-        assert_eq!(obs.gauge_value("engine.live_events"), Some(40));
+        assert!(obs.metrics_text().contains("gauge engine.live_events 40\n"));
         e.run();
         assert_eq!(e.pending(), 0);
-        assert_eq!(obs.gauge_value("engine.live_events"), Some(0));
+        assert!(obs.metrics_text().contains("gauge engine.live_events 0\n"));
         assert_eq!(obs.counter_value("engine.events_executed"), Some(40));
         assert_eq!(obs.counter_value("engine.events_cancelled"), Some(20));
         assert_eq!(e.events_executed(), 40);

@@ -13,7 +13,7 @@
 //!   scenario can be printed, diffed byte-for-byte, and replayed.
 //! * [`FaultInjector`] — schedules a materialized event list on an
 //!   [`Engine`] and dispatches each event to a caller-supplied handler,
-//!   recording a textual trace of everything it injected.
+//!   recording everything it injected.
 //!
 //! The kinds of faults modeled are the ones the VMPlants stack must survive:
 //! host crash (permanent) and reboot (transient), NFS server outage and
@@ -630,24 +630,9 @@ impl FaultInjector {
         FaultInjector { trace }
     }
 
-    /// Number of faults injected so far.
-    pub fn injected(&self) -> usize {
-        self.trace.borrow().len()
-    }
-
     /// The injected faults, in firing order.
     pub fn trace(&self) -> Vec<FaultEvent> {
         self.trace.borrow().clone()
-    }
-
-    /// One line per injected fault — the byte-comparable scenario record.
-    pub fn trace_text(&self) -> String {
-        let mut out = String::new();
-        for event in self.trace.borrow().iter() {
-            out.push_str(&event.to_string());
-            out.push('\n');
-        }
-        out
     }
 }
 
@@ -701,10 +686,10 @@ mod tests {
         });
         engine.run();
         assert_eq!(*seen.borrow(), vec!["storage".to_string(), "node1".into()]);
-        assert_eq!(injector.injected(), 2);
-        let text = injector.trace_text();
-        assert!(text.contains("storage: nfs-outage"));
-        assert!(text.contains("node1: host-crash"));
+        let trace: Vec<String> = injector.trace().iter().map(ToString::to_string).collect();
+        assert_eq!(trace.len(), 2);
+        assert!(trace[0].contains("storage: nfs-outage"), "{trace:?}");
+        assert!(trace[1].contains("node1: host-crash"), "{trace:?}");
     }
 
     /// The target universe used by the validation tests.
@@ -891,7 +876,6 @@ mod tests {
         let mut engine = Engine::new();
         let injector = FaultInjector::install(&mut engine, FaultPlan::new().materialize(0), |_, _| {});
         engine.run();
-        assert_eq!(injector.injected(), 0);
-        assert!(injector.trace_text().is_empty());
+        assert!(injector.trace().is_empty());
     }
 }

@@ -53,7 +53,7 @@ use crate::time::{SimDuration, SimTime};
 
 /// FNV-1a 64-bit hash: the deterministic, seed-free key hash behind head
 /// sampling decisions (and nothing else — it never touches the sim RNG).
-pub fn fnv1a64(s: &str) -> u64 {
+pub(crate) fn fnv1a64(s: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in s.bytes() {
         h ^= b as u64;
@@ -74,13 +74,8 @@ impl SpanId {
     pub const NONE: SpanId = SpanId(0);
 
     /// True for [`SpanId::NONE`].
-    pub fn is_none(self) -> bool {
+    pub(crate) fn is_none(self) -> bool {
         self.0 == 0
-    }
-
-    /// The raw id (0 = none).
-    pub fn raw(self) -> u64 {
-        self.0
     }
 }
 
@@ -139,12 +134,12 @@ impl Gauge {
     }
 
     /// Add (possibly negative) `delta`.
-    pub fn add(&self, delta: i64) {
+    pub(crate) fn add(&self, delta: i64) {
         self.0.set(self.0.get() + delta);
     }
 
     /// Current level.
-    pub fn get(&self) -> i64 {
+    pub(crate) fn get(&self) -> i64 {
         self.0.get()
     }
 }
@@ -194,17 +189,17 @@ impl HistogramMetric {
     }
 
     /// Number of observations.
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.0.borrow().count
     }
 
     /// Sum of observations.
-    pub fn sum(&self) -> f64 {
+    pub(crate) fn sum(&self) -> f64 {
         self.0.borrow().sum
     }
 
     /// `(upper_bound, count)` rows; the final row uses `f64::INFINITY`.
-    pub fn buckets(&self) -> Vec<(f64, u64)> {
+    pub(crate) fn buckets(&self) -> Vec<(f64, u64)> {
         let h = self.0.borrow();
         h.bounds
             .iter()
@@ -218,7 +213,7 @@ impl HistogramMetric {
     /// observation `<=` its bound, so the final (`+inf`) row equals
     /// [`HistogramMetric::count`]. The Prometheus-style view rendered by
     /// [`Obs::metrics_text`].
-    pub fn cumulative_buckets(&self) -> Vec<(f64, u64)> {
+    pub(crate) fn cumulative_buckets(&self) -> Vec<(f64, u64)> {
         let mut acc = 0;
         self.buckets()
             .into_iter()
@@ -753,30 +748,6 @@ impl Obs {
             .map_or(0, |sampler| sampler.spans_recorded.get() as usize)
     }
 
-    /// A span's name.
-    pub fn span_name(&self, id: SpanId) -> String {
-        self.with_span(id, |rec| rec.name.clone())
-    }
-
-    /// A span's parent.
-    pub fn span_parent(&self, id: SpanId) -> SpanId {
-        let (slot, _) = decode_span(id);
-        match self.with_span(id, |rec| rec.parent) {
-            0 => SpanId::NONE,
-            parent => encode_span(slot, parent as usize - 1),
-        }
-    }
-
-    /// A span's `(start, end)`; `end` is `None` while still open.
-    pub fn span_interval(&self, id: SpanId) -> (SimTime, Option<SimTime>) {
-        self.with_span(id, |rec| (rec.start, rec.end))
-    }
-
-    /// A span's attributes, in insertion order.
-    pub fn span_attrs(&self, id: SpanId) -> Vec<(String, String)> {
-        self.with_span(id, |rec| rec.attrs.clone())
-    }
-
     /// Look up one attribute on a span.
     pub fn span_attr_get(&self, id: SpanId, key: &str) -> Option<String> {
         self.with_span(id, |rec| {
@@ -817,11 +788,6 @@ impl Obs {
         self.spans_where(|rec| rec.name == name)
     }
 
-    /// All root spans (parent = [`SpanId::NONE`]), in trace start order.
-    pub fn root_spans(&self) -> Vec<SpanId> {
-        self.spans_where(|rec| rec.parent == 0)
-    }
-
     // ------------------------------------------------------------------
     // Metrics registry.
     // ------------------------------------------------------------------
@@ -850,18 +816,6 @@ impl Obs {
             .insert(name.to_string(), Metric::Counter(counter.clone()));
     }
 
-    /// Get-or-register a gauge by name.
-    pub fn gauge(&self, name: &str) -> Gauge {
-        let mut metrics = self.inner.metrics.borrow_mut();
-        match metrics
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Gauge(Gauge::new()))
-        {
-            Metric::Gauge(g) => g.clone(),
-            other => panic!("metric {name:?} already registered as {other:?}"),
-        }
-    }
-
     /// Register an existing gauge handle under a name.
     pub fn register_gauge(&self, name: &str, gauge: &Gauge) {
         self.inner
@@ -878,32 +832,11 @@ impl Obs {
             .insert(name.to_string(), Metric::Histogram(histogram.clone()));
     }
 
-    /// Get-or-register a fixed-bucket histogram by name. `bounds` is only
-    /// consulted on first registration.
-    pub fn histogram(&self, name: &str, bounds: &[f64]) -> HistogramMetric {
-        let mut metrics = self.inner.metrics.borrow_mut();
-        match metrics
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Histogram(HistogramMetric::new(bounds)))
-        {
-            Metric::Histogram(h) => h.clone(),
-            other => panic!("metric {name:?} already registered as {other:?}"),
-        }
-    }
-
     /// Read a registered counter's value (`None` when absent or not a
     /// counter).
     pub fn counter_value(&self, name: &str) -> Option<u64> {
         match self.inner.metrics.borrow().get(name) {
             Some(Metric::Counter(c)) => Some(c.get()),
-            _ => None,
-        }
-    }
-
-    /// Read a registered gauge's level.
-    pub fn gauge_value(&self, name: &str) -> Option<i64> {
-        match self.inner.metrics.borrow().get(name) {
-            Some(Metric::Gauge(g)) => Some(g.get()),
             _ => None,
         }
     }
@@ -1118,7 +1051,7 @@ pub struct PathSegment {
 
 impl PathSegment {
     /// The segment's duration.
-    pub fn duration(&self) -> SimDuration {
+    pub(crate) fn duration(&self) -> SimDuration {
         self.end.since(self.start)
     }
 }
@@ -1460,6 +1393,34 @@ mod tests {
         SimTime::ZERO + SimDuration::from_secs(secs)
     }
 
+    impl Obs {
+        fn span_name(&self, id: SpanId) -> String {
+            self.with_span(id, |rec| rec.name.clone())
+        }
+
+        fn span_parent(&self, id: SpanId) -> SpanId {
+            let (slot, _) = decode_span(id);
+            match self.with_span(id, |rec| rec.parent) {
+                0 => SpanId::NONE,
+                parent => encode_span(slot, parent as usize - 1),
+            }
+        }
+
+        /// A span's `(start, end)`; `end` is `None` while still open.
+        fn span_interval(&self, id: SpanId) -> (SimTime, Option<SimTime>) {
+            self.with_span(id, |rec| (rec.start, rec.end))
+        }
+
+        fn span_attrs(&self, id: SpanId) -> Vec<(String, String)> {
+            self.with_span(id, |rec| rec.attrs.clone())
+        }
+
+        /// All root spans, in trace start order.
+        fn root_spans(&self) -> Vec<SpanId> {
+            self.spans_where(|rec| rec.parent == 0)
+        }
+    }
+
     #[test]
     fn disabled_tracing_is_a_noop() {
         let obs = Obs::disabled();
@@ -1479,15 +1440,16 @@ mod tests {
         let c = obs.counter("x.count");
         c.inc();
         c.add(2);
-        let g = obs.gauge("x.level");
+        let g = Gauge::new();
+        obs.register_gauge("x.level", &g);
         g.add(5);
         g.add(-2);
-        let h = obs.histogram("x.depth", &[1.0, 2.0]);
+        let h = HistogramMetric::new(&[1.0, 2.0]);
+        obs.register_histogram("x.depth", &h);
         h.record(0.5);
         h.record(1.5);
         h.record(9.0);
         assert_eq!(obs.counter_value("x.count"), Some(3));
-        assert_eq!(obs.gauge_value("x.level"), Some(3));
         assert_eq!(
             obs.metrics_text(),
             "counter x.count 3\n\
@@ -1790,7 +1752,7 @@ mod tests {
         assert_eq!(obs.span_count(), 2);
         // Slot is reused by the next trace.
         let next = obs.trace_root(tr, "order", "vm-2", t(10));
-        assert_eq!(next.raw(), root.raw(), "LIFO slot reuse");
+        assert_eq!(next, root, "LIFO slot reuse");
         assert_eq!(obs.span_attrs(next), vec![]);
     }
 

@@ -33,7 +33,6 @@ struct Job {
 }
 
 struct FairShareInner {
-    name: String,
     /// Service capacity in work units per (virtual) second.
     capacity: f64,
     jobs: HashMap<u64, Job>,
@@ -71,14 +70,13 @@ impl FairShare {
     /// # Panics
     ///
     /// Panics if `capacity` is not strictly positive and finite.
-    pub fn new(name: impl Into<String>, capacity: f64) -> Self {
+    pub fn new(capacity: f64) -> Self {
         assert!(
             capacity.is_finite() && capacity > 0.0,
             "FairShare capacity must be positive and finite"
         );
         FairShare {
             inner: Rc::new(RefCell::new(FairShareInner {
-                name: name.into(),
                 capacity,
                 jobs: HashMap::new(),
                 next_job: 0,
@@ -88,11 +86,6 @@ impl FairShare {
                 served: 0.0,
             })),
         }
-    }
-
-    /// Resource name (for diagnostics).
-    pub fn name(&self) -> String {
-        self.inner.borrow().name.clone()
     }
 
     /// Number of jobs currently in service.
@@ -310,11 +303,6 @@ impl Gate {
         }
     }
 
-    /// Resource name (for diagnostics).
-    pub fn name(&self) -> String {
-        self.inner.borrow().name.clone()
-    }
-
     /// Currently free slots.
     pub fn free(&self) -> usize {
         self.inner.borrow().free
@@ -323,11 +311,6 @@ impl Gate {
     /// Total slots.
     pub fn capacity(&self) -> usize {
         self.inner.borrow().capacity
-    }
-
-    /// Waiters queued for a slot.
-    pub fn queue_len(&self) -> usize {
-        self.inner.borrow().waiters.len()
     }
 
     /// Acquire a slot; `holder` runs (via an immediate event if a slot is
@@ -382,7 +365,7 @@ mod tests {
     fn finish_times(capacity: f64, jobs: &[(u64, f64)]) -> Vec<(usize, f64)> {
         // jobs: (start_delay_secs, work_units)
         let mut engine = Engine::new();
-        let link = FairShare::new("link", capacity);
+        let link = FairShare::new(capacity);
         let done: Rc<RefCell<Vec<(usize, f64)>>> = Rc::new(RefCell::new(Vec::new()));
         for (idx, &(delay, work)) in jobs.iter().enumerate() {
             let link = link.clone();
@@ -452,7 +435,7 @@ mod tests {
     #[test]
     fn abort_drops_callback_and_frees_capacity() {
         let mut engine = Engine::new();
-        let link = FairShare::new("link", 10.0);
+        let link = FairShare::new(10.0);
         let done: Rc<RefCell<Vec<f64>>> = Rc::new(RefCell::new(Vec::new()));
         let d1 = Rc::clone(&done);
         let aborted = link.submit(&mut engine, 1000.0, move |e| {
@@ -479,7 +462,7 @@ mod tests {
     #[test]
     fn total_served_accounts_all_work() {
         let mut engine = Engine::new();
-        let link = FairShare::new("link", 7.0);
+        let link = FairShare::new(7.0);
         for work in [10.0, 20.0, 30.0] {
             link.submit(&mut engine, work, |_| {});
         }
@@ -490,7 +473,7 @@ mod tests {
     #[test]
     fn estimate_reflects_current_load() {
         let mut engine = Engine::new();
-        let link = FairShare::new("link", 10.0);
+        let link = FairShare::new(10.0);
         assert_eq!(link.estimate(100.0), SimDuration::from_secs(10));
         link.submit(&mut engine, 1e9, |_| {});
         assert_eq!(link.estimate(100.0), SimDuration::from_secs(20));
@@ -525,13 +508,12 @@ mod tests {
         assert!((entries[4].1 - 20.0).abs() < 0.01);
         // After the run drains, every holder has released its slot.
         assert_eq!(gate.free(), 2);
-        assert_eq!(gate.queue_len(), 0);
     }
 
     #[test]
     fn set_capacity_rescales_in_flight_jobs() {
         let mut engine = Engine::new();
-        let link = FairShare::new("link", 10.0);
+        let link = FairShare::new(10.0);
         let done: Rc<RefCell<Vec<f64>>> = Rc::new(RefCell::new(Vec::new()));
         let d1 = Rc::clone(&done);
         link.submit(&mut engine, 100.0, move |e| {

@@ -125,7 +125,7 @@ impl SimRng {
     }
 
     /// Standard normal sample (Box–Muller).
-    pub fn standard_normal(&mut self) -> f64 {
+    pub(crate) fn standard_normal(&mut self) -> f64 {
         if let Some(z) = self.spare_normal.take() {
             return z;
         }
@@ -139,7 +139,7 @@ impl SimRng {
     }
 
     /// Normal sample with the given mean and standard deviation.
-    pub fn normal(&mut self, mean: f64, sd: f64) -> f64 {
+    pub(crate) fn normal(&mut self, mean: f64, sd: f64) -> f64 {
         assert!(sd >= 0.0, "normal: negative standard deviation");
         mean + sd * self.standard_normal()
     }

@@ -91,28 +91,6 @@ impl Summary {
             self.max
         }
     }
-
-    /// Merge another summary into this one (parallel Welford merge).
-    pub fn merge(&mut self, other: &Summary) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let total = self.count + other.count;
-        let delta = other.mean - self.mean;
-        let mean = self.mean + delta * other.count as f64 / total as f64;
-        let m2 = self.m2
-            + other.m2
-            + delta * delta * (self.count as f64 * other.count as f64) / total as f64;
-        self.count = total;
-        self.mean = mean;
-        self.m2 = m2;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 impl fmt::Display for Summary {
@@ -198,29 +176,6 @@ impl Histogram {
             .collect()
     }
 
-    /// Raw `(bin_center, count)` rows.
-    pub fn counts(&self) -> Vec<(f64, u64)> {
-        self.counts
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| (self.origin + (i as f64 + 0.5) * self.bin_width, c))
-            .collect()
-    }
-
-    /// The bin center with the highest count (the distribution's mode);
-    /// `None` when empty.
-    pub fn mode_center(&self) -> Option<f64> {
-        let (idx, _) = self
-            .counts
-            .iter()
-            .enumerate()
-            .max_by_key(|&(_, &c)| c)?;
-        if self.total == 0 {
-            return None;
-        }
-        Some(self.origin + (idx as f64 + 0.5) * self.bin_width)
-    }
-
     /// Render an ASCII bar chart of the normalized distribution.
     pub fn render(&self, label: &str) -> String {
         let mut out = String::new();
@@ -263,16 +218,6 @@ impl Series {
     /// All points in insertion order.
     pub fn points(&self) -> &[(f64, f64)] {
         &self.points
-    }
-
-    /// Number of points.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// True when no points have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
     }
 
     /// Mean of the y values over the given inclusive x range.
@@ -374,7 +319,7 @@ impl Default for SketchMetric {
 
 impl SketchMetric {
     /// An empty sketch with relative-error bound `alpha` (in `(0, 1)`).
-    pub fn new(alpha: f64) -> SketchMetric {
+    pub(crate) fn new(alpha: f64) -> SketchMetric {
         assert!(alpha > 0.0 && alpha < 1.0, "sketch alpha must be in (0,1)");
         let gamma = (1.0 + alpha) / (1.0 - alpha);
         SketchMetric {
@@ -400,7 +345,7 @@ impl SketchMetric {
     }
 
     /// Record `n` identical observations.
-    pub fn record_n(&mut self, x: f64, n: u64) {
+    pub(crate) fn record_n(&mut self, x: f64, n: u64) {
         if n == 0 {
             return;
         }
@@ -473,24 +418,6 @@ impl SketchMetric {
         self.buckets.len() + usize::from(self.zero > 0)
     }
 
-    /// Exact smallest observation (NaN when empty).
-    pub fn min(&self) -> f64 {
-        if self.count == 0 {
-            f64::NAN
-        } else {
-            self.min
-        }
-    }
-
-    /// Exact largest observation (NaN when empty).
-    pub fn max(&self) -> f64 {
-        if self.count == 0 {
-            f64::NAN
-        } else {
-            self.max
-        }
-    }
-
     /// Representative value of bucket `idx`: `2·gamma^idx / (gamma + 1)`.
     fn bucket_value(&self, idx: i32) -> f64 {
         let gamma = (1.0 + self.alpha) / (1.0 - self.alpha);
@@ -500,7 +427,7 @@ impl SketchMetric {
     /// Approximate sum, reconstructed from bucket representatives (within
     /// `alpha` relative error of the exact sum; deterministic under any
     /// merge order because it never accumulates across mutations).
-    pub fn sum(&self) -> f64 {
+    pub(crate) fn sum(&self) -> f64 {
         self.buckets
             .iter()
             .map(|(&idx, &n)| n as f64 * self.bucket_value(idx))
@@ -548,7 +475,6 @@ impl SketchMetric {
 pub struct WindowSeries {
     width_ms: u64,
     counts: BTreeMap<u64, u64>,
-    total: u64,
 }
 
 impl WindowSeries {
@@ -562,13 +488,7 @@ impl WindowSeries {
         WindowSeries {
             width_ms: width.as_millis(),
             counts: BTreeMap::new(),
-            total: 0,
         }
-    }
-
-    /// The window width.
-    pub fn width(&self) -> SimDuration {
-        SimDuration::from_millis(self.width_ms)
     }
 
     /// Count one occurrence at sim-time `at`.
@@ -577,12 +497,11 @@ impl WindowSeries {
     }
 
     /// Count `n` occurrences at sim-time `at`.
-    pub fn add(&mut self, at: SimTime, n: u64) {
+    pub(crate) fn add(&mut self, at: SimTime, n: u64) {
         if n == 0 {
             return;
         }
         *self.counts.entry(at.as_millis() / self.width_ms).or_insert(0) += n;
-        self.total += n;
     }
 
     /// Merge another series (same width) windowwise.
@@ -591,22 +510,6 @@ impl WindowSeries {
         for (&w, &n) in &other.counts {
             *self.counts.entry(w).or_insert(0) += n;
         }
-        self.total += other.total;
-    }
-
-    /// Total count across all windows.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Count in window `w` (0 when never marked).
-    pub fn get(&self, w: u64) -> u64 {
-        self.counts.get(&w).copied().unwrap_or(0)
-    }
-
-    /// Largest window index with a count, `None` when empty.
-    pub fn max_index(&self) -> Option<u64> {
-        self.counts.keys().next_back().copied()
     }
 
     /// Largest single-window count (0 when empty).
@@ -617,11 +520,6 @@ impl WindowSeries {
     /// Number of non-empty windows.
     pub fn window_count(&self) -> usize {
         self.counts.len()
-    }
-
-    /// `(window_index, count)` rows in window order.
-    pub fn windows(&self) -> Vec<(u64, u64)> {
-        self.counts.iter().map(|(&w, &n)| (w, n)).collect()
     }
 }
 
@@ -641,6 +539,27 @@ pub fn percentile(samples: &[f64], p: f64) -> f64 {
 mod tests {
     use super::*;
 
+    impl SketchMetric {
+        fn min(&self) -> f64 {
+            if self.count == 0 {
+                f64::NAN
+            } else {
+                self.min
+            }
+        }
+
+        fn max(&self) -> f64 {
+            self.max
+        }
+    }
+
+    impl WindowSeries {
+        /// `(window_index, count)` rows in window order.
+        fn windows(&self) -> Vec<(u64, u64)> {
+            self.counts.iter().map(|(&w, &n)| (w, n)).collect()
+        }
+    }
+
     #[test]
     fn summary_moments() {
         let mut s = Summary::new();
@@ -653,41 +572,6 @@ mod tests {
         assert!((s.std_dev() - (32.0f64 / 7.0).sqrt()).abs() < 1e-12);
         assert_eq!(s.min(), 2.0);
         assert_eq!(s.max(), 9.0);
-    }
-
-    /// Merging two summaries equals pooling their observations: one fixed
-    /// split, then seeded random samples split at every kind of point,
-    /// empty sides included.
-    #[test]
-    fn summary_merge_equals_pooled() {
-        let data: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0 + 5.0).collect();
-        let mut cases = vec![(data, 37)];
-        for seed in 0..128 {
-            let mut rng = crate::rng::SimRng::seed_from_u64(seed);
-            let n = rng.index(128);
-            let xs: Vec<f64> = (0..n).map(|_| rng.uniform(-100.0, 100.0)).collect();
-            cases.push((xs, rng.index(n + 1)));
-        }
-        for (data, split) in cases {
-            let mut pooled = Summary::new();
-            for &x in &data {
-                pooled.record(x);
-            }
-            let mut left = Summary::new();
-            let mut right = Summary::new();
-            for &x in &data[..split] {
-                left.record(x);
-            }
-            for &x in &data[split..] {
-                right.record(x);
-            }
-            left.merge(&right);
-            assert_eq!(left.count(), pooled.count());
-            if pooled.count() > 0 {
-                assert!((left.mean() - pooled.mean()).abs() < 1e-9, "{data:?} at {split}");
-                assert!((left.std_dev() - pooled.std_dev()).abs() < 1e-9, "{data:?} at {split}");
-            }
-        }
     }
 
     #[test]
@@ -726,7 +610,7 @@ mod tests {
         h.record(11.0);
         h.record(12.0);
         h.record(26.0);
-        assert_eq!(h.mode_center(), Some(12.5));
+        assert_eq!(h.normalized()[0], (12.5, 0.75));
         assert_eq!(h.total(), 4);
     }
 
@@ -734,7 +618,6 @@ mod tests {
     fn empty_histogram_renders_and_reports_none() {
         let h = Histogram::new(0.0, 5.0);
         assert!(h.normalized().is_empty());
-        assert_eq!(h.mode_center(), None);
         let text = h.render("empty");
         assert!(text.contains("empty"));
     }
@@ -769,7 +652,7 @@ mod tests {
         for x in [5.0, 15.0, 15.5] {
             h.record(x);
         }
-        assert_eq!(h.counts(), vec![(5.0, 1), (15.0, 2)]);
+        assert_eq!(h.normalized(), vec![(5.0, 1.0 / 3.0), (15.0, 2.0 / 3.0)]);
         let text = h.render("demo");
         assert!(text.contains("demo"));
         assert!(text.contains("15.0"));
@@ -935,11 +818,7 @@ mod tests {
         a.mark(at(59));
         a.mark(at(60));
         a.add(at(200), 3);
-        assert_eq!(a.get(0), 2);
-        assert_eq!(a.get(1), 1);
-        assert_eq!(a.get(3), 3);
-        assert_eq!(a.total(), 6);
-        assert_eq!(a.max_index(), Some(3));
+        assert_eq!(a.windows(), vec![(0, 2), (1, 1), (3, 3)]);
         assert_eq!(a.peak(), 3);
         assert_eq!(a.window_count(), 3);
 
@@ -951,8 +830,6 @@ mod tests {
         let mut ba = b.clone();
         ba.merge(&a);
         assert_eq!(ab, ba);
-        assert_eq!(ab.get(0), 3);
-        assert_eq!(ab.get(3), 5);
-        assert_eq!(ab.total(), 9);
+        assert_eq!(ab.windows(), vec![(0, 3), (1, 1), (3, 5)]);
     }
 }

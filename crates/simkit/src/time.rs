@@ -103,13 +103,8 @@ impl SimDuration {
     }
 
     /// True if the duration is zero.
-    pub const fn is_zero(self) -> bool {
+    pub(crate) const fn is_zero(self) -> bool {
         self.0 == 0
-    }
-
-    /// Component-wise maximum.
-    pub fn max(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0.max(other.0))
     }
 
     /// Saturating subtraction.

@@ -357,11 +357,6 @@ impl Transport {
         self.inner.borrow_mut().tuning = tuning;
     }
 
-    /// Current baseline link behaviour.
-    pub fn tuning(&self) -> LinkTuning {
-        self.inner.borrow().tuning.clone()
-    }
-
     fn add(&self, list: impl Fn(&mut TransportState) -> &mut Vec<Override>, scope: &str, p: f64) -> u64 {
         let mut state = self.inner.borrow_mut();
         let id = state.next_override;
@@ -375,32 +370,32 @@ impl Transport {
     }
 
     /// Raise the drop probability for messages matching `scope` until
-    /// [`Transport::clear`] is called with the returned id.
+    /// `Transport::clear` is called with the returned id.
     pub fn set_loss(&self, scope: &str, probability: f64) -> u64 {
         assert!((0.0..=1.0).contains(&probability));
         self.add(|s| &mut s.loss, scope, probability)
     }
 
     /// Raise the duplication probability for messages matching `scope`.
-    pub fn set_duplication(&self, scope: &str, probability: f64) -> u64 {
+    pub(crate) fn set_duplication(&self, scope: &str, probability: f64) -> u64 {
         assert!((0.0..=1.0).contains(&probability));
         self.add(|s| &mut s.duplication, scope, probability)
     }
 
     /// Raise the reordering probability for messages matching `scope`.
-    pub fn set_reorder(&self, scope: &str, probability: f64) -> u64 {
+    pub(crate) fn set_reorder(&self, scope: &str, probability: f64) -> u64 {
         assert!((0.0..=1.0).contains(&probability));
         self.add(|s| &mut s.reorder, scope, probability)
     }
 
     /// Partition matching messages absolutely. A directional scope
     /// (`"shop->node3"`) makes the partition asymmetric.
-    pub fn set_partition(&self, scope: &str) -> u64 {
+    pub(crate) fn set_partition(&self, scope: &str) -> u64 {
         self.add(|s| &mut s.partitions, scope, 1.0)
     }
 
     /// Remove one override by id (any kind). Unknown ids are ignored.
-    pub fn clear(&self, id: u64) {
+    pub(crate) fn clear(&self, id: u64) {
         let mut state = self.inner.borrow_mut();
         state.loss.retain(|o| o.id != id);
         state.duplication.retain(|o| o.id != id);
@@ -448,7 +443,7 @@ impl Transport {
     }
 
     /// A partition window (possibly asymmetric, see
-    /// [`Transport::set_partition`]).
+    /// `Transport::set_partition`).
     pub fn inject_partition(&self, engine: &mut Engine, scope: &str, duration: SimDuration) {
         let id = self.set_partition(scope);
         let t = self.clone();

@@ -56,7 +56,7 @@ fn fair_share_conserves_work() {
             .map(|_| (rng.uniform_u64(0, 4_999), rng.uniform(0.0, 10_000.0)))
             .collect();
         let mut engine = Engine::new();
-        let link = FairShare::new("link", capacity);
+        let link = FairShare::new(capacity);
         let completions = Rc::new(RefCell::new(0usize));
         for &(delay, work) in &jobs {
             let link = link.clone();
@@ -88,7 +88,7 @@ fn fair_share_respects_capacity_bound() {
         let capacity = rng.uniform(1.0, 100.0);
         let work = rng.uniform(0.1, 10_000.0);
         let mut engine = Engine::new();
-        let link = FairShare::new("link", capacity);
+        let link = FairShare::new(capacity);
         let done_at = Rc::new(RefCell::new(None));
         let d = Rc::clone(&done_at);
         link.submit(&mut engine, work, move |e| {

@@ -32,17 +32,8 @@ pub struct GuestScript<'a> {
 }
 
 impl GuestScript<'_> {
-    /// Render the script body as it would be burned onto the ISO — a
-    /// shell-ish transliteration of the prototype's generated Perl. Purely
-    /// cosmetic in the simulation, but exercised by the examples so the
-    /// hand-off format stays visible.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.write_body(&mut out)
-            .expect("writing to a String cannot fail");
-        out
-    }
-
+    /// Write the script body as it would be burned onto the ISO — a
+    /// shell-ish transliteration of the prototype's generated Perl.
     fn write_body(&self, out: &mut impl Write) -> fmt::Result {
         out.write_str("#!/bin/sh\n")?;
         writeln!(out, "# vmplant action {}", self.action_id)?;
@@ -63,7 +54,7 @@ impl GuestScript<'_> {
     /// Approximate ISO payload size in bytes (script + ISO9660 envelope);
     /// the configuration ISOs are tiny, so this only matters for the file
     /// accounting invariants. The script is measured, not rendered.
-    pub fn iso_bytes(&self) -> u64 {
+    pub(crate) fn iso_bytes(&self) -> u64 {
         /// Counts the bytes written to it.
         struct Len(usize);
         impl Write for Len {
@@ -81,7 +72,7 @@ impl GuestScript<'_> {
     /// declared output. Values are synthesized deterministically from the
     /// action and a per-VM nonce; the plant overrides attributes it owns
     /// (e.g. the IP address allocated by the virtual network service).
-    pub fn synthesize_outputs(&self, nonce: u64) -> Vec<(String, String)> {
+    pub(crate) fn synthesize_outputs(&self, nonce: u64) -> Vec<(String, String)> {
         self.outputs
             .iter()
             .map(|name| {
@@ -97,6 +88,15 @@ impl GuestScript<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl GuestScript<'_> {
+        /// The script body as it would be burned onto the ISO.
+        fn render(&self) -> String {
+            let mut out = String::new();
+            self.write_body(&mut out).unwrap();
+            out
+        }
+    }
 
     /// Run `f` on the `create-user` script reporting `outputs`.
     fn with_script<R>(outputs: &[&str], f: impl FnOnce(GuestScript<'_>) -> R) -> R {

@@ -155,7 +155,7 @@ impl ImageFiles {
     /// `(src, dst)` pairs under `clone_dir`; each source shares the
     /// golden's own path string. Disk extents are excluded — clones access
     /// them through symlinks.
-    pub fn copy_set(&self, clone_dir: &str) -> Vec<(Rc<str>, String)> {
+    pub(crate) fn copy_set(&self, clone_dir: &str) -> Vec<(Rc<str>, String)> {
         let clone_dir = clone_dir.trim_end_matches('/');
         let mut pairs = Vec::with_capacity(3);
         let mut push = |src: &Rc<str>| {
@@ -235,7 +235,7 @@ mod tests {
         let img = ImageFiles::plan_uml_checkpoint("/w/sbuml-32", 32, gb(2));
         assert!(img.memory_state.as_deref().unwrap().ends_with(".sbuml"));
         assert!(img.base_redo.is_none());
-        let store = FileStore::new("w");
+        let store = FileStore::new();
         img.materialize(&store, 32, gb(2)).unwrap();
         let pairs = img.copy_set("/c");
         assert_eq!(pairs.len(), 2, "config + snapshot");
@@ -244,7 +244,7 @@ mod tests {
 
     #[test]
     fn materialize_accounts_the_right_bytes() {
-        let store = FileStore::new("warehouse");
+        let store = FileStore::new();
         let img = ImageFiles::plan("/w/g", VmmType::VmwareLike, 256, gb(2));
         img.materialize(&store, 256, gb(2)).unwrap();
         // 2 GB disk + 256 MB memory + 16 MB redo + 4 KB config.
@@ -270,7 +270,7 @@ mod tests {
 
     #[test]
     fn copy_set_excludes_disk_extents() {
-        let store = FileStore::new("warehouse");
+        let store = FileStore::new();
         let img = ImageFiles::plan("/w/g", VmmType::VmwareLike, 32, gb(2));
         img.materialize(&store, 32, gb(2)).unwrap();
         let pairs = img.copy_set("/clones/vm1");
@@ -297,7 +297,7 @@ mod tests {
 
     #[test]
     fn uml_copy_set_is_just_the_config() {
-        let store = FileStore::new("warehouse");
+        let store = FileStore::new();
         let img = ImageFiles::plan("/w/u", VmmType::UmlLike, 32, gb(2));
         img.materialize(&store, 32, gb(2)).unwrap();
         let pairs = img.copy_set("/c");

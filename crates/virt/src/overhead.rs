@@ -63,7 +63,7 @@ pub struct OverheadCoefficients {
 /// * VMware: ~2% CPU-bound, ~6% scientific, ~13% I/O-heavy (LSS);
 /// * UML: ~3% CPU-bound, heavier on I/O (syscall interception);
 /// * a Xen-like paravirtualized reference: negligible CPU overhead.
-pub fn coefficients(vmm: VmmType) -> OverheadCoefficients {
+pub(crate) fn coefficients(vmm: VmmType) -> OverheadCoefficients {
     match vmm {
         VmmType::VmwareLike => OverheadCoefficients {
             cpu: 1.015,
@@ -76,17 +76,8 @@ pub fn coefficients(vmm: VmmType) -> OverheadCoefficients {
     }
 }
 
-/// Coefficients for the paravirtualized comparison point the paper cites
-/// (Xen, \[3\]): "negligible" CPU overhead.
-pub fn paravirt_coefficients() -> OverheadCoefficients {
-    OverheadCoefficients {
-        cpu: 1.002,
-        io: 1.05,
-    }
-}
-
 /// The overall slowdown of `profile` under `coeffs`, relative to native.
-pub fn slowdown(profile: AppProfile, coeffs: OverheadCoefficients) -> f64 {
+pub(crate) fn slowdown(profile: AppProfile, coeffs: OverheadCoefficients) -> f64 {
     let idle = (1.0 - profile.cpu_fraction - profile.io_fraction).max(0.0);
     profile.cpu_fraction * coeffs.cpu + profile.io_fraction * coeffs.io + idle
 }
@@ -135,12 +126,6 @@ mod tests {
         // §4.3: the LSS application "demonstrate[s] an overhead of 13%".
         let p = overhead_percent(VmmType::VmwareLike, AppProfile::io_heavy());
         assert!((10.0..16.0).contains(&p), "{p}%");
-    }
-
-    #[test]
-    fn paravirt_reference_is_negligible_for_cpu() {
-        let s = slowdown(AppProfile::cpu_bound(), paravirt_coefficients());
-        assert!((s - 1.0) * 100.0 < 0.5);
     }
 
     #[test]

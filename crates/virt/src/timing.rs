@@ -107,7 +107,7 @@ impl TimingModel {
 
     /// Sampled duration of a UML boot, under host pressure. Boot times are
     /// right-skewed (fsck, service timeouts), hence lognormal.
-    pub fn sample_boot(&self, rng: &mut SimRng, memory_mb: u64, pressure: f64) -> SimDuration {
+    pub(crate) fn sample_boot(&self, rng: &mut SimRng, memory_mb: u64, pressure: f64) -> SimDuration {
         // Memory size barely moves a boot (the kernel maps it lazily); add
         // a small proportional term for page-zeroing.
         let mean = self.boot_base.as_secs_f64() + memory_mb as f64 * 0.01;
@@ -116,19 +116,19 @@ impl TimingModel {
     }
 
     /// Sampled duration of COW overlay setup.
-    pub fn sample_cow_setup(&self, rng: &mut SimRng) -> SimDuration {
+    pub(crate) fn sample_cow_setup(&self, rng: &mut SimRng) -> SimDuration {
         rng.jitter(self.cow_setup, self.jitter)
     }
 
     /// Sampled duration of the symlink pass for `count` extents.
-    pub fn sample_links(&self, rng: &mut SimRng, count: usize) -> SimDuration {
+    pub(crate) fn sample_links(&self, rng: &mut SimRng, count: usize) -> SimDuration {
         rng.jitter(self.symlink * count as u64, self.jitter)
     }
 
     /// Write-side slowdown applied to state-file copies under memory
     /// pressure: the network half is unaffected, the page-cache half
     /// degrades, so the compromise is `sqrt(pressure)`.
-    pub fn copy_pressure_factor(pressure: f64) -> f64 {
+    pub(crate) fn copy_pressure_factor(pressure: f64) -> f64 {
         pressure.max(1.0).sqrt()
     }
 
@@ -150,7 +150,7 @@ impl TimingModel {
     /// Sampled ISO build + attach + guest mount overhead for one script
     /// delivery round, including the guest daemon's poll delay and output
     /// collection.
-    pub fn sample_iso_round(&self, rng: &mut SimRng) -> SimDuration {
+    pub(crate) fn sample_iso_round(&self, rng: &mut SimRng) -> SimDuration {
         let fixed = self.iso_build + self.iso_attach + self.collect_outputs;
         let poll = SimDuration::from_secs_f64(
             rng.exponential(self.cdrom_poll_mean.as_secs_f64()),
@@ -166,7 +166,7 @@ impl TimingModel {
     }
 
     /// Sampled multiplicative noise on a clone's state-file copy.
-    pub fn sample_copy_noise(&self, rng: &mut SimRng) -> f64 {
+    pub(crate) fn sample_copy_noise(&self, rng: &mut SimRng) -> f64 {
         rng.lognormal_mean(1.0, self.copy_noise_sigma)
     }
 
@@ -183,7 +183,7 @@ impl TimingModel {
     }
 
     /// Sampled destroy duration.
-    pub fn sample_destroy(&self, rng: &mut SimRng) -> SimDuration {
+    pub(crate) fn sample_destroy(&self, rng: &mut SimRng) -> SimDuration {
         rng.jitter(self.destroy, self.jitter)
     }
 }

@@ -98,7 +98,7 @@ pub enum VmState {
 
 impl VmState {
     /// True for terminal states.
-    pub fn is_terminal(&self) -> bool {
+    pub(crate) fn is_terminal(&self) -> bool {
         matches!(self, VmState::Collected | VmState::Failed(_))
     }
 

@@ -105,7 +105,7 @@ pub struct VnetBridge {
 
 impl VnetBridge {
     /// A server with no bridges.
-    pub fn new() -> VnetBridge {
+    pub(crate) fn new() -> VnetBridge {
         VnetBridge::default()
     }
 
@@ -113,7 +113,7 @@ impl VnetBridge {
     /// given proxy. The proxy's credentials must name the owning domain —
     /// this is what keeps one client's Ethernet frames out of another's
     /// network.
-    pub fn connect(
+    pub(crate) fn connect(
         &mut self,
         network: NetworkId,
         owner_domain: &str,
@@ -138,25 +138,15 @@ impl VnetBridge {
     }
 
     /// Tear a bridge down.
-    pub fn disconnect(&mut self, network: NetworkId) -> Result<Bridge, BridgeError> {
+    pub(crate) fn disconnect(&mut self, network: NetworkId) -> Result<Bridge, BridgeError> {
         self.bridges
             .remove(&network)
             .ok_or(BridgeError::NotBridged(network))
     }
 
     /// The bridge on `network`, if any.
-    pub fn bridge(&self, network: NetworkId) -> Option<&Bridge> {
+    pub(crate) fn bridge(&self, network: NetworkId) -> Option<&Bridge> {
         self.bridges.get(&network)
-    }
-
-    /// Number of active bridges.
-    pub fn len(&self) -> usize {
-        self.bridges.len()
-    }
-
-    /// True when no bridges are active.
-    pub fn is_empty(&self) -> bool {
-        self.bridges.is_empty()
     }
 }
 
@@ -180,10 +170,10 @@ mod tests {
             )
             .unwrap();
         assert_eq!(b.network, NetworkId(0));
-        assert_eq!(v.len(), 1);
+        assert!(v.bridge(NetworkId(0)).is_some());
         let removed = v.disconnect(NetworkId(0)).unwrap();
         assert_eq!(removed.proxy.port, 9300);
-        assert!(v.is_empty());
+        assert!(v.bridges.is_empty());
     }
 
     #[test]
@@ -204,7 +194,7 @@ mod tests {
                 got: "ufl.edu".into()
             }
         );
-        assert!(v.is_empty());
+        assert!(v.bridges.is_empty());
     }
 
     #[test]

@@ -78,12 +78,12 @@ impl DomainIpAllocator {
     }
 
     /// The owning domain.
-    pub fn domain(&self) -> &str {
+    pub(crate) fn domain(&self) -> &str {
         &self.domain
     }
 
     /// Allocate the lowest free address.
-    pub fn allocate(&mut self) -> Result<Ipv4Addr, IpError> {
+    pub(crate) fn allocate(&mut self) -> Result<Ipv4Addr, IpError> {
         let host = (self.first_host..=self.last_host)
             .find(|&host| !self.is_used(host))
             .ok_or(IpError::PoolExhausted)?;
@@ -93,7 +93,7 @@ impl DomainIpAllocator {
     }
 
     /// Release a previously allocated address.
-    pub fn release(&mut self, ip: Ipv4Addr) -> Result<(), IpError> {
+    pub(crate) fn release(&mut self, ip: Ipv4Addr) -> Result<(), IpError> {
         let [a, b, c, host] = ip.octets();
         if [a, b, c] != self.prefix || host < self.first_host || host > self.last_host {
             return Err(IpError::Foreign(ip.to_string()));
@@ -110,17 +110,12 @@ impl DomainIpAllocator {
     }
 
     /// Addresses currently assigned.
-    pub fn allocated_count(&self) -> usize {
+    pub(crate) fn allocated_count(&self) -> usize {
         self.in_use.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// Addresses still free.
-    pub fn free_count(&self) -> usize {
-        (self.last_host - self.first_host + 1) as usize - self.allocated_count()
-    }
-
     /// Generate a fresh locally administered MAC address.
-    pub fn next_mac(&mut self) -> MacAddr {
+    pub(crate) fn next_mac(&mut self) -> MacAddr {
         let n = self.next_mac;
         self.next_mac += 1;
         // 02: locally administered, unicast; 56: this site's tag.
@@ -149,7 +144,6 @@ mod tests {
         p.release(ip(10)).unwrap();
         assert_eq!(p.allocate().unwrap(), ip(10));
         assert_eq!(p.allocated_count(), 2);
-        assert_eq!(p.free_count(), 2);
     }
 
     #[test]

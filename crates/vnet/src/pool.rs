@@ -51,9 +51,6 @@ struct Assignment {
 #[derive(Clone, Debug)]
 pub struct HostOnlyPool {
     assignments: Vec<Option<Assignment>>,
-    /// Lifetime count of fresh network allocations (the events that incur
-    /// §3.4's one-time network cost).
-    allocations: u64,
 }
 
 impl HostOnlyPool {
@@ -61,7 +58,6 @@ impl HostOnlyPool {
     pub fn new(size: usize) -> HostOnlyPool {
         HostOnlyPool {
             assignments: vec![None; size],
-            allocations: 0,
         }
     }
 
@@ -76,7 +72,7 @@ impl HostOnlyPool {
     }
 
     /// The network currently serving `domain`, if any.
-    pub fn network_of(&self, domain: &str) -> Option<NetworkId> {
+    pub(crate) fn network_of(&self, domain: &str) -> Option<NetworkId> {
         self.assignments
             .iter()
             .position(|a| a.as_ref().is_some_and(|x| x.domain == domain))
@@ -85,7 +81,7 @@ impl HostOnlyPool {
 
     /// Would a request from `domain` need a *fresh* network (and thus incur
     /// the one-time network cost)? Used by the bidding cost function.
-    pub fn needs_new_network(&self, domain: &str) -> bool {
+    pub(crate) fn needs_new_network(&self, domain: &str) -> bool {
         self.network_of(domain).is_none()
     }
 
@@ -106,7 +102,6 @@ impl HostOnlyPool {
             domain: domain.to_owned(),
             vm_count: 1,
         });
-        self.allocations += 1;
         Ok((NetworkId(free), true))
     }
 
@@ -131,22 +126,6 @@ impl HostOnlyPool {
         }
     }
 
-    /// The domain currently holding `network`.
-    pub fn domain_of(&self, network: NetworkId) -> Option<&str> {
-        self.assignments
-            .get(network.0)?
-            .as_ref()
-            .map(|a| a.domain.as_str())
-    }
-
-    /// VMs attached to `network`.
-    pub fn vm_count(&self, network: NetworkId) -> usize {
-        self.assignments
-            .get(network.0)
-            .and_then(|a| a.as_ref())
-            .map_or(0, |a| a.vm_count)
-    }
-
     /// Total VMs attached across the pool.
     pub fn total_vms(&self) -> usize {
         self.assignments
@@ -154,11 +133,6 @@ impl HostOnlyPool {
             .flatten()
             .map(|a| a.vm_count)
             .sum()
-    }
-
-    /// Lifetime fresh allocations.
-    pub fn allocations(&self) -> u64 {
-        self.allocations
     }
 
     /// The §3.3 invariant, checkable at any time: each network serves at
@@ -184,9 +158,8 @@ mod tests {
         assert_eq!(n1, n2);
         assert!(fresh1);
         assert!(!fresh2, "reuse does not re-allocate");
-        assert_eq!(pool.vm_count(n1), 2);
+        assert_eq!(pool.total_vms(), 2);
         assert_eq!(pool.free_count(), 3);
-        assert_eq!(pool.allocations(), 1);
     }
 
     #[test]
@@ -196,8 +169,8 @@ mod tests {
         let (b, _) = pool.attach("northwestern.edu").unwrap();
         assert_ne!(a, b);
         assert!(pool.invariant_holds());
-        assert_eq!(pool.domain_of(a), Some("ufl.edu"));
-        assert_eq!(pool.domain_of(b), Some("northwestern.edu"));
+        assert_eq!(pool.network_of("ufl.edu"), Some(a));
+        assert_eq!(pool.network_of("northwestern.edu"), Some(b));
     }
 
     #[test]
@@ -223,7 +196,6 @@ mod tests {
         // A later attach may land on the same slot, freshly.
         let (_, fresh) = pool.attach("d1").unwrap();
         assert!(fresh);
-        assert_eq!(pool.allocations(), 2);
     }
 
     #[test]

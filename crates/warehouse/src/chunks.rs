@@ -48,12 +48,12 @@ fn fnv_u64(h: u64, v: u64) -> u64 {
 }
 
 /// FNV-1a over a string (stable across runs and platforms).
-pub fn fnv_str(s: &str) -> u64 {
+pub(crate) fn fnv_str(s: &str) -> u64 {
     fnv_bytes(FNV_OFFSET, s.as_bytes())
 }
 
 /// Stable content hash of an action's matching identity.
-pub fn sig_hash(sig: SigRef<'_>) -> u64 {
+pub(crate) fn sig_hash(sig: SigRef<'_>) -> u64 {
     let kind = match sig.kind {
         ActionKind::Guest => "Guest",
         ActionKind::Host => "Host",
@@ -85,7 +85,7 @@ pub struct FileChunks {
 
 impl FileChunks {
     /// `(content hash, size)` per chunk, in file order.
-    pub fn chunks(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+    pub(crate) fn chunks(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
         let n = self.hashes.len();
         let last = self.bytes - (n as u64).saturating_sub(1) * CHUNK_BYTES;
         self.hashes
@@ -110,7 +110,7 @@ impl ChunkPlan {
     /// each chunk (keyed by OS/VMM identity, role, extent and chunk
     /// index — *not* by golden id, so distinct goldens share), then each
     /// performed action folds its signature into the chunks it dirties.
-    pub fn plan(
+    pub(crate) fn plan(
         files: &ImageFiles,
         spec: &VmSpec,
         performed: &PerformedLog,
@@ -155,7 +155,7 @@ impl ChunkPlan {
     }
 
     /// Logical bytes of the plan (what a full copy would occupy).
-    pub fn logical_bytes(&self) -> u64 {
+    pub(crate) fn logical_bytes(&self) -> u64 {
         self.files.iter().map(|f| f.bytes).sum()
     }
 
@@ -204,27 +204,22 @@ pub struct ChunkStore {
 
 impl ChunkStore {
     /// An empty chunk store.
-    pub fn new() -> ChunkStore {
+    pub(crate) fn new() -> ChunkStore {
         ChunkStore::default()
     }
 
     /// Physical bytes of live chunks.
-    pub fn physical_bytes(&self) -> u64 {
+    pub(crate) fn physical_bytes(&self) -> u64 {
         self.physical
     }
 
     /// Logical bytes across published manifests.
-    pub fn logical_bytes(&self) -> u64 {
+    pub(crate) fn logical_bytes(&self) -> u64 {
         self.logical
     }
 
-    /// Live distinct chunks.
-    pub fn chunk_count(&self) -> usize {
-        self.refs.len()
-    }
-
     /// The dedup factor achieved so far (1.0 means no sharing).
-    pub fn dedup_factor(&self) -> f64 {
+    pub(crate) fn dedup_factor(&self) -> f64 {
         if self.physical == 0 {
             1.0
         } else {
@@ -290,7 +285,7 @@ impl ChunkStore {
     /// references this call added are dropped again, the chunks it created
     /// are deleted, and the dedup counters are restored, so the store is
     /// exactly as before the call.
-    pub fn publish(
+    pub(crate) fn publish(
         &mut self,
         store: &FileStore,
         plan: &ChunkPlan,
@@ -345,7 +340,7 @@ impl ChunkStore {
     /// deleted from the export. Returns the bytes reclaimed. The manifests
     /// themselves are the caller's to remove (they live in the golden's
     /// directory tree).
-    pub fn release(&mut self, store: &FileStore, plan: &ChunkPlan, owner: u64) -> u64 {
+    pub(crate) fn release(&mut self, store: &FileStore, plan: &ChunkPlan, owner: u64) -> u64 {
         let mut reclaimed = 0u64;
         for (hash, _) in plan.chunk_refs() {
             if let Some(size) = self.decref(hash, owner) {
@@ -361,7 +356,7 @@ impl ChunkStore {
     /// chunks whose sole reference is that plan. A hash the plan itself
     /// lists twice has refcount 2 and does not count, although the
     /// release frees it.
-    pub fn reclaimable_bytes(&self, owner: u64) -> u64 {
+    pub(crate) fn reclaimable_bytes(&self, owner: u64) -> u64 {
         self.sole_bytes.get(owner as usize).copied().unwrap_or(0)
     }
 
@@ -389,7 +384,7 @@ impl ChunkStore {
     /// chunks missing there plus the manifests, without touching the
     /// refcounts (the primary's counts are authoritative). Returns the
     /// bytes copied to the replica.
-    pub fn replicate(&self, store: &FileStore, plan: &ChunkPlan) -> Result<u64, StoreError> {
+    pub(crate) fn replicate(&self, store: &FileStore, plan: &ChunkPlan) -> Result<u64, StoreError> {
         let mut copied = 0u64;
         for file in &plan.files {
             for (hash, size) in file.chunks() {
@@ -467,7 +462,7 @@ mod tests {
 
     #[test]
     fn publish_release_round_trip_reclaims_everything() {
-        let store = FileStore::new("export");
+        let store = FileStore::new();
         let mut cs = ChunkStore::new();
         let p1 = plan_for(&["A", "B", "C"], 64);
         let p2 = plan_for(&["A", "B", "C", "D"], 64);
@@ -485,14 +480,14 @@ mod tests {
         // …and releasing the last reference reclaims every byte.
         cs.release(&store, &p1, 0);
         assert_eq!(cs.physical_bytes(), 0);
-        assert_eq!(cs.chunk_count(), 0);
+        assert_eq!(cs.refs.len(), 0);
         assert_eq!(store.used_bytes(), 0, "all chunks deleted");
         assert!(store.chunk_hashes().is_empty());
     }
 
     #[test]
     fn reclaimable_counts_only_sole_references() {
-        let store = FileStore::new("export");
+        let store = FileStore::new();
         let mut cs = ChunkStore::new();
         let p1 = plan_for(&["A", "B", "C"], 64);
         let p2 = plan_for(&["A", "B", "C", "D"], 64);
@@ -549,7 +544,7 @@ mod tests {
         let pool = plan_pool();
         let dup = pool.len() - 1;
         for seed in 1..=4 {
-            let store = FileStore::new("export");
+            let store = FileStore::new();
             let mut cs = ChunkStore::new();
             let mut rng = SimRng::seed_from_u64(seed);
             let mut published: BTreeMap<u64, usize> = BTreeMap::new();
@@ -582,7 +577,7 @@ mod tests {
                 cs.release(&store, &pool[p], owner);
                 assert_eq!(cs.reclaimable_bytes(owner), 0);
             }
-            assert_eq!(cs.chunk_count(), 0);
+            assert_eq!(cs.refs.len(), 0);
             assert_eq!(cs.logical_bytes(), 0);
             assert!(cs.sole_bytes.iter().all(|&b| b == 0));
         }
@@ -595,7 +590,7 @@ mod tests {
         let p1 = plan_for(&["A", "B", "C"], 64);
         let p2 = plan_for(&["A", "B", "C", "D"], 256);
         let headroom = 100 * 1024 * 1024;
-        let store = FileStore::with_capacity("export", p1.logical_bytes() + headroom);
+        let store = FileStore::with_capacity(p1.logical_bytes() + headroom);
         let mut cs = ChunkStore::new();
         cs.publish(&store, &p1, 0).unwrap();
         let snapshot = |store: &FileStore, cs: &ChunkStore| {
@@ -605,7 +600,7 @@ mod tests {
                 store.used_bytes(),
                 cs.physical_bytes(),
                 cs.logical_bytes(),
-                cs.chunk_count(),
+                cs.refs.len(),
                 cs.dedup_hits,
                 cs.dedup_misses,
                 cs.refs.clone(),
@@ -631,20 +626,20 @@ mod tests {
 
         // Re-registering chunks already on the export (the restore path)
         // finds them there; a rollback must not delete them.
-        let export = FileStore::with_capacity("export", p1.logical_bytes() + headroom);
+        let export = FileStore::with_capacity(p1.logical_bytes() + headroom);
         ChunkStore::new().publish(&export, &p1, 0).unwrap();
         let files = (export.list("/"), export.chunk_hashes());
         let mut restored = ChunkStore::new();
         assert!(restored.publish(&export, &p2, 0).is_err());
         assert_eq!((export.list("/"), export.chunk_hashes()), files);
-        assert_eq!(restored.chunk_count(), 0);
+        assert_eq!(restored.refs.len(), 0);
         assert_eq!(restored.physical_bytes(), 0);
     }
 
     #[test]
     fn replicate_copies_chunks_and_manifests() {
-        let primary = FileStore::new("primary");
-        let replica = FileStore::new("replica");
+        let primary = FileStore::new();
+        let replica = FileStore::new();
         let mut cs = ChunkStore::new();
         let p = plan_for(&["A", "B"], 32);
         cs.publish(&primary, &p, 0).unwrap();

@@ -2,7 +2,6 @@
 
 use std::rc::Rc;
 
-use vmplants_classad::ClassAd;
 use vmplants_dag::PerformedLog;
 use vmplants_virt::{ImageFiles, VmSpec};
 
@@ -53,22 +52,8 @@ impl GoldenImage {
     /// Whether this image meets §3.2's hardware criterion for `request`:
     /// equal memory and disk, the same OS ignoring ASCII case, the same
     /// VMM.
-    pub fn hardware_matches(&self, request: &VmSpec) -> bool {
+    pub(crate) fn hardware_matches(&self, request: &VmSpec) -> bool {
         spec_matches(&self.spec, request)
-    }
-
-    /// A classad describing this image (published into information systems
-    /// and usable for expression-based queries).
-    pub fn to_classad(&self) -> ClassAd {
-        let mut ad = ClassAd::new();
-        ad.set_value("golden_id", self.id.0.clone());
-        ad.set_value("name", self.name.clone());
-        ad.set_value("memory_mb", self.spec.memory_mb);
-        ad.set_value("disk_gb", self.spec.disk_gb);
-        ad.set_value("os", self.spec.os.clone());
-        ad.set_value("vmm", self.spec.vmm.to_string());
-        ad.set_value("actions_performed", self.performed.len() as i64);
-        ad
     }
 }
 
@@ -117,15 +102,5 @@ mod tests {
         assert!(img.hardware_matches(&req));
         req.vmm = VmmType::UmlLike;
         assert!(!img.hardware_matches(&req));
-    }
-
-    #[test]
-    fn classad_reflects_the_image() {
-        let img = image(256, "linux-mandrake-8.1", VmmType::VmwareLike);
-        let ad = img.to_classad();
-        assert_eq!(ad.get_int("memory_mb"), Some(256));
-        assert_eq!(ad.get_str("vmm"), Some("vmware".into()));
-        assert_eq!(ad.get_int("actions_performed"), Some(1));
-        assert_eq!(ad.get_str("golden_id"), Some("g-256".into()));
     }
 }

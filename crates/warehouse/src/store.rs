@@ -310,11 +310,6 @@ impl Warehouse {
         }
     }
 
-    /// The active policy.
-    pub fn config(&self) -> &WarehouseConfig {
-        &self.config
-    }
-
     /// Install the secondary NFS servers hot goldens replicate to.
     pub fn set_replicas(&mut self, replicas: Vec<NfsServer>) {
         self.replicas = replicas;
@@ -342,13 +337,8 @@ impl Warehouse {
     }
 
     /// Number of published images.
-    pub fn len(&self) -> usize {
+    pub fn golden_count(&self) -> usize {
         self.goldens.len()
-    }
-
-    /// True when no images are published.
-    pub fn is_empty(&self) -> bool {
-        self.goldens.is_empty()
     }
 
     /// Publish a golden image: materialize its state files on the export,
@@ -439,14 +429,14 @@ impl Warehouse {
     }
 
     /// All images, ordered by id.
-    pub fn images(&self) -> impl Iterator<Item = &GoldenImage> {
+    pub(crate) fn images(&self) -> impl Iterator<Item = &GoldenImage> {
         self.goldens.values().map(|g| &g.image)
     }
 
     /// The hardware pre-filter: images whose memory/disk/OS/VMM identity
     /// matches the request (§3.2's first matching stage, ahead of the
     /// DAG-level tests).
-    pub fn hardware_candidates(&self, spec: &VmSpec) -> Vec<&GoldenImage> {
+    pub(crate) fn hardware_candidates(&self, spec: &VmSpec) -> Vec<&GoldenImage> {
         self.images()
             .filter(|img| img.hardware_matches(spec))
             .collect()
@@ -572,12 +562,6 @@ impl Warehouse {
         }
     }
 
-    /// Whether a golden's state files are currently on the export (false
-    /// once eviction reduced it to descriptor + derivation DAG).
-    pub fn is_resident(&self, id: &GoldenId) -> bool {
-        self.goldens.get(id).is_some_and(|g| g.resident)
-    }
-
     /// Evictions performed so far.
     pub fn eviction_count(&self) -> u64 {
         self.evictions.get()
@@ -615,7 +599,7 @@ impl Warehouse {
     /// (re-derivation cost ÷ bytes reclaimed) score — the cheapest
     /// cache-miss per byte freed. `keep` (the image just published or
     /// re-derived) is never a candidate. Returns evictions performed.
-    pub fn enforce_capacity(&mut self, nfs: &NfsServer, keep: Option<&GoldenId>) -> usize {
+    pub(crate) fn enforce_capacity(&mut self, nfs: &NfsServer, keep: Option<&GoldenId>) -> usize {
         let Some(cap) = self.config.capacity_bytes else {
             return 0;
         };
@@ -844,6 +828,14 @@ mod tests {
     use vmplants_dag::Action;
     use vmplants_virt::VmmType;
 
+    impl Warehouse {
+        /// Whether a golden's state files are on the export (false once
+        /// eviction reduced it to descriptor + derivation DAG).
+        fn is_resident(&self, id: &GoldenId) -> bool {
+            self.goldens.get(id).is_some_and(|g| g.resident)
+        }
+    }
+
     fn nfs() -> NfsServer {
         NfsServer::new("storage")
     }
@@ -878,7 +870,7 @@ mod tests {
             .publish(&nfs, "x", "x2", VmSpec::mandrake(32), PerformedLog::new())
             .unwrap_err();
         assert!(matches!(err, PublishError::DuplicateId(_)));
-        assert_eq!(w.len(), 1);
+        assert_eq!(w.golden_count(), 1);
     }
 
     #[test]
@@ -892,7 +884,7 @@ mod tests {
         assert!(w.remove(&nfs, &GoldenId("x".into())));
         assert!(!w.remove(&nfs, &GoldenId("x".into())));
         assert_eq!(nfs.store.used_bytes(), 0);
-        assert!(w.is_empty());
+        assert!(w.goldens.is_empty());
     }
 
     #[test]
@@ -900,7 +892,7 @@ mod tests {
         let nfs = nfs();
         let mut w = Warehouse::new();
         publish_experiment_goldens(&mut w, &nfs);
-        assert_eq!(w.len(), 3);
+        assert_eq!(w.golden_count(), 3);
         let hits = w.hardware_candidates(&VmSpec::mandrake(64));
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].spec.memory_mb, 64);
@@ -1129,7 +1121,7 @@ mod tests {
         drop(w);
         // …and rebuilt wholesale from the on-disk descriptors.
         let restored = Warehouse::restore_from(&nfs, WarehouseConfig::default());
-        assert_eq!(restored.len(), 3);
+        assert_eq!(restored.golden_count(), 3);
         let (img, report) = restored.lookup(&VmSpec::mandrake(64), &dag).unwrap();
         assert_eq!(img.id, GoldenId("mandrake81-64mb".into()));
         assert_eq!(report.score(), 3);
@@ -1146,7 +1138,7 @@ mod tests {
             .put_text("/warehouse/broken/descriptor.xml", "<oops", vmplants_cluster::files::FileKind::Generic)
             .unwrap();
         assert_eq!(
-            Warehouse::restore_from(&nfs, WarehouseConfig::default()).len(),
+            Warehouse::restore_from(&nfs, WarehouseConfig::default()).golden_count(),
             3
         );
     }
@@ -1185,7 +1177,7 @@ mod tests {
         assert_reclaimable_matches_oracle(&w);
         drop(w);
         let mut restored = Warehouse::restore_from(&nfs, config);
-        assert_eq!(restored.config().capacity_bytes, Some(gb(2) + mb(360)));
+        assert_eq!(restored.config.capacity_bytes, Some(gb(2) + mb(360)));
         assert!(!restored.is_resident(&GoldenId("mandrake81-64mb".into())));
         assert_eq!(restored.goldens.values().filter(|g| g.resident).count(), 2);
         assert_reclaimable_matches_oracle(&restored);
@@ -1213,7 +1205,7 @@ mod tests {
     #[test]
     fn restore_treats_unregistrable_golden_as_evicted() {
         let mut nfs = nfs();
-        nfs.store = vmplants_cluster::files::FileStore::with_capacity("export", gb(3));
+        nfs.store = vmplants_cluster::files::FileStore::with_capacity(gb(3));
         let mut w = Warehouse::new();
         publish_experiment_goldens(&mut w, &nfs);
         drop(w);

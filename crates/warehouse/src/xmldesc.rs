@@ -25,7 +25,7 @@ use crate::golden::{GoldenId, GoldenImage};
 use crate::store::GOLDEN_DISK_BYTES;
 
 /// Encode an image descriptor.
-pub fn image_to_xml(image: &GoldenImage) -> Element {
+pub(crate) fn image_to_xml(image: &GoldenImage) -> Element {
     let spec = Element::new("spec")
         .with_attr("memory-mb", image.spec.memory_mb.to_string())
         .with_attr("disk-gb", image.spec.disk_gb.to_string())
@@ -82,7 +82,7 @@ impl From<DagXmlError> for DescError {
 
 /// Decode an image descriptor (reconstructing the file layout from the id
 /// and spec, as the warehouse would on restart).
-pub fn image_from_xml(el: &Element) -> Result<GoldenImage, DescError> {
+pub(crate) fn image_from_xml(el: &Element) -> Result<GoldenImage, DescError> {
     if el.name != "golden-image" {
         return Err(DescError::Malformed(format!(
             "expected <golden-image>, found <{}>",

@@ -119,11 +119,6 @@ impl Element {
         self.child(name).and_then(Element::text)
     }
 
-    /// Parse the text of a named child as any `FromStr` type.
-    pub fn child_parse<T: std::str::FromStr>(&self, name: &str) -> Option<T> {
-        self.child_text(name)?.parse().ok()
-    }
-
     /// Serialize compactly (no insignificant whitespace).
     pub fn to_xml(&self) -> String {
         let mut out = String::new();
@@ -221,7 +216,7 @@ impl fmt::Display for Element {
 }
 
 /// Escape character data.
-pub fn escape_text(s: &str) -> String {
+pub(crate) fn escape_text(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -235,7 +230,7 @@ pub fn escape_text(s: &str) -> String {
 }
 
 /// Escape an attribute value (double-quote delimited).
-pub fn escape_attr(s: &str) -> String {
+pub(crate) fn escape_attr(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -270,7 +265,6 @@ mod tests {
         assert_eq!(e.attr("id"), Some("vm-1"));
         assert_eq!(e.attr("missing"), None);
         assert_eq!(e.child_text("memory-mb"), Some("64"));
-        assert_eq!(e.child_parse::<u32>("memory-mb"), Some(64));
         assert_eq!(e.child("disk").unwrap().attr("mode"), Some("nonpersistent"));
         assert_eq!(e.elements().count(), 2);
     }

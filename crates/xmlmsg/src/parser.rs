@@ -332,7 +332,7 @@ mod tests {
         let root = parse(doc).unwrap();
         assert_eq!(root.name, "create-vm");
         assert_eq!(root.attr("client"), Some("portal"));
-        assert_eq!(root.child_parse::<u32>("memory-mb"), Some(64));
+        assert_eq!(root.child_text("memory-mb"), Some("64"));
         assert_eq!(root.child("disk").unwrap().attr("gb"), Some("4"));
         assert_eq!(root.child("dag").unwrap().children_named("node").count(), 2);
     }

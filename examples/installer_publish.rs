@@ -131,6 +131,6 @@ fn main() {
     println!(
         "\nsite now hosts {} VMs; warehouse holds {} golden images",
         site.total_vms(),
-        site.warehouse.borrow().len(),
+        site.warehouse.borrow().golden_count(),
     );
 }

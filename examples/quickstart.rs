@@ -21,7 +21,7 @@ fn main() {
     println!(
         "site up: {} plants, {} golden images, warehouse uses {:.1} GB",
         site.plants.len(),
-        site.warehouse.borrow().len(),
+        site.warehouse.borrow().golden_count(),
         site.cluster.nfs().store.used_bytes() as f64 / (1u64 << 30) as f64,
     );
 
