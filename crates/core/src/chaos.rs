@@ -20,7 +20,7 @@ use vmplants_shop::{RecoveryStats, ShopClient, ShopTuning};
 use vmplants_simkit::stats::Summary;
 use vmplants_simkit::{
     Engine, FaultEvent, FaultInjector, FaultKind, FaultPlan, LinkTuning, Obs, SimDuration,
-    SimTime, SketchMetric, TransportStats,
+    SketchMetric, TransportStats,
 };
 use vmplants_virt::VmSpec;
 
@@ -470,17 +470,6 @@ pub fn run_chaos_with_obs(config: &ChaosConfig, obs: Obs) -> (ChaosReport, SimSi
     }
     let requests = config.schedule.len();
 
-    // Heartbeats until well past the last possible deadline.
-    let deadline = config
-        .tuning
-        .order_deadline
-        .unwrap_or(SimDuration::from_secs(600));
-    let last_arrival = config.schedule.last().map_or(SimDuration::ZERO, |o| o.at);
-    let horizon = SimTime::from_millis(last_arrival.as_millis() + deadline.as_millis() + 300_000);
-    for plant in &site.plants {
-        plant.start_monitor(&mut site.engine, SimDuration::from_secs(10), horizon);
-    }
-
     // Wire the fault plan to the site.
     let events = config.plan.materialize(config.seed);
     let recoveries: Rc<RefCell<Vec<RecoveryStats>>> = Rc::new(RefCell::new(Vec::new()));
@@ -628,6 +617,7 @@ pub fn run_chaos_with_obs(config: &ChaosConfig, obs: Obs) -> (ChaosReport, SimSi
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vmplants_simkit::SimTime;
 
     /// A scenario that exercises every fault kind: one plant reboots
     /// mid-run, one dies for good, the NFS server browns out and the

@@ -353,18 +353,18 @@ impl Plant {
         production::start_creation(self.clone(), engine, order.into(), done);
     }
 
-    /// **Query**: the authoritative classad of an active VM, with dynamic
-    /// attributes refreshed: the monitor samples the host now.
+    /// **Query**: the authoritative classad of an active VM, its monitor
+    /// attributes carrying the host's state now, as every classad that
+    /// leaves the plant does.
     pub fn query(&self, engine: &Engine, id: &VmId) -> Result<ClassAd, PlantError> {
-        let mut state = self.inner.borrow_mut();
+        let mut guard = self.inner.borrow_mut();
+        let state = &mut *guard;
         if !state.alive {
             return Err(PlantError::PlantDown);
         }
-        let host = state.host.clone();
-        state.info.refresh_dynamic(engine.now(), &host);
         state
             .info
-            .classad(id)
+            .classad(id, engine.now(), &state.host)
             .ok_or_else(|| PlantError::UnknownVm(id.clone()))
     }
 
@@ -465,22 +465,10 @@ impl Plant {
         production::prewarm_spares(self.clone(), engine, spec, dag, count, done);
     }
 
-    /// Start the VM monitor: sample the host for the dynamic classad
-    /// attributes every `interval` until `horizon` (bounded so
-    /// simulations terminate).
-    pub fn start_monitor(&self, engine: &mut Engine, interval: SimDuration, horizon: SimTime) {
-        let plant = self.clone();
-        engine.schedule(interval, move |engine| {
-            {
-                let mut state = plant.inner.borrow_mut();
-                if state.alive {
-                    let host = state.host.clone();
-                    state.info.refresh_dynamic(engine.now(), &host);
-                }
-            }
-            if engine.now() + interval <= horizon {
-                plant.start_monitor(engine, interval, horizon);
-            }
-        });
-    }
+    /// Does nothing, and schedules nothing: every classad takes the VM
+    /// monitor's attributes from the host when it is read
+    /// ([`crate::infosys`]). Kept only because the `perfbench` driver,
+    /// which changes only together with the benchmark, still calls it;
+    /// the call and this function go together.
+    pub fn start_monitor(&self, _engine: &mut Engine, _interval: SimDuration, _horizon: SimTime) {}
 }

@@ -8,26 +8,23 @@
 //!
 //! The VM monitor keeps four dynamic attributes in every classad:
 //! `uptime_s` (once the VM runs), `host_free_mb`, `host_pressure` and
-//! `last_monitor_s`. It does so by sample-and-materialize, so a monitor
-//! tick costs the same however many VMs the plant holds:
-//!
-//! * `InfoSystem::refresh_dynamic` records one sample of the host and
-//!   writes only into records that do not carry the attributes yet —
-//!   records inserted since the last sample, and `uptime_s` for records
-//!   that started running since. Every classad therefore has its
-//!   attributes in the order a rewrite of every record on every tick
-//!   would have given it.
-//! * A classad leaves the plant only through `InfoSystem::classad` or
-//!   `InfoSystem::hand_over`, which first bring its attributes up to
-//!   the latest sample. [`VmRecord`] keeps its classad private, so no
-//!   caller can read stale monitor values.
+//! `last_monitor_s`. Nothing in the plant, the shop or bidding reads
+//! them; only the classads that leave the plant show them. So the
+//! monitor runs no events of its own: a classad leaves the plant only
+//! through `InfoSystem::classad`, which first writes the host's state
+//! at the moment of the read (`now`, `host`) into them. [`VmRecord`]
+//! keeps its classad private, so no caller can read stale monitor
+//! values. A write is skipped when the attribute already holds the
+//! value, so two reads at one instant copy nothing.
 //!
 //! The `state` attribute is written the same way: a lifecycle step
 //! (`VmRecord::transition`) only records the [`VmState`], and reading
-//! the classad writes the state's name into the attribute's slot, which
-//! every record has from its creation on.
+//! the classad writes the state's name into the attribute's slot. The
+//! record gives `state` and the three host attributes their slots when
+//! it is created, so they keep their place in the ad; `uptime_s` is
+//! appended at the first read after the VM starts running.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use vmplants_classad::{AttrName, ClassAd, Expr, Value};
@@ -91,24 +88,6 @@ fn names_state(text: &str, state: &VmState) -> bool {
     }
 }
 
-/// One monitor reading of the plant's host.
-#[derive(Clone, Copy, Debug)]
-struct Sample {
-    at: SimTime,
-    free_mb: u64,
-    pressure: f64,
-}
-
-/// How far a record's classad follows its plant's monitor samples.
-#[derive(Clone, Copy, Debug, Default)]
-struct Synced {
-    /// Sequence number of the sample the monitor attributes hold, or
-    /// `None` before this plant sampled the record.
-    seq: Option<u64>,
-    /// Whether the classad carries `uptime_s`.
-    uptime: bool,
-}
-
 /// Everything the plant tracks about one VM instance.
 #[derive(Clone, Debug)]
 pub struct VmRecord {
@@ -120,7 +99,7 @@ pub struct VmRecord {
     /// the classad is read.
     pub state: VmState,
     /// The authoritative classad. Its monitor attributes and `state` may
-    /// trail the latest sample and lifecycle step; it is read through
+    /// trail the host and the lifecycle step; it is read through
     /// [`InfoSystem::classad`].
     classad: ClassAd,
     /// Directory of the clone's files on the host disk.
@@ -142,7 +121,6 @@ pub struct VmRecord {
     pub created_at: SimTime,
     /// Virtual time the VM reached `Running` ([`InfoSystem::start_running`]).
     running_at: Option<SimTime>,
-    monitor: Synced,
     /// A collect of this VM is in flight: the record stays `Running`
     /// while the backend destroys the VM, but takes no further publish,
     /// migrate or collect ([`VmRecord::refusal`]).
@@ -150,9 +128,10 @@ pub struct VmRecord {
 }
 
 impl VmRecord {
-    /// A record for a VM entering production (state `Cloning`). The
-    /// classad's `state` attribute is written here, appended when
-    /// `classad` has none, so the attribute has its slot from now on.
+    /// A record for a VM entering production (state `Cloning`) on `host`.
+    /// The classad's `state` and host monitor attributes are written
+    /// here, appended when `classad` has none, so they have their slots
+    /// from now on.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         id: VmId,
@@ -164,6 +143,7 @@ impl VmRecord {
         golden: GoldenId,
         performed: PerformedLog,
         created_at: SimTime,
+        host: &Host,
     ) -> VmRecord {
         let mut record = VmRecord {
             id,
@@ -177,10 +157,10 @@ impl VmRecord {
             performed,
             created_at,
             running_at: None,
-            monitor: Synced::default(),
             collecting: false,
         };
         record.write_state();
+        record.write_monitor(created_at, host);
         record
     }
 
@@ -271,23 +251,25 @@ impl VmRecord {
         }
     }
 
-    /// Write `sample` into the monitor attributes, with `uptime_s` when
-    /// `uptime` (which implies the VM is running).
-    fn write_sample(&mut self, seq: u64, sample: &Sample, uptime: bool) {
-        if let (true, Some(started)) = (uptime, self.running_at) {
-            self.classad.set_value(
-                "uptime_s",
-                sample.at.since_saturating(started).as_secs_f64(),
-            );
+    /// Write the monitor attributes as of `now` on `host`: `uptime_s`
+    /// once the VM runs, then the host's free memory and pressure, and
+    /// the time of the reading.
+    fn write_monitor(&mut self, now: SimTime, host: &Host) {
+        if let Some(started) = self.running_at {
+            self.write_changed("uptime_s", now.since_saturating(started).as_secs_f64());
         }
-        self.classad.set_value("host_free_mb", sample.free_mb);
-        self.classad.set_value("host_pressure", sample.pressure);
-        self.classad
-            .set_value("last_monitor_s", sample.at.as_secs_f64());
-        self.monitor = Synced {
-            seq: Some(seq),
-            uptime,
-        };
+        self.write_changed("host_free_mb", host.free_mb());
+        self.write_changed("host_pressure", host.pressure_factor());
+        self.write_changed("last_monitor_s", now.as_secs_f64());
+    }
+
+    /// Bind `name` to `value` unless it already holds it, so a shared
+    /// classad is not copied for nothing.
+    fn write_changed(&mut self, name: &'static str, value: impl Into<Value>) {
+        let value = value.into();
+        if !matches!(self.classad.get_expr(name), Some(Expr::Lit(held)) if *held == value) {
+            self.classad.set_value(name, value);
+        }
     }
 }
 
@@ -299,11 +281,6 @@ fn is_written_on_read(name: &str) -> bool {
 #[derive(Default)]
 pub struct InfoSystem {
     records: BTreeMap<VmId, VmRecord>,
-    /// The latest monitor sample and its sequence number.
-    latest: Option<(u64, Sample)>,
-    /// Records missing attributes the next sample adds: inserted since
-    /// the last sample, or started running since.
-    unsampled: BTreeSet<VmId>,
 }
 
 impl InfoSystem {
@@ -312,16 +289,13 @@ impl InfoSystem {
         InfoSystem::default()
     }
 
-    /// Insert a new record. Monitor attributes it carries (a migrated
-    /// VM's) stay as they are until this plant's next sample.
+    /// Insert a new record.
     ///
     /// # Panics
     ///
     /// Panics on duplicate VM ids (they are plant-generated and unique by
     /// construction).
-    pub(crate) fn insert(&mut self, mut record: VmRecord) {
-        record.monitor = Synced::default();
-        self.unsampled.insert(record.id.clone());
+    pub(crate) fn insert(&mut self, record: VmRecord) {
         let prior = self.records.insert(record.id.clone(), record);
         assert!(prior.is_none(), "duplicate VM id");
     }
@@ -336,46 +310,29 @@ impl InfoSystem {
         self.records.get_mut(id)
     }
 
-    /// The record's classad, its `state` and monitor attributes brought
-    /// up to the lifecycle state and the latest sample: the one way a
-    /// classad leaves the plant.
-    pub(crate) fn classad(&mut self, id: &VmId) -> Option<ClassAd> {
+    /// The record's classad as it leaves the plant at `now`: its `state`
+    /// written from the lifecycle state and its monitor attributes from
+    /// `host`, the plant's host. The one way a classad leaves the plant.
+    pub(crate) fn classad(&mut self, id: &VmId, now: SimTime, host: &Host) -> Option<ClassAd> {
         let record = self.records.get_mut(id)?;
         record.write_state();
-        if let Some((seq, sample)) = &self.latest {
-            if record.monitor.seq.is_some_and(|at| at < *seq) {
-                let uptime = record.monitor.uptime;
-                record.write_sample(*seq, sample, uptime);
-            }
-        }
+        record.write_monitor(now, host);
         Some(record.classad.clone())
     }
 
-    /// Remove a record whose classad is not read again (collect, crash,
-    /// failed creation).
+    /// Remove a record (collect, crash, failed creation, or a migration
+    /// carrying it to another plant, whose first read rewrites its state
+    /// and monitor attributes).
     pub(crate) fn remove(&mut self, id: &VmId) -> Option<VmRecord> {
-        self.unsampled.remove(id);
         self.records.remove(id)
     }
 
-    /// Remove a record that carries its classad to another plant
-    /// (migration): its `state` and monitor attributes are first brought
-    /// up to date.
-    pub(crate) fn hand_over(&mut self, id: &VmId) -> Option<VmRecord> {
-        self.classad(id)?;
-        self.remove(id)
-    }
-
-    /// Move a record to `Running` at `now`; the next sample adds its
-    /// `uptime_s`. Returns the record, or `None` for an unknown id.
+    /// Move a record to `Running` at `now`; its next read adds `uptime_s`.
+    /// Returns the record, or `None` for an unknown id.
     pub(crate) fn start_running(&mut self, id: &VmId, now: SimTime) -> Option<&mut VmRecord> {
         let record = self.records.get_mut(id)?;
         record.transition(VmState::Running);
         record.running_at = Some(now);
-        // A record not sampled yet is already queued.
-        if record.monitor.seq.is_some() {
-            self.unsampled.insert(id.clone());
-        }
         Some(record)
     }
 
@@ -388,47 +345,6 @@ impl InfoSystem {
     pub(crate) fn len(&self) -> usize {
         self.records.len()
     }
-
-    /// The VM monitor's pass (Figure 2's "update VM classad"): sample the
-    /// host at `now`. Only records that lack monitor attributes are
-    /// written; the rest catch up when their classad is read.
-    pub(crate) fn refresh_dynamic(&mut self, now: SimTime, host: &Host) {
-        let sample = Sample {
-            at: now,
-            free_mb: host.free_mb(),
-            pressure: host.pressure_factor(),
-        };
-        let seq = self.latest.map_or(1, |(seq, _)| seq + 1);
-        self.latest = Some((seq, sample));
-        for id in std::mem::take(&mut self.unsampled) {
-            if let Some(record) = self.records.get_mut(&id) {
-                let uptime = record.running_at.is_some();
-                record.write_sample(seq, &sample, uptime);
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-impl InfoSystem {
-    /// The eager monitor pass sample-and-materialize replaced, kept as
-    /// the oracle: rewrite every live record's dynamic attributes now.
-    fn refresh_eager(&mut self, now: SimTime, host: &Host) {
-        let free = host.free_mb();
-        let pressure = host.pressure_factor();
-        for record in self.records.values_mut() {
-            if let Some(started) = record.running_at {
-                record
-                    .classad
-                    .set_value("uptime_s", now.since_saturating(started).as_secs_f64());
-            }
-            record.classad.set_value("host_free_mb", free);
-            record.classad.set_value("host_pressure", pressure);
-            record
-                .classad
-                .set_value("last_monitor_s", now.as_secs_f64());
-        }
-    }
 }
 
 #[cfg(test)]
@@ -436,6 +352,10 @@ mod tests {
     use super::*;
     use vmplants_cluster::host::HostSpec;
     use vmplants_simkit::{SimDuration, SimRng};
+
+    fn host(name: &str) -> Host {
+        Host::new(HostSpec::e1350_node(name))
+    }
 
     fn record(id: &str) -> VmRecord {
         VmRecord::new(
@@ -454,6 +374,7 @@ mod tests {
             GoldenId("g".into()),
             PerformedLog::new(),
             SimTime::ZERO,
+            &host("node0"),
         )
     }
 
@@ -487,6 +408,7 @@ mod tests {
     #[test]
     fn transitions_update_classad() {
         let mut sys = InfoSystem::new();
+        let host = host("node0");
         let id = VmId("vm-1".into());
         sys.insert(record("vm-1"));
         let r = sys.get_mut(&id).unwrap();
@@ -498,12 +420,12 @@ mod tests {
             Some("cloning".into()),
             "not yet read"
         );
-        let ad = sys.classad(&id).unwrap();
+        let ad = sys.classad(&id, SimTime::ZERO, &host).unwrap();
         assert_eq!(ad.get_str("state"), Some("configuring".into()));
         sys.get_mut(&id)
             .unwrap()
             .transition(VmState::Failed("disk full".into()));
-        let ad = sys.classad(&id).unwrap();
+        let ad = sys.classad(&id, SimTime::ZERO, &host).unwrap();
         assert_eq!(ad.get_str("state"), Some("failed: disk full".into()));
         assert_eq!(ad.names().filter(|n| *n == "state").count(), 1);
     }
@@ -511,13 +433,15 @@ mod tests {
     #[test]
     fn a_read_of_an_unchanged_state_writes_nothing() {
         let mut sys = InfoSystem::new();
+        let host = host("node0");
         let id = VmId("vm-1".into());
+        let now = SimTime::from_secs(1);
         sys.insert(record("vm-1"));
-        running(&mut sys, &id, SimTime::from_secs(1));
-        let first = sys.classad(&id).unwrap();
+        running(&mut sys, &id, now);
+        let first = sys.classad(&id, now, &host).unwrap();
         // The record still shares its list with the first reply: a second
-        // read with nothing new must not copy it.
-        let second = sys.classad(&id).unwrap();
+        // read at the same instant must not copy it.
+        let second = sys.classad(&id, now, &host).unwrap();
         assert_eq!(first, second);
         assert_eq!(state_value(&VmState::Running), Value::str("running"));
         assert_eq!(
@@ -539,111 +463,94 @@ mod tests {
         let id = VmId("vm-1".into());
         sys.insert(record("vm-1"));
         running(&mut sys, &id, SimTime::from_secs(10));
-        let host = Host::new(HostSpec::e1350_node("node0"));
+        let host = host("node0");
         host.register_vm(64);
-        sys.refresh_dynamic(SimTime::from_secs(70), &host);
-        let ad = sys.classad(&id).unwrap();
+        let ad = sys.classad(&id, SimTime::from_secs(70), &host).unwrap();
         assert_eq!(ad.get_f64("uptime_s"), Some(60.0));
         assert_eq!(ad.get_int("host_free_mb"), Some(1280 - 88));
         assert!(ad.get_f64("host_pressure").unwrap() >= 1.0);
-        // A later sample reaches the classad on its next read.
-        sys.refresh_dynamic(SimTime::from_secs(80), &host);
-        let ad = sys.classad(&id).unwrap();
+        // A later read carries the host as it is then.
+        host.register_vm(64);
+        let ad = sys.classad(&id, SimTime::from_secs(80), &host).unwrap();
         assert_eq!(ad.get_f64("uptime_s"), Some(70.0));
+        assert_eq!(ad.get_int("host_free_mb"), Some(1280 - 2 * 88));
         assert_eq!(ad.get_f64("last_monitor_s"), Some(80.0));
     }
 
     #[test]
-    fn a_sample_writes_only_records_missing_attributes() {
+    fn a_read_writes_only_the_record_it_reads() {
         let mut sys = InfoSystem::new();
-        let host = Host::new(HostSpec::e1350_node("node0"));
+        let host = host("node0");
         for i in 0..3 {
             sys.insert(record(&format!("vm-{i}")));
+            sys.classad(&VmId(format!("vm-{i}")), SimTime::from_secs(10), &host);
         }
-        sys.refresh_dynamic(SimTime::from_secs(10), &host);
-        assert!(sys.unsampled.is_empty());
         running(&mut sys, &VmId("vm-1".into()), SimTime::from_secs(12));
-        assert_eq!(
-            sys.unsampled.len(),
-            1,
-            "only the newly running record waits"
-        );
-        sys.refresh_dynamic(SimTime::from_secs(20), &host);
-        // Untouched records still hold the first sample until read.
+        let ad = sys
+            .classad(&VmId("vm-1".into()), SimTime::from_secs(20), &host)
+            .unwrap();
+        assert_eq!(ad.get_f64("uptime_s"), Some(8.0));
+        // The records not read still hold their last read.
         let raw = &sys.get(&VmId("vm-0".into())).unwrap().classad;
         assert_eq!(raw.get_f64("last_monitor_s"), Some(10.0));
-        let ad = sys.classad(&VmId("vm-0".into())).unwrap();
+        let ad = sys
+            .classad(&VmId("vm-0".into()), SimTime::from_secs(20), &host)
+            .unwrap();
         assert_eq!(ad.get_f64("last_monitor_s"), Some(20.0));
         assert_eq!(ad.get_f64("uptime_s"), None);
-        let ad = sys.classad(&VmId("vm-1".into())).unwrap();
-        assert_eq!(ad.get_f64("uptime_s"), Some(8.0));
     }
 
-    /// One plant's information system, driven by the monitor the plant
-    /// runs (`lazy`) and by the eager oracle.
-    struct Twin {
-        lazy: InfoSystem,
-        eager: InfoSystem,
+    /// One plant: its information system and its host.
+    struct Node {
+        sys: InfoSystem,
         host: Host,
     }
 
-    impl Twin {
-        fn new(name: &str) -> Twin {
-            Twin {
-                lazy: InfoSystem::new(),
-                eager: InfoSystem::new(),
-                host: Host::new(HostSpec::e1350_node(name)),
-            }
-        }
-
-        fn each(&mut self, f: impl Fn(&mut InfoSystem)) {
-            f(&mut self.lazy);
-            f(&mut self.eager);
-        }
-
-        fn sample(&mut self, now: SimTime) {
-            self.lazy.refresh_dynamic(now, &self.host);
-            self.eager.refresh_eager(now, &self.host);
-        }
-
-        /// Move `id` to `next` (through `start_running` when it enters
-        /// `Running` from `Configuring`). The oracle writes `state` into
-        /// its classad at the step, as every step did before the state
-        /// was written on read.
-        fn step(&mut self, id: &VmId, next: &VmState, now: SimTime) {
-            let configuring = self.lazy.get(id).unwrap().state == VmState::Configuring;
-            self.each(|sys| {
-                if configuring && *next == VmState::Running {
-                    sys.start_running(id, now).unwrap();
-                } else {
-                    sys.get_mut(id).unwrap().transition(next.clone());
-                }
-            });
-            write_state_eagerly(self.eager.get_mut(id).unwrap());
-        }
-
-        /// Compare what a client would read: the lazy system through its
-        /// accessor, the oracle's classad as the eager pass left it.
-        fn check(&mut self, id: &VmId, ctx: &str) {
-            let lazy = self.lazy.classad(id).expect("lazy record");
-            let eager = self.eager.get(id).expect("eager record").classad.clone();
-            assert_eq!(lazy.to_string(), eager.to_string(), "{ctx}");
-            assert_eq!(lazy, eager, "{ctx}");
+    impl Node {
+        /// Read `id`'s classad at `now` and check it against the host and
+        /// the record: the monitor attributes, in their slots after
+        /// `state`, and `state` itself.
+        fn check(&mut self, id: &VmId, now: SimTime, ctx: &str) {
+            let ad = self.sys.classad(id, now, &self.host).expect("record");
+            let record = self.sys.get(id).unwrap();
+            let free = i64::try_from(self.host.free_mb()).unwrap();
+            assert_eq!(ad.get_int("host_free_mb"), Some(free), "{ctx}");
+            assert_eq!(
+                ad.get_f64("host_pressure"),
+                Some(self.host.pressure_factor()),
+                "{ctx}"
+            );
+            assert_eq!(ad.get_f64("last_monitor_s"), Some(now.as_secs_f64()), "{ctx}");
+            let uptime = record
+                .running_at
+                .map(|at| now.since_saturating(at).as_secs_f64());
+            assert_eq!(ad.get_f64("uptime_s"), uptime, "{ctx}");
+            assert_eq!(ad.get_str("state"), Some(record.state.to_string()), "{ctx}");
+            let names: Vec<&str> = ad.names().collect();
+            assert!(
+                names
+                    .windows(4)
+                    .any(|w| w == ["state", "host_free_mb", "host_pressure", "last_monitor_s"]),
+                "{ctx}: {names:?}"
+            );
         }
     }
 
     #[test]
-    fn lazy_monitor_matches_the_eager_oracle() {
+    fn monitor_reads_carry_the_host_at_the_read() {
         const ATTRS: [&str; 5] = ["clone_s", "config_s", "note", "ip_address", "Note"];
         for seed in 0..24u64 {
             let mut rng = SimRng::seed_from_u64(seed);
-            let mut plants = [Twin::new("node0"), Twin::new("node1")];
+            let mut plants = ["node0", "node1"].map(|name| Node {
+                sys: InfoSystem::new(),
+                host: host(name),
+            });
             // Live VMs: (id, plant index).
             let mut live: Vec<(VmId, usize)> = Vec::new();
             let mut now = SimTime::ZERO;
             let mut next_id = 0;
             for step in 0..600 {
-                // Zero steps make samples at the same instant.
+                // Zero steps make reads at the same instant.
                 now += SimDuration::from_millis(rng.uniform_u64(0, 4_000));
                 let ctx = format!("seed {seed} step {step}");
                 let pick = (!live.is_empty()).then(|| live[rng.index(live.len())].clone());
@@ -655,7 +562,7 @@ mod tests {
                         let mut r = record(&id.0);
                         r.set_value("vmid", id.0.clone());
                         r.created_at = now;
-                        plants[p].each(|sys| sys.insert(r.clone()));
+                        plants[p].sys.insert(r);
                         plants[p].host.register_vm(32);
                         live.push((id, p));
                     }
@@ -663,63 +570,59 @@ mod tests {
                         if let Some((id, p)) = pick {
                             let name = ATTRS[rng.index(ATTRS.len())];
                             let value = rng.uniform(0.0, 100.0);
-                            plants[p].each(|sys| sys.get_mut(&id).unwrap().set_value(name, value));
+                            plants[p].sys.get_mut(&id).unwrap().set_value(name, value);
                         }
                     }
                     3 => {
                         if let Some((id, p)) = pick {
-                            let state = plants[p].lazy.get(&id).unwrap().state.clone();
+                            let sys = &mut plants[p].sys;
+                            let state = sys.get(&id).unwrap().state.clone();
                             let next = successors(&state);
                             if !next.is_empty() {
-                                let next = &next[rng.index(next.len())];
-                                plants[p].step(&id, next, now);
+                                let next = next[rng.index(next.len())].clone();
+                                if state == VmState::Configuring && next == VmState::Running {
+                                    sys.start_running(&id, now).unwrap();
+                                } else {
+                                    sys.get_mut(&id).unwrap().transition(next);
+                                }
                             }
                         }
                     }
                     4 | 5 => {
-                        let p = rng.index(2);
-                        if rng.chance(0.3) && plants[p].host.vm_count() > 0 {
-                            plants[p].host.unregister_vm(32);
+                        let host = &plants[rng.index(2)].host;
+                        if rng.chance(0.3) && host.vm_count() > 0 {
+                            host.unregister_vm(32);
                         } else if rng.chance(0.3) {
-                            plants[p].host.register_vm(32);
+                            host.register_vm(32);
                         }
-                        plants[p].sample(now);
                     }
                     6 => {
                         if let Some((id, p)) = pick {
-                            plants[p].check(&id, &ctx);
+                            plants[p].check(&id, now, &ctx);
                         }
                     }
                     7 => {
                         if let Some((id, p)) = pick {
-                            plants[p].each(|sys| {
-                                sys.remove(&id).unwrap();
-                            });
+                            plants[p].sys.remove(&id).unwrap();
                             live.retain(|(v, _)| *v != id);
                         }
                     }
                     _ => {
-                        // Migration hand-over of a running VM: the source
-                        // brings the record up to date and removes it; the
-                        // target keeps the carried values until its own
-                        // next sample.
+                        // Migration of a running VM: the source removes
+                        // the record, the target inserts it and reads it
+                        // at resume.
                         let Some((id, p)) = pick else { continue };
-                        if plants[p].lazy.get(&id).unwrap().state != VmState::Running {
+                        if plants[p].sys.get(&id).unwrap().state != VmState::Running {
                             continue;
                         }
                         let q = 1 - p;
-                        plants[p].step(&id, &VmState::Migrating, now);
-                        let mut lazy = plants[p].lazy.hand_over(&id).unwrap();
-                        let mut eager = plants[p].eager.remove(&id).unwrap();
-                        for r in [&mut lazy, &mut eager] {
-                            r.set_value("plant", format!("node{q}"));
-                            r.set_value("migrated_from", format!("node{p}"));
-                            r.transition(VmState::Running);
-                        }
-                        write_state_eagerly(&mut eager);
-                        plants[q].lazy.insert(lazy);
-                        plants[q].eager.insert(eager);
-                        plants[q].check(&id, &ctx);
+                        plants[p].sys.get_mut(&id).unwrap().transition(VmState::Migrating);
+                        let mut r = plants[p].sys.remove(&id).unwrap();
+                        r.set_value("plant", format!("node{q}"));
+                        r.set_value("migrated_from", format!("node{p}"));
+                        r.transition(VmState::Running);
+                        plants[q].sys.insert(r);
+                        plants[q].check(&id, now, &ctx);
                         for entry in live.iter_mut().filter(|(v, _)| *v == id) {
                             entry.1 = q;
                         }
@@ -727,14 +630,46 @@ mod tests {
                 }
             }
             for (id, p) in live {
-                plants[p].check(&id, &format!("seed {seed} final"));
+                plants[p].check(&id, now, &format!("seed {seed} final"));
             }
         }
     }
 
-    /// What every lifecycle step did before `state` was written on read.
-    fn write_state_eagerly(record: &mut VmRecord) {
-        record.classad.set_value("state", record.state.to_string());
+    /// One record held twice: `lazy` as the plant keeps it, `eager` with
+    /// `state` written at every lifecycle step, as every step did before
+    /// the state was written on read.
+    struct Twin {
+        lazy: InfoSystem,
+        eager: InfoSystem,
+        host: Host,
+    }
+
+    impl Twin {
+        /// Move `id` to `next` (through `start_running` when it enters
+        /// `Running` from `Configuring`).
+        fn step(&mut self, id: &VmId, next: &VmState, now: SimTime) {
+            let configuring = self.lazy.get(id).unwrap().state == VmState::Configuring;
+            for sys in [&mut self.lazy, &mut self.eager] {
+                if configuring && *next == VmState::Running {
+                    sys.start_running(id, now).unwrap();
+                } else {
+                    sys.get_mut(id).unwrap().transition(next.clone());
+                }
+            }
+            let eager = self.eager.get_mut(id).unwrap();
+            eager.classad.set_value("state", eager.state.to_string());
+        }
+
+        /// Compare what a client would read at `now`: the lazy record
+        /// through its accessor, the eager one with only its monitor
+        /// attributes brought up to `now`.
+        fn check(&mut self, id: &VmId, now: SimTime, ctx: &str) {
+            let lazy = self.lazy.classad(id, now, &self.host).expect("lazy record");
+            let eager = self.eager.get_mut(id).expect("eager record");
+            eager.write_monitor(now, &self.host);
+            assert_eq!(lazy.to_string(), eager.classad.to_string(), "{ctx}");
+            assert_eq!(lazy, eager.classad, "{ctx}");
+        }
     }
 
     /// Every state `state` may legally move to.
@@ -782,27 +717,35 @@ mod tests {
         let paths = paths(9);
         assert_eq!(paths.len(), 124);
         for path in &paths {
-            // Between steps: nothing, a monitor sample, a read, or both.
+            // Between steps: nothing, a host change, a read, or both.
             for schedule in 0..4u32 {
-                let mut twin = Twin::new("node0");
+                let mut twin = Twin {
+                    lazy: InfoSystem::new(),
+                    eager: InfoSystem::new(),
+                    host: host("node0"),
+                };
                 let id = VmId("vm-0".into());
                 let mut r = record(&id.0);
                 r.set_value("vmid", id.0.clone());
-                twin.each(|sys| sys.insert(r.clone()));
+                twin.lazy.insert(r.clone());
+                twin.eager.insert(r);
                 twin.host.register_vm(32);
                 let mut now = SimTime::ZERO;
                 for (step, next) in path.iter().enumerate() {
                     now += SimDuration::from_secs(10);
                     twin.step(&id, next, now);
                     if schedule & 1 != 0 {
-                        twin.sample(now);
+                        twin.host.register_vm(32);
                     }
                     if schedule & 2 != 0 {
-                        twin.check(&id, &format!("{path:?} schedule {schedule} step {step}"));
+                        twin.check(&id, now, &format!("{path:?} schedule {schedule} step {step}"));
                     }
                 }
-                twin.sample(now + SimDuration::from_secs(10));
-                twin.check(&id, &format!("{path:?} schedule {schedule} end"));
+                twin.check(
+                    &id,
+                    now + SimDuration::from_secs(10),
+                    &format!("{path:?} schedule {schedule} end"),
+                );
             }
         }
     }

@@ -13,7 +13,8 @@
 //! * the **VM Information System** ([`infosys`]) holds the authoritative
 //!   classad of every active VM — deliberately *not* mirrored in VMShop,
 //!   "thus facilitating service restoration in the presence of failures"
-//!   (§3.1) — and the **VM monitor** refreshes dynamic attributes;
+//!   (§3.1) — and the **VM monitor** writes its dynamic attributes
+//!   whenever a classad is read;
 //! * **cost estimation** ([`cost`]) answers the shop's bidding protocol
 //!   with either the prototype's free-host-memory model (§4.1) or the
 //!   §3.4 network + compute-cycles model.

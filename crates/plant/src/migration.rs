@@ -155,7 +155,7 @@ fn finish_migration(
     // resources.
     let taken = {
         let mut sstate = source.inner.borrow_mut();
-        let record = sstate.info.hand_over(&id);
+        let record = sstate.info.remove(&id);
         if let Some(record) = &record {
             sstate.host.unregister_vm(spec.memory_mb);
             sstate
@@ -232,8 +232,12 @@ fn finish_migration(
             } else {
                 record.transition(VmState::Running);
                 let id = record.id.clone();
+                let tstate = &mut *tstate;
                 tstate.info.insert(record);
-                Ok(tstate.info.classad(&id).expect("record just inserted"))
+                Ok(tstate
+                    .info
+                    .classad(&id, engine.now(), &tstate.host)
+                    .expect("record just inserted"))
             }
         };
         done(engine, result);

@@ -192,8 +192,9 @@ pub(crate) fn start_creation(plant: Plant, engine: &mut Engine, order: SharedOrd
         // configure-mac-ip DAG action applies them *inside* the guest.
         classad.set_display("ip_address", lease.ip);
         classad.set_display("mac_address", lease.mac);
-        // The record appends `state` and keeps the lease.
-        state.info.insert(VmRecord::new(
+        // The record appends `state` and the host's monitor attributes,
+        // and keeps the lease.
+        let record = VmRecord::new(
             vmid.clone(),
             order.spec.clone(),
             classad,
@@ -203,7 +204,9 @@ pub(crate) fn start_creation(plant: Plant, engine: &mut Engine, order: SharedOrd
             golden_id,
             inherited_log,
             engine.now(),
-        ));
+            &state.host,
+        );
+        state.info.insert(record);
 
         let hv = Rc::clone(&state.hypervisor);
         let host = state.host.clone();
@@ -774,7 +777,8 @@ fn finish_creation(engine: &mut Engine, job: &JobRef) {
     let (done, result) = {
         let mut j = job.borrow_mut();
         let plant = j.plant.clone();
-        let mut state = plant.inner.borrow_mut();
+        let mut guard = plant.inner.borrow_mut();
+        let state = &mut *guard;
         let now = engine.now();
         // The record can vanish mid-creation only through a crash path
         // that raced past the epoch guard or an external collect; report
@@ -785,11 +789,14 @@ fn finish_creation(engine: &mut Engine, job: &JobRef) {
                 let config = now.since(j.config_started);
                 record.set_value("config_s", config.as_secs_f64());
                 record.set_value("create_s", total.as_secs_f64());
-                Ok(state.info.classad(&j.vmid).expect("record just updated"))
+                Ok(state
+                    .info
+                    .classad(&j.vmid, now, &state.host)
+                    .expect("record just updated"))
             }
             None => Err(PlantError::UnknownVm(j.vmid.clone())),
         };
-        drop(state);
+        drop(guard);
         if result.is_err() {
             j.obs.span_attr(j.span, "outcome", "lost");
         }
@@ -881,7 +888,7 @@ pub(crate) fn collect_vm(plant: Plant, engine: &mut Engine, id: VmId, done: Done
     let found = {
         let mut guard = plant.inner.borrow_mut();
         let state = &mut *guard;
-        let classad = state.info.classad(&id);
+        let classad = state.info.classad(&id, engine.now(), &state.host);
         match (classad, state.info.get_mut(&id)) {
             (Some(classad), Some(record)) => {
                 // Until the record is dropped below, the VM takes no

@@ -204,11 +204,15 @@ impl Plant {
                 // effect whose cache entry was evicted), replay its
                 // classad instead of re-entering production.
                 if let Some(id) = &order.vm_id {
-                    let mut state = self.inner.borrow_mut();
+                    let mut guard = self.inner.borrow_mut();
+                    let state = &mut *guard;
                     if let Some(record) = state.info.get(id) {
                         if record.state == VmState::Running {
-                            let ad = state.info.classad(id).expect("record found above");
-                            drop(state);
+                            let ad = state
+                                .info
+                                .classad(id, engine.now(), &state.host)
+                                .expect("record found above");
+                            drop(guard);
                             let renv = self.response_to(&env, Response::Ad(ad));
                             engine.schedule(SimDuration::ZERO, move |engine| reply(engine, renv));
                             return;

@@ -438,19 +438,21 @@ fn host_crash_evicts_running_vms_and_recovery_serves_again() {
 }
 
 #[test]
-fn monitor_heartbeat_stops_when_the_plant_dies() {
+fn a_failed_plant_answers_no_classad_until_revived() {
     let mut s = site();
     let ad = run_create(&mut s, order(64)).unwrap();
     let id = VmId(ad.get_str("vmid").unwrap());
     let start = s.engine.now();
-    let horizon = start + SimDuration::from_secs(100);
-    s.plant
-        .start_monitor(&mut s.engine, SimDuration::from_secs(10), horizon);
     let plant = s.plant.clone();
-    s.engine.schedule(SimDuration::from_secs(45), move |_| plant.fail());
-    // Revive at 72 s and at once collect the VM: collecting hands over
-    // the classad as the monitor last wrote it, without a fresh sample
-    // (a query would take one).
+    let down = Rc::new(RefCell::new(None));
+    let down2 = Rc::clone(&down);
+    let id2 = id.clone();
+    s.engine.schedule(SimDuration::from_secs(45), move |engine| {
+        plant.fail();
+        *down2.borrow_mut() = Some(plant.query(engine, &id2));
+    });
+    // Revive at 72 s and at once collect the VM: the collected classad
+    // reads the host at the collect.
     let plant = s.plant.clone();
     let out = Rc::new(RefCell::new(None));
     let out2 = Rc::clone(&out);
@@ -463,12 +465,14 @@ fn monitor_heartbeat_stops_when_the_plant_dies() {
         );
     });
     s.engine.run();
-    // The monitor ticked while the plant was alive, then froze at the
-    // last tick before the failure.
+    assert!(matches!(
+        down.borrow_mut().take(),
+        Some(Err(PlantError::PlantDown))
+    ));
     let collected = out.borrow_mut().take().unwrap().unwrap();
     assert_eq!(
         collected.get_f64("last_monitor_s"),
-        Some((start + SimDuration::from_secs(40)).as_secs_f64())
+        Some((start + SimDuration::from_secs(72)).as_secs_f64())
     );
 }
 
@@ -488,16 +492,27 @@ fn clone_log_records_every_clone() {
 
 #[test]
 fn monitor_ticks_update_running_vms() {
+    // No monitor event runs: each read carries the host's state at the
+    // moment of the read, from the create reply on.
     let mut s = site();
     let ad = run_create(&mut s, order(64)).unwrap();
     let id = VmId(ad.get_str("vmid").unwrap());
-    let horizon = s.engine.now() + SimDuration::from_secs(60);
-    s.plant
-        .start_monitor(&mut s.engine, SimDuration::from_secs(10), horizon);
-    s.engine.run();
+    assert_eq!(ad.get_f64("uptime_s"), Some(0.0));
+    assert_eq!(
+        ad.get_f64("last_monitor_s"),
+        Some(s.engine.now().as_secs_f64())
+    );
+    s.engine.advance(SimDuration::from_secs(60));
     let q = s.plant.query(&s.engine, &id).unwrap();
-    assert!(q.get_f64("last_monitor_s").is_some());
-    assert!(q.get_f64("uptime_s").unwrap() >= 50.0);
+    assert_eq!(q.get_f64("uptime_s"), Some(60.0));
+    assert_eq!(
+        q.get_f64("last_monitor_s"),
+        Some(s.engine.now().as_secs_f64())
+    );
+    assert_eq!(
+        q.get_int("host_free_mb"),
+        Some(s.plant.host().free_mb() as i64)
+    );
 }
 
 #[test]

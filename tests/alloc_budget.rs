@@ -2,10 +2,9 @@
 //!
 //! A counting global allocator counts allocations (including
 //! reallocations) made on this test's thread while a flag is set. Each
-//! test drives a fixed, fault-free stream through `VmShop::create` — VM
-//! monitors ticking every 10 sim s, each VM destroyed 600 sim s after it
-//! is created — and checks that the event loop's allocations per order
-//! stay under a ceiling. Two streams:
+//! test drives a fixed, fault-free stream through `VmShop::create` — each
+//! VM destroyed 600 sim s after it is created — and checks that the event
+//! loop's allocations per order stay under a ceiling. Two streams:
 //!
 //! * steady — the `steady_lifecycle` shape: `experiment_dag` orders 10
 //!   sim s apart against the experiment goldens;
@@ -25,10 +24,9 @@
 //! stream also checks that a fault-free site keeps no transport trace:
 //! its memory must not grow with run length.
 //!
-//! Not all of a count is order-path cost. The monitors keep ticking over
-//! the 7,500 sim s tail after the last order, and each tick reschedules
-//! itself as one boxed closure: 8 plants × 1,050 ticks / 300 orders is
-//! about 28 of the steady per-order count.
+//! The plants run no periodic events (the VM monitor samples the host
+//! when a classad is read), so a run ends when its last VM is destroyed,
+//! and no idle tail adds events or allocations to the counts.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -129,10 +127,6 @@ fn run_stream(mut site: SimSite, dags: Vec<ConfigDag>, spacing_s: u64) -> Stream
     let failed_destroys = Rc::new(Cell::new(0usize));
 
     COUNTING.with(|on| on.set(true));
-    let horizon = SimTime::from_secs(count * spacing_s + 7_500);
-    for plant in &site.plants {
-        plant.start_monitor(&mut site.engine, SimDuration::from_secs(10), horizon);
-    }
     for (i, order) in (0u64..).zip(orders) {
         let shop = site.shop.clone();
         let created = Rc::clone(&created);

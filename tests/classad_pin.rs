@@ -1,8 +1,9 @@
-//! Pins the exact text of every classad a client receives while the
-//! plants' VM monitors run: create, mid-life query, destroy, migration,
-//! and the errors around a host reboot. The monitor's dynamic attributes
-//! (`uptime_s`, `host_free_mb`, `host_pressure`, `last_monitor_s`) and
-//! their position in each ad are part of what this fixture fixes.
+//! Pins the exact text of every classad a client receives: create,
+//! mid-life query, destroy, migration, and the errors around a host
+//! reboot. The VM monitor's dynamic attributes (`uptime_s`,
+//! `host_free_mb`, `host_pressure`, `last_monitor_s`), written when each
+//! classad is read, and their position in each ad are part of what this
+//! fixture fixes.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -31,10 +32,6 @@ fn render() -> String {
         seed: 11,
         ..SiteConfig::default()
     });
-    let horizon = SimTime::from_secs(3_000);
-    for plant in &site.plants {
-        plant.start_monitor(&mut site.engine, SimDuration::from_secs(10), horizon);
-    }
     let log: Log = Rc::new(RefCell::new(Vec::new()));
     // Ids of VMs whose create succeeded, in creation order.
     let created: Rc<RefCell<Vec<VmId>>> = Rc::new(RefCell::new(Vec::new()));
