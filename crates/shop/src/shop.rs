@@ -1493,7 +1493,7 @@ impl VmShop {
                 return done(engine, Err(ShopError::ShopDown));
             }
             // Resolve the plant: cache first, then search.
-            let plant = shop.resolve_plant(engine, &id);
+            let plant = shop.resolve_plant(&id);
             let Some(plant) = plant else {
                 return done(engine, Err(ShopError::UnknownVm(id)));
             };
@@ -1550,7 +1550,7 @@ impl VmShop {
             if !shop.is_alive() {
                 return done(engine, Err(ShopError::ShopDown));
             }
-            let Some(plant) = shop.resolve_plant(engine, &id) else {
+            let Some(plant) = shop.resolve_plant(&id) else {
                 return done(engine, Err(ShopError::UnknownVm(id)));
             };
             shop.call_plant(
@@ -1596,7 +1596,7 @@ impl VmShop {
             if !shop.is_alive() {
                 return done(engine, Err(ShopError::ShopDown));
             }
-            let Some(source) = shop.resolve_plant(engine, &id) else {
+            let Some(source) = shop.resolve_plant(&id) else {
                 return done(engine, Err(ShopError::UnknownVm(id)));
             };
             let Some(target_plant) = shop.inner.borrow().registry.bind_plant(&target) else {
@@ -1633,17 +1633,16 @@ impl VmShop {
         });
     }
 
-    fn resolve_plant(&self, engine: &Engine, id: &VmId) -> Option<Plant> {
+    fn resolve_plant(&self, id: &VmId) -> Option<Plant> {
+        let hosts = |plant: &Plant| matches!(plant.vm_state(id), Ok(Some(_)));
         let cached = self.inner.borrow().cache.plant_of(id).map(str::to_owned);
         if let Some(name) = cached {
             if let Some(plant) = self.inner.borrow().registry.bind_plant(&name) {
-                if plant.query(engine, id).is_ok() {
+                if hosts(&plant) {
                     return Some(plant);
                 }
             }
         }
-        self.plants()
-            .into_iter()
-            .find(|p| p.query(engine, id).is_ok())
+        self.plants().into_iter().find(hosts)
     }
 }
