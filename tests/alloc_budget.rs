@@ -19,10 +19,11 @@
 //!
 //! The streams are deterministic, so the counts are exact and repeat from
 //! run to run in debug and release builds alike. Besides allocations, the
-//! steady streams pin two more exact counts: spans per order (none
-//! untraced) and shop journal records per order. The untraced steady
-//! stream also checks that a fault-free site keeps no transport trace:
-//! its memory must not grow with run length.
+//! untraced steady and the zipf stream pin the engine events they run
+//! per order, and the steady streams pin spans per order (none untraced)
+//! and shop journal records per order. The untraced steady stream also
+//! checks that a fault-free site keeps no transport trace: its memory
+//! must not grow with run length.
 //!
 //! The plants run no periodic events (the VM monitor samples the host
 //! when a classad is read), so a run ends when its last VM is destroyed,
@@ -85,16 +86,20 @@ static GLOBAL: Counting = Counting;
 
 const ORDERS: u64 = 300;
 
-/// Allocations per order the steady stream may make. It measures 200.30
+/// Allocations per order the steady stream may make. It measures 168.36
 /// per order; the ceiling leaves 5 % of headroom. Lower it when a change
 /// removes allocations, so the saving stays pinned.
-const STEADY_CEILING_PER_ORDER: f64 = 210.0;
+const STEADY_CEILING_PER_ORDER: f64 = 176.0;
 
 /// Allocations per order the steady stream may make with every trace
-/// recorded (`Obs::enabled`). It measures 263.40 per order; the ceiling
+/// recorded (`Obs::enabled`). It measures 231.46 per order; the ceiling
 /// leaves 5 % of headroom. Typed spans should lower it towards the
 /// untraced count.
-const TRACED_CEILING_PER_ORDER: f64 = 276.0;
+const TRACED_CEILING_PER_ORDER: f64 = 243.0;
+
+/// Engine events one untraced steady order runs, exactly: 9,020 for the
+/// stream, about 30.07 per order.
+const STEADY_EVENTS_PER_ORDER: f64 = 9_020.0 / ORDERS as f64;
 
 /// Spans one traced steady order records, exactly.
 const SPANS_PER_ORDER: f64 = 13.0;
@@ -102,13 +107,19 @@ const SPANS_PER_ORDER: f64 = 13.0;
 /// Records one steady order appends to the shop's journal, exactly.
 const JOURNAL_RECORDS_PER_ORDER: f64 = 4.0;
 
-/// Allocations per order the zipf stream may make. It measures 213.21
+/// Allocations per order the zipf stream may make. It measures 177.24
 /// per order; the ceiling leaves 5 % of headroom.
-const ZIPF_CEILING_PER_ORDER: f64 = 223.0;
+const ZIPF_CEILING_PER_ORDER: f64 = 186.0;
+
+/// Engine events one zipf order runs, exactly: 9,128 for the stream,
+/// about 30.43 per order.
+const ZIPF_EVENTS_PER_ORDER: f64 = 9_128.0 / ORDERS as f64;
 
 /// What one stream measured.
 struct Stream {
     per_order: f64,
+    /// Engine events executed per order.
+    events_per_order: f64,
     created: usize,
     /// Transport trace lines kept at quiesce.
     trace_len: usize,
@@ -163,6 +174,7 @@ fn run_stream(mut site: SimSite, dags: Vec<ConfigDag>, spacing_s: u64) -> Stream
     let allocs = ALLOCS.with(|n| n.replace(0));
     Stream {
         per_order: allocs as f64 / count as f64,
+        events_per_order: site.engine.events_executed() as f64 / count as f64,
         created: created.get(),
         trace_len: site.shop.transport().trace_len(),
         site,
@@ -229,10 +241,12 @@ fn steady_order_path_stays_within_its_allocation_budget() {
     );
     let (spans, records) = spans_and_records_per_order(&stream);
     let per_order = stream.per_order;
+    let events = stream.events_per_order;
     println!(
-        "steady: {per_order:.2} allocations per order; {spans:.2} spans and \
-         {records:.2} journal records per order"
+        "steady: {per_order:.2} allocations and {events:.2} events per order; {spans:.2} \
+         spans and {records:.2} journal records per order"
     );
+    assert_eq!(events, STEADY_EVENTS_PER_ORDER, "events per steady order");
     assert_eq!(spans, 0.0, "a disabled sink recorded spans");
     assert_eq!(
         records, JOURNAL_RECORDS_PER_ORDER,
@@ -294,7 +308,9 @@ fn zipf_order_path_stays_within_its_allocation_budget() {
         "no evicted golden was re-derived"
     );
     let per_order = stream.per_order;
-    println!("zipf: {per_order:.2} allocations per order");
+    let events = stream.events_per_order;
+    println!("zipf: {per_order:.2} allocations and {events:.2} events per order");
+    assert_eq!(events, ZIPF_EVENTS_PER_ORDER, "events per zipf order");
     assert!(
         per_order <= ZIPF_CEILING_PER_ORDER,
         "{per_order:.1} allocations per order exceeds the ceiling of {ZIPF_CEILING_PER_ORDER}"
