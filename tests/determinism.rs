@@ -162,6 +162,55 @@ fn transport_chaos_trace_matches_committed_fixture() {
     );
 }
 
+/// FNV-1a 64 of an export: pins it byte for byte without a fixture file.
+fn fnv1a64(s: &str) -> u64 {
+    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The Chrome export of a traced chaos run and both flight-recorder
+/// exports match pinned digests. Six of eight hosts crash under a
+/// three-plant floor, so the flight recorder holds both slowest and
+/// failed traces.
+#[test]
+fn trace_exports_match_pinned_digests() {
+    let mut plan = FaultPlan::new();
+    for i in 0..6u64 {
+        plan = plan.host_crash_at(SimTime::from_secs(10 * (i + 1)), format!("node{i}"));
+    }
+    let config = ChaosConfig {
+        seed: 11,
+        schedule: OrderSpec::constant(6, SimDuration::from_secs(15), 64),
+        plan,
+        tuning: ShopTuning {
+            min_live_plants: 3,
+            ..ShopTuning::default()
+        },
+        ..ChaosConfig::default()
+    };
+    let (_, site) = run_chaos_with_obs(&config, Obs::enabled());
+    let flight = site.obs.flight_recorder();
+    assert!(!flight.slowest.is_empty() && !flight.failed.is_empty());
+    let exports = [
+        ("Obs::chrome_trace", site.obs.chrome_trace()),
+        ("FlightRecorder::to_jsonl", flight.to_jsonl()),
+        ("FlightRecorder::chrome_trace", flight.chrome_trace()),
+    ];
+    let digests: Vec<(&str, usize, u64)> = exports
+        .iter()
+        .map(|(what, text)| (*what, text.len(), fnv1a64(text)))
+        .collect();
+    assert_eq!(
+        digests,
+        vec![
+            ("Obs::chrome_trace", 6797, 6943395547823575562),
+            ("FlightRecorder::to_jsonl", 6751, 8773768836721782321),
+            ("FlightRecorder::chrome_trace", 4956, 2967098453569845566),
+        ]
+    );
+}
+
 fn fig4_text(runs: &[vmplants::experiments::CreationRun]) -> String {
     let mut out = String::new();
     for (mem, h) in fig4(runs) {
