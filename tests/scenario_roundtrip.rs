@@ -269,6 +269,25 @@ fn generated_scenarios_compile_and_replay_byte_identically() {
     }
 }
 
+/// Every committed scenario file is already in canonical form: parsing
+/// and re-serializing it reproduces the file byte for byte.
+#[test]
+fn committed_scenarios_are_canonical() {
+    let dir = scenario_path("");
+    let mut files: Vec<_> = std::fs::read_dir(&dir)
+        .expect("read scenarios directory")
+        .map(|entry| entry.expect("scenario entry").path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "xml"))
+        .collect();
+    files.sort();
+    assert!(files.len() >= 5, "expected the committed scenarios in {dir}");
+    for path in files {
+        let text = std::fs::read_to_string(&path).expect("read scenario file");
+        let scenario = Scenario::from_xml(&text).expect("parse scenario file");
+        assert_eq!(scenario.to_xml(), text, "{} is not canonical", path.display());
+    }
+}
+
 /// The committed transport-storm scenario file compiles to the exact
 /// run the chaos_transport_seed42 fixture pins: the declarative file and
 /// the legacy hand-built config are interchangeable, byte for byte.
