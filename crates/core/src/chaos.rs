@@ -112,10 +112,9 @@ pub struct ChaosConfig {
     /// (diurnal curves, flash crowds, heterogeneous memory mixes).
     /// Requests overlap under faults, unlike the sequential §4.2 runs.
     pub schedule: Vec<OrderSpec>,
-    /// Baseline transport behaviour override (per-hop delay range,
-    /// whole-run drop/dup/reorder floors). `None` leaves the fabric at
-    /// [`LinkTuning::default`].
-    pub link: Option<LinkTuning>,
+    /// Baseline transport behaviour (per-hop delay range, whole-run
+    /// drop/dup/reorder floors).
+    pub link: LinkTuning,
     /// The fault scenario.
     pub plan: FaultPlan,
     /// Shop robustness knobs for the run.
@@ -139,7 +138,7 @@ impl Default for ChaosConfig {
         ChaosConfig {
             seed: 42,
             schedule: OrderSpec::constant(16, SimDuration::from_secs(30), 64),
-            link: None,
+            link: LinkTuning::default(),
             plan: FaultPlan::new(),
             tuning: ShopTuning::default(),
             warehouse: vmplants_warehouse::WarehouseConfig::default(),
@@ -462,12 +461,7 @@ pub fn run_chaos_with_obs(config: &ChaosConfig, obs: Obs) -> (ChaosReport, SimSi
     site.shop.set_tuning(config.tuning.clone());
     // Every chaos report carries the run's envelope trace.
     site.shop.transport().record_trace();
-    for plant in &site.plants {
-        plant.set_dedup_capacity(config.tuning.dedup_capacity);
-    }
-    if let Some(link) = &config.link {
-        site.shop.transport().set_tuning(link.clone());
-    }
+    site.shop.transport().set_tuning(config.link.clone());
     let requests = config.schedule.len();
 
     // Wire the fault plan to the site.

@@ -440,7 +440,7 @@ pub struct TransportSweepRow {
 /// as the baseline.
 pub fn transport_sweep(seed: u64, requests: usize) -> Vec<TransportSweepRow> {
     use crate::scenario::{run_sweep, Scenario};
-    use vmplants_simkit::{FaultKind, SimDuration, SimTime};
+    use vmplants_simkit::{SimDuration, SimTime};
 
     let window = SimDuration::from_secs(7 * 86_400);
     let mut grid = Vec::new();
@@ -455,24 +455,10 @@ pub fn transport_sweep(seed: u64, requests: usize) -> Vec<TransportSweepRow> {
                 64,
             );
             if drop_p > 0.0 {
-                s = s.with_fault(
-                    SimTime::ZERO,
-                    "shop",
-                    FaultKind::MessageLoss {
-                        probability: drop_p,
-                        duration: window,
-                    },
-                );
+                s.plan = s.plan.message_loss_at(SimTime::ZERO, "shop", drop_p, window);
             }
             if dup_p > 0.0 {
-                s = s.with_fault(
-                    SimTime::ZERO,
-                    "shop",
-                    FaultKind::MessageDuplicate {
-                        probability: dup_p,
-                        duration: window,
-                    },
-                );
+                s.plan = s.plan.message_duplicate_at(SimTime::ZERO, "shop", dup_p, window);
             }
             grid.push((drop_p, dup_p));
             scenarios.push(s);
@@ -545,8 +531,8 @@ pub struct AdversarialSweepReport {
 ///   crash early under a `min_live_plants` floor and a tight deadline:
 ///   designed to fail, so the sweep always has something to shrink.
 pub(crate) fn e20_grid() -> Vec<crate::scenario::Scenario> {
-    use crate::scenario::{MemoryWeight, RuleDecl, Scenario, Workload};
-    use vmplants_simkit::{FaultKind, SimDuration, SimTime};
+    use crate::scenario::{MemoryWeight, Scenario, Workload};
+    use vmplants_simkit::{FaultPlan, SimDuration, SimTime};
 
     let hour = SimDuration::from_secs(3600);
     let calm = Scenario::constant("calm", 42, 8, SimDuration::from_secs(30), 64);
@@ -559,24 +545,10 @@ pub(crate) fn e20_grid() -> Vec<crate::scenario::Scenario> {
         period: SimDuration::from_secs(600),
         memory_mb: 64,
     }];
-    lossy = lossy
-        .with_fault(
-            SimTime::ZERO,
-            "shop",
-            FaultKind::MessageLoss {
-                probability: 0.25,
-                duration: hour,
-            },
-        )
-        .with_fault(
-            SimTime::ZERO,
-            "shop",
-            FaultKind::MessageDuplicate {
-                probability: 0.15,
-                duration: hour,
-            },
-        );
-    lossy.tuning.attempt_timeout = Some(SimDuration::from_secs(120));
+    lossy.plan = FaultPlan::new()
+        .message_loss_at(SimTime::ZERO, "shop", 0.25, hour)
+        .message_duplicate_at(SimTime::ZERO, "shop", 0.15, hour);
+    lossy.tuning.attempt_timeout = SimDuration::from_secs(120);
 
     let mut spot = Scenario::constant("spot-flash", 42, 1, SimDuration::from_secs(30), 64);
     spot.workloads = vec![Workload::Flash {
@@ -587,31 +559,22 @@ pub(crate) fn e20_grid() -> Vec<crate::scenario::Scenario> {
         burst_requests: 6,
         burst_spacing: SimDuration::from_secs(1),
     }];
-    spot = spot
-        .with_rule(RuleDecl::HostFaults {
-            targets: (0..4).map(|i| format!("node{i}")).collect(),
-            mtbf: SimDuration::from_secs(150),
-            downtime: Some(SimDuration::from_secs(90)),
-            from: SimTime::ZERO,
-            until: SimTime::from_secs(900),
-        })
-        .with_fault(
+    spot.plan = FaultPlan::new()
+        .random_host_faults(
+            (0..4).map(|i| format!("node{i}")),
+            SimDuration::from_secs(150),
+            Some(SimDuration::from_secs(90)),
             SimTime::ZERO,
-            "shop",
-            FaultKind::MessageReorder {
-                probability: 0.3,
-                duration: hour,
-            },
-        );
+            SimTime::from_secs(900),
+        )
+        .message_reorder_at(SimTime::ZERO, "shop", 0.3, hour);
 
     let mut shop_outage =
         Scenario::constant("shop-outage", 42, 10, SimDuration::from_secs(25), 64);
-    shop_outage = shop_outage.with_fault(
+    shop_outage.plan = FaultPlan::new().shop_crash_at(
         SimTime::from_secs(70),
         "shop",
-        FaultKind::ShopCrash {
-            downtime: Some(SimDuration::from_secs(60)),
-        },
+        Some(SimDuration::from_secs(60)),
     );
 
     // The blackout is deliberately noisy: the crashes are the load-
@@ -647,38 +610,23 @@ pub(crate) fn e20_grid() -> Vec<crate::scenario::Scenario> {
         },
     ];
     for i in 0..6u64 {
-        blackout = blackout.with_fault(
-            SimTime::from_secs(10 * (i + 1)),
-            format!("node{i}"),
-            FaultKind::HostCrash,
-        );
+        blackout.plan = blackout
+            .plan
+            .host_crash_at(SimTime::from_secs(10 * (i + 1)), format!("node{i}"));
     }
-    blackout = blackout
-        .with_fault(
-            SimTime::from_secs(5),
+    blackout.plan = blackout
+        .plan
+        .nfs_degraded_at(SimTime::from_secs(5), "storage", 0.5, SimDuration::from_secs(120))
+        .message_loss_at(SimTime::ZERO, "shop", 0.2, SimDuration::from_secs(600))
+        .random_nfs_outages(
             "storage",
-            FaultKind::NfsDegraded {
-                factor: 0.5,
-                duration: SimDuration::from_secs(120),
-            },
-        )
-        .with_fault(
+            SimDuration::from_secs(300),
+            SimDuration::from_secs(30),
             SimTime::ZERO,
-            "shop",
-            FaultKind::MessageLoss {
-                probability: 0.2,
-                duration: SimDuration::from_secs(600),
-            },
-        )
-        .with_rule(RuleDecl::NfsOutages {
-            target: "storage".to_string(),
-            mean_gap: SimDuration::from_secs(300),
-            outage: SimDuration::from_secs(30),
-            from: SimTime::ZERO,
-            until: SimTime::from_secs(600),
-        });
-    blackout.link.drop_p = Some(0.05);
-    blackout.tuning.min_live_plants = Some(3);
+            SimTime::from_secs(600),
+        );
+    blackout.link.drop_p = 0.05;
+    blackout.tuning.min_live_plants = 3;
     blackout.tuning.order_deadline = Some(SimDuration::from_secs(900));
 
     vec![calm, lossy, spot, shop_outage, blackout]

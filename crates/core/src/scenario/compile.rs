@@ -5,7 +5,7 @@
 //! run. The pipeline is:
 //!
 //! 1. **Validate** — workload shapes (positive intervals, amplitude in
-//!    range, published memory sizes), tuning/transport overrides
+//!    range, published memory sizes), shop and transport tuning
 //!    (probabilities in `[0,1]`, ordered delay ranges), and the fault
 //!    plan ([`vmplants_simkit::FaultPlan::validate`]) against the
 //!    default chaos site's real component names — so a typo'd
@@ -23,11 +23,11 @@
 
 use std::f64::consts::TAU;
 
-use vmplants_simkit::{FaultPlan, SimDuration, SimRng};
+use vmplants_simkit::{SimDuration, SimRng};
 
 use crate::chaos::{ChaosConfig, OrderSpec};
 
-use super::{RuleDecl, Scenario, ScenarioError, Workload};
+use super::{Scenario, ScenarioError, Workload};
 
 /// Stream tag for the mix workload's memory draw: forked off the run
 /// seed so scenario compilation never perturbs the site's RNG.
@@ -286,34 +286,6 @@ fn expand_workload(w: &Workload, seed: u64, out: &mut Vec<OrderSpec>) {
 }
 
 impl Scenario {
-    /// The scenario's fault plan (pinned events + stochastic rules),
-    /// unvalidated — [`Scenario::compile`] validates it.
-    pub(crate) fn fault_plan(&self) -> FaultPlan {
-        let mut plan = FaultPlan::new();
-        for f in &self.faults {
-            plan = plan.schedule(f.at, f.target.clone(), f.kind.clone());
-        }
-        for r in &self.rules {
-            plan = match r {
-                RuleDecl::HostFaults {
-                    targets,
-                    mtbf,
-                    downtime,
-                    from,
-                    until,
-                } => plan.random_host_faults(targets.clone(), *mtbf, *downtime, *from, *until),
-                RuleDecl::NfsOutages {
-                    target,
-                    mean_gap,
-                    outage,
-                    from,
-                    until,
-                } => plan.random_nfs_outages(target.clone(), *mean_gap, *outage, *from, *until),
-            };
-        }
-        plan
-    }
-
     /// Compile under the scenario's own seed.
     pub fn compile(&self) -> Result<ChaosConfig, ScenarioError> {
         self.compile_with_seed(self.seed)
@@ -331,31 +303,20 @@ impl Scenario {
             validate_workload(w)?;
         }
 
-        let plan = self.fault_plan();
-        plan.validate(default_site_target)?;
+        self.plan.validate(default_site_target)?;
 
-        if let Some(p) = self.link.drop_p {
-            validate_probability(p, "drop-p")?;
-        }
-        if let Some(p) = self.link.dup_p {
-            validate_probability(p, "dup-p")?;
-        }
-        if let Some(p) = self.link.reorder_p {
-            validate_probability(p, "reorder-p")?;
-        }
-        if let Some(range) = self.link.delay {
-            validate_range(range, "delay")?;
-        }
-        if let Some(range) = self.link.reorder_hold {
-            validate_range(range, "reorder hold")?;
-        }
+        validate_probability(self.link.drop_p, "drop-p")?;
+        validate_probability(self.link.dup_p, "dup-p")?;
+        validate_probability(self.link.reorder_p, "reorder-p")?;
+        validate_range(self.link.delay, "delay")?;
+        validate_range(self.link.reorder_hold, "reorder hold")?;
         for (d, what) in [
             (self.tuning.order_deadline, "order deadline"),
-            (self.tuning.attempt_timeout, "attempt timeout"),
-            (self.tuning.backoff_base, "backoff base"),
-            (self.tuning.backoff_cap, "backoff cap"),
-            (self.tuning.rto_base, "rto base"),
-            (self.tuning.rto_cap, "rto cap"),
+            (Some(self.tuning.attempt_timeout), "attempt timeout"),
+            (Some(self.tuning.backoff_base), "backoff base"),
+            (Some(self.tuning.backoff_cap), "backoff cap"),
+            (Some(self.tuning.rto_base), "rto base"),
+            (Some(self.tuning.rto_cap), "rto cap"),
         ] {
             if d == Some(SimDuration::ZERO) {
                 return Err(ScenarioError::BadTuning {
@@ -363,7 +324,7 @@ impl Scenario {
                 });
             }
         }
-        if self.tuning.dedup_capacity == Some(0) {
+        if self.tuning.dedup_capacity == 0 {
             return Err(ScenarioError::BadTuning {
                 what: "dedup capacity must be at least 1".to_string(),
             });
@@ -396,13 +357,6 @@ impl Scenario {
             }
         }
 
-        let tuning = self.tuning.apply(vmplants_shop::ShopTuning::default());
-        let link = if self.link.is_empty() {
-            None
-        } else {
-            Some(self.link.apply(vmplants_simkit::LinkTuning::default()))
-        };
-
         let mut schedule = Vec::with_capacity(self.total_requests());
         for w in &self.workloads {
             expand_workload(w, seed, &mut schedule);
@@ -426,9 +380,9 @@ impl Scenario {
         Ok(ChaosConfig {
             seed,
             schedule,
-            link,
-            plan,
-            tuning,
+            link: self.link.clone(),
+            plan: self.plan.clone(),
+            tuning: self.tuning.clone(),
             warehouse: vmplants_warehouse::WarehouseConfig::default(),
             zipf_goldens,
             replica_servers: 0,
@@ -439,9 +393,10 @@ impl Scenario {
 
 #[cfg(test)]
 mod tests {
-    use vmplants_simkit::{FaultKind, SimTime};
+    use vmplants_shop::ShopTuning;
+    use vmplants_simkit::{FaultPlan, LinkTuning, SimTime};
 
-    use super::super::{LinkOverrides, MemoryWeight, TuningOverrides};
+    use super::super::MemoryWeight;
     use super::*;
 
     fn constant(requests: usize) -> Scenario {
@@ -463,7 +418,7 @@ mod tests {
         let config = constant(12).compile().expect("compile");
         let schedule = OrderSpec::constant(12, SimDuration::from_secs(20), 64);
         assert_eq!(config.schedule, schedule);
-        assert!(config.link.is_none());
+        assert_eq!(config.link, LinkTuning::default());
         let hand_built = ChaosConfig {
             seed: 42,
             schedule,
@@ -722,30 +677,34 @@ mod tests {
     #[test]
     fn compile_rejects_bad_fault_plans() {
         // Unknown target.
-        let s = constant(4).with_fault(SimTime::from_secs(10), "node9", FaultKind::HostCrash);
+        let s = Scenario {
+            plan: FaultPlan::new().host_crash_at(SimTime::from_secs(10), "node9"),
+            ..constant(4)
+        };
         assert!(matches!(
             s.compile().unwrap_err(),
             ScenarioError::Fault(_)
         ));
 
         // Out-of-range probability.
-        let s = constant(4).with_fault(
-            SimTime::ZERO,
-            "shop",
-            FaultKind::MessageLoss {
-                probability: 1.5,
-                duration: SimDuration::from_secs(60),
-            },
-        );
+        let s = Scenario {
+            plan: FaultPlan::new().message_loss_at(
+                SimTime::ZERO,
+                "shop",
+                1.5,
+                SimDuration::from_secs(60),
+            ),
+            ..constant(4)
+        };
         assert!(matches!(s.compile().unwrap_err(), ScenarioError::Fault(_)));
     }
 
     #[test]
     fn compile_rejects_bad_overrides() {
         let s = Scenario {
-            link: LinkOverrides {
-                drop_p: Some(1.5),
-                ..LinkOverrides::default()
+            link: LinkTuning {
+                drop_p: 1.5,
+                ..LinkTuning::default()
             },
             ..constant(4)
         };
@@ -755,9 +714,9 @@ mod tests {
         ));
 
         let s = Scenario {
-            link: LinkOverrides {
-                delay: Some((0.2, 0.1)),
-                ..LinkOverrides::default()
+            link: LinkTuning {
+                delay: (0.2, 0.1),
+                ..LinkTuning::default()
             },
             ..constant(4)
         };
@@ -767,9 +726,9 @@ mod tests {
         ));
 
         let s = Scenario {
-            tuning: TuningOverrides {
-                attempt_timeout: Some(SimDuration::ZERO),
-                ..TuningOverrides::default()
+            tuning: ShopTuning {
+                attempt_timeout: SimDuration::ZERO,
+                ..ShopTuning::default()
             },
             ..constant(4)
         };

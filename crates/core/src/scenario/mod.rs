@@ -4,7 +4,7 @@
 //! Every chaos experiment used to be hand-coded Rust: a new failure
 //! scenario meant a new function, a new binary, a new PR. This module
 //! replaces that with a small declarative scenario format — workload
-//! shape, fault plan, transport overrides, shop tuning and seed in one
+//! shape, fault plan, shop and transport tuning, and seed in one
 //! XML file — plus three layers on top of it:
 //!
 //! * **parse** ([`Scenario::from_xml`] / [`Scenario::to_xml`]) — the
@@ -35,7 +35,8 @@ pub mod sweep;
 
 use std::fmt;
 
-use vmplants_simkit::{FaultEvent, FaultPlanError, SimDuration, SimTime};
+use vmplants_shop::ShopTuning;
+use vmplants_simkit::{FaultPlan, FaultPlanError, LinkTuning, SimDuration};
 
 pub use shrink::{shrink, FailureSignature, ShrinkResult};
 pub use sweep::{run_sweep, Score, SweepReport, SweepRow};
@@ -83,12 +84,12 @@ pub enum ScenarioError {
         /// What is wrong with it.
         what: String,
     },
-    /// A shop-tuning override fails its semantic checks.
+    /// The shop tuning fails its semantic checks.
     BadTuning {
         /// What is wrong.
         what: String,
     },
-    /// A transport override fails its semantic checks.
+    /// The transport tuning fails its semantic checks.
     BadTransport {
         /// What is wrong.
         what: String,
@@ -265,173 +266,6 @@ impl Workload {
     }
 }
 
-/// A declarative stochastic fault rule — the scenario-file form of
-/// [`vmplants_simkit::FaultPlan`]'s seeded Poisson processes, kept
-/// declarative so the shrinker can drop or narrow it.
-#[derive(Clone, Debug, PartialEq)]
-pub enum RuleDecl {
-    /// Poisson host faults over `targets` (spot-style preemption when
-    /// `downtime` is set: the host is reclaimed, then comes back).
-    HostFaults {
-        /// Hosts the process draws from.
-        targets: Vec<String>,
-        /// Mean time between faults.
-        mtbf: SimDuration,
-        /// Reboot downtime; `None` makes every fault a permanent crash.
-        downtime: Option<SimDuration>,
-        /// Window start.
-        from: SimTime,
-        /// Window end (exclusive).
-        until: SimTime,
-    },
-    /// Poisson NFS outages of fixed length.
-    NfsOutages {
-        /// The NFS server name.
-        target: String,
-        /// Mean gap between outages.
-        mean_gap: SimDuration,
-        /// Outage length.
-        outage: SimDuration,
-        /// Window start.
-        from: SimTime,
-        /// Window end (exclusive).
-        until: SimTime,
-    },
-}
-
-impl fmt::Display for RuleDecl {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RuleDecl::HostFaults {
-                targets,
-                mtbf,
-                downtime,
-                from,
-                until,
-            } => {
-                write!(f, "random-host-faults(targets={}, mtbf={mtbf}", targets.join(" "))?;
-                if let Some(d) = downtime {
-                    write!(f, ", downtime={d}")?;
-                }
-                write!(f, ", window=[{from}, {until}))")
-            }
-            RuleDecl::NfsOutages {
-                target,
-                mean_gap,
-                outage,
-                from,
-                until,
-            } => write!(
-                f,
-                "random-nfs-outages({target}, mean-gap={mean_gap}, outage={outage}, window=[{from}, {until}))"
-            ),
-        }
-    }
-}
-
-/// Optional [`vmplants_shop::ShopTuning`] overrides; unset fields keep
-/// the default.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct TuningOverrides {
-    /// Override `order_deadline`.
-    pub order_deadline: Option<SimDuration>,
-    /// Override `attempt_timeout`.
-    pub attempt_timeout: Option<SimDuration>,
-    /// Override `backoff_base`.
-    pub backoff_base: Option<SimDuration>,
-    /// Override `backoff_cap`.
-    pub backoff_cap: Option<SimDuration>,
-    /// Override `min_live_plants`.
-    pub min_live_plants: Option<usize>,
-    /// Override `rto_base`.
-    pub rto_base: Option<SimDuration>,
-    /// Override `rto_cap`.
-    pub rto_cap: Option<SimDuration>,
-    /// Override the plants' request dedup-cache capacity.
-    pub dedup_capacity: Option<usize>,
-}
-
-impl TuningOverrides {
-    /// True when no field is overridden.
-    pub(crate) fn is_empty(&self) -> bool {
-        *self == TuningOverrides::default()
-    }
-
-    /// Apply the overrides on top of `base`.
-    pub(crate) fn apply(&self, base: vmplants_shop::ShopTuning) -> vmplants_shop::ShopTuning {
-        let mut t = base;
-        if let Some(d) = self.order_deadline {
-            t.order_deadline = Some(d);
-        }
-        if let Some(d) = self.attempt_timeout {
-            t.attempt_timeout = d;
-        }
-        if let Some(d) = self.backoff_base {
-            t.backoff_base = d;
-        }
-        if let Some(d) = self.backoff_cap {
-            t.backoff_cap = d;
-        }
-        if let Some(n) = self.min_live_plants {
-            t.min_live_plants = n;
-        }
-        if let Some(d) = self.rto_base {
-            t.rto_base = d;
-        }
-        if let Some(d) = self.rto_cap {
-            t.rto_cap = d;
-        }
-        if let Some(n) = self.dedup_capacity {
-            t.dedup_capacity = n;
-        }
-        t
-    }
-}
-
-/// Optional [`vmplants_simkit::LinkTuning`] overrides for the shop↔plant
-/// fabric's whole-run baseline; unset fields keep the default.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct LinkOverrides {
-    /// Override the uniform per-hop delay range, seconds.
-    pub delay: Option<(f64, f64)>,
-    /// Override the baseline drop probability.
-    pub drop_p: Option<f64>,
-    /// Override the baseline duplication probability.
-    pub dup_p: Option<f64>,
-    /// Override the baseline reorder probability.
-    pub reorder_p: Option<f64>,
-    /// Override the reorder hold range, seconds.
-    pub reorder_hold: Option<(f64, f64)>,
-}
-
-impl LinkOverrides {
-    /// True when no field is overridden.
-    pub(crate) fn is_empty(&self) -> bool {
-        *self == LinkOverrides::default()
-    }
-
-    /// Apply the overrides on top of `base`.
-    pub(crate) fn apply(&self, base: vmplants_simkit::LinkTuning) -> vmplants_simkit::LinkTuning {
-        let mut l = base;
-        if let Some(d) = self.delay {
-            l.delay = d;
-        }
-        if let Some(p) = self.drop_p {
-            l.drop_p = p;
-        }
-        if let Some(p) = self.dup_p {
-            l.dup_p = p;
-        }
-        if let Some(p) = self.reorder_p {
-            l.reorder_p = p;
-        }
-        if let Some(h) = self.reorder_hold {
-            l.reorder_hold = h;
-        }
-        l
-    }
-}
-
 /// The failure signature a committed scenario file claims to reproduce —
 /// what the CI replay checks after re-running it.
 #[derive(Clone, Debug, PartialEq)]
@@ -452,14 +286,17 @@ pub struct Scenario {
     pub seed: u64,
     /// The workload shapes (schedules merge).
     pub workloads: Vec<Workload>,
-    /// Pinned fault events.
-    pub faults: Vec<FaultEvent>,
-    /// Stochastic fault rules.
-    pub rules: Vec<RuleDecl>,
-    /// Shop-tuning overrides.
-    pub tuning: TuningOverrides,
-    /// Transport baseline overrides.
-    pub link: LinkOverrides,
+    /// The fault plan: pinned events and stochastic rules.
+    pub plan: FaultPlan,
+    /// Shop robustness knobs. `<tuning>` sets the fields it names and
+    /// leaves the rest at [`ShopTuning::default`]; `journal` is not part
+    /// of the grammar, and an `order_deadline` of `None` cannot be
+    /// written.
+    pub tuning: ShopTuning,
+    /// The shop↔plant fabric's whole-run baseline. `<transport>` sets
+    /// the fields it names and leaves the rest at
+    /// [`LinkTuning::default`].
+    pub link: LinkTuning,
     /// Service-level objective judged against every run of the scenario
     /// (evaluated from the report's latency sketch; violations surface
     /// in sweep scoring and replay exit codes).
@@ -471,7 +308,7 @@ pub struct Scenario {
 
 impl Scenario {
     /// A scenario with a single constant workload and no faults — the
-    /// base the builders and tests start from.
+    /// base that code-built scenarios and tests start from.
     pub fn constant(
         name: impl Into<String>,
         seed: u64,
@@ -487,34 +324,12 @@ impl Scenario {
                 interval,
                 memory_mb,
             }],
-            faults: Vec::new(),
-            rules: Vec::new(),
-            tuning: TuningOverrides::default(),
-            link: LinkOverrides::default(),
+            plan: FaultPlan::new(),
+            tuning: ShopTuning::default(),
+            link: LinkTuning::default(),
             slo: None,
             expect: None,
         }
-    }
-
-    /// Builder: pin a fault event.
-    pub(crate) fn with_fault(
-        mut self,
-        at: SimTime,
-        target: impl Into<String>,
-        kind: vmplants_simkit::FaultKind,
-    ) -> Scenario {
-        self.faults.push(FaultEvent {
-            at,
-            target: target.into(),
-            kind,
-        });
-        self
-    }
-
-    /// Builder: add a stochastic rule.
-    pub fn with_rule(mut self, rule: RuleDecl) -> Scenario {
-        self.rules.push(rule);
-        self
     }
 
     /// Total arrivals across all workloads.
@@ -563,25 +378,30 @@ mod tests {
 
     #[test]
     fn overrides_apply_on_top_of_defaults() {
-        let tuning = TuningOverrides {
-            attempt_timeout: Some(SimDuration::from_secs(120)),
-            min_live_plants: Some(3),
-            ..TuningOverrides::default()
-        };
-        let t = tuning.apply(vmplants_shop::ShopTuning::default());
-        assert_eq!(t.attempt_timeout, SimDuration::from_secs(120));
-        assert_eq!(t.min_live_plants, 3);
-        // Unset fields keep the default.
-        assert_eq!(t.rto_base, vmplants_shop::ShopTuning::default().rto_base);
-
-        let link = LinkOverrides {
-            drop_p: Some(0.25),
-            ..LinkOverrides::default()
-        };
-        let l = link.apply(vmplants_simkit::LinkTuning::default());
-        assert_eq!(l.drop_p, 0.25);
-        assert_eq!(l.delay, vmplants_simkit::LinkTuning::default().delay);
-        assert!(LinkOverrides::default().is_empty());
-        assert!(!link.is_empty());
+        let s = Scenario::from_xml(
+            r#"<scenario name="x" seed="1">
+  <tuning attempt-timeout-s="120" min-live-plants="3"/>
+  <transport drop-p="0.25"/>
+</scenario>"#,
+        )
+        .expect("parse");
+        assert_eq!(
+            s.tuning,
+            ShopTuning {
+                attempt_timeout: SimDuration::from_secs(120),
+                min_live_plants: 3,
+                ..ShopTuning::default()
+            }
+        );
+        assert_eq!(
+            s.link,
+            LinkTuning {
+                drop_p: 0.25,
+                ..LinkTuning::default()
+            }
+        );
+        // Only the non-default fields are written back.
+        assert!(s.to_xml().contains(r#"<tuning attempt-timeout-s="120" min-live-plants="3"/>"#));
+        assert!(s.to_xml().contains(r#"<transport drop-p="0.25"/>"#));
     }
 }

@@ -26,13 +26,13 @@
 
 use std::str::FromStr;
 
-use vmplants_simkit::{FaultEvent, FaultKind, SimDuration, SimTime};
+use vmplants_shop::ShopTuning;
+use vmplants_simkit::{
+    FaultEvent, FaultKind, FaultPlan, FaultRule, LinkTuning, SimDuration, SimTime,
+};
 use vmplants_xmlmsg::{parse, Element};
 
-use super::{
-    ExpectDecl, LinkOverrides, MemoryWeight, RuleDecl, Scenario, ScenarioError, TuningOverrides,
-    Workload,
-};
+use super::{ExpectDecl, MemoryWeight, Scenario, ScenarioError, Workload};
 
 /// Reject attributes outside the element's grammar.
 fn attrs_known(e: &Element, known: &[&str]) -> Result<(), ScenarioError> {
@@ -209,12 +209,10 @@ fn parse_workload(e: &Element) -> Result<Workload, ScenarioError> {
     Ok(workload)
 }
 
-/// Parse one child of `<faults>`: a pinned fault or a stochastic rule.
-fn parse_fault(
-    e: &Element,
-    faults: &mut Vec<FaultEvent>,
-    rules: &mut Vec<RuleDecl>,
-) -> Result<(), ScenarioError> {
+/// Parse one child of `<faults>` into `plan`: a pinned fault or a
+/// stochastic rule.
+fn parse_fault(e: &Element, plan: &mut FaultPlan) -> Result<(), ScenarioError> {
+    let faults = &mut plan.scheduled;
     // Pinned events share the `at-s` + `target` shape.
     let pinned = |e: &Element, kind: FaultKind| -> Result<FaultEvent, ScenarioError> {
         Ok(FaultEvent {
@@ -279,7 +277,7 @@ fn parse_fault(
         }
         "random-host-faults" => {
             attrs_known(e, &["targets", "mtbf-s", "downtime-s", "from-s", "until-s"])?;
-            rules.push(RuleDecl::HostFaults {
+            plan.rules.push(FaultRule::HostFaults {
                 targets: req(e, "targets")?
                     .split_whitespace()
                     .map(str::to_string)
@@ -292,7 +290,7 @@ fn parse_fault(
         }
         "random-nfs-outages" => {
             attrs_known(e, &["target", "mean-gap-s", "outage-s", "from-s", "until-s"])?;
-            rules.push(RuleDecl::NfsOutages {
+            plan.rules.push(FaultRule::NfsOutages {
                 target: req(e, "target")?.to_string(),
                 mean_gap: dur(e, "mean-gap-s")?,
                 outage: dur(e, "outage-s")?,
@@ -309,7 +307,8 @@ fn parse_fault(
     Ok(())
 }
 
-fn parse_tuning(e: &Element) -> Result<TuningOverrides, ScenarioError> {
+/// Parse `<tuning>`: every attribute left out keeps the default.
+fn parse_tuning(e: &Element) -> Result<ShopTuning, ScenarioError> {
     attrs_known(
         e,
         &[
@@ -323,19 +322,22 @@ fn parse_tuning(e: &Element) -> Result<TuningOverrides, ScenarioError> {
             "dedup-capacity",
         ],
     )?;
-    Ok(TuningOverrides {
-        order_deadline: dur_opt(e, "order-deadline-s")?,
-        attempt_timeout: dur_opt(e, "attempt-timeout-s")?,
-        backoff_base: dur_opt(e, "backoff-base-s")?,
-        backoff_cap: dur_opt(e, "backoff-cap-s")?,
-        min_live_plants: num_opt(e, "min-live-plants")?,
-        rto_base: dur_opt(e, "rto-base-s")?,
-        rto_cap: dur_opt(e, "rto-cap-s")?,
-        dedup_capacity: num_opt(e, "dedup-capacity")?,
+    let d = ShopTuning::default();
+    Ok(ShopTuning {
+        order_deadline: dur_opt(e, "order-deadline-s")?.or(d.order_deadline),
+        attempt_timeout: dur_opt(e, "attempt-timeout-s")?.unwrap_or(d.attempt_timeout),
+        backoff_base: dur_opt(e, "backoff-base-s")?.unwrap_or(d.backoff_base),
+        backoff_cap: dur_opt(e, "backoff-cap-s")?.unwrap_or(d.backoff_cap),
+        min_live_plants: num_opt(e, "min-live-plants")?.unwrap_or(d.min_live_plants),
+        rto_base: dur_opt(e, "rto-base-s")?.unwrap_or(d.rto_base),
+        rto_cap: dur_opt(e, "rto-cap-s")?.unwrap_or(d.rto_cap),
+        dedup_capacity: num_opt(e, "dedup-capacity")?.unwrap_or(d.dedup_capacity),
+        ..d
     })
 }
 
-fn parse_transport(e: &Element) -> Result<LinkOverrides, ScenarioError> {
+/// Parse `<transport>`: every attribute left out keeps the default.
+fn parse_transport(e: &Element) -> Result<LinkTuning, ScenarioError> {
     attrs_known(
         e,
         &[
@@ -364,12 +366,13 @@ fn parse_transport(e: &Element) -> Result<LinkOverrides, ScenarioError> {
             }
         }
     };
-    Ok(LinkOverrides {
-        delay: pair("delay-lo-s", "delay-hi-s")?,
-        drop_p: num_opt(e, "drop-p")?,
-        dup_p: num_opt(e, "dup-p")?,
-        reorder_p: num_opt(e, "reorder-p")?,
-        reorder_hold: pair("reorder-hold-lo-s", "reorder-hold-hi-s")?,
+    let d = LinkTuning::default();
+    Ok(LinkTuning {
+        delay: pair("delay-lo-s", "delay-hi-s")?.unwrap_or(d.delay),
+        drop_p: num_opt(e, "drop-p")?.unwrap_or(d.drop_p),
+        dup_p: num_opt(e, "dup-p")?.unwrap_or(d.dup_p),
+        reorder_p: num_opt(e, "reorder-p")?.unwrap_or(d.reorder_p),
+        reorder_hold: pair("reorder-hold-lo-s", "reorder-hold-hi-s")?.unwrap_or(d.reorder_hold),
     })
 }
 
@@ -384,20 +387,16 @@ fn parse_slo(e: &Element) -> Result<crate::chaos::SloSpec, ScenarioError> {
 }
 
 fn slo_to_xml(slo: &crate::chaos::SloSpec) -> Element {
-    let mut e = Element::new("slo");
-    if let Some(r) = slo.success_rate {
-        e.set_attr("success-rate", r.to_string());
-    }
-    if let Some(s) = slo.p50_s {
-        e.set_attr("p50-s", s.to_string());
-    }
-    if let Some(s) = slo.p99_s {
-        e.set_attr("p99-s", s.to_string());
-    }
-    if let Some(s) = slo.p999_s {
-        e.set_attr("p999-s", s.to_string());
-    }
-    e
+    let num = |x: f64| x.to_string();
+    with_attrs(
+        "slo",
+        [
+            ("success-rate", slo.success_rate.map(num)),
+            ("p50-s", slo.p50_s.map(num)),
+            ("p99-s", slo.p99_s.map(num)),
+            ("p999-s", slo.p999_s.map(num)),
+        ],
+    )
 }
 
 fn parse_expect(e: &Element) -> Result<ExpectDecl, ScenarioError> {
@@ -433,10 +432,9 @@ impl Scenario {
             name: req(&root, "name")?.to_string(),
             seed: num(&root, "seed")?,
             workloads: Vec::new(),
-            faults: Vec::new(),
-            rules: Vec::new(),
-            tuning: TuningOverrides::default(),
-            link: LinkOverrides::default(),
+            plan: FaultPlan::new(),
+            tuning: ShopTuning::default(),
+            link: LinkTuning::default(),
             slo: None,
             expect: None,
         };
@@ -446,7 +444,7 @@ impl Scenario {
                 "faults" => {
                     attrs_known(child, &[])?;
                     for f in child.elements() {
-                        parse_fault(f, &mut scenario.faults, &mut scenario.rules)?;
+                        parse_fault(f, &mut scenario.plan)?;
                     }
                 }
                 "tuning" => scenario.tuning = parse_tuning(child)?,
@@ -463,9 +461,10 @@ impl Scenario {
         Ok(scenario)
     }
 
-    /// Serialize to the canonical pretty-printed document.
-    /// `from_xml(to_xml(s)) == s` for any scenario that `from_xml` or the
-    /// builders can produce.
+    /// Serialize to the canonical pretty-printed document. Tuning and
+    /// transport attributes are written only where they differ from the
+    /// defaults. `from_xml(to_xml(s)) == s` for any scenario whose
+    /// settings the grammar can express.
     pub fn to_xml(&self) -> String {
         let mut root = Element::new("scenario")
             .with_attr("name", &self.name)
@@ -473,21 +472,21 @@ impl Scenario {
         for w in &self.workloads {
             root.push_child(workload_to_xml(w));
         }
-        if !self.faults.is_empty() || !self.rules.is_empty() {
+        if self.plan != FaultPlan::new() {
             let mut faults = Element::new("faults");
-            for f in &self.faults {
+            for f in &self.plan.scheduled {
                 faults.push_child(fault_to_xml(f));
             }
-            for r in &self.rules {
+            for r in &self.plan.rules {
                 faults.push_child(rule_to_xml(r));
             }
             root.push_child(faults);
         }
-        if !self.tuning.is_empty() {
-            root.push_child(tuning_to_xml(&self.tuning));
-        }
-        if !self.link.is_empty() {
-            root.push_child(transport_to_xml(&self.link));
+        // Only the attributes that differ from the defaults are written.
+        for e in [tuning_to_xml(&self.tuning), transport_to_xml(&self.link)] {
+            if !e.attrs.is_empty() {
+                root.push_child(e);
+            }
         }
         if let Some(slo) = &self.slo {
             root.push_child(slo_to_xml(slo));
@@ -622,9 +621,9 @@ fn fault_to_xml(f: &FaultEvent) -> Element {
     }
 }
 
-fn rule_to_xml(r: &RuleDecl) -> Element {
+fn rule_to_xml(r: &FaultRule) -> Element {
     match r {
-        RuleDecl::HostFaults {
+        FaultRule::HostFaults {
             targets,
             mtbf,
             downtime,
@@ -640,7 +639,7 @@ fn rule_to_xml(r: &RuleDecl) -> Element {
             e.with_attr("from-s", secs_at(*from))
                 .with_attr("until-s", secs_at(*until))
         }
-        RuleDecl::NfsOutages {
+        FaultRule::NfsOutages {
             target,
             mean_gap,
             outage,
@@ -655,55 +654,62 @@ fn rule_to_xml(r: &RuleDecl) -> Element {
     }
 }
 
-fn tuning_to_xml(t: &TuningOverrides) -> Element {
-    let mut e = Element::new("tuning");
-    if let Some(d) = t.order_deadline {
-        e.set_attr("order-deadline-s", secs(d));
-    }
-    if let Some(d) = t.attempt_timeout {
-        e.set_attr("attempt-timeout-s", secs(d));
-    }
-    if let Some(d) = t.backoff_base {
-        e.set_attr("backoff-base-s", secs(d));
-    }
-    if let Some(d) = t.backoff_cap {
-        e.set_attr("backoff-cap-s", secs(d));
-    }
-    if let Some(n) = t.min_live_plants {
-        e.set_attr("min-live-plants", n.to_string());
-    }
-    if let Some(d) = t.rto_base {
-        e.set_attr("rto-base-s", secs(d));
-    }
-    if let Some(d) = t.rto_cap {
-        e.set_attr("rto-cap-s", secs(d));
-    }
-    if let Some(n) = t.dedup_capacity {
-        e.set_attr("dedup-capacity", n.to_string());
+/// An element carrying each attribute whose value is present.
+fn with_attrs<const N: usize>(name: &str, attrs: [(&str, Option<String>); N]) -> Element {
+    let mut e = Element::new(name);
+    for (attr, value) in attrs {
+        if let Some(value) = value {
+            e.set_attr(attr, value);
+        }
     }
     e
 }
 
-fn transport_to_xml(l: &LinkOverrides) -> Element {
-    let mut e = Element::new("transport");
-    if let Some((lo, hi)) = l.delay {
-        e.set_attr("delay-lo-s", lo.to_string());
-        e.set_attr("delay-hi-s", hi.to_string());
-    }
-    if let Some(p) = l.drop_p {
-        e.set_attr("drop-p", p.to_string());
-    }
-    if let Some(p) = l.dup_p {
-        e.set_attr("dup-p", p.to_string());
-    }
-    if let Some(p) = l.reorder_p {
-        e.set_attr("reorder-p", p.to_string());
-    }
-    if let Some((lo, hi)) = l.reorder_hold {
-        e.set_attr("reorder-hold-lo-s", lo.to_string());
-        e.set_attr("reorder-hold-hi-s", hi.to_string());
-    }
-    e
+/// `value` rendered by `text`, or `None` when it equals the default.
+fn changed<T: PartialEq, R>(value: T, default: T, text: impl FnOnce(T) -> R) -> Option<R> {
+    (value != default).then(|| text(value))
+}
+
+/// `<tuning>` with the attributes whose value differs from
+/// [`ShopTuning::default`].
+fn tuning_to_xml(t: &ShopTuning) -> Element {
+    let d = ShopTuning::default();
+    let count = |n: usize| n.to_string();
+    with_attrs(
+        "tuning",
+        [
+            (
+                "order-deadline-s",
+                changed(t.order_deadline, d.order_deadline, |x| x.map(secs)).flatten(),
+            ),
+            ("attempt-timeout-s", changed(t.attempt_timeout, d.attempt_timeout, secs)),
+            ("backoff-base-s", changed(t.backoff_base, d.backoff_base, secs)),
+            ("backoff-cap-s", changed(t.backoff_cap, d.backoff_cap, secs)),
+            ("min-live-plants", changed(t.min_live_plants, d.min_live_plants, count)),
+            ("rto-base-s", changed(t.rto_base, d.rto_base, secs)),
+            ("rto-cap-s", changed(t.rto_cap, d.rto_cap, secs)),
+            ("dedup-capacity", changed(t.dedup_capacity, d.dedup_capacity, count)),
+        ],
+    )
+}
+
+/// `<transport>` with the attributes whose value differs from
+/// [`LinkTuning::default`]; a range is written as both halves.
+fn transport_to_xml(l: &LinkTuning) -> Element {
+    let d = LinkTuning::default();
+    let num = |x: f64| x.to_string();
+    with_attrs(
+        "transport",
+        [
+            ("delay-lo-s", changed(l.delay, d.delay, |r| num(r.0))),
+            ("delay-hi-s", changed(l.delay, d.delay, |r| num(r.1))),
+            ("drop-p", changed(l.drop_p, d.drop_p, num)),
+            ("dup-p", changed(l.dup_p, d.dup_p, num)),
+            ("reorder-p", changed(l.reorder_p, d.reorder_p, num)),
+            ("reorder-hold-lo-s", changed(l.reorder_hold, d.reorder_hold, |r| num(r.0))),
+            ("reorder-hold-hi-s", changed(l.reorder_hold, d.reorder_hold, |r| num(r.1))),
+        ],
+    )
 }
 
 #[cfg(test)]
@@ -753,10 +759,10 @@ mod tests {
                 ..
             }
         ));
-        assert_eq!(s.faults.len(), 8);
-        assert_eq!(s.rules.len(), 2);
-        assert_eq!(s.tuning.min_live_plants, Some(2));
-        assert_eq!(s.link.drop_p, Some(0.1));
+        assert_eq!(s.plan.scheduled.len(), 8);
+        assert_eq!(s.plan.rules.len(), 2);
+        assert_eq!(s.tuning.min_live_plants, 2);
+        assert_eq!(s.link.drop_p, 0.1);
         let slo = s.slo.expect("slo");
         assert_eq!(slo.success_rate, Some(0.9));
         assert_eq!(slo.p50_s, Some(60.0));

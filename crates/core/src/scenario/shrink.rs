@@ -13,9 +13,9 @@
 //! 2. greedily try simplifications, keeping each only if the simplified
 //!    scenario still reproduces the signature (its classes remain a
 //!    superset, and it still hangs if the original hung):
-//!    drop whole stochastic rules → drop pinned faults → clear
-//!    tuning/transport overrides → drop extra workloads → shorten fault
-//!    durations and rule windows (halving, floor 1 s) → halve request
+//!    drop whole stochastic rules → drop pinned faults → reset tuning
+//!    and transport to their defaults → drop extra workloads → shorten
+//!    pinned fault durations (halving, floor 1 s) → halve request
 //!    counts (floor 1);
 //! 3. repeat until a full pass accepts nothing.
 //!
@@ -27,7 +27,8 @@
 
 use std::collections::BTreeSet;
 
-use vmplants_simkit::{FaultKind, SimDuration};
+use vmplants_shop::ShopTuning;
+use vmplants_simkit::{FaultKind, LinkTuning, SimDuration};
 
 use crate::chaos::{run_chaos, ChaosReport};
 
@@ -120,8 +121,8 @@ impl ShrinkResult {
         out.push_str(&format!(
             "minimal scenario: {} workload(s), {} pinned fault(s), {} rule(s), {} request(s)\n",
             self.scenario.workloads.len(),
-            self.scenario.faults.len(),
-            self.scenario.rules.len(),
+            self.scenario.plan.scheduled.len(),
+            self.scenario.plan.rules.len(),
             self.scenario.total_requests(),
         ));
         out
@@ -298,9 +299,9 @@ pub fn shrink(
 
         // Drop whole stochastic rules.
         let mut i = 0;
-        while i < current.rules.len() {
+        while i < current.plan.rules.len() {
             let mut cand = current.clone();
-            let removed = cand.rules.remove(i);
+            let removed = cand.plan.rules.remove(i);
             if check(&cand)? {
                 log.push(format!("drop rule {removed}"));
                 current = cand;
@@ -313,14 +314,11 @@ pub fn shrink(
 
         // Drop pinned faults.
         let mut i = 0;
-        while i < current.faults.len() {
+        while i < current.plan.scheduled.len() {
             let mut cand = current.clone();
-            let removed = cand.faults.remove(i);
+            let removed = cand.plan.scheduled.remove(i);
             if check(&cand)? {
-                log.push(format!(
-                    "drop fault [{}] {}: {}",
-                    removed.at, removed.target, removed.kind
-                ));
+                log.push(format!("drop fault {removed}"));
                 current = cand;
                 accepted += 1;
                 progressed = true;
@@ -329,10 +327,10 @@ pub fn shrink(
             }
         }
 
-        // Clear overrides wholesale.
-        if !current.tuning.is_empty() {
+        // Reset tuning and transport to their defaults wholesale.
+        if current.tuning != ShopTuning::default() {
             let mut cand = current.clone();
-            cand.tuning = Default::default();
+            cand.tuning = ShopTuning::default();
             if check(&cand)? {
                 log.push("clear tuning overrides".to_string());
                 current = cand;
@@ -340,9 +338,9 @@ pub fn shrink(
                 progressed = true;
             }
         }
-        if !current.link.is_empty() {
+        if current.link != LinkTuning::default() {
             let mut cand = current.clone();
-            cand.link = Default::default();
+            cand.link = LinkTuning::default();
             if check(&cand)? {
                 log.push("clear transport overrides".to_string());
                 current = cand;
@@ -368,15 +366,12 @@ pub fn shrink(
         }
 
         // Shorten fault durations (halve, floor 1 s).
-        for i in 0..current.faults.len() {
-            while let Some(kind) = shrink_kind(&current.faults[i].kind) {
+        for i in 0..current.plan.scheduled.len() {
+            while let Some(kind) = shrink_kind(&current.plan.scheduled[i].kind) {
                 let mut cand = current.clone();
-                cand.faults[i].kind = kind;
+                cand.plan.scheduled[i].kind = kind;
                 if check(&cand)? {
-                    log.push(format!(
-                        "shorten fault [{}] {}: {}",
-                        cand.faults[i].at, cand.faults[i].target, cand.faults[i].kind
-                    ));
+                    log.push(format!("shorten fault {}", cand.plan.scheduled[i]));
                     current = cand;
                     accepted += 1;
                     progressed = true;
@@ -423,7 +418,7 @@ pub fn shrink(
 
 #[cfg(test)]
 mod tests {
-    use vmplants_simkit::{FaultKind, SimTime};
+    use vmplants_simkit::SimTime;
 
     use super::*;
 
@@ -467,15 +462,13 @@ mod tests {
         // the shrinker must remove.
         let mut s = Scenario::constant("storm", 5, 8, SimDuration::from_secs(30), 64);
         for i in 0..8 {
-            s = s.with_fault(SimTime::ZERO, format!("node{i}"), FaultKind::HostCrash);
+            s.plan = s.plan.host_crash_at(SimTime::ZERO, format!("node{i}"));
         }
-        s = s.with_fault(
+        s.plan = s.plan.nfs_degraded_at(
             SimTime::from_secs(10),
             "storage",
-            FaultKind::NfsDegraded {
-                factor: 0.5,
-                duration: SimDuration::from_secs(300),
-            },
+            0.5,
+            SimDuration::from_secs(300),
         );
         s.workloads.push(Workload::Flash {
             requests: 2,
@@ -498,8 +491,8 @@ mod tests {
         // serve the order) and must stay. One workload remains, shrunk
         // to its floor (a flash shape bottoms out at baseline 1 +
         // burst 1).
-        assert!(min.faults.iter().all(|f| f.kind == FaultKind::HostCrash));
-        assert_eq!(min.faults.len(), 8);
+        assert!(min.plan.scheduled.iter().all(|f| f.kind == FaultKind::HostCrash));
+        assert_eq!(min.plan.scheduled.len(), 8);
         assert_eq!(min.workloads.len(), 1);
         assert!(min.total_requests() <= 2);
         assert_eq!(min.expect, Some(target.to_expect()));

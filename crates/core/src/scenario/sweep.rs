@@ -313,11 +313,9 @@ mod tests {
         // Every host dies at t=0 and the deadline is short: no order can
         // succeed, making "doomed" the guaranteed worst cell.
         for i in 0..8 {
-            doomed = doomed.with_fault(
-                vmplants_simkit::SimTime::ZERO,
-                format!("node{i}"),
-                vmplants_simkit::FaultKind::HostCrash,
-            );
+            doomed.plan = doomed
+                .plan
+                .host_crash_at(vmplants_simkit::SimTime::ZERO, format!("node{i}"));
         }
         doomed.tuning.order_deadline = Some(SimDuration::from_secs(600));
 

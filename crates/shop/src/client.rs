@@ -18,27 +18,13 @@ use vmplants_simkit::{Engine, SimDuration, SimTime};
 
 use crate::shop::{ShopDone, ShopError, VmShop};
 
-/// Failover knobs for a [`ShopClient`].
-#[derive(Clone, Debug)]
-pub struct ClientTuning {
-    /// First resubmission delay; doubles per retry.
-    pub backoff_base: SimDuration,
-    /// Ceiling on the resubmission delay.
-    pub backoff_cap: SimDuration,
-    /// Total time after which an unsettled order fails client-side
-    /// (covers a permanently crashed shop).
-    pub give_up: SimDuration,
-}
-
-impl Default for ClientTuning {
-    fn default() -> Self {
-        ClientTuning {
-            backoff_base: SimDuration::from_secs(10),
-            backoff_cap: SimDuration::from_secs(120),
-            give_up: SimDuration::from_secs(7200),
-        }
-    }
-}
+/// First resubmission delay; doubles per retry.
+const BACKOFF_BASE: SimDuration = SimDuration::from_secs(10);
+/// Ceiling on the resubmission delay.
+const BACKOFF_CAP: SimDuration = SimDuration::from_secs(120);
+/// Total time after which an unsettled order fails client-side (covers
+/// a permanently crashed shop).
+const GIVE_UP: SimDuration = SimDuration::from_secs(7200);
 
 /// One settled client submission.
 #[derive(Clone, Debug)]
@@ -60,7 +46,6 @@ pub struct ClientRequestLog {
 struct ClientState {
     name: String,
     shop: VmShop,
-    tuning: ClientTuning,
     next: u64,
     log: Vec<ClientRequestLog>,
     resubmits: u64,
@@ -81,17 +66,11 @@ impl ShopClient {
             inner: Rc::new(RefCell::new(ClientState {
                 name: name.into(),
                 shop,
-                tuning: ClientTuning::default(),
                 next: 0,
                 log: Vec::new(),
                 resubmits: 0,
             })),
         }
-    }
-
-    /// Replace the failover knobs.
-    pub fn set_tuning(&self, tuning: ClientTuning) {
-        self.inner.borrow_mut().tuning = tuning;
     }
 
     /// Every settled submission, in settle order.
@@ -100,7 +79,7 @@ impl ShopClient {
     }
 
     /// Total resubmissions across all orders. Not 0 in a crash-free
-    /// run: the backoff timer fires after `backoff_base` whether or not
+    /// run: the backoff timer fires after 10 s whether or not
     /// the shop is up, so an order that takes longer than that to
     /// settle is re-sent to a live shop, which attaches the copy to the
     /// in-flight original.
@@ -111,7 +90,7 @@ impl ShopClient {
     /// Submit an order. The client keys it, forwards it to the shop,
     /// and — if the shop is down or crashes before answering —
     /// resubmits under the same key with capped exponential backoff
-    /// until the order settles or `give_up` elapses. `done` fires
+    /// until the order settles or 2 h elapse. `done` fires
     /// exactly once.
     pub fn submit(&self, engine: &mut Engine, order: ProductionOrder, done: ShopDone) {
         let key = {
@@ -135,8 +114,7 @@ impl ShopClient {
         if ctx.settled.get() {
             return;
         }
-        let tuning = self.inner.borrow().tuning.clone();
-        if resubmit_no > 0 && engine.now().since(ctx.requested_at) >= tuning.give_up {
+        if resubmit_no > 0 && engine.now().since(ctx.requested_at) >= GIVE_UP {
             self.finish(engine, &ctx, Err(ShopError::ShopDown));
             return;
         }
@@ -160,7 +138,7 @@ impl ShopClient {
         });
         shop.create_keyed(engine, ctx.key.clone(), ctx.order.clone(), handler);
         // Arm the next resubmission. A settled order makes this a no-op.
-        let delay = backoff_for(&tuning, resubmit_no);
+        let delay = backoff_for(resubmit_no);
         let client = self.clone();
         engine.schedule(delay, move |engine| {
             client.try_submit(engine, ctx, resubmit_no + 1);
@@ -199,11 +177,11 @@ struct SubmitCtx {
     done: Rc<RefCell<Option<ShopDone>>>,
 }
 
-fn backoff_for(tuning: &ClientTuning, resubmit_no: u32) -> SimDuration {
+fn backoff_for(resubmit_no: u32) -> SimDuration {
     let factor = 1u64 << resubmit_no.min(16);
-    let delay = tuning.backoff_base * factor;
-    if delay.as_millis() > tuning.backoff_cap.as_millis() {
-        tuning.backoff_cap
+    let delay = BACKOFF_BASE * factor;
+    if delay.as_millis() > BACKOFF_CAP.as_millis() {
+        BACKOFF_CAP
     } else {
         delay
     }
@@ -215,15 +193,10 @@ mod tests {
 
     #[test]
     fn backoff_doubles_and_caps() {
-        let t = ClientTuning {
-            backoff_base: SimDuration::from_secs(10),
-            backoff_cap: SimDuration::from_secs(120),
-            give_up: SimDuration::from_secs(7200),
-        };
-        assert_eq!(backoff_for(&t, 0), SimDuration::from_secs(10));
-        assert_eq!(backoff_for(&t, 1), SimDuration::from_secs(20));
-        assert_eq!(backoff_for(&t, 3), SimDuration::from_secs(80));
-        assert_eq!(backoff_for(&t, 4), SimDuration::from_secs(120));
-        assert_eq!(backoff_for(&t, 63), SimDuration::from_secs(120));
+        assert_eq!(backoff_for(0), SimDuration::from_secs(10));
+        assert_eq!(backoff_for(1), SimDuration::from_secs(20));
+        assert_eq!(backoff_for(3), SimDuration::from_secs(80));
+        assert_eq!(backoff_for(4), SimDuration::from_secs(120));
+        assert_eq!(backoff_for(63), SimDuration::from_secs(120));
     }
 }

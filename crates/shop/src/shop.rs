@@ -105,7 +105,7 @@ type Census = Vec<(Plant, BTreeMap<VmId, VmState>)>;
 /// failure-recovery behaviour exercised by the chaos experiments; set
 /// `order_deadline: None` and a huge `attempt_timeout` to approximate
 /// the original hang-forever prototype.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ShopTuning {
     /// Give up on an order after this much end-to-end time.
     pub order_deadline: Option<SimDuration>,
@@ -127,7 +127,8 @@ pub struct ShopTuning {
     /// crash-recovery substrate. Off only for overhead benchmarking;
     /// a shop crash with journaling off loses every in-flight order.
     pub journal: bool,
-    /// Dedup-cache capacity applied to plants wired against this shop:
+    /// Dedup-cache capacity of every plant registered with this shop
+    /// ([`VmShop::set_tuning`] and [`VmShop::register_plant`] apply it):
     /// completed request answers each plant retains for replay.
     pub dedup_capacity: usize,
 }
@@ -391,9 +392,15 @@ impl VmShop {
         transport.set_obs(obs);
     }
 
-    /// Replace the robustness knobs (deadlines, watchdog, backoff).
+    /// Replace the robustness knobs (deadlines, watchdog, backoff), and
+    /// size every directly registered plant's dedup cache to
+    /// `tuning.dedup_capacity`.
     pub fn set_tuning(&self, tuning: ShopTuning) {
-        self.inner.borrow_mut().tuning = tuning;
+        let mut state = self.inner.borrow_mut();
+        for plant in state.registry.discover_plants() {
+            plant.set_dedup_capacity(tuning.dedup_capacity);
+        }
+        state.tuning = tuning;
     }
 
     /// The shop↔plant message fabric. Chaos scenarios raise loss /
@@ -403,9 +410,12 @@ impl VmShop {
         self.inner.borrow().transport.clone()
     }
 
-    /// Publish a plant into the shop's registry.
+    /// Publish a plant into the shop's registry, sizing its dedup cache
+    /// to the shop's `dedup_capacity`.
     pub fn register_plant(&self, plant: Plant) {
-        self.inner.borrow_mut().registry.publish_plant(plant);
+        let mut state = self.inner.borrow_mut();
+        plant.set_dedup_capacity(state.tuning.dedup_capacity);
+        state.registry.publish_plant(plant);
     }
 
     /// Register a broker (indirect bidding path).
@@ -904,26 +914,42 @@ impl VmShop {
     /// infrastructure faults — until the per-order deadline. Caches the
     /// classad and responds. A crashed shop refuses with
     /// [`ShopError::ShopDown`] and journals nothing.
-    pub fn create(&self, engine: &mut Engine, mut order: ProductionOrder, done: ShopDone) {
+    pub fn create(&self, engine: &mut Engine, order: ProductionOrder, done: ShopDone) {
         if !self.is_alive() {
             let outbound = self.sample_hop();
             engine.schedule(outbound, move |engine| done(engine, Err(ShopError::ShopDown)));
             return;
         }
-        let requested_at = engine.now();
+        // A direct call has no client key.
+        let att = self.admit(&mut self.inner.borrow_mut(), order, None, engine.now());
+        let shop = self.clone();
+        // Inbound hop: client -> shop.
+        let inbound = self.sample_hop();
+        engine.schedule(inbound, move |engine| shop.attempt_create(engine, att, done));
+    }
+
+    /// Admit a fresh order at `requested_at`: assign its VMID (unless
+    /// the order carries one), mark it in flight, open its root `order`
+    /// span, and journal its receipt. Returns its first attempt.
+    fn admit(
+        &self,
+        state: &mut ShopState,
+        mut order: ProductionOrder,
+        client_key: Option<String>,
+        requested_at: SimTime,
+    ) -> Attempt {
         let vm_id = match &order.vm_id {
             Some(id) => id.clone(),
             None => {
-                let mut state = self.inner.borrow_mut();
                 let seq = state.next_vm;
                 state.next_vm += 1;
-                let id = VmId(format!("vm-{}-{:05}", self.name, seq));
-                drop(state);
-                id
+                VmId(format!("vm-{}-{:05}", self.name, seq))
             }
         };
         order.vm_id = Some(vm_id.clone());
-        let mut state = self.inner.borrow_mut();
+        if let Some(key) = &client_key {
+            state.client_keys.insert(key.clone(), vm_id.clone());
+        }
         state.inflight.insert(vm_id.clone());
         // Keyed root: in sampled mode the VMID drives the deterministic
         // head-sampling decision.
@@ -935,36 +961,23 @@ impl VmShop {
         // `produce` span under this order.
         order.trace_parent = span;
         let order = SharedOrder::new(order);
-        // WAL: the order is durable the moment it is accepted. A direct
-        // call has no client key.
+        // WAL: the order is durable the moment it is accepted.
         if state.tuning.journal {
-            state
-                .journal
-                .received(None, &vm_id, order.clone(), requested_at);
+            let key = client_key.as_deref().map(Rc::from);
+            state.journal.received(key, &vm_id, order.clone(), requested_at);
             state.journal_records.inc();
         }
-        let epoch = state.epoch;
-        drop(state);
-        let shop = self.clone();
-        // Inbound hop: client -> shop.
-        let inbound = self.sample_hop();
-        engine.schedule(inbound, move |engine| {
-            shop.attempt_create(
-                engine,
-                Attempt {
-                    order,
-                    vm_id,
-                    requested_at,
-                    excluded: Vec::new(),
-                    attempt: 0,
-                    last_err: None,
-                    span,
-                    epoch,
-                    client_key: None,
-                },
-                done,
-            );
-        });
+        Attempt {
+            order,
+            vm_id,
+            requested_at,
+            excluded: Vec::new(),
+            attempt: 0,
+            last_err: None,
+            span,
+            epoch: state.epoch,
+            client_key,
+        }
     }
 
     /// **Create, keyed** — the client-failover entry point. `key` is
@@ -991,7 +1004,7 @@ impl VmShop {
     }
 
     /// The shop side of a keyed submission, after the inbound hop.
-    fn admit_keyed(&self, engine: &mut Engine, key: String, mut order: ProductionOrder, done: ShopDone) {
+    fn admit_keyed(&self, engine: &mut Engine, key: String, order: ProductionOrder, done: ShopDone) {
         let mut state = self.inner.borrow_mut();
         // Connection refused: the process is down. The client's
         // failover loop treats this as retryable.
@@ -1020,48 +1033,9 @@ impl VmShop {
             state.client_waiters.entry(key).or_default().push(done);
             return;
         }
-        // A fresh order.
-        let requested_at = engine.now();
-        let vm_id = match &order.vm_id {
-            Some(id) => id.clone(),
-            None => {
-                let seq = state.next_vm;
-                state.next_vm += 1;
-                VmId(format!("vm-{}-{:05}", self.name, seq))
-            }
-        };
-        order.vm_id = Some(vm_id.clone());
-        state.client_keys.insert(key.clone(), vm_id.clone());
-        state.inflight.insert(vm_id.clone());
-        let span = state
-            .obs
-            .trace_root(state.obs_track, "order", &vm_id.0, requested_at);
-        state.obs.span_attr(span, "vmid", &vm_id);
-        order.trace_parent = span;
-        let order = SharedOrder::new(order);
-        if state.tuning.journal {
-            state
-                .journal
-                .received(Some(key.as_str().into()), &vm_id, order.clone(), requested_at);
-            state.journal_records.inc();
-        }
-        let epoch = state.epoch;
+        let att = self.admit(&mut state, order, Some(key), engine.now());
         drop(state);
-        self.attempt_create(
-            engine,
-            Attempt {
-                order,
-                vm_id,
-                requested_at,
-                excluded: Vec::new(),
-                attempt: 0,
-                last_err: None,
-                span,
-                epoch,
-                client_key: Some(key),
-            },
-            done,
-        );
+        self.attempt_create(engine, att, done);
     }
 
     /// Is the shop up and still in the incarnation that scheduled a

@@ -1179,10 +1179,6 @@ fn crashed_shop_refuses_query_destroy_publish_and_migrate() {
 fn permanent_shop_crash_fails_clients_without_hanging() {
     let mut s = site_with(2, CostModel::FreeMemoryPrototype);
     let client = ShopClient::new("c", s.shop.clone());
-    client.set_tuning(vmplants_shop::ClientTuning {
-        give_up: SimDuration::from_secs(600),
-        ..vmplants_shop::ClientTuning::default()
-    });
     let out = Rc::new(RefCell::new(None));
     let out2 = Rc::clone(&out);
     client.submit(

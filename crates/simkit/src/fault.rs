@@ -242,34 +242,78 @@ impl FaultKind {
 }
 
 /// A seeded stochastic fault source, expanded at materialization time.
-#[derive(Clone, Debug)]
-enum Rule {
+#[derive(Clone, Debug, PartialEq)]
+pub enum FaultRule {
     /// Poisson process of host faults over `targets`, mean time between
     /// faults `mtbf`, each a reboot (when `downtime` is set) or a permanent
     /// crash, within `[from, until)`.
     HostFaults {
+        /// Hosts the process draws from.
         targets: Vec<String>,
+        /// Mean time between faults.
         mtbf: SimDuration,
+        /// Reboot downtime; `None` makes every fault a permanent crash.
         downtime: Option<SimDuration>,
+        /// Window start.
         from: SimTime,
+        /// Window end (exclusive).
         until: SimTime,
     },
     /// Poisson process of NFS outages of fixed `outage` length with mean
     /// gap `mean_gap`, within `[from, until)`.
     NfsOutages {
+        /// The NFS server name.
         target: String,
+        /// Mean gap between outages.
         mean_gap: SimDuration,
+        /// Outage length.
         outage: SimDuration,
+        /// Window start.
         from: SimTime,
+        /// Window end (exclusive).
         until: SimTime,
     },
 }
 
+impl fmt::Display for FaultRule {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            FaultRule::HostFaults {
+                targets,
+                mtbf,
+                downtime,
+                from,
+                until,
+            } => {
+                write!(f, "random-host-faults(targets={}, mtbf={mtbf}", targets.join(" "))?;
+                if let Some(d) = downtime {
+                    write!(f, ", downtime={d}")?;
+                }
+                write!(f, ", window=[{from}, {until}))")
+            }
+            FaultRule::NfsOutages {
+                target,
+                mean_gap,
+                outage,
+                from,
+                until,
+            } => write!(
+                f,
+                "random-nfs-outages({target}, mean-gap={mean_gap}, outage={outage}, window=[{from}, {until}))"
+            ),
+        }
+    }
+}
+
 /// A declarative fault scenario: pinned events plus stochastic rules.
-#[derive(Clone, Debug, Default)]
+/// Both lists are open so a caller (the scenario shrinker) can drop or
+/// narrow single entries.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct FaultPlan {
-    scheduled: Vec<FaultEvent>,
-    rules: Vec<Rule>,
+    /// Events pinned to exact virtual times, in plan order.
+    pub scheduled: Vec<FaultEvent>,
+    /// Stochastic rules, in plan order.
+    pub rules: Vec<FaultRule>,
 }
 
 impl FaultPlan {
@@ -399,7 +443,7 @@ impl FaultPlan {
         from: SimTime,
         until: SimTime,
     ) -> Self {
-        self.rules.push(Rule::HostFaults {
+        self.rules.push(FaultRule::HostFaults {
             targets: targets.into_iter().map(Into::into).collect(),
             mtbf,
             downtime,
@@ -419,7 +463,7 @@ impl FaultPlan {
         from: SimTime,
         until: SimTime,
     ) -> Self {
-        self.rules.push(Rule::NfsOutages {
+        self.rules.push(FaultRule::NfsOutages {
             target: target.into(),
             mean_gap,
             outage,
@@ -439,7 +483,7 @@ impl FaultPlan {
         let mut events = self.scheduled.clone();
         for rule in &self.rules {
             match rule {
-                Rule::HostFaults {
+                FaultRule::HostFaults {
                     targets,
                     mtbf,
                     downtime,
@@ -467,7 +511,7 @@ impl FaultPlan {
                         });
                     }
                 }
-                Rule::NfsOutages {
+                FaultRule::NfsOutages {
                     target,
                     mean_gap,
                     outage,
@@ -522,7 +566,7 @@ impl FaultPlan {
         }
         for rule in &self.rules {
             match rule {
-                Rule::HostFaults {
+                FaultRule::HostFaults {
                     targets,
                     mtbf,
                     downtime,
@@ -565,7 +609,7 @@ impl FaultPlan {
                         }
                     }
                 }
-                Rule::NfsOutages {
+                FaultRule::NfsOutages {
                     target,
                     mean_gap,
                     outage,

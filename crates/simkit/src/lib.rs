@@ -67,7 +67,7 @@ pub mod time;
 pub mod transport;
 
 pub use engine::{Engine, EventId};
-pub use fault::{FaultEvent, FaultInjector, FaultKind, FaultPlan, FaultPlanError};
+pub use fault::{FaultEvent, FaultInjector, FaultKind, FaultPlan, FaultPlanError, FaultRule};
 pub use obs::{
     Counter, CriticalPath, FlightRecorder, FlightSpan, FlightTrace, Gauge, HistogramMetric, Obs,
     SamplerConfig, SamplerStats, SpanId, TrackId,

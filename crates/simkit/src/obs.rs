@@ -403,23 +403,28 @@ impl SamplerInner {
         }
     }
 
-    /// Call `f` on every exported trace: the retained traces in
+    /// Every exported trace in flight form: the retained traces in
     /// completion order, then the head-sampled traces still open, in
     /// start order.
-    fn for_each_exported(&self, mut f: impl FnMut(&TraceBuf)) {
+    fn exported(&self, tracks: &[String]) -> Vec<FlightTrace> {
         let slots = self.slots.borrow();
-        for &slot in self.retained.borrow().iter() {
-            f(slots[slot as usize]
-                .as_ref()
-                .expect("retained trace keeps its slot"));
-        }
         let mut open: Vec<&TraceBuf> = slots
             .iter()
             .flatten()
             .filter(|buf| buf.sampled && buf.spans[0].end.is_none())
             .collect();
         open.sort_unstable_by_key(|buf| buf.seq);
-        open.into_iter().for_each(f);
+        self.retained
+            .borrow()
+            .iter()
+            .map(|&slot| {
+                slots[slot as usize]
+                    .as_ref()
+                    .expect("retained trace keeps its slot")
+            })
+            .chain(open)
+            .map(|buf| flight_trace(buf, tracks))
+            .collect()
     }
 }
 
@@ -887,12 +892,10 @@ impl Obs {
     /// recorder has its own exporters.
     pub fn trace_jsonl(&self) -> String {
         let mut out = String::new();
-        let Some(sampler) = &self.inner.sampler else {
-            return out;
-        };
-        let tracks = self.inner.tracks.borrow();
         let mut next_id = 1usize;
-        sampler.for_each_exported(|buf| push_trace_jsonl(&mut out, buf, &tracks, &mut next_id));
+        for trace in self.exported_traces() {
+            push_spans_jsonl(&mut out, &trace.spans, &mut next_id);
+        }
         out
     }
 
@@ -903,57 +906,20 @@ impl Obs {
     /// becomes a thread of process 1. Open spans are exported with zero
     /// duration.
     pub fn chrome_trace(&self) -> String {
+        let traces = self.exported_traces();
         let tracks = self.inner.tracks.borrow();
-        let mut events: Vec<String> = Vec::new();
-        events.push(
-            "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\
-             \"args\":{\"name\":\"vmplants\"}}"
-                .to_string(),
-        );
-        for (i, t) in tracks.iter().enumerate() {
-            events.push(format!(
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{},\
-                 \"args\":{{\"name\":{}}}}}",
-                i + 1,
-                json_str(t)
-            ));
-        }
-        if let Some(sampler) = &self.inner.sampler {
-            sampler.for_each_exported(|buf| {
-                for s in &buf.spans {
-                    let start_us = s.start.as_millis() * 1000;
-                    let dur_us = s
-                        .end
-                        .map(|e| e.since_saturating(s.start).as_millis() * 1000)
-                        .unwrap_or(0);
-                    let mut ev = format!(
-                        "{{\"name\":{},\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{start_us},\
-                         \"dur\":{dur_us}",
-                        json_str(&s.name),
-                        s.track.0 as usize + 1,
-                    );
-                    ev.push_str(",\"args\":{");
-                    for (i, (k, v)) in s.attrs.iter().enumerate() {
-                        if i > 0 {
-                            ev.push(',');
-                        }
-                        ev.push_str(&format!("{}:{}", json_str(k), json_str(v)));
-                    }
-                    ev.push_str("}}");
-                    events.push(ev);
-                }
-            });
-        }
-        let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
-        for (i, ev) in events.iter().enumerate() {
-            out.push_str(ev);
-            if i + 1 < events.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        out.push_str("]}\n");
-        out
+        let tracks: Vec<&str> = tracks.iter().map(String::as_str).collect();
+        write_chrome_trace("vmplants", &tracks, &traces)
+    }
+
+    /// The traces the exporters write, in flight form (none when tracing
+    /// is off).
+    fn exported_traces(&self) -> Vec<FlightTrace> {
+        let tracks = self.inner.tracks.borrow();
+        self.inner
+            .sampler
+            .as_ref()
+            .map_or_else(Vec::new, |sampler| sampler.exported(&tracks))
     }
 
     // ------------------------------------------------------------------
@@ -1223,24 +1189,7 @@ impl FlightRecorder {
                 trace.duration_ms,
                 trace.failed,
             ));
-            let base = next_id;
-            for (i, s) in trace.spans.iter().enumerate() {
-                out.push_str(&format!(
-                    "{{\"type\":\"span\",\"id\":{},\"parent\":{},\"track\":{},\"name\":{}",
-                    base + i,
-                    if s.parent == 0 { 0 } else { base + s.parent as usize - 1 },
-                    json_str(&s.track),
-                    json_str(&s.name),
-                ));
-                out.push_str(&format!(",\"start_ms\":{}", s.start_ms));
-                match s.end_ms {
-                    Some(end) => out.push_str(&format!(",\"end_ms\":{end}")),
-                    None => out.push_str(",\"end_ms\":null"),
-                }
-                push_attrs(&mut out, &s.attrs);
-                out.push_str("}\n");
-            }
-            next_id += trace.spans.len();
+            push_spans_jsonl(&mut out, &trace.spans, &mut next_id);
         }
         out
     }
@@ -1249,59 +1198,14 @@ impl FlightRecorder {
     /// retained trace's spans, with tracks interned in first-appearance
     /// order. The dump for a million-order run is kilobytes.
     pub fn chrome_trace(&self) -> String {
+        let traces: Vec<&FlightTrace> = self.slowest.iter().chain(&self.failed).collect();
         let mut tracks: Vec<&str> = Vec::new();
-        for t in self.slowest.iter().chain(self.failed.iter()) {
-            for s in &t.spans {
-                if !tracks.contains(&s.track.as_str()) {
-                    tracks.push(&s.track);
-                }
+        for s in traces.iter().flat_map(|t| &t.spans) {
+            if !tracks.contains(&s.track.as_str()) {
+                tracks.push(&s.track);
             }
         }
-        let mut events: Vec<String> = Vec::new();
-        events.push(
-            "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\
-             \"args\":{\"name\":\"vmplants-flight\"}}"
-                .to_string(),
-        );
-        for (i, t) in tracks.iter().enumerate() {
-            events.push(format!(
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{},\
-                 \"args\":{{\"name\":{}}}}}",
-                i + 1,
-                json_str(t)
-            ));
-        }
-        for trace in self.slowest.iter().chain(self.failed.iter()) {
-            for s in &trace.spans {
-                let tid = tracks.iter().position(|t| *t == s.track).unwrap() + 1;
-                let start_us = s.start_ms * 1000;
-                let dur_us = s.end_ms.map(|e| (e - s.start_ms) * 1000).unwrap_or(0);
-                let mut ev = format!(
-                    "{{\"name\":{},\"ph\":\"X\",\"pid\":1,\"tid\":{tid},\
-                     \"ts\":{start_us},\"dur\":{dur_us}",
-                    json_str(&s.name),
-                );
-                ev.push_str(",\"args\":{");
-                for (i, (k, v)) in s.attrs.iter().enumerate() {
-                    if i > 0 {
-                        ev.push(',');
-                    }
-                    ev.push_str(&format!("{}:{}", json_str(k), json_str(v)));
-                }
-                ev.push_str("}}");
-                events.push(ev);
-            }
-        }
-        let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
-        for (i, ev) in events.iter().enumerate() {
-            out.push_str(ev);
-            if i + 1 < events.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        out.push_str("]}\n");
-        out
+        write_chrome_trace("vmplants-flight", &tracks, traces)
     }
 }
 
@@ -1330,9 +1234,9 @@ fn flight_trace(buf: &TraceBuf, tracks: &[String]) -> FlightTrace {
 
 /// Append one trace's spans to a JSONL dump, renumbering ids from
 /// `*next_id` (trace-local parents become global ids).
-fn push_trace_jsonl(out: &mut String, buf: &TraceBuf, tracks: &[String], next_id: &mut usize) {
+fn push_spans_jsonl(out: &mut String, spans: &[FlightSpan], next_id: &mut usize) {
     let base = *next_id;
-    for (i, s) in buf.spans.iter().enumerate() {
+    for (i, s) in spans.iter().enumerate() {
         out.push_str(&format!(
             "{{\"type\":\"span\",\"id\":{},\"parent\":{},\"track\":{},\"name\":{}",
             base + i,
@@ -1341,18 +1245,69 @@ fn push_trace_jsonl(out: &mut String, buf: &TraceBuf, tracks: &[String], next_id
             } else {
                 base + s.parent as usize - 1
             },
-            json_str(&tracks[s.track.0 as usize]),
+            json_str(&s.track),
             json_str(&s.name),
         ));
-        out.push_str(&format!(",\"start_ms\":{}", s.start.as_millis()));
-        match s.end {
-            Some(end) => out.push_str(&format!(",\"end_ms\":{}", end.as_millis())),
+        out.push_str(&format!(",\"start_ms\":{}", s.start_ms));
+        match s.end_ms {
+            Some(end) => out.push_str(&format!(",\"end_ms\":{end}")),
             None => out.push_str(",\"end_ms\":null"),
         }
-        push_attrs(out, &s.attrs);
+        push_attrs(out, "attrs", &s.attrs);
         out.push_str("}\n");
     }
-    *next_id += buf.spans.len();
+    *next_id += spans.len();
+}
+
+/// Render `traces` as Chrome `trace_event` JSON: process 1 is named
+/// `process`, `tracks[i]` becomes thread `i + 1`, and every span is one
+/// complete event (zero duration while open). Every span's track must
+/// be in `tracks`.
+fn write_chrome_trace<'a>(
+    process: &str,
+    tracks: &[&str],
+    traces: impl IntoIterator<Item = &'a FlightTrace>,
+) -> String {
+    let mut events = vec![format!(
+        "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\
+         \"args\":{{\"name\":{}}}}}",
+        json_str(process)
+    )];
+    for (i, t) in tracks.iter().enumerate() {
+        events.push(format!(
+            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{},\
+             \"args\":{{\"name\":{}}}}}",
+            i + 1,
+            json_str(t)
+        ));
+    }
+    for s in traces.into_iter().flat_map(|t| &t.spans) {
+        let tid = tracks
+            .iter()
+            .position(|t| *t == s.track)
+            .expect("every span's track is listed")
+            + 1;
+        let start_us = s.start_ms * 1000;
+        let dur_us = s.end_ms.map_or(0, |e| e.saturating_sub(s.start_ms) * 1000);
+        let mut ev = format!(
+            "{{\"name\":{},\"ph\":\"X\",\"pid\":1,\"tid\":{tid},\
+             \"ts\":{start_us},\"dur\":{dur_us}",
+            json_str(&s.name),
+        );
+        push_attrs(&mut ev, "args", &s.attrs);
+        ev.push('}');
+        events.push(ev);
+    }
+    let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
+    for (i, ev) in events.iter().enumerate() {
+        out.push_str(ev);
+        if i + 1 < events.len() {
+            out.push(',');
+        }
+        out.push('\n');
+    }
+    out.push_str("]}\n");
+    out
 }
 
 /// JSON-escape a string (quotes included in the output).
@@ -1374,8 +1329,9 @@ fn json_str(s: &str) -> String {
     out
 }
 
-fn push_attrs(out: &mut String, attrs: &[(String, String)]) {
-    out.push_str(",\"attrs\":{");
+/// Append `,"<field>":{...}` holding `attrs` as a JSON object.
+fn push_attrs(out: &mut String, field: &str, attrs: &[(String, String)]) {
+    out.push_str(&format!(",\"{field}\":{{"));
     for (i, (k, v)) in attrs.iter().enumerate() {
         if i > 0 {
             out.push(',');

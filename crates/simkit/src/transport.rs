@@ -39,7 +39,7 @@ use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 
 /// Baseline behaviour of every link in the fabric.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct LinkTuning {
     /// Uniform per-hop delay range, seconds (socket + XML parse +
     /// serialized-object handling — the same envelope the shop's client

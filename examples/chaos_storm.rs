@@ -52,7 +52,7 @@ fn main() {
         "-- {} ({} requests, {} pinned faults) --",
         storm.name,
         storm.total_requests(),
-        storm.faults.len()
+        storm.plan.scheduled.len()
     );
     let report = run_chaos(&config);
     print!("{}", report.render());

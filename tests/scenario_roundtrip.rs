@@ -4,10 +4,9 @@
 
 use vmplants::chaos::run_chaos;
 use vmplants::scenario::shrink::FailureSignature;
-use vmplants::scenario::{
-    LinkOverrides, MemoryWeight, RuleDecl, Scenario, TuningOverrides, Workload,
-};
-use vmplants_simkit::{FaultKind, SimDuration, SimRng, SimTime};
+use vmplants::scenario::{MemoryWeight, Scenario, Workload};
+use vmplants_shop::ShopTuning;
+use vmplants_simkit::{FaultKind, FaultPlan, FaultRule, LinkTuning, SimDuration, SimRng, SimTime};
 
 fn scenario_path(name: &str) -> String {
     format!("{}/../../scenarios/{name}", env!("CARGO_MANIFEST_DIR"))
@@ -78,10 +77,9 @@ fn random_scenario(seed: u64) -> Scenario {
         name: format!("generated-{seed}"),
         seed,
         workloads,
-        faults: Vec::new(),
-        rules: Vec::new(),
-        tuning: TuningOverrides::default(),
-        link: LinkOverrides::default(),
+        plan: FaultPlan::new(),
+        tuning: ShopTuning::default(),
+        link: LinkTuning::default(),
         slo: None,
         expect: None,
     };
@@ -148,14 +146,14 @@ fn random_scenario(seed: u64) -> Scenario {
                 },
             ),
         };
-        scenario.faults.push(vmplants_simkit::FaultEvent { at, target, kind });
+        scenario.plan = scenario.plan.schedule(at, target, kind);
     }
 
     if rng.chance(0.5) {
         let from = SimTime::from_millis(rng.uniform_u64(0, 60_000));
         let until = from + dur(&mut rng, 60_000, 600_000);
-        scenario = scenario.with_rule(if rng.chance(0.5) {
-            RuleDecl::HostFaults {
+        scenario.plan.rules.push(if rng.chance(0.5) {
+            FaultRule::HostFaults {
                 targets: (0..=rng.index(4)).map(|i| format!("node{i}")).collect(),
                 mtbf: dur(&mut rng, 30_000, 300_000),
                 downtime: if rng.chance(0.5) {
@@ -167,7 +165,7 @@ fn random_scenario(seed: u64) -> Scenario {
                 until,
             }
         } else {
-            RuleDecl::NfsOutages {
+            FaultRule::NfsOutages {
                 target: "storage".to_string(),
                 mean_gap: dur(&mut rng, 60_000, 600_000),
                 outage: dur(&mut rng, 5_000, 60_000),
@@ -178,13 +176,13 @@ fn random_scenario(seed: u64) -> Scenario {
     }
 
     if rng.chance(0.4) {
-        scenario.tuning.attempt_timeout = Some(dur(&mut rng, 30_000, 600_000));
-        scenario.tuning.min_live_plants = Some(rng.index(4));
+        scenario.tuning.attempt_timeout = dur(&mut rng, 30_000, 600_000);
+        scenario.tuning.min_live_plants = rng.index(4);
     }
     if rng.chance(0.4) {
-        scenario.link.drop_p = Some(rng.uniform(0.0, 0.3));
+        scenario.link.drop_p = rng.uniform(0.0, 0.3);
         let lo = rng.uniform(0.01, 0.1);
-        scenario.link.delay = Some((lo, lo + rng.uniform(0.05, 0.3)));
+        scenario.link.delay = (lo, lo + rng.uniform(0.05, 0.3));
     }
     if rng.chance(0.3) {
         scenario.slo = Some(vmplants::chaos::SloSpec {
@@ -308,7 +306,8 @@ fn committed_transport_storm_scenario_matches_the_chaos_fixture() {
 fn committed_chaos_storm_scenario_covers_all_nine_fault_kinds() {
     let scenario = load("chaos_storm.xml");
     let kinds: Vec<&str> = scenario
-        .faults
+        .plan
+        .scheduled
         .iter()
         .map(|f| match f.kind {
             FaultKind::HostCrash => "host-crash",
