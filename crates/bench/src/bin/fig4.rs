@@ -3,18 +3,10 @@
 //! plants), plus the E8 headline numbers.
 
 use vmplants::experiments::{fig4, headline, paper_runs};
-use vmplants_bench::{csv_from_args, print_histogram_csv, seed_from_args};
+use vmplants_bench::seed_from_args;
 
 fn main() {
     let seed = seed_from_args();
-    if csv_from_args() {
-        println!("series,bin_center_s,normalized_frequency");
-        let runs = paper_runs(seed);
-        for (mem, hist) in fig4(&runs) {
-            print_histogram_csv(&format!("{mem}MB"), &hist);
-        }
-        return;
-    }
     println!("# Figure 4 — normalized frequency of creation latency (seed {seed})");
     println!("# paper: averages 25-48 s; range 17-85 s; larger memory -> larger latency\n");
     let runs = paper_runs(seed);

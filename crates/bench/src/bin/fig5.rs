@@ -2,18 +2,10 @@
 //! to resume completion), 5-second bins.
 
 use vmplants::experiments::{fig5, paper_runs};
-use vmplants_bench::{csv_from_args, print_histogram_csv, seed_from_args};
+use vmplants_bench::seed_from_args;
 
 fn main() {
     let seed = seed_from_args();
-    if csv_from_args() {
-        println!("series,bin_center_s,normalized_frequency");
-        let runs = paper_runs(seed);
-        for (mem, hist) in fig5(&runs) {
-            print_histogram_csv(&format!("{mem}MB"), &hist);
-        }
-        return;
-    }
     println!("# Figure 5 — normalized frequency of cloning latency (seed {seed})");
     println!("# paper: 32 MB mode ~10 s; 64 MB ~15 s; 256 MB spread 35-70 s, avg ~210/4 s\n");
     let runs = paper_runs(seed);

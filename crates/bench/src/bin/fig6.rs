@@ -2,18 +2,10 @@
 //! the load effect as plants fill up (16 x 64 MB or 5 x 256 MB per node).
 
 use vmplants::experiments::{fig6, paper_runs};
-use vmplants_bench::{csv_from_args, print_series_csv, seed_from_args};
+use vmplants_bench::seed_from_args;
 
 fn main() {
     let seed = seed_from_args();
-    if csv_from_args() {
-        println!("series,sequence_number,clone_s");
-        let runs = paper_runs(seed);
-        for (mem, series) in fig6(&runs) {
-            print_series_csv(&format!("{mem}MB"), &series);
-        }
-        return;
-    }
     println!("# Figure 6 — cloning time vs sequence number (seed {seed})");
     println!("# paper: 32 MB flat; 64 MB and 256 MB rise as hosts exceed ~1 GB committed\n");
     let runs = paper_runs(seed);

@@ -30,23 +30,3 @@ pub fn seed_from_args() -> u64 {
         .and_then(|w| w[1].parse().ok())
         .unwrap_or(DEFAULT_SEED)
 }
-
-/// True when `--csv` was passed: harnesses then emit machine-readable rows
-/// (for external plotting) instead of the ASCII rendering.
-pub fn csv_from_args() -> bool {
-    std::env::args().any(|a| a == "--csv")
-}
-
-/// Print histogram rows as CSV: `series,bin_center,normalized_frequency`.
-pub fn print_histogram_csv(series: &str, hist: &vmplants_simkit::stats::Histogram) {
-    for (center, freq) in hist.normalized() {
-        println!("{series},{center},{freq}");
-    }
-}
-
-/// Print series points as CSV: `series,x,y`.
-pub fn print_series_csv(series: &str, s: &vmplants_simkit::stats::Series) {
-    for &(x, y) in s.points() {
-        println!("{series},{x},{y}");
-    }
-}

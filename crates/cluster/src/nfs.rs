@@ -23,7 +23,7 @@ use crate::files::{FileStore, StoreError};
 /// Effective NFS throughput on the 100 Mbit/s path, bytes/sec.
 pub const DEFAULT_NFS_BW: f64 = 10.0 * 1024.0 * 1024.0;
 /// Per-file request overhead (lookup/open/close round trips).
-pub const DEFAULT_PER_FILE_OVERHEAD: SimDuration = SimDuration::from_millis(300);
+pub const PER_FILE_OVERHEAD: SimDuration = SimDuration::from_millis(300);
 
 /// A transfer completion, shared between the normal path and the abort
 /// path; whichever side takes it first wins.
@@ -60,7 +60,6 @@ pub struct NfsServer {
     pub store: FileStore,
     /// The server's network pipe (fair-shared among concurrent transfers).
     pub pipe: FairShare,
-    per_file_overhead: SimDuration,
     state: Rc<RefCell<NfsState>>,
 }
 
@@ -70,21 +69,15 @@ pub type TransferResult = Result<u64, StoreError>;
 impl NfsServer {
     /// A server with the default §4.2 calibration.
     pub fn new(name: impl Into<String>) -> NfsServer {
-        NfsServer::with_params(name, DEFAULT_NFS_BW, DEFAULT_PER_FILE_OVERHEAD)
+        NfsServer::with_params(name, DEFAULT_NFS_BW)
     }
 
-    /// A server with explicit bandwidth and per-file overhead (used by the
-    /// ablation benches).
-    pub(crate) fn with_params(
-        name: impl Into<String>,
-        bandwidth: f64,
-        per_file_overhead: SimDuration,
-    ) -> NfsServer {
+    /// A server with an explicit bandwidth (the E12 ablation sweeps it).
+    pub(crate) fn with_params(name: impl Into<String>, bandwidth: f64) -> NfsServer {
         let name = name.into();
         NfsServer {
             store: FileStore::new(),
             pipe: FairShare::new(bandwidth),
-            per_file_overhead,
             state: Rc::new(RefCell::new(NfsState {
                 name,
                 online: true,
@@ -223,7 +216,6 @@ impl NfsServer {
         };
         let dst_store = dst_store.clone();
         let dst = dst.into();
-        let overhead = self.per_file_overhead;
         // Wrap the completion with the observability bookkeeping: count
         // bytes/failures and record the fetch's [start, end] window as a
         // retroactive span (both no-ops beyond a Cell store when disabled).
@@ -276,7 +268,7 @@ impl NfsServer {
         };
         let this = self.clone();
         // Overhead first (request round-trips), then the data on the pipe.
-        engine.schedule(overhead, move |engine| {
+        engine.schedule(PER_FILE_OVERHEAD, move |engine| {
             // An outage (or destination crash) during the overhead window
             // already failed the caller and dropped the entry.
             if !this.state.borrow().inflight.contains_key(&transfer_id) {
@@ -345,7 +337,7 @@ impl NfsServer {
     /// Estimated wall time to move `bytes` across `files` files with the
     /// pipe otherwise idle (used by bidding estimates).
     pub fn estimate(&self, bytes: u64, files: usize) -> SimDuration {
-        self.pipe.estimate(bytes as f64) + self.per_file_overhead * files as u64
+        self.pipe.estimate(bytes as f64) + PER_FILE_OVERHEAD * files as u64
     }
 }
 

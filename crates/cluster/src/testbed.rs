@@ -1,10 +1,8 @@
 //! The §4.2 experimental testbed, as a preset.
 
-use vmplants_simkit::SimDuration;
-
 use crate::cluster::Cluster;
 use crate::host::{Host, HostSpec};
-use crate::nfs::{NfsServer, DEFAULT_NFS_BW, DEFAULT_PER_FILE_OVERHEAD};
+use crate::nfs::{NfsServer, DEFAULT_NFS_BW};
 
 /// Tunable parameters of the testbed (the defaults reproduce §4.2; the
 /// ablation benches sweep them).
@@ -14,8 +12,6 @@ pub struct TestbedConfig {
     pub nodes: usize,
     /// Effective NFS bandwidth, bytes/sec.
     pub nfs_bandwidth: f64,
-    /// Per-file NFS request overhead.
-    pub nfs_per_file_overhead: SimDuration,
     /// Secondary storage servers (replication targets for hot goldens).
     /// The §4.2 testbed has none.
     pub replica_servers: usize,
@@ -26,7 +22,6 @@ impl Default for TestbedConfig {
         TestbedConfig {
             nodes: 8,
             nfs_bandwidth: DEFAULT_NFS_BW,
-            nfs_per_file_overhead: DEFAULT_PER_FILE_OVERHEAD,
             replica_servers: 0,
         }
     }
@@ -40,18 +35,10 @@ pub fn e1350() -> Cluster {
 
 /// Build the testbed with explicit parameters.
 pub fn e1350_with(config: &TestbedConfig) -> Cluster {
-    let nfs = NfsServer::with_params(
-        "storage",
-        config.nfs_bandwidth,
-        config.nfs_per_file_overhead,
-    );
+    let nfs = NfsServer::with_params("storage", config.nfs_bandwidth);
     let mut cluster = Cluster::new(nfs);
     for i in 0..config.replica_servers {
-        cluster.add_replica(NfsServer::with_params(
-            format!("storage-r{i}"),
-            config.nfs_bandwidth,
-            config.nfs_per_file_overhead,
-        ));
+        cluster.add_replica(NfsServer::with_params(format!("storage-r{i}"), config.nfs_bandwidth));
     }
     for i in 0..config.nodes {
         cluster.add_host(Host::new(HostSpec::e1350_node(format!("node{i}"))));
@@ -81,7 +68,6 @@ mod tests {
         let c = e1350_with(&TestbedConfig {
             nodes: 2,
             nfs_bandwidth: 50.0 * 1024.0 * 1024.0,
-            nfs_per_file_overhead: SimDuration::from_millis(10),
             replica_servers: 0,
         });
         assert_eq!(c.hosts().count(), 2);

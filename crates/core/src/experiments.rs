@@ -1058,8 +1058,6 @@ fn obs_scale_unit(seed: u64, total: usize, unit: usize, oracle: bool) -> ObsScal
 
     let obs = Obs::sampled(SamplerConfig {
         rate_ppm: E23_SAMPLE_PPM,
-        flight_slowest: 8,
-        flight_failed: 32,
         unit: unit as u32,
     });
     let shop_track = obs.track("shop");

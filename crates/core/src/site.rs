@@ -11,7 +11,7 @@ use vmplants_dag::ConfigDag;
 use vmplants_plant::{CostModel, DomainDirectory, Plant, PlantConfig, ProductionOrder, VmId};
 use vmplants_shop::{ShopError, VmShop};
 use vmplants_simkit::{Engine, Obs, SimRng};
-use vmplants_virt::{TimingModel, VmSpec};
+use vmplants_virt::VmSpec;
 use vmplants_vnet::ProxyEndpoint;
 use vmplants_warehouse::store::publish_experiment_goldens;
 use vmplants_warehouse::{Warehouse, WarehouseConfig};
@@ -21,18 +21,12 @@ use vmplants_warehouse::{Warehouse, WarehouseConfig};
 pub struct SiteConfig {
     /// RNG seed (runs are deterministic per seed).
     pub seed: u64,
-    /// Testbed shape (nodes, NFS parameters).
+    /// Testbed shape (nodes, NFS bandwidth, replica servers).
     pub testbed: TestbedConfig,
     /// Bidding cost model installed on every plant.
     pub cost_model: CostModel,
-    /// Host-only networks per plant.
-    pub host_only_networks: usize,
-    /// Virtualization timing model.
-    pub timing: TimingModel,
     /// Publish the experiments' Mandrake golden images (32/64/256 MB).
     pub publish_goldens: bool,
-    /// Register the default `ufl.edu` client domain.
-    pub register_default_domain: bool,
     /// Warehouse policy: chunk dedup, capacity budget, replication
     /// threshold. The default changes no behaviour of the §4.2 site.
     pub warehouse: WarehouseConfig,
@@ -48,10 +42,7 @@ impl Default for SiteConfig {
             seed: 42,
             testbed: TestbedConfig::default(),
             cost_model: CostModel::FreeMemoryPrototype,
-            host_only_networks: 4,
-            timing: TimingModel::default(),
             publish_goldens: true,
-            register_default_domain: true,
             warehouse: WarehouseConfig::default(),
             zipf_goldens: 0,
         }
@@ -121,10 +112,8 @@ pub struct SimSite {
     pub warehouse: Rc<RefCell<Warehouse>>,
     /// The client-domain directory.
     pub domains: DomainDirectory,
-    /// The default client domain name, if registered.
-    pub default_domain: Option<String>,
-    /// The default client's VNET proxy, shared by the orders
-    /// [`SimSite::order`] builds.
+    /// The VNET proxy of the default client domain (`ufl.edu`, registered
+    /// at build), shared by the orders [`SimSite::order`] builds.
     client_proxy: Rc<ProxyEndpoint>,
     /// Spare RNG for client-side decisions.
     pub rng: SimRng,
@@ -161,20 +150,17 @@ impl SimSite {
         warehouse.set_obs(&obs);
         let warehouse = Rc::new(RefCell::new(warehouse));
         let domains = DomainDirectory::new();
-        let default_domain = if config.register_default_domain {
-            Some(domains.register_experiment_domain())
-        } else {
-            None
-        };
+        let client_proxy = Rc::new(ProductionOrder::default_proxy(
+            &domains.register_experiment_domain(),
+        ));
         let shop = VmShop::new("shop", rng.fork(1000));
         shop.set_obs(&obs);
         let mut plants = Vec::new();
         for (_, host) in cluster.hosts() {
             let name = host.name();
-            let plant = Plant::with_timing(
+            let plant = Plant::new(
                 PlantConfig {
                     cost_model: config.cost_model,
-                    host_only_networks: config.host_only_networks,
                     ..PlantConfig::new(&name)
                 },
                 host.clone(),
@@ -182,15 +168,11 @@ impl SimSite {
                 Rc::clone(&warehouse),
                 domains.clone(),
                 &mut rng,
-                config.timing.clone(),
             );
             plant.set_obs(&obs);
             shop.register_plant(plant.clone());
             plants.push(plant);
         }
-        let client_proxy = Rc::new(ProductionOrder::default_proxy(
-            default_domain.as_deref().unwrap_or("ufl.edu"),
-        ));
         SimSite {
             engine,
             shop,
@@ -198,7 +180,6 @@ impl SimSite {
             cluster,
             warehouse,
             domains,
-            default_domain,
             client_proxy,
             rng,
             obs,
@@ -207,14 +188,8 @@ impl SimSite {
 
     /// Build an order for the default client domain.
     pub fn order(&self, spec: VmSpec, dag: ConfigDag) -> ProductionOrder {
-        let domain = self.default_domain.as_deref().unwrap_or("ufl.edu");
-        // `default_domain` is public: an order for a domain set after the
-        // site was built gets its own proxy.
-        if self.client_proxy.domain != domain {
-            return ProductionOrder::new(spec, dag, domain);
-        }
         let proxy = Rc::clone(&self.client_proxy);
-        ProductionOrder::with_proxy(spec, dag, domain.to_owned(), proxy)
+        ProductionOrder::with_proxy(spec, dag, proxy.domain.clone(), proxy)
     }
 
     /// Synchronously create a VM through the shop: issue the request, run
@@ -308,14 +283,10 @@ mod tests {
 
     #[test]
     fn missing_domain_registration_fails_with_a_network_error() {
-        let config = SiteConfig {
-            register_default_domain: false,
-            ..SiteConfig::default()
-        };
-        let mut site = SimSite::build(config);
-        let err = site
-            .create_vm(VmSpec::mandrake(64), invigo_workspace_dag("alice"))
-            .unwrap_err();
+        let mut site = SimSite::build(SiteConfig::default());
+        let dag = invigo_workspace_dag("alice");
+        let order = ProductionOrder::new(VmSpec::mandrake(64), dag, "cise.ufl.edu");
+        let err = site.create_order(order).unwrap_err();
         // Every plant rejects the unknown client domain.
         assert!(matches!(err, ShopError::AllPlantsFailed(_)), "{err}");
     }

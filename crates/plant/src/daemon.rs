@@ -10,7 +10,7 @@ use vmplants_cluster::nfs::NfsServer;
 use vmplants_simkit::obs::{Counter, Obs, TrackId};
 use vmplants_simkit::{Engine, SimDuration, SimRng, SimTime};
 use vmplants_virt::hypervisor::CloneStats;
-use vmplants_virt::{Hypervisor, TimingModel};
+use vmplants_virt::Hypervisor;
 use vmplants_vnet::{DomainDirectory, Reachability, VirtualNetworkService};
 use vmplants_warehouse::Warehouse;
 
@@ -78,7 +78,6 @@ pub(crate) struct PlantState {
     /// a VM's network goes through it.
     pub(crate) net: VirtualNetworkService,
     pub(crate) info: InfoSystem,
-    pub(crate) timing: TimingModel,
     pub(crate) rng: Rc<RefCell<SimRng>>,
     pub(crate) next_vm: u64,
     pub(crate) alive: bool,
@@ -150,22 +149,9 @@ impl Plant {
         domains: DomainDirectory,
         rng: &mut SimRng,
     ) -> Plant {
-        Plant::with_timing(config, host, nfs, warehouse, domains, rng, TimingModel::default())
-    }
-
-    /// As [`Plant::new`] with an explicit timing model (ablations).
-    pub fn with_timing(
-        config: PlantConfig,
-        host: Host,
-        nfs: NfsServer,
-        warehouse: Rc<RefCell<Warehouse>>,
-        domains: DomainDirectory,
-        rng: &mut SimRng,
-        timing: TimingModel,
-    ) -> Plant {
         let backend_rng = Rc::new(RefCell::new(rng.fork(1)));
         let plant_rng = Rc::new(RefCell::new(rng.fork(2)));
-        let hypervisor = Rc::new(Hypervisor::with_timing(timing.clone(), backend_rng));
+        let hypervisor = Rc::new(Hypervisor::new(backend_rng));
         let reach = Reachability::Direct {
             port: config.vnet_port,
         };
@@ -180,7 +166,6 @@ impl Plant {
                 hypervisor,
                 net,
                 info: InfoSystem::new(),
-                timing,
                 rng: plant_rng,
                 next_vm: 0,
                 alive: true,

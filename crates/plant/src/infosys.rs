@@ -439,8 +439,7 @@ mod tests {
         sys.insert(record("vm-1"));
         running(&mut sys, &id, now);
         let first = sys.classad(&id, now, &host).unwrap();
-        // The record still shares its list with the first reply: a second
-        // read at the same instant must not copy it.
+        // A second read at the same instant answers the same classad.
         let second = sys.classad(&id, now, &host).unwrap();
         assert_eq!(first, second);
         assert_eq!(state_value(&VmState::Running), Value::str("running"));

@@ -15,7 +15,7 @@ use std::rc::Rc;
 use vmplants_simkit::resource::FairShare;
 use vmplants_simkit::{Engine, SimDuration};
 use vmplants_virt::image::{BASE_REDO_BYTES, CONFIG_BYTES};
-use vmplants_virt::VmState;
+use vmplants_virt::{timing, VmState};
 use vmplants_vnet::NetworkId;
 
 use crate::daemon::{DoneAd, Plant};
@@ -67,9 +67,8 @@ pub fn migrate(
         };
         let host = state.host.clone();
         let pressure = host.pressure_factor();
-        let suspend = state
-            .timing
-            .sample_suspend(&mut state.rng.borrow_mut(), spec.memory_mb, pressure);
+        let suspend =
+            timing::sample_suspend(&mut state.rng.borrow_mut(), spec.memory_mb, pressure);
         state
             .info
             .get_mut(&id)
@@ -212,9 +211,7 @@ fn finish_migration(
         record.set_value("migrated_from", source.name());
         let pressure = tstate.host.pressure_factor();
         let mut rng = tstate.rng.borrow_mut();
-        let resume = tstate
-            .timing
-            .sample_resume(&mut rng, spec.memory_mb, pressure);
+        let resume = timing::sample_resume(&mut rng, spec.memory_mb, pressure);
         drop(rng);
         resume
     };

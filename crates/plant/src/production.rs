@@ -13,7 +13,7 @@ use vmplants_simkit::obs::{Obs, SpanId, TrackId};
 use vmplants_simkit::{Engine, SimDuration, SimTime};
 use vmplants_virt::guest::GuestScript;
 use vmplants_virt::hypervisor::CloneStats;
-use vmplants_virt::{ImageFiles, VirtError, VmSpec, VmState, VmmType};
+use vmplants_virt::{timing, ImageFiles, VirtError, VmSpec, VmState, VmmType};
 use vmplants_vnet::ServiceError;
 use vmplants_warehouse::GoldenId;
 
@@ -516,8 +516,7 @@ fn on_cloned(engine: &mut Engine, job: &JobRef, stats: CloneStats) {
         let guest_ready = {
             let mut rng = state.rng.borrow_mut();
             // Guest wake-up plus background cluster interference.
-            state.timing.sample_guest_ready(&mut rng, pressure)
-                + state.timing.sample_interference(&mut rng)
+            timing::sample_guest_ready(&mut rng, pressure) + timing::sample_interference(&mut rng)
         };
         j.config_started = engine.now();
         j.obs.span(
@@ -593,9 +592,7 @@ fn execute_host_action(engine: &mut Engine, job: &JobRef, action: Action, is_rec
         let state = plant.inner.borrow();
         let pressure = state.host.pressure_factor();
         let duration =
-            state
-                .timing
-                .sample_action(&mut state.rng.borrow_mut(), action.nominal_ms, pressure);
+            timing::sample_action(&mut state.rng.borrow_mut(), action.nominal_ms, pressure);
         drop(state);
         (plant, duration)
     };

@@ -12,7 +12,7 @@
 
 use vmplants_simkit::Engine;
 use vmplants_virt::image::{BASE_REDO_BYTES, CONFIG_BYTES};
-use vmplants_virt::VmState;
+use vmplants_virt::{timing, VmState};
 use vmplants_warehouse::{GoldenId, PublishError};
 
 use crate::daemon::Plant;
@@ -78,9 +78,8 @@ impl Plant {
                 .expect("checked above")
                 .transition(VmState::Publishing);
             let pressure = host.pressure_factor();
-            let suspend = state
-                .timing
-                .sample_suspend(&mut state.rng.borrow_mut(), spec.memory_mb, pressure);
+            let suspend =
+                timing::sample_suspend(&mut state.rng.borrow_mut(), spec.memory_mb, pressure);
             let upload_bytes = spec.memory_mb * 1024 * 1024 + BASE_REDO_BYTES + CONFIG_BYTES;
             (suspend, upload_bytes, state.nfs.clone(), spec)
         };
@@ -118,10 +117,7 @@ impl Plant {
                     let state = plant2.inner.borrow();
                     let pressure = state.host.pressure_factor();
                     let mut rng = state.rng.borrow_mut();
-                    let resume =
-                        state
-                            .timing
-                            .sample_resume(&mut rng, spec.memory_mb, pressure);
+                    let resume = timing::sample_resume(&mut rng, spec.memory_mb, pressure);
                     drop(rng);
                     resume
                 };

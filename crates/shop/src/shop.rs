@@ -914,6 +914,12 @@ impl VmShop {
     /// infrastructure faults — until the per-order deadline. Caches the
     /// classad and responds. A crashed shop refuses with
     /// [`ShopError::ShopDown`] and journals nothing.
+    ///
+    /// `done` does not survive a shop crash: [`VmShop::crash`] drops it
+    /// with the other client waiters, so a direct caller never hears of
+    /// the order again, though recovery still resumes it and publishes
+    /// its VM. Callers that must learn the outcome across a crash submit
+    /// through [`crate::ShopClient`], which resubmits under a stable key.
     pub fn create(&self, engine: &mut Engine, order: ProductionOrder, done: ShopDone) {
         if !self.is_alive() {
             let outbound = self.sample_hop();

@@ -244,6 +244,13 @@ struct SpanRec {
     attrs: Vec<(String, String)>,
 }
 
+/// How many of the slowest completed traces the flight recorder keeps
+/// (K: tail-based retention, independent of head sampling).
+pub const FLIGHT_SLOWEST: usize = 8;
+/// Ring capacity for failed traces (F): the flight recorder keeps the
+/// *last* `FLIGHT_FAILED` failed traces.
+pub const FLIGHT_FAILED: usize = 32;
+
 /// Configuration for tracing: see [`Obs::sampled`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SamplerConfig {
@@ -252,12 +259,6 @@ pub struct SamplerConfig {
     /// key-stable: a retried/recovered order (same key) always lands on
     /// the same side of the decision.
     pub rate_ppm: u32,
-    /// How many of the slowest completed traces the flight recorder keeps
-    /// (tail-based retention, independent of head sampling).
-    pub flight_slowest: usize,
-    /// Ring capacity for failed traces: the *last* `flight_failed` failed
-    /// traces are kept.
-    pub flight_failed: usize,
     /// Shard tag stamped on every trace so flight recorders merged across
     /// `run_ordered` shards have a total, grouping-invariant order
     /// (`duration, unit, seq` is unique).
@@ -268,8 +269,6 @@ impl Default for SamplerConfig {
     fn default() -> SamplerConfig {
         SamplerConfig {
             rate_ppm: 10_000, // 1%
-            flight_slowest: 8,
-            flight_failed: 32,
             unit: 0,
         }
     }
@@ -308,9 +307,9 @@ struct SamplerInner {
     active_high_water: Cell<usize>,
     /// Slots of head-sampled completed traces, in completion order.
     retained: RefCell<Vec<u32>>,
-    /// The `flight_slowest` slowest completed traces (any outcome).
+    /// The [`FLIGHT_SLOWEST`] slowest completed traces (any outcome).
     slowest: RefCell<Vec<TraceBuf>>,
-    /// Ring of the last `flight_failed` failed traces.
+    /// Ring of the last [`FLIGHT_FAILED`] failed traces.
     failed: RefCell<VecDeque<TraceBuf>>,
 }
 
@@ -375,22 +374,19 @@ impl SamplerInner {
         }
         // Tail retention: the K slowest completed traces, totally ordered
         // by (duration, unit, seq) so replacement is deterministic.
-        let cap = self.config.flight_slowest;
-        if cap > 0 {
-            let mut slowest = self.slowest.borrow_mut();
-            let rank = |b: &TraceBuf| (b.duration_ms, b.unit, b.seq);
-            if slowest.len() < cap {
-                slowest.push(buf.clone());
-            } else if let Some(min_at) = (0..slowest.len())
-                .min_by_key(|&i| rank(&slowest[i]))
-                .filter(|&i| rank(&slowest[i]) < rank(buf))
-            {
-                slowest[min_at] = buf.clone();
-            }
+        let mut slowest = self.slowest.borrow_mut();
+        let rank = |b: &TraceBuf| (b.duration_ms, b.unit, b.seq);
+        if slowest.len() < FLIGHT_SLOWEST {
+            slowest.push(buf.clone());
+        } else if let Some(min_at) = (0..slowest.len())
+            .min_by_key(|&i| rank(&slowest[i]))
+            .filter(|&i| rank(&slowest[i]) < rank(buf))
+        {
+            slowest[min_at] = buf.clone();
         }
-        if buf.failed && self.config.flight_failed > 0 {
+        if buf.failed {
             let mut failed = self.failed.borrow_mut();
-            if failed.len() == self.config.flight_failed {
+            if failed.len() == FLIGHT_FAILED {
                 failed.pop_front();
             }
             failed.push_back(buf.clone());
@@ -520,8 +516,8 @@ impl Obs {
     /// Tracing with head sampling: spans are buffered per trace while the
     /// trace is in flight, and when its root ends the trace is retained
     /// (head-sampled by `fnv1a64(key)`) or dropped; the flight recorder
-    /// separately keeps the `flight_slowest` slowest and the last
-    /// `flight_failed` failed traces. Memory is O(in-flight + retained
+    /// separately keeps the [`FLIGHT_SLOWEST`] slowest and the last
+    /// [`FLIGHT_FAILED`] failed traces. Memory is O(in-flight + retained
     /// traces). The decision inputs (key hash, sim durations) are
     /// deterministic, so exports are byte-identical across same-seed runs.
     pub fn sampled(config: SamplerConfig) -> Obs {
@@ -696,8 +692,9 @@ impl Obs {
         })
     }
 
-    /// Extract the flight recorder: a `Send` snapshot of the K slowest and
-    /// the last F failed traces, mergeable across shards. Empty when
+    /// Extract the flight recorder: a `Send` snapshot of the
+    /// [`FLIGHT_SLOWEST`] slowest and the last [`FLIGHT_FAILED`] failed
+    /// traces, mergeable across shards. Empty when
     /// tracing is off.
     pub fn flight_recorder(&self) -> FlightRecorder {
         let Some(sampler) = &self.inner.sampler else {
@@ -721,8 +718,6 @@ impl Obs {
             .map(|buf| flight_trace(buf, &tracks))
             .collect();
         FlightRecorder {
-            slowest_cap: sampler.config.flight_slowest,
-            failed_cap: sampler.config.flight_failed,
             slowest,
             failed,
         }
@@ -1086,17 +1081,14 @@ impl CriticalPath {
 }
 
 /// A tail-retention snapshot extracted from a sampled [`Obs`]: the
-/// complete span trees of the K slowest and the last F failed traces.
+/// complete span trees of the K = [`FLIGHT_SLOWEST`] slowest and the last
+/// F = [`FLIGHT_FAILED`] failed traces.
 /// Plain `Send` data, so `run_ordered` shards can return their recorders
 /// and the caller can [`FlightRecorder::merge`] them; the merge selects
 /// over the union by the total order `(duration, unit, seq)`, so any
 /// merge grouping yields a byte-identical recorder.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct FlightRecorder {
-    /// Capacity of the slowest-traces list.
-    pub slowest_cap: usize,
-    /// Capacity of the failed-traces ring.
-    pub failed_cap: usize,
     /// Slowest traces, duration-descending (ties broken by `(unit, seq)`).
     pub slowest: Vec<FlightTrace>,
     /// Failed traces, `(unit, seq)`-ascending (the ring keeps the last F).
@@ -1139,22 +1131,21 @@ pub struct FlightSpan {
 }
 
 impl FlightRecorder {
-    /// Merge another recorder: re-select the `slowest_cap` slowest and the
-    /// last `failed_cap` failed traces over the union. Associative and
-    /// commutative given unique `(unit, seq)` tags per shard.
+    /// Merge another recorder: re-select the [`FLIGHT_SLOWEST`] slowest
+    /// and the last [`FLIGHT_FAILED`] failed traces over the union.
+    /// Associative and commutative given unique `(unit, seq)` tags per
+    /// shard.
     pub fn merge(&mut self, other: &FlightRecorder) {
-        self.slowest_cap = self.slowest_cap.max(other.slowest_cap);
-        self.failed_cap = self.failed_cap.max(other.failed_cap);
         self.slowest.extend(other.slowest.iter().cloned());
         self.slowest.sort_by(|a, b| {
             (std::cmp::Reverse(a.duration_ms), a.unit, a.seq)
                 .cmp(&(std::cmp::Reverse(b.duration_ms), b.unit, b.seq))
         });
-        self.slowest.truncate(self.slowest_cap);
+        self.slowest.truncate(FLIGHT_SLOWEST);
         self.failed.extend(other.failed.iter().cloned());
         self.failed.sort_by_key(|t| (t.unit, t.seq));
-        if self.failed.len() > self.failed_cap {
-            let drop = self.failed.len() - self.failed_cap;
+        if self.failed.len() > FLIGHT_FAILED {
+            let drop = self.failed.len() - FLIGHT_FAILED;
             self.failed.drain(..drop);
         }
     }
@@ -1651,18 +1642,14 @@ mod tests {
     #[test]
     fn flight_recorder_ring_and_merge_grouping_invariance() {
         let make = |unit: u32, n: usize| {
-            let obs = storm(
-                Obs::sampled(SamplerConfig {
-                    rate_ppm: 0,
-                    flight_slowest: 4,
-                    flight_failed: 3,
-                    unit,
-                }),
-                n,
-            );
-            obs.flight_recorder()
+            storm(Obs::sampled(SamplerConfig { rate_ppm: 0, unit }), n).flight_recorder()
         };
-        let (a, b, c) = (make(0, 10), make(1, 7), make(2, 12));
+        // Every fifth trace fails: 40, 40 and 12 failed traces, so units 0
+        // and 1 each wrap the ring and the union overflows both lists.
+        let (a, b, c) = (make(0, 200), make(1, 199), make(2, 60));
+        assert_eq!(a.failed.len(), FLIGHT_FAILED);
+        assert_eq!(a.failed[0].seq, 40, "the ring dropped the first 8 failed");
+        assert_eq!(c.failed.len(), 12);
         // ((a+b)+c) == (a+(b+c)) == ((c+b)+a): multiset selection.
         let mut left = a.clone();
         left.merge(&b);
@@ -1676,11 +1663,24 @@ mod tests {
         rev.merge(&a);
         assert_eq!(left, right_total);
         assert_eq!(left, rev);
-        assert_eq!(left.slowest.len(), 4);
-        // Slowest overall: unit 2's 12s trace, then 10s, 9s(unit2), 8s(unit2)...
-        assert_eq!(left.slowest[0].duration_ms, 12_000);
-        assert_eq!(left.slowest[0].unit, 2);
-        assert!(left.failed.len() == 3, "ring keeps the last 3 failed");
+        // Slowest overall, equal durations ordered by unit.
+        let slowest: Vec<(u64, u32)> =
+            left.slowest.iter().map(|t| (t.duration_ms / 1000, t.unit)).collect();
+        let expected = [
+            (200, 0),
+            (199, 0),
+            (199, 1),
+            (198, 0),
+            (198, 1),
+            (197, 0),
+            (197, 1),
+            (196, 0),
+        ];
+        assert_eq!(slowest, expected);
+        // The merged ring keeps the last 32 by (unit, seq): unit 1's last
+        // 20, then all of unit 2's.
+        assert_eq!(left.failed[..20], b.failed[12..]);
+        assert_eq!(left.failed[20..], c.failed[..]);
         let jsonl = left.to_jsonl();
         assert!(jsonl.contains("\"type\":\"flight\""));
         assert!(jsonl.contains("\"kind\":\"slowest\""));

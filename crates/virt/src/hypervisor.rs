@@ -26,7 +26,7 @@ use vmplants_simkit::{Engine, SimDuration, SimRng, SimTime};
 
 use crate::guest::GuestScript;
 use crate::image::ImageFiles;
-use crate::timing::TimingModel;
+use crate::timing;
 use crate::vm::{VmSpec, VmmType};
 
 /// Errors surfaced by the backends.
@@ -97,10 +97,9 @@ pub struct ExecStats {
     pub outputs: Vec<(String, String)>,
 }
 
-/// The simulated VMM: one backend for both production lines, sharing one
-/// timing model and one random stream.
+/// The simulated VMM: one backend for both production lines, sharing the
+/// calibrated [`timing`] model and one random stream.
 pub struct Hypervisor {
-    timing: TimingModel,
     rng: Rc<RefCell<SimRng>>,
     /// Probability any single guest script execution fails (fault
     /// injection for error-policy tests; 0 by default).
@@ -114,15 +113,9 @@ pub struct Hypervisor {
 }
 
 impl Hypervisor {
-    /// Backend with the default timing model.
+    /// Backend drawing its durations from `rng`.
     pub fn new(rng: Rc<RefCell<SimRng>>) -> Hypervisor {
-        Hypervisor::with_timing(TimingModel::default(), rng)
-    }
-
-    /// Backend with an explicit timing model (ablations).
-    pub fn with_timing(timing: TimingModel, rng: Rc<RefCell<SimRng>>) -> Hypervisor {
         Hypervisor {
-            timing,
             rng,
             exec_failure_rate: 0.0,
             nonce: Cell::new(0),
@@ -213,14 +206,13 @@ impl Hypervisor {
         let setup = {
             let mut rng = self.rng.borrow_mut();
             let cow = if uml {
-                self.timing.sample_cow_setup(&mut rng)
+                timing::sample_cow_setup(&mut rng)
             } else {
                 SimDuration::ZERO
             };
-            cow + self.timing.sample_links(&mut rng, links.len())
+            cow + timing::sample_links(&mut rng, links.len())
         };
         let resumes = image.memory_state.is_some();
-        let timing = self.timing.clone();
         let rng = Rc::clone(&self.rng);
         let host = host.clone();
         let nfs = nfs.clone();
@@ -266,16 +258,16 @@ impl Hypervisor {
                         let copy_elapsed = engine.now().since(copy_started);
                         let disk_floor =
                             SimDuration::from_secs_f64(copied as f64 / host.spec().disk_bw);
-                        let noise = timing.sample_copy_noise(&mut rng);
+                        let noise = timing::sample_copy_noise(&mut rng);
                         let stretch =
-                            (TimingModel::copy_pressure_factor(pressure) * noise - 1.0).max(0.0);
+                            (timing::copy_pressure_factor(pressure) * noise - 1.0).max(0.0);
                         disk_floor.saturating_sub(copy_elapsed)
                             + copy_elapsed.max(disk_floor).mul_f64(stretch)
                     });
                     let activate = if resumes {
-                        timing.sample_resume(&mut rng, mem, host.pressure_factor())
+                        timing::sample_resume(&mut rng, mem, host.pressure_factor())
                     } else {
-                        timing.sample_boot(&mut rng, mem, host.pressure_factor())
+                        timing::sample_boot(&mut rng, mem, host.pressure_factor())
                     };
                     (settle, activate)
                 };
@@ -345,9 +337,8 @@ impl Hypervisor {
         let (round, run, fails) = {
             let mut rng = self.rng.borrow_mut();
             (
-                self.timing.sample_iso_round(&mut rng),
-                self.timing
-                    .sample_action(&mut rng, script.nominal_ms, pressure),
+                timing::sample_iso_round(&mut rng),
+                timing::sample_action(&mut rng, script.nominal_ms, pressure),
                 rng.chance(self.exec_failure_rate),
             )
         };
@@ -407,7 +398,7 @@ impl Hypervisor {
         clone_dir: &str,
         done: Done<()>,
     ) {
-        let delay = self.timing.sample_destroy(&mut self.rng.borrow_mut());
+        let delay = timing::sample_destroy(&mut self.rng.borrow_mut());
         let host = host.clone();
         let epoch = host.boot_epoch();
         let mem = spec.memory_mb;

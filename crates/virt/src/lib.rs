@@ -22,8 +22,9 @@
 //!   overlays and *boots* (or resumes a checkpointed image's snapshot);
 //! * [`guest`] — §4.1's configuration path: scripts burned into ISO images,
 //!   attached as virtual CD-ROMs, executed by the in-guest daemon;
-//! * [`timing::TimingModel`] — every constant that shapes Figures 4–6, in
-//!   one place, with the calibration argument for each;
+//! * [`timing`] — every constant that shapes Figures 4–6, in one place,
+//!   with the calibration argument for each: fixed values of the one
+//!   calibrated §4.2 testbed, read by the `sample_*` functions;
 //! * [`overhead`] — the run-time overhead model used by experiment E9
 //!   (the §4.3 discussion of SPEC / LSS overheads under VMware, UML, Xen).
 
@@ -36,5 +37,4 @@ pub mod vm;
 
 pub use hypervisor::{CloneStats, ExecStats, Hypervisor, VirtError};
 pub use image::ImageFiles;
-pub use timing::TimingModel;
 pub use vm::{VmSpec, VmState, VmmType};

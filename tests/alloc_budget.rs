@@ -115,6 +115,11 @@ const ZIPF_CEILING_PER_ORDER: f64 = 186.0;
 /// about 30.43 per order.
 const ZIPF_EVENTS_PER_ORDER: f64 = 9_128.0 / ORDERS as f64;
 
+/// Allocations of a plant query that reads a running VM whose classad
+/// the previous read, at the same instant, already brought up to date:
+/// the reply shares the record's attribute list, exactly.
+const UNCHANGED_QUERY_ALLOCS: u64 = 0;
+
 /// What one stream measured.
 struct Stream {
     per_order: f64,
@@ -315,4 +320,30 @@ fn zipf_order_path_stays_within_its_allocation_budget() {
         per_order <= ZIPF_CEILING_PER_ORDER,
         "{per_order:.1} allocations per order exceeds the ceiling of {ZIPF_CEILING_PER_ORDER}"
     );
+}
+
+#[test]
+fn a_query_of_an_unchanged_vm_allocates_nothing() {
+    let mut site = SimSite::build(SiteConfig {
+        seed: 1,
+        ..SiteConfig::default()
+    });
+    let ad = site
+        .create_vm(VmSpec::mandrake(64), experiment_dag("arijit"))
+        .expect("fault-free create");
+    let id = VmId(ad.get_str("vmid").expect("vmid"));
+    let host = ad.get_str("plant").expect("plant");
+    let plant = site
+        .plants
+        .iter()
+        .find(|p| p.name() == host)
+        .expect("the VM's plant");
+    let first = plant.query(&site.engine, &id).expect("first read");
+    COUNTING.with(|on| on.set(true));
+    let second = plant.query(&site.engine, &id);
+    COUNTING.with(|on| on.set(false));
+    let allocs = ALLOCS.with(|n| n.replace(0));
+    println!("unchanged query: {allocs} allocations");
+    assert_eq!(second.as_ref(), Ok(&first));
+    assert_eq!(allocs, UNCHANGED_QUERY_ALLOCS, "a read with nothing to write copied");
 }
